@@ -40,7 +40,6 @@ from .lindblad import (
     asymptotic_projection_limit,
     decay_rates,
     drazin_inverse,
-    matrix_exp_apply,
     min_decay_rate,
     nh_hamiltonian,
     nh_hamiltonian_inverse,

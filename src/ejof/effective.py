@@ -27,7 +27,10 @@ coupling between the blocks,
     C = V_offdiag - (i/2) sum_l ( F_l† f_ul_l + f_ul_l† F_l ).
 
 Both routes return the same full-dimension superoperator restricted to the
-DFS corner; :func:`verify_equivalence` quantifies the agreement.
+DFS corner; :func:`verify_equivalence` quantifies the agreement. Both are
+evaluated on the d^2 DFS columns only: with E = conj(B) kron B for a DFS
+isometry B, vec(B sigma B†) = E vec(sigma) and the DFS-corner projector is
+S_ul = E E†, so every D^2 x D^2 product becomes a tall-skinny one.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .lindblad import (
     StructuredLindbladian,
     assemble_lindbladian,
     nh_hamiltonian_inverse,
-    nh_superop_inverse_lr,
     nh_superop_solve,
     structured_lindbladian,
 )
@@ -55,12 +57,14 @@ from .operators import (
     compress_superop,
     dagger,
     dissipator,
+    embed_superop,
     four_corners,
     frob,
     require_hermitian,
     sandwich_superop,
     star_commutator,
     star_commutator_superop,
+    vectorize,
 )
 
 RESIDUAL_FLOOR = 1e-14
@@ -154,14 +158,23 @@ def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbatio
     """Second-order effective generator by the resolvent route.
 
     Returns the full (D^2, D^2) matrix restricted to the DFS corner:
-    P_ul [ P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf ] P_ul.
+    P_ul [ P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf ] P_ul, evaluated as
+    E E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] E†. Only the
+    generator's own Drazin inverse and asymptotic projection enter, so the
+    route stays independent of the closed one.
     """
     o1, o2 = perturbation_superops(lind, pert)
-    ld = lind.drazin
+    basis = lind.dfs.basis
+    e = _dfs_columns(basis)
     pinf = lind.asymptotic_projection
-    m = pinf @ (o1 + o2) @ pinf - pinf @ o1 @ ld @ o1 @ pinf
-    s_ul = lind.corners.ul
-    return s_ul @ m @ s_ul
+    pe = pinf @ e
+    cols = (o1 + o2) @ pe - o1 @ (lind.drazin @ (o1 @ pe))
+    return embed_superop(dagger(e) @ pinf @ cols, basis)
+
+
+def _dfs_columns(basis: np.ndarray) -> np.ndarray:
+    """E = conj(B) kron B, whose columns are vec(b_i b_j†) in vec order."""
+    return np.kron(basis.conj(), basis)
 
 
 @dataclass(frozen=True)
@@ -169,7 +182,9 @@ class EffectiveGenerator:
     """Closed-form effective generator data on the DFS.
 
     h_eff and the jumps_eff are supported on the DFS corner. cp_superop is the
-    completely positive feed-through term E_eff as a full-dimension matrix;
+    completely positive feed-through term E_eff as a full-dimension matrix
+    (it reads only the DFS corner of its input, so its columns outside the
+    DFS corner vanish);
     cp_adjoint_identity = sum_l f_ll_l† f_ll_l is its adjoint applied to the
     identity, used for the trace-conserving anticommutator counterweight.
     """
@@ -197,17 +212,24 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
         four_corners(f, dfs).ul - big_f @ kinv @ coupling
         for big_f, f in zip(lind.jumps, pert.fs)
     )
-    inv_lr = nh_superop_inverse_lr(lind.k, dfs)
-    feed = np.zeros_like(inv_lr)
-    source = np.zeros_like(inv_lr)
+    f_lls = [four_corners(f, dfs).ll for f in pert.fs]
     adj_id = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    for big_f in lind.jumps:
-        feed = feed + sandwich_superop(big_f, dagger(big_f))
-    for f in pert.fs:
-        f_ll = four_corners(f, dfs).ll
-        source = source + sandwich_superop(f_ll, dagger(f_ll))
+    for f_ll in f_lls:
         adj_id = adj_id + dagger(f_ll) @ f_ll
-    cp_superop = -feed @ inv_lr @ source
+    # E_eff on the d^2 DFS units b_i b_j†: source, sector solve, feed. The
+    # source f_ll (.) f_ll† reads only P X P, so these columns determine E_eff.
+    bp, bq = dfs.basis, dfs.basis_c
+    d = dfs.d
+    cols = np.zeros((dfs.dim ** 2, d * d), dtype=complex)
+    for j in range(d):
+        for i in range(d):
+            unit = np.outer(bp[:, i], bp[:, j].conj())
+            source = dagger(bq) @ _sandwich_sum(f_lls, unit) @ bq
+            if not source.any():
+                continue
+            sigma = bq @ lind.decaying_sector.solve(source) @ dagger(bq)
+            cols[:, i + d * j] = -vectorize(_sandwich_sum(lind.jumps, sigma))
+    cp_superop = cols @ dagger(_dfs_columns(bp))
     return EffectiveGenerator(
         h_eff=h_eff,
         jumps_eff=jumps_eff,
@@ -215,6 +237,14 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
         cp_adjoint_identity=adj_id,
         dfs=dfs,
     )
+
+
+def _sandwich_sum(ops, x: np.ndarray) -> np.ndarray:
+    """sum_l A_l X A_l†."""
+    out = np.zeros_like(x)
+    for a in ops:
+        out += a @ x @ dagger(a)
+    return out
 
 
 def effective_to_superop(eff: EffectiveGenerator) -> np.ndarray:
@@ -227,8 +257,8 @@ def effective_to_superop(eff: EffectiveGenerator) -> np.ndarray:
     for f in eff.jumps_eff:
         s = s + dissipator(f)
     s = s + eff.cp_superop - 0.5 * anticommutator_superop(eff.cp_adjoint_identity)
-    s_ul = sandwich_superop(eff.dfs.p, eff.dfs.p)
-    return s_ul @ s @ s_ul
+    basis = eff.dfs.basis
+    return embed_superop(compress_superop(s, basis), basis)
 
 
 def dfs_block(superop: np.ndarray, dfs: DfsProjector) -> np.ndarray:
@@ -481,11 +511,12 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
         try:
             h[d:, d:] = _defective_decaying_hamiltonian(w) if defective_k else _random_hermitian(rng, n)
             lind = structured_lindbladian(h, jumps, dfs)
-            if min(np.abs(np.linalg.eigvals(lind.k[d:, d:]))) < 1e-2:
+            if min(np.abs(np.diag(lind.decaying_sector.t))) < 1e-2:
                 raise ValueError("non-Hermitian Hamiltonian too close to singular")
-            rates = -np.real(np.linalg.eigvals(lind.superop))
-            thresh = 1e-8 * float(np.linalg.norm(lind.superop, 2))
-            nonzero = rates[np.abs(np.linalg.eigvals(lind.superop)) > thresh]
+            # Decay rates off the cached Schur diagonal of L, at its Drazin cut.
+            factor = lind.schur_form
+            evals = factor.eigenvalues
+            nonzero = -evals.real[np.abs(evals) > factor.thresh]
             if nonzero.size and float(np.min(nonzero)) < 5e-2:
                 raise ValueError("spectral gap too small for a clean instance")
         except (ValueError, np.linalg.LinAlgError) as err:

@@ -15,7 +15,16 @@ Two objects drive all perturbative computations downstream:
 * the non-Hermitian Hamiltonian K = H - (i/2) sum_l F_l† F_l, which is
   supported on the decaying block for structured generators, and
 * the Drazin pseudoinverse of L, an inverse on the complement of the steady
-  subspace, built here from an ordered complex Schur decomposition.
+  subspace.
+
+Each matrix is factored once. :func:`structured_lindbladian` computes ||L||_2
+and one ordered complex Schur form of L (:class:`OrderedSchur`) and caches
+them on the :class:`StructuredLindbladian`; the structural report, the Drazin
+inverse and the asymptotic projection are all read off that factor. The
+decaying-sector map sigma -> -i(K sigma - sigma K†) is a Sylvester equation,
+solved by Bartels-Stewart on a Schur form of K_qq that is likewise factored
+once per generator (:class:`SectorSolver`). The dense Kronecker form of that
+map is kept in :func:`nh_superop_inverse_lr` as an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm, schur, solve_triangular
+from scipy.linalg.lapack import ztrsyl
 
 from .operators import (
     DEFAULT_TOL,
@@ -35,13 +45,11 @@ from .operators import (
     commutator_superop,
     corner_superops,
     dagger,
-    devectorize,
     dissipator,
     four_corners,
     frob,
     require_hermitian,
     sandwich_superop,
-    vectorize,
 )
 
 # Relative threshold separating the zero cluster of a superoperator spectrum.
@@ -123,11 +131,91 @@ class StructureReport:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class OrderedSchur:
+    """Ordered complex Schur form S = Z T Z† of a square matrix.
+
+    The ``sdim`` eigenvalues with |lambda| above the zero threshold lead the
+    diagonal of T and the zero cluster trails::
+
+        T = [[T11, T12],   S^D = Z [[inv(T11), inv(T11)^2 T12],  Z†
+             [0,   T22]],            [0,        0            ]]
+
+    ``norm2`` = ||S||_2 is kept for the scale-relative cuts of the structural
+    checks. Build one with :meth:`of`; the Drazin inverse and the asymptotic
+    projection are then read off the factor without refactoring.
+    """
+
+    t: np.ndarray
+    z: np.ndarray
+    sdim: int
+    thresh: float
+    norm2: float
+
+    @classmethod
+    def of(cls, s: np.ndarray, *, zero_tol: float | None = None) -> "OrderedSchur":
+        """Factor S, sorting at zero_tol (default 1e-8 * ||S||_2)."""
+        s = as_operator(s)
+        norm2 = float(np.linalg.norm(s, 2))
+        thresh = ZERO_CLUSTER_FACTOR * norm2 if zero_tol is None else float(zero_tol)
+        t, z, sdim = schur(s, output="complex", sort=lambda lam: abs(lam) > thresh)
+        return cls(t=t, z=z, sdim=int(sdim), thresh=thresh, norm2=norm2)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return np.diag(self.t)
+
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """inv(T11) and inv(T11) T12, after the semisimplicity and gap checks.
+
+        For a semisimple zero cluster T22 vanishes up to round-off; a
+        nilpotent residual above tolerance raises
+        :class:`NonSemisimpleZeroError`. A retained eigenvalue within 100x of
+        the threshold emits :class:`SpectralGapWarning`.
+        """
+        k = self.sdim
+        m = self.t.shape[0] - k
+        t11, t12 = self.t[:k, :k], self.t[:k, k:]
+        if m:
+            nil = frob(self.t[k:, k:])
+            nil_tol = 10.0 * self.thresh * max(1.0, np.sqrt(m))
+            if nil > nil_tol:
+                raise NonSemisimpleZeroError(
+                    f"zero eigenvalue is not semisimple (nilpotent residual {nil:.3e} > {nil_tol:.3e})"
+                )
+            if k:
+                gap = float(np.min(np.abs(np.diag(t11))))
+                if gap < GAP_WARNING_FACTOR * self.thresh:
+                    warnings.warn(
+                        f"smallest retained eigenvalue {gap:.3e} is within "
+                        f"{GAP_WARNING_FACTOR:g}x of the zero threshold {self.thresh:.3e}",
+                        SpectralGapWarning,
+                        stacklevel=2,
+                    )
+        inv11 = solve_triangular(t11, np.eye(k, dtype=complex))
+        return inv11, inv11 @ t12
+
+    def drazin(self) -> np.ndarray:
+        """S^D = Z1 inv(T11) (Z1† + inv(T11) T12 Z2†)."""
+        inv11, x = self._split
+        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
+        return z1 @ (inv11 @ (dagger(z1) + x @ dagger(z2)))
+
+    def projection(self) -> np.ndarray:
+        """P_inf = I - S S^D = (Z2 - Z1 inv(T11) T12) Z2†."""
+        _, x = self._split
+        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
+        return (z2 - z1 @ x) @ dagger(z2)
+
+
 @dataclass(eq=False)
 class StructuredLindbladian:
     """A Lindbladian in the DFS structural normal form.
 
-    Use :func:`structured_lindbladian` to construct one with validation.
+    Use :func:`structured_lindbladian` to construct one with validation. The
+    ordered Schur form of the superoperator is computed once, at build, and
+    every spectral quantity is derived from it.
     """
 
     h: np.ndarray
@@ -135,6 +223,11 @@ class StructuredLindbladian:
     dfs: DfsProjector
     superop: np.ndarray
     report: StructureReport | None = field(default=None, repr=False)
+    schur_form: OrderedSchur | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.schur_form is None:
+            self.schur_form = OrderedSchur.of(self.superop)
 
     @property
     def dim(self) -> int:
@@ -146,13 +239,18 @@ class StructuredLindbladian:
         return nh_hamiltonian(self.h, self.jumps)
 
     @cached_property
+    def decaying_sector(self) -> "SectorSolver":
+        """Bartels-Stewart solver for the decaying sector, factored once."""
+        return SectorSolver.of(self.k, self.dfs)
+
+    @cached_property
     def drazin(self) -> np.ndarray:
-        return drazin_inverse(self.superop)
+        return self.schur_form.drazin()
 
     @cached_property
     def asymptotic_projection(self) -> np.ndarray:
         """Projection onto the steady subspace along the decaying directions."""
-        return np.eye(self.superop.shape[0], dtype=complex) - self.superop @ self.drazin
+        return self.schur_form.projection()
 
     @cached_property
     def corners(self) -> Corners:
@@ -165,24 +263,27 @@ def structure_report(h, jumps, dfs: DfsProjector, superop=None, tol: float = DEF
     jumps = [as_operator(f) for f in jumps]
     if superop is None:
         superop = assemble_lindbladian(h, jumps)
+    return _structure_report(h, jumps, dfs, superop, OrderedSchur.of(superop), tol)
+
+
+def _structure_report(h, jumps, dfs: DfsProjector, superop: np.ndarray,
+                      factor: OrderedSchur, tol: float) -> StructureReport:
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
     h_block = frob(h - dfs.q @ h @ dfs.q) / scale_h
     jump_res = tuple(
         frob(f - dfs.p @ f @ dfs.q) / max(1.0, frob(f)) for f in jumps
     )
-    # Steadiness: L applied to a basis of the DFS block.
+    # Steadiness: L applied to a basis of the DFS block, one unit per column.
     d = dfs.d
-    steady = 0.0
-    scale_s = max(1.0, float(np.linalg.norm(superop, 2)))
-    for i in range(d):
-        for j in range(d):
-            unit = np.outer(dfs.basis[:, i], dfs.basis[:, j].conj())
-            steady = max(steady, frob(devectorize(superop @ vectorize(unit))) / scale_s)
-    evals = np.linalg.eigvals(superop)
+    scale_s = max(1.0, factor.norm2)
+    units = np.kron(dfs.basis.conj(), dfs.basis)
+    steady = float(np.max(np.linalg.norm(superop @ units, axis=0))) / scale_s
+    # Zero cluster and gap at the report's own cut, read off the Schur diagonal.
+    mags = np.abs(factor.eigenvalues)
     thresh = ZERO_CLUSTER_FACTOR * scale_s
-    zero_count = int(np.sum(np.abs(evals) <= thresh))
-    nonzero = np.abs(evals)[np.abs(evals) > thresh]
+    zero_count = int(np.sum(mags <= thresh))
+    nonzero = mags[mags > thresh]
     gap = float(np.min(nonzero)) if nonzero.size else np.inf
     return StructureReport(
         h_hermitian=h_herm,
@@ -202,7 +303,8 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
 
     With validate=True (default) a violated structural assumption raises
     :class:`StructureError`. With validate=False the report is still attached
-    so callers can inspect what failed.
+    so callers can inspect what failed. ||L||_2 and the ordered Schur form of
+    L are computed here, once, and cached on the result.
     """
     h = as_operator(h)
     jumps = tuple(as_operator(f) for f in jumps)
@@ -215,67 +317,31 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     superop = -1j * commutator_superop(h)
     for f in jumps:
         superop = superop + dissipator(f)
-    rep = structure_report(h, jumps, dfs, superop, tol)
+    factor = OrderedSchur.of(superop)
+    rep = _structure_report(h, jumps, dfs, superop, factor, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
-    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep)
+    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,
+                                 schur_form=factor)
 
 
 def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:
     """Drazin pseudoinverse of a matrix with (at most) a semisimple zero eigenvalue.
 
-    An ordered complex Schur decomposition S = Z T Z† sorts the eigenvalues
-    with |lambda| above the zero threshold into the leading block T11::
-
-        T = [[T11, T12],   S^D = Z [[inv(T11), inv(T11)^2 T12],  Z†
-             [0,   T22]],            [0,        0            ]]
-
-    For a semisimple zero cluster T22 vanishes up to round-off; a nilpotent
-    residual above tolerance raises :class:`NonSemisimpleZeroError`. The
-    default threshold is 1e-8 * ||S||_2; a nonzero eigenvalue within 100x of
-    the threshold emits :class:`SpectralGapWarning`.
+    Factors S once as an :class:`OrderedSchur` and reads S^D off it; a
+    :class:`StructuredLindbladian` caches that factor at build, so its
+    ``drazin`` does not refactor. For a semisimple zero cluster T22 vanishes
+    up to round-off; a nilpotent residual above tolerance raises
+    :class:`NonSemisimpleZeroError`. The default threshold is
+    1e-8 * ||S||_2; a nonzero eigenvalue within 100x of the threshold emits
+    :class:`SpectralGapWarning`.
     """
-    s = as_operator(s)
-    n = s.shape[0]
-    norm2 = float(np.linalg.norm(s, 2))
-    if norm2 == 0.0:
-        return np.zeros_like(s)
-    thresh = ZERO_CLUSTER_FACTOR * norm2 if zero_tol is None else float(zero_tol)
-    t, z, sdim = schur(s, output="complex", sort=lambda lam: abs(lam) > thresh)
-    m = n - sdim
-    if m == 0:
-        inv = solve_triangular(t, np.eye(n, dtype=complex))
-        return z @ inv @ dagger(z)
-    t11 = t[:sdim, :sdim]
-    t12 = t[:sdim, sdim:]
-    t22 = t[sdim:, sdim:]
-    nil = frob(t22)
-    nil_tol = 10.0 * thresh * max(1.0, np.sqrt(m))
-    if nil > nil_tol:
-        raise NonSemisimpleZeroError(
-            f"zero eigenvalue is not semisimple (nilpotent residual {nil:.3e} > {nil_tol:.3e})"
-        )
-    if sdim > 0:
-        gap = float(np.min(np.abs(np.diag(t11))))
-        if gap < GAP_WARNING_FACTOR * thresh:
-            warnings.warn(
-                f"smallest retained eigenvalue {gap:.3e} is within "
-                f"{GAP_WARNING_FACTOR:g}x of the zero threshold {thresh:.3e}",
-                SpectralGapWarning,
-                stacklevel=2,
-            )
-    out = np.zeros((n, n), dtype=complex)
-    if sdim > 0:
-        inv11 = solve_triangular(t11, np.eye(sdim, dtype=complex))
-        out[:sdim, :sdim] = inv11
-        out[:sdim, sdim:] = inv11 @ (inv11 @ t12)
-    return z @ out @ dagger(z)
+    return OrderedSchur.of(s, zero_tol=zero_tol).drazin()
 
 
 def asymptotic_projection(s: np.ndarray) -> np.ndarray:
     """P_inf = I - S S^D, the spectral projection onto the kernel of S."""
-    s = as_operator(s)
-    return np.eye(s.shape[0], dtype=complex) - s @ drazin_inverse(s)
+    return OrderedSchur.of(s).projection()
 
 
 def decay_rates(s: np.ndarray) -> np.ndarray:
@@ -312,14 +378,6 @@ def asymptotic_projection_limit(s: np.ndarray, *, t: float | None = None,
     return expm(t * s)
 
 
-def matrix_exp_apply(s: np.ndarray, t: float, rho: np.ndarray) -> np.ndarray:
-    """Propagate rho by exp(t S)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    s = as_operator(s)
-    return devectorize(expm(t * s) @ vectorize(rho))
-
-
 # ---------------------------------------------------------------------------
 # Non-Hermitian sector solves
 # ---------------------------------------------------------------------------
@@ -340,6 +398,39 @@ def nh_hamiltonian_inverse(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
     return bq @ inv @ dagger(bq)
 
 
+@dataclass(frozen=True, eq=False)
+class SectorSolver:
+    """Bartels-Stewart solver for sigma -> -i(K sigma - sigma K†) on the decaying block.
+
+    K_qq = U T U† is Schur-factored once. Each right-hand side C then costs one
+    triangular Sylvester solve T Y - Y T† = i U† C U (LAPACK ztrsyl) and four
+    n x n products, against a dense (n^2, n^2) solve for the Kronecker form.
+    No eigenvectors are involved, so a defective K is handled exactly. A
+    :class:`StructuredLindbladian` caches one as ``decaying_sector``.
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+
+    @classmethod
+    def of(cls, k: np.ndarray, dfs: DfsProjector) -> "SectorSolver":
+        bq = dfs.basis_c
+        t, u = schur(dagger(bq) @ as_operator(k) @ bq, output="complex")
+        return cls(t=t, u=u)
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        """sigma with -i(K sigma - sigma K†) = c, both (n, n) in the decaying basis."""
+        u = self.u
+        y, scale, info = ztrsyl(self.t, self.t, 1j * (dagger(u) @ c @ u),
+                                trana="N", tranb="C", isgn=-1)
+        if info != 0:
+            raise SingularBlockError(
+                "decaying-block evolution superoperator is singular: "
+                f"K and K† share an eigenvalue (LAPACK ztrsyl info {info})"
+            )
+        return u @ (y / scale) @ dagger(u)
+
+
 def _nh_block_matrix(kk: np.ndarray) -> np.ndarray:
     """Matrix of sigma -> -i(K sigma - sigma K†) on the decaying block."""
     n = kk.shape[0]
@@ -352,7 +443,11 @@ def nh_superop_inverse_lr(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
 
     Returns a full (D^2, D^2) matrix that inverts the map on lr-supported
     operators and annihilates the other corners. Implemented as a dense linear
-    solve on the (D-d)^2 block, so a non-diagonalizable K is handled exactly.
+    solve on the Kronecker form of the map, (D-d)^2 square, so a
+    non-diagonalizable K is handled exactly. The routes solve the sector by
+    Bartels-Stewart (:class:`SectorSolver`); this dense form is kept as the
+    independent oracle behind :func:`asymptotic_projection_analytic` and the
+    tests.
     """
     k = as_operator(k)
     bq = dfs.basis_c
@@ -372,9 +467,12 @@ def nh_superop_solve(k: np.ndarray, sigma: np.ndarray, dfs: DfsProjector,
     """Solve -i(K rho - rho K†) = sigma on the ll, ur, and lr corners.
 
     The map is block diagonal over corners and vanishes identically on the
-    DFS corner, so sigma must have no ul component. Each corner is solved as
-    a dense linear system in the compressed basis; no diagonalization of K is
-    involved, so defective K are fine.
+    DFS corner, so sigma must have no ul component. The ll and ur corners are
+    dense linear systems with K_qq in the compressed basis; the lr corner is a
+    Bartels-Stewart Sylvester solve (:class:`SectorSolver`). A corner whose
+    right-hand side is exactly zero is skipped, so K_qq is Schur-factored only
+    when the lr corner is nonzero. No diagonalization of K is involved, so
+    defective K are fine.
     """
     k = as_operator(k)
     sigma = as_operator(sigma)
@@ -386,19 +484,22 @@ def nh_superop_solve(k: np.ndarray, sigma: np.ndarray, dfs: DfsProjector,
         )
     bp, bq = dfs.basis, dfs.basis_c
     kk = dagger(bq) @ k @ bq
-    d, n = dfs.d, dfs.n_decay
+    rhs_ll = dagger(bq) @ c.ll @ bp
+    rhs_ur = dagger(bp) @ c.ur @ bq
+    rhs_lr = dagger(bq) @ c.lr @ bq
+    rho = np.zeros_like(sigma)
     try:
-        # ll corner: -i K rho = sigma_ll.
-        rho_ll = np.linalg.solve(-1j * kk, dagger(bq) @ c.ll @ bp)
-        # ur corner: i rho K† = sigma_ur, solved from the right.
-        rho_ur = np.linalg.solve((1j * dagger(kk)).T, (dagger(bp) @ c.ur @ bq).T).T
-        # lr corner: full sector map as a dense system.
-        m = _nh_block_matrix(kk)
-        rho_lr = np.linalg.solve(m, (dagger(bq) @ c.lr @ bq).reshape(-1, order="F"))
-        rho_lr = rho_lr.reshape((n, n), order="F")
+        if rhs_ll.any():
+            # ll corner: -i K rho = sigma_ll.
+            rho += bq @ np.linalg.solve(-1j * kk, rhs_ll) @ dagger(bp)
+        if rhs_ur.any():
+            # ur corner: i rho K† = sigma_ur, solved from the right.
+            rho += bp @ np.linalg.solve((1j * dagger(kk)).T, rhs_ur.T).T @ dagger(bq)
     except np.linalg.LinAlgError as err:
         raise SingularBlockError(f"non-Hermitian sector solve failed: {err}") from err
-    return bq @ rho_ll @ dagger(bp) + bp @ rho_ur @ dagger(bq) + bq @ rho_lr @ dagger(bq)
+    if rhs_lr.any():
+        rho += bq @ SectorSolver.of(k, dfs).solve(rhs_lr) @ dagger(bq)
+    return rho
 
 
 def asymptotic_projection_analytic(lind: StructuredLindbladian) -> np.ndarray:

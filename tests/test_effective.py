@@ -15,11 +15,13 @@ from ejof.effective import (
     random_structured_instance,
     verify_equivalence,
 )
+from ejof.lindblad import nh_superop_inverse_lr
 from ejof.operators import (
     choi_matrix,
     dagger,
     four_corners,
     frob,
+    sandwich_superop,
 )
 
 
@@ -155,6 +157,21 @@ def test_cp_superop_is_completely_positive(generic_instance):
     choi = choi_matrix(eff.cp_superop)
     evals = np.linalg.eigvalsh(choi)
     assert evals.min() > -1e-11
+
+
+@pytest.mark.parametrize("n, seed, defective, extra", [(3, 11, False, False), (2, 4, True, False),
+                                                     (2, 7, True, True)])
+def test_cp_superop_matches_dense_product(n, seed, defective, extra):
+    # E_eff from its DFS columns against -feed @ inv_lr @ source on full matrices.
+    lind, pert = random_structured_instance(2, n, 2, seed, defective_k=defective,
+                                            extra_zero_jump=extra)
+    dfs = lind.dfs
+    feed = sum(sandwich_superop(f, dagger(f)) for f in lind.jumps)
+    f_lls = [four_corners(f, dfs).ll for f in pert.fs]
+    source = sum(sandwich_superop(f, dagger(f)) for f in f_lls)
+    want = -feed @ nh_superop_inverse_lr(lind.k, dfs) @ source
+    got = effective_lindbladian_closed(lind, pert).cp_superop
+    assert frob(got - want) <= 1e-11 * frob(want)
 
 
 def test_three_level_routes_match(three_level):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import ejof.lindblad
+from ejof.cli import build_scenario
 from ejof.lindblad import (
     NonSemisimpleZeroError,
     SpectralGapWarning,
@@ -20,7 +22,7 @@ from ejof.lindblad import (
     structure_report,
     structured_lindbladian,
 )
-from ejof.effective import random_structured_instance
+from ejof.effective import effective_lindbladian_closed, identity_suite, random_structured_instance
 from ejof.operators import (
     DfsProjector,
     apply_superop,
@@ -31,6 +33,7 @@ from ejof.operators import (
     star_commutator,
     vectorize,
 )
+from ejof.qec import repetition_code_recovery
 
 
 def amplitude_damping(gamma):
@@ -213,16 +216,88 @@ def test_nh_superop_solve_rejects_dfs_content(three_level):
         nh_superop_solve(lind.k, sigma, lind.dfs)
 
 
+def stiff_lindbladian():
+    """Two decaying levels whose decay rates differ by a factor of about 1e4."""
+    dfs = DfsProjector.from_indices(4, [0, 1])
+    fast = np.zeros((4, 4), dtype=complex)
+    fast[0, 2] = 10.0
+    slow = np.zeros((4, 4), dtype=complex)
+    slow[1, 3] = 0.09
+    h = np.zeros((4, 4), dtype=complex)
+    h[2, 3] = h[3, 2] = 0.1
+    h[3, 3] = 1.0
+    return structured_lindbladian(h, [fast, slow], dfs)
+
+
 def test_nh_superop_inverse_lr_consistent(generic_instance):
-    lind, _ = generic_instance
-    dfs = lind.dfs
+    # Bartels-Stewart sector solves against the dense Kronecker oracle.
+    stiff = stiff_lindbladian()
+    rates = -np.linalg.eigvals(stiff.k[2:, 2:]).imag
+    assert rates.max() / rates.min() >= 1e4
+    instances = {
+        "random": generic_instance[0],
+        "defective": random_structured_instance(2, 2, 2, 4, defective_k=True)[0],
+        "stiff": stiff,
+    }
     rng = np.random.default_rng(2)
-    dim = lind.dim
-    sigma = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    sigma = four_corners(sigma, dfs).lr
-    inv = nh_superop_inverse_lr(lind.k, dfs)
-    out = devectorize(inv @ vectorize(sigma))
-    np.testing.assert_allclose(out, nh_superop_solve(lind.k, sigma, dfs), atol=1e-11)
+    for name, lind in instances.items():
+        dfs = lind.dfs
+        dim = lind.dim
+        sigma = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        sigma = four_corners(sigma, dfs).lr
+        want = devectorize(nh_superop_inverse_lr(lind.k, dfs) @ vectorize(sigma))
+        bq = dfs.basis_c
+        cached = bq @ lind.decaying_sector.solve(dagger(bq) @ sigma @ bq) @ dagger(bq)
+        for got in (nh_superop_solve(lind.k, sigma, dfs), cached):
+            assert frob(got - want) <= 1e-11 * frob(want), name
+
+
+SCENARIOS = ("three-level", "cancellation", "coherent-cancel", "universal", "repetition")
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_structure_report_spectrum_matches_eigvals_oracle(name):
+    if name == "repetition":
+        _, lind = repetition_code_recovery()
+    else:
+        lind = build_scenario(name, {}, 0, 1e-9).lind
+    s = lind.superop
+    mags = np.abs(np.linalg.eigvals(s))
+    thresh = 1e-8 * max(1.0, np.linalg.norm(s, 2))
+    gap = mags[mags > thresh].min()
+    assert lind.report.zero_multiplicity == int(np.sum(mags <= thresh))
+    assert abs(lind.report.spectral_gap - gap) <= 1e-12 * gap
+
+
+def _count_calls(monkeypatch, owner, name, log, when=lambda *args, **kwargs: True):
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        if when(*args, **kwargs):
+            log.append(np.shape(args[0])[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
+    base, pert = generic_instance
+    schurs, norms, eigs = [], [], []
+    _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
+    _count_calls(monkeypatch, np.linalg, "norm", norms,
+                 when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
+    _count_calls(monkeypatch, np.linalg, "eigvals", eigs)
+    _count_calls(monkeypatch, np.linalg, "eig", eigs)
+    lind = structured_lindbladian(base.h, base.jumps, base.dfs)
+    _ = lind.drazin, lind.asymptotic_projection
+    side = lind.superop.shape[0]
+    assert schurs == [side]
+    assert norms == [side]
+    assert eigs == []
+    schurs.clear()
+    effective_lindbladian_closed(lind, pert)
+    identity_suite(lind, pert)
+    assert schurs == [lind.dfs.n_decay]
 
 
 def test_asymptotic_projection_limit_matches_expm(three_level):
