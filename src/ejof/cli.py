@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -89,7 +90,14 @@ class ProblemFormatError(ValueError):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFormatError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    return _finite(float(value), path)
+
+
+def _finite(x: float, path: str) -> float:
+    # json.loads accepts NaN and Infinity; no computation here survives them.
+    if not math.isfinite(x):
+        raise ProblemFormatError(path, f"expected a finite number, got {x}")
+    return x
 
 
 def _as_int(value, path: str) -> int:
@@ -100,7 +108,7 @@ def _as_int(value, path: str) -> int:
 
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_finite(float(value), path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
     raise ProblemFormatError(path, "expected an [re, im] pair or a real number")

@@ -56,6 +56,7 @@ from .operators import (
     commutator_superop,
     compress_superop,
     dagger,
+    dfs_columns,
     dissipator,
     embed_superop,
     four_corners,
@@ -159,22 +160,18 @@ def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbatio
 
     Returns the full (D^2, D^2) matrix restricted to the DFS corner:
     P_ul [ P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf ] P_ul, evaluated as
-    E E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] E†. Only the
-    generator's own Drazin inverse and asymptotic projection enter, so the
-    route stays independent of the closed one.
+    E E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] E†, with L^D
+    applied to the d^2 columns O1 P_inf E only. Only the generator's own
+    spectral factor and asymptotic projection enter, so the route stays
+    independent of the closed one.
     """
     o1, o2 = perturbation_superops(lind, pert)
     basis = lind.dfs.basis
-    e = _dfs_columns(basis)
+    e = dfs_columns(basis)
     pinf = lind.asymptotic_projection
     pe = pinf @ e
-    cols = (o1 + o2) @ pe - o1 @ (lind.drazin @ (o1 @ pe))
+    cols = (o1 + o2) @ pe - o1 @ lind.factor.apply_drazin(o1 @ pe)
     return embed_superop(dagger(e) @ pinf @ cols, basis)
-
-
-def _dfs_columns(basis: np.ndarray) -> np.ndarray:
-    """E = conj(B) kron B, whose columns are vec(b_i b_j†) in vec order."""
-    return np.kron(basis.conj(), basis)
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
                 continue
             sigma = bq @ lind.decaying_sector.solve(source) @ dagger(bq)
             cols[:, i + d * j] = -vectorize(_sandwich_sum(lind.jumps, sigma))
-    cp_superop = cols @ dagger(_dfs_columns(bp))
+    cp_superop = cols @ dagger(dfs_columns(bp))
     return EffectiveGenerator(
         h_eff=h_eff,
         jumps_eff=jumps_eff,
@@ -513,11 +510,9 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
             lind = structured_lindbladian(h, jumps, dfs)
             if min(np.abs(np.diag(lind.decaying_sector.t))) < 1e-2:
                 raise ValueError("non-Hermitian Hamiltonian too close to singular")
-            # Decay rates off the cached Schur diagonal of L, at its Drazin cut.
-            factor = lind.schur_form
-            evals = factor.eigenvalues
-            nonzero = -evals.real[np.abs(evals) > factor.thresh]
-            if nonzero.size and float(np.min(nonzero)) < 5e-2:
+            # The slowest decay rate of a structured L is min(-Im kappa) over
+            # the eigenvalues kappa of K_qq, on the cached Schur diagonal.
+            if float(np.min(-np.diag(lind.decaying_sector.t).imag)) < 5e-2:
                 raise ValueError("spectral gap too small for a clean instance")
         except (ValueError, np.linalg.LinAlgError) as err:
             last_err = err

@@ -17,14 +17,21 @@ Two objects drive all perturbative computations downstream:
 * the Drazin pseudoinverse of L, an inverse on the complement of the steady
   subspace.
 
-Each matrix is factored once. :func:`structured_lindbladian` computes ||L||_2
-and one ordered complex Schur form of L (:class:`OrderedSchur`) and caches
-them on the :class:`StructuredLindbladian`; the structural report, the Drazin
-inverse and the asymptotic projection are all read off that factor. The
-decaying-sector map sigma -> -i(K sigma - sigma K†) is a Sylvester equation,
-solved by Bartels-Stewart on a Schur form of K_qq that is likewise factored
-once per generator (:class:`SectorSolver`). The dense Kronecker form of that
-map is kept in :func:`nh_superop_inverse_lr` as an independent oracle.
+Under the normal form L is block-triangular over the corners, so its spectrum
+is known from the n x n block K_qq alone: {0}^(d^2), -i kappa_a and
+i conj(kappa_a) d times each, and -i(kappa_a - conj(kappa_b)), for the
+eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
+once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
+zero multiplicity and the spectral gap off it. When every structural check
+passes, the Drazin inverse and the asymptotic projection come from one LU of
+the bordered matrix [[L, E], [E†, 0]], with E the DFS columns of ker L
+(:class:`BorderedFactor`). A generator that fails a check falls back to one
+dense ordered complex Schur form of L (:class:`OrderedSchur`), which also
+serves the free functions :func:`drazin_inverse` and
+:func:`asymptotic_projection` and the tests as an oracle. The decaying-sector
+map sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
+Bartels-Stewart on the cached Schur form of K_qq; its dense Kronecker form is
+kept in :func:`nh_superop_inverse_lr` as an independent oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm, schur, solve_triangular
+from scipy.linalg import expm, lu_factor, lu_solve, schur, solve_triangular
 from scipy.linalg.lapack import ztrsyl
 
 from .operators import (
@@ -45,6 +52,7 @@ from .operators import (
     commutator_superop,
     corner_superops,
     dagger,
+    dfs_columns,
     dissipator,
     four_corners,
     frob,
@@ -131,6 +139,16 @@ class StructureReport:
         return out
 
 
+def _warn_if_gap_small(gap: float, thresh: float) -> None:
+    if gap < GAP_WARNING_FACTOR * thresh:
+        warnings.warn(
+            f"smallest retained eigenvalue {gap:.3e} is within "
+            f"{GAP_WARNING_FACTOR:g}x of the zero threshold {thresh:.3e}",
+            SpectralGapWarning,
+            stacklevel=3,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class OrderedSchur:
     """Ordered complex Schur form S = Z T Z† of a square matrix.
@@ -141,25 +159,33 @@ class OrderedSchur:
         T = [[T11, T12],   S^D = Z [[inv(T11), inv(T11)^2 T12],  Z†
              [0,   T22]],            [0,        0            ]]
 
-    ``norm2`` = ||S||_2 is kept for the scale-relative cuts of the structural
-    checks. Build one with :meth:`of`; the Drazin inverse and the asymptotic
-    projection are then read off the factor without refactoring.
+    This is the dense fallback of the spectral layer: generators that fail a
+    structural check, the free functions :func:`drazin_inverse` and
+    :func:`asymptotic_projection`, and the tests' oracle. It exposes the same
+    ``drazin``/``projection``/``apply_drazin`` interface as
+    :class:`BorderedFactor`.
     """
 
     t: np.ndarray
     z: np.ndarray
     sdim: int
     thresh: float
-    norm2: float
 
     @classmethod
-    def of(cls, s: np.ndarray, *, zero_tol: float | None = None) -> "OrderedSchur":
-        """Factor S, sorting at zero_tol (default 1e-8 * ||S||_2)."""
+    def of(cls, s: np.ndarray, *, zero_tol: float | None = None,
+           norm2: float | None = None) -> "OrderedSchur":
+        """Factor S, sorting at zero_tol (default 1e-8 * ||S||_2).
+
+        Pass a known ||S||_2 as norm2 to skip recomputing it.
+        """
         s = as_operator(s)
-        norm2 = float(np.linalg.norm(s, 2))
-        thresh = ZERO_CLUSTER_FACTOR * norm2 if zero_tol is None else float(zero_tol)
+        if zero_tol is None:
+            if norm2 is None:
+                norm2 = float(np.linalg.norm(s, 2))
+            zero_tol = ZERO_CLUSTER_FACTOR * norm2
+        thresh = float(zero_tol)
         t, z, sdim = schur(s, output="complex", sort=lambda lam: abs(lam) > thresh)
-        return cls(t=t, z=z, sdim=int(sdim), thresh=thresh, norm2=norm2)
+        return cls(t=t, z=z, sdim=int(sdim), thresh=thresh)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -185,22 +211,18 @@ class OrderedSchur:
                     f"zero eigenvalue is not semisimple (nilpotent residual {nil:.3e} > {nil_tol:.3e})"
                 )
             if k:
-                gap = float(np.min(np.abs(np.diag(t11))))
-                if gap < GAP_WARNING_FACTOR * self.thresh:
-                    warnings.warn(
-                        f"smallest retained eigenvalue {gap:.3e} is within "
-                        f"{GAP_WARNING_FACTOR:g}x of the zero threshold {self.thresh:.3e}",
-                        SpectralGapWarning,
-                        stacklevel=2,
-                    )
+                _warn_if_gap_small(float(np.min(np.abs(np.diag(t11)))), self.thresh)
         inv11 = solve_triangular(t11, np.eye(k, dtype=complex))
         return inv11, inv11 @ t12
 
-    def drazin(self) -> np.ndarray:
-        """S^D = Z1 inv(T11) (Z1† + inv(T11) T12 Z2†)."""
+    def apply_drazin(self, y: np.ndarray) -> np.ndarray:
+        """S^D y = Z1 inv(T11) (Z1† y + inv(T11) T12 Z2† y), for columns y."""
         inv11, x = self._split
         z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
-        return z1 @ (inv11 @ (dagger(z1) + x @ dagger(z2)))
+        return z1 @ (inv11 @ (dagger(z1) @ y + x @ (dagger(z2) @ y)))
+
+    def drazin(self) -> np.ndarray:
+        return self.apply_drazin(np.eye(self.t.shape[0], dtype=complex))
 
     def projection(self) -> np.ndarray:
         """P_inf = I - S S^D = (Z2 - Z1 inv(T11) T12) Z2†."""
@@ -209,25 +231,79 @@ class OrderedSchur:
         return (z2 - z1 @ x) @ dagger(z2)
 
 
+@dataclass(frozen=True, eq=False)
+class BorderedFactor:
+    """L^D and P_inf of a generator whose kernel is spanned by known columns E.
+
+    With ker L = range(E) and a semisimple zero eigenvalue, the bordered
+    matrix M = [[L, E], [E†, 0]] is nonsingular and is LU-factored once:
+
+    * the left conserved quantities J (L† J = 0, E† J = I) solve
+      M† [J; 0] = [0; I], and P_inf = E J†;
+    * for columns y, M [z; c] = [y; 0] gives L z = (I - P_inf) y with
+      E† z = 0, and L^D y = z - E (J† z).
+
+    For a structured generator E = conj(B) kron B, the DFS columns. The LU is
+    taken on first use; it emits :class:`SpectralGapWarning` when ``gap`` is
+    within 100x of ``thresh``, as :class:`OrderedSchur` does.
+    """
+
+    superop: np.ndarray
+    e: np.ndarray
+    thresh: float
+    gap: float
+
+    @cached_property
+    def _solved(self):
+        """LU of M and the left conserved quantities J."""
+        _warn_if_gap_small(self.gap, self.thresh)
+        n, m = self.e.shape
+        bordered = np.zeros((n + m, n + m), dtype=complex)
+        bordered[:n, :n] = self.superop
+        bordered[:n, n:] = self.e
+        bordered[n:, :n] = dagger(self.e)
+        lu = lu_factor(bordered, overwrite_a=True, check_finite=False)
+        rhs = np.zeros((n + m, m), dtype=complex)
+        rhs[n:] = np.eye(m)
+        return lu, lu_solve(lu, rhs, trans=2, check_finite=False)[:n]
+
+    def apply_drazin(self, y: np.ndarray) -> np.ndarray:
+        """L^D y for columns y, from one bordered solve."""
+        lu, j = self._solved
+        n = self.e.shape[0]
+        rhs = np.zeros((n + self.e.shape[1],) + y.shape[1:], dtype=complex)
+        rhs[:n] = y
+        z = lu_solve(lu, rhs, check_finite=False)[:n]
+        return z - self.e @ (dagger(j) @ z)
+
+    def drazin(self) -> np.ndarray:
+        return self.apply_drazin(np.eye(self.e.shape[0], dtype=complex))
+
+    def projection(self) -> np.ndarray:
+        """P_inf = E J†."""
+        _, j = self._solved
+        return self.e @ dagger(j)
+
+
 @dataclass(eq=False)
 class StructuredLindbladian:
     """A Lindbladian in the DFS structural normal form.
 
     Use :func:`structured_lindbladian` to construct one with validation. The
-    ordered Schur form of the superoperator is computed once, at build, and
-    every spectral quantity is derived from it.
+    spectral factor of the superoperator (``factor``: a :class:`BorderedFactor`
+    when the structural checks pass, else the dense :class:`OrderedSchur`) and
+    the Schur form of K_qq (``decaying_sector``) are built once, at
+    construction; the Drazin inverse and the asymptotic projection are read off
+    ``factor``.
     """
 
     h: np.ndarray
     jumps: tuple[np.ndarray, ...]
     dfs: DfsProjector
     superop: np.ndarray
-    report: StructureReport | None = field(default=None, repr=False)
-    schur_form: OrderedSchur | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.schur_form is None:
-            self.schur_form = OrderedSchur.of(self.superop)
+    report: StructureReport = field(repr=False)
+    factor: BorderedFactor | OrderedSchur = field(repr=False)
+    decaying_sector: SectorSolver = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -239,18 +315,13 @@ class StructuredLindbladian:
         return nh_hamiltonian(self.h, self.jumps)
 
     @cached_property
-    def decaying_sector(self) -> "SectorSolver":
-        """Bartels-Stewart solver for the decaying sector, factored once."""
-        return SectorSolver.of(self.k, self.dfs)
-
-    @cached_property
     def drazin(self) -> np.ndarray:
-        return self.schur_form.drazin()
+        return self.factor.drazin()
 
     @cached_property
     def asymptotic_projection(self) -> np.ndarray:
         """Projection onto the steady subspace along the decaying directions."""
-        return self.schur_form.projection()
+        return self.factor.projection()
 
     @cached_property
     def corners(self) -> Corners:
@@ -263,11 +334,29 @@ def structure_report(h, jumps, dfs: DfsProjector, superop=None, tol: float = DEF
     jumps = [as_operator(f) for f in jumps]
     if superop is None:
         superop = assemble_lindbladian(h, jumps)
-    return _structure_report(h, jumps, dfs, superop, OrderedSchur.of(superop), tol)
+    return _diagnose(h, jumps, dfs, superop, tol)[0]
 
 
-def _structure_report(h, jumps, dfs: DfsProjector, superop: np.ndarray,
-                      factor: OrderedSchur, tol: float) -> StructureReport:
+def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
+    """|lambda| over spec(L) for a generator in normal form, from spec(K_qq).
+
+    d^2 zeros (ul), |kappa_a| d times each on ll and on ur, and
+    |kappa_a - conj(kappa_b)| on lr.
+    """
+    return np.concatenate([
+        np.zeros(d * d),
+        np.repeat(np.abs(kappa), 2 * d),
+        np.abs(kappa[:, None] - kappa.conj()[None, :]).ravel(),
+    ])
+
+
+def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
+    """(report, Schur form of K_qq, dense fallback factor, ||L||_2).
+
+    When the checks that need no spectrum pass, the spectrum is read off the
+    Schur form of K_qq and the fallback is None. Otherwise it is read off an
+    ordered Schur form of L, returned as the fallback.
+    """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
     h_block = frob(h - dfs.q @ h @ dfs.q) / scale_h
@@ -275,26 +364,30 @@ def _structure_report(h, jumps, dfs: DfsProjector, superop: np.ndarray,
         frob(f - dfs.p @ f @ dfs.q) / max(1.0, frob(f)) for f in jumps
     )
     # Steadiness: L applied to a basis of the DFS block, one unit per column.
-    d = dfs.d
-    scale_s = max(1.0, factor.norm2)
-    units = np.kron(dfs.basis.conj(), dfs.basis)
-    steady = float(np.max(np.linalg.norm(superop @ units, axis=0))) / scale_s
-    # Zero cluster and gap at the report's own cut, read off the Schur diagonal.
-    mags = np.abs(factor.eigenvalues)
+    norm2 = float(np.linalg.norm(superop, 2))
+    scale_s = max(1.0, norm2)
+    steady = float(np.max(np.linalg.norm(superop @ dfs_columns(dfs.basis), axis=0))) / scale_s
+    sector = SectorSolver.of(nh_hamiltonian(h, jumps), dfs)
+    fallback = None
+    if max((h_herm, h_block, steady) + jump_res) <= tol:
+        mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
+    else:
+        fallback = OrderedSchur.of(superop, norm2=norm2)
+        mags = np.abs(fallback.eigenvalues)
+    # Zero cluster and gap at the report's own cut.
     thresh = ZERO_CLUSTER_FACTOR * scale_s
-    zero_count = int(np.sum(mags <= thresh))
     nonzero = mags[mags > thresh]
-    gap = float(np.min(nonzero)) if nonzero.size else np.inf
-    return StructureReport(
+    report = StructureReport(
         h_hermitian=h_herm,
         h_on_decaying_block=h_block,
         jumps_into_dfs=jump_res,
         dfs_steady=steady,
-        zero_multiplicity=zero_count,
-        expected_multiplicity=d * d,
-        spectral_gap=gap,
+        zero_multiplicity=int(mags.size - nonzero.size),
+        expected_multiplicity=dfs.d ** 2,
+        spectral_gap=float(np.min(nonzero)) if nonzero.size else np.inf,
         tol=tol,
     )
+    return report, sector, fallback, norm2
 
 
 def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
@@ -303,8 +396,14 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
 
     With validate=True (default) a violated structural assumption raises
     :class:`StructureError`. With validate=False the report is still attached
-    so callers can inspect what failed. ||L||_2 and the ordered Schur form of
-    L are computed here, once, and cached on the result.
+    so callers can inspect what failed.
+
+    ||L||_2 (a dense 2-norm SVD of L) and the Schur form of K_qq are computed
+    here, once. When the block checks pass, the zero multiplicity and the gap
+    are read off K_qq, with no Schur form of L; if the multiplicity check
+    passes too, L^D and P_inf come from a :class:`BorderedFactor` on the DFS
+    columns, a dense LU of side D^2 + d^2 taken on first use. Otherwise the
+    factor is a dense :class:`OrderedSchur` of L.
     """
     h = as_operator(h)
     jumps = tuple(as_operator(f) for f in jumps)
@@ -317,20 +416,27 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     superop = -1j * commutator_superop(h)
     for f in jumps:
         superop = superop + dissipator(f)
-    factor = OrderedSchur.of(superop)
-    rep = _structure_report(h, jumps, dfs, superop, factor, tol)
+    rep, sector, factor, norm2 = _diagnose(h, jumps, dfs, superop, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
+    if factor is None:
+        if rep.passed:
+            factor = BorderedFactor(superop=superop, e=dfs_columns(dfs.basis),
+                                    thresh=ZERO_CLUSTER_FACTOR * norm2,
+                                    gap=rep.spectral_gap)
+        else:
+            factor = OrderedSchur.of(superop, norm2=norm2)
     return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,
-                                 schur_form=factor)
+                                 factor=factor, decaying_sector=sector)
 
 
 def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:
     """Drazin pseudoinverse of a matrix with (at most) a semisimple zero eigenvalue.
 
-    Factors S once as an :class:`OrderedSchur` and reads S^D off it; a
-    :class:`StructuredLindbladian` caches that factor at build, so its
-    ``drazin`` does not refactor. For a semisimple zero cluster T22 vanishes
+    Factors S once as a dense :class:`OrderedSchur` and reads S^D off it; it
+    needs nothing of S's structure, so it serves as the oracle for the
+    factor a :class:`StructuredLindbladian` caches at build. For a
+    semisimple zero cluster T22 vanishes
     up to round-off; a nilpotent residual above tolerance raises
     :class:`NonSemisimpleZeroError`. The default threshold is
     1e-8 * ||S||_2; a nonzero eigenvalue within 100x of the threshold emits

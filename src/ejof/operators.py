@@ -185,6 +185,15 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+def dfs_columns(basis: np.ndarray) -> np.ndarray:
+    """E = conj(B) kron B for an isometry B: vec(B sigma B†) = E vec(sigma).
+
+    Its columns are vec(b_i b_j†) in vec order, and E E† projects onto the
+    block that B spans.
+    """
+    return np.kron(basis.conj(), basis)
+
+
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of X -> A X B under column stacking: B^T kron A."""
     a = as_operator(a)

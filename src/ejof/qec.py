@@ -278,7 +278,7 @@ def robustness_check(rec: RecoveryChannel, pert: Perturbation, *,
     dim = rec.dim
     h = np.zeros((dim, dim), dtype=complex) if hamiltonian is None else as_operator(hamiltonian)
     lind = structured_lindbladian(h, rec.kraus, rec.code, validate=False)
-    structure_ok = lind.report.passed if lind.report is not None else False
+    structure_ok = lind.report.passed
     conditions = check_recovery_conditions(rec)
     detectable = [four_corners(f, rec.code).ll for f in pert.fs]
     corr = correctability_check(detectable, rec)

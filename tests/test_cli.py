@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ejof.effective
 from ejof.cli import main
 
 
@@ -147,6 +148,30 @@ def test_effective_defective_zero_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, path", [
+    (float("nan"), "jumps[0][1][0]"),
+    ([0.0, float("inf")], "jumps[0][1][0][1]"),
+    ([float("-inf"), 0.0], "jumps[0][1][0][0]"),
+])
+def test_non_finite_entry_is_input_error(tmp_path, capsys, entry, path):
+    # json.loads accepts NaN and Infinity; they must not reach the numerics.
+    problem = write_problem(tmp_path, {
+        "version": 1,
+        "hilbert_dim": 2,
+        "dfs": [0],
+        "jumps": [[[pair(0), pair(1)], [entry, pair(0)]]],
+    })
+    assert main(["effective", problem]) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert "finite" in err
+
+
+def test_non_finite_tol_is_input_error(tmp_path, capsys):
+    assert main(["effective", three_level_problem(tmp_path, tol=float("nan"))]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
 def test_malformed_matrix_reports_key_path(tmp_path, capsys):
     problem = write_problem(tmp_path, {
         "version": 1,
@@ -209,6 +234,16 @@ def test_verify_problem_file(tmp_path):
     code = main(["verify", explicit_problem(tmp_path), "--out", str(out)])
     assert code == 0
     assert load_report(out)["all_passed"] is True
+
+
+def test_verify_route_disagreement_fails(tmp_path, monkeypatch):
+    real = ejof.effective.effective_to_superop
+    monkeypatch.setattr(ejof.effective, "effective_to_superop", lambda eff: (1 + 1e-6) * real(eff))
+    out = tmp_path / "verify.json"
+    assert main(["verify", explicit_problem(tmp_path), "--out", str(out)]) == 1
+    row = load_report(out)["rows"][0]
+    assert row["passed"] is False
+    assert row["equivalence_residual"] > 1e-9
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ from scipy.linalg import expm
 import ejof.lindblad
 from ejof.cli import build_scenario
 from ejof.lindblad import (
+    BorderedFactor,
     NonSemisimpleZeroError,
+    OrderedSchur,
     SpectralGapWarning,
     StructureError,
     assemble_lindbladian,
@@ -22,7 +24,12 @@ from ejof.lindblad import (
     structure_report,
     structured_lindbladian,
 )
-from ejof.effective import effective_lindbladian_closed, identity_suite, random_structured_instance
+from ejof.effective import (
+    effective_lindbladian_closed,
+    effective_lindbladian_general,
+    identity_suite,
+    random_structured_instance,
+)
 from ejof.operators import (
     DfsProjector,
     apply_superop,
@@ -281,6 +288,8 @@ def _count_calls(monkeypatch, owner, name, log, when=lambda *args, **kwargs: Tru
 
 
 def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
+    # A structured generator is never decomposed densely: its spectrum comes
+    # from the one Schur form of K_qq, L^D and P_inf from one bordered LU.
     base, pert = generic_instance
     schurs, norms, eigs = [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
@@ -290,14 +299,68 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     _count_calls(monkeypatch, np.linalg, "eig", eigs)
     lind = structured_lindbladian(base.h, base.jumps, base.dfs)
     _ = lind.drazin, lind.asymptotic_projection
-    side = lind.superop.shape[0]
-    assert schurs == [side]
-    assert norms == [side]
-    assert eigs == []
-    schurs.clear()
+    effective_lindbladian_general(lind, pert)
     effective_lindbladian_closed(lind, pert)
     identity_suite(lind, pert)
+    assert isinstance(lind.factor, BorderedFactor)
     assert schurs == [lind.dfs.n_decay]
+    assert norms == [lind.superop.shape[0]]
+    assert eigs == []
+
+
+def test_failing_generator_falls_back_to_one_dense_schur(monkeypatch):
+    dfs = DfsProjector.from_indices(3, [0, 1])
+    bad = np.zeros((3, 3), dtype=complex)
+    bad[2, 0] = 1.0  # maps the DFS into the decaying space
+    schurs, norms = [], []
+    _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
+    _count_calls(monkeypatch, np.linalg, "norm", norms,
+                 when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
+    lind = structured_lindbladian(np.zeros((3, 3)), [bad], dfs, validate=False)
+    _ = lind.drazin, lind.asymptotic_projection
+    assert not lind.report.passed
+    assert isinstance(lind.factor, OrderedSchur)
+    # ||L||_2 is passed through to the fallback factor, not recomputed.
+    assert norms == [9]
+    assert schurs.count(9) == 1
+
+
+def _extra_zero_jump_instance():
+    return random_structured_instance(2, 3, 2, 6, extra_zero_jump=True)[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_structured_instance(2, 3, 2, 11)[0],
+    lambda: random_structured_instance(3, 4, 3, 2)[0],
+    lambda: random_structured_instance(2, 2, 2, 4, defective_k=True)[0],
+    lambda: stiff_lindbladian(),
+    _extra_zero_jump_instance,
+], ids=["random", "random-d3", "defective", "stiff", "extra-zero-jump"])
+def test_bordered_factor_matches_schur_oracle(make):
+    lind = make()
+    assert isinstance(lind.factor, BorderedFactor)
+    s = lind.superop
+    want_d, want_p = drazin_inverse(s), asymptotic_projection(s)
+    assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
+    assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)
+    cols = np.random.default_rng(0).standard_normal((s.shape[0], 3))
+    got = lind.factor.apply_drazin(cols)
+    assert frob(got - want_d @ cols) <= 1e-11 * frob(want_d @ cols)
+
+
+def test_structured_spectrum_warns_on_narrow_gap():
+    # Rates 1e4 and 1e-2: the slow level's |kappa| = 5e-3 sits within 100x of
+    # the 1e-8 ||L||_2 cut, yet the zero cluster is exactly the DFS block.
+    dfs = DfsProjector.from_indices(4, [0, 1])
+    fast = np.zeros((4, 4), dtype=complex)
+    fast[0, 2] = np.sqrt(1e4)
+    slow = np.zeros((4, 4), dtype=complex)
+    slow[1, 3] = np.sqrt(1e-2)
+    lind = structured_lindbladian(np.zeros((4, 4)), [fast, slow], dfs)
+    assert lind.report.zero_multiplicity == 4
+    assert isinstance(lind.factor, BorderedFactor)
+    with pytest.warns(SpectralGapWarning):
+        _ = lind.drazin
 
 
 def test_asymptotic_projection_limit_matches_expm(three_level):
