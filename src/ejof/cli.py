@@ -72,6 +72,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 PROBLEM_VERSION = 1
+# Largest input magnitude whose square is a finite float; the numerics square
+# every entry (norms, K = H - (i/2) sum F† F), so a larger one overflows.
+MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
 SCENARIO_NAMES = ("three-level", "cancellation", "coherent-cancel", "universal")
 
 
@@ -97,6 +100,9 @@ def _finite(x: float, path: str) -> float:
     # json.loads accepts NaN and Infinity; no computation here survives them.
     if not math.isfinite(x):
         raise ProblemFormatError(path, f"expected a finite number, got {x}")
+    if abs(x) > MAX_MAGNITUDE:
+        raise ProblemFormatError(path, f"magnitude {abs(x):.3g} exceeds {MAX_MAGNITUDE:.3g}, "
+                                       "whose square overflows")
     return x
 
 

@@ -30,7 +30,11 @@ Both routes return the same full-dimension superoperator restricted to the
 DFS corner; :func:`verify_equivalence` quantifies the agreement. Both are
 evaluated on the d^2 DFS columns only: with E = conj(B) kron B for a DFS
 isometry B, vec(B sigma B†) = E vec(sigma) and the DFS-corner projector is
-S_ul = E E†, so every D^2 x D^2 product becomes a tall-skinny one.
+S_ul = E E†, so every D^2 x D^2 product becomes a tall-skinny one. The general
+route applies O1 and O2 as maps on the d^2 operators P_inf E (batched D x D
+products), never as D^2 x D^2 matrices; :func:`perturbation_superops` forms
+those matrices from the same maps, as the oracle of the O1 + O2 contract. The
+closed route is assembled on the (d^2, d^2) block and embedded once.
 """
 
 from __future__ import annotations
@@ -49,22 +53,18 @@ from .lindblad import (
 from .operators import (
     DEFAULT_TOL,
     DfsProjector,
-    anticommutator_superop,
     adjoint_superop,
     apply_superop,
     as_operator,
-    commutator_superop,
     compress_superop,
     dagger,
     dfs_columns,
-    dissipator,
     embed_superop,
     four_corners,
     frob,
+    gksl_superop,
     require_hermitian,
-    sandwich_superop,
     star_commutator,
-    star_commutator_superop,
     vectorize,
 )
 
@@ -127,8 +127,54 @@ def effective_coupling(lind: StructuredLindbladian, pert: Perturbation) -> np.nd
     return c
 
 
+def _o1_terms(lind: StructuredLindbladian, pert: Perturbation):
+    """Coefficients of O1: A = x + C and the (F_l, f_l) pairs.
+
+    O1(X) = -i(A X - X A†) + sum_l (F_l X f_l† + f_l X F_l†), where
+    x = V_diag - (i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l) and C is
+    :func:`effective_coupling`; the star commutator is additive in A, so the
+    V-part and the coupling part share one.
+    """
+    _check_pair(lind, pert)
+    dfs = lind.dfs
+    a = four_corners(pert.v, dfs).diag + effective_coupling(lind, pert)
+    for big_f, f in zip(lind.jumps, pert.fs):
+        f_ur = four_corners(f, dfs).ur
+        a = a - 0.5j * (dagger(f_ur) @ big_f + dagger(big_f) @ f_ur)
+    return a, tuple(zip(lind.jumps, pert.fs))
+
+
+def _apply_o1(terms, x: np.ndarray) -> np.ndarray:
+    """O1 on a stack x of (D, D) operators, from :func:`_o1_terms`."""
+    a, pairs = terms
+    out = -1j * (a @ x - x @ dagger(a))
+    for big_f, f in pairs:
+        out += big_f @ x @ dagger(f) + f @ x @ dagger(big_f)
+    return out
+
+
+def _apply_o2(fs, x: np.ndarray) -> np.ndarray:
+    """O2 = sum_l D[f_l] on a stack x of (D, D) operators."""
+    w = sum((dagger(f) @ f for f in fs), np.zeros(x.shape[-2:], dtype=complex))
+    out = -0.5 * (w @ x + x @ w)
+    for f in fs:
+        out += f @ x @ dagger(f)
+    return out
+
+
+def _stack(cols: np.ndarray, dim: int) -> np.ndarray:
+    """(D^2, m) vec columns -> (m, D, D) stack of the operators they stack."""
+    return cols.T.reshape(-1, dim, dim).transpose(0, 2, 1)
+
+
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_stack`."""
+    m, dim, _ = stack.shape
+    return stack.transpose(0, 2, 1).reshape(m, dim * dim).T
+
+
 def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
-    """First- and second-order perturbation superoperators (O1, O2).
+    """First- and second-order perturbation superoperators (O1, O2) as matrices.
 
     O1 = V-part + coupling part + mixed-dissipator part:
         V-part:   -i [ V_diag - (i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l), . ]*
@@ -137,22 +183,13 @@ def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
     O2 = sum_l D[f_l].
 
     O1 + O2 equals the direct Lindbladian difference
-    L(H+V, {F+f}) - L(H, {F}) up to round-off.
+    L(H+V, {F+f}) - L(H, {F}) up to round-off. The matrices are the maps the
+    general route applies, evaluated on the D^2 unit operators; the route
+    itself never forms them.
     """
-    _check_pair(lind, pert)
-    dfs = lind.dfs
-    x = four_corners(pert.v, dfs).diag.astype(complex)
-    for big_f, f in zip(lind.jumps, pert.fs):
-        f_ur = four_corners(f, dfs).ur
-        x = x - 0.5j * (dagger(f_ur) @ big_f + dagger(big_f) @ f_ur)
-    o1 = -1j * star_commutator_superop(x)
-    o1 = o1 - 1j * star_commutator_superop(effective_coupling(lind, pert))
-    for big_f, f in zip(lind.jumps, pert.fs):
-        o1 = o1 + sandwich_superop(big_f, dagger(f)) + sandwich_superop(f, dagger(big_f))
-    o2 = np.zeros_like(o1)
-    for f in pert.fs:
-        o2 = o2 + dissipator(f)
-    return o1, o2
+    terms = _o1_terms(lind, pert)
+    units = _stack(np.eye(lind.dim ** 2, dtype=complex), lind.dim)
+    return _columns(_apply_o1(terms, units)), _columns(_apply_o2(pert.fs, units))
 
 
 def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
@@ -160,17 +197,20 @@ def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbatio
 
     Returns the full (D^2, D^2) matrix restricted to the DFS corner:
     P_ul [ P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf ] P_ul, evaluated as
-    E E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] E†, with L^D
-    applied to the d^2 columns O1 P_inf E only. Only the generator's own
-    spectral factor and asymptotic projection enter, so the route stays
-    independent of the closed one.
+    E E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] E†. O1 and O2 act
+    as maps on the d^2 operators P_inf E, and L^D is applied to the d^2
+    columns O1 P_inf E only. Only the generator's own spectral factor and
+    asymptotic projection enter, so the route stays independent of the
+    closed one.
     """
-    o1, o2 = perturbation_superops(lind, pert)
-    basis = lind.dfs.basis
+    terms = _o1_terms(lind, pert)
+    dim, basis = lind.dim, lind.dfs.basis
     e = dfs_columns(basis)
     pinf = lind.asymptotic_projection
-    pe = pinf @ e
-    cols = (o1 + o2) @ pe - o1 @ lind.factor.apply_drazin(o1 @ pe)
+    x = _stack(pinf @ e, dim)
+    o1x = _apply_o1(terms, x)
+    o1_ld_o1x = _apply_o1(terms, _stack(lind.factor.apply_drazin(_columns(o1x)), dim))
+    cols = _columns(o1x + _apply_o2(pert.fs, x) - o1_ld_o1x)
     return embed_superop(dagger(e) @ pinf @ cols, basis)
 
 
@@ -248,14 +288,17 @@ def effective_to_superop(eff: EffectiveGenerator) -> np.ndarray:
     """Assemble the closed-form pieces into a DFS-corner superoperator.
 
     -i[H_eff, .] + sum_l D[F_eff_l] + E_eff - (1/2){E_eff_adj(I), .},
-    restricted to the DFS corner on both sides.
+    restricted to the DFS corner on both sides. It is assembled on the
+    (d^2, d^2) block, from B† H_eff B, B† F_eff_l B, B† (sum_l F_eff_l† F_eff_l
+    + E_eff_adj(I)) B and E† E_eff E, and embedded once.
     """
-    s = -1j * commutator_superop(eff.h_eff)
-    for f in eff.jumps_eff:
-        s = s + dissipator(f)
-    s = s + eff.cp_superop - 0.5 * anticommutator_superop(eff.cp_adjoint_identity)
-    basis = eff.dfs.basis
-    return embed_superop(compress_superop(s, basis), basis)
+    b = eff.dfs.basis
+    e = dfs_columns(b)
+    w = sum((dagger(f) @ f for f in eff.jumps_eff), eff.cp_adjoint_identity)
+    block = gksl_superop(dagger(b) @ eff.h_eff @ b,
+                         [dagger(b) @ f @ b for f in eff.jumps_eff],
+                         w=dagger(b) @ w @ b)
+    return embed_superop(block + dagger(e) @ eff.cp_superop @ e, b)
 
 
 def dfs_block(superop: np.ndarray, dfs: DfsProjector) -> np.ndarray:

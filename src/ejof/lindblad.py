@@ -22,7 +22,11 @@ is known from the n x n block K_qq alone: {0}^(d^2), -i kappa_a and
 i conj(kappa_a) d times each, and -i(kappa_a - conj(kappa_b)), for the
 eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
 once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
-zero multiplicity and the spectral gap off it. When every structural check
+zero multiplicity and the spectral gap off it. L is block diagonal over the
+corners too, so ||L||_2, the scale of every cut, is the larger of ||K_qq||_2
+and the 2-norm of a (d^2 + n^2, n^2) corner block: a structured L is never
+SVD-factored densely. L itself is assembled once, in K form
+(:func:`~ejof.operators.gksl_superop`). When every structural check
 passes, the Drazin inverse and the asymptotic projection come from one LU of
 the bordered matrix [[L, E], [E†, 0]], with E the DFS columns of ker L
 (:class:`BorderedFactor`). A generator that fails a check falls back to one
@@ -46,16 +50,13 @@ from scipy.linalg.lapack import ztrsyl
 
 from .operators import (
     DEFAULT_TOL,
-    Corners,
     DfsProjector,
     as_operator,
-    commutator_superop,
-    corner_superops,
     dagger,
     dfs_columns,
-    dissipator,
     four_corners,
     frob,
+    gksl_superop,
     require_hermitian,
     sandwich_superop,
 )
@@ -84,14 +85,7 @@ class StructureError(ValueError):
 
 def assemble_lindbladian(h: np.ndarray, jumps) -> np.ndarray:
     """Full (D^2, D^2) matrix of the Lindblad generator."""
-    h = require_hermitian(h, "hamiltonian")
-    s = -1j * commutator_superop(h)
-    for f in jumps:
-        f = as_operator(f)
-        if f.shape != h.shape:
-            raise ValueError(f"jump shape {f.shape} != hamiltonian shape {h.shape}")
-        s = s + dissipator(f)
-    return s
+    return gksl_superop(require_hermitian(h, "hamiltonian"), jumps)
 
 
 def nh_hamiltonian(h: np.ndarray, jumps) -> np.ndarray:
@@ -323,10 +317,6 @@ class StructuredLindbladian:
         """Projection onto the steady subspace along the decaying directions."""
         return self.factor.projection()
 
-    @cached_property
-    def corners(self) -> Corners:
-        return corner_superops(self.dfs)
-
 
 def structure_report(h, jumps, dfs: DfsProjector, superop=None, tol: float = DEFAULT_TOL) -> StructureReport:
     """Evaluate the structural checks without raising."""
@@ -350,12 +340,34 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
     ])
 
 
+def _normal_form_norm2(k: np.ndarray, jumps, dfs: DfsProjector) -> float:
+    """||L||_2 of a generator in normal form, exactly, from its corner blocks.
+
+    Over the corners L is block diagonal: ur -> ur is X -> i X K† and
+    ll -> ll is X -> -i K X, both of 2-norm ||K_qq||_2; ul -> 0; and
+    lr -> (ul, lr) is the stacked (d^2 + n^2, n^2) matrix
+    [sum_l conj(F_pq) kron F_pq; -i(I kron K_qq - conj(K_qq) kron I)], with
+    F_pq = B_p† F B_q. So ||L||_2 is the larger of ||K_qq||_2 and the 2-norm
+    of that stack.
+    """
+    bp, bq = dfs.basis, dfs.basis_c
+    kqq = dagger(bq) @ k @ bq
+    feed = np.zeros((dfs.d ** 2, dfs.n_decay ** 2), dtype=complex)
+    for f in jumps:
+        f_pq = dagger(bp) @ f @ bq
+        feed += np.kron(f_pq.conj(), f_pq)
+    lr = np.vstack([feed, _nh_block_matrix(kqq)])
+    return max(float(np.linalg.norm(kqq, 2)), float(np.linalg.norm(lr, 2)))
+
+
 def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     """(report, Schur form of K_qq, dense fallback factor, ||L||_2).
 
-    When the checks that need no spectrum pass, the spectrum is read off the
-    Schur form of K_qq and the fallback is None. Otherwise it is read off an
-    ordered Schur form of L, returned as the fallback.
+    When the H and jump checks pass, ||L||_2 comes from the corner blocks
+    (:func:`_normal_form_norm2`); otherwise from a dense SVD of L. When the
+    steadiness check passes too, the spectrum is read off the Schur form of
+    K_qq and the fallback is None. Otherwise it is read off an ordered Schur
+    form of L, returned as the fallback.
     """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
@@ -363,13 +375,15 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     jump_res = tuple(
         frob(f - dfs.p @ f @ dfs.q) / max(1.0, frob(f)) for f in jumps
     )
-    # Steadiness: L applied to a basis of the DFS block, one unit per column.
-    norm2 = float(np.linalg.norm(superop, 2))
+    k = nh_hamiltonian(h, jumps)
+    sector = SectorSolver.of(k, dfs)
+    blocks_ok = max((h_herm, h_block) + jump_res) <= tol
+    norm2 = _normal_form_norm2(k, jumps, dfs) if blocks_ok else float(np.linalg.norm(superop, 2))
     scale_s = max(1.0, norm2)
+    # Steadiness: L applied to a basis of the DFS block, one unit per column.
     steady = float(np.max(np.linalg.norm(superop @ dfs_columns(dfs.basis), axis=0))) / scale_s
-    sector = SectorSolver.of(nh_hamiltonian(h, jumps), dfs)
     fallback = None
-    if max((h_herm, h_block, steady) + jump_res) <= tol:
+    if blocks_ok and steady <= tol:
         mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
     else:
         fallback = OrderedSchur.of(superop, norm2=norm2)
@@ -398,12 +412,15 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     :class:`StructureError`. With validate=False the report is still attached
     so callers can inspect what failed.
 
-    ||L||_2 (a dense 2-norm SVD of L) and the Schur form of K_qq are computed
-    here, once. When the block checks pass, the zero multiplicity and the gap
-    are read off K_qq, with no Schur form of L; if the multiplicity check
-    passes too, L^D and P_inf come from a :class:`BorderedFactor` on the DFS
-    columns, a dense LU of side D^2 + d^2 taken on first use. Otherwise the
-    factor is a dense :class:`OrderedSchur` of L.
+    ||L||_2 and the Schur form of K_qq are computed here, once. When the H
+    and jump checks pass, ||L||_2 comes exactly from the corner blocks of L
+    (2-norms of side n and d^2 + n^2, no dense SVD of L); otherwise from a
+    dense 2-norm SVD of L. When the steadiness check passes too, the zero
+    multiplicity and the gap are read off K_qq, with no Schur form of L; if
+    the multiplicity check passes too, L^D and P_inf come from a
+    :class:`BorderedFactor` on the DFS columns, a dense LU of side D^2 + d^2
+    taken on first use. Otherwise the factor is a dense :class:`OrderedSchur`
+    of L.
     """
     h = as_operator(h)
     jumps = tuple(as_operator(f) for f in jumps)
@@ -413,9 +430,7 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
         raise ValueError("DFS must be a proper subspace (nonempty decaying block)")
     # Assemble without the Hermiticity hard-check; the report records it, and
     # validate=True raises below on any failure.
-    superop = -1j * commutator_superop(h)
-    for f in jumps:
-        superop = superop + dissipator(f)
+    superop = gksl_superop(h, jumps)
     rep, sector, factor, norm2 = _diagnose(h, jumps, dfs, superop, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))

@@ -247,6 +247,28 @@ def dissipator(f: np.ndarray) -> np.ndarray:
     )
 
 
+def gksl_superop(h: np.ndarray, jumps, w: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of X -> -i(H X - X H) - (1/2){W, X} + sum_l A_l X A_l†.
+
+    W defaults to sum_l A_l† A_l, which makes this the Lindbladian of H and the
+    jumps A_l. It is assembled in K form, -i I kron K + i K'^T kron I +
+    sum_l conj(A_l) kron A_l with K = H - (i/2)W and K' = H + (i/2)W (K' = K†
+    for Hermitian H), so it costs 2 + J Kronecker products.
+    """
+    h = as_operator(h)
+    jumps = [as_operator(a) for a in jumps]
+    for a in jumps:
+        if a.shape != h.shape:
+            raise ValueError(f"jump shape {a.shape} != hamiltonian shape {h.shape}")
+    if w is None:
+        w = sum((dagger(a) @ a for a in jumps), np.zeros_like(h))
+    eye = np.eye(h.shape[0], dtype=complex)
+    s = -1j * np.kron(eye, h - 0.5j * w) + 1j * np.kron((h + 0.5j * w).T, eye)
+    for a in jumps:
+        s += np.kron(a.conj(), a)
+    return s
+
+
 def adjoint_superop(s: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt adjoint: if S = sum_i A_i (.) B_i†, returns sum_i A_i† (.) B_i."""
     return dagger(as_operator(s))

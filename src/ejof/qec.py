@@ -41,6 +41,7 @@ from .operators import (
     as_operator,
     compress_superop,
     dagger,
+    dfs_columns,
     four_corners,
     frob,
     sandwich_superop,
@@ -286,8 +287,12 @@ def robustness_check(rec: RecoveryChannel, pert: Perturbation, *,
     eff = effective_lindbladian_closed(lind, pert)
     closed = effective_to_superop(eff)
     general = effective_lindbladian_general(lind, pert)
-    s_ul = lind.corners.ul
-    cp_part = s_ul @ (eff.cp_superop - 0.5 * anticommutator_superop(eff.cp_adjoint_identity)) @ s_ul
+    # The CP part on the d^2 DFS block: E† X E has the Frobenius norm of
+    # S_ul X S_ul, since E is an isometry.
+    b = lind.dfs.basis
+    e = dfs_columns(b)
+    cp_part = (dagger(e) @ eff.cp_superop @ e
+               - 0.5 * anticommutator_superop(dagger(b) @ eff.cp_adjoint_identity @ b))
     h_norm = frob(h)
     hypotheses = structure_ok and conditions.passed and corr.passed and h_norm == 0.0
     return RobustnessReport(

@@ -5,6 +5,7 @@ import pytest
 
 import ejof.effective
 from ejof.cli import main
+from ejof.qec import repetition_code_recovery
 
 
 def pair(z):
@@ -165,6 +166,27 @@ def test_non_finite_entry_is_input_error(tmp_path, capsys, entry, path):
     err = capsys.readouterr().err
     assert path in err
     assert "finite" in err
+
+
+@pytest.mark.parametrize("entry", [1e300, 1e160, [0.0, -1e300]])
+def test_overflowing_entry_is_input_error(tmp_path, capsys, entry):
+    # A finite number whose square overflows used to end in a bogus
+    # multiplicity failure; it must be named by its key path instead.
+    _, lind = repetition_code_recovery()
+    h = matrix(np.zeros((8, 8)))
+    h[3][3] = entry
+    problem = write_problem(tmp_path, {
+        "version": 1,
+        "hilbert_dim": 8,
+        "dfs": [0, 7],
+        "hamiltonian": h,
+        "jumps": [matrix(f) for f in lind.jumps],
+    })
+    assert main(["effective", problem]) == 2
+    err = capsys.readouterr().err
+    assert "hamiltonian[3][3]" in err
+    assert "overflows" in err
+    assert "multiplicity" not in err
 
 
 def test_non_finite_tol_is_input_error(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import ejof.effective
 import ejof.lindblad
 from ejof.cli import build_scenario
 from ejof.lindblad import (
@@ -25,15 +28,23 @@ from ejof.lindblad import (
     structured_lindbladian,
 )
 from ejof.effective import (
+    Perturbation,
     effective_lindbladian_closed,
     effective_lindbladian_general,
+    effective_to_superop,
     identity_suite,
+    perturbation_superops,
     random_structured_instance,
 )
 from ejof.operators import (
     DfsProjector,
-    apply_superop,
+    anticommutator_superop,
+    commutator_superop,
+    compress_superop,
     dagger,
+    dfs_columns,
+    dissipator,
+    embed_superop,
     devectorize,
     four_corners,
     frob,
@@ -289,7 +300,8 @@ def _count_calls(monkeypatch, owner, name, log, when=lambda *args, **kwargs: Tru
 
 def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     # A structured generator is never decomposed densely: its spectrum comes
-    # from the one Schur form of K_qq, L^D and P_inf from one bordered LU.
+    # from the one Schur form of K_qq, ||L||_2 from its corner blocks, L^D and
+    # P_inf from one bordered LU, and the general route never forms O1, O2.
     base, pert = generic_instance
     schurs, norms, eigs = [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
@@ -297,6 +309,11 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
     _count_calls(monkeypatch, np.linalg, "eigvals", eigs)
     _count_calls(monkeypatch, np.linalg, "eig", eigs)
+
+    def dense_superops(*args, **kwargs):
+        raise AssertionError("the general route formed dense O1, O2")
+
+    monkeypatch.setattr(ejof.effective, "perturbation_superops", dense_superops)
     lind = structured_lindbladian(base.h, base.jumps, base.dfs)
     _ = lind.drazin, lind.asymptotic_projection
     effective_lindbladian_general(lind, pert)
@@ -304,7 +321,8 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     identity_suite(lind, pert)
     assert isinstance(lind.factor, BorderedFactor)
     assert schurs == [lind.dfs.n_decay]
-    assert norms == [lind.superop.shape[0]]
+    assert lind.superop.shape[0] not in norms
+    assert norms and max(norms) <= lind.dfs.n_decay ** 2 + lind.dfs.d ** 2
     assert eigs == []
 
 
@@ -329,13 +347,16 @@ def _extra_zero_jump_instance():
     return random_structured_instance(2, 3, 2, 6, extra_zero_jump=True)[0]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: random_structured_instance(2, 3, 2, 11)[0],
-    lambda: random_structured_instance(3, 4, 3, 2)[0],
-    lambda: random_structured_instance(2, 2, 2, 4, defective_k=True)[0],
-    lambda: stiff_lindbladian(),
-    _extra_zero_jump_instance,
-], ids=["random", "random-d3", "defective", "stiff", "extra-zero-jump"])
+BORDERED_CASES = {
+    "random": lambda: random_structured_instance(2, 3, 2, 11)[0],
+    "random-d3": lambda: random_structured_instance(3, 4, 3, 2)[0],
+    "defective": lambda: random_structured_instance(2, 2, 2, 4, defective_k=True)[0],
+    "stiff": lambda: stiff_lindbladian(),
+    "extra-zero-jump": _extra_zero_jump_instance,
+}
+
+
+@pytest.mark.parametrize("make", BORDERED_CASES.values(), ids=BORDERED_CASES.keys())
 def test_bordered_factor_matches_schur_oracle(make):
     lind = make()
     assert isinstance(lind.factor, BorderedFactor)
@@ -346,6 +367,64 @@ def test_bordered_factor_matches_schur_oracle(make):
     cols = np.random.default_rng(0).standard_normal((s.shape[0], 3))
     got = lind.factor.apply_drazin(cols)
     assert frob(got - want_d @ cols) <= 1e-11 * frob(want_d @ cols)
+
+
+def _scenario_lindbladian(name):
+    if name == "repetition":
+        return repetition_code_recovery()[1]
+    return build_scenario(name, {}, 0, 1e-9).lind
+
+
+ORACLE_CASES = dict(BORDERED_CASES, **{
+    name: functools.partial(_scenario_lindbladian, name) for name in SCENARIOS
+})
+
+
+def _random_perturbation(lind, seed):
+    rng = np.random.default_rng(seed)
+    shape = (lind.dim, lind.dim)
+
+    def cnormal():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v = cnormal()
+    return Perturbation(v=(v + dagger(v)) / 2, fs=tuple(cnormal() for _ in lind.jumps))
+
+
+@pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_corner_norm_matches_dense_svd(make):
+    lind = make()
+    want = np.linalg.norm(lind.superop, 2)
+    got = ejof.lindblad._normal_form_norm2(lind.k, lind.jumps, lind.dfs)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_general_route_matches_dense_evaluation(make):
+    # The dense resolvent formula, with O1 and O2 as full matrices.
+    lind = make()
+    pert = _random_perturbation(lind, 3)
+    o1, o2 = perturbation_superops(lind, pert)
+    e = dfs_columns(lind.dfs.basis)
+    pe = lind.asymptotic_projection @ e
+    cols = (o1 + o2) @ pe - o1 @ lind.drazin @ o1 @ pe
+    want = e @ dagger(e) @ lind.asymptotic_projection @ cols @ dagger(e)
+    got = effective_lindbladian_general(lind, pert)
+    assert frob(got - want) <= 1e-11 * frob(want)
+
+
+@pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_block_effective_superop_matches_full_assembly(make):
+    lind = make()
+    eff = effective_lindbladian_closed(lind, _random_perturbation(lind, 4))
+    full = -1j * commutator_superop(eff.h_eff) + eff.cp_superop
+    full = full - 0.5 * anticommutator_superop(eff.cp_adjoint_identity)
+    for f in eff.jumps_eff:
+        full = full + dissipator(f)
+    basis = lind.dfs.basis
+    want = embed_superop(compress_superop(full, basis), basis)
+    got = effective_to_superop(eff)
+    assert frob(got - want) <= 1e-11 * frob(want)
 
 
 def test_structured_spectrum_warns_on_narrow_gap():
@@ -374,11 +453,3 @@ def test_asymptotic_projection_limit_matches_expm(three_level):
 def test_min_decay_rate_requires_nonzero_spectrum():
     with pytest.raises(ValueError, match="no nonzero spectrum"):
         min_decay_rate(np.zeros((4, 4)))
-
-
-def test_corners_cached_on_instance(three_level):
-    lind, _ = three_level
-    cs = lind.corners
-    x = np.arange(9, dtype=complex).reshape(3, 3)
-    total = cs.ul + cs.ur + cs.ll + cs.lr
-    np.testing.assert_allclose(apply_superop(total, x), x, atol=1e-14)
