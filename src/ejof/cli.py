@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +44,12 @@ from .effective import (
     verify_equivalence,
 )
 from .lindblad import (
-    NonSemisimpleZeroError,
-    SingularBlockError,
     StructureError,
+    StructuredLindbladian,
     assemble_lindbladian,
     structured_lindbladian,
 )
-from .operators import DfsProjector, as_operator, dagger, frob, four_corners
+from .operators import DfsProjector, dagger, frob
 from .qec import (
     hamiltonian_obstruction_demo,
     pauli_miscalibration,
@@ -188,21 +188,19 @@ def _parse_dfs(value, dim: int) -> DfsProjector:
         raise ProblemFormatError("dfs", str(err)) from err
 
 
+@dataclass
 class ParsedProblem:
     """A problem file after parsing: either an explicit system or a scenario."""
 
-    def __init__(self, *, digest, scenario=None, dim=None, dfs=None, hamiltonian=None,
-                 jumps=None, pert=None, tol=None, seed=None, initial_states=None):
-        self.digest = digest
-        self.scenario = scenario
-        self.dim = dim
-        self.dfs = dfs
-        self.hamiltonian = hamiltonian
-        self.jumps = jumps
-        self.pert = pert
-        self.tol = tol
-        self.seed = seed
-        self.initial_states = initial_states
+    digest: str
+    scenario: tuple[str, dict] | None = None
+    dfs: DfsProjector | None = None
+    hamiltonian: np.ndarray | None = None
+    jumps: tuple[np.ndarray, ...] | None = None
+    pert: Perturbation | None = None
+    tol: float | None = None
+    seed: int | None = None
+    initial_states: tuple[np.ndarray, ...] | None = None
 
 
 def load_problem(path: str) -> ParsedProblem:
@@ -318,7 +316,7 @@ def load_problem(path: str) -> ParsedProblem:
         )
 
     return ParsedProblem(
-        digest=digest, dim=dim, dfs=dfs, hamiltonian=hamiltonian, jumps=jumps,
+        digest=digest, dfs=dfs, hamiltonian=hamiltonian, jumps=jumps,
         pert=pert, tol=tol, seed=seed, initial_states=initial_states,
     )
 
@@ -354,32 +352,44 @@ def _route_agreement(general: np.ndarray, closed: np.ndarray, pert: Perturbation
 # Scenario pipelines (shared by problem files and the scenario subcommand)
 
 
+@dataclass
 class ScenarioBundle:
-    def __init__(self, *, name, lind, pert, details, verdicts, initial_states):
-        self.name = name
-        self.lind = lind
-        self.pert = pert
-        self.details = details
-        self.verdicts = verdicts
-        self.initial_states = initial_states
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    name: str
+    lind: StructuredLindbladian
+    pert: Perturbation
+    details: dict
+    verdicts: dict
+    initial_states: tuple[np.ndarray, ...]
 
 
+# Scenario parameters: key -> (kind, default, help). Each key is also the
+# `ejof scenario --key` flag (with '_' as '-'); see build_parser.
+_CANCELLATION_PARAMS = {
+    "dfs_dim": (int, 2, "cancellation scenarios: DFS dimension"),
+    "blocks": (list, None, "cancellation scenarios: comma-separated decaying block sizes"),
+    "pert_scale": (float, 1.0, "cancellation scenarios: deformation scale"),
+}
 _PARAM_SPECS = {
-    "three-level": {"delta": (float, 1.0), "Gamma": (float, 2.0), "gamma": (float, 0.04)},
-    "cancellation": {"dfs_dim": (int, 2), "blocks": (list, None), "pert_scale": (float, 1.0)},
+    "three-level": {
+        "delta": (float, 1.0, "three-level: DFS level splitting"),
+        "Gamma": (float, 2.0, "three-level: decay rate"),
+        "gamma": (float, 0.04, "three-level: perturbing rate"),
+    },
+    "cancellation": _CANCELLATION_PARAMS,
     "coherent-cancel": {
-        "dfs_dim": (int, 2), "blocks": (list, None), "pert_scale": (float, 1.0),
-        "keep_induced_hamiltonian": (bool, False),
+        **_CANCELLATION_PARAMS,
+        "keep_induced_hamiltonian": (bool, False,
+                                     "coherent-cancel: skip the induced-shift counter-term"),
     },
     "universal": {
-        "targets": (str, "pauli"), "scale": (float, 0.5),
-        "decaying_dim": (int, 3), "n_jumps": (int, 3),
+        "targets": (str, "pauli", "universal: target family (pauli)"),
+        "scale": (float, 0.5, "universal: target scale"),
+        "decaying_dim": (int, 3, "universal: decaying dimension"),
+        "n_jumps": (int, 3, "universal: number of unperturbed jumps"),
     },
 }
+# Every scenario parameter once, in first-declared order.
+_SCENARIO_FLAGS = {key: spec for specs in _PARAM_SPECS.values() for key, spec in specs.items()}
 
 
 def _scenario_params(name: str, params: dict) -> dict:
@@ -390,7 +400,7 @@ def _scenario_params(name: str, params: dict) -> dict:
                 f"scenario.{key}", f"unknown parameter for {name!r}; valid: {', '.join(sorted(spec))}"
             )
     out = {}
-    for key, (kind, default) in spec.items():
+    for key, (kind, default, _) in spec.items():
         if key not in params or params[key] is None:
             out[key] = default
             continue
@@ -415,18 +425,22 @@ def _scenario_params(name: str, params: dict) -> dict:
     return out
 
 
-def _random_dfs_hermitian(dfs: DfsProjector, rng, scale: float = 1.0) -> np.ndarray:
-    d = dfs.d
-    block = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    block = scale * (block + dagger(block)) / 2
-    return dfs.basis @ block @ dagger(dfs.basis)
-
-
-def _random_decaying_hermitian(dfs: DfsProjector, rng, scale: float = 1.0) -> np.ndarray:
-    n = dfs.n_decay
+def _random_hermitian(basis: np.ndarray, rng, scale: float = 1.0) -> np.ndarray:
+    """A random Hermitian operator supported on the span of the basis columns."""
+    n = basis.shape[1]
     block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     block = scale * (block + dagger(block)) / 2
-    return dfs.basis_c @ block @ dagger(dfs.basis_c)
+    return basis @ block @ dagger(basis)
+
+
+def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> list[np.ndarray]:
+    """Random jump deformations with the DFS-to-decaying corner Q F P removed."""
+    dim = dfs.dim
+    fs = []
+    for _ in range(count):
+        f = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        fs.append(f - dfs.q @ f @ dfs.p)
+    return fs
 
 
 def build_scenario(name: str, raw_params: dict, seed: int, tol: float) -> ScenarioBundle:
@@ -475,12 +489,7 @@ def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundl
     jumps, dfs = random_orthogonal_family(d, blocks, seed)
     rng = np.random.default_rng((seed, 1))
     dim = dfs.dim
-    fs = []
-    for _ in jumps:
-        f = params["pert_scale"] * (
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        )
-        fs.append(f - dfs.q @ f @ dfs.p)
+    fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
     rep = cancellation_check(jumps, fs, dfs, tol=tol)
     lind = structured_lindbladian(np.zeros((dim, dim), dtype=complex), jumps, dfs)
     details = {
@@ -506,15 +515,9 @@ def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBu
     blocks = params["blocks"] if params["blocks"] is not None else [d, d]
     jumps, dfs = random_orthogonal_family(d, blocks, seed)
     rng = np.random.default_rng((seed, 2))
-    dim = dfs.dim
-    h = _random_decaying_hermitian(dfs, rng)
+    h = _random_hermitian(dfs.basis_c, rng)
     lind = structured_lindbladian(h, jumps, dfs)
-    fs = []
-    for _ in jumps:
-        f = params["pert_scale"] * (
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        )
-        fs.append(f - dfs.q @ f @ dfs.p)
+    fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
     pert = coherent_cancellation_drive(
         lind, fs, cancel_induced_hamiltonian=not params["keep_induced_hamiltonian"]
     )
@@ -550,7 +553,7 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
     lind, _ = random_structured_instance(2, params["decaying_dim"], n_jumps, seed)
     dfs = lind.dfs
     rng = np.random.default_rng((seed, 3))
-    target_h = _random_dfs_hermitian(dfs, rng, scale=params["scale"])
+    target_h = _random_hermitian(dfs.basis, rng, scale=params["scale"])
     targets = pauli_lowering_targets(params["scale"], dfs.dim)
     pert = universal_dissipation(lind, target_h, targets)
     achieved = dfs_block(effective_lindbladian_general(lind, pert), dfs)
@@ -578,6 +581,41 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Each cmd_* builds its report and what to print, and returns an Outcome;
+# _run writes the report, prints, times the command and picks the exit code.
+# Input errors raise ProblemFormatError, which main maps to exit code 2.
+
+
+@dataclass
+class Outcome:
+    report: dict
+    verdicts: dict = field(default_factory=dict)  # printed as sorted "key: pass/FAIL/skipped"
+    lines: list[str] = field(default_factory=list)  # printed after the verdicts
+    failed: bool | None = None  # None: failed iff a verdict is False
+
+
+def _verdict_word(value) -> str:
+    if value is None:
+        return "skipped"
+    return "pass" if value else "FAIL"
+
+
+def _run(command, args) -> int:
+    start = time.perf_counter()
+    outcome = command(args)
+    if isinstance(outcome, int):  # declined before computing; the reason went to stderr
+        return outcome
+    write_report(outcome.report, args.out)
+    for key in sorted(outcome.verdicts):
+        print(f"{key}: {_verdict_word(outcome.verdicts[key])}")
+    for line in outcome.lines:
+        print(line)
+    print(f"done in {time.perf_counter() - start:.3f} s")
+    failed = outcome.failed
+    if failed is None:
+        failed = any(v is False for v in outcome.verdicts.values())
+    return EXIT_VERIFICATION if failed else EXIT_OK
 
 
 def _resolve(cli_value, file_value, default):
@@ -589,7 +627,10 @@ def _resolve(cli_value, file_value, default):
 
 
 def _materialize(parsed: ParsedProblem, seed: int, tol: float, *, validate: bool):
-    """Turn a parsed problem into (lind, pert, scenario bundle or None)."""
+    """Turn a parsed problem into (lind, pert, scenario bundle or None).
+
+    `validate` applies to explicit systems; scenarios build their own generator.
+    """
     if parsed.scenario is not None:
         name, raw_params = parsed.scenario
         bundle = build_scenario(name, raw_params, seed, tol)
@@ -600,19 +641,15 @@ def _materialize(parsed: ParsedProblem, seed: int, tol: float, *, validate: bool
     return lind, parsed.pert, None
 
 
-def cmd_effective(args) -> int:
-    start = time.perf_counter()
+def cmd_effective(args) -> Outcome | int:
     parsed = load_problem(args.problem)
     tol = _resolve(args.tol, parsed.tol, 1e-9)
     seed = _resolve(args.seed, parsed.seed, 0)
     report: dict = {"command": "effective", "input_digest": parsed.digest, "tol": tol}
 
-    bundle = None
-    if parsed.scenario is not None:
-        lind, pert, bundle = _materialize(parsed, seed, tol, validate=True)
+    lind, pert, bundle = _materialize(parsed, seed, tol, validate=False)
+    if bundle is not None:
         report["scenario"] = {"name": bundle.name, **bundle.details}
-    else:
-        lind, pert, _ = _materialize(parsed, seed, tol, validate=False)
 
     rep = lind.report
     gap = float(rep.spectral_gap)
@@ -663,35 +700,20 @@ def cmd_effective(args) -> int:
     if bundle is not None:
         verdicts.update(bundle.verdicts)
     report["verdicts"] = verdicts
-    write_report(report, args.out)
-    failed = [
-        k for k, v in verdicts.items()
-        if v is False and not (k == "structure_ok" and args.force)
-    ]
-    for key in sorted(verdicts):
-        print(f"{key}: {_verdict_word(verdicts[key])}")
-    print(f"done in {time.perf_counter() - start:.3f} s")
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    # A failed structure check gets here only under --force, which waives it.
+    failed = any(v is False for k, v in verdicts.items() if k != "structure_ok")
+    return Outcome(report, verdicts, failed=failed)
 
 
-def _verdict_word(value) -> str:
-    if value is None:
-        return "skipped"
-    return "pass" if value else "FAIL"
-
-
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def cmd_verify(args) -> Outcome:
     if (args.random is None) == (args.problem is None):
-        print("error: provide a problem file or --random D N TRIALS SEED", file=sys.stderr)
-        return EXIT_INPUT
+        raise ProblemFormatError("", "provide a problem file or --random D N TRIALS SEED")
 
     rows = []
     if args.random is not None:
         d, n, trials, seed = args.random
         if d < 1 or n < 1 or trials < 0:
-            print("error: --random needs D >= 1, N >= 1, TRIALS >= 0", file=sys.stderr)
-            return EXIT_INPUT
+            raise ProblemFormatError("", "--random needs D >= 1, N >= 1, TRIALS >= 0")
         tol = args.tol if args.tol is not None else 1e-9
         digest = params_digest("verify", {"random": [d, n, trials, seed], "tol": tol})
         for i in range(trials):
@@ -722,13 +744,11 @@ def cmd_verify(args) -> int:
         },
         "all_passed": all_passed,
     }
-    write_report(report, args.out)
-    print(f"trials: {len(rows)}")
-    for key, value in report["worst"].items():
-        print(f"worst {key.replace('_', ' ')}: {value:.3e}")
-    print(f"all passed: {all_passed}")
-    print(f"done in {time.perf_counter() - start:.3f} s")
-    return EXIT_OK if all_passed else EXIT_VERIFICATION
+    lines = [f"trials: {len(rows)}"]
+    lines += [f"worst {key.replace('_', ' ')}: {value:.3e}"
+              for key, value in report["worst"].items()]
+    lines.append(f"all passed: {all_passed}")
+    return Outcome(report, lines=lines, failed=not all_passed)
 
 
 def _verify_row(lind, pert, tol: float, *, index: int, defective: bool) -> dict:
@@ -745,27 +765,15 @@ def _verify_row(lind, pert, tol: float, *, index: int, defective: bool) -> dict:
     }
 
 
-def cmd_scenario(args) -> int:
-    start = time.perf_counter()
+def cmd_scenario(args) -> Outcome:
     if args.name not in SCENARIO_NAMES:
-        print(
-            f"error: unknown scenario {args.name!r}; valid names: {', '.join(SCENARIO_NAMES)}",
-            file=sys.stderr,
+        raise ProblemFormatError(
+            "", f"unknown scenario {args.name!r}; valid names: {', '.join(SCENARIO_NAMES)}"
         )
-        return EXIT_INPUT
     tol = args.tol if args.tol is not None else 1e-9
     seed = args.seed if args.seed is not None else 0
-    params = {
-        key: getattr(args, attr)
-        for key, attr in (
-            ("delta", "delta"), ("Gamma", "Gamma"), ("gamma", "gamma"),
-            ("dfs_dim", "dfs_dim"), ("blocks", "blocks"), ("pert_scale", "pert_scale"),
-            ("keep_induced_hamiltonian", "keep_induced_hamiltonian"),
-            ("targets", "targets"), ("scale", "scale"),
-            ("decaying_dim", "decaying_dim"), ("n_jumps", "n_jumps"),
-        )
-        if getattr(args, attr, None) is not None
-    }
+    params = {key: getattr(args, key) for key in _SCENARIO_FLAGS
+              if getattr(args, key) is not None}
     bundle = build_scenario(args.name, params, seed, tol)
     digest = params_digest("scenario", {"name": args.name, "params": params,
                                         "seed": seed, "tol": tol})
@@ -778,18 +786,12 @@ def cmd_scenario(args) -> int:
         "details": bundle.details,
         "verdicts": bundle.verdicts,
     }
-    write_report(report, args.out)
-    for key in sorted(bundle.verdicts):
-        print(f"{key}: {_verdict_word(bundle.verdicts[key])}")
-    print(f"done in {time.perf_counter() - start:.3f} s")
-    return EXIT_OK if bundle.passed else EXIT_VERIFICATION
+    return Outcome(report, bundle.verdicts)
 
 
-def cmd_qec(args) -> int:
-    start = time.perf_counter()
+def cmd_qec(args) -> Outcome:
     if args.code != "repetition":
-        print(f"error: unknown code {args.code!r}; valid codes: repetition", file=sys.stderr)
-        return EXIT_INPUT
+        raise ProblemFormatError("", f"unknown code {args.code!r}; valid codes: repetition")
     tol = args.tol if args.tol is not None else 1e-10
 
     if args.obstruction:
@@ -802,22 +804,17 @@ def cmd_qec(args) -> int:
             "hamiltonian_scale": args.hamiltonian_scale, "seed": seed, "tol": tol,
         })
         floor = tol * args.eps ** 2
-        cells = []
-        expected_zero_ok = True
-        for c in table.cells:
-            zero_expected = not (c.hamiltonian_on and c.detectable_on)
-            if zero_expected and c.l_eff_norm > floor:
-                expected_zero_ok = False
-            cells.append({
-                "hamiltonian_on": c.hamiltonian_on,
-                "detectable_on": c.detectable_on,
-                "drive_applied": c.drive_applied,
-                "l_eff_norm": c.l_eff_norm,
-                "zero_expected": zero_expected,
-            })
+        cells = [{
+            "hamiltonian_on": c.hamiltonian_on,
+            "detectable_on": c.detectable_on,
+            "drive_applied": c.drive_applied,
+            "l_eff_norm": c.l_eff_norm,
+            "zero_expected": not (c.hamiltonian_on and c.detectable_on),
+        } for c in table.cells]
         nonzero = table.cell(True, True).l_eff_norm
         verdicts = {
-            "zero_cells_vanish": expected_zero_ok,
+            "zero_cells_vanish": not any(c["zero_expected"] and c["l_eff_norm"] > floor
+                                         for c in cells),
             "obstruction_cell_nonzero": bool(nonzero > floor),
         }
         report = {
@@ -829,15 +826,10 @@ def cmd_qec(args) -> int:
             "tol": tol,
             "verdicts": verdicts,
         }
-        write_report(report, args.out)
-        for key in sorted(verdicts):
-            print(f"{key}: {_verdict_word(verdicts[key])}")
-        print(f"done in {time.perf_counter() - start:.3f} s")
-        return EXIT_OK if all(verdicts.values()) else EXIT_VERIFICATION
+        return Outcome(report, verdicts)
 
     if args.miscal is None:
-        print("error: --miscal X|Y|Z is required (or use --obstruction)", file=sys.stderr)
-        return EXIT_INPUT
+        raise ProblemFormatError("", "--miscal X|Y|Z is required (or use --obstruction)")
     rec, _ = repetition_code_recovery()
     pert = pauli_miscalibration(args.miscal, args.eps)
     rep = robustness_check(rec, pert, tol=tol)
@@ -871,22 +863,22 @@ def cmd_qec(args) -> int:
             "protected": rep.protected,
         },
     }
-    write_report(report, args.out)
-    print(f"hypotheses met: {rep.hypotheses_met}")
-    print(f"protected: {rep.protected} (l_eff norm {rep.l_eff_norm_general:.3e})")
-    if rep.hypotheses_met and not rep.protected:
+    failed = rep.hypotheses_met and not rep.protected
+    if failed:
         verdict = "FAIL"
     elif rep.protected:
         verdict = "robust"
     else:
         verdict = "not robust (hypotheses not met)"
-    print(f"verdict: {verdict}")
-    print(f"done in {time.perf_counter() - start:.3f} s")
-    return EXIT_VERIFICATION if rep.hypotheses_met and not rep.protected else EXIT_OK
+    lines = [
+        f"hypotheses met: {rep.hypotheses_met}",
+        f"protected: {rep.protected} (l_eff norm {rep.l_eff_norm_general:.3e})",
+        f"verdict: {verdict}",
+    ]
+    return Outcome(report, lines=lines, failed=failed)
 
 
-def cmd_evolve(args) -> int:
-    start = time.perf_counter()
+def cmd_evolve(args) -> Outcome:
     parsed = load_problem(args.problem)
     tol = _resolve(args.tol, parsed.tol, 1e-9)
     seed = _resolve(args.seed, parsed.seed, 0)
@@ -930,30 +922,38 @@ def cmd_evolve(args) -> int:
         print(f"fitted slope: {fit.slope:.4f} (monotone: {fit.monotone})")
     else:
         report["fit"] = None
-    write_report(report, args.out)
+    lines = []
     if args.plot_data:
         out_dir = Path(args.plot_data)
         out_dir.mkdir(parents=True, exist_ok=True)
-        lines = ["epsilon,tau,state_index,trace_distance"]
-        lines += [
-            f"{c.epsilon!r},{c.tau!r},{c.state_index},{c.distance!r}" for c in table.cells
-        ]
+        csv = ["epsilon,tau,state_index,trace_distance"]
+        csv += [f"{c.epsilon!r},{c.tau!r},{c.state_index},{c.distance!r}" for c in table.cells]
         csv_path = out_dir / "sweep.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
-        print(f"plot data written to {csv_path}")
+        csv_path.write_text("\n".join(csv) + "\n")
+        lines.append(f"plot data written to {csv_path}")
     worst = max((c.distance for c in table.cells), default=0.0)
-    print(f"cells: {len(table.cells)}, worst trace distance: {worst:.3e}")
-    print(f"done in {time.perf_counter() - start:.3f} s")
-    return EXIT_OK
+    lines.append(f"cells: {len(table.cells)}, worst trace distance: {worst:.3e}")
+    return Outcome(report, lines=lines)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        return _finite(x, "")
+    except ProblemFormatError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [_finite(float(x), "") for x in text.split(",") if x.strip() != ""]
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {err}") from err
 
@@ -965,6 +965,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}") from err
 
 
+# How each scenario parameter kind becomes an `ejof scenario` flag.
+_FLAG_KINDS = {
+    float: {"type": _finite_float},
+    int: {"type": int},
+    str: {"type": str},
+    list: {"type": _int_list},
+    bool: {"action": "store_const", "const": True},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ejof",
@@ -974,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
+        p.add_argument("--tol", type=_finite_float, default=None, help="verdict tolerance")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized pieces")
 
     p_eff = sub.add_parser("effective", help="compute the DFS generator by both routes")
@@ -993,24 +1003,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sc = sub.add_parser("scenario", help="run a named scenario pipeline")
     p_sc.add_argument("name", help=f"one of: {', '.join(SCENARIO_NAMES)}")
-    p_sc.add_argument("--delta", type=float, default=None, help="three-level: DFS level splitting")
-    p_sc.add_argument("--Gamma", type=float, default=None, help="three-level: decay rate")
-    p_sc.add_argument("--gamma", type=float, default=None, help="three-level: perturbing rate")
-    p_sc.add_argument("--dfs-dim", dest="dfs_dim", type=int, default=None,
-                      help="cancellation scenarios: DFS dimension")
-    p_sc.add_argument("--blocks", type=_int_list, default=None,
-                      help="cancellation scenarios: comma-separated decaying block sizes")
-    p_sc.add_argument("--pert-scale", dest="pert_scale", type=float, default=None,
-                      help="cancellation scenarios: deformation scale")
-    p_sc.add_argument("--keep-induced-hamiltonian", dest="keep_induced_hamiltonian",
-                      action="store_const", const=True, default=None,
-                      help="coherent-cancel: skip the induced-shift counter-term")
-    p_sc.add_argument("--targets", default=None, help="universal: target family (pauli)")
-    p_sc.add_argument("--scale", type=float, default=None, help="universal: target scale")
-    p_sc.add_argument("--decaying-dim", dest="decaying_dim", type=int, default=None,
-                      help="universal: decaying dimension")
-    p_sc.add_argument("--n-jumps", dest="n_jumps", type=int, default=None,
-                      help="universal: number of unperturbed jumps")
+    for key, (kind, _, help_text) in _SCENARIO_FLAGS.items():
+        p_sc.add_argument("--" + key.replace("_", "-"), default=None, help=help_text,
+                          **_FLAG_KINDS[kind])
     common(p_sc)
     p_sc.set_defaults(func=cmd_scenario)
 
@@ -1018,10 +1013,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_qec.add_argument("code", help="error-correcting code (repetition)")
     p_qec.add_argument("--miscal", choices=("X", "Y", "Z"), default=None,
                        help="Pauli type of the per-qubit miscalibration")
-    p_qec.add_argument("--eps", type=float, default=0.01, help="miscalibration strength")
+    p_qec.add_argument("--eps", type=_finite_float, default=0.01,
+                       help="miscalibration strength")
     p_qec.add_argument("--obstruction", action="store_true",
                        help="emit the Hamiltonian obstruction table instead")
-    p_qec.add_argument("--hamiltonian-scale", dest="hamiltonian_scale", type=float,
+    p_qec.add_argument("--hamiltonian-scale", dest="hamiltonian_scale", type=_finite_float,
                        default=0.3, help="decaying-block Hamiltonian scale (obstruction)")
     common(p_qec)
     p_qec.set_defaults(func=cmd_qec)
@@ -1043,23 +1039,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ProblemFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return _run(args.func, args)
     except StructureError as err:
         print(f"error: invalid structure: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (SingularBlockError, NonSemisimpleZeroError) as err:
+    except np.linalg.LinAlgError as err:  # SingularBlockError, NonSemisimpleZeroError
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as err:
-        print(f"error: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as err:
+    except ValueError as err:  # ProblemFormatError and other bad input
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -44,22 +44,12 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = as_operator(a)
-    return frob(a - dagger(a)) <= tol * max(1.0, frob(a))
-
-
 def require_hermitian(a: np.ndarray, what: str = "operator", tol: float = DEFAULT_TOL) -> np.ndarray:
     a = as_operator(a)
     resid = frob(a - dagger(a))
     if resid > tol * max(1.0, frob(a)):
         raise ValueError(f"{what} is not Hermitian (residual {resid:.3e})")
     return a
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A† B)."""
-    return complex(np.vdot(a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,10 +266,6 @@ def adjoint_superop(s: np.ndarray) -> np.ndarray:
 
 def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return devectorize(as_operator(s) @ vectorize(x))
-
-
-def superop_identity(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex)
 
 
 def corner_superops(dfs: DfsProjector) -> Corners:

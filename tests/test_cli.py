@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ejof.effective
+from ejof import cli
 from ejof.cli import main
 from ejof.qec import repetition_code_recovery
 
@@ -294,6 +295,75 @@ def test_scenario_unknown_name(capsys):
 
 def test_scenario_rejects_bad_param(tmp_path, capsys):
     assert main(["scenario", "three-level", "--Gamma", "-1"]) == 2
+
+
+# A non-default value for every parameter of every scenario.
+SCENARIO_PARAMS = {
+    "three-level": {"delta": 0.5, "Gamma": 1.5, "gamma": 0.02},
+    "cancellation": {"dfs_dim": 3, "blocks": [3, 3], "pert_scale": 0.5},
+    "coherent-cancel": {"dfs_dim": 2, "blocks": [2, 2, 2], "pert_scale": 0.5,
+                        "keep_induced_hamiltonian": True},
+    "universal": {"targets": "pauli", "scale": 0.3, "decaying_dim": 4, "n_jumps": 4},
+}
+
+
+def scenario_flags(params):
+    argv = []
+    for key, value in params.items():
+        argv.append("--" + key.replace("_", "-"))
+        if isinstance(value, list):
+            argv.append(",".join(map(str, value)))
+        elif value is not True:
+            argv.append(str(value))
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_PARAMS))
+def test_scenario_flags_match_problem_file(name, tmp_path):
+    # The generated flags cover the spec and reach build_scenario exactly as
+    # the same parameters in a problem file do.
+    params = SCENARIO_PARAMS[name]
+    assert set(params) == set(cli._PARAM_SPECS[name])
+    flag_out = tmp_path / "scenario.json"
+    assert main(["scenario", name, *scenario_flags(params), "--out", str(flag_out)]) == 0
+    problem = write_problem(tmp_path, {"version": 1, "scenario": {"name": name, **params}})
+    file_out = tmp_path / "effective.json"
+    assert main(["effective", problem, "--out", str(file_out)]) == 0
+    from_file = load_report(file_out)["scenario"]
+    assert from_file.pop("name") == name
+    assert load_report(flag_out)["details"] == from_file
+
+
+def test_scenario_rejects_flag_of_another_scenario(capsys):
+    assert main(["scenario", "three-level", "--scale", "1"]) == 2
+    assert "scenario.scale" in capsys.readouterr().err
+
+
+SCENARIO_FLOAT_FLAGS = [
+    "--" + key.replace("_", "-")
+    for key, (kind, _, _) in cli._SCENARIO_FLAGS.items() if kind is float
+]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "PROBLEM", "--epsilons", "0.04,nan"], "--epsilons"),
+    (["evolve", "PROBLEM", "--taus", "inf"], "--taus"),
+    (["effective", "PROBLEM", "--tol", "nan"], "--tol"),
+    (["qec", "repetition", "--miscal", "X", "--eps", "nan"], "--eps"),
+    (["qec", "repetition", "--miscal", "X", "--eps", "inf"], "--eps"),
+    (["qec", "repetition", "--miscal", "X", "--eps", "1e200"], "--eps"),
+    (["qec", "repetition", "--obstruction", "--hamiltonian-scale", "nan"],
+     "--hamiltonian-scale"),
+] + [(["scenario", "three-level", f"{flag}=-inf"], flag) for flag in SCENARIO_FLOAT_FLAGS])
+def test_non_finite_flag_exits_two(tmp_path, capsys, argv, flag):
+    # argparse rejects the value before any numerics run, naming the flag.
+    argv = [three_level_problem(tmp_path) if a == "PROBLEM" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    assert "done in" not in captured.out
 
 
 @pytest.mark.parametrize("kind", ["X", "Z"])

@@ -16,7 +16,6 @@ from ejof.operators import (
     embed_superop,
     four_corners,
     frob,
-    hs_inner,
     kraus_operators,
     left_superop,
     require_hermitian,
@@ -24,7 +23,6 @@ from ejof.operators import (
     sandwich_superop,
     star_commutator,
     star_commutator_superop,
-    superop_identity,
     trace_distance,
     vectorize,
 )
@@ -91,14 +89,14 @@ def test_adjoint_superop_is_hs_adjoint(rng):
     s = dissipator(random_matrix(rng, 3))
     a = random_matrix(rng, 3)
     b = random_matrix(rng, 3)
-    lhs = hs_inner(a, apply_superop(s, b))
-    rhs = hs_inner(apply_superop(adjoint_superop(s), a), b)
+    lhs = np.vdot(a, apply_superop(s, b))
+    rhs = np.vdot(apply_superop(adjoint_superop(s), a), b)
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_superop_identity(rng):
     x = random_matrix(rng, 3)
-    np.testing.assert_array_equal(apply_superop(superop_identity(3), x), x)
+    np.testing.assert_array_equal(apply_superop(np.eye(9), x), x)
 
 
 def test_projector_from_indices_is_exact():
@@ -164,7 +162,7 @@ def test_compress_embed_roundtrip(rng):
 
 
 def test_choi_of_identity_channel():
-    s = superop_identity(2)
+    s = np.eye(4)
     choi = choi_matrix(s)
     # maximally entangled (unnormalized) projector: sum_ij |ii><jj|
     expected = np.zeros((4, 4), dtype=complex)
@@ -184,7 +182,7 @@ def test_kraus_reconstruction(rng):
 
 def test_kraus_rejects_non_cp(rng):
     a = random_matrix(rng, 2)
-    s = sandwich_superop(a, dagger(a)) - 3.0 * superop_identity(2)
+    s = sandwich_superop(a, dagger(a)) - 3.0 * np.eye(4)
     with pytest.raises(ValueError):
         kraus_operators(s)
 
