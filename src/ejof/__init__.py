@@ -55,7 +55,6 @@ from .effective import (
     CornerSensitivityReport,
     Perturbation,
     corner_sensitivity,
-    dfs_block,
     effective_coupling,
     effective_lindbladian_closed,
     effective_lindbladian_general,

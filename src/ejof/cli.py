@@ -35,7 +35,6 @@ from .dynamics import SweepConfig, convergence_order, drift_constants, evolve_an
 from .effective import (
     Perturbation,
     corner_sensitivity,
-    dfs_block,
     effective_lindbladian_closed,
     effective_lindbladian_general,
     effective_to_superop,
@@ -556,7 +555,7 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
     target_h = _random_hermitian(dfs.basis, rng, scale=params["scale"])
     targets = pauli_lowering_targets(params["scale"], dfs.dim)
     pert = universal_dissipation(lind, target_h, targets)
-    achieved = dfs_block(effective_lindbladian_general(lind, pert), dfs)
+    achieved = effective_lindbladian_general(lind, pert)
     basis = dfs.basis
     target_block = assemble_lindbladian(
         dagger(basis) @ target_h @ basis,
@@ -601,7 +600,27 @@ def _verdict_word(value) -> str:
     return "pass" if value else "FAIL"
 
 
+def _reads_seed(args) -> bool:
+    """Whether the run draws from --seed: a random scenario or the QEC obstruction table.
+
+    The three-level system and explicit problem files are fixed.
+    """
+    if args.command == "qec":
+        return args.obstruction
+    if args.command == "scenario":
+        return args.name != "three-level"
+    if getattr(args, "random", None) is not None:
+        return False  # verify --random carries its own seed
+    if args.problem is None:
+        return True  # verify without input reports that itself
+    scenario = load_problem(args.problem).scenario
+    return scenario is not None and scenario[0] != "three-level"
+
+
 def _run(command, args) -> int:
+    if args.seed is not None and not _reads_seed(args):
+        raise ProblemFormatError("--seed", "this run draws nothing at random, so it reads no "
+                                 "seed (random scenarios and qec --obstruction do)")
     start = time.perf_counter()
     outcome = command(args)
     if isinstance(outcome, int):  # declined before computing; the reason went to stderr
@@ -666,10 +685,9 @@ def cmd_effective(args) -> Outcome | int:
         print("use --force to compute the general route anyway", file=sys.stderr)
         return EXIT_INPUT
 
-    dfs = lind.dfs
-    basis = dfs.basis
+    basis = lind.dfs.basis
     general = effective_lindbladian_general(lind, pert)
-    report["l_eff_general"] = matrix_json(dfs_block(general, dfs))
+    report["l_eff_general"] = matrix_json(general)
     verdicts = {"structure_ok": rep.passed}
 
     if rep.passed:
@@ -677,13 +695,11 @@ def cmd_effective(args) -> Outcome | int:
         closed = effective_to_superop(eff)
         scaled_residual = _route_agreement(general, closed, pert)
         ids = identity_suite(lind, pert)
-        report["l_eff_closed"] = matrix_json(dfs_block(closed, dfs))
+        report["l_eff_closed"] = matrix_json(closed)
         report["h_eff"] = matrix_json(dagger(basis) @ eff.h_eff @ basis)
         report["f_eff"] = [matrix_json(dagger(basis) @ f @ basis) for f in eff.jumps_eff]
-        report["e_eff_superop"] = matrix_json(dfs_block(eff.cp_superop, dfs))
-        report["e_eff_trace_part"] = matrix_json(
-            dagger(basis) @ eff.cp_adjoint_identity @ basis
-        )
+        report["e_eff_superop"] = matrix_json(eff.cp_superop)
+        report["e_eff_trace_part"] = matrix_json(dagger(basis) @ eff.cp_adjoint_identity @ basis)
         report["equivalence"] = {
             "residual": float(frob(general - closed) / max(frob(general), 1e-14)),
             "scaled_residual": float(scaled_residual),

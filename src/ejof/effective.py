@@ -26,15 +26,14 @@ evolution sigma -> -i(K sigma - sigma K†), and C the induced non-Hermitian
 coupling between the blocks,
     C = V_offdiag - (i/2) sum_l ( F_l† f_ul_l + f_ul_l† F_l ).
 
-Both routes return the same full-dimension superoperator restricted to the
-DFS corner; :func:`verify_equivalence` quantifies the agreement. Both are
-evaluated on the d^2 DFS columns only: with E = conj(B) kron B for a DFS
-isometry B, vec(B sigma B†) = E vec(sigma) and the DFS-corner projector is
-S_ul = E E†, so every D^2 x D^2 product becomes a tall-skinny one. The general
-route applies O1 and O2 as maps on the d^2 operators P_inf E (batched D x D
-products), never as D^2 x D^2 matrices; :func:`perturbation_superops` forms
-those matrices from the same maps, as the oracle of the O1 + O2 contract. The
-closed route is assembled on the (d^2, d^2) block and embedded once.
+Both routes return the effective generator as the (d^2, d^2) DFS block, its
+only form; :func:`verify_equivalence` quantifies their agreement. For a DFS
+isometry B and E = conj(B) kron B, vec(B sigma B†) = E vec(sigma), and a map S
+of the full space has the block E† S E, so every product is tall-skinny. The
+general route applies O1 and O2 as maps on the d^2 operators P_inf E (batched
+D x D products), never as D^2 x D^2 matrices; :func:`perturbation_superops`
+forms those matrices from the same maps, as the oracle of the O1 + O2
+contract. The closed route is assembled on the block from its d x d pieces.
 """
 
 from __future__ import annotations
@@ -42,29 +41,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .lindblad import (
     StructuredLindbladian,
     assemble_lindbladian,
     nh_hamiltonian_inverse,
-    nh_superop_solve,
     structured_lindbladian,
 )
 from .operators import (
-    DEFAULT_TOL,
     DfsProjector,
     adjoint_superop,
     apply_superop,
     as_operator,
-    compress_superop,
     dagger,
     dfs_columns,
-    embed_superop,
     four_corners,
     frob,
     gksl_superop,
     require_hermitian,
-    star_commutator,
     vectorize,
 )
 
@@ -193,25 +188,24 @@ def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
 
 
 def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
-    """Second-order effective generator by the resolvent route.
+    """Second-order effective generator by the resolvent route, as its DFS block.
 
-    Returns the full (D^2, D^2) matrix restricted to the DFS corner:
-    P_ul [ P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf ] P_ul, evaluated as
-    E E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] E†. O1 and O2 act
-    as maps on the d^2 operators P_inf E, and L^D is applied to the d^2
+    Returns the (d^2, d^2) block of P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf,
+    evaluated as E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ]. O1 and
+    O2 act as maps on the d^2 operators P_inf E, and L^D is applied to the d^2
     columns O1 P_inf E only. Only the generator's own spectral factor and
     asymptotic projection enter, so the route stays independent of the
     closed one.
     """
     terms = _o1_terms(lind, pert)
-    dim, basis = lind.dim, lind.dfs.basis
-    e = dfs_columns(basis)
+    dim = lind.dim
+    e = dfs_columns(lind.dfs.basis)
     pinf = lind.asymptotic_projection
     x = _stack(pinf @ e, dim)
     o1x = _apply_o1(terms, x)
     o1_ld_o1x = _apply_o1(terms, _stack(lind.factor.apply_drazin(_columns(o1x)), dim))
     cols = _columns(o1x + _apply_o2(pert.fs, x) - o1_ld_o1x)
-    return embed_superop(dagger(e) @ pinf @ cols, basis)
+    return dagger(e) @ pinf @ cols
 
 
 @dataclass(frozen=True)
@@ -219,9 +213,8 @@ class EffectiveGenerator:
     """Closed-form effective generator data on the DFS.
 
     h_eff and the jumps_eff are supported on the DFS corner. cp_superop is the
-    completely positive feed-through term E_eff as a full-dimension matrix
-    (it reads only the DFS corner of its input, so its columns outside the
-    DFS corner vanish);
+    completely positive feed-through term E_eff as its (d^2, d^2) DFS block
+    (E_eff reads and writes only the DFS corner, so the block is all of it);
     cp_adjoint_identity = sum_l f_ll_l† f_ll_l is its adjoint applied to the
     identity, used for the trace-conserving anticommutator counterweight.
     """
@@ -231,9 +224,6 @@ class EffectiveGenerator:
     cp_superop: np.ndarray
     cp_adjoint_identity: np.ndarray
     dfs: DfsProjector
-
-    def superop(self) -> np.ndarray:
-        return effective_to_superop(self)
 
 
 def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation) -> EffectiveGenerator:
@@ -250,23 +240,21 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
         for big_f, f in zip(lind.jumps, pert.fs)
     )
     f_lls = [four_corners(f, dfs).ll for f in pert.fs]
-    adj_id = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    for f_ll in f_lls:
-        adj_id = adj_id + dagger(f_ll) @ f_ll
-    # E_eff on the d^2 DFS units b_i b_j†: source, sector solve, feed. The
-    # source f_ll (.) f_ll† reads only P X P, so these columns determine E_eff.
+    adj_id = sum((dagger(f) @ f for f in f_lls), np.zeros((dfs.dim, dfs.dim), dtype=complex))
+    # E_eff on the d^2 DFS units b_i b_j†: source f_ll (.) f_ll†, sector solve,
+    # feed F_l (.) F_l†, each in the block bases of its corner.
     bp, bq = dfs.basis, dfs.basis_c
     d = dfs.d
-    cols = np.zeros((dfs.dim ** 2, d * d), dtype=complex)
+    detect = [dagger(bq) @ f @ bp for f in pert.fs]           # f_ll, (n, d)
+    feed = [dagger(bp) @ big_f @ bq for big_f in lind.jumps]  # F_l, (d, n)
+    cp_superop = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         for i in range(d):
-            unit = np.outer(bp[:, i], bp[:, j].conj())
-            source = dagger(bq) @ _sandwich_sum(f_lls, unit) @ bq
+            source = sum(np.outer(g[:, i], g[:, j].conj()) for g in detect)
             if not source.any():
                 continue
-            sigma = bq @ lind.decaying_sector.solve(source) @ dagger(bq)
-            cols[:, i + d * j] = -vectorize(_sandwich_sum(lind.jumps, sigma))
-    cp_superop = cols @ dagger(dfs_columns(bp))
+            sigma = lind.decaying_sector.solve(-source)
+            cp_superop[:, i + d * j] = vectorize(sum(g @ sigma @ dagger(g) for g in feed))
     return EffectiveGenerator(
         h_eff=h_eff,
         jumps_eff=jumps_eff,
@@ -276,34 +264,17 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
     )
 
 
-def _sandwich_sum(ops, x: np.ndarray) -> np.ndarray:
-    """sum_l A_l X A_l†."""
-    out = np.zeros_like(x)
-    for a in ops:
-        out += a @ x @ dagger(a)
-    return out
-
-
 def effective_to_superop(eff: EffectiveGenerator) -> np.ndarray:
-    """Assemble the closed-form pieces into a DFS-corner superoperator.
+    """Assemble the closed-form pieces into the (d^2, d^2) DFS block.
 
-    -i[H_eff, .] + sum_l D[F_eff_l] + E_eff - (1/2){E_eff_adj(I), .},
-    restricted to the DFS corner on both sides. It is assembled on the
-    (d^2, d^2) block, from B† H_eff B, B† F_eff_l B, B† (sum_l F_eff_l† F_eff_l
-    + E_eff_adj(I)) B and E† E_eff E, and embedded once.
+    -i[H_eff, .] + sum_l D[F_eff_l] + E_eff - (1/2){E_eff_adj(I), .}, from
+    B† H_eff B, B† F_eff_l B, B† (sum_l F_eff_l† F_eff_l + E_eff_adj(I)) B and
+    the block of E_eff.
     """
     b = eff.dfs.basis
-    e = dfs_columns(b)
     w = sum((dagger(f) @ f for f in eff.jumps_eff), eff.cp_adjoint_identity)
-    block = gksl_superop(dagger(b) @ eff.h_eff @ b,
-                         [dagger(b) @ f @ b for f in eff.jumps_eff],
-                         w=dagger(b) @ w @ b)
-    return embed_superop(block + dagger(e) @ eff.cp_superop @ e, b)
-
-
-def dfs_block(superop: np.ndarray, dfs: DfsProjector) -> np.ndarray:
-    """Compress a DFS-corner superoperator to its (d^2, d^2) block matrix."""
-    return compress_superop(superop, dfs.basis)
+    return gksl_superop(dagger(b) @ eff.h_eff @ b, [dagger(b) @ f @ b for f in eff.jumps_eff],
+                        w=dagger(b) @ w @ b) + eff.cp_superop
 
 
 @dataclass(frozen=True)
@@ -320,7 +291,7 @@ class EquivalenceReport:
 
 def verify_equivalence(lind: StructuredLindbladian, pert: Perturbation,
                        tol: float = 1e-9) -> EquivalenceReport:
-    """Compare the general and closed routes on the DFS corner."""
+    """Compare the general and closed routes on the DFS block."""
     gen = effective_lindbladian_general(lind, pert)
     closed = effective_to_superop(effective_lindbladian_closed(lind, pert))
     num = frob(gen - closed)
@@ -376,23 +347,24 @@ def identity_suite(lind: StructuredLindbladian, pert: Perturbation,
     eff = effective_lindbladian_closed(lind, pert)
     kinv = nh_hamiltonian_inverse(lind.k, dfs)
 
-    # E_eff adjoint on the identity.
-    lhs = apply_superop(adjoint_superop(eff.cp_superop), np.eye(dfs.dim, dtype=complex))
-    rhs = eff.cp_adjoint_identity
+    # E_eff adjoint on the identity, in the block basis.
+    bp, bq = dfs.basis, dfs.basis_c
+    lhs = apply_superop(adjoint_superop(eff.cp_superop), np.eye(dfs.d, dtype=complex))
+    rhs = dagger(bp) @ eff.cp_adjoint_identity @ bp
     adjoint_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
-    # Decaying-sector solve vs i[Kinv, sigma]* on off-diagonal basis units.
-    offdiag_res = 0.0
-    bp, bq = dfs.basis, dfs.basis_c
-    for i in range(dfs.d):
-        for j in range(dfs.n_decay):
-            for sigma in (
-                np.outer(bp[:, i], bq[:, j].conj()),
-                np.outer(bq[:, j], bp[:, i].conj()),
-            ):
-                got = nh_superop_solve(lind.k, sigma, dfs)
-                want = 1j * star_commutator(kinv, sigma)
-                offdiag_res = max(offdiag_res, _rel(frob(got - want), frob(want)))
+    # Decaying-sector solve vs i[Kinv, sigma]* on the units q_j b_i† (ll:
+    # -i K rho = sigma) and b_i q_j† (ur: i rho K† = sigma). Their solutions are
+    # column j of (-i K_qq)^-1 and row j of (i K_qq†)^-1, for every i.
+    kinv_qq = dagger(bq) @ kinv @ bq
+    lu = lu_factor(-1j * (dagger(bq) @ lind.k @ bq))
+    eye = np.eye(dfs.n_decay)
+    offdiag_res = float(max(
+        np.max(np.linalg.norm(got - want, axis=axis)
+               / np.maximum(np.linalg.norm(want, axis=axis), RESIDUAL_FLOOR))
+        for got, want, axis in ((lu_solve(lu, eye), 1j * kinv_qq, 0),
+                                (lu_solve(lu, eye, trans=2), -1j * dagger(kinv_qq), 1))
+    ))
 
     # Resolvent identity.
     lhs = np.zeros((dfs.dim, dfs.dim), dtype=complex)

@@ -34,14 +34,13 @@ from .effective import (
     effective_lindbladian_general,
     effective_to_superop,
 )
-from .lindblad import StructuredLindbladian, structure_report, structured_lindbladian
+from .lindblad import structured_lindbladian
 from .operators import (
     DfsProjector,
     anticommutator_superop,
     as_operator,
     compress_superop,
     dagger,
-    dfs_columns,
     four_corners,
     frob,
     sandwich_superop,
@@ -287,12 +286,8 @@ def robustness_check(rec: RecoveryChannel, pert: Perturbation, *,
     eff = effective_lindbladian_closed(lind, pert)
     closed = effective_to_superop(eff)
     general = effective_lindbladian_general(lind, pert)
-    # The CP part on the d^2 DFS block: E† X E has the Frobenius norm of
-    # S_ul X S_ul, since E is an isometry.
     b = lind.dfs.basis
-    e = dfs_columns(b)
-    cp_part = (dagger(e) @ eff.cp_superop @ e
-               - 0.5 * anticommutator_superop(dagger(b) @ eff.cp_adjoint_identity @ b))
+    cp_part = eff.cp_superop - 0.5 * anticommutator_superop(dagger(b) @ eff.cp_adjoint_identity @ b)
     h_norm = frob(h)
     hypotheses = structure_ok and conditions.passed and corr.passed and h_norm == 0.0
     return RobustnessReport(

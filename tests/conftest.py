@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ejof import (
-    Perturbation,
     ThreeLevelParams,
     random_structured_instance,
     repetition_code_recovery,

@@ -11,7 +11,6 @@ import pytest
 from ejof.dynamics import SweepConfig, convergence_order, drift_constants, evolve_and_compare
 from ejof.effective import (
     corner_sensitivity,
-    dfs_block,
     effective_lindbladian_closed,
     effective_lindbladian_general,
     identity_suite,
@@ -199,7 +198,7 @@ def test_criterion_05_universal_dissipation():
         blk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         th[:2, :2] = 0.05 * (blk + dagger(blk)) / 2
         pert = universal_dissipation(lind, th, targets)
-        got = dfs_block(effective_lindbladian_general(lind, pert), dfs)
+        got = effective_lindbladian_general(lind, pert)
         want = assemble_lindbladian(th[:2, :2], [t[:2, :2] for t in targets])
         worst = max(worst, frob(got - want) / frob(want))
     ok = worst <= 1e-9

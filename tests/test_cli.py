@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import ejof.dynamics
 import ejof.effective
+import ejof.lindblad
+import ejof.operators
+import ejof.qec
+import ejof.scenarios
 from ejof import cli
 from ejof.cli import main
 from ejof.qec import repetition_code_recovery
@@ -477,3 +482,61 @@ def test_file_tol_and_cli_tol(tmp_path):
     assert load_report(out)["tol"] == 1e-3
     assert main(["effective", problem, "--tol", "1e-7", "--out", str(out)]) == 0
     assert load_report(out)["tol"] == 1e-7
+
+
+SEEDLESS_RUNS = {
+    "explicit-system": lambda tmp: ["effective", explicit_problem(tmp)],
+    "explicit-verify": lambda tmp: ["verify", explicit_problem(tmp)],
+    "three-level-file": lambda tmp: ["evolve", three_level_problem(tmp), "--epsilons", "0.1"],
+    "three-level": lambda tmp: ["scenario", "three-level"],
+    "qec-miscal": lambda tmp: ["qec", "repetition", "--miscal", "X"],
+    "verify-random": lambda tmp: ["verify", "--random", "2", "2", "1", "0"],
+}
+
+
+@pytest.mark.parametrize("make", SEEDLESS_RUNS.values(), ids=SEEDLESS_RUNS.keys())
+def test_seed_is_refused_where_nothing_is_random(make, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main([*make(tmp_path), "--seed", "5", "--out", str(out)]) == cli.EXIT_INPUT
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SEEDED_RUNS = {
+    "scenario": lambda tmp: ["scenario", "cancellation"],
+    "scenario-file": lambda tmp: ["effective", write_problem(
+        tmp, {"version": 1, "scenario": {"name": "cancellation"}})],
+    "obstruction": lambda tmp: ["qec", "repetition", "--obstruction"],
+}
+
+
+@pytest.mark.parametrize("make", SEEDED_RUNS.values(), ids=SEEDED_RUNS.keys())
+def test_seed_changes_a_random_run(make, tmp_path):
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"report-{seed}.json"
+        assert main([*make(tmp_path), "--seed", seed, "--out", str(out)]) == cli.EXIT_OK
+        reports.append(load_report(out))
+    assert reports[0] != reports[1]
+
+
+def test_no_command_embeds_an_effective_generator(tmp_path, monkeypatch):
+    # Effective generators live on the (d^2, d^2) DFS block only. No ejof
+    # module binds embed_superop itself, so patching it in operators covers
+    # every call.
+    for module in (cli, ejof.effective, ejof.dynamics, ejof.qec, ejof.scenarios, ejof.lindblad):
+        assert not hasattr(module, "embed_superop"), module.__name__
+
+    def embed(*args, **kwargs):
+        raise AssertionError("a (d^2, d^2) block was embedded into D^2 x D^2")
+
+    monkeypatch.setattr(ejof.operators, "embed_superop", embed)
+    out = str(tmp_path / "report.json")
+    runs = [
+        ["effective", explicit_problem(tmp_path)],
+        ["verify", "--random", "2", "3", "2", "0"],
+        ["qec", "repetition", "--miscal", "Y"],
+        ["evolve", three_level_problem(tmp_path), "--epsilons", "0.04,0.02", "--taus", "1"],
+    ]
+    for argv in runs:
+        assert main([*argv, "--out", out]) == cli.EXIT_OK, argv

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ejof.dynamics import (
     SweepConfig,
     convergence_order,
     drift_constants,
     evolve_and_compare,
+    propagate_effective,
     validate_initial_state,
 )
+from ejof.effective import (
+    Perturbation,
+    effective_lindbladian_general,
+    random_structured_instance,
+)
+from ejof.lindblad import structured_lindbladian
+from ejof.operators import DfsProjector, dagger, devectorize, embed_superop, frob, vectorize
 from ejof.qec import pauli_miscalibration, repetition_code_recovery
 from ejof.scenarios import ThreeLevelParams, three_level_system
 
@@ -139,3 +148,37 @@ def test_secular_decay_shows_up_in_drift():
     table = three_level_sweep(delta=1.0, epsilons=(0.04, 0.01), taus=(5.0,))
     consts = drift_constants(table)
     assert consts[0.01] / consts[0.04] > 2.0
+
+
+def _rotated_instance():
+    # A DFS spanned by rotated basis vectors, so the block basis B is dense.
+    lind, pert = random_structured_instance(2, 3, 2, 11)
+    u, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
+
+    def rot(a):
+        return u @ a @ dagger(u)
+
+    dfs = DfsProjector(p=rot(lind.dfs.p))
+    lind = structured_lindbladian(rot(lind.h), [rot(f) for f in lind.jumps], dfs)
+    return lind, Perturbation(v=rot(pert.v), fs=tuple(rot(f) for f in pert.fs))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: three_level_system(ThreeLevelParams(delta=1.0, Gamma=2.0, gamma=0.04)),
+    lambda: random_structured_instance(2, 3, 2, 11),
+    _rotated_instance,
+], ids=["three-level", "random", "rotated-dfs"])
+def test_block_propagation_matches_embedded_expm(make):
+    lind, pert = make()
+    dfs = lind.dfs
+    block = effective_lindbladian_general(lind, pert)
+    # A DFS state with 1e-10 weight off the DFS corner, which validation allows.
+    b0, b1, q = dfs.basis[:, 0], dfs.basis[:, 1], dfs.basis_c[:, 0]
+    rho = 0.6 * np.outer(b0, b0.conj()) + 0.4 * np.outer(b1, b1.conj())
+    rho = rho + 0.2 * (np.outer(b0, b1.conj()) + np.outer(b1, b0.conj()))
+    rho = rho + 1e-10 * (np.outer(b0, q.conj()) + np.outer(q, b0.conj()))
+    validate_initial_state(rho, dfs)
+    for t in (0.0, 1.0, 30.0):
+        want = devectorize(expm(t * embed_superop(block, dfs.basis)) @ vectorize(rho))
+        [got] = propagate_effective(block, dfs.basis, t, [rho])
+        assert frob(got - want) <= 1e-12

@@ -4,7 +4,6 @@ import pytest
 from ejof.effective import (
     Perturbation,
     corner_sensitivity,
-    dfs_block,
     effective_coupling,
     effective_lindbladian_closed,
     effective_lindbladian_general,
@@ -18,6 +17,7 @@ from ejof.effective import (
 from ejof.lindblad import nh_superop_inverse_lr
 from ejof.operators import (
     choi_matrix,
+    compress_superop,
     dagger,
     four_corners,
     frob,
@@ -169,7 +169,7 @@ def test_cp_superop_matches_dense_product(n, seed, defective, extra):
     feed = sum(sandwich_superop(f, dagger(f)) for f in lind.jumps)
     f_lls = [four_corners(f, dfs).ll for f in pert.fs]
     source = sum(sandwich_superop(f, dagger(f)) for f in f_lls)
-    want = -feed @ nh_superop_inverse_lr(lind.k, dfs) @ source
+    want = compress_superop(-feed @ nh_superop_inverse_lr(lind.k, dfs) @ source, dfs.basis)
     got = effective_lindbladian_closed(lind, pert).cp_superop
     assert frob(got - want) <= 1e-11 * frob(want)
 
@@ -181,13 +181,13 @@ def test_three_level_routes_match(three_level):
     assert frob(gen - closed) <= 1e-10 * max(frob(gen), 1.0)
 
 
-def test_dfs_block_shape(three_level):
-    lind, pert = three_level
-    gen = effective_lindbladian_general(lind, pert)
-    block = dfs_block(gen, lind.dfs)
-    assert block.shape == (4, 4)
-    # the block carries the whole content of the corner-supported superoperator
-    assert abs(frob(block) - frob(gen)) < 1e-12
+@pytest.mark.parametrize("d, n, n_jumps", [(2, 1, 1), (4, 16, 5)], ids=["D3", "D20"])
+def test_routes_return_the_dfs_block(d, n, n_jumps):
+    lind, pert = random_structured_instance(d, n, n_jumps, 3)
+    eff = effective_lindbladian_closed(lind, pert)
+    for block in (effective_lindbladian_general(lind, pert), effective_to_superop(eff),
+                  eff.cp_superop):
+        assert block.shape == (d * d, d * d)
 
 
 def test_extra_zero_jump_opens_new_channel():

@@ -408,7 +408,8 @@ def test_general_route_matches_dense_evaluation(make):
     e = dfs_columns(lind.dfs.basis)
     pe = lind.asymptotic_projection @ e
     cols = (o1 + o2) @ pe - o1 @ lind.drazin @ o1 @ pe
-    want = e @ dagger(e) @ lind.asymptotic_projection @ cols @ dagger(e)
+    want = compress_superop(e @ dagger(e) @ lind.asymptotic_projection @ cols @ dagger(e),
+                            lind.dfs.basis)
     got = effective_lindbladian_general(lind, pert)
     assert frob(got - want) <= 1e-11 * frob(want)
 
@@ -417,12 +418,12 @@ def test_general_route_matches_dense_evaluation(make):
 def test_block_effective_superop_matches_full_assembly(make):
     lind = make()
     eff = effective_lindbladian_closed(lind, _random_perturbation(lind, 4))
-    full = -1j * commutator_superop(eff.h_eff) + eff.cp_superop
+    basis = lind.dfs.basis
+    full = -1j * commutator_superop(eff.h_eff) + embed_superop(eff.cp_superop, basis)
     full = full - 0.5 * anticommutator_superop(eff.cp_adjoint_identity)
     for f in eff.jumps_eff:
         full = full + dissipator(f)
-    basis = lind.dfs.basis
-    want = embed_superop(compress_superop(full, basis), basis)
+    want = compress_superop(full, basis)
     got = effective_to_superop(eff)
     assert frob(got - want) <= 1e-11 * frob(want)
 

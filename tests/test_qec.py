@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ejof.effective import Perturbation, dfs_block, effective_lindbladian_general
+from ejof.effective import effective_lindbladian_general
 from ejof.operators import dagger, four_corners, frob
 from ejof.qec import (
     check_recovery_conditions,
@@ -10,7 +10,6 @@ from ejof.qec import (
     hamiltonian_obstruction_demo,
     pauli_miscalibration,
     pauli_on_qubit,
-    repetition_code_recovery,
     robustness_check,
 )
 
@@ -144,7 +143,7 @@ def test_y_miscalibration_generator_value(repetition):
     rec, lind = repetition
     eps = 1e-2
     pert = pauli_miscalibration("Y", eps)
-    block = dfs_block(effective_lindbladian_general(lind, pert), rec.code)
+    block = effective_lindbladian_general(lind, pert)
     z = np.diag([1.0, -1.0]).astype(complex)
     want = 3 * eps ** 2 * (np.kron(z.T, z) - np.eye(4))
     assert frob(block - want) <= 1e-12
