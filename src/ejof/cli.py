@@ -158,9 +158,13 @@ def params_digest(command: str, params: dict) -> str:
 
 
 def write_report(report: dict, out: str | None) -> None:
+    """Write the report to out, if given; an unwritable path is an input error."""
     text = canonical_json(report)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as err:
+            raise ProblemFormatError("--out", f"cannot write {out}: {err.strerror or err}") from err
         print(f"report written to {out}")
 
 

@@ -24,14 +24,16 @@ eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
 once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
 zero multiplicity and the spectral gap off it. L is block diagonal over the
 corners too, so ||L||_2, the scale of every cut, is the larger of ||K_qq||_2
-and the 2-norm of a (d^2 + n^2, n^2) corner block: a structured L is never
-SVD-factored densely. L itself is assembled once, in K form
-(:func:`~ejof.operators.gksl_superop`). When every structural check
-passes, the Drazin inverse and the asymptotic projection come from one LU of
-the bordered matrix [[L, E], [E†, 0]], with E the DFS columns of ker L
-(:class:`BorderedFactor`). A generator that fails a check falls back to one
-dense ordered complex Schur form of L (:class:`OrderedSchur`), which also
-serves the free functions :func:`drazin_inverse` and
+and the 2-norm of a (d^2 + n^2, n^2) corner stack: a structured L is never
+SVD-factored densely. A narrow stack is SVD-factored; a wide one
+(n^2 > ``DENSE_NORM_MAX_COLUMNS``) is never formed, and its 2-norm comes from
+Lanczos on two n x n maps. L itself is assembled once, in K form, with one
+GEMM for the jump sum (:func:`~ejof.operators.gksl_superop`). When every
+structural check passes, the Drazin inverse and the asymptotic projection
+come from one LU of the bordered matrix [[L, E], [E†, 0]], with E the DFS
+columns of ker L (:class:`BorderedFactor`). A generator that fails a check
+falls back to one dense ordered complex Schur form of L (:class:`OrderedSchur`),
+which also serves the free functions :func:`drazin_inverse` and
 :func:`asymptotic_projection` and the tests as an oracle. The decaying-sector
 map sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
 Bartels-Stewart on the cached Schur form of K_qq; its dense Kronecker form is
@@ -65,6 +67,11 @@ from .operators import (
 ZERO_CLUSTER_FACTOR = 1e-8
 # Warn when the smallest retained eigenvalue is within this factor of the cut.
 GAP_WARNING_FACTOR = 100.0
+# Widest lr corner stack (n^2 columns) whose 2-norm is taken by a dense SVD;
+# wider stacks use Lanczos. At d = 2 and 4 with 3-5 jumps, on one thread of
+# a 2-core Xeon, the dense SVD is faster up to n^2 = 121 (2.9 ms against
+# 3.0-4.9 ms) and slower from n^2 = 144 (3.4-3.9 ms against 2.6-3.0 ms).
+DENSE_NORM_MAX_COLUMNS = 121
 
 
 class SpectralGapWarning(UserWarning):
@@ -341,7 +348,7 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
 
 
 def _normal_form_norm2(k: np.ndarray, jumps, dfs: DfsProjector) -> float:
-    """||L||_2 of a generator in normal form, exactly, from its corner blocks.
+    """||L||_2 of a generator in normal form, from its corner blocks.
 
     Over the corners L is block diagonal: ur -> ur is X -> i X K† and
     ll -> ll is X -> -i K X, both of 2-norm ||K_qq||_2; ul -> 0; and
@@ -349,15 +356,56 @@ def _normal_form_norm2(k: np.ndarray, jumps, dfs: DfsProjector) -> float:
     [sum_l conj(F_pq) kron F_pq; -i(I kron K_qq - conj(K_qq) kron I)], with
     F_pq = B_p† F B_q. So ||L||_2 is the larger of ||K_qq||_2 and the 2-norm
     of that stack.
+
+    A stack of at most ``DENSE_NORM_MAX_COLUMNS`` columns is assembled and
+    SVD-factored, O(n^6). A wider one is never formed: its 2-norm comes from
+    Lanczos (:func:`_stack_norm2_lanczos`), or from the dense SVD if ARPACK
+    does not converge.
     """
     bp, bq = dfs.basis, dfs.basis_c
+    d, n = dfs.d, dfs.n_decay
     kqq = dagger(bq) @ k @ bq
-    feed = np.zeros((dfs.d ** 2, dfs.n_decay ** 2), dtype=complex)
-    for f in jumps:
-        f_pq = dagger(bp) @ f @ bq
-        feed += np.kron(f_pq.conj(), f_pq)
+    f_pq = np.array([dagger(bp) @ f @ bq for f in jumps], dtype=complex).reshape(-1, d, n)
+    norm_k = float(np.linalg.norm(kqq, 2))
+    if n * n > DENSE_NORM_MAX_COLUMNS:
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        try:
+            return max(norm_k, _stack_norm2_lanczos(kqq, f_pq))
+        except ArpackNoConvergence:
+            pass
+    feed = sum((np.kron(f.conj(), f) for f in f_pq), np.zeros((d * d, n * n), dtype=complex))
     lr = np.vstack([feed, _nh_block_matrix(kqq)])
-    return max(float(np.linalg.norm(kqq, 2)), float(np.linalg.norm(lr, 2)))
+    return max(norm_k, float(np.linalg.norm(lr, 2)))
+
+
+def _stack_norm2_lanczos(kqq: np.ndarray, f_pq: np.ndarray) -> float:
+    """2-norm of the lr stack of :func:`_normal_form_norm2`, by Lanczos.
+
+    The stack acts on column-stacked n x n X as
+    X -> (sum_l F_pq X F_pq†, -i(K_qq X - X K_qq†)) and its adjoint as
+    (Y, Z) -> sum_l F_pq† Y F_pq + i(K_qq† Z - Z K_qq), so each product costs
+    O(J d n^2 + n^3). ARPACK runs to machine precision (tol=0) from a fixed
+    start vector, so the value is deterministic.
+    """
+    from scipy.sparse.linalg import LinearOperator, svds
+
+    d, n = f_pq.shape[1], kqq.shape[0]
+    f_h, k_h = f_pq.conj().transpose(0, 2, 1), dagger(kqq)
+
+    def matvec(v):
+        x = v.reshape(n, n, order="F")
+        feed = (f_pq @ x @ f_h).sum(axis=0)
+        return np.concatenate([feed.ravel(order="F"),
+                               (-1j * (kqq @ x - x @ k_h)).ravel(order="F")])
+
+    def rmatvec(v):
+        y, z = v[:d * d].reshape(d, d, order="F"), v[d * d:].reshape(n, n, order="F")
+        return ((f_h @ y @ f_pq).sum(axis=0) + 1j * (k_h @ z - z @ kqq)).ravel(order="F")
+
+    stack = LinearOperator((d * d + n * n, n * n), matvec=matvec, rmatvec=rmatvec, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n * n)
+    return float(svds(stack, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
 
 
 def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
@@ -413,8 +461,10 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     so callers can inspect what failed.
 
     ||L||_2 and the Schur form of K_qq are computed here, once. When the H
-    and jump checks pass, ||L||_2 comes exactly from the corner blocks of L
-    (2-norms of side n and d^2 + n^2, no dense SVD of L); otherwise from a
+    and jump checks pass, ||L||_2 comes from the corner blocks of L
+    (:func:`_normal_form_norm2`: the 2-norm of K_qq and of the lr corner
+    stack, the latter by a dense SVD up to n^2 = ``DENSE_NORM_MAX_COLUMNS``
+    columns and by Lanczos above; no dense SVD of L); otherwise from a
     dense 2-norm SVD of L. When the steadiness check passes too, the zero
     multiplicity and the gap are read off K_qq, with no Schur form of L; if
     the multiplicity check passes too, L^D and P_inf come from a

@@ -243,7 +243,9 @@ def gksl_superop(h: np.ndarray, jumps, w: np.ndarray | None = None) -> np.ndarra
     W defaults to sum_l A_l† A_l, which makes this the Lindbladian of H and the
     jumps A_l. It is assembled in K form, -i I kron K + i K'^T kron I +
     sum_l conj(A_l) kron A_l with K = H - (i/2)W and K' = H + (i/2)W (K' = K†
-    for Hermitian H), so it costs 2 + J Kronecker products.
+    for Hermitian H). The jump sum is one (D^2, J)^T @ (J, D^2) product,
+    reordered once to Kronecker layout; the two K terms are added on the
+    strided diagonals of its (D, D, D, D) view.
     """
     h = as_operator(h)
     jumps = [as_operator(a) for a in jumps]
@@ -252,10 +254,16 @@ def gksl_superop(h: np.ndarray, jumps, w: np.ndarray | None = None) -> np.ndarra
             raise ValueError(f"jump shape {a.shape} != hamiltonian shape {h.shape}")
     if w is None:
         w = sum((dagger(a) @ a for a in jumps), np.zeros_like(h))
-    eye = np.eye(h.shape[0], dtype=complex)
-    s = -1j * np.kron(eye, h - 0.5j * w) + 1j * np.kron((h + 0.5j * w).T, eye)
-    for a in jumps:
-        s += np.kron(a.conj(), a)
+    dim = h.shape[0]
+    a = np.array(jumps, dtype=complex).reshape(len(jumps), dim * dim)
+    # (conj(a)^T a)[(i, j), (k, m)] = sum_l conj(A_l[i, j]) A_l[k, m]; the Kronecker
+    # row is (i, k) and the column (j, m).
+    s = (a.conj().T @ a).reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    s4 = s.reshape((dim,) * 4)
+    left = np.einsum("ikim->ikm", s4)   # I kron K: row (i, k), column (i, m)
+    left -= 1j * (h - 0.5j * w)
+    right = np.einsum("ikjk->ijk", s4)  # K'^T kron I: row (i, k), column (j, k)
+    right += 1j * (h + 0.5j * w).T[:, :, None]
     return s
 
 

@@ -540,3 +540,14 @@ def test_no_command_embeds_an_effective_generator(tmp_path, monkeypatch):
     ]
     for argv in runs:
         assert main([*argv, "--out", out]) == cli.EXIT_OK, argv
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_an_input_error(where, tmp_path, capsys):
+    # Exit 1 means "a verdict failed"; a report that cannot be written is bad input.
+    out = tmp_path / "no" / "such" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["scenario", "three-level", "--delta", "0", "--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,10 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Import hygiene: no unused imports, and no costly import a small run does not need.
 
-A stdlib stand-in for a linter's unused-import rule. ``__init__`` is skipped:
-its imports are the package's re-exports.
+The unused-import check is a stdlib stand-in for a linter's rule. ``__init__``
+is skipped: its imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,17 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_run_does_not_import_scipy_sparse():
+    # scipy.sparse.linalg is imported only for a wide lr corner stack; a small
+    # scenario run must not pay for it at start-up.
+    code = ("import sys\n"
+            "from ejof.cli import main\n"
+            "assert main(['scenario', 'three-level', '--delta', '0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ejof.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import expm
 
 import ejof.effective
@@ -375,7 +376,43 @@ def _scenario_lindbladian(name):
     return build_scenario(name, {}, 0, 1e-9).lind
 
 
-ORACLE_CASES = dict(BORDERED_CASES, **{
+def _wide_stiff_lindbladian(d=2, n=12):
+    """n decaying levels, level j decaying into the DFS at a rate from 1e4 down to 1e-1."""
+    dim = d + n
+    dfs = DfsProjector.from_indices(dim, range(d))
+    jumps = []
+    for j, rate in enumerate(np.geomspace(1e4, 1e-1, n)):
+        f = np.zeros((dim, dim), dtype=complex)
+        f[j % d, d + j] = np.sqrt(rate)
+        jumps.append(f)
+    h = np.zeros((dim, dim), dtype=complex)
+    for j in range(d, dim - 1):
+        h[j, j + 1] = h[j + 1, j] = 0.1
+    return structured_lindbladian(h, jumps, dfs)
+
+
+def _wide_rotated_lindbladian(d=2, n=12):
+    """A DFS given as a dense projector matrix, so B and B_c are dense."""
+    lind = random_structured_instance(d, n, 3, 5)[0]
+    rng = np.random.default_rng(8)
+    u, _ = np.linalg.qr(rng.standard_normal((d + n, d + n))
+                        + 1j * rng.standard_normal((d + n, d + n)))
+
+    def rot(a):
+        return u @ a @ dagger(u)
+
+    return structured_lindbladian(rot(lind.h), [rot(f) for f in lind.jumps],
+                                  DfsProjector(p=rot(lind.dfs.p)))
+
+
+# Above the dense-SVD crossover of the lr corner stack (n^2 > 121).
+WIDE_CASES = {
+    "ladder-d20": lambda: random_structured_instance(4, 16, 5, 1)[0],
+    "stiff-n12": _wide_stiff_lindbladian,
+    "projector-n12": _wide_rotated_lindbladian,
+}
+
+ORACLE_CASES = dict(BORDERED_CASES, **WIDE_CASES, **{
     name: functools.partial(_scenario_lindbladian, name) for name in SCENARIOS
 })
 
@@ -392,11 +429,33 @@ def _random_perturbation(lind, seed):
 
 
 @pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
-def test_corner_norm_matches_dense_svd(make):
+def test_corner_norm_matches_dense_svd(make, monkeypatch):
     lind = make()
+    lanczos = []
+    _count_calls(monkeypatch, scipy.sparse.linalg, "svds", lanczos)
     want = np.linalg.norm(lind.superop, 2)
     got = ejof.lindblad._normal_form_norm2(lind.k, lind.jumps, lind.dfs)
     assert abs(got - want) <= 1e-12 * want
+    # The stack is SVD-factored densely up to the crossover, by Lanczos above it.
+    assert len(lanczos) == int(lind.dfs.n_decay ** 2 > ejof.lindblad.DENSE_NORM_MAX_COLUMNS)
+
+
+def test_corner_norm_falls_back_to_dense_svd_without_convergence(monkeypatch):
+    lind = WIDE_CASES["ladder-d20"]()
+    corners = lind.k, lind.jumps, lind.dfs
+    with monkeypatch.context() as m:
+        m.setattr(ejof.lindblad, "DENSE_NORM_MAX_COLUMNS", lind.dfs.n_decay ** 2)
+        dense = ejof.lindblad._normal_form_norm2(*corners)
+
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(args)
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    assert ejof.lindblad._normal_form_norm2(*corners) == dense
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())

@@ -16,6 +16,7 @@ from ejof.operators import (
     embed_superop,
     four_corners,
     frob,
+    gksl_superop,
     kraus_operators,
     left_superop,
     require_hermitian,
@@ -76,6 +77,26 @@ def test_dissipator_action(rng):
     x = random_matrix(rng, 4)
     expected = f @ x @ dagger(f) - 0.5 * (dagger(f) @ f @ x + x @ dagger(f) @ f)
     np.testing.assert_allclose(apply_superop(dissipator(f), x), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("n_jumps", [0, 1, 3])
+@pytest.mark.parametrize("explicit_w", [False, True], ids=["w-default", "w-explicit"])
+def test_gksl_superop_action(rng, dim, n_jumps, explicit_w):
+    # The assembled matrix against -i[H, X] + sum(F X F†) - (1/2){W, X}.
+    h = random_matrix(rng, dim)
+    h = h + dagger(h)
+    jumps = [random_matrix(rng, dim) for _ in range(n_jumps)]
+    w = sum((dagger(f) @ f for f in jumps), np.zeros((dim, dim), dtype=complex))
+    if explicit_w:
+        w = w + random_matrix(rng, dim)
+    s = gksl_superop(h, jumps, w if explicit_w else None)
+    assert s.shape == (dim * dim, dim * dim)
+    for _ in range(3):
+        x = random_matrix(rng, dim)
+        want = -1j * (h @ x - x @ h) - 0.5 * (w @ x + x @ w)
+        want = want + sum((f @ x @ dagger(f) for f in jumps), np.zeros_like(x))
+        np.testing.assert_allclose(apply_superop(s, x), want, atol=1e-12)
 
 
 def test_dissipator_is_trace_free(rng):
