@@ -362,7 +362,6 @@ class ScenarioBundle:
     pert: Perturbation
     details: dict
     verdicts: dict
-    initial_states: tuple[np.ndarray, ...]
 
 
 # Scenario parameters: key -> (kind, default, help). Each key is also the
@@ -481,8 +480,7 @@ def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
     if dark:
         verdicts["effective_jump_vanishes"] = bool(f_eff_norm <= 1e-12)
     return ScenarioBundle(
-        name="three-level", lind=lind, pert=pert, details=details,
-        verdicts=verdicts, initial_states=default_states(lind.dfs),
+        name="three-level", lind=lind, pert=pert, details=details, verdicts=verdicts,
     )
 
 
@@ -509,7 +507,7 @@ def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundl
     return ScenarioBundle(
         name="cancellation", lind=lind,
         pert=Perturbation(v=np.zeros((dim, dim), dtype=complex), fs=tuple(fs)),
-        details=details, verdicts=verdicts, initial_states=default_states(dfs),
+        details=details, verdicts=verdicts,
     )
 
 
@@ -542,8 +540,7 @@ def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBu
     if not params["keep_induced_hamiltonian"]:
         verdicts["generator_vanishes"] = bool(frob(l_eff) <= tol * scale)
     return ScenarioBundle(
-        name="coherent-cancel", lind=lind, pert=pert, details=details,
-        verdicts=verdicts, initial_states=default_states(dfs),
+        name="coherent-cancel", lind=lind, pert=pert, details=details, verdicts=verdicts,
     )
 
 
@@ -577,8 +574,7 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
     }
     verdicts = {"target_matched": bool(residual <= tol)}
     return ScenarioBundle(
-        name="universal", lind=lind, pert=pert, details=details,
-        verdicts=verdicts, initial_states=default_states(dfs),
+        name="universal", lind=lind, pert=pert, details=details, verdicts=verdicts,
     )
 
 
@@ -902,15 +898,11 @@ def cmd_evolve(args) -> Outcome:
     parsed = load_problem(args.problem)
     tol = _resolve(args.tol, parsed.tol, 1e-9)
     seed = _resolve(args.seed, parsed.seed, 0)
-    lind, pert, bundle = _materialize(parsed, seed, tol, validate=True)
-
-    states = parsed.initial_states
-    if states is None:
-        states = bundle.initial_states if bundle is not None else default_states(lind.dfs)
+    lind, pert, _ = _materialize(parsed, seed, tol, validate=True)
     config = SweepConfig(
         epsilons=tuple(args.epsilons),
         taus=tuple(args.taus),
-        initial_states=states,
+        initial_states=parsed.initial_states or default_states(lind.dfs),
         mode=args.mode,
     )
     table = evolve_and_compare(lind, pert, config)
@@ -944,12 +936,15 @@ def cmd_evolve(args) -> Outcome:
         report["fit"] = None
     lines = []
     if args.plot_data:
-        out_dir = Path(args.plot_data)
-        out_dir.mkdir(parents=True, exist_ok=True)
         csv = ["epsilon,tau,state_index,trace_distance"]
         csv += [f"{c.epsilon!r},{c.tau!r},{c.state_index},{c.distance!r}" for c in table.cells]
-        csv_path = out_dir / "sweep.csv"
-        csv_path.write_text("\n".join(csv) + "\n")
+        csv_path = Path(args.plot_data) / "sweep.csv"
+        try:
+            csv_path.parent.mkdir(parents=True, exist_ok=True)
+            csv_path.write_text("\n".join(csv) + "\n")
+        except OSError as err:
+            raise ProblemFormatError(
+                "--plot-data", f"cannot write {csv_path}: {err.strerror or err}") from err
         lines.append(f"plot data written to {csv_path}")
     worst = max((c.distance for c in table.cells), default=0.0)
     lines.append(f"cells: {len(table.cells)}, worst trace distance: {worst:.3e}")

@@ -22,12 +22,9 @@ is known from the n x n block K_qq alone: {0}^(d^2), -i kappa_a and
 i conj(kappa_a) d times each, and -i(kappa_a - conj(kappa_b)), for the
 eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
 once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
-zero multiplicity and the spectral gap off it. L is block diagonal over the
-corners too, so ||L||_2, the scale of every cut, is the larger of ||K_qq||_2
-and the 2-norm of a (d^2 + n^2, n^2) corner stack: a structured L is never
-SVD-factored densely. A narrow stack is SVD-factored; a wide one
-(n^2 > ``DENSE_NORM_MAX_COLUMNS``) is never formed, and its 2-norm comes from
-Lanczos on two n x n maps. L itself is assembled once, in K form, with one
+zero multiplicity, the gap and the spectral radius rho(L) off it. The zero
+cut is relative to that radius, |lambda| <= 1e-8 max(1, rho(L)), so no norm
+of a structured L is taken. L itself is assembled once, in K form, with one
 GEMM for the jump sum (:func:`~ejof.operators.gksl_superop`). When every
 structural check passes, the Drazin inverse and the asymptotic projection
 come from one LU of the bordered matrix [[L, E], [E†, 0]], with E the DFS
@@ -67,11 +64,6 @@ from .operators import (
 ZERO_CLUSTER_FACTOR = 1e-8
 # Warn when the smallest retained eigenvalue is within this factor of the cut.
 GAP_WARNING_FACTOR = 100.0
-# Widest lr corner stack (n^2 columns) whose 2-norm is taken by a dense SVD;
-# wider stacks use Lanczos. At d = 2 and 4 with 3-5 jumps, on one thread of
-# a 2-core Xeon, the dense SVD is faster up to n^2 = 121 (2.9 ms against
-# 3.0-4.9 ms) and slower from n^2 = 144 (3.4-3.9 ms against 2.6-3.0 ms).
-DENSE_NORM_MAX_COLUMNS = 121
 
 
 class SpectralGapWarning(UserWarning):
@@ -173,17 +165,14 @@ class OrderedSchur:
     thresh: float
 
     @classmethod
-    def of(cls, s: np.ndarray, *, zero_tol: float | None = None,
-           norm2: float | None = None) -> "OrderedSchur":
-        """Factor S, sorting at zero_tol (default 1e-8 * ||S||_2).
+    def of(cls, s: np.ndarray, *, zero_tol: float | None = None) -> "OrderedSchur":
+        """Factor S, sorting at zero_tol (default 1e-8 * ||S||_2, by a dense SVD).
 
-        Pass a known ||S||_2 as norm2 to skip recomputing it.
+        A :class:`StructuredLindbladian` passes its report's zero cut.
         """
         s = as_operator(s)
         if zero_tol is None:
-            if norm2 is None:
-                norm2 = float(np.linalg.norm(s, 2))
-            zero_tol = ZERO_CLUSTER_FACTOR * norm2
+            zero_tol = ZERO_CLUSTER_FACTOR * float(np.linalg.norm(s, 2))
         thresh = float(zero_tol)
         t, z, sdim = schur(s, output="complex", sort=lambda lam: abs(lam) > thresh)
         return cls(t=t, z=z, sdim=int(sdim), thresh=thresh)
@@ -347,75 +336,16 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
     ])
 
 
-def _normal_form_norm2(k: np.ndarray, jumps, dfs: DfsProjector) -> float:
-    """||L||_2 of a generator in normal form, from its corner blocks.
-
-    Over the corners L is block diagonal: ur -> ur is X -> i X K† and
-    ll -> ll is X -> -i K X, both of 2-norm ||K_qq||_2; ul -> 0; and
-    lr -> (ul, lr) is the stacked (d^2 + n^2, n^2) matrix
-    [sum_l conj(F_pq) kron F_pq; -i(I kron K_qq - conj(K_qq) kron I)], with
-    F_pq = B_p† F B_q. So ||L||_2 is the larger of ||K_qq||_2 and the 2-norm
-    of that stack.
-
-    A stack of at most ``DENSE_NORM_MAX_COLUMNS`` columns is assembled and
-    SVD-factored, O(n^6). A wider one is never formed: its 2-norm comes from
-    Lanczos (:func:`_stack_norm2_lanczos`), or from the dense SVD if ARPACK
-    does not converge.
-    """
-    bp, bq = dfs.basis, dfs.basis_c
-    d, n = dfs.d, dfs.n_decay
-    kqq = dagger(bq) @ k @ bq
-    f_pq = np.array([dagger(bp) @ f @ bq for f in jumps], dtype=complex).reshape(-1, d, n)
-    norm_k = float(np.linalg.norm(kqq, 2))
-    if n * n > DENSE_NORM_MAX_COLUMNS:
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        try:
-            return max(norm_k, _stack_norm2_lanczos(kqq, f_pq))
-        except ArpackNoConvergence:
-            pass
-    feed = sum((np.kron(f.conj(), f) for f in f_pq), np.zeros((d * d, n * n), dtype=complex))
-    lr = np.vstack([feed, _nh_block_matrix(kqq)])
-    return max(norm_k, float(np.linalg.norm(lr, 2)))
-
-
-def _stack_norm2_lanczos(kqq: np.ndarray, f_pq: np.ndarray) -> float:
-    """2-norm of the lr stack of :func:`_normal_form_norm2`, by Lanczos.
-
-    The stack acts on column-stacked n x n X as
-    X -> (sum_l F_pq X F_pq†, -i(K_qq X - X K_qq†)) and its adjoint as
-    (Y, Z) -> sum_l F_pq† Y F_pq + i(K_qq† Z - Z K_qq), so each product costs
-    O(J d n^2 + n^3). ARPACK runs to machine precision (tol=0) from a fixed
-    start vector, so the value is deterministic.
-    """
-    from scipy.sparse.linalg import LinearOperator, svds
-
-    d, n = f_pq.shape[1], kqq.shape[0]
-    f_h, k_h = f_pq.conj().transpose(0, 2, 1), dagger(kqq)
-
-    def matvec(v):
-        x = v.reshape(n, n, order="F")
-        feed = (f_pq @ x @ f_h).sum(axis=0)
-        return np.concatenate([feed.ravel(order="F"),
-                               (-1j * (kqq @ x - x @ k_h)).ravel(order="F")])
-
-    def rmatvec(v):
-        y, z = v[:d * d].reshape(d, d, order="F"), v[d * d:].reshape(n, n, order="F")
-        return ((f_h @ y @ f_pq).sum(axis=0) + 1j * (k_h @ z - z @ kqq)).ravel(order="F")
-
-    stack = LinearOperator((d * d + n * n, n * n), matvec=matvec, rmatvec=rmatvec, dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(n * n)
-    return float(svds(stack, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
-
-
 def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
-    """(report, Schur form of K_qq, dense fallback factor, ||L||_2).
+    """(report, Schur form of K_qq, dense fallback factor, zero cut).
 
-    When the H and jump checks pass, ||L||_2 comes from the corner blocks
-    (:func:`_normal_form_norm2`); otherwise from a dense SVD of L. When the
-    steadiness check passes too, the spectrum is read off the Schur form of
-    K_qq and the fallback is None. Otherwise it is read off an ordered Schur
-    form of L, returned as the fallback.
+    The cut is 1e-8 max(1, scale): it separates the zero cluster, and the
+    steadiness residual is divided by the same scale. When the H and jump
+    checks pass, the scale is the spectral radius of L, read off the Schur
+    form of K_qq; otherwise it is ||L||_2, from a dense SVD of L. When the
+    steadiness check passes too, the spectrum is read off K_qq and the
+    fallback is None. Otherwise it is read off an ordered Schur form of L,
+    sorted at the same cut and returned as the fallback.
     """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
@@ -426,18 +356,18 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     k = nh_hamiltonian(h, jumps)
     sector = SectorSolver.of(k, dfs)
     blocks_ok = max((h_herm, h_block) + jump_res) <= tol
-    norm2 = _normal_form_norm2(k, jumps, dfs) if blocks_ok else float(np.linalg.norm(superop, 2))
-    scale_s = max(1.0, norm2)
+    if blocks_ok:
+        mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
+        scale_s = max(1.0, float(np.max(mags)))
+    else:
+        scale_s = max(1.0, float(np.linalg.norm(superop, 2)))
+    thresh = ZERO_CLUSTER_FACTOR * scale_s
     # Steadiness: L applied to a basis of the DFS block, one unit per column.
     steady = float(np.max(np.linalg.norm(superop @ dfs_columns(dfs.basis), axis=0))) / scale_s
     fallback = None
-    if blocks_ok and steady <= tol:
-        mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
-    else:
-        fallback = OrderedSchur.of(superop, norm2=norm2)
+    if not (blocks_ok and steady <= tol):
+        fallback = OrderedSchur.of(superop, zero_tol=thresh)
         mags = np.abs(fallback.eigenvalues)
-    # Zero cluster and gap at the report's own cut.
-    thresh = ZERO_CLUSTER_FACTOR * scale_s
     nonzero = mags[mags > thresh]
     report = StructureReport(
         h_hermitian=h_herm,
@@ -449,7 +379,7 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
         spectral_gap=float(np.min(nonzero)) if nonzero.size else np.inf,
         tol=tol,
     )
-    return report, sector, fallback, norm2
+    return report, sector, fallback, thresh
 
 
 def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
@@ -460,17 +390,15 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     :class:`StructureError`. With validate=False the report is still attached
     so callers can inspect what failed.
 
-    ||L||_2 and the Schur form of K_qq are computed here, once. When the H
-    and jump checks pass, ||L||_2 comes from the corner blocks of L
-    (:func:`_normal_form_norm2`: the 2-norm of K_qq and of the lr corner
-    stack, the latter by a dense SVD up to n^2 = ``DENSE_NORM_MAX_COLUMNS``
-    columns and by Lanczos above; no dense SVD of L); otherwise from a
-    dense 2-norm SVD of L. When the steadiness check passes too, the zero
-    multiplicity and the gap are read off K_qq, with no Schur form of L; if
-    the multiplicity check passes too, L^D and P_inf come from a
+    The Schur form of K_qq and the zero cut are computed here, once. When
+    the H and jump checks pass, the cut is 1e-8 max(1, rho(L)), with the
+    spectral radius rho(L) read off K_qq; otherwise it is 1e-8 max(1, ||L||_2),
+    from a dense SVD of L. When the steadiness check passes too, the zero
+    multiplicity and the gap are read off K_qq, with no decomposition of L;
+    if the multiplicity check passes too, L^D and P_inf come from a
     :class:`BorderedFactor` on the DFS columns, a dense LU of side D^2 + d^2
     taken on first use. Otherwise the factor is a dense :class:`OrderedSchur`
-    of L.
+    of L. Both factors use the report's cut.
     """
     h = as_operator(h)
     jumps = tuple(as_operator(f) for f in jumps)
@@ -481,16 +409,15 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     # Assemble without the Hermiticity hard-check; the report records it, and
     # validate=True raises below on any failure.
     superop = gksl_superop(h, jumps)
-    rep, sector, factor, norm2 = _diagnose(h, jumps, dfs, superop, tol)
+    rep, sector, factor, thresh = _diagnose(h, jumps, dfs, superop, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
     if factor is None:
         if rep.passed:
             factor = BorderedFactor(superop=superop, e=dfs_columns(dfs.basis),
-                                    thresh=ZERO_CLUSTER_FACTOR * norm2,
-                                    gap=rep.spectral_gap)
+                                    thresh=thresh, gap=rep.spectral_gap)
         else:
-            factor = OrderedSchur.of(superop, norm2=norm2)
+            factor = OrderedSchur.of(superop, zero_tol=thresh)
     return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,
                                  factor=factor, decaying_sector=sector)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,3 +552,22 @@ def test_unwritable_out_is_an_input_error(where, tmp_path, capsys):
     assert err.startswith(f"error: --out: cannot write {out}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "csv-is-a-directory"])
+def test_unwritable_plot_data_is_an_input_error(where, tmp_path, capsys):
+    # The same rule as --out: plot data that cannot be written is bad input, not exit 1.
+    problem = three_level_problem(tmp_path, delta=2.0)
+    if where == "under-a-file":
+        plot_dir = Path(problem) / "plots"
+    else:
+        plot_dir = tmp_path / "plots"
+        (plot_dir / "sweep.csv").mkdir(parents=True)
+    out = tmp_path / "r.json"
+    code = main(["evolve", problem, "--epsilons", "0.04,0.02", "--taus", "1",
+                 "--plot-data", str(plot_dir), "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --plot-data: cannot write {plot_dir / 'sweep.csv'}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -44,11 +44,12 @@ def test_module_has_no_unused_import(path):
 
 
 def test_cli_run_does_not_import_scipy_sparse():
-    # scipy.sparse.linalg is imported only for a wide lr corner stack; a small
-    # scenario run must not pay for it at start-up.
+    # Nothing in ejof needs scipy.sparse, so no run pays for importing it: not
+    # a small scenario, nor a wide verify draw (n^2 = 256 decaying columns).
     code = ("import sys\n"
             "from ejof.cli import main\n"
             "assert main(['scenario', 'three-level', '--delta', '0']) == 0\n"
+            "assert main(['verify', '--random', '4', '16', '1', '0']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(ejof.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
