@@ -74,7 +74,6 @@ from .scenarios import (
     orthogonality_residual,
     pauli_lowering_targets,
     random_orthogonal_family,
-    random_surjective_jump,
     surjectivity_residual,
     three_level_system,
     universal_dissipation,

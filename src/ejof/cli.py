@@ -40,14 +40,10 @@ from .effective import (
     effective_to_superop,
     identity_suite,
     random_structured_instance,
+    route_agreement,
     verify_equivalence,
 )
-from .lindblad import (
-    StructureError,
-    StructuredLindbladian,
-    assemble_lindbladian,
-    structured_lindbladian,
-)
+from .lindblad import StructureError, structured_lindbladian
 from .operators import DfsProjector, dagger, frob
 from .qec import (
     hamiltonian_obstruction_demo,
@@ -55,15 +51,7 @@ from .qec import (
     repetition_code_recovery,
     robustness_check,
 )
-from .scenarios import (
-    ThreeLevelParams,
-    cancellation_check,
-    coherent_cancellation_drive,
-    pauli_lowering_targets,
-    random_orthogonal_family,
-    three_level_system,
-    universal_dissipation,
-)
+from .scenarios import PARAM_SPECS, build_scenario
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -74,7 +62,6 @@ PROBLEM_VERSION = 1
 # Largest input magnitude whose square is a finite float; the numerics square
 # every entry (norms, K = H - (i/2) sum F† F), so a larger one overflows.
 MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
-SCENARIO_NAMES = ("three-level", "cancellation", "coherent-cancel", "universal")
 
 
 class ProblemFormatError(ValueError):
@@ -143,13 +130,19 @@ def matrix_json(a: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
-def complex_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _encode(obj):
+    """json.dumps hook: arrays as matrices, complex numbers as [re, im], numpy scalars as values."""
+    if isinstance(obj, np.ndarray):
+        return matrix_json(obj)
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_encode) + "\n"
 
 
 def params_digest(command: str, params: dict) -> str:
@@ -246,9 +239,9 @@ def load_problem(path: str) -> ParsedProblem:
         if not isinstance(scen, dict) or "name" not in scen:
             raise ProblemFormatError("scenario", "expected an object with a 'name' key")
         name = scen["name"]
-        if name not in SCENARIO_NAMES:
+        if name not in PARAM_SPECS:
             raise ProblemFormatError(
-                "scenario.name", f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}"
+                "scenario.name", f"unknown scenario {name!r}; valid names: {', '.join(PARAM_SPECS)}"
             )
         params = {k: v for k, v in scen.items() if k != "name"}
         for bad in ("hilbert_dim", "dfs", "hamiltonian", "perturbation", "initial_states"):
@@ -340,73 +333,27 @@ def default_states(dfs: DfsProjector) -> tuple[np.ndarray, ...]:
     return tuple(states)
 
 
-def _route_agreement(general: np.ndarray, closed: np.ndarray, pert: Perturbation) -> float:
-    """Route disagreement relative to the second-order problem scale.
-
-    Normalizing by max(norms, pert_norm^2) keeps the number meaningful when
-    the effective generator itself vanishes (a cancellation), where a plain
-    relative residual would divide round-off by the floor.
-    """
-    scale = max(frob(general), frob(closed), pert.norm() ** 2, 1e-300)
-    return frob(general - closed) / scale
-
-
 # ---------------------------------------------------------------------------
-# Scenario pipelines (shared by problem files and the scenario subcommand)
+# Scenario parameters (the pipelines and their spec live in ejof.scenarios)
 
-
-@dataclass
-class ScenarioBundle:
-    name: str
-    lind: StructuredLindbladian
-    pert: Perturbation
-    details: dict
-    verdicts: dict
-
-
-# Scenario parameters: key -> (kind, default, help). Each key is also the
-# `ejof scenario --key` flag (with '_' as '-'); see build_parser.
-_CANCELLATION_PARAMS = {
-    "dfs_dim": (int, 2, "cancellation scenarios: DFS dimension"),
-    "blocks": (list, None, "cancellation scenarios: comma-separated decaying block sizes"),
-    "pert_scale": (float, 1.0, "cancellation scenarios: deformation scale"),
-}
-_PARAM_SPECS = {
-    "three-level": {
-        "delta": (float, 1.0, "three-level: DFS level splitting"),
-        "Gamma": (float, 2.0, "three-level: decay rate"),
-        "gamma": (float, 0.04, "three-level: perturbing rate"),
-    },
-    "cancellation": _CANCELLATION_PARAMS,
-    "coherent-cancel": {
-        **_CANCELLATION_PARAMS,
-        "keep_induced_hamiltonian": (bool, False,
-                                     "coherent-cancel: skip the induced-shift counter-term"),
-    },
-    "universal": {
-        "targets": (str, "pauli", "universal: target family (pauli)"),
-        "scale": (float, 0.5, "universal: target scale"),
-        "decaying_dim": (int, 3, "universal: decaying dimension"),
-        "n_jumps": (int, 3, "universal: number of unperturbed jumps"),
-    },
-}
-# Every scenario parameter once, in first-declared order.
-_SCENARIO_FLAGS = {key: spec for specs in _PARAM_SPECS.values() for key, spec in specs.items()}
+# Every scenario parameter once, in first-declared order; each key is also the
+# `ejof scenario --key` flag (with '_' as '-'), see build_parser.
+_SCENARIO_FLAGS = {key: spec for specs in PARAM_SPECS.values() for key, spec in specs.items()}
 
 
 def _scenario_params(name: str, params: dict) -> dict:
-    spec = _PARAM_SPECS[name]
+    """Type-check a scenario's parameters; absent and None ones take their default."""
+    spec = PARAM_SPECS[name]
     for key in params:
         if key not in spec:
             raise ProblemFormatError(
                 f"scenario.{key}", f"unknown parameter for {name!r}; valid: {', '.join(sorted(spec))}"
             )
     out = {}
-    for key, (kind, default, _) in spec.items():
-        if key not in params or params[key] is None:
-            out[key] = default
+    for key, (kind, _, _) in spec.items():
+        value = params.get(key)
+        if value is None:
             continue
-        value = params[key]
         path = f"scenario.{key}"
         if kind is float:
             out[key] = _as_number(value, path)
@@ -425,157 +372,6 @@ def _scenario_params(name: str, params: dict) -> dict:
         else:
             out[key] = str(value)
     return out
-
-
-def _random_hermitian(basis: np.ndarray, rng, scale: float = 1.0) -> np.ndarray:
-    """A random Hermitian operator supported on the span of the basis columns."""
-    n = basis.shape[1]
-    block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    block = scale * (block + dagger(block)) / 2
-    return basis @ block @ dagger(basis)
-
-
-def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> list[np.ndarray]:
-    """Random jump deformations with the DFS-to-decaying corner Q F P removed."""
-    dim = dfs.dim
-    fs = []
-    for _ in range(count):
-        f = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        fs.append(f - dfs.q @ f @ dfs.p)
-    return fs
-
-
-def build_scenario(name: str, raw_params: dict, seed: int, tol: float) -> ScenarioBundle:
-    params = _scenario_params(name, raw_params)
-    if name == "three-level":
-        return _scenario_three_level(params, tol)
-    if name == "cancellation":
-        return _scenario_cancellation(params, seed, tol)
-    if name == "coherent-cancel":
-        return _scenario_coherent_cancel(params, seed, tol)
-    return _scenario_universal(params, seed, tol)
-
-
-def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
-    tl = ThreeLevelParams(delta=params["delta"], Gamma=params["Gamma"], gamma=params["gamma"])
-    lind, pert = three_level_system(tl)
-    eff = effective_lindbladian_closed(lind, pert)
-    general = effective_lindbladian_general(lind, pert)
-    scaled_residual = _route_agreement(general, effective_to_superop(eff), pert)
-    basis = lind.dfs.basis
-    f_block = dagger(basis) @ eff.jumps_eff[0] @ basis
-    h_block = dagger(basis) @ eff.h_eff @ basis
-    f_eff_norm = frob(eff.jumps_eff[0])
-    dark = tl.delta == 0.0
-    details = {
-        "params": {"delta": tl.delta, "Gamma": tl.Gamma, "gamma": tl.gamma},
-        "f_eff": matrix_json(f_block),
-        "f_eff_entry": complex_json(f_block[0, 1]),
-        "f_eff_norm": float(f_eff_norm),
-        "h_eff": matrix_json(h_block),
-        "equivalence_residual": float(scaled_residual),
-        "dark_state_case": dark,
-    }
-    verdicts = {"routes_agree": bool(scaled_residual <= tol)}
-    if dark:
-        verdicts["effective_jump_vanishes"] = bool(f_eff_norm <= 1e-12)
-    return ScenarioBundle(
-        name="three-level", lind=lind, pert=pert, details=details, verdicts=verdicts,
-    )
-
-
-def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundle:
-    d = params["dfs_dim"]
-    blocks = params["blocks"] if params["blocks"] is not None else [d, d]
-    jumps, dfs = random_orthogonal_family(d, blocks, seed)
-    rng = np.random.default_rng((seed, 1))
-    dim = dfs.dim
-    fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
-    rep = cancellation_check(jumps, fs, dfs, tol=tol)
-    lind = structured_lindbladian(np.zeros((dim, dim), dtype=complex), jumps, dfs)
-    details = {
-        "dfs_dim": d,
-        "blocks": list(blocks),
-        "surjectivity_residuals": [float(r) for r in rep.surjectivity],
-        "orthogonality_residual": float(rep.orthogonality),
-        "detectable_corner_norms": [float(r) for r in rep.f_ll_norms],
-        "effective_jump_norms": [float(r) for r in rep.f_eff_norms],
-        "l_eff_norm": float(rep.l_eff_norm),
-        "perturbation_norm": float(rep.pert_norm),
-    }
-    verdicts = {"conditions_met": rep.conditions_met, "cancelled": rep.cancelled}
-    return ScenarioBundle(
-        name="cancellation", lind=lind,
-        pert=Perturbation(v=np.zeros((dim, dim), dtype=complex), fs=tuple(fs)),
-        details=details, verdicts=verdicts,
-    )
-
-
-def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBundle:
-    d = params["dfs_dim"]
-    blocks = params["blocks"] if params["blocks"] is not None else [d, d]
-    jumps, dfs = random_orthogonal_family(d, blocks, seed)
-    rng = np.random.default_rng((seed, 2))
-    h = _random_hermitian(dfs.basis_c, rng)
-    lind = structured_lindbladian(h, jumps, dfs)
-    fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
-    pert = coherent_cancellation_drive(
-        lind, fs, cancel_induced_hamiltonian=not params["keep_induced_hamiltonian"]
-    )
-    eff = effective_lindbladian_closed(lind, pert)
-    l_eff = effective_lindbladian_general(lind, pert)
-    scale = max(pert.norm() ** 2, 1e-300)
-    f_eff_norm = float(max((frob(f) for f in eff.jumps_eff), default=0.0))
-    jumps_vanish = f_eff_norm <= tol * scale
-    details = {
-        "dfs_dim": d,
-        "blocks": list(blocks),
-        "counter_term_applied": not params["keep_induced_hamiltonian"],
-        "effective_jump_norms": [float(frob(f)) for f in eff.jumps_eff],
-        "h_eff_norm": float(frob(eff.h_eff)),
-        "l_eff_norm": float(frob(l_eff)),
-        "perturbation_norm": float(pert.norm()),
-    }
-    verdicts = {"effective_jumps_vanish": bool(jumps_vanish)}
-    if not params["keep_induced_hamiltonian"]:
-        verdicts["generator_vanishes"] = bool(frob(l_eff) <= tol * scale)
-    return ScenarioBundle(
-        name="coherent-cancel", lind=lind, pert=pert, details=details, verdicts=verdicts,
-    )
-
-
-def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
-    if params["targets"] != "pauli":
-        raise ProblemFormatError("scenario.targets", "only 'pauli' targets are available")
-    n_jumps = params["n_jumps"]
-    if n_jumps < 3:
-        raise ProblemFormatError("scenario.n_jumps", "pauli targets need at least 3 jumps")
-    lind, _ = random_structured_instance(2, params["decaying_dim"], n_jumps, seed)
-    dfs = lind.dfs
-    rng = np.random.default_rng((seed, 3))
-    target_h = _random_hermitian(dfs.basis, rng, scale=params["scale"])
-    targets = pauli_lowering_targets(params["scale"], dfs.dim)
-    pert = universal_dissipation(lind, target_h, targets)
-    achieved = effective_lindbladian_general(lind, pert)
-    basis = dfs.basis
-    target_block = assemble_lindbladian(
-        dagger(basis) @ target_h @ basis,
-        [dagger(basis) @ t @ basis for t in targets],
-    )
-    residual = frob(achieved - target_block) / max(frob(target_block), 1e-300)
-    details = {
-        "targets": "pauli",
-        "scale": params["scale"],
-        "n_jumps": n_jumps,
-        "decaying_dim": params["decaying_dim"],
-        "target_generator_norm": float(frob(target_block)),
-        "achieved_generator_norm": float(frob(achieved)),
-        "match_residual": float(residual),
-    }
-    verdicts = {"target_matched": bool(residual <= tol)}
-    return ScenarioBundle(
-        name="universal", lind=lind, pert=pert, details=details, verdicts=verdicts,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +448,7 @@ def _materialize(parsed: ParsedProblem, seed: int, tol: float, *, validate: bool
     """
     if parsed.scenario is not None:
         name, raw_params = parsed.scenario
-        bundle = build_scenario(name, raw_params, seed, tol)
+        bundle = build_scenario(name, _scenario_params(name, raw_params), seed, tol)
         return bundle.lind, bundle.pert, bundle
     lind = structured_lindbladian(
         parsed.hamiltonian, parsed.jumps, parsed.dfs, validate=validate
@@ -668,7 +464,7 @@ def cmd_effective(args) -> Outcome | int:
 
     lind, pert, bundle = _materialize(parsed, seed, tol, validate=False)
     if bundle is not None:
-        report["scenario"] = {"name": bundle.name, **bundle.details}
+        report["scenario"] = {"name": parsed.scenario[0], **bundle.details}
 
     rep = lind.report
     gap = float(rep.spectral_gap)
@@ -687,19 +483,19 @@ def cmd_effective(args) -> Outcome | int:
 
     basis = lind.dfs.basis
     general = effective_lindbladian_general(lind, pert)
-    report["l_eff_general"] = matrix_json(general)
+    report["l_eff_general"] = general
     verdicts = {"structure_ok": rep.passed}
 
     if rep.passed:
         eff = effective_lindbladian_closed(lind, pert)
         closed = effective_to_superop(eff)
-        scaled_residual = _route_agreement(general, closed, pert)
+        scaled_residual = route_agreement(general, closed, pert)
         ids = identity_suite(lind, pert)
-        report["l_eff_closed"] = matrix_json(closed)
-        report["h_eff"] = matrix_json(dagger(basis) @ eff.h_eff @ basis)
-        report["f_eff"] = [matrix_json(dagger(basis) @ f @ basis) for f in eff.jumps_eff]
-        report["e_eff_superop"] = matrix_json(eff.cp_superop)
-        report["e_eff_trace_part"] = matrix_json(dagger(basis) @ eff.cp_adjoint_identity @ basis)
+        report["l_eff_closed"] = closed
+        report["h_eff"] = dagger(basis) @ eff.h_eff @ basis
+        report["f_eff"] = [dagger(basis) @ f @ basis for f in eff.jumps_eff]
+        report["e_eff_superop"] = eff.cp_superop
+        report["e_eff_trace_part"] = dagger(basis) @ eff.cp_adjoint_identity @ basis
         report["equivalence"] = {
             "residual": float(frob(general - closed) / max(frob(general), 1e-14)),
             "scaled_residual": float(scaled_residual),
@@ -782,21 +578,21 @@ def _verify_row(lind, pert, tol: float, *, index: int, defective: bool) -> dict:
 
 
 def cmd_scenario(args) -> Outcome:
-    if args.name not in SCENARIO_NAMES:
+    if args.name not in PARAM_SPECS:
         raise ProblemFormatError(
-            "", f"unknown scenario {args.name!r}; valid names: {', '.join(SCENARIO_NAMES)}"
+            "", f"unknown scenario {args.name!r}; valid names: {', '.join(PARAM_SPECS)}"
         )
     tol = args.tol if args.tol is not None else 1e-9
     seed = args.seed if args.seed is not None else 0
     params = {key: getattr(args, key) for key in _SCENARIO_FLAGS
               if getattr(args, key) is not None}
-    bundle = build_scenario(args.name, params, seed, tol)
+    bundle = build_scenario(args.name, _scenario_params(args.name, params), seed, tol)
     digest = params_digest("scenario", {"name": args.name, "params": params,
                                         "seed": seed, "tol": tol})
     report = {
         "command": "scenario",
         "input_digest": digest,
-        "name": bundle.name,
+        "name": args.name,
         "seed": seed,
         "tol": tol,
         "details": bundle.details,
@@ -846,9 +642,9 @@ def cmd_qec(args) -> Outcome:
 
     if args.miscal is None:
         raise ProblemFormatError("", "--miscal X|Y|Z is required (or use --obstruction)")
-    rec, _ = repetition_code_recovery()
+    rec, lind = repetition_code_recovery()
     pert = pauli_miscalibration(args.miscal, args.eps)
-    rep = robustness_check(rec, pert, tol=tol)
+    rep = robustness_check(rec, lind, pert, tol=tol)
     digest = params_digest("qec", {"code": "repetition", "miscal": args.miscal,
                                    "eps": args.eps, "tol": tol})
     report = {
@@ -863,7 +659,7 @@ def cmd_qec(args) -> Outcome:
             "failures": rep.conditions.failures(),
         },
         "correctability": {
-            "constant": complex_json(rep.correctability.constant),
+            "constant": rep.correctability.constant,
             "residual": rep.correctability.residual,
             "passed": rep.correctability.passed,
         },
@@ -931,10 +727,10 @@ def cmd_evolve(args) -> Outcome:
             ],
             "floor": fit.floor,
         }
-        print(f"fitted slope: {fit.slope:.4f} (monotone: {fit.monotone})")
+        lines = [f"fitted slope: {fit.slope:.4f} (monotone: {fit.monotone})"]
     else:
         report["fit"] = None
-    lines = []
+        lines = []
     if args.plot_data:
         csv = ["epsilon,tau,state_index,trace_distance"]
         csv += [f"{c.epsilon!r},{c.tau!r},{c.state_index},{c.distance!r}" for c in table.cells]
@@ -1017,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_sc = sub.add_parser("scenario", help="run a named scenario pipeline")
-    p_sc.add_argument("name", help=f"one of: {', '.join(SCENARIO_NAMES)}")
+    p_sc.add_argument("name", help=f"one of: {', '.join(PARAM_SPECS)}")
     for key, (kind, _, help_text) in _SCENARIO_FLAGS.items():
         p_sc.add_argument("--" + key.replace("_", "-"), default=None, help=help_text,
                           **_FLAG_KINDS[kind])

@@ -304,6 +304,17 @@ def verify_equivalence(lind: StructuredLindbladian, pert: Perturbation,
     )
 
 
+def route_agreement(general: np.ndarray, closed: np.ndarray, pert: Perturbation) -> float:
+    """Route disagreement relative to the second-order problem scale.
+
+    Normalizing by max(norms, pert_norm^2) keeps the number meaningful when
+    the effective generator itself vanishes (a cancellation), where a plain
+    relative residual would divide round-off by the floor.
+    """
+    scale = max(frob(general), frob(closed), pert.norm() ** 2, 1e-300)
+    return frob(general - closed) / scale
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Relative residuals of the structural identities behind the closed route.

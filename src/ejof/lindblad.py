@@ -39,6 +39,9 @@ kept in :func:`nh_superop_inverse_lr` as an independent oracle.
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -132,13 +135,21 @@ class StructureReport:
         return out
 
 
+# Frames a warning is not attributed to: this package, and the cached_property
+# that computes a factor on first use.
+_INTERNAL_FILES = (os.path.dirname(__file__) + os.sep, functools.__file__)
+
+
 def _warn_if_gap_small(gap: float, thresh: float) -> None:
     if gap < GAP_WARNING_FACTOR * thresh:
+        frame, level = sys._getframe(1), 2
+        while frame.f_code.co_filename.startswith(_INTERNAL_FILES) and frame.f_back is not None:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"smallest retained eigenvalue {gap:.3e} is within "
             f"{GAP_WARNING_FACTOR:g}x of the zero threshold {thresh:.3e}",
             SpectralGapWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

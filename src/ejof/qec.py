@@ -34,7 +34,7 @@ from .effective import (
     effective_lindbladian_general,
     effective_to_superop,
 )
-from .lindblad import structured_lindbladian
+from .lindblad import StructuredLindbladian, structured_lindbladian
 from .operators import (
     DfsProjector,
     anticommutator_superop,
@@ -264,20 +264,16 @@ class RobustnessReport:
         return self.l_eff_norm_general <= self.tol * max(self.pert_norm ** 2, 1e-300)
 
 
-def robustness_check(rec: RecoveryChannel, pert: Perturbation, *,
-                     hamiltonian: np.ndarray | None = None,
+def robustness_check(rec: RecoveryChannel, lind: StructuredLindbladian, pert: Perturbation, *,
                      tol: float = 1e-10) -> RobustnessReport:
-    """Evaluate codespace protection under a miscalibrated recovery.
+    """Evaluate codespace protection of the generator lind of rec under pert.
 
     Computes L_eff by both routes and reports the hypotheses of the
     protection statement separately: recovery conditions, correctability of
-    the detectable channel, and absence of a decaying-block Hamiltonian.
-    When a hypothesis fails the report says so and carries the (generally
-    nonzero) L_eff anyway.
+    the detectable channel, and absence of a decaying-block Hamiltonian in
+    lind. When a hypothesis fails the report says so and carries the
+    (generally nonzero) L_eff anyway.
     """
-    dim = rec.dim
-    h = np.zeros((dim, dim), dtype=complex) if hamiltonian is None else as_operator(hamiltonian)
-    lind = structured_lindbladian(h, rec.kraus, rec.code, validate=False)
     structure_ok = lind.report.passed
     conditions = check_recovery_conditions(rec)
     detectable = [four_corners(f, rec.code).ll for f in pert.fs]
@@ -288,7 +284,7 @@ def robustness_check(rec: RecoveryChannel, pert: Perturbation, *,
     general = effective_lindbladian_general(lind, pert)
     b = lind.dfs.basis
     cp_part = eff.cp_superop - 0.5 * anticommutator_superop(dagger(b) @ eff.cp_adjoint_identity @ b)
-    h_norm = frob(h)
+    h_norm = frob(lind.h)
     hypotheses = structure_ok and conditions.passed and corr.passed and h_norm == 0.0
     return RobustnessReport(
         conditions=conditions,

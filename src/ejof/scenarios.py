@@ -19,6 +19,12 @@ Model systems built here:
   given deformation family (coherent cancellation), and a V turning given
   DFS-supported targets {V_target, f_ul_l} into the exact effective generator
   (universal dissipation engineering).
+
+The named scenarios of ``ejof scenario`` (three-level, cancellation,
+coherent-cancel, universal) are the pipelines at the end of this module:
+:data:`PARAM_SPECS` declares each one's parameters, and
+:func:`build_scenario` draws its system, computes the effective generator
+and decides its verdicts.
 """
 
 from __future__ import annotations
@@ -29,11 +35,20 @@ import numpy as np
 
 from .effective import (
     Perturbation,
+    _random_hermitian,
     effective_coupling,
     effective_lindbladian_closed,
     effective_lindbladian_general,
+    effective_to_superop,
+    random_structured_instance,
+    route_agreement,
 )
-from .lindblad import StructuredLindbladian, nh_hamiltonian_inverse, structured_lindbladian
+from .lindblad import (
+    StructuredLindbladian,
+    assemble_lindbladian,
+    nh_hamiltonian_inverse,
+    structured_lindbladian,
+)
 from .operators import (
     DEFAULT_TOL,
     DfsProjector,
@@ -114,26 +129,6 @@ def orthogonality_residual(jumps) -> float:
     return worst
 
 
-def random_surjective_jump(d: int, n: int, seed: int, *, max_attempts: int = 8) -> np.ndarray:
-    """Random decaying-to-DFS jump satisfying the surjectivity condition.
-
-    Returns a (d+n, d+n) matrix with a standard complex normal block mapping
-    the last n basis states onto the first d; redraws until the condition
-    residual is at most 1e-10, erroring after max_attempts draws.
-    """
-    if n < d:
-        raise ValueError(f"surjectivity needs a decaying block at least as large as the DFS (n={n} < d={d})")
-    rng = np.random.default_rng(seed)
-    dim = d + n
-    dfs = DfsProjector.from_indices(dim, range(d))
-    for _ in range(max_attempts):
-        f = np.zeros((dim, dim), dtype=complex)
-        f[:d, d:] = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-        if surjectivity_residual(f, dfs) <= 1e-10:
-            return f
-    raise RuntimeError(f"no surjective draw in {max_attempts} attempts (d={d}, n={n})")
-
-
 def random_orthogonal_family(d: int, blocks, seed: int, *, total_decaying: int | None = None):
     """Random jump family on disjoint decaying blocks.
 
@@ -191,35 +186,43 @@ class CancellationReport:
         return self.l_eff_norm <= self.tol * max(self.pert_norm ** 2, 1e-300)
 
 
-def cancellation_check(jumps, fs, dfs: DfsProjector, *, tol: float = 1e-10,
-                       condition_tol: float = 1e-9) -> CancellationReport:
-    """Evaluate generic cancellation: H = 0, conditions met, f_ll = 0.
+def _check_conditions(jumps, fs, dfs: DfsProjector, condition_tol: float):
+    """Residuals of the cancellation conditions and a message per violated one.
 
-    Builds the zero-Hamiltonian generator for the family, computes the
-    effective generator by both routes, and reports whether the second-order
-    DFS dissipation vanishes at the expected tolerance. Violated conditions
-    are reported, not raised, so near-misses can be quantified.
+    Returns (surjectivity residual per jump, orthogonality residual, ||f_ll||
+    per deformation, messages); the messages follow that order.
     """
-    jumps = [as_operator(f) for f in jumps]
-    fs = [as_operator(f) for f in fs]
     surj = tuple(surjectivity_residual(f, dfs) for f in jumps)
     orth = orthogonality_residual(jumps)
     f_ll = tuple(frob(four_corners(f, dfs).ll) for f in fs)
-    conditions = (
-        all(r <= condition_tol for r in surj)
-        and orth <= condition_tol
-        and all(r <= condition_tol * max(1.0, frob(f)) for r, f in zip(f_ll, fs))
-    )
-    h = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    lind = structured_lindbladian(h, jumps, dfs)
-    pert = Perturbation(v=h.copy(), fs=tuple(fs))
+    messages = []
+    if max(surj, default=0.0) > condition_tol:
+        messages.append(f"surjectivity condition violated (worst residual {max(surj):.3e})")
+    if orth > condition_tol:
+        messages.append(f"orthogonality condition violated (residual {orth:.3e})")
+    for i, (r, f) in enumerate(zip(f_ll, fs)):
+        if r > condition_tol * max(1.0, frob(f)):
+            messages.append(f"deformation {i} has a detectable (ll) corner (norm {r:.3e})")
+    return surj, orth, f_ll, messages
+
+
+def cancellation_check(lind: StructuredLindbladian, pert: Perturbation, *, tol: float = 1e-10,
+                       condition_tol: float = 1e-9) -> CancellationReport:
+    """Evaluate generic cancellation: H = 0, V = 0, conditions met, f_ll = 0.
+
+    Computes the effective generator of (lind, pert) by both routes and
+    reports whether the second-order DFS dissipation vanishes at the expected
+    tolerance. Violated hypotheses are reported, not raised, so near-misses
+    can be quantified.
+    """
+    surj, orth, f_ll, violated = _check_conditions(lind.jumps, pert.fs, lind.dfs, condition_tol)
     eff = effective_lindbladian_closed(lind, pert)
     l_eff = effective_lindbladian_general(lind, pert)
     return CancellationReport(
         surjectivity=surj,
         orthogonality=orth,
         f_ll_norms=f_ll,
-        conditions_met=conditions,
+        conditions_met=not violated and not lind.h.any() and not pert.v.any(),
         f_eff_norms=tuple(frob(f) for f in eff.jumps_eff),
         l_eff_norm=frob(l_eff),
         pert_norm=pert.norm(),
@@ -247,16 +250,9 @@ def coherent_cancellation_drive(lind: StructuredLindbladian, fs, *,
     if len(fs) != len(lind.jumps):
         raise ValueError(f"{len(fs)} deformations for {len(lind.jumps)} jumps")
     dfs = lind.dfs
-    surj = [surjectivity_residual(f, dfs) for f in lind.jumps]
-    if max(surj) > condition_tol:
-        raise ValueError(f"surjectivity condition violated (worst residual {max(surj):.3e})")
-    orth = orthogonality_residual(lind.jumps)
-    if orth > condition_tol:
-        raise ValueError(f"orthogonality condition violated (residual {orth:.3e})")
-    for i, f in enumerate(fs):
-        r = frob(four_corners(f, dfs).ll)
-        if r > condition_tol * max(1.0, frob(f)):
-            raise ValueError(f"deformation {i} has a detectable (ll) corner (norm {r:.3e})")
+    violated = _check_conditions(lind.jumps, fs, dfs, condition_tol)[3]
+    if violated:
+        raise ValueError(violated[0])
     v = np.zeros((dfs.dim, dfs.dim), dtype=complex)
     x = np.zeros_like(v)
     for big_f, f in zip(lind.jumps, fs):
@@ -323,3 +319,190 @@ def pauli_lowering_targets(scale: float, dim: int):
         t[:2, :2] = block
         out.append(t)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scenario pipelines: each draws its system, computes the effective generator
+# and decides its verdicts. ``ejof scenario`` and problem files run them.
+
+
+@dataclass
+class ScenarioBundle:
+    """A scenario's generator and perturbation, its report details and its verdicts.
+
+    details may hold numpy arrays and complex numbers; the report writer
+    encodes them.
+    """
+
+    lind: StructuredLindbladian
+    pert: Perturbation
+    details: dict
+    verdicts: dict
+
+
+# Scenario parameters: key -> (kind, default, help). The keys of PARAM_SPECS
+# are the scenario names, in the order they are listed.
+_CANCELLATION_PARAMS = {
+    "dfs_dim": (int, 2, "cancellation scenarios: DFS dimension"),
+    "blocks": (list, None, "cancellation scenarios: comma-separated decaying block sizes"),
+    "pert_scale": (float, 1.0, "cancellation scenarios: deformation scale"),
+}
+PARAM_SPECS = {
+    "three-level": {
+        "delta": (float, 1.0, "three-level: DFS level splitting"),
+        "Gamma": (float, 2.0, "three-level: decay rate"),
+        "gamma": (float, 0.04, "three-level: perturbing rate"),
+    },
+    "cancellation": _CANCELLATION_PARAMS,
+    "coherent-cancel": {
+        **_CANCELLATION_PARAMS,
+        "keep_induced_hamiltonian": (bool, False,
+                                     "coherent-cancel: skip the induced-shift counter-term"),
+    },
+    "universal": {
+        "targets": (str, "pauli", "universal: target family (pauli)"),
+        "scale": (float, 0.5, "universal: target scale"),
+        "decaying_dim": (int, 3, "universal: decaying dimension"),
+        "n_jumps": (int, 3, "universal: number of unperturbed jumps"),
+    },
+}
+
+
+def build_scenario(name: str, params: dict, seed: int, tol: float) -> ScenarioBundle:
+    """Run the scenario `name` of PARAM_SPECS.
+
+    params holds values of the kinds PARAM_SPECS[name] declares; a missing
+    key takes its default. Random scenarios draw from seed; tol sets the
+    verdicts.
+    """
+    params = {key: params.get(key, default) for key, (_, default, _) in PARAM_SPECS[name].items()}
+    if name == "three-level":
+        return _scenario_three_level(params, tol)
+    if name == "cancellation":
+        return _scenario_cancellation(params, seed, tol)
+    if name == "coherent-cancel":
+        return _scenario_coherent_cancel(params, seed, tol)
+    return _scenario_universal(params, seed, tol)
+
+
+def _supported_hermitian(basis: np.ndarray, rng, scale: float = 1.0) -> np.ndarray:
+    """A random Hermitian operator supported on the span of the basis columns."""
+    return basis @ (scale * _random_hermitian(rng, basis.shape[1])) @ dagger(basis)
+
+
+def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> list[np.ndarray]:
+    """Random jump deformations with the DFS-to-decaying corner Q F P removed."""
+    dim = dfs.dim
+    fs = []
+    for _ in range(count):
+        f = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        fs.append(f - dfs.q @ f @ dfs.p)
+    return fs
+
+
+def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
+    tl = ThreeLevelParams(delta=params["delta"], Gamma=params["Gamma"], gamma=params["gamma"])
+    lind, pert = three_level_system(tl)
+    eff = effective_lindbladian_closed(lind, pert)
+    general = effective_lindbladian_general(lind, pert)
+    scaled_residual = route_agreement(general, effective_to_superop(eff), pert)
+    basis = lind.dfs.basis
+    f_block = dagger(basis) @ eff.jumps_eff[0] @ basis
+    f_eff_norm = frob(eff.jumps_eff[0])
+    dark = tl.delta == 0.0
+    details = {
+        "params": {"delta": tl.delta, "Gamma": tl.Gamma, "gamma": tl.gamma},
+        "f_eff": f_block,
+        "f_eff_entry": f_block[0, 1],
+        "f_eff_norm": f_eff_norm,
+        "h_eff": dagger(basis) @ eff.h_eff @ basis,
+        "equivalence_residual": scaled_residual,
+        "dark_state_case": dark,
+    }
+    verdicts = {"routes_agree": bool(scaled_residual <= tol)}
+    if dark:
+        verdicts["effective_jump_vanishes"] = bool(f_eff_norm <= 1e-12)
+    return ScenarioBundle(lind, pert, details, verdicts)
+
+
+def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundle:
+    d = params["dfs_dim"]
+    blocks = params["blocks"] if params["blocks"] is not None else [d, d]
+    jumps, dfs = random_orthogonal_family(d, blocks, seed)
+    rng = np.random.default_rng((seed, 1))
+    zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+    fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
+    lind = structured_lindbladian(zero, jumps, dfs)
+    pert = Perturbation(v=zero.copy(), fs=tuple(fs))
+    rep = cancellation_check(lind, pert, tol=tol)
+    details = {
+        "dfs_dim": d,
+        "blocks": list(blocks),
+        "surjectivity_residuals": list(rep.surjectivity),
+        "orthogonality_residual": rep.orthogonality,
+        "detectable_corner_norms": list(rep.f_ll_norms),
+        "effective_jump_norms": list(rep.f_eff_norms),
+        "l_eff_norm": rep.l_eff_norm,
+        "perturbation_norm": rep.pert_norm,
+    }
+    verdicts = {"conditions_met": rep.conditions_met, "cancelled": rep.cancelled}
+    return ScenarioBundle(lind, pert, details, verdicts)
+
+
+def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBundle:
+    d = params["dfs_dim"]
+    blocks = params["blocks"] if params["blocks"] is not None else [d, d]
+    jumps, dfs = random_orthogonal_family(d, blocks, seed)
+    rng = np.random.default_rng((seed, 2))
+    lind = structured_lindbladian(_supported_hermitian(dfs.basis_c, rng), jumps, dfs)
+    fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
+    counter_term = not params["keep_induced_hamiltonian"]
+    pert = coherent_cancellation_drive(lind, fs, cancel_induced_hamiltonian=counter_term)
+    eff = effective_lindbladian_closed(lind, pert)
+    l_eff_norm = frob(effective_lindbladian_general(lind, pert))
+    scale = max(pert.norm() ** 2, 1e-300)
+    f_eff_norms = [frob(f) for f in eff.jumps_eff]
+    details = {
+        "dfs_dim": d,
+        "blocks": list(blocks),
+        "counter_term_applied": counter_term,
+        "effective_jump_norms": f_eff_norms,
+        "h_eff_norm": frob(eff.h_eff),
+        "l_eff_norm": l_eff_norm,
+        "perturbation_norm": pert.norm(),
+    }
+    verdicts = {"effective_jumps_vanish": bool(max(f_eff_norms, default=0.0) <= tol * scale)}
+    if counter_term:
+        verdicts["generator_vanishes"] = bool(l_eff_norm <= tol * scale)
+    return ScenarioBundle(lind, pert, details, verdicts)
+
+
+def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
+    if params["targets"] != "pauli":
+        raise ValueError("scenario.targets: only 'pauli' targets are available")
+    n_jumps = params["n_jumps"]
+    if n_jumps < 3:
+        raise ValueError("scenario.n_jumps: pauli targets need at least 3 jumps")
+    lind, _ = random_structured_instance(2, params["decaying_dim"], n_jumps, seed)
+    basis = lind.dfs.basis
+    rng = np.random.default_rng((seed, 3))
+    target_h = _supported_hermitian(basis, rng, scale=params["scale"])
+    targets = pauli_lowering_targets(params["scale"], lind.dim)
+    pert = universal_dissipation(lind, target_h, targets)
+    achieved = effective_lindbladian_general(lind, pert)
+    target_block = assemble_lindbladian(
+        dagger(basis) @ target_h @ basis,
+        [dagger(basis) @ t @ basis for t in targets],
+    )
+    residual = frob(achieved - target_block) / max(frob(target_block), 1e-300)
+    details = {
+        "targets": "pauli",
+        "scale": params["scale"],
+        "n_jumps": n_jumps,
+        "decaying_dim": params["decaying_dim"],
+        "target_generator_norm": frob(target_block),
+        "achieved_generator_norm": frob(achieved),
+        "match_residual": residual,
+    }
+    verdicts = {"target_matched": bool(residual <= tol)}
+    return ScenarioBundle(lind, pert, details, verdicts)

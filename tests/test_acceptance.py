@@ -10,6 +10,7 @@ import pytest
 
 from ejof.dynamics import SweepConfig, convergence_order, drift_constants, evolve_and_compare
 from ejof.effective import (
+    Perturbation,
     corner_sensitivity,
     effective_lindbladian_closed,
     effective_lindbladian_general,
@@ -104,6 +105,13 @@ def test_criterion_02_dual_route_equivalence(instance_pool):
     )
 
 
+def _zero_hamiltonian_check(jumps, fs, dfs):
+    """cancellation_check on the H = 0 generator of the jumps and the V = 0 perturbation fs."""
+    zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+    return cancellation_check(structured_lindbladian(zero, jumps, dfs),
+                              Perturbation(v=zero, fs=tuple(fs)))
+
+
 def test_criterion_03_generic_cancellation():
     # blocks of size d = 2 exactly cover the decaying space, giving a unique DFS
     block_choices = ([2, 2], [2, 2, 2], [2, 2, 2, 2])
@@ -119,7 +127,7 @@ def test_criterion_03_generic_cancellation():
             f = eps * (rng.standard_normal((dfs.dim, dfs.dim))
                        + 1j * rng.standard_normal((dfs.dim, dfs.dim)))
             fs.append(f - four_corners(f, dfs).ll)
-        rep = cancellation_check(jumps, fs, dfs)
+        rep = _zero_hamiltonian_check(jumps, fs, dfs)
         if rep.conditions_met and rep.l_eff_norm <= 1e-10 * rep.pert_norm ** 2:
             n_cancelled += 1
         worst = max(worst, rep.l_eff_norm / rep.pert_norm ** 2)
@@ -133,7 +141,7 @@ def test_criterion_03_generic_cancellation():
                    + 1j * rng.standard_normal((dfs.dim, dfs.dim)))
             for _ in jumps
         ]
-        rep = cancellation_check(jumps, fs, dfs)
+        rep = _zero_hamiltonian_check(jumps, fs, dfs)
         if not rep.conditions_met and rep.l_eff_norm > 1e-6:
             n_violations += 1
     for i in range(3):  # two jumps on one block break orthogonality
@@ -148,7 +156,7 @@ def test_criterion_03_generic_cancellation():
             f = eps * (rng2.standard_normal((dfs.dim, dfs.dim))
                        + 1j * rng2.standard_normal((dfs.dim, dfs.dim)))
             fs.append(f - four_corners(f, dfs).ll)
-        rep = cancellation_check(family, fs, dfs)
+        rep = _zero_hamiltonian_check(family, fs, dfs)
         if not rep.conditions_met and rep.l_eff_norm > 1e-6:
             n_violations += 1
 
@@ -206,15 +214,15 @@ def test_criterion_05_universal_dissipation():
 
 
 def test_criterion_06_qec_robustness():
-    rec, _ = repetition_code_recovery()
+    rec, lind = repetition_code_recovery()
     eps = 1e-2
-    rep_x = robustness_check(rec, pauli_miscalibration("X", eps))
-    rep_z = robustness_check(rec, pauli_miscalibration("Z", eps))
+    rep_x = robustness_check(rec, lind, pauli_miscalibration("X", eps))
+    rep_z = robustness_check(rec, lind, pauli_miscalibration("Z", eps))
     protected_ok = (
         rep_x.hypotheses_met and rep_x.l_eff_norm_general <= 1e-10 * eps ** 2
         and rep_z.hypotheses_met and rep_z.l_eff_norm_general <= 1e-10 * eps ** 2
     )
-    rep_y = robustness_check(rec, pauli_miscalibration("Y", eps))
+    rep_y = robustness_check(rec, lind, pauli_miscalibration("Y", eps))
     y_nonzero = (not rep_y.hypotheses_met) and rep_y.l_eff_norm_general > 1e-6
 
     table = hamiltonian_obstruction_demo(eps=eps, hamiltonian_scale=0.3, seed=7)

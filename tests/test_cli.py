@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -329,7 +330,7 @@ def test_scenario_flags_match_problem_file(name, tmp_path):
     # The generated flags cover the spec and reach build_scenario exactly as
     # the same parameters in a problem file do.
     params = SCENARIO_PARAMS[name]
-    assert set(params) == set(cli._PARAM_SPECS[name])
+    assert set(params) == set(ejof.scenarios.PARAM_SPECS[name])
     flag_out = tmp_path / "scenario.json"
     assert main(["scenario", name, *scenario_flags(params), "--out", str(flag_out)]) == 0
     problem = write_problem(tmp_path, {"version": 1, "scenario": {"name": name, **params}})
@@ -338,6 +339,16 @@ def test_scenario_flags_match_problem_file(name, tmp_path):
     from_file = load_report(file_out)["scenario"]
     assert from_file.pop("name") == name
     assert load_report(flag_out)["details"] == from_file
+
+
+def test_report_encoding_covers_numpy_and_complex_values():
+    # Scenario details hand numpy values to the report writer as they are.
+    text = cli.canonical_json({"m": np.eye(1), "z": np.complex128(1 - 2j), "c": 0.5j,
+                               "b": np.bool_(True), "n": np.int64(3), "x": np.float64(0.1)})
+    assert json.loads(text) == {"m": [[[1.0, 0.0]]], "z": [1.0, -2.0], "c": [0.0, 0.5],
+                                "b": True, "n": 3, "x": 0.1}
+    with pytest.raises(TypeError, match="set"):
+        cli.canonical_json({"s": {1}})
 
 
 def test_scenario_rejects_flag_of_another_scenario(capsys):
@@ -432,7 +443,9 @@ def test_evolve_three_level(tmp_path, capsys):
     csv = (plot_dir / "sweep.csv").read_text().splitlines()
     assert csv[0] == "epsilon,tau,state_index,trace_distance"
     assert len(csv) == 1 + len(report["rows"])
-    assert "fitted slope" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"report written to {out}"
+    assert lines[1].startswith("fitted slope")
 
 
 def test_evolve_single_epsilon_skips_fit(tmp_path):
@@ -567,7 +580,33 @@ def test_unwritable_plot_data_is_an_input_error(where, tmp_path, capsys):
     code = main(["evolve", problem, "--epsilons", "0.04,0.02", "--taus", "1",
                  "--plot-data", str(plot_dir), "--out", str(out)])
     assert code == cli.EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --plot-data: cannot write {plot_dir / 'sweep.csv'}: ")
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --plot-data: cannot write {plot_dir / 'sweep.csv'}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not out.exists()
+
+
+GENERATOR_RUNS = {
+    "three-level": ["scenario", "three-level"],
+    "cancellation": ["scenario", "cancellation"],
+    "coherent-cancel": ["scenario", "coherent-cancel"],
+    "universal": ["scenario", "universal"],
+    "qec-miscal": ["qec", "repetition", "--miscal", "X"],
+}
+
+
+@pytest.mark.parametrize("argv", GENERATOR_RUNS.values(), ids=GENERATOR_RUNS.keys())
+def test_each_run_builds_its_generator_once(argv, monkeypatch):
+    real = ejof.lindblad.structured_lindbladian
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ejof" and getattr(module, "structured_lindbladian", None) is real:
+            monkeypatch.setattr(module, "structured_lindbladian", counted)
+    assert main(argv) == cli.EXIT_OK
+    assert len(calls) == 1

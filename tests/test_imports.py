@@ -43,6 +43,34 @@ def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imports_cli(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "ejof.cli" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".cli", "ejof.cli") or (
+                    module in (".", "ejof") and any(a.name == "cli" for a in node.names)):
+                return True
+    return False
+
+
+def test_detects_a_cli_import():
+    assert all(imports_cli(src) for src in (
+        "from .cli import main\n", "from . import cli\n", "import ejof.cli\n",
+        "from ejof.cli import main\n", "from ejof import cli\n"))
+    assert not imports_cli("from .scenarios import cli\nfrom .clifford import x\n")
+
+
+LIBRARY = [p for p in MODULES if p.name != "cli.py"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_only_cli_imports_cli(path):
+    # The report format and the command line sit on top: the library never reaches up.
+    assert not imports_cli(path.read_text())
+
+
 def test_cli_run_does_not_import_scipy_sparse():
     # Nothing in ejof needs scipy.sparse, so no run pays for importing it: not
     # a small scenario, nor a wide verify draw (n^2 = 256 decaying columns).

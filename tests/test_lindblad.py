@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 import ejof.effective
 import ejof.lindblad
-from ejof.cli import build_scenario
 from ejof.lindblad import (
     BorderedFactor,
     NonSemisimpleZeroError,
@@ -52,6 +51,7 @@ from ejof.operators import (
     vectorize,
 )
 from ejof.qec import repetition_code_recovery
+from ejof.scenarios import build_scenario
 
 
 def amplitude_damping(gamma):
@@ -489,6 +489,18 @@ def test_gap_warning_uses_the_report_cut():
     assert lind.factor.thresh == 1e-8
     with pytest.warns(SpectralGapWarning, match="zero threshold 1.000e-08"):
         _ = lind.drazin
+
+
+@pytest.mark.parametrize("path", ["bordered", "dense"])
+def test_gap_warning_names_the_caller(path):
+    # The warning points at the line that asked for L^D, not at ejof or functools.
+    lind = _two_rate_lindbladian(0.02, 2e-7)
+    with pytest.warns(SpectralGapWarning) as record:
+        if path == "bordered":
+            _ = lind.drazin
+        else:
+            drazin_inverse(np.diag([0.0, -1e-7, -1.0]).astype(complex))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_asymptotic_projection_limit_matches_expm(three_level):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ejof.effective import effective_lindbladian_general
+from ejof.lindblad import structured_lindbladian
 from ejof.operators import dagger, four_corners, frob
 from ejof.qec import (
     check_recovery_conditions,
@@ -117,9 +118,9 @@ def test_y_channel_is_not_correctable(repetition):
 
 @pytest.mark.parametrize("kind", ["X", "Z"])
 def test_protected_miscalibrations(repetition, kind):
-    rec, _ = repetition
+    rec, lind = repetition
     eps = 1e-2
-    rep = robustness_check(rec, pauli_miscalibration(kind, eps))
+    rep = robustness_check(rec, lind, pauli_miscalibration(kind, eps))
     assert rep.structure_ok
     assert rep.hypotheses_met
     assert rep.protected
@@ -128,9 +129,9 @@ def test_protected_miscalibrations(repetition, kind):
 
 
 def test_y_miscalibration_breaks_protection(repetition):
-    rec, _ = repetition
+    rec, lind = repetition
     eps = 1e-2
-    rep = robustness_check(rec, pauli_miscalibration("Y", eps))
+    rep = robustness_check(rec, lind, pauli_miscalibration("Y", eps))
     assert not rep.hypotheses_met
     assert not rep.correctability.passed
     assert not rep.protected
@@ -154,7 +155,8 @@ def test_hamiltonian_defeats_hypotheses(repetition):
     h = np.zeros((8, 8), dtype=complex)
     bq = rec.code.basis_c
     h += 0.2 * bq @ np.eye(6) @ dagger(bq)
-    rep = robustness_check(rec, pauli_miscalibration("X", 1e-2), hamiltonian=h)
+    lind = structured_lindbladian(h, rec.kraus, rec.code, validate=False)
+    rep = robustness_check(rec, lind, pauli_miscalibration("X", 1e-2))
     assert rep.hamiltonian_norm > 0
     assert not rep.hypotheses_met
 

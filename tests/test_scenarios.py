@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ejof.effective import (
+    Perturbation,
     effective_lindbladian_closed,
     effective_lindbladian_general,
     random_structured_instance,
@@ -17,7 +18,6 @@ from ejof.scenarios import (
     orthogonality_residual,
     pauli_lowering_targets,
     random_orthogonal_family,
-    random_surjective_jump,
     surjectivity_residual,
     three_level_system,
     universal_dissipation,
@@ -98,7 +98,7 @@ def test_generalized_perturbation_validates():
 
 def test_surjectivity_residual_detects_rank_loss():
     dfs = DfsProjector.from_indices(4, [0, 1])
-    good = random_surjective_jump(2, 2, seed=3)
+    good = random_orthogonal_family(2, [2], seed=3)[0][0]
     assert surjectivity_residual(good, dfs) <= 1e-10
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 2] = 1.0  # rank 1 cannot cover a 2-dimensional DFS
@@ -106,8 +106,8 @@ def test_surjectivity_residual_detects_rank_loss():
 
 
 def test_random_surjective_jump_needs_room():
-    with pytest.raises(ValueError, match="at least as large"):
-        random_surjective_jump(3, 2, seed=0)
+    with pytest.raises(ValueError, match="at least the DFS dimension"):
+        random_orthogonal_family(3, [2], seed=0)
 
 
 def test_orthogonal_family_is_exactly_orthogonal():
@@ -124,6 +124,13 @@ def test_orthogonal_family_validates_blocks():
         random_orthogonal_family(2, [1, 2], seed=0)
     with pytest.raises(ValueError, match="exceed"):
         random_orthogonal_family(2, [2, 2], seed=0, total_decaying=3)
+
+
+def zero_hamiltonian_check(jumps, fs, dfs):
+    """cancellation_check on the H = 0 generator of the jumps and the V = 0 perturbation fs."""
+    zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+    return cancellation_check(structured_lindbladian(zero, jumps, dfs),
+                              Perturbation(v=zero, fs=tuple(fs)))
 
 
 def strip_ll(f, dfs):
@@ -144,7 +151,7 @@ def random_deformations(jumps, dfs, seed, scale=1e-2):
 def test_cancellation_holds_under_conditions(seed):
     jumps, dfs = random_orthogonal_family(2, [2, 2], seed=seed)
     fs = random_deformations(jumps, dfs, seed + 50)
-    rep = cancellation_check(jumps, fs, dfs)
+    rep = zero_hamiltonian_check(jumps, fs, dfs)
     assert rep.conditions_met
     assert rep.cancelled
     assert rep.l_eff_norm <= 1e-10 * rep.pert_norm ** 2
@@ -159,7 +166,7 @@ def test_cancellation_fails_with_detectable_corner():
         1e-2 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         for _ in jumps
     ]  # ll corners kept
-    rep = cancellation_check(jumps, fs, dfs)
+    rep = zero_hamiltonian_check(jumps, fs, dfs)
     assert not rep.conditions_met
     assert any(r > 1e-9 for r in rep.f_ll_norms)
     assert not rep.cancelled
@@ -169,14 +176,31 @@ def test_cancellation_fails_with_detectable_corner():
 def test_cancellation_fails_with_overlapping_jumps():
     # two jumps addressing the same decaying block violate orthogonality
     dfs = DfsProjector.from_indices(4, [0, 1])
-    f1 = random_surjective_jump(2, 2, seed=5)
-    f2 = random_surjective_jump(2, 2, seed=6)
-    rep = cancellation_check(
+    f1 = random_orthogonal_family(2, [2], seed=5)[0][0]
+    f2 = random_orthogonal_family(2, [2], seed=6)[0][0]
+    rep = zero_hamiltonian_check(
         [f1, f2], random_deformations([f1, f2], dfs, 8), dfs
     )
     assert rep.orthogonality > 1e-9
     assert not rep.conditions_met
     assert rep.l_eff_norm > 1e-6
+
+
+def test_cancellation_hypotheses_include_zero_h_and_v():
+    jumps, dfs = random_orthogonal_family(2, [2, 2], seed=1)
+    fs = tuple(random_deformations(jumps, dfs, 51))
+    zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+    lind = structured_lindbladian(zero, jumps, dfs)
+    assert cancellation_check(lind, Perturbation(v=zero, fs=fs)).conditions_met
+    h = zero.copy()
+    h[2:, 2:] = 0.3 * np.eye(4)  # a decaying-block Hamiltonian
+    with_h = cancellation_check(structured_lindbladian(h, jumps, dfs), Perturbation(v=zero, fs=fs))
+    v = zero.copy()
+    v[0, 0] = 1e-3
+    with_v = cancellation_check(lind, Perturbation(v=v, fs=fs))
+    assert not with_h.conditions_met
+    assert not with_v.conditions_met
+    assert with_h.surjectivity == with_v.surjectivity
 
 
 def coherent_test_system(seed):
