@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .effective import Perturbation, effective_lindbladian_general, perturbed_superop
+from .effective import Perturbation, _general_blocks, perturbed_superop
 from .lindblad import StructuredLindbladian
 from .operators import (
     as_operator,
@@ -151,10 +151,9 @@ def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
         validate_initial_state(rho, lind.dfs)
     pinf = lind.asymptotic_projection
     cells = []
-    for eps in config.epsilons:
-        scaled = pert.scaled(eps)
-        l_full = perturbed_superop(lind, scaled)
-        l_eff = effective_lindbladian_general(lind, scaled)
+    scaled = [pert.scaled(eps) for eps in config.epsilons]
+    for eps, pert_eps, l_eff in zip(config.epsilons, scaled, _general_blocks(lind, scaled)):
+        l_full = perturbed_superop(lind, pert_eps)
         for tau in config.taus:
             t = tau / eps ** config.order
             prop_raw = expm(t * l_full)

@@ -11,7 +11,10 @@ General route (resolvent form)
 where P_inf is the asymptotic projection of the unperturbed generator, L^D its
 Drazin pseudoinverse, O1 collects the first-order perturbation superoperators
 and O2 the second-order dissipators of the f_l alone. The consistency contract
-O1 + O2 = L(H+V, {F+f}) - L(H, {F}) holds as a matrix identity.
+O1 + O2 = L(H+V, {F+f}) - L(H, {F}) holds as a matrix identity. The route is
+evaluated for K perturbations of one generator at once, with one L^D solve;
+a single perturbation, the corner-sensitivity check (the reference and four
+stripped variants) and the dynamics sweep (one per eps) each make one batch.
 
 Closed route (effective operators)
     H_eff = (1/2)(V_ul - C Kinv C) + H.c.
@@ -30,8 +33,8 @@ Both routes return the effective generator as the (d^2, d^2) DFS block, its
 only form; :func:`verify_equivalence` quantifies their agreement. For a DFS
 isometry B and E = conj(B) kron B, vec(B sigma B†) = E vec(sigma), and a map S
 of the full space has the block E† S E, so every product is tall-skinny. The
-general route applies O1 and O2 as maps on the d^2 operators P_inf E (batched
-D x D products), never as D^2 x D^2 matrices; :func:`perturbation_superops`
+general route applies O1 and O2 as maps on the d^2 operators P_inf E, never
+as D^2 x D^2 matrices; :func:`perturbation_superops`
 forms those matrices from the same maps, as the oracle of the O1 + O2
 contract. The closed route is assembled on the block from its d x d pieces.
 """
@@ -122,37 +125,52 @@ def effective_coupling(lind: StructuredLindbladian, pert: Perturbation) -> np.nd
     return c
 
 
-def _o1_terms(lind: StructuredLindbladian, pert: Perturbation):
-    """Coefficients of O1: A = x + C and the (F_l, f_l) pairs.
+def _stacked(lind: StructuredLindbladian, perts) -> tuple[np.ndarray, np.ndarray]:
+    """V of each perturbation as (K, D, D) and its f_l as (K, J, D, D)."""
+    for pert in perts:
+        _check_pair(lind, pert)
+    dim, n = lind.dim, len(perts)
+    v = np.array([pert.v for pert in perts]).reshape(n, dim, dim)
+    fs = np.array([pert.fs for pert in perts], dtype=complex).reshape(n, len(lind.jumps), dim, dim)
+    return v, fs
 
-    O1(X) = -i(A X - X A†) + sum_l (F_l X f_l† + f_l X F_l†), where
-    x = V_diag - (i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l) and C is
-    :func:`effective_coupling`; the star commutator is additive in A, so the
-    V-part and the coupling part share one.
+
+def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """A of O1 for each of K stacked perturbations, as (K, D, D).
+
+    O1(X) = -i(A X - X A†) + sum_l (F_l X f_l† + f_l X F_l†). The star
+    commutator is additive in A, so its V_diag part, the coupling C of
+    :func:`effective_coupling` and its f_ur part -(i/2) sum_l
+    (f_ur_l† F_l + F_l† f_ur_l) share one A; as f_ul + f_ur = P f,
+    A = V - (i/2)(G + G†) with G = sum_l F_l† P f_l.
     """
-    _check_pair(lind, pert)
-    dfs = lind.dfs
-    a = four_corners(pert.v, dfs).diag + effective_coupling(lind, pert)
-    for big_f, f in zip(lind.jumps, pert.fs):
-        f_ur = four_corners(f, dfs).ur
-        a = a - 0.5j * (dagger(f_ur) @ big_f + dagger(big_f) @ f_ur)
-    return a, tuple(zip(lind.jumps, pert.fs))
+    top = lind.dfs.p @ fs
+    g = sum((dagger(big_f) @ top[:, j] for j, big_f in enumerate(lind.jumps)),
+            np.zeros_like(v))
+    return v - 0.5j * (g + dagger(g))
 
 
-def _apply_o1(terms, x: np.ndarray) -> np.ndarray:
-    """O1 on a stack x of (D, D) operators, from :func:`_o1_terms`."""
-    a, pairs = terms
+def _apply_o1(a: np.ndarray, jumps, fs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """O1 of each of K perturbations on its operators, as (K, m, D, D).
+
+    a is :func:`_o1_coefficient`, fs the (K, J, D, D) deformations, and x a
+    (K, m, D, D) stack or one (m, D, D) stack shared by all K. The jump sum
+    accumulates in place, so no temporary exceeds K m operators.
+    """
+    a = a[:, None]
     out = -1j * (a @ x - x @ dagger(a))
-    for big_f, f in pairs:
+    for j, big_f in enumerate(jumps):
+        f = fs[:, j, None]
         out += big_f @ x @ dagger(f) + f @ x @ dagger(big_f)
     return out
 
 
-def _apply_o2(fs, x: np.ndarray) -> np.ndarray:
-    """O2 = sum_l D[f_l] on a stack x of (D, D) operators."""
-    w = sum((dagger(f) @ f for f in fs), np.zeros(x.shape[-2:], dtype=complex))
+def _apply_o2(fs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """O2 = sum_l D[f_l] of each of K perturbations on a shared (m, D, D) stack x."""
+    w = np.sum(dagger(fs) @ fs, axis=1)[:, None]
     out = -0.5 * (w @ x + x @ w)
-    for f in fs:
+    for j in range(fs.shape[1]):
+        f = fs[:, j, None]
         out += f @ x @ dagger(f)
     return out
 
@@ -163,9 +181,9 @@ def _stack(cols: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _columns(stack: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_stack`."""
-    m, dim, _ = stack.shape
-    return stack.transpose(0, 2, 1).reshape(m, dim * dim).T
+    """Inverse of :func:`_stack`; leading axes of the stack are flattened."""
+    dim = stack.shape[-1]
+    return stack.reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim * dim).T
 
 
 def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
@@ -182,30 +200,42 @@ def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
     general route applies, evaluated on the D^2 unit operators; the route
     itself never forms them.
     """
-    terms = _o1_terms(lind, pert)
+    v, fs = _stacked(lind, [pert])
+    a = _o1_coefficient(lind, v, fs)
     units = _stack(np.eye(lind.dim ** 2, dtype=complex), lind.dim)
-    return _columns(_apply_o1(terms, units)), _columns(_apply_o2(pert.fs, units))
+    return _columns(_apply_o1(a, lind.jumps, fs, units)), _columns(_apply_o2(fs, units))
+
+
+def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
+    """General-route DFS blocks of K perturbations of one generator, as (K, d^2, d^2).
+
+    Block k is E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] for the
+    O1, O2 of perturbation k. The d^2 operators P_inf E are built once and
+    shared, O1 and O2 act on them as stacked D x D products, and L^D is
+    applied to the K d^2 columns O1 P_inf E in one solve. Only the
+    generator's own spectral factor and asymptotic projection enter, so the
+    route stays independent of the closed one.
+    """
+    v, fs = _stacked(lind, perts)
+    dim = lind.dim
+    e = dfs_columns(lind.dfs.basis)
+    pinf = lind.asymptotic_projection
+    x = _stack(pinf @ e, dim)
+    a = _o1_coefficient(lind, v, fs)
+    o1x = _apply_o1(a, lind.jumps, fs, x)
+    ld_o1x = _stack(lind.factor.apply_drazin(_columns(o1x)), dim).reshape(o1x.shape)
+    cols = _columns(o1x + _apply_o2(fs, x) - _apply_o1(a, lind.jumps, fs, ld_o1x))
+    m = x.shape[0]
+    return (dagger(e) @ pinf @ cols).reshape(m, len(perts), m).transpose(1, 0, 2)
 
 
 def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
     """Second-order effective generator by the resolvent route, as its DFS block.
 
-    Returns the (d^2, d^2) block of P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf,
-    evaluated as E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ]. O1 and
-    O2 act as maps on the d^2 operators P_inf E, and L^D is applied to the d^2
-    columns O1 P_inf E only. Only the generator's own spectral factor and
-    asymptotic projection enter, so the route stays independent of the
-    closed one.
+    The (d^2, d^2) block of P_inf (O1 + O2) P_inf - P_inf O1 L^D O1 P_inf: the
+    K = 1 case of :func:`_general_blocks`.
     """
-    terms = _o1_terms(lind, pert)
-    dim = lind.dim
-    e = dfs_columns(lind.dfs.basis)
-    pinf = lind.asymptotic_projection
-    x = _stack(pinf @ e, dim)
-    o1x = _apply_o1(terms, x)
-    o1_ld_o1x = _apply_o1(terms, _stack(lind.factor.apply_drazin(_columns(o1x)), dim))
-    cols = _columns(o1x + _apply_o2(pert.fs, x) - o1_ld_o1x)
-    return dagger(e) @ pinf @ cols
+    return _general_blocks(lind, [pert])[0]
 
 
 @dataclass(frozen=True)
@@ -433,36 +463,27 @@ class CornerSensitivityReport:
 
 def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
                        tol: float = 1e-10) -> CornerSensitivityReport:
-    """Recompute the general route with inert perturbation corners removed."""
+    """Recompute the general route with inert perturbation corners removed.
+
+    The four stripped perturbations come from one corner split of V and of
+    the stacked f_l, and go through the general route in one batch with the
+    reference.
+    """
     _check_pair(lind, pert)
-    dfs = lind.dfs
-    reference = effective_lindbladian_general(lind, pert)
+    v_lr = four_corners(pert.v, lind.dfs).lr
+    fs = np.array(pert.fs, dtype=complex).reshape(len(pert.fs), lind.dim, lind.dim)
+    f = four_corners(fs, lind.dfs)
+    reference, *stripped = _general_blocks(lind, [
+        pert,
+        Perturbation(v=pert.v - v_lr, fs=pert.fs),
+        Perturbation(v=pert.v, fs=tuple(fs - f.ur)),
+        Perturbation(v=pert.v, fs=tuple(fs - f.lr)),
+        Perturbation(v=pert.v - v_lr, fs=tuple(fs - f.ur - f.lr)),
+    ])
     scale = max(frob(reference), RESIDUAL_FLOOR)
-
-    def strip(drop_v_lr: bool, drop_f_ur: bool, drop_f_lr: bool) -> float:
-        v = pert.v
-        if drop_v_lr:
-            v = v - four_corners(v, dfs).lr
-        fs = []
-        for f in pert.fs:
-            c = four_corners(f, dfs)
-            g = f
-            if drop_f_ur:
-                g = g - c.ur
-            if drop_f_lr:
-                g = g - c.lr
-            fs.append(g)
-        other = effective_lindbladian_general(lind, Perturbation(v=v, fs=tuple(fs)))
-        return frob(other - reference) / scale
-
-    return CornerSensitivityReport(
-        v_lr_delta=strip(True, False, False),
-        f_ur_delta=strip(False, True, False),
-        f_lr_delta=strip(False, False, True),
-        combined_delta=strip(True, True, True),
-        reference_norm=frob(reference),
-        tol=tol,
-    )
+    # The variants come in the report's field order: v_lr, f_ur, f_lr, combined.
+    return CornerSensitivityReport(*(frob(other - reference) / scale for other in stripped),
+                                   reference_norm=frob(reference), tol=tol)
 
 
 # ---------------------------------------------------------------------------

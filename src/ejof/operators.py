@@ -36,7 +36,8 @@ def as_operator(m) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., m, n) stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frob(a: np.ndarray) -> float:
@@ -139,22 +140,26 @@ class Corners:
         return self.ul + self.ur + self.ll + self.lr
 
     @property
-    def diag(self) -> np.ndarray:
-        """Block-diagonal part ul + lr."""
-        return self.ul + self.lr
-
-    @property
     def offdiag(self) -> np.ndarray:
         """Block-off-diagonal part ur + ll."""
         return self.ur + self.ll
 
 
 def four_corners(op: np.ndarray, dfs: DfsProjector) -> Corners:
-    op = as_operator(op)
-    if op.shape[0] != dfs.dim:
-        raise ValueError(f"operator dimension {op.shape[0]} != projector dimension {dfs.dim}")
-    p, q = dfs.p, dfs.q
-    return Corners(ul=p @ op @ p, ur=p @ op @ q, ll=q @ op @ p, lr=q @ op @ q)
+    """Corners of an operator, or of each operator in a (..., D, D) stack.
+
+    Three products: top = P O, ul = top P, ll = (O - top) P, and ur, lr by
+    difference. Exact for an index DFS; for a dense projector they agree with
+    P O Q and the like up to round-off.
+    """
+    op = np.asarray(op, dtype=complex)
+    if op.shape[-2:] != (dfs.dim, dfs.dim):
+        raise ValueError(f"operator shape {op.shape} != projector dimension {dfs.dim}")
+    top = dfs.p @ op
+    ul = top @ dfs.p
+    bottom = op - top
+    ll = bottom @ dfs.p
+    return Corners(ul=ul, ur=top - ul, ll=ll, lr=bottom - ll)
 
 
 # ---------------------------------------------------------------------------

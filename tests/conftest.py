@@ -41,3 +41,21 @@ def random_density(rng, dim):
 @pytest.fixture
 def density_factory(rng):
     return lambda dim: random_density(rng, dim)
+
+
+@pytest.fixture
+def count_drazin_solves(monkeypatch):
+    """Record the column count of every L^D solve of a generator's factor class."""
+    def install(lind):
+        cls = type(lind.factor)
+        original = cls.apply_drazin
+        widths = []
+
+        def counting(self, y):
+            widths.append(y.shape[1])
+            return original(self, y)
+
+        monkeypatch.setattr(cls, "apply_drazin", counting)
+        return widths
+
+    return install

@@ -67,6 +67,15 @@ def three_level_sweep(delta, epsilons=(0.04, 0.02, 0.01), taus=(0.5, 1.0, 2.0, 5
     return evolve_and_compare(lind, pert, cfg)
 
 
+def test_sweep_takes_one_drazin_solve_for_all_epsilons(count_drazin_solves):
+    lind, pert = three_level_system(ThreeLevelParams(delta=2.0, Gamma=2.0, gamma=1.0))
+    widths = count_drazin_solves(lind)
+    cfg = SweepConfig(epsilons=(0.04, 0.02, 0.01), taus=(1.0,),
+                      initial_states=dfs_states_three_level())
+    evolve_and_compare(lind, pert, cfg)
+    assert widths == [3 * lind.dfs.d ** 2]
+
+
 def test_three_level_sweep_converges_at_second_order():
     table = three_level_sweep(delta=2.0)
     fit = convergence_order(table)

@@ -14,8 +14,9 @@ from ejof.effective import (
     random_structured_instance,
     verify_equivalence,
 )
-from ejof.lindblad import nh_superop_inverse_lr
+from ejof.lindblad import nh_superop_inverse_lr, structured_lindbladian
 from ejof.operators import (
+    DfsProjector,
     choi_matrix,
     compress_superop,
     dagger,
@@ -125,6 +126,63 @@ def test_corner_sensitivity_tiny(generic_instance):
     assert rep.passed, rep.as_dict()
     assert rep.combined_delta <= 1e-10
     assert rep.reference_norm > 0
+
+
+def _corner_deltas_by_loop(lind, pert):
+    """Corner deltas by one general-route call per stripped variant, P O Q products."""
+    p, q = lind.dfs.p, lind.dfs.q
+    reference = effective_lindbladian_general(lind, pert)
+    scale = max(frob(reference), 1e-14)
+
+    def strip(drop_v_lr, drop_f_ur, drop_f_lr):
+        v = pert.v - q @ pert.v @ q if drop_v_lr else pert.v
+        fs = []
+        for f in pert.fs:
+            g = f
+            if drop_f_ur:
+                g = g - p @ f @ q
+            if drop_f_lr:
+                g = g - q @ f @ q
+            fs.append(g)
+        other = effective_lindbladian_general(lind, Perturbation(v=v, fs=tuple(fs)))
+        return frob(other - reference) / scale
+
+    deltas = {
+        "v_lr_delta": strip(True, False, False),
+        "f_ur_delta": strip(False, True, False),
+        "f_lr_delta": strip(False, False, True),
+        "combined_delta": strip(True, True, True),
+    }
+    return deltas, frob(reference)
+
+
+def _mislabelled_dfs_instance():
+    # The generator's DFS is {0, 1}; labelled {0, 2}, no corner is inert.
+    lind, pert = random_structured_instance(2, 3, 2, 11)
+    wrong = DfsProjector.from_indices(5, [0, 2])
+    return structured_lindbladian(lind.h, lind.jumps, wrong, validate=False), pert
+
+
+@pytest.mark.parametrize("inert", [True, False], ids=["structured", "mislabelled-dfs"])
+def test_corner_sensitivity_matches_per_variant_loop(generic_instance, inert):
+    lind, pert = generic_instance if inert else _mislabelled_dfs_instance()
+    want, want_norm = _corner_deltas_by_loop(lind, pert)
+    rep = corner_sensitivity(lind, pert)
+    assert abs(rep.reference_norm - want_norm) <= 1e-13 * want_norm
+    for key, got in rep.as_dict().items():
+        if inert:
+            # Both sides are round-off; they agree on that scale and both pass.
+            assert max(got, want[key]) <= 1e-13, key
+        else:
+            assert want[key] > 0.1, key
+            assert abs(got - want[key]) <= 1e-11 * want[key], key
+
+
+def test_corner_sensitivity_takes_one_drazin_solve(count_drazin_solves, generic_instance):
+    lind, pert = generic_instance
+    widths = count_drazin_solves(lind)
+    corner_sensitivity(lind, pert)
+    assert widths == [5 * lind.dfs.d ** 2]
 
 
 def test_generator_scales_quadratically():

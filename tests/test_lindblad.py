@@ -28,6 +28,7 @@ from ejof.lindblad import (
 )
 from ejof.effective import (
     Perturbation,
+    _general_blocks,
     effective_lindbladian_closed,
     effective_lindbladian_general,
     effective_to_superop,
@@ -422,13 +423,19 @@ SPECTRUM_CASES = {name: make for name, make in ORACLE_CASES.items() if name != "
 @pytest.mark.parametrize("make", SPECTRUM_CASES.values(), ids=SPECTRUM_CASES.keys())
 def test_structure_report_spectrum_matches_eigvals_oracle(make):
     # The oracle cuts at 1e-8 max(1, ||L||_2); the report at 1e-8 max(1, rho(L)).
+    # A dense eigenvalue is accurate only to its backward error eps ||L||_2: on
+    # stiff-n12 (||L||_2 = 1.4e4) that is 3.1e-12 absolute, 2.2e-11 relative
+    # to the gap 0.142. The eigvals gap there is off by 1.2e-12 relative at
+    # one BLAS thread and 2e-13 at two, while the report's gap, read off K_qq,
+    # agrees with an mpmath evaluation of spec(K_qq) to 8e-19 relative.
     lind = make()
     s = lind.superop
     mags = np.abs(np.linalg.eigvals(s))
-    thresh = 1e-8 * max(1.0, np.linalg.norm(s, 2))
+    norm = np.linalg.norm(s, 2)
+    thresh = 1e-8 * max(1.0, norm)
     gap = mags[mags > thresh].min()
     assert lind.report.zero_multiplicity == int(np.sum(mags <= thresh))
-    assert abs(lind.report.spectral_gap - gap) <= 1e-12 * gap
+    assert abs(lind.report.spectral_gap - gap) <= 1e-12 * gap + np.finfo(float).eps * norm
 
 
 @pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -444,6 +451,21 @@ def test_general_route_matches_dense_evaluation(make):
                             lind.dfs.basis)
     got = effective_lindbladian_general(lind, pert)
     assert frob(got - want) <= 1e-11 * frob(want)
+
+
+BATCH_CASES = {name: ORACLE_CASES[name]
+               for name in ("random", "defective", "extra-zero-jump", "projector-n12")}
+
+
+@pytest.mark.parametrize("make", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_general_blocks_match_single_calls(make):
+    lind = make()
+    perts = [_random_perturbation(lind, seed) for seed in (3, 5, 6, 9)]
+    got = _general_blocks(lind, perts)
+    assert got.shape == (4, lind.dfs.d ** 2, lind.dfs.d ** 2)
+    for block, pert in zip(got, perts):
+        want = effective_lindbladian_general(lind, pert)
+        assert frob(block - want) <= 1e-13 * frob(want)
 
 
 @pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
