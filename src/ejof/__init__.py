@@ -54,6 +54,7 @@ from .effective import (
     IdentityReport,
     CornerSensitivityReport,
     Perturbation,
+    Study,
     corner_sensitivity,
     effective_coupling,
     effective_lindbladian_closed,

@@ -33,19 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SweepConfig, convergence_order, drift_constants, evolve_and_compare
-from .effective import (
-    Perturbation,
-    corner_sensitivity,
-    effective_lindbladian_closed,
-    effective_lindbladian_general,
-    effective_to_superop,
-    identity_suite,
-    random_structured_instance,
-    route_agreement,
-    verify_equivalence,
-)
+from .effective import Perturbation, Study, random_structured_instance
 from .lindblad import StructureError, structured_lindbladian
-from .operators import DfsProjector, dagger, frob
+from .operators import DfsProjector, dagger
 from .qec import (
     hamiltonian_obstruction_demo,
     pauli_miscalibration,
@@ -443,18 +433,16 @@ def _resolve(cli_value, file_value, default):
 
 
 def _materialize(parsed: ParsedProblem, seed: int, tol: float, *, validate: bool):
-    """Turn a parsed problem into (lind, pert, scenario bundle or None).
+    """Turn a parsed problem into (study, scenario bundle or None).
 
-    `validate` applies to explicit systems; scenarios build their own generator.
+    `validate` applies to explicit systems; a scenario's study is its bundle's.
     """
     if parsed.scenario is not None:
         name, raw_params = parsed.scenario
         bundle = build_scenario(name, _scenario_params(name, raw_params), seed, tol)
-        return bundle.lind, bundle.pert, bundle
-    lind = structured_lindbladian(
-        parsed.hamiltonian, parsed.jumps, parsed.dfs, validate=validate
-    )
-    return lind, parsed.pert, None
+        return bundle.study, bundle
+    lind = structured_lindbladian(parsed.hamiltonian, parsed.jumps, parsed.dfs, validate=validate)
+    return Study(lind, parsed.pert), None
 
 
 def cmd_effective(args) -> Outcome | int:
@@ -463,11 +451,11 @@ def cmd_effective(args) -> Outcome | int:
     seed = _resolve(args.seed, parsed.seed, 0)
     report: dict = {"command": "effective", "input_digest": parsed.digest, "tol": tol}
 
-    lind, pert, bundle = _materialize(parsed, seed, tol, validate=False)
+    study, bundle = _materialize(parsed, seed, tol, validate=False)
     if bundle is not None:
         report["scenario"] = {"name": parsed.scenario[0], **bundle.details}
 
-    rep = lind.report
+    rep = study.lind.report
     gap = float(rep.spectral_gap)
     report["structure"] = {
         "passed": rep.passed,
@@ -482,29 +470,25 @@ def cmd_effective(args) -> Outcome | int:
         print("use --force to compute the general route anyway", file=sys.stderr)
         return EXIT_INPUT
 
-    basis = lind.dfs.basis
-    general = effective_lindbladian_general(lind, pert)
-    report["l_eff_general"] = general
+    basis = study.lind.dfs.basis
+    report["l_eff_general"] = study.general
     verdicts = {"structure_ok": rep.passed}
 
     if rep.passed:
-        eff = effective_lindbladian_closed(lind, pert)
-        closed = effective_to_superop(eff)
-        scaled_residual = route_agreement(general, closed, pert)
-        ids = identity_suite(lind, pert)
-        report["l_eff_closed"] = closed
+        eff, eq, ids = study.closed, study.equivalence, study.identities
+        report["l_eff_closed"] = study.closed_block
         report["h_eff"] = dagger(basis) @ eff.h_eff @ basis
         report["f_eff"] = [dagger(basis) @ f @ basis for f in eff.jumps_eff]
         report["e_eff_superop"] = eff.cp_superop
         report["e_eff_trace_part"] = dagger(basis) @ eff.cp_adjoint_identity @ basis
         report["equivalence"] = {
-            "residual": float(frob(general - closed) / max(frob(general), 1e-14)),
-            "scaled_residual": float(scaled_residual),
-            "general_norm": float(frob(general)),
-            "closed_norm": float(frob(closed)),
+            "residual": eq.residual,
+            "scaled_residual": study.scaled_residual,
+            "general_norm": eq.general_norm,
+            "closed_norm": eq.closed_norm,
         }
         report["identity_residuals"] = ids.as_dict()
-        verdicts["routes_agree"] = bool(scaled_residual <= tol)
+        verdicts["routes_agree"] = bool(study.scaled_residual <= tol)
         verdicts["identities_hold"] = ids.passed
     else:
         report["l_eff_closed"] = None
@@ -531,17 +515,16 @@ def cmd_verify(args) -> Outcome:
         digest = params_digest("verify", {"random": [d, n, trials, seed], "tol": tol})
         for i in range(trials):
             defective = n == 2 and i % 10 == 9
-            lind, pert = random_structured_instance(
-                d, n, 1 + i % 3, seed + i, defective_k=defective
-            )
-            rows.append(_verify_row(lind, pert, tol, index=i, defective=defective))
+            study = Study(*random_structured_instance(d, n, 1 + i % 3, seed + i,
+                                                      defective_k=defective))
+            rows.append(_verify_row(study, tol, index=i, defective=defective))
     else:
         parsed = load_problem(args.problem)
         tol = _resolve(args.tol, parsed.tol, 1e-9)
         seed = _resolve(args.seed, parsed.seed, 0)
         digest = parsed.digest
-        lind, pert, _ = _materialize(parsed, seed, tol, validate=True)
-        rows.append(_verify_row(lind, pert, tol, index=0, defective=False))
+        study, _ = _materialize(parsed, seed, tol, validate=True)
+        rows.append(_verify_row(study, tol, index=0, defective=False))
 
     all_passed = all(r["passed"] for r in rows)
     report = {
@@ -550,11 +533,8 @@ def cmd_verify(args) -> Outcome:
         "tol": tol,
         "trials": len(rows),
         "rows": rows,
-        "worst": {
-            "equivalence_residual": max((r["equivalence_residual"] for r in rows), default=0.0),
-            "identity_residual": max((r["identity_residual"] for r in rows), default=0.0),
-            "corner_delta": max((r["corner_delta"] for r in rows), default=0.0),
-        },
+        "worst": {key: max((r[key] for r in rows), default=0.0)
+                  for key in ("equivalence_residual", "identity_residual", "corner_delta")},
         "all_passed": all_passed,
     }
     lines = [f"trials: {len(rows)}"]
@@ -564,17 +544,15 @@ def cmd_verify(args) -> Outcome:
     return Outcome(report, lines=lines, failed=not all_passed)
 
 
-def _verify_row(lind, pert, tol: float, *, index: int, defective: bool) -> dict:
-    eq = verify_equivalence(lind, pert, tol=tol)
-    ids = identity_suite(lind, pert)
-    corner = corner_sensitivity(lind, pert)
+def _verify_row(study: Study, tol: float, *, index: int, defective: bool) -> dict:
+    eq, ids, corner = study.equivalence, study.identities, study.corners
     return {
         "index": index,
         "defective_k": defective,
         "equivalence_residual": eq.residual,
         "identity_residual": max(ids.as_dict().values()),
         "corner_delta": max(corner.as_dict().values()),
-        "passed": bool(eq.passed and ids.passed and corner.passed),
+        "passed": bool(eq.residual <= tol and ids.passed and corner.passed),
     }
 
 
@@ -644,8 +622,7 @@ def cmd_qec(args) -> Outcome:
     if args.miscal is None:
         raise ProblemFormatError("", "--miscal X|Y|Z is required (or use --obstruction)")
     rec, lind = repetition_code_recovery()
-    pert = pauli_miscalibration(args.miscal, args.eps)
-    rep = robustness_check(rec, lind, pert, tol=tol)
+    rep = robustness_check(rec, Study(lind, pauli_miscalibration(args.miscal, args.eps)), tol=tol)
     digest = params_digest("qec", {"code": "repetition", "miscal": args.miscal,
                                    "eps": args.eps, "tol": tol})
     report = {
@@ -695,14 +672,14 @@ def cmd_evolve(args) -> Outcome:
     parsed = load_problem(args.problem)
     tol = _resolve(args.tol, parsed.tol, 1e-9)
     seed = _resolve(args.seed, parsed.seed, 0)
-    lind, pert, _ = _materialize(parsed, seed, tol, validate=True)
+    study, _ = _materialize(parsed, seed, tol, validate=True)
     config = SweepConfig(
         epsilons=tuple(args.epsilons),
         taus=tuple(args.taus),
-        initial_states=parsed.initial_states or default_states(lind.dfs),
+        initial_states=parsed.initial_states or default_states(study.lind.dfs),
         mode=args.mode,
     )
-    table = evolve_and_compare(lind, pert, config)
+    table = evolve_and_compare(study.lind, study.pert, config)
     drift = drift_constants(table)
     report = {
         "command": "evolve",

@@ -48,8 +48,8 @@ MODES = ("first-order", "second-order")
 class SweepConfig:
     """Grid for a full-vs-effective comparison sweep.
 
-    epsilons: perturbation strengths (the base perturbation is scaled by each).
-    taus: rescaled times, nonnegative.
+    epsilons: distinct perturbation strengths (the base perturbation is scaled by each).
+    taus: distinct rescaled times, nonnegative.
     initial_states: density matrices supported on the DFS (full dimension).
     mode: "second-order" compares at t = tau/eps^2, "first-order" at tau/eps.
     """
@@ -68,6 +68,9 @@ class SweepConfig:
             raise ValueError("taus must be nonnegative")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        for name, values in (("epsilons", self.epsilons), ("taus", self.taus)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must be distinct")
         object.__setattr__(self, "initial_states", tuple(as_operator(r) for r in self.initial_states))
 
     @property

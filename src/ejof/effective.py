@@ -12,9 +12,7 @@ where P_inf is the asymptotic projection of the unperturbed generator, L^D its
 Drazin pseudoinverse, O1 collects the first-order perturbation superoperators
 and O2 the second-order dissipators of the f_l alone. The consistency contract
 O1 + O2 = L(H+V, {F+f}) - L(H, {F}) holds as a matrix identity. The route is
-evaluated for K perturbations of one generator at once, with one L^D solve;
-a single perturbation, the corner-sensitivity check (the reference and four
-stripped variants) and the dynamics sweep (one per eps) each make one batch.
+evaluated for K perturbations of one generator at once, with one L^D solve.
 
 Closed route (effective operators)
     H_eff = (1/2)(V_ul - C Kinv C) + H.c.
@@ -30,18 +28,21 @@ coupling between the blocks,
     C = V_offdiag - (i/2) sum_l ( F_l† f_ul_l + f_ul_l† F_l ).
 
 Both routes return the effective generator as the (d^2, d^2) DFS block, its
-only form; :func:`verify_equivalence` quantifies their agreement. For a DFS
-isometry B and E = conj(B) kron B, vec(B sigma B†) = E vec(sigma), and a map S
-of the full space has the block E† S E, so every product is tall-skinny. The
-general route applies O1 and O2 as maps on the d^2 operators P_inf E, never
-as D^2 x D^2 matrices; :func:`perturbation_superops`
-forms those matrices from the same maps, as the oracle of the O1 + O2
-contract. The closed route is assembled on the block from its d x d pieces.
+only form. A :class:`Study` of one generator and perturbation evaluates each
+route, their agreement, the identities and the corner-sensitivity batch (the
+reference and four stripped variants, K = 5) at most once, and every check
+reads its numbers from one. For a DFS isometry B and E = conj(B) kron B,
+vec(B sigma B†) = E vec(sigma), and a map S of the full space has the block
+E† S E, so every product is tall-skinny. The general route applies O1 and O2
+as maps on the d^2 operators P_inf E, never as D^2 x D^2 matrices;
+:func:`perturbation_superops` forms those matrices from the same maps, as the
+oracle of the O1 + O2 contract. The closed route is assembled on the block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -67,6 +68,9 @@ from .operators import (
 )
 
 RESIDUAL_FLOOR = 1e-14
+EQUIVALENCE_TOL = 1e-9
+IDENTITY_TOL = 1e-11
+CORNER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -320,29 +324,9 @@ class EquivalenceReport:
 
 
 def verify_equivalence(lind: StructuredLindbladian, pert: Perturbation,
-                       tol: float = 1e-9) -> EquivalenceReport:
-    """Compare the general and closed routes on the DFS block."""
-    gen = effective_lindbladian_general(lind, pert)
-    closed = effective_to_superop(effective_lindbladian_closed(lind, pert))
-    num = frob(gen - closed)
-    den = max(frob(gen), RESIDUAL_FLOOR)
-    return EquivalenceReport(
-        residual=num / den,
-        general_norm=frob(gen),
-        closed_norm=frob(closed),
-        tol=tol,
-    )
-
-
-def route_agreement(general: np.ndarray, closed: np.ndarray, pert: Perturbation) -> float:
-    """Route disagreement relative to the second-order problem scale.
-
-    Normalizing by max(norms, pert_norm^2) keeps the number meaningful when
-    the effective generator itself vanishes (a cancellation), where a plain
-    relative residual would divide round-off by the floor.
-    """
-    scale = max(frob(general), frob(closed), pert.norm() ** 2, 1e-300)
-    return frob(general - closed) / scale
+                       tol: float = EQUIVALENCE_TOL) -> EquivalenceReport:
+    """Compare the general and closed routes on the DFS block (:attr:`Study.equivalence`)."""
+    return replace(Study(lind, pert).equivalence, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -364,12 +348,7 @@ class IdentityReport:
     tol: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "adjoint_identity": self.adjoint_identity,
-            "offdiag_inverse": self.offdiag_inverse,
-            "resolvent_identity": self.resolvent_identity,
-            "jump_norm_identity": self.jump_norm_identity,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tol"}
 
     @property
     def passed(self) -> bool:
@@ -381,56 +360,9 @@ def _rel(num: float, scale: float) -> float:
 
 
 def identity_suite(lind: StructuredLindbladian, pert: Perturbation,
-                   tol: float = 1e-11) -> IdentityReport:
-    """Check the operator identities that tie the two routes together."""
-    _check_pair(lind, pert)
-    dfs = lind.dfs
-    eff = effective_lindbladian_closed(lind, pert)
-    kinv = nh_hamiltonian_inverse(lind.k, dfs)
-
-    # E_eff adjoint on the identity, in the block basis.
-    bp, bq = dfs.basis, dfs.basis_c
-    lhs = apply_superop(adjoint_superop(eff.cp_superop), np.eye(dfs.d, dtype=complex))
-    rhs = dagger(bp) @ eff.cp_adjoint_identity @ bp
-    adjoint_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
-
-    # Decaying-sector solve vs i[Kinv, sigma]* on the units q_j b_i† (ll:
-    # -i K rho = sigma) and b_i q_j† (ur: i rho K† = sigma). Their solutions are
-    # column j of (-i K_qq)^-1 and row j of (i K_qq†)^-1, for every i.
-    kinv_qq = dagger(bq) @ kinv @ bq
-    lu = lu_factor(-1j * (dagger(bq) @ lind.k @ bq))
-    eye = np.eye(dfs.n_decay)
-    offdiag_res = float(max(
-        np.max(np.linalg.norm(got - want, axis=axis)
-               / np.maximum(np.linalg.norm(want, axis=axis), RESIDUAL_FLOOR))
-        for got, want, axis in ((lu_solve(lu, eye), 1j * kinv_qq, 0),
-                                (lu_solve(lu, eye, trans=2), -1j * dagger(kinv_qq), 1))
-    ))
-
-    # Resolvent identity.
-    lhs = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    for big_f in lind.jumps:
-        lhs = lhs + dagger(kinv) @ dagger(big_f) @ big_f @ kinv
-    rhs = -1j * (kinv - dagger(kinv))
-    resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
-
-    # Effective-jump norm identity.
-    coupling = effective_coupling(lind, pert)
-    lhs = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    for f_eff, f in zip(eff.jumps_eff, pert.fs):
-        f_ul = four_corners(f, dfs).ul
-        lhs = lhs + dagger(f_eff) @ f_eff - dagger(f_ul) @ f_ul
-    x = coupling @ kinv @ coupling
-    rhs = -1j * (x - dagger(x))
-    jump_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs), frob(coupling) ** 2))
-
-    return IdentityReport(
-        adjoint_identity=adjoint_res,
-        offdiag_inverse=offdiag_res,
-        resolvent_identity=resolvent_res,
-        jump_norm_identity=jump_res,
-        tol=tol,
-    )
+                   tol: float = IDENTITY_TOL) -> IdentityReport:
+    """Check the operator identities behind the closed route (:attr:`Study.identities`)."""
+    return replace(Study(lind, pert).identities, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -449,12 +381,7 @@ class CornerSensitivityReport:
     tol: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "v_lr_delta": self.v_lr_delta,
-            "f_ur_delta": self.f_ur_delta,
-            "f_lr_delta": self.f_lr_delta,
-            "combined_delta": self.combined_delta,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.endswith("_delta")}
 
     @property
     def passed(self) -> bool:
@@ -462,7 +389,7 @@ class CornerSensitivityReport:
 
 
 def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
-                       tol: float = 1e-10) -> CornerSensitivityReport:
+                       tol: float = CORNER_TOL) -> CornerSensitivityReport:
     """Recompute the general route with inert perturbation corners removed.
 
     The four stripped perturbations come from one corner split of V and of
@@ -484,6 +411,107 @@ def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
     # The variants come in the report's field order: v_lr, f_ur, f_lr, combined.
     return CornerSensitivityReport(*(frob(other - reference) / scale for other in stripped),
                                    reference_norm=frob(reference), tol=tol)
+
+
+@dataclass(frozen=True, eq=False)
+class Study:
+    """One generator and perturbation, and every number read off them, each computed once.
+
+    Attributes are computed on first read and kept. ``general`` is a K = 1
+    evaluation that reads only the generator's own factor and asymptotic
+    projection, never a closed-route attribute, so the routes stay
+    independent. The reports carry the default tolerances.
+    """
+
+    lind: StructuredLindbladian
+    pert: Perturbation
+
+    @cached_property
+    def general(self) -> np.ndarray:
+        return effective_lindbladian_general(self.lind, self.pert)
+
+    @cached_property
+    def closed(self) -> EffectiveGenerator:
+        return effective_lindbladian_closed(self.lind, self.pert)
+
+    @cached_property
+    def closed_block(self) -> np.ndarray:
+        return effective_to_superop(self.closed)
+
+    @cached_property
+    def equivalence(self) -> EquivalenceReport:
+        """Route disagreement relative to ||general||, floored at RESIDUAL_FLOOR."""
+        general_norm = frob(self.general)
+        return EquivalenceReport(
+            residual=frob(self.general - self.closed_block) / max(general_norm, RESIDUAL_FLOOR),
+            general_norm=general_norm,
+            closed_norm=frob(self.closed_block),
+            tol=EQUIVALENCE_TOL,
+        )
+
+    @cached_property
+    def scaled_residual(self) -> float:
+        """Route disagreement relative to max(||general||, ||closed||, ||pert||^2).
+
+        Unlike :attr:`equivalence`, it stays meaningful where L_eff vanishes.
+        """
+        eq = self.equivalence
+        scale = max(eq.general_norm, eq.closed_norm, self.pert.norm() ** 2, 1e-300)
+        return frob(self.general - self.closed_block) / scale
+
+    @cached_property
+    def identities(self) -> IdentityReport:
+        """The operator identities that tie the two routes together."""
+        lind, pert, eff = self.lind, self.pert, self.closed
+        dfs = lind.dfs
+        kinv = nh_hamiltonian_inverse(lind.k, dfs)
+
+        # E_eff adjoint on the identity, in the block basis.
+        bp, bq = dfs.basis, dfs.basis_c
+        lhs = apply_superop(adjoint_superop(eff.cp_superop), np.eye(dfs.d, dtype=complex))
+        rhs = dagger(bp) @ eff.cp_adjoint_identity @ bp
+        adjoint_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
+
+        # Decaying-sector solve vs i[Kinv, sigma]* on the units q_j b_i† (ll:
+        # -i K rho = sigma) and b_i q_j† (ur: i rho K† = sigma). Their solutions
+        # are column j of (-i K_qq)^-1 and row j of (i K_qq†)^-1, for every i.
+        kinv_qq = dagger(bq) @ kinv @ bq
+        lu = lu_factor(-1j * (dagger(bq) @ lind.k @ bq))
+        eye = np.eye(dfs.n_decay)
+        offdiag_res = float(max(
+            np.max(np.linalg.norm(got - want, axis=axis)
+                   / np.maximum(np.linalg.norm(want, axis=axis), RESIDUAL_FLOOR))
+            for got, want, axis in ((lu_solve(lu, eye), 1j * kinv_qq, 0),
+                                    (lu_solve(lu, eye, trans=2), -1j * dagger(kinv_qq), 1))
+        ))
+
+        # Resolvent identity.
+        lhs = sum((dagger(kinv) @ dagger(big_f) @ big_f @ kinv for big_f in lind.jumps),
+                  np.zeros((dfs.dim, dfs.dim), dtype=complex))
+        rhs = -1j * (kinv - dagger(kinv))
+        resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
+
+        # Effective-jump norm identity.
+        coupling = effective_coupling(lind, pert)
+        lhs = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+        for f_eff, f in zip(eff.jumps_eff, pert.fs):
+            f_ul = four_corners(f, dfs).ul
+            lhs = lhs + dagger(f_eff) @ f_eff - dagger(f_ul) @ f_ul
+        x = coupling @ kinv @ coupling
+        rhs = -1j * (x - dagger(x))
+        jump_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs), frob(coupling) ** 2))
+
+        return IdentityReport(
+            adjoint_identity=adjoint_res,
+            offdiag_inverse=offdiag_res,
+            resolvent_identity=resolvent_res,
+            jump_norm_identity=jump_res,
+            tol=IDENTITY_TOL,
+        )
+
+    @cached_property
+    def corners(self) -> CornerSensitivityReport:
+        return corner_sensitivity(self.lind, self.pert)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import (
-    Perturbation,
-    effective_lindbladian_closed,
-    effective_lindbladian_general,
-    effective_to_superop,
-)
-from .lindblad import StructuredLindbladian, structured_lindbladian
+from .effective import Perturbation, Study, _general_blocks
+from .lindblad import structured_lindbladian
 from .operators import (
     DfsProjector,
     anticommutator_superop,
@@ -264,9 +259,8 @@ class RobustnessReport:
         return self.l_eff_norm_general <= self.tol * max(self.pert_norm ** 2, 1e-300)
 
 
-def robustness_check(rec: RecoveryChannel, lind: StructuredLindbladian, pert: Perturbation, *,
-                     tol: float = 1e-10) -> RobustnessReport:
-    """Evaluate codespace protection of the generator lind of rec under pert.
+def robustness_check(rec: RecoveryChannel, study: Study, *, tol: float = 1e-10) -> RobustnessReport:
+    """Evaluate codespace protection of the study's generator lind of rec under its pert.
 
     Computes L_eff by both routes and reports the hypotheses of the
     protection statement separately: recovery conditions, correctability of
@@ -274,14 +268,12 @@ def robustness_check(rec: RecoveryChannel, lind: StructuredLindbladian, pert: Pe
     lind. When a hypothesis fails the report says so and carries the
     (generally nonzero) L_eff anyway.
     """
+    lind, pert, eff = study.lind, study.pert, study.closed
     structure_ok = lind.report.passed
     conditions = check_recovery_conditions(rec)
     detectable = [four_corners(f, rec.code).ll for f in pert.fs]
     corr = correctability_check(detectable, rec)
     entries = tuple(classify_miscalibration(f, rec) for f in pert.fs)
-    eff = effective_lindbladian_closed(lind, pert)
-    closed = effective_to_superop(eff)
-    general = effective_lindbladian_general(lind, pert)
     b = lind.dfs.basis
     cp_part = eff.cp_superop - 0.5 * anticommutator_superop(dagger(b) @ eff.cp_adjoint_identity @ b)
     h_norm = frob(lind.h)
@@ -296,8 +288,8 @@ def robustness_check(rec: RecoveryChannel, lind: StructuredLindbladian, pert: Pe
         h_eff_norm=frob(eff.h_eff),
         f_eff_norms=tuple(frob(f) for f in eff.jumps_eff),
         cp_part_norm=frob(cp_part),
-        l_eff_norm=frob(closed),
-        l_eff_norm_general=frob(general),
+        l_eff_norm=frob(study.closed_block),
+        l_eff_norm_general=frob(study.general),
         pert_norm=pert.norm(),
         tol=tol,
     )
@@ -355,23 +347,21 @@ def hamiltonian_obstruction_demo(eps: float = 1e-2, hamiltonian_scale: float = 0
     cells = []
     for h_on in (False, True):
         lind = structured_lindbladian(h, rec.kraus, rec.code) if h_on else lind0
+        perts = []
         for det_on in (False, True):
-            base = pauli_miscalibration("X" if det_on else "Z", eps)
+            pert = pauli_miscalibration("X" if det_on else "Z", eps)
             if h_on:
-                stripped = tuple(f - four_corners(f, rec.code).ll for f in base.fs)
+                stripped = tuple(f - four_corners(f, rec.code).ll for f in pert.fs)
                 drive = coherent_cancellation_drive(lind, stripped, cancel_induced_hamiltonian=True)
-                pert = Perturbation(v=drive.v, fs=base.fs)
-                applied = True
-            else:
-                pert = base
-                applied = False
-            general = effective_lindbladian_general(lind, pert)
-            closed = effective_to_superop(effective_lindbladian_closed(lind, pert))
+                pert = Perturbation(v=drive.v, fs=pert.fs)
+            perts.append(pert)
+        # Both cells of a generator take the general route in one batch.
+        for det_on, pert, general in zip((False, True), perts, _general_blocks(lind, perts)):
             cells.append(ObstructionCell(
                 hamiltonian_on=h_on,
                 detectable_on=det_on,
-                drive_applied=applied,
+                drive_applied=h_on,
                 l_eff_norm=frob(general),
-                l_eff_norm_closed=frob(closed),
+                l_eff_norm_closed=frob(Study(lind, pert).closed_block),
             ))
     return ObstructionTable(cells=tuple(cells), eps=eps, hamiltonian_scale=hamiltonian_scale)

@@ -35,13 +35,10 @@ import numpy as np
 
 from .effective import (
     Perturbation,
+    Study,
     _random_hermitian,
     effective_coupling,
-    effective_lindbladian_closed,
-    effective_lindbladian_general,
-    effective_to_superop,
     random_structured_instance,
-    route_agreement,
 )
 from .lindblad import (
     StructuredLindbladian,
@@ -206,7 +203,7 @@ def _check_conditions(jumps, fs, dfs: DfsProjector, condition_tol: float):
     return surj, orth, f_ll, messages
 
 
-def cancellation_check(lind: StructuredLindbladian, pert: Perturbation, *, tol: float = 1e-10,
+def cancellation_check(study: Study, *, tol: float = 1e-10,
                        condition_tol: float = 1e-9) -> CancellationReport:
     """Evaluate generic cancellation: H = 0, V = 0, conditions met, f_ll = 0.
 
@@ -215,16 +212,15 @@ def cancellation_check(lind: StructuredLindbladian, pert: Perturbation, *, tol: 
     tolerance. Violated hypotheses are reported, not raised, so near-misses
     can be quantified.
     """
+    lind, pert = study.lind, study.pert
     surj, orth, f_ll, violated = _check_conditions(lind.jumps, pert.fs, lind.dfs, condition_tol)
-    eff = effective_lindbladian_closed(lind, pert)
-    l_eff = effective_lindbladian_general(lind, pert)
     return CancellationReport(
         surjectivity=surj,
         orthogonality=orth,
         f_ll_norms=f_ll,
         conditions_met=not violated and not lind.h.any() and not pert.v.any(),
-        f_eff_norms=tuple(frob(f) for f in eff.jumps_eff),
-        l_eff_norm=frob(l_eff),
+        f_eff_norms=tuple(frob(f) for f in study.closed.jumps_eff),
+        l_eff_norm=frob(study.general),
         pert_norm=pert.norm(),
         tol=tol,
     )
@@ -328,14 +324,13 @@ def pauli_lowering_targets(scale: float, dim: int):
 
 @dataclass
 class ScenarioBundle:
-    """A scenario's generator and perturbation, its report details and its verdicts.
+    """A scenario's study (its generator and perturbation), report details and verdicts.
 
     details may hold numpy arrays and complex numbers; the report writer
     encodes them.
     """
 
-    lind: StructuredLindbladian
-    pert: Perturbation
+    study: Study
     details: dict
     verdicts: dict
 
@@ -402,11 +397,9 @@ def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> li
 
 def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
     tl = ThreeLevelParams(delta=params["delta"], Gamma=params["Gamma"], gamma=params["gamma"])
-    lind, pert = three_level_system(tl)
-    eff = effective_lindbladian_closed(lind, pert)
-    general = effective_lindbladian_general(lind, pert)
-    scaled_residual = route_agreement(general, effective_to_superop(eff), pert)
-    basis = lind.dfs.basis
+    study = Study(*three_level_system(tl))
+    eff = study.closed
+    basis = study.lind.dfs.basis
     f_block = dagger(basis) @ eff.jumps_eff[0] @ basis
     f_eff_norm = frob(eff.jumps_eff[0])
     dark = tl.delta == 0.0
@@ -416,13 +409,13 @@ def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
         "f_eff_entry": f_block[0, 1],
         "f_eff_norm": f_eff_norm,
         "h_eff": dagger(basis) @ eff.h_eff @ basis,
-        "equivalence_residual": scaled_residual,
+        "equivalence_residual": study.scaled_residual,
         "dark_state_case": dark,
     }
-    verdicts = {"routes_agree": bool(scaled_residual <= tol)}
+    verdicts = {"routes_agree": bool(study.scaled_residual <= tol)}
     if dark:
         verdicts["effective_jump_vanishes"] = bool(f_eff_norm <= 1e-12)
-    return ScenarioBundle(lind, pert, details, verdicts)
+    return ScenarioBundle(study, details, verdicts)
 
 
 def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundle:
@@ -432,9 +425,9 @@ def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundl
     rng = np.random.default_rng((seed, 1))
     zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
     fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
-    lind = structured_lindbladian(zero, jumps, dfs)
-    pert = Perturbation(v=zero.copy(), fs=tuple(fs))
-    rep = cancellation_check(lind, pert, tol=tol)
+    study = Study(structured_lindbladian(zero, jumps, dfs),
+                  Perturbation(v=zero.copy(), fs=tuple(fs)))
+    rep = cancellation_check(study, tol=tol)
     details = {
         "dfs_dim": d,
         "blocks": list(blocks),
@@ -446,7 +439,7 @@ def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundl
         "perturbation_norm": rep.pert_norm,
     }
     verdicts = {"conditions_met": rep.conditions_met, "cancelled": rep.cancelled}
-    return ScenarioBundle(lind, pert, details, verdicts)
+    return ScenarioBundle(study, details, verdicts)
 
 
 def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBundle:
@@ -458,23 +451,23 @@ def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBu
     fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
     counter_term = not params["keep_induced_hamiltonian"]
     pert = coherent_cancellation_drive(lind, fs, cancel_induced_hamiltonian=counter_term)
-    eff = effective_lindbladian_closed(lind, pert)
-    l_eff_norm = frob(effective_lindbladian_general(lind, pert))
+    study = Study(lind, pert)
+    l_eff_norm = frob(study.general)
     scale = max(pert.norm() ** 2, 1e-300)
-    f_eff_norms = [frob(f) for f in eff.jumps_eff]
+    f_eff_norms = [frob(f) for f in study.closed.jumps_eff]
     details = {
         "dfs_dim": d,
         "blocks": list(blocks),
         "counter_term_applied": counter_term,
         "effective_jump_norms": f_eff_norms,
-        "h_eff_norm": frob(eff.h_eff),
+        "h_eff_norm": frob(study.closed.h_eff),
         "l_eff_norm": l_eff_norm,
         "perturbation_norm": pert.norm(),
     }
     verdicts = {"effective_jumps_vanish": bool(max(f_eff_norms, default=0.0) <= tol * scale)}
     if counter_term:
         verdicts["generator_vanishes"] = bool(l_eff_norm <= tol * scale)
-    return ScenarioBundle(lind, pert, details, verdicts)
+    return ScenarioBundle(study, details, verdicts)
 
 
 def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
@@ -488,8 +481,8 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
     rng = np.random.default_rng((seed, 3))
     target_h = _supported_hermitian(basis, rng, scale=params["scale"])
     targets = pauli_lowering_targets(params["scale"], lind.dim)
-    pert = universal_dissipation(lind, target_h, targets)
-    achieved = effective_lindbladian_general(lind, pert)
+    study = Study(lind, universal_dissipation(lind, target_h, targets))
+    achieved = study.general
     target_block = assemble_lindbladian(
         dagger(basis) @ target_h @ basis,
         [dagger(basis) @ t @ basis for t in targets],
@@ -505,4 +498,4 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
         "match_residual": residual,
     }
     verdicts = {"target_matched": bool(residual <= tol)}
-    return ScenarioBundle(lind, pert, details, verdicts)
+    return ScenarioBundle(study, details, verdicts)

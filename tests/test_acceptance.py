@@ -11,6 +11,7 @@ import pytest
 from ejof.dynamics import SweepConfig, convergence_order, drift_constants, evolve_and_compare
 from ejof.effective import (
     Perturbation,
+    Study,
     corner_sensitivity,
     effective_lindbladian_closed,
     effective_lindbladian_general,
@@ -108,8 +109,8 @@ def test_criterion_02_dual_route_equivalence(instance_pool):
 def _zero_hamiltonian_check(jumps, fs, dfs):
     """cancellation_check on the H = 0 generator of the jumps and the V = 0 perturbation fs."""
     zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    return cancellation_check(structured_lindbladian(zero, jumps, dfs),
-                              Perturbation(v=zero, fs=tuple(fs)))
+    return cancellation_check(Study(structured_lindbladian(zero, jumps, dfs),
+                                    Perturbation(v=zero, fs=tuple(fs))))
 
 
 def test_criterion_03_generic_cancellation():
@@ -216,13 +217,13 @@ def test_criterion_05_universal_dissipation():
 def test_criterion_06_qec_robustness():
     rec, lind = repetition_code_recovery()
     eps = 1e-2
-    rep_x = robustness_check(rec, lind, pauli_miscalibration("X", eps))
-    rep_z = robustness_check(rec, lind, pauli_miscalibration("Z", eps))
+    rep_x = robustness_check(rec, Study(lind, pauli_miscalibration("X", eps)))
+    rep_z = robustness_check(rec, Study(lind, pauli_miscalibration("Z", eps)))
     protected_ok = (
         rep_x.hypotheses_met and rep_x.l_eff_norm_general <= 1e-10 * eps ** 2
         and rep_z.hypotheses_met and rep_z.l_eff_norm_general <= 1e-10 * eps ** 2
     )
-    rep_y = robustness_check(rec, lind, pauli_miscalibration("Y", eps))
+    rep_y = robustness_check(rec, Study(lind, pauli_miscalibration("Y", eps)))
     y_nonzero = (not rep_y.hypotheses_met) and rep_y.l_eff_norm_general > 1e-6
 
     table = hamiltonian_obstruction_demo(eps=eps, hamiltonian_scale=0.3, seed=7)

@@ -482,6 +482,12 @@ def test_evolve_rejects_bad_epsilons(tmp_path, capsys):
     assert main(["evolve", problem, "--epsilons", "0.04,-0.02"]) == 2
 
 
+def test_evolve_rejects_duplicate_epsilons(tmp_path, capsys):
+    problem = three_level_problem(tmp_path)
+    assert main(["evolve", problem, "--epsilons", "0.04,0.04"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: epsilons must be distinct\n"
+
+
 def test_argparse_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["effective"])  # missing the problem argument
@@ -610,3 +616,40 @@ def test_each_run_builds_its_generator_once(argv, monkeypatch):
             monkeypatch.setattr(module, "structured_lindbladian", counted)
     assert main(argv) == cli.EXIT_OK
     assert len(calls) == 1
+
+
+# (closed-route evaluations, L^D solves) per command. A study runs each route
+# once: the general route is one solve and the corner-sensitivity batch one
+# more, and the obstruction table takes both cells of a generator in one batch.
+ROUTE_RUNS = {
+    "effective-explicit": (lambda tmp: ["effective", explicit_problem(tmp)], 1, 1),
+    "effective-scenario-file": (lambda tmp: ["effective", three_level_problem(tmp)], 1, 1),
+    "verify-explicit": (lambda tmp: ["verify", explicit_problem(tmp)], 1, 2),
+    "verify-scenario-file": (lambda tmp: ["verify", three_level_problem(tmp)], 1, 2),
+    "qec-obstruction": (lambda tmp: ["qec", "repetition", "--obstruction"], 4, 2),
+    "scenario": (lambda tmp: ["scenario", "three-level"], 1, 1),
+    "qec-miscal": (lambda tmp: ["qec", "repetition", "--miscal", "X"], 1, 1),
+}
+
+
+@pytest.mark.parametrize("make, closed, solves", ROUTE_RUNS.values(), ids=ROUTE_RUNS.keys())
+def test_each_route_runs_once_per_study(make, closed, solves, tmp_path, monkeypatch):
+    route = "effective_lindbladian_closed"
+    real = getattr(ejof.effective, route)
+    closed_calls, solve_calls = [], []
+
+    def counted(*args, **kwargs):
+        closed_calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ejof" and getattr(module, route, None) is real:
+            monkeypatch.setattr(module, route, counted)
+    for factor in (ejof.lindblad.BorderedFactor, ejof.lindblad.OrderedSchur):
+        def counting(self, y, original=factor.apply_drazin):
+            solve_calls.append(y.shape[1])
+            return original(self, y)
+
+        monkeypatch.setattr(factor, "apply_drazin", counting)
+    assert main(make(tmp_path)) == cli.EXIT_OK
+    assert (len(closed_calls), len(solve_calls)) == (closed, solves)

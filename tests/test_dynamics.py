@@ -39,6 +39,11 @@ def test_config_validates():
         SweepConfig(epsilons=(0.1, -0.1), taus=(1.0,), initial_states=states)
     with pytest.raises(ValueError, match="taus"):
         SweepConfig(epsilons=(0.1,), taus=(-1.0,), initial_states=states)
+    for grid in ({"epsilons": (0.04, 0.04), "taus": (1.0,)},
+                 {"epsilons": (0.04, 0.02, 0.04), "taus": (1.0,)},
+                 {"epsilons": (0.1,), "taus": (1.0, 2.0, 1.0)}):
+        with pytest.raises(ValueError, match="must be distinct"):
+            SweepConfig(initial_states=states, **grid)
     cfg = SweepConfig(epsilons=(0.1,), taus=(0.0, 1.0), initial_states=states)
     assert cfg.order == 2
     assert SweepConfig(

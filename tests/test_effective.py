@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
+import ejof.lindblad
 from ejof.effective import (
     Perturbation,
+    Study,
     corner_sensitivity,
     effective_coupling,
     effective_lindbladian_closed,
@@ -183,6 +187,39 @@ def test_corner_sensitivity_takes_one_drazin_solve(count_drazin_solves, generic_
     widths = count_drazin_solves(lind)
     corner_sensitivity(lind, pert)
     assert widths == [5 * lind.dfs.d ** 2]
+
+
+def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch):
+    # The routes stay independent: the general block of a fresh study uses
+    # neither Kinv, the coupling C nor a decaying-sector solve.
+    lind, pert = generic_instance
+    for name in ("nh_hamiltonian_inverse", "effective_coupling"):
+        real = getattr(sys.modules["ejof.effective"], name)
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"the general route called {name}")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "ejof" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(ejof.lindblad.SectorSolver, "solve", lambda self, c: pytest.fail(
+        "the general route called SectorSolver.solve"))
+    study = Study(lind, pert)
+    general = study.general
+    assert "closed" not in vars(study) and "closed_block" not in vars(study)
+    monkeypatch.undo()
+    assert np.array_equal(general, effective_lindbladian_general(lind, pert))
+
+
+def test_study_reports_match_the_check_functions(generic_instance):
+    lind, pert = generic_instance
+    study = Study(lind, pert)
+    assert study.equivalence == verify_equivalence(lind, pert)
+    assert study.identities == identity_suite(lind, pert)
+    assert study.corners == corner_sensitivity(lind, pert)
+    assert verify_equivalence(lind, pert, tol=1e-30).tol == 1e-30
+    assert not identity_suite(lind, pert, tol=0.0).passed
+    assert study.scaled_residual <= 1e-12
 
 
 def test_generator_scales_quadratically():

@@ -84,3 +84,18 @@ def test_cli_run_does_not_import_scipy_sparse():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+ROUTE_FUNCTIONS = {"effective_lindbladian_general", "effective_lindbladian_closed",
+                   "effective_to_superop", "_general_blocks", "verify_equivalence",
+                   "identity_suite", "corner_sensitivity"}
+
+
+@pytest.mark.parametrize("name", ["cli.py", "scenarios.py"])
+def test_commands_and_scenarios_read_the_routes_through_a_study(name):
+    # A Study runs each route and check once per (generator, perturbation);
+    # a direct call here would run one again.
+    tree = ast.parse((Path(ejof.__file__).parent / name).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & ROUTE_FUNCTIONS

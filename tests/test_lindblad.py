@@ -360,7 +360,7 @@ def test_bordered_factor_matches_schur_oracle(make):
 def _scenario_lindbladian(name):
     if name == "repetition":
         return repetition_code_recovery()[1]
-    return build_scenario(name, {}, 0, 1e-9).lind
+    return build_scenario(name, {}, 0, 1e-9).study.lind
 
 
 def _wide_stiff_lindbladian(d=2, n=12):

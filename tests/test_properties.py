@@ -4,23 +4,28 @@ Each example draws a normal-form generator (DFS of dimension d, n decaying
 levels, 1-3 jumps, a defective K_qq when n == 2 and asked for, optionally an
 extra zero jump) with a full-corner perturbation, and checks the structured
 spectrum, the bordered factor against the dense Schur oracle, the dual-route
-agreement and the insensitivity to the inert perturbation corners. Route
-residuals and corner deltas are read on the second-order problem scale
-max(||general||, ||closed||, ||pert||^2): for d = 1 the effective generator
-vanishes identically.
+agreement and the insensitivity to the inert perturbation corners. Two
+metamorphic properties check each route on its own against an exact symmetry
+of the GKSL form: mixing the jumps and their deformations by one unitary, and
+shifting V by a multiple of the identity, leave the effective generator
+unchanged. Route residuals, corner deltas and the symmetry residuals are read
+on the second-order problem scale max(||general||, ||closed||, ||pert||^2):
+for d = 1 the effective generator vanishes identically.
 """
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from ejof.effective import (
     RESIDUAL_FLOOR,
+    Perturbation,
     corner_sensitivity,
     effective_lindbladian_closed,
     effective_lindbladian_general,
     effective_to_superop,
     random_structured_instance,
 )
-from ejof.lindblad import BorderedFactor, drazin_inverse
+from ejof.lindblad import BorderedFactor, drazin_inverse, structured_lindbladian
 from ejof.operators import frob
 
 
@@ -56,3 +61,41 @@ def test_structured_instance_properties(instance):
     # corner_sensitivity reports ||stripped - general|| / max(||general||, floor).
     corner = max(corner_sensitivity(lind, pert).as_dict().values())
     assert corner * max(frob(general), RESIDUAL_FLOOR) <= 1e-10 * scale
+
+
+def _routes(lind, pert):
+    """(general block, closed block) of one generator and perturbation."""
+    return (effective_lindbladian_general(lind, pert),
+            effective_to_superop(effective_lindbladian_closed(lind, pert)))
+
+
+def _assert_each_route_unchanged(lind, pert, moved_lind, moved_pert):
+    before = _routes(lind, pert)
+    scale = max(frob(before[0]), frob(before[1]), pert.norm() ** 2)
+    for old, new in zip(before, _routes(moved_lind, moved_pert)):
+        assert frob(new - old) <= 1e-12 * scale
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(instances(), st.integers(0, 2 ** 16))
+def test_jump_mixing_leaves_each_route_unchanged(instance, seed):
+    # F_l -> sum_k u_lk F_k and f_l -> sum_k u_lk f_k with u unitary.
+    lind, pert = instance
+    rng = np.random.default_rng(seed)
+    n = len(lind.jumps)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+    def mix(ops):
+        return tuple(np.einsum("lk,kij->lij", u, np.array(ops)))
+
+    mixed = structured_lindbladian(lind.h, mix(lind.jumps), lind.dfs)
+    _assert_each_route_unchanged(lind, pert, mixed, Perturbation(v=pert.v, fs=mix(pert.fs)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(instances(), st.floats(-10.0, 10.0))
+def test_identity_shift_leaves_each_route_unchanged(instance, c):
+    # V -> V + c I.
+    lind, pert = instance
+    shifted = Perturbation(v=pert.v + c * np.eye(lind.dim), fs=pert.fs)
+    _assert_each_route_unchanged(lind, pert, lind, shifted)

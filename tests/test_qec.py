@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ejof.effective import effective_lindbladian_general
+from ejof.effective import Study, effective_lindbladian_general
 from ejof.lindblad import structured_lindbladian
 from ejof.operators import dagger, four_corners, frob
 from ejof.qec import (
@@ -120,7 +120,7 @@ def test_y_channel_is_not_correctable(repetition):
 def test_protected_miscalibrations(repetition, kind):
     rec, lind = repetition
     eps = 1e-2
-    rep = robustness_check(rec, lind, pauli_miscalibration(kind, eps))
+    rep = robustness_check(rec, Study(lind, pauli_miscalibration(kind, eps)))
     assert rep.structure_ok
     assert rep.hypotheses_met
     assert rep.protected
@@ -131,7 +131,7 @@ def test_protected_miscalibrations(repetition, kind):
 def test_y_miscalibration_breaks_protection(repetition):
     rec, lind = repetition
     eps = 1e-2
-    rep = robustness_check(rec, lind, pauli_miscalibration("Y", eps))
+    rep = robustness_check(rec, Study(lind, pauli_miscalibration("Y", eps)))
     assert not rep.hypotheses_met
     assert not rep.correctability.passed
     assert not rep.protected
@@ -156,7 +156,7 @@ def test_hamiltonian_defeats_hypotheses(repetition):
     bq = rec.code.basis_c
     h += 0.2 * bq @ np.eye(6) @ dagger(bq)
     lind = structured_lindbladian(h, rec.kraus, rec.code, validate=False)
-    rep = robustness_check(rec, lind, pauli_miscalibration("X", 1e-2))
+    rep = robustness_check(rec, Study(lind, pauli_miscalibration("X", 1e-2)))
     assert rep.hamiltonian_norm > 0
     assert not rep.hypotheses_met
 
@@ -180,3 +180,10 @@ def test_obstruction_cell_lookup_raises():
     table = hamiltonian_obstruction_demo(eps=1e-2)
     with pytest.raises(KeyError):
         table.cell(True, None)
+
+
+def test_obstruction_takes_one_drazin_solve_per_generator(count_drazin_solves, repetition):
+    _, lind = repetition
+    widths = count_drazin_solves(lind)
+    hamiltonian_obstruction_demo()
+    assert widths == [2 * lind.dfs.d ** 2] * 2

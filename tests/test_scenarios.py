@@ -3,6 +3,7 @@ import pytest
 
 from ejof.effective import (
     Perturbation,
+    Study,
     effective_lindbladian_closed,
     effective_lindbladian_general,
     random_structured_instance,
@@ -129,8 +130,8 @@ def test_orthogonal_family_validates_blocks():
 def zero_hamiltonian_check(jumps, fs, dfs):
     """cancellation_check on the H = 0 generator of the jumps and the V = 0 perturbation fs."""
     zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    return cancellation_check(structured_lindbladian(zero, jumps, dfs),
-                              Perturbation(v=zero, fs=tuple(fs)))
+    return cancellation_check(Study(structured_lindbladian(zero, jumps, dfs),
+                                    Perturbation(v=zero, fs=tuple(fs))))
 
 
 def strip_ll(f, dfs):
@@ -191,13 +192,14 @@ def test_cancellation_hypotheses_include_zero_h_and_v():
     fs = tuple(random_deformations(jumps, dfs, 51))
     zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
     lind = structured_lindbladian(zero, jumps, dfs)
-    assert cancellation_check(lind, Perturbation(v=zero, fs=fs)).conditions_met
+    assert cancellation_check(Study(lind, Perturbation(v=zero, fs=fs))).conditions_met
     h = zero.copy()
     h[2:, 2:] = 0.3 * np.eye(4)  # a decaying-block Hamiltonian
-    with_h = cancellation_check(structured_lindbladian(h, jumps, dfs), Perturbation(v=zero, fs=fs))
+    with_h = cancellation_check(Study(structured_lindbladian(h, jumps, dfs),
+                                      Perturbation(v=zero, fs=fs)))
     v = zero.copy()
     v[0, 0] = 1e-3
-    with_v = cancellation_check(lind, Perturbation(v=v, fs=fs))
+    with_v = cancellation_check(Study(lind, Perturbation(v=v, fs=fs)))
     assert not with_h.conditions_met
     assert not with_v.conditions_met
     assert with_h.surjectivity == with_v.surjectivity
