@@ -9,7 +9,8 @@ t ~ 1/eps^2, so the sweep fixes a grid of rescaled times tau and compares
 
 in trace distance, where L_full is the exactly perturbed generator, P_inf the
 unperturbed asymptotic projection (removing the O(eps) dressing outside the
-DFS), and L_eff(eps) the effective generator at that strength. L_eff comes as
+DFS; the generator's factor applies it to the propagated states), and
+L_eff(eps) the effective generator at that strength. L_eff comes as
 its (d^2, d^2) DFS block and vanishes off the DFS corner, so only the DFS
 corner of rho_0 evolves, under exp(t block) (:func:`propagate_effective`).
 Agreement must improve as eps decreases; the fitted log-log slope of the error
@@ -39,6 +40,7 @@ from .operators import (
     frob,
     trace_distance,
     vectorize,
+    vectorize_stack,
 )
 
 MODES = ("first-order", "second-order")
@@ -152,19 +154,19 @@ def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
     """Run the sweep and tabulate trace distances and sanity diagnostics."""
     for rho in config.initial_states:
         validate_initial_state(rho, lind.dfs)
-    pinf = lind.asymptotic_projection
     cells = []
     scaled = [pert.scaled(eps) for eps in config.epsilons]
+    states = vectorize_stack(np.array(config.initial_states))
     for eps, pert_eps, l_eff in zip(config.epsilons, scaled, _general_blocks(lind, scaled)):
         l_full = perturbed_superop(lind, pert_eps)
         for tau in config.taus:
             t = tau / eps ** config.order
-            prop_raw = expm(t * l_full)
-            prop_full = pinf @ prop_raw
+            raws = expm(t * l_full) @ states
+            fulls = lind.factor.apply_projection(raws)
             effs = propagate_effective(l_eff, lind.dfs.basis, t, config.initial_states)
             for idx, (rho, eff) in enumerate(zip(config.initial_states, effs)):
-                raw = devectorize(prop_raw @ vectorize(rho))
-                full = devectorize(prop_full @ vectorize(rho))
+                raw = devectorize(raws[:, idx])
+                full = devectorize(fulls[:, idx])
                 cells.append(SweepCell(
                     epsilon=eps,
                     tau=tau,

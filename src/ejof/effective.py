@@ -59,12 +59,14 @@ from .operators import (
     apply_superop,
     as_operator,
     dagger,
+    devectorize_columns,
     dfs_columns,
     four_corners,
     frob,
     gksl_superop,
     require_hermitian,
     vectorize,
+    vectorize_stack,
 )
 
 RESIDUAL_FLOOR = 1e-14
@@ -179,17 +181,6 @@ def _apply_o2(fs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack(cols: np.ndarray, dim: int) -> np.ndarray:
-    """(D^2, m) vec columns -> (m, D, D) stack of the operators they stack."""
-    return cols.T.reshape(-1, dim, dim).transpose(0, 2, 1)
-
-
-def _columns(stack: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_stack`; leading axes of the stack are flattened."""
-    dim = stack.shape[-1]
-    return stack.reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim * dim).T
-
-
 def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
     """First- and second-order perturbation superoperators (O1, O2) as matrices.
 
@@ -206,8 +197,9 @@ def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
     """
     v, fs = _stacked(lind, [pert])
     a = _o1_coefficient(lind, v, fs)
-    units = _stack(np.eye(lind.dim ** 2, dtype=complex), lind.dim)
-    return _columns(_apply_o1(a, lind.jumps, fs, units)), _columns(_apply_o2(fs, units))
+    units = devectorize_columns(np.eye(lind.dim ** 2, dtype=complex))
+    return (vectorize_stack(_apply_o1(a, lind.jumps, fs, units)),
+            vectorize_stack(_apply_o2(fs, units)))
 
 
 def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
@@ -216,21 +208,22 @@ def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     Block k is E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] for the
     O1, O2 of perturbation k. The d^2 operators P_inf E are built once and
     shared, O1 and O2 act on them as stacked D x D products, and L^D is
-    applied to the K d^2 columns O1 P_inf E in one solve. Only the
-    generator's own spectral factor and asymptotic projection enter, so the
-    route stays independent of the closed one.
+    applied to the K d^2 columns O1 P_inf E in one solve. P_inf enters only
+    through the d^2 columns P_inf E and P_inf† E (E and J for a
+    :class:`~ejof.lindblad.CornerFactor`), never as a D^2 x D^2 matrix. Only
+    the generator's own spectral factor enters, so the route stays
+    independent of the closed one.
     """
     v, fs = _stacked(lind, perts)
-    dim = lind.dim
     e = dfs_columns(lind.dfs.basis)
-    pinf = lind.asymptotic_projection
-    x = _stack(pinf @ e, dim)
+    x = devectorize_columns(lind.factor.apply_projection(e))
     a = _o1_coefficient(lind, v, fs)
     o1x = _apply_o1(a, lind.jumps, fs, x)
-    ld_o1x = _stack(lind.factor.apply_drazin(_columns(o1x)), dim).reshape(o1x.shape)
-    cols = _columns(o1x + _apply_o2(fs, x) - _apply_o1(a, lind.jumps, fs, ld_o1x))
+    ld_o1x = devectorize_columns(lind.factor.apply_drazin(vectorize_stack(o1x))).reshape(o1x.shape)
+    cols = vectorize_stack(o1x + _apply_o2(fs, x) - _apply_o1(a, lind.jumps, fs, ld_o1x))
     m = x.shape[0]
-    return (dagger(e) @ pinf @ cols).reshape(m, len(perts), m).transpose(1, 0, 2)
+    j = lind.factor.apply_projection(e, adjoint=True)
+    return (dagger(j) @ cols).reshape(m, len(perts), m).transpose(1, 0, 2)
 
 
 def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
@@ -251,6 +244,9 @@ class EffectiveGenerator:
     (E_eff reads and writes only the DFS corner, so the block is all of it);
     cp_adjoint_identity = sum_l f_ll_l† f_ll_l is its adjoint applied to the
     identity, used for the trace-conserving anticommutator counterweight.
+    kinv (the embedded decaying-block inverse of K) and coupling (C of
+    :func:`effective_coupling`) are the pieces the operators were built
+    from; :attr:`Study.identities` reads them here.
     """
 
     h_eff: np.ndarray
@@ -258,6 +254,8 @@ class EffectiveGenerator:
     cp_superop: np.ndarray
     cp_adjoint_identity: np.ndarray
     dfs: DfsProjector
+    kinv: np.ndarray
+    coupling: np.ndarray
 
 
 def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation) -> EffectiveGenerator:
@@ -295,6 +293,8 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
         cp_superop=cp_superop,
         cp_adjoint_identity=adj_id,
         dfs=dfs,
+        kinv=kinv,
+        coupling=coupling,
     )
 
 
@@ -464,7 +464,7 @@ class Study:
         """The operator identities that tie the two routes together."""
         lind, pert, eff = self.lind, self.pert, self.closed
         dfs = lind.dfs
-        kinv = nh_hamiltonian_inverse(lind.k, dfs)
+        kinv, coupling = eff.kinv, eff.coupling
 
         # E_eff adjoint on the identity, in the block basis.
         bp, bq = dfs.basis, dfs.basis_c
@@ -492,7 +492,6 @@ class Study:
         resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
         # Effective-jump norm identity.
-        coupling = effective_coupling(lind, pert)
         lhs = np.zeros((dfs.dim, dfs.dim), dtype=complex)
         for f_eff, f in zip(eff.jumps_eff, pert.fs):
             f_ul = four_corners(f, dfs).ul

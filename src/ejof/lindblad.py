@@ -27,11 +27,14 @@ cut is relative to that radius, |lambda| <= 1e-8 max(1, rho(L)), so no norm
 of a structured L is taken. L itself is assembled once, in K form, with one
 GEMM for the jump sum (:func:`~ejof.operators.gksl_superop`). When every
 structural check passes, the Drazin inverse and the asymptotic projection
-come from one LU of the bordered matrix [[L, E], [E†, 0]], with E the DFS
-columns of ker L (:class:`BorderedFactor`). A generator that fails a check
-falls back to one dense ordered complex Schur form of L (:class:`OrderedSchur`),
-which also serves the free functions :func:`drazin_inverse` and
-:func:`asymptotic_projection` and the tests as an oracle. The decaying-sector
+come from eliminating the DFS corner (:class:`CornerFactor`): in the frame
+of the DFS basis, L is block-triangular with its kernel on the DFS corner,
+and both are read off LUs of the decaying-corner blocks of L, block
+diagonal over ll, ur and lr under the normal form. A generator that fails a
+check falls back to one dense ordered complex Schur form of L
+(:class:`OrderedSchur`), which also serves the free functions
+:func:`drazin_inverse` and :func:`asymptotic_projection` and the tests as an
+oracle. The decaying-sector
 map sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
 Bartels-Stewart on the cached Schur form of K_qq; its dense Kronecker form is
 kept in :func:`nh_superop_inverse_lr` as an independent oracle.
@@ -45,22 +48,25 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve, schur, solve_triangular
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg import expm, lu_factor, schur, solve_triangular
+from scipy.linalg.lapack import zgetri, zgetrs, ztrsyl
 
 from .operators import (
     DEFAULT_TOL,
     DfsProjector,
     as_operator,
     dagger,
+    devectorize_columns,
     dfs_columns,
     four_corners,
     frob,
     gksl_superop,
     require_hermitian,
     sandwich_superop,
+    vectorize_stack,
 )
 
 # Relative threshold separating the zero cluster of a superoperator spectrum.
@@ -166,8 +172,8 @@ class OrderedSchur:
     This is the dense fallback of the spectral layer: generators that fail a
     structural check, the free functions :func:`drazin_inverse` and
     :func:`asymptotic_projection`, and the tests' oracle. It exposes the same
-    ``drazin``/``projection``/``apply_drazin`` interface as
-    :class:`BorderedFactor`.
+    ``drazin``/``projection``/``apply_drazin``/``apply_projection`` interface
+    as :class:`CornerFactor`.
     """
 
     t: np.ndarray
@@ -223,67 +229,190 @@ class OrderedSchur:
         return z1 @ (inv11 @ (dagger(z1) @ y + x @ (dagger(z2) @ y)))
 
     def drazin(self) -> np.ndarray:
-        return self.apply_drazin(np.eye(self.t.shape[0], dtype=complex))
+        """S^D = Z1 inv(T11) (Z1† + inv(T11) T12 Z2†)."""
+        inv11, x = self._split
+        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
+        return z1 @ (inv11 @ (dagger(z1) + x @ dagger(z2)))
+
+    def _steady_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Z2 - Z1 inv(T11) T12 and Z2, so that P_inf = (Z2 - Z1 inv(T11) T12) Z2†."""
+        _, x = self._split
+        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
+        return z2 - z1 @ x, z2
+
+    def apply_projection(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """P_inf y, or P_inf† y, for columns y, read off the Z blocks."""
+        left, z2 = self._steady_columns()
+        if adjoint:
+            return z2 @ (dagger(left) @ y)
+        return left @ (dagger(z2) @ y)
 
     def projection(self) -> np.ndarray:
         """P_inf = I - S S^D = (Z2 - Z1 inv(T11) T12) Z2†."""
-        _, x = self._split
-        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
-        return (z2 - z1 @ x) @ dagger(z2)
+        left, z2 = self._steady_columns()
+        return left @ dagger(z2)
+
+
+def _permutation(u: np.ndarray) -> np.ndarray | None:
+    """Row of the unit entry of each column when U is a permutation matrix, else None."""
+    cols, rows = np.nonzero(u.T)
+    if cols.size == u.shape[1] and np.all(u[rows, cols] == 1):
+        return rows
+    return None
+
+
+def _frame_order(idx: np.ndarray, d: int) -> np.ndarray:
+    """Vec index of each position of the DFS frame, in corner order ul, ll, ur, lr.
+
+    Frame vector a is basis vector idx[a], the d DFS vectors first, so frame
+    entry (a, b) sits at vec index idx[a] + D idx[b]. Each corner is
+    column-stacked, so ul comes in the column order of :func:`dfs_columns`.
+    """
+    grid = idx + idx.size * idx[:, None]  # grid[b, a]: vec index of frame entry (a, b)
+    return np.concatenate([grid[:d, :d], grid[:d, d:], grid[d:, :d], grid[d:, d:]], axis=None)
+
+
+def _conjugated(cols: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """vec(A X A†) for each column vec(X)."""
+    return vectorize_stack(a @ devectorize_columns(cols) @ dagger(a))
 
 
 @dataclass(frozen=True, eq=False)
-class BorderedFactor:
-    """L^D and P_inf of a generator whose kernel is spanned by known columns E.
+class CornerFactor:
+    """L^D and P_inf of a generator whose kernel is its DFS corner, by eliminating that corner.
 
-    With ker L = range(E) and a semisimple zero eigenvalue, the bordered
-    matrix M = [[L, E], [E†, 0]] is nonsingular and is LU-factored once:
+    In the DFS frame U = [B, B_q], with vec indices ordered ul, ll, ur, lr, the
+    DFS columns E are the first m = d^2 unit columns, and u and r below index
+    the DFS corner and the three decaying corners. The bordered system
+    [[L, E], [E†, 0]] [z; c] = [y; 0] then reduces exactly to L_rr, whatever
+    L's DFS columns hold: z_u = 0 and z_r = L_rr^-1 y_r. With G = L_ur L_rr^-1,
 
-    * the left conserved quantities J (L† J = 0, E† J = I) solve
-      M† [J; 0] = [0; I], and P_inf = E J†;
-    * for columns y, M [z; c] = [y; 0] gives L z = (I - P_inf) y with
-      E† z = 0, and L^D y = z - E (J† z).
+        J† = [I, -G],   P_inf = E J†,   L^D = [[0, G L_rr^-1], [0, L_rr^-1]],
 
-    For a structured generator E = conj(B) kron B, the DFS columns. The LU is
-    taken on first use; it emits :class:`SpectralGapWarning` when ``gap`` is
-    within 100x of ``thresh``, as :class:`OrderedSchur` does.
+    the group inverse of a block-triangular matrix (Campbell and Meyer,
+    *Generalized Inverses of Linear Transformations*). Under the normal form
+    L_rr is block diagonal over ll and ur (side dn each) and lr (side n^2),
+    and each block is LU-factored apart. When a coupling block holds a
+    nonzero entry (a dense-projector frame, or leakage below the tolerance),
+    L_rr is factored whole, so no entry of L is dropped.
+
+    ``superop`` is L in the frame's basis, at the vec indices ``order``, and
+    W = conj(U) kron U takes frame columns back to vec columns. For an index
+    DFS, U is a permutation: ``superop`` is L itself, ``u`` is None, and
+    entering or leaving the frame is an index gather. Otherwise ``superop``
+    is the generator of U† H U and the U† F_l U, and columns are conjugated
+    by ``u`` on the way in and out. The factor reads only L's own
+    entries. The LUs are taken on first use, with a :class:`SpectralGapWarning`
+    when ``gap`` is within 100x of ``thresh``, as :class:`OrderedSchur` does.
     """
 
     superop: np.ndarray
-    e: np.ndarray
+    order: np.ndarray
+    u: np.ndarray | None
+    d: int
     thresh: float
     gap: float
 
+    @classmethod
+    def of(cls, superop: np.ndarray, h: np.ndarray, jumps, dfs: DfsProjector, *,
+           thresh: float, gap: float) -> "CornerFactor":
+        u = np.hstack([dfs.basis, dfs.basis_c])
+        idx = _permutation(u)
+        if idx is None:
+            superop = gksl_superop(dagger(u) @ h @ u, [dagger(u) @ f @ u for f in jumps])
+            idx = np.arange(dfs.dim)
+        else:
+            u = None
+        return cls(superop=superop, order=_frame_order(idx, dfs.d), u=u, d=dfs.d,
+                   thresh=thresh, gap=gap)
+
     @cached_property
-    def _solved(self):
-        """LU of M and the left conserved quantities J."""
+    def _factored(self) -> tuple[list, np.ndarray]:
+        """[(slice of r, LU of its diagonal block of L_rr)] and G = L_ur L_rr^-1."""
         _warn_if_gap_small(self.gap, self.thresh)
-        n, m = self.e.shape
-        bordered = np.zeros((n + m, n + m), dtype=complex)
-        bordered[:n, :n] = self.superop
-        bordered[:n, n:] = self.e
-        bordered[n:, :n] = dagger(self.e)
-        lu = lu_factor(bordered, overwrite_a=True, check_finite=False)
-        rhs = np.zeros((n + m, m), dtype=complex)
-        rhs[n:] = np.eye(m)
-        return lu, lu_solve(lu, rhs, trans=2, check_finite=False)[:n]
+        m = self.d ** 2
+        frame = self.superop[self.order[:, None], self.order]
+        l_ur, l_rr = frame[:m, m:], frame[m:, m:]
+        dn = self.d * (isqrt(self.order.size) - self.d)
+        # The coupling blocks of L_rr, as contiguous runs of the ll, ur and lr rows.
+        if (l_rr[:dn, dn:].any() or l_rr[dn:2 * dn, :dn].any()
+                or l_rr[dn:2 * dn, 2 * dn:].any() or l_rr[2 * dn:, :2 * dn].any()):
+            cuts = [slice(0, l_rr.shape[0])]
+        else:
+            cuts = [slice(0, dn), slice(dn, 2 * dn), slice(2 * dn, l_rr.shape[0])]
+        blocks, g = [], np.zeros_like(l_ur)
+        for cut in cuts:
+            lu = lu_factor(l_rr[cut, cut], check_finite=False)
+            blocks.append((cut, lu))
+            if l_ur[:, cut].any():  # under the normal form, only the lr block feeds ul
+                g[:, cut] = dagger(zgetrs(*lu, dagger(l_ur[:, cut]), trans=2)[0])
+        return blocks, g
+
+    def _unframe(self, out: np.ndarray) -> np.ndarray:
+        """W M W†, for a frame matrix M already scattered to the vec indices ``order``."""
+        if self.u is None:
+            return out
+        return dagger(_conjugated(dagger(_conjugated(out, self.u)), self.u))
+
+    def _enter(self, y: np.ndarray) -> np.ndarray:
+        """Columns y in the frame, in corner order."""
+        if self.u is not None:
+            y = _conjugated(y, dagger(self.u))
+        return y[self.order]
+
+    def _leave(self, z: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_enter`."""
+        out = np.empty(z.shape, dtype=complex)
+        out[self.order] = z
+        return out if self.u is None else _conjugated(out, self.u)
 
     def apply_drazin(self, y: np.ndarray) -> np.ndarray:
-        """L^D y for columns y, from one bordered solve."""
-        lu, j = self._solved
-        n = self.e.shape[0]
-        rhs = np.zeros((n + self.e.shape[1],) + y.shape[1:], dtype=complex)
-        rhs[:n] = y
-        z = lu_solve(lu, rhs, check_finite=False)[:n]
-        return z - self.e @ (dagger(j) @ z)
+        """L^D y = [G z_r; z_r] in the frame, z_r = L_rr^-1 y_r, for columns y."""
+        blocks, g = self._factored
+        y_r = self._enter(y)[self.d ** 2:]
+        z = np.empty(y_r.shape, dtype=complex)
+        for cut, lu in blocks:
+            z[cut] = zgetrs(*lu, y_r[cut])[0]
+        return self._leave(np.concatenate([g @ z, z]))
+
+    def apply_projection(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """P_inf y = E (J† y), or P_inf† y = J (E† y), for columns y.
+
+        P_inf E = E and E† P_inf = J† hold exactly: no D^2 x D^2 matrix is formed.
+        """
+        _, g = self._factored
+        m = self.d ** 2
+        y = self._enter(y)
+        if adjoint:
+            return self._leave(np.concatenate([y[:m], -dagger(g) @ y[:m]]))
+        return self._leave(np.concatenate([y[:m] - g @ y[m:], np.zeros(y[m:].shape)]))
 
     def drazin(self) -> np.ndarray:
-        return self.apply_drazin(np.eye(self.e.shape[0], dtype=complex))
+        """L^D = W [[0, G L_rr^-1], [0, L_rr^-1]] W†, written block by block.
+
+        Each block inverse comes from its LU (LAPACK getri), and the ul row is
+        G times it.
+        """
+        blocks, g = self._factored
+        m = self.d ** 2
+        order = self.order
+        out = np.zeros((order.size, order.size), dtype=complex)
+        for cut, lu in blocks:
+            inv = zgetri(*lu)[0]
+            rows = order[m + cut.start:m + cut.stop]
+            out[np.ix_(rows, rows)] = inv
+            out[np.ix_(order[:m], rows)] = g[:, cut] @ inv
+        return self._unframe(out)
 
     def projection(self) -> np.ndarray:
-        """P_inf = E J†."""
-        _, j = self._solved
-        return self.e @ dagger(j)
+        """P_inf = E J† = W [[I, -G], [0, 0]] W†."""
+        _, g = self._factored
+        m = self.d ** 2
+        out = np.zeros((self.order.size,) * 2, dtype=complex)
+        top = self.order[:m]
+        out[top, top] = 1.0
+        out[top[:, None], self.order[m:]] = -g
+        return self._unframe(out)
 
 
 @dataclass(eq=False)
@@ -291,7 +420,7 @@ class StructuredLindbladian:
     """A Lindbladian in the DFS structural normal form.
 
     Use :func:`structured_lindbladian` to construct one with validation. The
-    spectral factor of the superoperator (``factor``: a :class:`BorderedFactor`
+    spectral factor of the superoperator (``factor``: a :class:`CornerFactor`
     when the structural checks pass, else the dense :class:`OrderedSchur`) and
     the Schur form of K_qq (``decaying_sector``) are built once, at
     construction; the Drazin inverse and the asymptotic projection are read off
@@ -303,7 +432,7 @@ class StructuredLindbladian:
     dfs: DfsProjector
     superop: np.ndarray
     report: StructureReport = field(repr=False)
-    factor: BorderedFactor | OrderedSchur = field(repr=False)
+    factor: CornerFactor | OrderedSchur = field(repr=False)
     decaying_sector: SectorSolver = field(repr=False)
 
     @property
@@ -407,9 +536,10 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     from a dense SVD of L. When the steadiness check passes too, the zero
     multiplicity and the gap are read off K_qq, with no decomposition of L;
     if the multiplicity check passes too, L^D and P_inf come from a
-    :class:`BorderedFactor` on the DFS columns, a dense LU of side D^2 + d^2
-    taken on first use. Otherwise the factor is a dense :class:`OrderedSchur`
-    of L. Both factors use the report's cut.
+    :class:`CornerFactor`, which eliminates the DFS corner of L and LU-factors
+    its decaying-corner blocks (sides dn, dn and n^2 under the normal form) on
+    first use. Otherwise the factor is a dense :class:`OrderedSchur` of L.
+    Both factors use the report's cut.
     """
     h = as_operator(h)
     jumps = tuple(as_operator(f) for f in jumps)
@@ -425,8 +555,7 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
         raise StructureError("; ".join(rep.failures()))
     if factor is None:
         if rep.passed:
-            factor = BorderedFactor(superop=superop, e=dfs_columns(dfs.basis),
-                                    thresh=thresh, gap=rep.spectral_gap)
+            factor = CornerFactor.of(superop, h, jumps, dfs, thresh=thresh, gap=rep.spectral_gap)
         else:
             factor = OrderedSchur.of(superop, zero_tol=thresh)
     return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,

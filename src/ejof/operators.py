@@ -21,6 +21,7 @@ names ul/ur/ll/lr are used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -180,13 +181,27 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+def devectorize_columns(cols: np.ndarray) -> np.ndarray:
+    """(D^2, m) vec columns -> (m, D, D) stack of the operators they stack."""
+    dim = isqrt(cols.shape[0])
+    return cols.T.reshape(-1, dim, dim).transpose(0, 2, 1)
+
+
+def vectorize_stack(stack: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`devectorize_columns`; leading axes of the stack are flattened."""
+    dim = stack.shape[-1]
+    return stack.reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim * dim).T
+
+
 def dfs_columns(basis: np.ndarray) -> np.ndarray:
     """E = conj(B) kron B for an isometry B: vec(B sigma B†) = E vec(sigma).
 
     Its columns are vec(b_i b_j†) in vec order, and E E† projects onto the
     block that B spans.
     """
-    return np.kron(basis.conj(), basis)
+    b = np.asarray(basis)
+    dim, d = b.shape
+    return (b.conj()[:, None, :, None] * b[None, :, None, :]).reshape(dim * dim, d * d)
 
 
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -645,7 +645,7 @@ def test_each_route_runs_once_per_study(make, closed, solves, tmp_path, monkeypa
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ejof" and getattr(module, route, None) is real:
             monkeypatch.setattr(module, route, counted)
-    for factor in (ejof.lindblad.BorderedFactor, ejof.lindblad.OrderedSchur):
+    for factor in (ejof.lindblad.CornerFactor, ejof.lindblad.OrderedSchur):
         def counting(self, y, original=factor.apply_drazin):
             solve_calls.append(y.shape[1])
             return original(self, y)
@@ -653,3 +653,21 @@ def test_each_route_runs_once_per_study(make, closed, solves, tmp_path, monkeypa
         monkeypatch.setattr(factor, "apply_drazin", counting)
     assert main(make(tmp_path)) == cli.EXIT_OK
     assert (len(closed_calls), len(solve_calls)) == (closed, solves)
+
+
+def test_identity_check_reuses_the_closed_route_pieces(tmp_path, monkeypatch):
+    # Study.identities reads Kinv and the coupling C off the closed route's
+    # EffectiveGenerator instead of computing them a second time.
+    calls = {"nh_hamiltonian_inverse": 0, "effective_coupling": 0}
+    for name in calls:
+        real = getattr(ejof.effective, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "ejof" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["effective", three_level_problem(tmp_path)]) == cli.EXIT_OK
+    assert calls == {"nh_hamiltonian_inverse": 1, "effective_coupling": 1}

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 import ejof.effective
 import ejof.lindblad
 from ejof.lindblad import (
-    BorderedFactor,
+    CornerFactor,
     NonSemisimpleZeroError,
     OrderedSchur,
     SpectralGapWarning,
@@ -288,11 +288,13 @@ def _count_calls(monkeypatch, owner, name, log, when=lambda *args, **kwargs: Tru
 def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     # A structured generator is never decomposed densely: its spectrum and
     # its zero cut come from the one Schur form of K_qq (no 2-norm is taken),
-    # L^D and P_inf from one bordered LU, and the general route never forms
-    # O1, O2.
+    # L^D and P_inf from LUs of the three decaying-corner blocks of L (ll and
+    # ur of side dn, lr of side n^2, none of side D^2 or more), and the
+    # general route never forms O1, O2.
     base, pert = generic_instance
-    schurs, norms, eigs = [], [], []
+    schurs, norms, eigs, lus = [], [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
+    _count_calls(monkeypatch, ejof.lindblad, "lu_factor", lus)
     _count_calls(monkeypatch, np.linalg, "norm", norms,
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
     _count_calls(monkeypatch, np.linalg, "eigvals", eigs)
@@ -307,8 +309,10 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     effective_lindbladian_general(lind, pert)
     effective_lindbladian_closed(lind, pert)
     identity_suite(lind, pert)
-    assert isinstance(lind.factor, BorderedFactor)
+    assert isinstance(lind.factor, CornerFactor)
     assert schurs == [lind.dfs.n_decay]
+    d, n = lind.dfs.d, lind.dfs.n_decay
+    assert sorted(lus) == sorted([d * n, d * n, n * n])
     assert norms == []
     assert eigs == []
 
@@ -335,19 +339,22 @@ def _extra_zero_jump_instance():
     return random_structured_instance(2, 3, 2, 6, extra_zero_jump=True)[0]
 
 
-BORDERED_CASES = {
+CORNER_CASES = {
     "random": lambda: random_structured_instance(2, 3, 2, 11)[0],
     "random-d3": lambda: random_structured_instance(3, 4, 3, 2)[0],
     "defective": lambda: random_structured_instance(2, 2, 2, 4, defective_k=True)[0],
     "stiff": lambda: stiff_lindbladian(),
     "extra-zero-jump": _extra_zero_jump_instance,
+    "projector-n12": lambda: _wide_rotated_lindbladian(),
 }
 
 
-@pytest.mark.parametrize("make", BORDERED_CASES.values(), ids=BORDERED_CASES.keys())
+@pytest.mark.parametrize("make", CORNER_CASES.values(), ids=CORNER_CASES.keys())
 def test_bordered_factor_matches_schur_oracle(make):
+    # The corner factor is the exact elimination of the bordered system
+    # [[L, E], [E†, 0]]; the dense Schur form of L is its oracle.
     lind = make()
-    assert isinstance(lind.factor, BorderedFactor)
+    assert isinstance(lind.factor, CornerFactor)
     s = lind.superop
     want_d, want_p = drazin_inverse(s), asymptotic_projection(s)
     assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
@@ -355,6 +362,35 @@ def test_bordered_factor_matches_schur_oracle(make):
     cols = np.random.default_rng(0).standard_normal((s.shape[0], 3))
     got = lind.factor.apply_drazin(cols)
     assert frob(got - want_d @ cols) <= 1e-11 * frob(want_d @ cols)
+    for adjoint, want in ((False, want_p), (True, dagger(want_p))):
+        got = lind.factor.apply_projection(cols, adjoint=adjoint)
+        assert frob(got - want @ cols) <= 1e-11 * frob(want @ cols)
+
+
+def _bordered_solve(s, e):
+    """L^D and P_inf from the dense inverse of [[L, E], [E†, 0]]."""
+    n, m = e.shape
+    inv = np.linalg.inv(np.block([[s, e], [dagger(e), np.zeros((m, m))]]))
+    z, j = inv[:n, :n], dagger(inv[n:, :n])
+    return z - e @ (dagger(j) @ z), e @ dagger(j)
+
+
+def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
+    # H couples the DFS to the decaying block by 1e-12: the checks pass, L's
+    # coupling blocks are nonzero, and L_rr is factored whole. The result is
+    # the bordered solve, which never reads L's DFS columns.
+    lind = random_structured_instance(2, 3, 2, 11)[0]
+    h = lind.h.copy()
+    h[0, 2] = h[2, 0] = 1e-12
+    lind = structured_lindbladian(h, lind.jumps, lind.dfs)
+    assert lind.report.h_on_decaying_block > 0
+    assert isinstance(lind.factor, CornerFactor)
+    lus = []
+    _count_calls(monkeypatch, ejof.lindblad, "lu_factor", lus)
+    want_d, want_p = _bordered_solve(lind.superop, dfs_columns(lind.dfs.basis))
+    assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
+    assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)
+    assert lus == [lind.dim ** 2 - lind.dfs.d ** 2]
 
 
 def _scenario_lindbladian(name):
@@ -399,7 +435,7 @@ WIDE_CASES = {
     "projector-n12": _wide_rotated_lindbladian,
 }
 
-ORACLE_CASES = dict(BORDERED_CASES, **WIDE_CASES, **{
+ORACLE_CASES = dict(CORNER_CASES, **WIDE_CASES, **{
     name: functools.partial(_scenario_lindbladian, name) for name in SCENARIOS
 })
 
@@ -497,7 +533,7 @@ def test_structured_spectrum_warns_on_narrow_gap():
     # the 1e-8 rho(L) cut, yet the zero cluster is exactly the DFS block.
     lind = _two_rate_lindbladian(1e4, 1e-2)
     assert lind.report.zero_multiplicity == 4
-    assert isinstance(lind.factor, BorderedFactor)
+    assert isinstance(lind.factor, CornerFactor)
     with pytest.warns(SpectralGapWarning):
         _ = lind.drazin
 

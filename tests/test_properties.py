@@ -3,7 +3,7 @@
 Each example draws a normal-form generator (DFS of dimension d, n decaying
 levels, 1-3 jumps, a defective K_qq when n == 2 and asked for, optionally an
 extra zero jump) with a full-corner perturbation, and checks the structured
-spectrum, the bordered factor against the dense Schur oracle, the dual-route
+spectrum, the corner factor against the dense Schur oracle, the dual-route
 agreement and the insensitivity to the inert perturbation corners. Two
 metamorphic properties check each route on its own against an exact symmetry
 of the GKSL form: mixing the jumps and their deformations by one unitary, and
@@ -25,7 +25,7 @@ from ejof.effective import (
     effective_to_superop,
     random_structured_instance,
 )
-from ejof.lindblad import BorderedFactor, drazin_inverse, structured_lindbladian
+from ejof.lindblad import CornerFactor, drazin_inverse, structured_lindbladian
 from ejof.operators import frob
 
 
@@ -51,7 +51,7 @@ def instances(draw):
 def test_structured_instance_properties(instance):
     lind, pert = instance
     assert lind.report.zero_multiplicity == lind.dfs.d ** 2
-    assert isinstance(lind.factor, BorderedFactor)
+    assert isinstance(lind.factor, CornerFactor)
     want = drazin_inverse(lind.superop)
     assert frob(lind.drazin - want) <= 1e-10 * frob(want)
     general = effective_lindbladian_general(lind, pert)

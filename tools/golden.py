@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -78,14 +79,45 @@ def _scenario(name: str, **params) -> dict:
     return {"version": 1, "scenario": {"name": name, **params}}
 
 
-PROBLEMS = {
-    "explicit.json": {  # the explicit system of the README
+def _explicit(hamiltonian: dict) -> dict:
+    """The explicit system of the README, with the given Hamiltonian entries."""
+    return {
         "version": 1, "hilbert_dim": 3, "dfs": [0, 1],
-        "hamiltonian": _matrix(3, {(2, 2): 1}),
+        "hamiltonian": _matrix(3, hamiltonian),
         "jumps": [_matrix(3, {(0, 2): 1.4142})],
         "perturbation": {"v": _matrix(3, {}), "f": [_matrix(3, {(0, 1): 0.2})]},
         "tol": 1e-9, "seed": 0,
-    },
+    }
+
+
+def _rotated(problem: dict) -> dict:
+    """The same system in a basis turned by a fixed real rotation.
+
+    Every matrix becomes R A R^T, and the DFS is given as the projector
+    R P R^T, so its basis and that of the decaying block are dense.
+    """
+    c1, s1, c2, s2 = math.cos(0.3), math.sin(0.3), math.cos(1.1), math.sin(1.1)
+    rot = [[c1, -s1 * c2, s1 * s2], [s1, c1 * c2, -c1 * s2], [0.0, s2, c2]]
+
+    def turn(m: list) -> list:
+        a = [[complex(*z) for z in row] for row in m]
+        out = [[sum(rot[i][k] * a[k][l] * rot[j][l] for k in range(3) for l in range(3))
+                for j in range(3)] for i in range(3)]
+        return [[[z.real, z.imag] for z in row] for row in out]
+
+    dfs = _matrix(3, {(i, i): 1 for i in problem["dfs"]})
+    pert = problem["perturbation"]
+    return dict(problem, dfs=turn(dfs), hamiltonian=turn(problem["hamiltonian"]),
+                jumps=[turn(f) for f in problem["jumps"]],
+                perturbation={"v": turn(pert["v"]), "f": [turn(f) for f in pert["f"]]})
+
+
+PROBLEMS = {
+    "explicit.json": _explicit({(2, 2): 1}),
+    # The README system with its DFS as a dense projector matrix.
+    "rotated.json": _rotated(_explicit({(2, 2): 1})),
+    # H couples the DFS to the decaying level by 1e-12, below the structure tolerance.
+    "leaky.json": _explicit({(2, 2): 1, (0, 2): 1e-12, (2, 0): 1e-12}),
     "rep_x.json": _repetition("X", 0.01),
     "rep_z.json": _repetition("Z", 0.01),
     "rep_evolve.json": _repetition("Z", 1.0, with_states=True),
@@ -106,6 +138,10 @@ GRID = ["--epsilons", "0.04,0.02,0.01", "--taus", "0.5,1,2,5"]
 COMMANDS = {
     "effective-explicit": ["effective", "explicit.json"],
     "verify-explicit": ["verify", "explicit.json"],
+    "effective-rotated": ["effective", "rotated.json"],
+    "verify-rotated": ["verify", "rotated.json"],
+    "effective-leaky": ["effective", "leaky.json"],
+    "verify-leaky": ["verify", "leaky.json"],
     "effective-rep-x": ["effective", "rep_x.json"],
     "effective-rep-z": ["effective", "rep_z.json"],
     "verify-rep-x": ["verify", "rep_x.json"],
