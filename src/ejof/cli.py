@@ -35,7 +35,7 @@ import numpy as np
 from .dynamics import SweepConfig, convergence_order, drift_constants, evolve_and_compare
 from .effective import Perturbation, Study, random_structured_instance
 from .lindblad import StructureError, structured_lindbladian
-from .operators import DfsProjector, dagger
+from .operators import DfsProjector, dagger, projector_frame
 from .qec import (
     hamiltonian_obstruction_demo,
     pauli_miscalibration,
@@ -156,7 +156,12 @@ def write_report(report: dict, out: str | None) -> None:
 # Problem files
 
 
-def _parse_dfs(value, dim: int) -> DfsProjector:
+def _parse_dfs(value, dim: int) -> tuple[DfsProjector, np.ndarray | None]:
+    """The DFS, and for a projector matrix P its frame U (:func:`projector_frame`).
+
+    The problem is read in the frame of U, where the DFS is the first rank(P)
+    basis states.
+    """
     if isinstance(value, list) and value and all(
         isinstance(i, int) and not isinstance(i, bool) for i in value
     ):
@@ -165,14 +170,13 @@ def _parse_dfs(value, dim: int) -> DfsProjector:
             raise ProblemFormatError("dfs", "duplicate basis indices")
         if any(i < 0 or i >= dim for i in indices):
             raise ProblemFormatError("dfs", f"basis index out of range for dimension {dim}")
-        return DfsProjector.from_indices(dim, indices)
+        return DfsProjector.from_indices(dim, indices), None
+    p = parse_matrix(value, "dfs", shape=(dim, dim))
     try:
-        p = parse_matrix(value, "dfs", shape=(dim, dim))
-        return DfsProjector(p=p)
-    except ProblemFormatError:
-        raise
+        u, d = projector_frame(p)
     except ValueError as err:
         raise ProblemFormatError("dfs", str(err)) from err
+    return DfsProjector.from_indices(dim, range(d)), u
 
 
 @dataclass
@@ -247,7 +251,7 @@ def load_problem(path: str) -> ParsedProblem:
         raise ProblemFormatError("hilbert_dim", f"must be at least 2, got {dim}")
     if "dfs" not in data:
         raise ProblemFormatError("dfs", "required for an explicit system")
-    dfs = _parse_dfs(data["dfs"], dim)
+    dfs, frame = _parse_dfs(data["dfs"], dim)
 
     if not isinstance(data["jumps"], list) or not data["jumps"]:
         raise ProblemFormatError("jumps", "expected a nonempty list of matrices")
@@ -301,6 +305,16 @@ def load_problem(path: str) -> ParsedProblem:
             parse_matrix(m, f"initial_states[{i}]", shape=(dim, dim))
             for i, m in enumerate(data["initial_states"])
         )
+
+    if frame is not None:
+        def turn(a):
+            return dagger(frame) @ a @ frame
+
+        hamiltonian = turn(hamiltonian)
+        jumps = tuple(turn(f) for f in jumps)
+        pert = Perturbation(v=turn(pert.v), fs=tuple(turn(f) for f in pert.fs))
+        if initial_states is not None:
+            initial_states = tuple(turn(rho) for rho in initial_states)
 
     return ParsedProblem(
         digest=digest, dfs=dfs, hamiltonian=hamiltonian, jumps=jumps,

@@ -59,14 +59,12 @@ from .operators import (
     DfsProjector,
     as_operator,
     dagger,
-    devectorize_columns,
     dfs_columns,
     four_corners,
     frob,
     gksl_superop,
     require_hermitian,
     sandwich_superop,
-    vectorize_stack,
 )
 
 # Relative threshold separating the zero cluster of a superoperator spectrum.
@@ -253,14 +251,6 @@ class OrderedSchur:
         return left @ dagger(z2)
 
 
-def _permutation(u: np.ndarray) -> np.ndarray | None:
-    """Row of the unit entry of each column when U is a permutation matrix, else None."""
-    cols, rows = np.nonzero(u.T)
-    if cols.size == u.shape[1] and np.all(u[rows, cols] == 1):
-        return rows
-    return None
-
-
 def _frame_order(idx: np.ndarray, d: int) -> np.ndarray:
     """Vec index of each position of the DFS frame, in corner order ul, ll, ur, lr.
 
@@ -270,11 +260,6 @@ def _frame_order(idx: np.ndarray, d: int) -> np.ndarray:
     """
     grid = idx + idx.size * idx[:, None]  # grid[b, a]: vec index of frame entry (a, b)
     return np.concatenate([grid[:d, :d], grid[:d, d:], grid[d:, :d], grid[d:, d:]], axis=None)
-
-
-def _conjugated(cols: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """vec(A X A†) for each column vec(X)."""
-    return vectorize_stack(a @ devectorize_columns(cols) @ dagger(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,37 +278,27 @@ class CornerFactor:
     *Generalized Inverses of Linear Transformations*). Under the normal form
     L_rr is block diagonal over ll and ur (side dn each) and lr (side n^2),
     and each block is LU-factored apart. When a coupling block holds a
-    nonzero entry (a dense-projector frame, or leakage below the tolerance),
-    L_rr is factored whole, so no entry of L is dropped.
+    nonzero entry (leakage below the tolerance), L_rr is factored whole, so
+    no entry of L is dropped.
 
-    ``superop`` is L in the frame's basis, at the vec indices ``order``, and
-    W = conj(U) kron U takes frame columns back to vec columns. For an index
-    DFS, U is a permutation: ``superop`` is L itself, ``u`` is None, and
-    entering or leaving the frame is an index gather. Otherwise ``superop``
-    is the generator of U† H U and the U† F_l U, and columns are conjugated
-    by ``u`` on the way in and out. The factor reads only L's own
-    entries. The LUs are taken on first use, with a :class:`SpectralGapWarning`
-    when ``gap`` is within 100x of ``thresh``, as :class:`OrderedSchur` does.
+    U is the permutation ``dfs.order``, and ``order`` holds the vec index of
+    each frame position, so entering or leaving the frame is an index gather
+    or scatter. The factor reads only
+    L's own entries. The LUs are taken on first use, with a
+    :class:`SpectralGapWarning` when ``gap`` is within 100x of ``thresh``, as
+    :class:`OrderedSchur` does.
     """
 
     superop: np.ndarray
     order: np.ndarray
-    u: np.ndarray | None
     d: int
     thresh: float
     gap: float
 
     @classmethod
-    def of(cls, superop: np.ndarray, h: np.ndarray, jumps, dfs: DfsProjector, *,
-           thresh: float, gap: float) -> "CornerFactor":
-        u = np.hstack([dfs.basis, dfs.basis_c])
-        idx = _permutation(u)
-        if idx is None:
-            superop = gksl_superop(dagger(u) @ h @ u, [dagger(u) @ f @ u for f in jumps])
-            idx = np.arange(dfs.dim)
-        else:
-            u = None
-        return cls(superop=superop, order=_frame_order(idx, dfs.d), u=u, d=dfs.d,
+    def of(cls, superop: np.ndarray, dfs: DfsProjector, *, thresh: float,
+           gap: float) -> "CornerFactor":
+        return cls(superop=superop, order=_frame_order(np.array(dfs.order), dfs.d), d=dfs.d,
                    thresh=thresh, gap=gap)
 
     @cached_property
@@ -348,28 +323,16 @@ class CornerFactor:
                 g[:, cut] = dagger(zgetrs(*lu, dagger(l_ur[:, cut]), trans=2)[0])
         return blocks, g
 
-    def _unframe(self, out: np.ndarray) -> np.ndarray:
-        """W M W†, for a frame matrix M already scattered to the vec indices ``order``."""
-        if self.u is None:
-            return out
-        return dagger(_conjugated(dagger(_conjugated(out, self.u)), self.u))
-
-    def _enter(self, y: np.ndarray) -> np.ndarray:
-        """Columns y in the frame, in corner order."""
-        if self.u is not None:
-            y = _conjugated(y, dagger(self.u))
-        return y[self.order]
-
     def _leave(self, z: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`_enter`."""
+        """Frame columns z, in corner order, scattered back to vec order."""
         out = np.empty(z.shape, dtype=complex)
         out[self.order] = z
-        return out if self.u is None else _conjugated(out, self.u)
+        return out
 
     def apply_drazin(self, y: np.ndarray) -> np.ndarray:
         """L^D y = [G z_r; z_r] in the frame, z_r = L_rr^-1 y_r, for columns y."""
         blocks, g = self._factored
-        y_r = self._enter(y)[self.d ** 2:]
+        y_r = y[self.order[self.d ** 2:]]
         z = np.empty(y_r.shape, dtype=complex)
         for cut, lu in blocks:
             z[cut] = zgetrs(*lu, y_r[cut])[0]
@@ -382,13 +345,13 @@ class CornerFactor:
         """
         _, g = self._factored
         m = self.d ** 2
-        y = self._enter(y)
+        y = y[self.order]
         if adjoint:
             return self._leave(np.concatenate([y[:m], -dagger(g) @ y[:m]]))
         return self._leave(np.concatenate([y[:m] - g @ y[m:], np.zeros(y[m:].shape)]))
 
     def drazin(self) -> np.ndarray:
-        """L^D = W [[0, G L_rr^-1], [0, L_rr^-1]] W†, written block by block.
+        """L^D = [[0, G L_rr^-1], [0, L_rr^-1]] in the frame, written block by block.
 
         Each block inverse comes from its LU (LAPACK getri), and the ul row is
         G times it.
@@ -402,17 +365,17 @@ class CornerFactor:
             rows = order[m + cut.start:m + cut.stop]
             out[np.ix_(rows, rows)] = inv
             out[np.ix_(order[:m], rows)] = g[:, cut] @ inv
-        return self._unframe(out)
+        return out
 
     def projection(self) -> np.ndarray:
-        """P_inf = E J† = W [[I, -G], [0, 0]] W†."""
+        """P_inf = E J† = [[I, -G], [0, 0]] in the frame."""
         _, g = self._factored
         m = self.d ** 2
         out = np.zeros((self.order.size,) * 2, dtype=complex)
         top = self.order[:m]
         out[top, top] = 1.0
         out[top[:, None], self.order[m:]] = -g
-        return self._unframe(out)
+        return out
 
 
 @dataclass(eq=False)
@@ -555,7 +518,7 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
         raise StructureError("; ".join(rep.failures()))
     if factor is None:
         if rep.passed:
-            factor = CornerFactor.of(superop, h, jumps, dfs, thresh=thresh, gap=rep.spectral_gap)
+            factor = CornerFactor.of(superop, dfs, thresh=thresh, gap=rep.spectral_gap)
         else:
             factor = OrderedSchur.of(superop, zero_tol=thresh)
     return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,

@@ -9,13 +9,16 @@ of X, so vec(A X B) = (B^T kron A) vec(X). With numpy this is
 ``X.reshape(-1, order="F")``.
 
 The block structure of an open system with a decoherence-free subspace (DFS) is
-handled through :class:`DfsProjector`. For a projector P onto the DFS and its
-complement Q = I - P, any operator splits into four corners
+handled through :class:`DfsProjector`, a set of computational basis states.
+For the projector P onto the DFS and its complement Q = I - P, any operator
+splits into four corners
 
     O = P O P + P O Q + Q O P + Q O Q = O_ul + O_ur + O_ll + O_lr
 
-("upper-left" is the DFS block, "lower-right" the decaying block). The corner
-names ul/ur/ll/lr are used throughout.
+("upper-left" is the DFS block, "lower-right" the decaying block), exactly in
+floating point. The corner names ul/ur/ll/lr are used throughout. A DFS given
+as a dense projector matrix is not represented: the problem is rotated into
+the projector's eigenbasis (:func:`projector_frame`) where it is read.
 """
 
 from __future__ import annotations
@@ -54,74 +57,82 @@ def require_hermitian(a: np.ndarray, what: str = "operator", tol: float = DEFAUL
     return a
 
 
+def projector_frame(p) -> tuple[np.ndarray, int]:
+    """Eigenbasis U = [B, B_q] of an orthogonal projector P, and its rank d.
+
+    B (the first d columns) spans the range of P and B_q its complement, each
+    in the ascending order of ``numpy.linalg.eigh``. In the frame of U, the
+    projector U† P U is the one onto the first d basis states.
+    """
+    p = as_operator(p)
+    dim = p.shape[0]
+    tol = DEFAULT_TOL * max(1.0, frob(p))
+    if frob(p - dagger(p)) > tol:
+        raise ValueError("projector is not Hermitian")
+    if frob(p @ p - p) > tol:
+        raise ValueError("projector is not idempotent")
+    d = int(round(p.trace().real))
+    if not 0 < d <= dim:
+        raise ValueError(f"projector rank {d} out of range for dimension {dim}")
+    evals, evecs = np.linalg.eigh(p)
+    # eigh sorts ascending: complement eigenvectors first, DFS last.
+    if d < dim and evals[dim - d - 1] > 0.5:
+        raise ValueError("projector eigenvalues are not close to 0/1")
+    return np.hstack([evecs[:, dim - d:], evecs[:, :dim - d]]), d
+
+
 @dataclass(frozen=True, eq=False)
 class DfsProjector:
-    """Orthogonal projector P onto the DFS, with derived block data.
+    """The DFS as a set of computational basis states, with derived block data.
+
+    Build one with :meth:`from_indices`. Every corner decomposition is exact
+    in floating point. A DFS given as a projector matrix is handled by
+    rotating the problem into the frame of :func:`projector_frame`, where it
+    is the first d basis states.
 
     Attributes
     ----------
+    dim : Hilbert-space dimension D.
+    indices : the DFS basis states, in the column order of ``basis``.
+    order : ``indices``, then the decaying basis states in ascending order:
+        the basis state behind each column of [basis, basis_c].
     p : (D, D) projector onto the DFS.
     q : (D, D) complementary projector I - P onto the decaying space.
-    d : DFS dimension (rank of P).
-    basis : (D, d) isometry whose columns span the DFS.
-    basis_c : (D, D - d) isometry spanning the decaying space.
+    d : DFS dimension.
+    basis : (D, d) unit columns spanning the DFS.
+    basis_c : (D, D - d) unit columns spanning the decaying space.
     """
 
-    p: np.ndarray
+    dim: int
+    indices: tuple[int, ...]
+    order: tuple[int, ...] = field(init=False)
+    p: np.ndarray = field(init=False)
     q: np.ndarray = field(init=False)
     d: int = field(init=False)
     basis: np.ndarray = field(init=False)
     basis_c: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        p = as_operator(self.p)
-        dim = p.shape[0]
-        tol = DEFAULT_TOL * max(1.0, frob(p))
-        if frob(p - dagger(p)) > tol:
-            raise ValueError("projector is not Hermitian")
-        if frob(p @ p - p) > tol:
-            raise ValueError("projector is not idempotent")
-        d = int(round(p.trace().real))
-        if not 0 < d <= dim:
-            raise ValueError(f"projector rank {d} out of range for dimension {dim}")
-        evals, evecs = np.linalg.eigh(p)
-        # eigh sorts ascending: complement eigenvectors first, DFS last.
-        if d < dim and evals[dim - d - 1] > 0.5:
-            raise ValueError("projector eigenvalues are not close to 0/1")
+        dim, d = self.dim, len(self.indices)
+        order = (*self.indices, *(i for i in range(dim) if i not in self.indices))
+        units = np.zeros((dim, dim), dtype=complex)  # column k: basis state order[k]
+        units[order, range(dim)] = 1.0
+        p = np.zeros((dim, dim), dtype=complex)
+        p[self.indices, self.indices] = 1.0
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", np.eye(dim, dtype=complex) - p)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "basis", evecs[:, dim - d:])
-        object.__setattr__(self, "basis_c", evecs[:, : dim - d])
+        object.__setattr__(self, "basis", units[:, :d].copy())
+        object.__setattr__(self, "basis_c", units[:, d:].copy())
 
     @classmethod
     def from_indices(cls, dim: int, indices) -> "DfsProjector":
-        """Projector onto a subset of computational basis states.
-
-        The resulting corner decompositions are exact in floating point.
-        """
+        """Projector onto a nonempty subset of the computational basis states."""
         idx = list(indices)
-        if len(set(idx)) != len(idx) or any(not 0 <= i < dim for i in idx):
+        if not idx or len(set(idx)) != len(idx) or any(not 0 <= i < dim for i in idx):
             raise ValueError(f"invalid basis indices {idx} for dimension {dim}")
-        p = np.zeros((dim, dim), dtype=complex)
-        for i in idx:
-            p[i, i] = 1.0
-        proj = cls(p)
-        # Re-derive the bases as exact unit columns in the given order.
-        basis = np.zeros((dim, len(idx)), dtype=complex)
-        for k, i in enumerate(idx):
-            basis[i, k] = 1.0
-        rest = [i for i in range(dim) if i not in idx]
-        basis_c = np.zeros((dim, len(rest)), dtype=complex)
-        for k, i in enumerate(rest):
-            basis_c[i, k] = 1.0
-        object.__setattr__(proj, "basis", basis)
-        object.__setattr__(proj, "basis_c", basis_c)
-        return proj
-
-    @property
-    def dim(self) -> int:
-        return self.p.shape[0]
+        return cls(dim, tuple(idx))
 
     @property
     def n_decay(self) -> int:
@@ -150,8 +161,7 @@ def four_corners(op: np.ndarray, dfs: DfsProjector) -> Corners:
     """Corners of an operator, or of each operator in a (..., D, D) stack.
 
     Three products: top = P O, ul = top P, ll = (O - top) P, and ur, lr by
-    difference. Exact for an index DFS; for a dense projector they agree with
-    P O Q and the like up to round-off.
+    difference, each exact since P is a 0/1 diagonal.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (dfs.dim, dfs.dim):

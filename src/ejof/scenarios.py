@@ -371,6 +371,9 @@ def build_scenario(name: str, params: dict, seed: int, tol: float) -> ScenarioBu
     verdicts.
     """
     params = {key: params.get(key, default) for key, (_, default, _) in PARAM_SPECS[name].items()}
+    for key in ("dfs_dim", "decaying_dim"):
+        if params.get(key, 1) < 1:
+            raise ValueError(f"scenario.{key}: must be at least 1")
     if name == "three-level":
         return _scenario_three_level(params, tol)
     if name == "cancellation":

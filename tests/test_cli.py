@@ -13,6 +13,7 @@ import ejof.qec
 import ejof.scenarios
 from ejof import cli
 from ejof.cli import main
+from ejof.operators import dagger, projector_frame
 from ejof.qec import repetition_code_recovery
 
 
@@ -23,6 +24,11 @@ def pair(z):
 
 def matrix(rows):
     return [[pair(z) for z in row] for row in rows]
+
+
+def unmatrix(m):
+    """Inverse of :func:`matrix`."""
+    return np.array([[complex(*z) for z in row] for row in m])
 
 
 def write_problem(tmp_path, payload, name="problem.json"):
@@ -97,6 +103,58 @@ def test_effective_explicit_system(tmp_path):
     assert report["verdicts"]["routes_agree"] is True
     assert report["equivalence"]["scaled_residual"] <= 1e-9
     assert len(report["f_eff"]) == 1
+
+
+# The explicit system of the README.
+README_SYSTEM = {
+    "version": 1,
+    "hilbert_dim": 3,
+    "dfs": [0, 1],
+    "hamiltonian": matrix(np.diag([0, 0, 1])),
+    "jumps": [matrix([[0, 0, 1.4142], [0, 0, 0], [0, 0, 0]])],
+    "perturbation": {"v": matrix(np.zeros((3, 3))),
+                     "f": [matrix([[0, 0.2, 0], [0, 0, 0], [0, 0, 0]])]},
+    "tol": 1e-9,
+    "seed": 0,
+}
+
+
+def test_effective_is_covariant_under_a_rotated_problem_file(tmp_path):
+    # Turn every matrix by a real orthogonal R and give the DFS as R P R^T. The
+    # blocks are then related by T = conj(W) kron W, with W = B'† R B for the
+    # DFS bases B of the file and B' = U[:, :d] of the rotated file.
+    rot = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+
+    def turn(m):
+        return matrix(rot @ unmatrix(m) @ rot.T)
+
+    pert = README_SYSTEM["perturbation"]
+    rotated = dict(README_SYSTEM, dfs=matrix(rot @ np.diag([1, 1, 0]) @ rot.T),
+                   hamiltonian=turn(README_SYSTEM["hamiltonian"]),
+                   jumps=[turn(f) for f in README_SYSTEM["jumps"]],
+                   perturbation={"v": turn(pert["v"]), "f": [turn(f) for f in pert["f"]]})
+    reports = []
+    for name, payload in (("plain", README_SYSTEM), ("rotated", rotated)):
+        out = tmp_path / f"{name}.json"
+        assert main(["effective", write_problem(tmp_path, payload, f"{name}-problem.json"),
+                     "--out", str(out)]) == 0
+        reports.append(load_report(out))
+    plain, turned = reports
+    assert turned["verdicts"] == plain["verdicts"]
+    u, d = projector_frame(unmatrix(rotated["dfs"]))
+    w = dagger(u[:, :d]) @ rot[:, :2]
+    t = np.kron(w.conj(), w)
+    for key in ("l_eff_general", "l_eff_closed"):
+        want = t @ unmatrix(plain[key]) @ dagger(t)
+        got = unmatrix(turned[key])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_dfs_matrix_that_is_not_a_projector_is_an_input_error(tmp_path, capsys):
+    problem = write_problem(tmp_path, dict(README_SYSTEM, dfs=matrix(np.diag([2, 0, 0]))))
+    assert main(["effective", problem]) == 2
+    err = capsys.readouterr().err
+    assert "dfs: projector is not idempotent" in err
 
 
 def test_effective_dark_scenario_passes(tmp_path):
@@ -302,6 +360,19 @@ def test_scenario_unknown_name(capsys):
 
 def test_scenario_rejects_bad_param(tmp_path, capsys):
     assert main(["scenario", "three-level", "--Gamma", "-1"]) == 2
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["universal", "--decaying-dim", "0"], "decaying_dim"),
+    (["cancellation", "--dfs-dim", "0"], "dfs_dim"),
+    (["cancellation", "--dfs-dim", "-1"], "dfs_dim"),
+    (["universal", "--decaying-dim", "-2"], "decaying_dim"),
+])
+def test_scenario_dimension_below_one_is_an_input_error(argv, key, capsys):
+    assert main(["scenario", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario.{key}: must be at least 1" in err
+    assert "Traceback" not in err
 
 
 # A non-default value for every parameter of every scenario.

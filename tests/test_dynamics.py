@@ -16,7 +16,15 @@ from ejof.effective import (
     random_structured_instance,
 )
 from ejof.lindblad import structured_lindbladian
-from ejof.operators import DfsProjector, dagger, devectorize, embed_superop, frob, vectorize
+from ejof.operators import (
+    DfsProjector,
+    dagger,
+    devectorize,
+    embed_superop,
+    frob,
+    projector_frame,
+    vectorize,
+)
 from ejof.qec import pauli_miscalibration, repetition_code_recovery
 from ejof.scenarios import ThreeLevelParams, three_level_system
 
@@ -165,16 +173,18 @@ def test_secular_decay_shows_up_in_drift():
 
 
 def _rotated_instance():
-    # A DFS spanned by rotated basis vectors, so the block basis B is dense.
+    # A rotated system read back in its projector's eigenbasis: dense inside
+    # each block, with round-off leakage between them.
     lind, pert = random_structured_instance(2, 3, 2, 11)
     u, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
+    frame, rank = projector_frame(u @ lind.dfs.p @ dagger(u))
 
-    def rot(a):
-        return u @ a @ dagger(u)
+    def turn(a):
+        return dagger(frame) @ (u @ a @ dagger(u)) @ frame
 
-    dfs = DfsProjector(p=rot(lind.dfs.p))
-    lind = structured_lindbladian(rot(lind.h), [rot(f) for f in lind.jumps], dfs)
-    return lind, Perturbation(v=rot(pert.v), fs=tuple(rot(f) for f in pert.fs))
+    dfs = DfsProjector.from_indices(5, range(rank))
+    lind = structured_lindbladian(turn(lind.h), [turn(f) for f in lind.jumps], dfs)
+    return lind, Perturbation(v=turn(pert.v), fs=tuple(turn(f) for f in pert.fs))
 
 
 @pytest.mark.parametrize("make", [

@@ -48,6 +48,7 @@ from ejof.operators import (
     devectorize,
     four_corners,
     frob,
+    projector_frame,
     star_commutator,
     vectorize,
 )
@@ -415,17 +416,22 @@ def _wide_stiff_lindbladian(d=2, n=12):
 
 
 def _wide_rotated_lindbladian(d=2, n=12):
-    """A DFS given as a dense projector matrix, so B and B_c are dense."""
+    """A system rotated by a dense unitary, read back in its projector's eigenbasis.
+
+    That frame is dense inside each block and leaves round-off leakage
+    between them, so the corner factor takes L_rr whole.
+    """
     lind = random_structured_instance(d, n, 3, 5)[0]
     rng = np.random.default_rng(8)
     u, _ = np.linalg.qr(rng.standard_normal((d + n, d + n))
                         + 1j * rng.standard_normal((d + n, d + n)))
+    frame, rank = projector_frame(u @ lind.dfs.p @ dagger(u))
 
-    def rot(a):
-        return u @ a @ dagger(u)
+    def turn(a):
+        return dagger(frame) @ (u @ a @ dagger(u)) @ frame
 
-    return structured_lindbladian(rot(lind.h), [rot(f) for f in lind.jumps],
-                                  DfsProjector(p=rot(lind.dfs.p)))
+    return structured_lindbladian(turn(lind.h), [turn(f) for f in lind.jumps],
+                                  DfsProjector.from_indices(d + n, range(rank)))
 
 
 # Wide decaying blocks (n^2 >= 144), stiff rates and a dense DFS basis.

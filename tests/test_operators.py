@@ -19,6 +19,7 @@ from ejof.operators import (
     gksl_superop,
     kraus_operators,
     left_superop,
+    projector_frame,
     require_hermitian,
     right_superop,
     sandwich_superop,
@@ -129,23 +130,32 @@ def test_projector_from_indices_is_exact():
     assert dfs.n_decay == 2
     assert np.array_equal(dfs.basis[:, 0], np.eye(4, dtype=complex)[:, 0])
     assert np.array_equal(dfs.basis[:, 1], np.eye(4, dtype=complex)[:, 2])
+    assert np.array_equal(dfs.basis_c, np.eye(4, dtype=complex)[:, [1, 3]])
+    assert dfs.order == (0, 2, 1, 3)
 
 
 def test_projector_validation():
     with pytest.raises(ValueError, match="Hermitian"):
-        DfsProjector(np.array([[0, 1], [0, 0]], dtype=complex))
+        projector_frame(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError, match="idempotent"):
-        DfsProjector(np.array([[2, 0], [0, 0]], dtype=complex))
+        projector_frame(np.array([[2, 0], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="rank 0 out of range"):
+        projector_frame(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="indices"):
         DfsProjector.from_indices(3, [0, 3])
+    with pytest.raises(ValueError, match="indices"):
+        DfsProjector.from_indices(3, [])
 
 
 def test_projector_from_matrix(rng):
     v = np.linalg.qr(random_matrix(rng, 4))[0][:, :2]
-    dfs = DfsProjector(v @ dagger(v))
-    assert dfs.d == 2
-    np.testing.assert_allclose(dfs.basis.conj().T @ dfs.basis, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(dfs.p @ dfs.basis, dfs.basis, atol=1e-12)
+    p = v @ dagger(v)
+    u, d = projector_frame(p)
+    assert d == 2
+    np.testing.assert_allclose(dagger(u) @ u, np.eye(4), atol=1e-12)
+    # The first d columns span range(P), the rest its complement.
+    np.testing.assert_allclose(p @ u[:, :d], u[:, :d], atol=1e-12)
+    np.testing.assert_allclose(p @ u[:, d:], 0, atol=1e-12)
 
 
 def test_four_corners_reassemble(rng):

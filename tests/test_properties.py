@@ -4,11 +4,11 @@ Each example draws a normal-form generator (DFS of dimension d, n decaying
 levels, 1-3 jumps, a defective K_qq when n == 2 and asked for, optionally an
 extra zero jump) with a full-corner perturbation, and checks the structured
 spectrum, the corner factor against the dense Schur oracle, the dual-route
-agreement and the insensitivity to the inert perturbation corners. Two
+agreement and the insensitivity to the inert perturbation corners. Three
 metamorphic properties check each route on its own against an exact symmetry
 of the GKSL form: mixing the jumps and their deformations by one unitary, and
 shifting V by a multiple of the identity, leave the effective generator
-unchanged. Route residuals, corner deltas and the symmetry residuals are read
+unchanged, and scaling the perturbation by s gives s A + s^2 B. Route residuals, corner deltas and the symmetry residuals are read
 on the second-order problem scale max(||general||, ||closed||, ||pert||^2):
 for d = 1 the effective generator vanishes identically.
 """
@@ -99,3 +99,17 @@ def test_identity_shift_leaves_each_route_unchanged(instance, c):
     lind, pert = instance
     shifted = Perturbation(v=pert.v + c * np.eye(lind.dim), fs=pert.fs)
     _assert_each_route_unchanged(lind, pert, lind, shifted)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(instances())
+def test_scaled_perturbation_is_a_polynomial_on_each_route(instance):
+    # L_eff(s pert) = s A + s^2 B: P O1 P is first order, the rest second.
+    # A and B come from s = 1 and s = 1/2 and must predict s = 0.37.
+    lind, pert = instance
+    one, half, probe = (_routes(lind, pert.scaled(s)) for s in (1.0, 0.5, 0.37))
+    scale = max(frob(one[0]), frob(one[1]), pert.norm() ** 2)
+    for at_one, at_half, got in zip(one, half, probe):
+        b = 2 * (at_one - 2 * at_half)
+        a = at_one - b
+        assert frob(0.37 * a + 0.37 ** 2 * b - got) <= 1e-12 * scale

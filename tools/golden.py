@@ -79,22 +79,27 @@ def _scenario(name: str, **params) -> dict:
     return {"version": 1, "scenario": {"name": name, **params}}
 
 
-def _explicit(hamiltonian: dict) -> dict:
+def _explicit(hamiltonian: dict, with_states: bool = False) -> dict:
     """The explicit system of the README, with the given Hamiltonian entries."""
-    return {
+    problem = {
         "version": 1, "hilbert_dim": 3, "dfs": [0, 1],
         "hamiltonian": _matrix(3, hamiltonian),
         "jumps": [_matrix(3, {(0, 2): 1.4142})],
         "perturbation": {"v": _matrix(3, {}), "f": [_matrix(3, {(0, 1): 0.2})]},
         "tol": 1e-9, "seed": 0,
     }
+    if with_states:
+        plus = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}
+        problem["initial_states"] = [_matrix(3, {(1, 1): 1}), _matrix(3, plus)]
+    return problem
 
 
 def _rotated(problem: dict) -> dict:
     """The same system in a basis turned by a fixed real rotation.
 
-    Every matrix becomes R A R^T, and the DFS is given as the projector
-    R P R^T, so its basis and that of the decaying block are dense.
+    Every matrix, initial states included, becomes R A R^T, and the DFS is
+    given as the projector R P R^T, so its basis and that of the decaying
+    block are dense.
     """
     c1, s1, c2, s2 = math.cos(0.3), math.sin(0.3), math.cos(1.1), math.sin(1.1)
     rot = [[c1, -s1 * c2, s1 * s2], [s1, c1 * c2, -c1 * s2], [0.0, s2, c2]]
@@ -107,15 +112,22 @@ def _rotated(problem: dict) -> dict:
 
     dfs = _matrix(3, {(i, i): 1 for i in problem["dfs"]})
     pert = problem["perturbation"]
-    return dict(problem, dfs=turn(dfs), hamiltonian=turn(problem["hamiltonian"]),
-                jumps=[turn(f) for f in problem["jumps"]],
-                perturbation={"v": turn(pert["v"]), "f": [turn(f) for f in pert["f"]]})
+    turned = dict(problem, dfs=turn(dfs), hamiltonian=turn(problem["hamiltonian"]),
+                  jumps=[turn(f) for f in problem["jumps"]],
+                  perturbation={"v": turn(pert["v"]), "f": [turn(f) for f in pert["f"]]})
+    if "initial_states" in problem:
+        turned["initial_states"] = [turn(rho) for rho in problem["initial_states"]]
+    return turned
 
 
 PROBLEMS = {
     "explicit.json": _explicit({(2, 2): 1}),
     # The README system with its DFS as a dense projector matrix.
     "rotated.json": _rotated(_explicit({(2, 2): 1})),
+    "rotated_states.json": _rotated(_explicit({(2, 2): 1}, with_states=True)),
+    # H couples the DFS to the decaying level: the structure check fails.
+    "rotated_leak.json": _rotated(_explicit({(2, 2): 1, (0, 2): 0.1, (2, 0): 0.1})),
+    "not_projector.json": dict(_explicit({(2, 2): 1}), dfs=_matrix(3, {(0, 0): 2})),
     # H couples the DFS to the decaying level by 1e-12, below the structure tolerance.
     "leaky.json": _explicit({(2, 2): 1, (0, 2): 1e-12, (2, 0): 1e-12}),
     "rep_x.json": _repetition("X", 0.01),
@@ -140,6 +152,9 @@ COMMANDS = {
     "verify-explicit": ["verify", "explicit.json"],
     "effective-rotated": ["effective", "rotated.json"],
     "verify-rotated": ["verify", "rotated.json"],
+    "evolve-rotated": ["evolve", "rotated_states.json", *GRID],
+    "effective-rotated-leak-force": ["effective", "rotated_leak.json", "--force"],
+    "effective-not-projector": ["effective", "not_projector.json"],
     "effective-leaky": ["effective", "leaky.json"],
     "verify-leaky": ["verify", "leaky.json"],
     "effective-rep-x": ["effective", "rep_x.json"],
