@@ -27,12 +27,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SweepConfig, convergence_order, drift_constants, evolve_and_compare
+from .dynamics import (
+    SweepConfig,
+    convergence_order,
+    drift_constants,
+    evolve_and_compare,
+    validate_initial_state,
+)
 from .effective import Perturbation, Study, random_structured_instance
 from .lindblad import StructureError, structured_lindbladian
 from .operators import DfsProjector, dagger, projector_frame
@@ -98,6 +104,44 @@ def _as_complex(value, path: str) -> complex:
 
 
 def parse_matrix(value, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A matrix given as rows of real numbers or [re, im] pairs (mixed freely).
+
+    A well-formed matrix is read in one array conversion; the entries are
+    walked one by one only when a check fails, so that the error names the
+    key path of the first bad entry.
+    """
+    mat = _matrix_array(value)
+    if mat is None:
+        mat = _parse_matrix_entries(value, path)
+    if shape is not None and mat.shape != shape:
+        raise ProblemFormatError(path, f"expected shape {shape}, got {mat.shape}")
+    return mat
+
+
+def _matrix_array(value) -> np.ndarray | None:
+    """The complex matrix of rows all of numbers or all of pairs, or None when a check fails.
+
+    The checks are those of :func:`_as_complex`: numbers only (no bools),
+    finite, and at most MAX_MAGNITUDE.
+    """
+    if not isinstance(value, list) or not value:
+        return None
+    obj = np.array(value, dtype=object)
+    pairs = obj.ndim == 3 and obj.shape[2] == 2
+    if (obj.ndim != 2 and not pairs) or 0 in obj.shape:
+        return None
+    if not set(map(type, obj.flat)) <= {int, float}:
+        return None
+    try:
+        arr = obj.astype(float)
+    except OverflowError:
+        return None
+    if not np.all(np.abs(arr) <= MAX_MAGNITUDE):  # False for NaN and infinities too
+        return None
+    return arr.view(complex)[..., 0] if pairs else arr.astype(complex)
+
+
+def _parse_matrix_entries(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ProblemFormatError(path, "expected a nonempty list of matrix rows")
     rows = []
@@ -110,10 +154,7 @@ def parse_matrix(value, path: str, shape: tuple[int, int] | None = None) -> np.n
         elif len(row) != width:
             raise ProblemFormatError(f"{path}[{i}]", f"row length {len(row)} != {width}")
         rows.append([_as_complex(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    mat = np.array(rows, dtype=complex)
-    if shape is not None and mat.shape != shape:
-        raise ProblemFormatError(path, f"expected shape {shape}, got {mat.shape}")
-    return mat
+    return np.array(rows, dtype=complex)
 
 
 def matrix_json(a: np.ndarray) -> list:
@@ -170,13 +211,17 @@ def _parse_dfs(value, dim: int) -> tuple[DfsProjector, np.ndarray | None]:
             raise ProblemFormatError("dfs", "duplicate basis indices")
         if any(i < 0 or i >= dim for i in indices):
             raise ProblemFormatError("dfs", f"basis index out of range for dimension {dim}")
-        return DfsProjector.from_indices(dim, indices), None
-    p = parse_matrix(value, "dfs", shape=(dim, dim))
-    try:
-        u, d = projector_frame(p)
-    except ValueError as err:
-        raise ProblemFormatError("dfs", str(err)) from err
-    return DfsProjector.from_indices(dim, range(d)), u
+        d, u = len(indices), None
+    else:
+        p = parse_matrix(value, "dfs", shape=(dim, dim))
+        try:
+            u, d = projector_frame(p)
+        except ValueError as err:
+            raise ProblemFormatError("dfs", str(err)) from err
+        indices = range(d)
+    if d >= dim:
+        raise ProblemFormatError("dfs", "must be a proper subspace (nonempty decaying block)")
+    return DfsProjector.from_indices(dim, indices), u
 
 
 @dataclass
@@ -687,6 +732,11 @@ def cmd_evolve(args) -> Outcome:
     tol = _resolve(args.tol, parsed.tol, 1e-9)
     seed = _resolve(args.seed, parsed.seed, 0)
     study, _ = _materialize(parsed, seed, tol, validate=True)
+    for i, rho in enumerate(parsed.initial_states or ()):
+        try:
+            validate_initial_state(rho, study.lind.dfs)
+        except ValueError as err:
+            raise ProblemFormatError(f"initial_states[{i}]", str(err)) from err
     config = SweepConfig(
         epsilons=tuple(args.epsilons),
         taus=tuple(args.taus),
@@ -703,6 +753,7 @@ def cmd_evolve(args) -> Outcome:
         "taus": list(config.taus),
         "n_states": len(config.initial_states),
         "rows": table.rows(),
+        "propagation": [asdict(p) for p in table.propagation],
         "drift_constants": [
             {"epsilon": eps, "constant": c} for eps, c in sorted(drift.items(), reverse=True)
         ],

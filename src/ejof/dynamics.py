@@ -12,9 +12,36 @@ unperturbed asymptotic projection (removing the O(eps) dressing outside the
 DFS; the generator's factor applies it to the propagated states), and
 L_eff(eps) the effective generator at that strength. L_eff comes as
 its (d^2, d^2) DFS block and vanishes off the DFS corner, so only the DFS
-corner of rho_0 evolves, under exp(t block) (:func:`propagate_effective`).
+corner of rho_0 evolves, under exp(t block) (:func:`propagate_effective`, one
+stacked expm over the taus).
 Agreement must improve as eps decreases; the fitted log-log slope of the error
 against eps measures the order of the neglected terms.
+
+The full side is propagated on the slow subspace of L_full (the slow-manifold
+picture of Zanardi and Campos Venuti, PRL 113, 240406 (2014)), not by a dense
+exp(t L_full) per cell: at t = 5/eps^2 that expm carries a round-off floor of
+about t u ||L_full||, which at eps = 1e-4 exceeds the distances it measures.
+For each eps, one dense propagator Pi = exp(t0 L_full) is formed at the
+horizon t0 = HORIZON_FACTOR / r, with r the slowest decay rate of the
+unperturbed generator (:func:`slowest_decay_rate`). By t0 every fast mode has
+decayed by about exp(-40), so Pi has numerical rank d^2 and its range is the
+slow invariant subspace of L_full. Two certificates check this
+(:func:`slow_subspace`):
+
+* rank: in a pivoted QR of Pi, |R_{d^2, d^2}| <= RANK_BOUND |R_00|; the first
+  d^2 columns of Q are an orthonormal basis V of the range;
+* invariance: ||L_full V - V G||_F <= INVARIANCE_BOUND ||L_full||_F, with
+  G = V† L_full V the (d^2, d^2) slow generator.
+
+When both hold, every cell with t >= t0 is exp(t L_full) rho =
+V exp((t - t0) G) V† Pi rho, one stacked d^2 x d^2 expm for all such taus of
+that eps (:func:`propagate_full`). Cells below the horizon (tau = 0, or the
+first-order clock at the larger eps), and every cell of an eps whose
+certificate fails, take the dense exp(t L_full); an eps with no cell past
+the horizon forms no Pi. Each eps records its
+horizon, both certificate values and its number of dense cells
+(:class:`Propagation`). The cell diagnostics (trace distance, drift, trace
+errors, minimum eigenvalues) come from one stacked eigvalsh over all cells.
 
 For cancellation scenarios L_eff = 0 and there is no secular drift: the full
 state exp(t L_full) rho_0 itself, without any projection, stays within
@@ -29,21 +56,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, qr
 
 from .effective import Perturbation, _general_blocks, perturbed_superop
 from .lindblad import StructuredLindbladian
 from .operators import (
     as_operator,
     dagger,
-    devectorize,
+    devectorize_columns,
     frob,
-    trace_distance,
-    vectorize,
     vectorize_stack,
 )
 
 MODES = ("first-order", "second-order")
+# Slow-subspace propagation: the horizon t0 is HORIZON_FACTOR over the slowest
+# unperturbed decay rate, where fast modes have decayed by exp(-40) ~ 4e-18,
+# below round-off; the certificates of the slow subspace at t0 must read at
+# most these bounds, relative (see slow_subspace).
+HORIZON_FACTOR = 40.0
+RANK_BOUND = 1e-12
+INVARIANCE_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,6 +139,7 @@ class SweepCell:
 class SweepTable:
     cells: tuple[SweepCell, ...]
     mode: str
+    propagation: tuple[Propagation, ...]
 
     def distances(self, epsilon: float) -> np.ndarray:
         return np.array([c.distance for c in self.cells if c.epsilon == epsilon])
@@ -135,18 +168,92 @@ class SweepTable:
         ]
 
 
-def propagate_effective(block: np.ndarray, basis: np.ndarray, t: float,
-                        states) -> list[np.ndarray]:
-    """exp(t L_eff) rho for each state, L_eff given as its (d^2, d^2) DFS block.
+def slowest_decay_rate(lind: StructuredLindbladian) -> float:
+    """Slowest decay rate of the unperturbed generator, from the Schur diagonal of K_qq.
+
+    Under the normal form the nonzero spectrum of L is -i kappa_a and
+    i conj(kappa_a) (decay rate -Im kappa_a) and -i(kappa_a - conj(kappa_b))
+    (rate -Im kappa_a - Im kappa_b), over the eigenvalues kappa_a of K_qq, so
+    the slowest rate is min_a -Im kappa_a.
+    """
+    return float(np.min(-np.diag(lind.decaying_sector.t).imag))
+
+
+def slow_subspace(l_full: np.ndarray, horizon: float, rank: int):
+    """(Pi, V, G, rank ratio, invariance) of L_full at the horizon t0.
+
+    Pi = exp(t0 L_full); V is the first `rank` columns of the Q of a pivoted
+    QR of Pi, an orthonormal basis of its range, and G = V† L_full V. The
+    rank ratio is |R_rr| / |R_00| (R_rr the first diagonal entry past `rank`)
+    and the invariance ||L_full V - V G||_F / ||L_full||_F.
+    """
+    pi = expm(horizon * l_full)
+    q, r, _ = qr(pi, mode="economic", pivoting=True, check_finite=False)
+    diag = np.abs(np.diag(r))
+    v = q[:, :rank]
+    lv = l_full @ v
+    g = dagger(v) @ lv
+    return pi, v, g, float(diag[rank] / diag[0]), frob(lv - v @ g) / frob(l_full)
+
+
+@dataclass(frozen=True)
+class Propagation:
+    """How the sweep propagated L_full at one eps.
+
+    horizon: t0, None when the unperturbed generator has no decay rate.
+    rank_ratio, invariance: the certificates of :func:`slow_subspace`, None
+        when no tau reaches the horizon (no Pi is formed).
+    dense_cells: taus propagated by a dense exp(t L_full).
+    """
+
+    epsilon: float
+    horizon: float | None
+    rank_ratio: float | None
+    invariance: float | None
+    dense_cells: int
+
+
+def propagate_full(l_full: np.ndarray, horizon: float, rank: int, times: np.ndarray,
+                   states: np.ndarray):
+    """exp(t L_full) on the (D^2, S) state columns at each time: (T, D^2, S), and how.
+
+    When some time reaches the horizon, Pi and its certificates are formed
+    (:func:`slow_subspace`); if both hold, those times propagate on the slow
+    subspace, V exp((t - t0) G) V† Pi. Every other time takes a dense
+    exp(t L_full). Returns the states, the rank ratio and invariance (None
+    when no Pi was formed) and the number of dense times.
+    """
+    out = np.empty((len(times), *states.shape), dtype=complex)
+    slow = times >= horizon
+    rank_ratio = invariance = None
+    if slow.any():
+        pi, v, g, rank_ratio, invariance = slow_subspace(l_full, horizon, rank)
+        if rank_ratio <= RANK_BOUND and invariance <= INVARIANCE_BOUND:
+            x0 = dagger(v) @ (pi @ states)
+            out[slow] = v @ (expm((times[slow] - horizon)[:, None, None] * g) @ x0)
+        else:
+            slow[:] = False
+    for i in np.flatnonzero(~slow):
+        out[i] = expm(times[i] * l_full) @ states
+    return out, rank_ratio, invariance, int(np.count_nonzero(~slow))
+
+
+def propagate_effective(block: np.ndarray, basis: np.ndarray, times,
+                        states: np.ndarray) -> np.ndarray:
+    """exp(t L_eff) rho for each time t and state rho, L_eff given as its (d^2, d^2) DFS block.
 
     exp(t L_eff) = I + E (exp(t block) - I) E† with E = conj(B) kron B: the
     DFS corner B† rho B evolves and everything else carries over unchanged.
+    `states` is an (S, D, D) stack; the result is (T, S, D, D), from one
+    stacked expm over the times.
     """
-    step = expm(t * block) - np.eye(block.shape[0])
-    return [
-        rho + basis @ devectorize(step @ vectorize(dagger(basis) @ rho @ basis)) @ dagger(basis)
-        for rho in states
-    ]
+    times = np.asarray(times, dtype=float)
+    m = block.shape[0]
+    steps = expm(times[:, None, None] * block) - np.eye(m)
+    moved = steps @ vectorize_stack(dagger(basis) @ states @ basis)  # (T, m, S)
+    moved = devectorize_columns(moved.transpose(1, 0, 2).reshape(m, -1))
+    moved = moved.reshape(len(times), len(states), *moved.shape[1:])
+    return states + basis @ moved @ dagger(basis)
 
 
 def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
@@ -154,31 +261,50 @@ def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
     """Run the sweep and tabulate trace distances and sanity diagnostics."""
     for rho in config.initial_states:
         validate_initial_state(rho, lind.dfs)
-    cells = []
+    rho0 = np.array(config.initial_states)
+    states = vectorize_stack(rho0)
+    taus = np.array(config.taus)
+    rate = slowest_decay_rate(lind)
+    horizon = HORIZON_FACTOR / rate if rate > 0 else np.inf
+    reported_horizon = float(horizon) if rate > 0 else None
     scaled = [pert.scaled(eps) for eps in config.epsilons]
-    states = vectorize_stack(np.array(config.initial_states))
+    raws, effs, propagation = [], [], []
     for eps, pert_eps, l_eff in zip(config.epsilons, scaled, _general_blocks(lind, scaled)):
-        l_full = perturbed_superop(lind, pert_eps)
-        for tau in config.taus:
-            t = tau / eps ** config.order
-            raws = expm(t * l_full) @ states
-            fulls = lind.factor.apply_projection(raws)
-            effs = propagate_effective(l_eff, lind.dfs.basis, t, config.initial_states)
-            for idx, (rho, eff) in enumerate(zip(config.initial_states, effs)):
-                raw = devectorize(raws[:, idx])
-                full = devectorize(fulls[:, idx])
-                cells.append(SweepCell(
-                    epsilon=eps,
-                    tau=tau,
-                    state_index=idx,
-                    distance=trace_distance(full, eff),
-                    drift=trace_distance(raw, rho),
-                    trace_error_full=abs(np.trace(full) - 1.0),
-                    trace_error_eff=abs(np.trace(eff) - 1.0),
-                    min_eig_full=float(np.min(np.linalg.eigvalsh((full + full.conj().T) / 2))),
-                    min_eig_eff=float(np.min(np.linalg.eigvalsh((eff + eff.conj().T) / 2))),
-                ))
-    return SweepTable(cells=tuple(cells), mode=config.mode)
+        times = taus / eps ** config.order
+        raw, rank_ratio, invariance, dense = propagate_full(
+            perturbed_superop(lind, pert_eps), horizon, lind.dfs.d ** 2, times, states)
+        raws.append(raw)
+        propagation.append(Propagation(eps, reported_horizon, rank_ratio, invariance, dense))
+        effs.append(propagate_effective(l_eff, lind.dfs.basis, times, rho0))
+    # Columns in (eps, tau, state) order, the order of the cells.
+    cols = np.stack(raws).transpose(2, 0, 1, 3).reshape(states.shape[0], -1)
+    grid = (len(config.epsilons), len(taus), len(rho0), *rho0.shape[1:])
+    raw = devectorize_columns(cols).reshape(grid)
+    full = devectorize_columns(lind.factor.apply_projection(cols)).reshape(grid)
+    eff = np.stack(effs)
+    stack = np.stack([full - eff, raw - rho0, full, eff])
+    spectra = np.linalg.eigvalsh((stack + dagger(stack)) / 2)
+    distance, drift = 0.5 * np.abs(spectra[:2]).sum(axis=-1)
+    min_full, min_eff = spectra[2:, ..., 0]
+    trace_full = np.abs(np.trace(full, axis1=-2, axis2=-1) - 1.0)
+    trace_eff = np.abs(np.trace(eff, axis1=-2, axis2=-1) - 1.0)
+    cells = tuple(
+        SweepCell(
+            epsilon=eps,
+            tau=tau,
+            state_index=s,
+            distance=float(distance[e, t, s]),
+            drift=float(drift[e, t, s]),
+            trace_error_full=float(trace_full[e, t, s]),
+            trace_error_eff=float(trace_eff[e, t, s]),
+            min_eig_full=float(min_full[e, t, s]),
+            min_eig_eff=float(min_eff[e, t, s]),
+        )
+        for e, eps in enumerate(config.epsilons)
+        for t, tau in enumerate(config.taus)
+        for s in range(len(rho0))
+    )
+    return SweepTable(cells=cells, mode=config.mode, propagation=tuple(propagation))
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,39 @@ def test_non_finite_tol_is_input_error(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [
+    [[1, 2.5], [-3, 0.0]],
+    [[[1, 0], [0, -2.5]], [[0.5, 0.5], [3, 4]]],
+    [[1.0, [0, 1]], [[2, 0], 3]],
+    [[[1, 2], [3, 4], [5, 6]]],
+    [[True, 1.0]],
+    [[[1.0, False]]],
+    [[1.0, float("nan")]],
+    [[[0.0, float("-inf")]]],
+    [[1e300]],
+    [[[0.0, -1e300]]],
+    [[10 ** 400]],
+    [[1, 2], [3]],
+    [[1, 2], 3],
+    [[]],
+    [],
+    [[[1, 2, 3]]],
+    [[[[1, 2]]]],
+    [["x"]],
+    "x",
+], ids=lambda value: repr(value)[:40])
+def test_parse_matrix_matches_the_entry_walk(value):
+    try:
+        want = cli._parse_matrix_entries(value, "m")
+    except (cli.ProblemFormatError, OverflowError) as err:
+        with pytest.raises(type(err)) as got:
+            cli.parse_matrix(value, "m")
+        assert str(got.value) == str(err)
+    else:
+        got = cli.parse_matrix(value, "m")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_malformed_matrix_reports_key_path(tmp_path, capsys):
     problem = write_problem(tmp_path, {
         "version": 1,
@@ -519,6 +552,40 @@ def test_evolve_three_level(tmp_path, capsys):
     assert lines[1].startswith("fitted slope")
 
 
+def test_evolve_reports_the_propagation_of_each_epsilon(tmp_path):
+    out = tmp_path / "evolve.json"
+    code = main([
+        "evolve", three_level_problem(tmp_path, delta=2.0), "--epsilons", "0.04,0.02",
+        "--taus", "0,1", "--out", str(out),
+    ])
+    assert code == 0
+    rows = load_report(out)["propagation"]
+    assert [row["epsilon"] for row in rows] == [0.04, 0.02]
+    for row in rows:
+        assert row["horizon"] > 0
+        assert row["rank_ratio"] <= 1e-12 and row["invariance"] <= 1e-12
+        assert row["dense_cells"] == 1  # tau = 0
+
+
+@pytest.mark.parametrize("scenario", [
+    {"name": "three-level", "delta": 2.0, "Gamma": 2.0, "gamma": 1.0},
+    {"name": "universal", "scale": 0.3},
+], ids=["three-level", "universal"])
+def test_evolve_at_small_epsilons_has_no_propagation_floor(tmp_path, scenario):
+    # t reaches 5e8 here. A dense exp(t L_full) carried round-off of about
+    # t u ||L_full|| into every cell: three-level fitted a wrong slope and
+    # universal, whose distances are round-off alone, rose to 1e-8.
+    problem = write_problem(tmp_path, {"version": 1, "scenario": scenario})
+    out = tmp_path / "evolve.json"
+    assert main(["evolve", problem, "--epsilons", "4e-4,2e-4,1e-4", "--out", str(out)]) == 0
+    fit = load_report(out)["fit"]
+    assert fit["monotone"] is True
+    if scenario["name"] == "three-level":
+        assert 1.9 <= fit["slope"] <= 2.1
+    else:
+        assert max(d["distance"] for d in fit["max_distances"]) <= fit["floor"]
+
+
 def test_evolve_single_epsilon_skips_fit(tmp_path):
     out = tmp_path / "evolve.json"
     code = main([
@@ -546,6 +613,25 @@ def test_evolve_rejects_bad_initial_state(tmp_path, capsys):
     problem = explicit_problem(tmp_path, initial_states=[matrix(rho)])
     assert main(["evolve", problem, "--taus", "1.0"]) == 2
     assert "DFS" in capsys.readouterr().err
+
+
+def test_initial_state_off_the_dfs_is_named_by_its_key(tmp_path, capsys):
+    good = np.zeros((3, 3), dtype=complex)
+    good[0, 0] = 1.0
+    bad = np.zeros((3, 3), dtype=complex)
+    bad[2, 2] = 1.0
+    problem = explicit_problem(tmp_path, initial_states=[matrix(good), matrix(bad)])
+    assert main(["evolve", problem, "--taus", "1.0"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: initial_states[1]: initial state is not supported on the DFS\n")
+
+
+@pytest.mark.parametrize("dfs", [[0, 1, 2], matrix(np.eye(3))], ids=["indices", "projector"])
+def test_dfs_spanning_the_whole_space_is_named_by_its_key(tmp_path, capsys, dfs):
+    problem = explicit_problem(tmp_path, dfs=dfs)
+    assert main(["effective", problem]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: dfs: must be a proper subspace (nonempty decaying block)\n")
 
 
 def test_evolve_rejects_bad_epsilons(tmp_path, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ejof import dynamics
+from ejof.cli import default_states
 from ejof.dynamics import (
     SweepConfig,
     convergence_order,
@@ -13,6 +15,7 @@ from ejof.dynamics import (
 from ejof.effective import (
     Perturbation,
     effective_lindbladian_general,
+    perturbed_superop,
     random_structured_instance,
 )
 from ejof.lindblad import structured_lindbladian
@@ -23,10 +26,11 @@ from ejof.operators import (
     embed_superop,
     frob,
     projector_frame,
+    trace_distance,
     vectorize,
 )
 from ejof.qec import pauli_miscalibration, repetition_code_recovery
-from ejof.scenarios import ThreeLevelParams, three_level_system
+from ejof.scenarios import ThreeLevelParams, build_scenario, three_level_system
 
 
 def dfs_states_three_level():
@@ -204,5 +208,139 @@ def test_block_propagation_matches_embedded_expm(make):
     validate_initial_state(rho, dfs)
     for t in (0.0, 1.0, 30.0):
         want = devectorize(expm(t * embed_superop(block, dfs.basis)) @ vectorize(rho))
-        [got] = propagate_effective(block, dfs.basis, t, [rho])
+        got = propagate_effective(block, dfs.basis, [t], np.array([rho]))[0, 0]
         assert frob(got - want) <= 1e-12
+
+
+def _dense_cells(lind, pert, config):
+    """The sweep cell by cell, with a dense exp(t L_full) per (eps, tau): the oracle."""
+    cells = []
+    scaled = [pert.scaled(eps) for eps in config.epsilons]
+    blocks = [effective_lindbladian_general(lind, p) for p in scaled]
+    projection = lind.asymptotic_projection
+    basis = lind.dfs.basis
+    for eps, pert_eps, block in zip(config.epsilons, scaled, blocks):
+        l_full = perturbed_superop(lind, pert_eps)
+        for tau in config.taus:
+            t = tau / eps ** config.order
+            prop = expm(t * l_full)
+            step = expm(t * block) - np.eye(block.shape[0])
+            for idx, rho in enumerate(config.initial_states):
+                raw = devectorize(prop @ vectorize(rho))
+                full = devectorize(projection @ vectorize(raw))
+                eff = rho + basis @ devectorize(
+                    step @ vectorize(dagger(basis) @ rho @ basis)) @ dagger(basis)
+                cells.append({
+                    "epsilon": eps,
+                    "tau": tau,
+                    "state_index": idx,
+                    "trace_distance": trace_distance(full, eff),
+                    "drift": trace_distance(raw, rho),
+                    "trace_error_full": abs(np.trace(full) - 1.0),
+                    "trace_error_eff": abs(np.trace(eff) - 1.0),
+                    "min_eig_full": float(np.min(np.linalg.eigvalsh((full + dagger(full)) / 2))),
+                    "min_eig_eff": float(np.min(np.linalg.eigvalsh((eff + dagger(eff)) / 2))),
+                })
+    return cells
+
+
+def _assert_matches_oracle(table, lind, pert, config, atol=1e-10):
+    rows = table.rows()
+    want = _dense_cells(lind, pert, config)
+    assert len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        for key in ("epsilon", "tau", "state_index"):
+            assert got[key] == ref[key]
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= atol, (key, got, ref)
+
+
+def _scenario(name):
+    study = build_scenario(name, {}, 0, 1e-9).study
+    return study.lind, study.pert, default_states(study.lind.dfs)
+
+
+def _repetition_file():
+    # The system of `ejof evolve` on a Z-miscalibrated repetition-code file.
+    _, lind = repetition_code_recovery()
+    rho0 = np.zeros((8, 8), dtype=complex)
+    rho0[0, 0] = 1.0
+    plus = np.zeros((8, 8), dtype=complex)
+    plus[0, 0] = plus[0, 7] = plus[7, 0] = plus[7, 7] = 0.5
+    return lind, pauli_miscalibration("Z", 1.0), (rho0, plus)
+
+
+SYSTEMS = {
+    "three-level": lambda: (*three_level_system(ThreeLevelParams(delta=2.0, Gamma=2.0, gamma=1.0)),
+                            dfs_states_three_level()),
+    "universal": lambda: _scenario("universal"),
+    "cancellation": lambda: _scenario("cancellation"),
+    "coherent-cancel": lambda: _scenario("coherent-cancel"),
+    "repetition": _repetition_file,
+}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_slow_subspace_propagation_matches_dense_oracle(name):
+    lind, pert, states = SYSTEMS[name]()
+    config = SweepConfig(epsilons=(0.04, 0.02, 0.01), taus=(0.5, 1.0, 2.0, 5.0),
+                         initial_states=states)
+    table = evolve_and_compare(lind, pert, config)
+    # every cell is past the horizon and every certificate holds
+    for prop in table.propagation:
+        assert prop.dense_cells == 0
+        assert prop.rank_ratio <= dynamics.RANK_BOUND
+        assert prop.invariance <= dynamics.INVARIANCE_BOUND
+        assert prop.horizon == dynamics.HORIZON_FACTOR / dynamics.slowest_decay_rate(lind)
+    _assert_matches_oracle(table, lind, pert, config)
+
+
+def test_cells_below_the_horizon_are_dense_and_counted():
+    lind, pert, states = SYSTEMS["three-level"]()
+    horizon = dynamics.HORIZON_FACTOR / dynamics.slowest_decay_rate(lind)
+    config = SweepConfig(epsilons=(0.04, 0.02, 0.01), taus=(0.0, 0.5, 1.0, 2.0),
+                         initial_states=states, mode="first-order")
+    table = evolve_and_compare(lind, pert, config)
+    for prop in table.propagation:
+        times = np.array(config.taus) / prop.epsilon
+        assert prop.dense_cells == np.count_nonzero(times < horizon)
+    # tau = 0 at every eps, and more at the largest eps
+    assert [p.dense_cells for p in table.propagation] == [3, 2, 1]
+    _assert_matches_oracle(table, lind, pert, config)
+
+
+@pytest.mark.parametrize("bound", ["RANK_BOUND", "INVARIANCE_BOUND"])
+def test_failed_certificate_takes_the_dense_path_for_every_cell(monkeypatch, bound):
+    lind, pert, states = SYSTEMS["repetition"]()
+    monkeypatch.setattr(dynamics, bound, 0.0)
+    config = SweepConfig(epsilons=(0.04, 0.02), taus=(0.5, 1.0, 5.0), initial_states=states)
+    table = evolve_and_compare(lind, pert, config)
+    assert [p.dense_cells for p in table.propagation] == [3, 3]
+    _assert_matches_oracle(table, lind, pert, config)
+
+
+@pytest.mark.parametrize("mode, taus, formed", [
+    ("second-order", (0.5, 1.0, 2.0, 5.0), 3),
+    ("second-order", (0.0, 1.0), 3),
+    ("first-order", (0.0, 0.5, 1.0, 2.0), 3),
+    ("second-order", (0.0,), 0),
+])
+def test_dense_side_expm_calls_are_one_per_eps_plus_the_dense_cells(monkeypatch, mode, taus,
+                                                                    formed):
+    lind, pert, states = SYSTEMS["three-level"]()
+    sides = []
+
+    def counting(a):
+        sides.append(np.shape(a)[-1])
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting)
+    config = SweepConfig(epsilons=(0.04, 0.02, 0.01), taus=taus, initial_states=states, mode=mode)
+    table = evolve_and_compare(lind, pert, config)
+    # Pi is formed for each eps with a cell past the horizon, and only there
+    assert sum(p.rank_ratio is not None for p in table.propagation) == formed
+    dense = sum(p.dense_cells for p in table.propagation)
+    assert sides.count(lind.dim ** 2) == formed + dense
+    # the rest: one stacked slow expm per eps with a slow cell, one effective expm per eps
+    slow = sum(p.dense_cells < len(taus) for p in table.propagation)
+    assert sides.count(lind.dfs.d ** 2) == slow + len(config.epsilons)

@@ -200,6 +200,11 @@ COMMANDS = {
     "evolve-three-level": ["evolve", "three_level.json", *GRID,
                            "--plot-data", "plots/evolve-three-level"],
     "evolve-rep": ["evolve", "rep_evolve.json", *GRID, "--plot-data", "plots/evolve-rep"],
+    # t up to 5e8: the slow-subspace propagator, far below the dense round-off floor.
+    "evolve-three-level-small-eps": ["evolve", "three_level.json", "--epsilons", "4e-4,2e-4,1e-4",
+                                     "--taus", "0.5,1,2,5"],
+    # t = tau/eps starts below the horizon: dense and slow cells in one sweep.
+    "evolve-first-order": ["evolve", "three_level.json", *GRID, "--mode", "first-order"],
     "evolve-unwritable-plot-data": ["evolve", "three_level.json", "--epsilons", "0.04,0.02",
                                     "--taus", "1", "--plot-data", "/dev/null/x"],
     "effective-separation": ["effective", "separation.json"],
