@@ -12,19 +12,11 @@ from .operators import (
     adjoint_superop,
     anticommutator_superop,
     apply_superop,
-    choi_matrix,
-    commutator_superop,
-    compress_superop,
     dagger,
     devectorize,
-    dissipator,
     four_corners,
     frob,
-    kraus_operators,
     sandwich_superop,
-    star_commutator,
-    star_commutator_superop,
-    trace_distance,
     vectorize,
 )
 from .lindblad import (
@@ -35,17 +27,13 @@ from .lindblad import (
     StructuredLindbladian,
     StructureReport,
     assemble_lindbladian,
-    asymptotic_projection,
     asymptotic_projection_analytic,
     asymptotic_projection_limit,
     decay_rates,
-    drazin_inverse,
     min_decay_rate,
     nh_hamiltonian,
     nh_hamiltonian_inverse,
     nh_superop_inverse_lr,
-    nh_superop_solve,
-    structure_report,
     structured_lindbladian,
 )
 from .effective import (
@@ -61,7 +49,6 @@ from .effective import (
     effective_lindbladian_general,
     effective_to_superop,
     identity_suite,
-    perturbation_superops,
     perturbed_superop,
     random_structured_instance,
     verify_equivalence,
@@ -71,7 +58,6 @@ from .scenarios import (
     ThreeLevelParams,
     cancellation_check,
     coherent_cancellation_drive,
-    generalized_three_level_perturbation,
     orthogonality_residual,
     pauli_lowering_targets,
     random_orthogonal_family,

@@ -374,11 +374,12 @@ def default_states(dfs: DfsProjector) -> tuple[np.ndarray, ...]:
     the DFS is at least two-dimensional) the balanced superposition of the
     first two DFS basis vectors.
     """
-    states = [dfs.p.astype(complex) / dfs.d]
-    b0 = dfs.basis[:, 0]
-    states.append(np.outer(b0, b0.conj()))
+    mixed = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+    mixed[dfs.indices, dfs.indices] = 1.0 / dfs.d
+    units = np.eye(dfs.dim, dtype=complex)[dfs.indices]  # the DFS basis vectors, as rows
+    states = [mixed, np.outer(units[0], units[0].conj())]
     if dfs.d >= 2:
-        plus = (b0 + dfs.basis[:, 1]) / np.sqrt(2.0)
+        plus = (units[0] + units[1]) / np.sqrt(2.0)
         states.append(np.outer(plus, plus.conj()))
     return tuple(states)
 
@@ -529,17 +530,18 @@ def cmd_effective(args) -> Outcome | int:
         print("use --force to compute the general route anyway", file=sys.stderr)
         return EXIT_INPUT
 
-    basis = study.lind.dfs.basis
+    dfs = study.lind.dfs
+    ul = np.ix_(dfs.indices, dfs.indices)
     report["l_eff_general"] = study.general
     verdicts = {"structure_ok": rep.passed}
 
     if rep.passed:
         eff, eq, ids = study.closed, study.equivalence, study.identities
         report["l_eff_closed"] = study.closed_block
-        report["h_eff"] = dagger(basis) @ eff.h_eff @ basis
-        report["f_eff"] = [dagger(basis) @ f @ basis for f in eff.jumps_eff]
+        report["h_eff"] = eff.h_eff[ul]
+        report["f_eff"] = [f[ul] for f in eff.jumps_eff]
         report["e_eff_superop"] = eff.cp_superop
-        report["e_eff_trace_part"] = dagger(basis) @ eff.cp_adjoint_identity @ basis
+        report["e_eff_trace_part"] = eff.cp_adjoint_identity[ul]
         report["equivalence"] = {
             "residual": eq.residual,
             "scaled_residual": study.scaled_residual,

@@ -64,6 +64,7 @@ from .operators import (
     as_operator,
     dagger,
     devectorize_columns,
+    four_corners,
     frob,
     vectorize_stack,
 )
@@ -118,7 +119,7 @@ def validate_initial_state(rho: np.ndarray, dfs, tol: float = 1e-9) -> None:
         raise ValueError(f"initial state trace {np.trace(rho):.6f} != 1")
     if float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2))) < -tol:
         raise ValueError("initial state is not positive semidefinite")
-    if frob(rho - dfs.p @ rho @ dfs.p) > tol:
+    if frob(rho - four_corners(rho, dfs).ul) > tol:
         raise ValueError("initial state is not supported on the DFS")
 
 
@@ -238,22 +239,25 @@ def propagate_full(l_full: np.ndarray, horizon: float, rank: int, times: np.ndar
     return out, rank_ratio, invariance, int(np.count_nonzero(~slow))
 
 
-def propagate_effective(block: np.ndarray, basis: np.ndarray, times,
+def propagate_effective(block: np.ndarray, indices: np.ndarray, times,
                         states: np.ndarray) -> np.ndarray:
     """exp(t L_eff) rho for each time t and state rho, L_eff given as its (d^2, d^2) DFS block.
 
-    exp(t L_eff) = I + E (exp(t block) - I) E† with E = conj(B) kron B: the
-    DFS corner B† rho B evolves and everything else carries over unchanged.
-    `states` is an (S, D, D) stack; the result is (T, S, D, D), from one
-    stacked expm over the times.
+    exp(t L_eff) = I + E (exp(t block) - I) E†, for E the unit columns at the
+    DFS vec positions: the DFS block of rho, its rows and columns at
+    `indices`, evolves and everything else carries over unchanged. `states`
+    is an (S, D, D) stack; the result is (T, S, D, D), from one stacked expm
+    over the times.
     """
     times = np.asarray(times, dtype=float)
     m = block.shape[0]
+    ul = (..., indices[:, None], indices)
     steps = expm(times[:, None, None] * block) - np.eye(m)
-    moved = steps @ vectorize_stack(dagger(basis) @ states @ basis)  # (T, m, S)
+    moved = steps @ vectorize_stack(states[ul])  # (T, m, S)
     moved = devectorize_columns(moved.transpose(1, 0, 2).reshape(m, -1))
-    moved = moved.reshape(len(times), len(states), *moved.shape[1:])
-    return states + basis @ moved @ dagger(basis)
+    out = np.repeat(states[None], len(times), axis=0)
+    out[ul] += moved.reshape(len(times), len(states), *moved.shape[1:])
+    return out
 
 
 def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
@@ -275,7 +279,7 @@ def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
             perturbed_superop(lind, pert_eps), horizon, lind.dfs.d ** 2, times, states)
         raws.append(raw)
         propagation.append(Propagation(eps, reported_horizon, rank_ratio, invariance, dense))
-        effs.append(propagate_effective(l_eff, lind.dfs.basis, times, rho0))
+        effs.append(propagate_effective(l_eff, lind.dfs.indices, times, rho0))
     # Columns in (eps, tau, state) order, the order of the cells.
     cols = np.stack(raws).transpose(2, 0, 1, 3).reshape(states.shape[0], -1)
     grid = (len(config.epsilons), len(taus), len(rho0), *rho0.shape[1:])

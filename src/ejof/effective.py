@@ -31,12 +31,12 @@ Both routes return the effective generator as the (d^2, d^2) DFS block, its
 only form. A :class:`Study` of one generator and perturbation evaluates each
 route, their agreement, the identities and the corner-sensitivity batch (the
 reference and four stripped variants, K = 5) at most once, and every check
-reads its numbers from one. For a DFS isometry B and E = conj(B) kron B,
-vec(B sigma B†) = E vec(sigma), and a map S of the full space has the block
-E† S E, so every product is tall-skinny. The general route applies O1 and O2
-as maps on the d^2 operators P_inf E, never as D^2 x D^2 matrices;
-:func:`perturbation_superops` forms those matrices from the same maps, as the
-oracle of the O1 + O2 contract. The closed route is assembled on the block.
+reads its numbers from one. The DFS block of an operator is its rows and
+columns at the DFS indices, and the block of a map S of the full space is
+E† S E, for E the d^2 unit columns at the DFS vec positions
+(``dfs.vec_order[:d^2]``): vec(b_i b_j†) in column i + d j. The general route
+applies O1 and O2 as maps on the d^2 operators P_inf E, never as D^2 x D^2
+matrices. The closed route is assembled on the block.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .operators import (
     as_operator,
     dagger,
     devectorize_columns,
-    dfs_columns,
     four_corners,
     frob,
     gksl_superop,
@@ -147,10 +146,11 @@ def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) 
     O1(X) = -i(A X - X A†) + sum_l (F_l X f_l† + f_l X F_l†). The star
     commutator is additive in A, so its V_diag part, the coupling C of
     :func:`effective_coupling` and its f_ur part -(i/2) sum_l
-    (f_ur_l† F_l + F_l† f_ur_l) share one A; as f_ul + f_ur = P f,
-    A = V - (i/2)(G + G†) with G = sum_l F_l† P f_l.
+    (f_ur_l† F_l + F_l† f_ur_l) share one A; as f_ul + f_ur = P f, the DFS
+    rows of f, A = V - (i/2)(G + G†) with G = sum_l F_l† P f_l.
     """
-    top = lind.dfs.p @ fs
+    top = np.zeros_like(fs)
+    top[..., lind.dfs.indices, :] = fs[..., lind.dfs.indices, :]
     g = sum((dagger(big_f) @ top[:, j] for j, big_f in enumerate(lind.jumps)),
             np.zeros_like(v))
     return v - 0.5j * (g + dagger(g))
@@ -181,27 +181,6 @@ def _apply_o2(fs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def perturbation_superops(lind: StructuredLindbladian, pert: Perturbation):
-    """First- and second-order perturbation superoperators (O1, O2) as matrices.
-
-    O1 = V-part + coupling part + mixed-dissipator part:
-        V-part:   -i [ V_diag - (i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l), . ]*
-        coupling: -i [ C, . ]*   (star commutator, C from effective_coupling)
-        mixed:    sum_l ( F_l (.) f_l† + f_l (.) F_l† )
-    O2 = sum_l D[f_l].
-
-    O1 + O2 equals the direct Lindbladian difference
-    L(H+V, {F+f}) - L(H, {F}) up to round-off. The matrices are the maps the
-    general route applies, evaluated on the D^2 unit operators; the route
-    itself never forms them.
-    """
-    v, fs = _stacked(lind, [pert])
-    a = _o1_coefficient(lind, v, fs)
-    units = devectorize_columns(np.eye(lind.dim ** 2, dtype=complex))
-    return (vectorize_stack(_apply_o1(a, lind.jumps, fs, units)),
-            vectorize_stack(_apply_o2(fs, units)))
-
-
 def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     """General-route DFS blocks of K perturbations of one generator, as (K, d^2, d^2).
 
@@ -215,13 +194,14 @@ def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     independent of the closed one.
     """
     v, fs = _stacked(lind, perts)
-    e = dfs_columns(lind.dfs.basis)
+    m = lind.dfs.d ** 2
+    e = np.zeros((lind.dim ** 2, m), dtype=complex)
+    e[lind.dfs.vec_order[:m], range(m)] = 1.0
     x = devectorize_columns(lind.factor.apply_projection(e))
     a = _o1_coefficient(lind, v, fs)
     o1x = _apply_o1(a, lind.jumps, fs, x)
     ld_o1x = devectorize_columns(lind.factor.apply_drazin(vectorize_stack(o1x))).reshape(o1x.shape)
     cols = vectorize_stack(o1x + _apply_o2(fs, x) - _apply_o1(a, lind.jumps, fs, ld_o1x))
-    m = x.shape[0]
     j = lind.factor.apply_projection(e, adjoint=True)
     return (dagger(j) @ cols).reshape(m, len(perts), m).transpose(1, 0, 2)
 
@@ -274,11 +254,10 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
     f_lls = [four_corners(f, dfs).ll for f in pert.fs]
     adj_id = sum((dagger(f) @ f for f in f_lls), np.zeros((dfs.dim, dfs.dim), dtype=complex))
     # E_eff on the d^2 DFS units b_i b_j†: source f_ll (.) f_ll†, sector solve,
-    # feed F_l (.) F_l†, each in the block bases of its corner.
-    bp, bq = dfs.basis, dfs.basis_c
+    # feed F_l (.) F_l†, each on the blocks of its corner.
     d = dfs.d
-    detect = [dagger(bq) @ f @ bp for f in pert.fs]           # f_ll, (n, d)
-    feed = [dagger(bp) @ big_f @ bq for big_f in lind.jumps]  # F_l, (d, n)
+    detect = [f[np.ix_(dfs.rest, dfs.indices)] for f in pert.fs]           # f_ll, (n, d)
+    feed = [big_f[np.ix_(dfs.indices, dfs.rest)] for big_f in lind.jumps]  # F_l, (d, n)
     cp_superop = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         for i in range(d):
@@ -302,13 +281,12 @@ def effective_to_superop(eff: EffectiveGenerator) -> np.ndarray:
     """Assemble the closed-form pieces into the (d^2, d^2) DFS block.
 
     -i[H_eff, .] + sum_l D[F_eff_l] + E_eff - (1/2){E_eff_adj(I), .}, from
-    B† H_eff B, B† F_eff_l B, B† (sum_l F_eff_l† F_eff_l + E_eff_adj(I)) B and
-    the block of E_eff.
+    the DFS blocks of H_eff, of the F_eff_l and of
+    sum_l F_eff_l† F_eff_l + E_eff_adj(I), and the block of E_eff.
     """
-    b = eff.dfs.basis
+    ul = np.ix_(eff.dfs.indices, eff.dfs.indices)
     w = sum((dagger(f) @ f for f in eff.jumps_eff), eff.cp_adjoint_identity)
-    return gksl_superop(dagger(b) @ eff.h_eff @ b, [dagger(b) @ f @ b for f in eff.jumps_eff],
-                        w=dagger(b) @ w @ b) + eff.cp_superop
+    return gksl_superop(eff.h_eff[ul], [f[ul] for f in eff.jumps_eff], w=w[ul]) + eff.cp_superop
 
 
 @dataclass(frozen=True)
@@ -466,17 +444,17 @@ class Study:
         dfs = lind.dfs
         kinv, coupling = eff.kinv, eff.coupling
 
-        # E_eff adjoint on the identity, in the block basis.
-        bp, bq = dfs.basis, dfs.basis_c
+        # E_eff adjoint on the identity, on the DFS block.
+        lr = np.ix_(dfs.rest, dfs.rest)
         lhs = apply_superop(adjoint_superop(eff.cp_superop), np.eye(dfs.d, dtype=complex))
-        rhs = dagger(bp) @ eff.cp_adjoint_identity @ bp
+        rhs = eff.cp_adjoint_identity[np.ix_(dfs.indices, dfs.indices)]
         adjoint_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
         # Decaying-sector solve vs i[Kinv, sigma]* on the units q_j b_i† (ll:
         # -i K rho = sigma) and b_i q_j† (ur: i rho K† = sigma). Their solutions
         # are column j of (-i K_qq)^-1 and row j of (i K_qq†)^-1, for every i.
-        kinv_qq = dagger(bq) @ kinv @ bq
-        lu = lu_factor(-1j * (dagger(bq) @ lind.k @ bq))
+        kinv_qq = kinv[lr]
+        lu = lu_factor(-1j * lind.k[lr])
         eye = np.eye(dfs.n_decay)
         offdiag_res = float(max(
             np.max(np.linalg.norm(got - want, axis=axis)

@@ -32,12 +32,13 @@ of the DFS basis, L is block-triangular with its kernel on the DFS corner,
 and both are read off LUs of the decaying-corner blocks of L, block
 diagonal over ll, ur and lr under the normal form. A generator that fails a
 check falls back to one dense ordered complex Schur form of L
-(:class:`OrderedSchur`), which also serves the free functions
-:func:`drazin_inverse` and :func:`asymptotic_projection` and the tests as an
-oracle. The decaying-sector
-map sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
-Bartels-Stewart on the cached Schur form of K_qq; its dense Kronecker form is
-kept in :func:`nh_superop_inverse_lr` as an independent oracle.
+(:class:`OrderedSchur`), which the tests also use as an oracle. The
+decaying-sector map sigma -> -i(K sigma - sigma K†) is a Sylvester equation,
+solved by Bartels-Stewart on the cached Schur form of K_qq; its dense
+Kronecker form is kept in :func:`nh_superop_inverse_lr` as an independent
+oracle, behind the closed-form :func:`asymptotic_projection_analytic`. Every
+block of an operator or superoperator is an index gather on the DFS index set
+(:class:`~ejof.operators.DfsProjector`), never a product with a projector.
 """
 
 from __future__ import annotations
@@ -59,12 +60,10 @@ from .operators import (
     DfsProjector,
     as_operator,
     dagger,
-    dfs_columns,
     four_corners,
     frob,
     gksl_superop,
     require_hermitian,
-    sandwich_superop,
 )
 
 # Relative threshold separating the zero cluster of a superoperator spectrum.
@@ -167,9 +166,8 @@ class OrderedSchur:
         T = [[T11, T12],   S^D = Z [[inv(T11), inv(T11)^2 T12],  Z†
              [0,   T22]],            [0,        0            ]]
 
-    This is the dense fallback of the spectral layer: generators that fail a
-    structural check, the free functions :func:`drazin_inverse` and
-    :func:`asymptotic_projection`, and the tests' oracle. It exposes the same
+    This is the dense fallback of the spectral layer, for generators that fail
+    a structural check, and the tests' oracle. It exposes the same
     ``drazin``/``projection``/``apply_drazin``/``apply_projection`` interface
     as :class:`CornerFactor`.
     """
@@ -251,17 +249,6 @@ class OrderedSchur:
         return left @ dagger(z2)
 
 
-def _frame_order(idx: np.ndarray, d: int) -> np.ndarray:
-    """Vec index of each position of the DFS frame, in corner order ul, ll, ur, lr.
-
-    Frame vector a is basis vector idx[a], the d DFS vectors first, so frame
-    entry (a, b) sits at vec index idx[a] + D idx[b]. Each corner is
-    column-stacked, so ul comes in the column order of :func:`dfs_columns`.
-    """
-    grid = idx + idx.size * idx[:, None]  # grid[b, a]: vec index of frame entry (a, b)
-    return np.concatenate([grid[:d, :d], grid[:d, d:], grid[d:, :d], grid[d:, d:]], axis=None)
-
-
 @dataclass(frozen=True, eq=False)
 class CornerFactor:
     """L^D and P_inf of a generator whose kernel is its DFS corner, by eliminating that corner.
@@ -281,12 +268,11 @@ class CornerFactor:
     nonzero entry (leakage below the tolerance), L_rr is factored whole, so
     no entry of L is dropped.
 
-    U is the permutation ``dfs.order``, and ``order`` holds the vec index of
-    each frame position, so entering or leaving the frame is an index gather
-    or scatter. The factor reads only
-    L's own entries. The LUs are taken on first use, with a
-    :class:`SpectralGapWarning` when ``gap`` is within 100x of ``thresh``, as
-    :class:`OrderedSchur` does.
+    U is the permutation ``dfs.order``, and ``order`` is ``dfs.vec_order``, the
+    vec index of each frame position, so entering or leaving the frame is an
+    index gather or scatter. The factor reads only L's own entries. The LUs
+    are taken on first use, with a :class:`SpectralGapWarning` when ``gap`` is
+    within 100x of ``thresh``, as :class:`OrderedSchur` does.
     """
 
     superop: np.ndarray
@@ -298,8 +284,7 @@ class CornerFactor:
     @classmethod
     def of(cls, superop: np.ndarray, dfs: DfsProjector, *, thresh: float,
            gap: float) -> "CornerFactor":
-        return cls(superop=superop, order=_frame_order(np.array(dfs.order), dfs.d), d=dfs.d,
-                   thresh=thresh, gap=gap)
+        return cls(superop=superop, order=dfs.vec_order, d=dfs.d, thresh=thresh, gap=gap)
 
     @cached_property
     def _factored(self) -> tuple[list, np.ndarray]:
@@ -417,15 +402,6 @@ class StructuredLindbladian:
         return self.factor.projection()
 
 
-def structure_report(h, jumps, dfs: DfsProjector, superop=None, tol: float = DEFAULT_TOL) -> StructureReport:
-    """Evaluate the structural checks without raising."""
-    h = as_operator(h)
-    jumps = [as_operator(f) for f in jumps]
-    if superop is None:
-        superop = assemble_lindbladian(h, jumps)
-    return _diagnose(h, jumps, dfs, superop, tol)[0]
-
-
 def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
     """|lambda| over spec(L) for a generator in normal form, from spec(K_qq).
 
@@ -452,9 +428,9 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
-    h_block = frob(h - dfs.q @ h @ dfs.q) / scale_h
+    h_block = frob(h - four_corners(h, dfs).lr) / scale_h
     jump_res = tuple(
-        frob(f - dfs.p @ f @ dfs.q) / max(1.0, frob(f)) for f in jumps
+        frob(f - four_corners(f, dfs).ur) / max(1.0, frob(f)) for f in jumps
     )
     k = nh_hamiltonian(h, jumps)
     sector = SectorSolver.of(k, dfs)
@@ -465,8 +441,12 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     else:
         scale_s = max(1.0, float(np.linalg.norm(superop, 2)))
     thresh = ZERO_CLUSTER_FACTOR * scale_s
-    # Steadiness: L applied to a basis of the DFS block, one unit per column.
-    steady = float(np.max(np.linalg.norm(superop @ dfs_columns(dfs.basis), axis=0))) / scale_s
+    # Steadiness: L applied to each DFS unit b_i b_j† is L's column at the
+    # unit's vec position. np.take returns the columns C-ordered (a fancy-index
+    # gather would be F-ordered), and the layout fixes the order in which the
+    # column norms are summed.
+    cols = np.take(superop, dfs.vec_order[:dfs.d ** 2], axis=1)
+    steady = float(np.max(np.linalg.norm(cols, axis=0))) / scale_s
     fallback = None
     if not (blocks_ok and steady <= tol):
         fallback = OrderedSchur.of(superop, zero_tol=thresh)
@@ -525,26 +505,6 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
                                  factor=factor, decaying_sector=sector)
 
 
-def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:
-    """Drazin pseudoinverse of a matrix with (at most) a semisimple zero eigenvalue.
-
-    Factors S once as a dense :class:`OrderedSchur` and reads S^D off it; it
-    needs nothing of S's structure, so it serves as the oracle for the
-    factor a :class:`StructuredLindbladian` caches at build. For a
-    semisimple zero cluster T22 vanishes
-    up to round-off; a nilpotent residual above tolerance raises
-    :class:`NonSemisimpleZeroError`. The default threshold is
-    1e-8 * ||S||_2; a nonzero eigenvalue within 100x of the threshold emits
-    :class:`SpectralGapWarning`.
-    """
-    return OrderedSchur.of(s, zero_tol=zero_tol).drazin()
-
-
-def asymptotic_projection(s: np.ndarray) -> np.ndarray:
-    """P_inf = I - S S^D, the spectral projection onto the kernel of S."""
-    return OrderedSchur.of(s).projection()
-
-
 def decay_rates(s: np.ndarray) -> np.ndarray:
     """Sorted decay rates -Re(lambda) over the nonzero spectrum of a generator."""
     s = as_operator(s)
@@ -589,14 +549,15 @@ def nh_hamiltonian_inverse(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
     The result X satisfies X K = K X = Q (the decaying-block projector) and
     vanishes on the other corners.
     """
-    k = as_operator(k)
-    bq = dfs.basis_c
-    kk = dagger(bq) @ k @ bq
+    lr = np.ix_(dfs.rest, dfs.rest)
+    kk = as_operator(k)[lr]
     try:
         inv = np.linalg.solve(kk, np.eye(kk.shape[0], dtype=complex))
     except np.linalg.LinAlgError as err:
         raise SingularBlockError(f"non-Hermitian Hamiltonian is singular on the decaying block: {err}") from err
-    return bq @ inv @ dagger(bq)
+    out = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+    out[lr] = inv
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -615,8 +576,7 @@ class SectorSolver:
 
     @classmethod
     def of(cls, k: np.ndarray, dfs: DfsProjector) -> "SectorSolver":
-        bq = dfs.basis_c
-        t, u = schur(dagger(bq) @ as_operator(k) @ bq, output="complex")
+        t, u = schur(as_operator(k)[np.ix_(dfs.rest, dfs.rest)], output="complex")
         return cls(t=t, u=u)
 
     def solve(self, c: np.ndarray) -> np.ndarray:
@@ -650,57 +610,15 @@ def nh_superop_inverse_lr(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
     independent oracle behind :func:`asymptotic_projection_analytic` and the
     tests.
     """
-    k = as_operator(k)
-    bq = dfs.basis_c
-    kk = dagger(bq) @ k @ bq
-    m = _nh_block_matrix(kk)
+    m = _nh_block_matrix(as_operator(k)[np.ix_(dfs.rest, dfs.rest)])
     try:
         minv = np.linalg.solve(m, np.eye(m.shape[0], dtype=complex))
     except np.linalg.LinAlgError as err:
         raise SingularBlockError(f"decaying-block evolution superoperator is singular: {err}") from err
-    comp = np.kron(bq.T, dagger(bq))
-    emb = np.kron(bq.conj(), bq)
-    return emb @ minv @ comp
-
-
-def nh_superop_solve(k: np.ndarray, sigma: np.ndarray, dfs: DfsProjector,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve -i(K rho - rho K†) = sigma on the ll, ur, and lr corners.
-
-    The map is block diagonal over corners and vanishes identically on the
-    DFS corner, so sigma must have no ul component. The ll and ur corners are
-    dense linear systems with K_qq in the compressed basis; the lr corner is a
-    Bartels-Stewart Sylvester solve (:class:`SectorSolver`). A corner whose
-    right-hand side is exactly zero is skipped, so K_qq is Schur-factored only
-    when the lr corner is nonzero. No diagonalization of K is involved, so
-    defective K are fine.
-    """
-    k = as_operator(k)
-    sigma = as_operator(sigma)
-    c = four_corners(sigma, dfs)
-    if frob(c.ul) > tol * max(1.0, frob(sigma)):
-        raise ValueError(
-            f"right-hand side has weight {frob(c.ul):.3e} on the DFS corner, "
-            "where the map is not invertible"
-        )
-    bp, bq = dfs.basis, dfs.basis_c
-    kk = dagger(bq) @ k @ bq
-    rhs_ll = dagger(bq) @ c.ll @ bp
-    rhs_ur = dagger(bp) @ c.ur @ bq
-    rhs_lr = dagger(bq) @ c.lr @ bq
-    rho = np.zeros_like(sigma)
-    try:
-        if rhs_ll.any():
-            # ll corner: -i K rho = sigma_ll.
-            rho += bq @ np.linalg.solve(-1j * kk, rhs_ll) @ dagger(bp)
-        if rhs_ur.any():
-            # ur corner: i rho K† = sigma_ur, solved from the right.
-            rho += bp @ np.linalg.solve((1j * dagger(kk)).T, rhs_ur.T).T @ dagger(bq)
-    except np.linalg.LinAlgError as err:
-        raise SingularBlockError(f"non-Hermitian sector solve failed: {err}") from err
-    if rhs_lr.any():
-        rho += bq @ SectorSolver.of(k, dfs).solve(rhs_lr) @ dagger(bq)
-    return rho
+    lr = dfs.vec_order[-dfs.n_decay ** 2:]
+    out = np.zeros((dfs.dim ** 2, dfs.dim ** 2), dtype=complex)
+    out[np.ix_(lr, lr)] = minv
+    return out
 
 
 def asymptotic_projection_analytic(lind: StructuredLindbladian) -> np.ndarray:
@@ -708,12 +626,15 @@ def asymptotic_projection_analytic(lind: StructuredLindbladian) -> np.ndarray:
 
     P_inf(rho) = P rho P - sum_l F_l Kinv_lr(rho) F_l†, where Kinv_lr inverts
     the decaying-block evolution sigma -> -i(K sigma - sigma K†). The map
-    annihilates the block-off-diagonal corners.
+    annihilates the block-off-diagonal corners. Kinv_lr reads and writes only
+    the lr vec positions, so the feed enters through its lr columns alone.
     """
     dfs = lind.dfs
-    s = sandwich_superop(dfs.p, dfs.p).astype(complex)
+    rest = dfs.rest
     inv_lr = nh_superop_inverse_lr(lind.k, dfs)
-    feed = np.zeros_like(s)
-    for f in lind.jumps:
-        feed = feed + sandwich_superop(f, dagger(f))
-    return s - feed @ inv_lr
+    # Column a + n b of conj(F_l[:, rest]) kron F_l[:, rest] is vec(F_l q_a q_b† F_l†).
+    feed_lr = sum(np.kron(f[:, rest].conj(), f[:, rest]) for f in lind.jumps)
+    out = -(feed_lr @ inv_lr[dfs.vec_order[-dfs.n_decay ** 2:]])
+    ul = dfs.vec_order[:dfs.d ** 2]
+    out[ul, ul] += 1.0
+    return out

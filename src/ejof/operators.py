@@ -9,13 +9,16 @@ of X, so vec(A X B) = (B^T kron A) vec(X). With numpy this is
 ``X.reshape(-1, order="F")``.
 
 The block structure of an open system with a decoherence-free subspace (DFS) is
-handled through :class:`DfsProjector`, a set of computational basis states.
-For the projector P onto the DFS and its complement Q = I - P, any operator
-splits into four corners
+handled through :class:`DfsProjector`, a set of computational basis states
+and its complement, the decaying states. Any operator splits into four corners
 
-    O = P O P + P O Q + Q O P + Q O Q = O_ul + O_ur + O_ll + O_lr
+    O = O_ul + O_ur + O_ll + O_lr
 
-("upper-left" is the DFS block, "lower-right" the decaying block), exactly in
+by its rows and columns: ul keeps the DFS rows and DFS columns (the DFS
+block), ur the DFS rows and decaying columns, ll the decaying rows and DFS
+columns, and lr the decaying block. For the projector P onto the DFS and
+Q = I - P these are P O P, P O Q, Q O P and Q O Q, but no projector is
+formed: a corner is an index split and a block an index gather, each exact in
 floating point. The corner names ul/ur/ll/lr are used throughout. A DFS given
 as a dense projector matrix is not represented: the problem is rotated into
 the projector's eigenbasis (:func:`projector_frame`) where it is read.
@@ -24,6 +27,7 @@ the projector's eigenbasis (:func:`projector_frame`) where it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -83,48 +87,52 @@ def projector_frame(p) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True, eq=False)
 class DfsProjector:
-    """The DFS as a set of computational basis states, with derived block data.
+    """The DFS as a set of computational basis states, and the index arrays its blocks are sliced by.
 
-    Build one with :meth:`from_indices`. Every corner decomposition is exact
-    in floating point. A DFS given as a projector matrix is handled by
-    rotating the problem into the frame of :func:`projector_frame`, where it
-    is the first d basis states.
+    Build one with :meth:`from_indices`. No projector matrix is formed: a
+    block of an operator is an index gather such as
+    ``a[np.ix_(indices, rest)]``, and a corner (:func:`four_corners`) is the
+    operator with every entry outside its rows and columns set to zero, so
+    both are exact in floating point. A DFS given as a projector matrix is
+    handled by rotating the problem into the frame of :func:`projector_frame`,
+    where it is the first d basis states.
 
     Attributes
     ----------
     dim : Hilbert-space dimension D.
-    indices : the DFS basis states, in the column order of ``basis``.
-    order : ``indices``, then the decaying basis states in ascending order:
-        the basis state behind each column of [basis, basis_c].
-    p : (D, D) projector onto the DFS.
-    q : (D, D) complementary projector I - P onto the decaying space.
+    indices : (d,) the DFS basis states, in the row and column order of a DFS block.
+    rest : (D - d,) the decaying basis states, ascending.
+    order : ``indices``, then ``rest``: the basis state at each position of
+        the DFS frame.
+    vec_order : (D^2,) the vec index of each entry of the frame, corner by
+        corner in the order ul, ll, ur, lr, each corner column-stacked. Frame
+        entry (a, b) is vec index order[a] + D order[b], so the first d^2
+        entries are the DFS vec positions: position i + d j holds
+        vec(b_i b_j†), for b_i the unit vector of indices[i].
     d : DFS dimension.
-    basis : (D, d) unit columns spanning the DFS.
-    basis_c : (D, D - d) unit columns spanning the decaying space.
     """
 
     dim: int
-    indices: tuple[int, ...]
-    order: tuple[int, ...] = field(init=False)
-    p: np.ndarray = field(init=False)
-    q: np.ndarray = field(init=False)
+    indices: np.ndarray
+    rest: np.ndarray = field(init=False)
+    order: np.ndarray = field(init=False)
+    vec_order: np.ndarray = field(init=False)
     d: int = field(init=False)
-    basis: np.ndarray = field(init=False)
-    basis_c: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        dim, d = self.dim, len(self.indices)
-        order = (*self.indices, *(i for i in range(dim) if i not in self.indices))
-        units = np.zeros((dim, dim), dtype=complex)  # column k: basis state order[k]
-        units[order, range(dim)] = 1.0
-        p = np.zeros((dim, dim), dtype=complex)
-        p[self.indices, self.indices] = 1.0
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", np.eye(dim, dtype=complex) - p)
+        dim, indices = self.dim, np.array(self.indices, dtype=np.intp)
+        d = indices.size
+        inside = np.zeros(dim, dtype=bool)
+        inside[indices] = True
+        order = np.concatenate([indices, np.flatnonzero(~inside)])
+        grid = order + dim * order[:, None]  # grid[b, a]: vec index of frame entry (a, b)
+        vec_order = np.concatenate([grid[:d, :d], grid[:d, d:], grid[d:, :d], grid[d:, d:]],
+                                   axis=None)
+        for name, value in (("indices", indices), ("rest", order[d:]), ("order", order),
+                            ("vec_order", vec_order)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "basis", units[:, :d].copy())
-        object.__setattr__(self, "basis_c", units[:, d:].copy())
 
     @classmethod
     def from_indices(cls, dim: int, indices) -> "DfsProjector":
@@ -132,11 +140,19 @@ class DfsProjector:
         idx = list(indices)
         if not idx or len(set(idx)) != len(idx) or any(not 0 <= i < dim for i in idx):
             raise ValueError(f"invalid basis indices {idx} for dimension {dim}")
-        return cls(dim, tuple(idx))
+        return cls(dim, idx)
 
     @property
     def n_decay(self) -> int:
         return self.dim - self.d
+
+    @cached_property
+    def _corner_masks(self) -> tuple[np.ndarray, ...]:
+        """(D, D) masks of the ul, ur, ll and lr corners, read by :func:`four_corners`."""
+        inside = np.zeros(self.dim, dtype=bool)
+        inside[self.indices] = True
+        rows, cols = inside[:, None], inside[None, :]
+        return rows & cols, rows & ~cols, ~rows & cols, ~rows & ~cols
 
 
 @dataclass(frozen=True)
@@ -160,17 +176,14 @@ class Corners:
 def four_corners(op: np.ndarray, dfs: DfsProjector) -> Corners:
     """Corners of an operator, or of each operator in a (..., D, D) stack.
 
-    Three products: top = P O, ul = top P, ll = (O - top) P, and ur, lr by
-    difference, each exact since P is a 0/1 diagonal.
+    Each corner keeps the entries of its rows and columns and is zero
+    elsewhere: a split by the DFS index mask, with no product.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (dfs.dim, dfs.dim):
         raise ValueError(f"operator shape {op.shape} != projector dimension {dfs.dim}")
-    top = dfs.p @ op
-    ul = top @ dfs.p
-    bottom = op - top
-    ll = bottom @ dfs.p
-    return Corners(ul=ul, ur=top - ul, ll=ll, lr=bottom - ll)
+    zero = np.zeros((), dtype=complex)
+    return Corners(*(np.where(mask, op, zero) for mask in dfs._corner_masks))
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +216,6 @@ def vectorize_stack(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim * dim).T
 
 
-def dfs_columns(basis: np.ndarray) -> np.ndarray:
-    """E = conj(B) kron B for an isometry B: vec(B sigma B†) = E vec(sigma).
-
-    Its columns are vec(b_i b_j†) in vec order, and E E† projects onto the
-    block that B spans.
-    """
-    b = np.asarray(basis)
-    dim, d = b.shape
-    return (b.conj()[:, None, :, None] * b[None, :, None, :]).reshape(dim * dim, d * d)
-
-
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of X -> A X B under column stacking: B^T kron A."""
     a = as_operator(a)
@@ -235,36 +237,9 @@ def right_superop(b: np.ndarray) -> np.ndarray:
     return np.kron(b.T, np.eye(b.shape[0], dtype=complex))
 
 
-def commutator_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of X -> [H, X]."""
-    return left_superop(h) - right_superop(h)
-
-
 def anticommutator_superop(a: np.ndarray) -> np.ndarray:
     """Matrix of X -> {A, X}."""
     return left_superop(a) + right_superop(a)
-
-
-def star_commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Generalized commutator A X - X A† (reduces to [A, X] for Hermitian A)."""
-    return a @ x - x @ dagger(a)
-
-
-def star_commutator_superop(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X - X A†."""
-    return left_superop(a) - right_superop(dagger(a))
-
-
-def dissipator(f: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[F](X) = F X F† - (1/2){F† F, X} as a matrix."""
-    f = as_operator(f)
-    w = dagger(f) @ f
-    eye = np.eye(f.shape[0], dtype=complex)
-    return (
-        sandwich_superop(f, dagger(f))
-        - 0.5 * sandwich_superop(w, eye)
-        - 0.5 * sandwich_superop(eye, w)
-    )
 
 
 def gksl_superop(h: np.ndarray, jumps, w: np.ndarray | None = None) -> np.ndarray:
@@ -304,84 +279,3 @@ def adjoint_superop(s: np.ndarray) -> np.ndarray:
 
 def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return devectorize(as_operator(s) @ vectorize(x))
-
-
-def corner_superops(dfs: DfsProjector) -> Corners:
-    """Superoperator projectors onto the four corners (X -> P X P etc.)."""
-    p, q = dfs.p, dfs.q
-    return Corners(
-        ul=sandwich_superop(p, p),
-        ur=sandwich_superop(p, q),
-        ll=sandwich_superop(q, p),
-        lr=sandwich_superop(q, q),
-    )
-
-
-def compress_superop(s: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Restrict a superoperator to the block spanned by an isometry.
-
-    For a (D, m) isometry B the result is the (m*m, m*m) matrix of
-    sigma -> B† S(B sigma B†) B, i.e. the superoperator in the block basis.
-    """
-    s = as_operator(s)
-    b = np.asarray(basis, dtype=complex)
-    comp = np.kron(b.T, dagger(b))     # vec(B† X B) = (B^T kron B†) vec(X)
-    emb = np.kron(b.conj(), b)         # vec(B Y B†) = (conj(B) kron B) vec(Y)
-    return comp @ s @ emb
-
-
-def embed_superop(s_small: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Inverse direction of :func:`compress_superop` (zero outside the block)."""
-    s_small = as_operator(s_small)
-    b = np.asarray(basis, dtype=complex)
-    comp = np.kron(b.T, dagger(b))
-    emb = np.kron(b.conj(), b)
-    return emb @ s_small @ comp
-
-
-def choi_matrix(s: np.ndarray) -> np.ndarray:
-    """Choi matrix of a superoperator on a dim-dimensional space.
-
-    Lambda = sum_ij |i><j| kron S(|i><j|); S is completely positive iff
-    Lambda is positive semidefinite.
-    """
-    s = as_operator(s)
-    dim = int(round(np.sqrt(s.shape[0])))
-    if dim * dim != s.shape[0]:
-        raise ValueError("superoperator side length is not a perfect square")
-    lam = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            img = apply_superop(s, unit)
-            lam += np.kron(unit, img)
-    return lam
-
-
-def kraus_operators(s: np.ndarray, tol: float = 1e-12) -> list[np.ndarray]:
-    """Kraus operators of a completely positive superoperator.
-
-    Obtained from the eigendecomposition of the Choi matrix; eigenvalues below
-    -tol raise, eigenvalues in [-tol, tol] are dropped.
-    """
-    lam = choi_matrix(s)
-    dim = int(round(np.sqrt(lam.shape[0])))
-    evals, evecs = np.linalg.eigh((lam + dagger(lam)) / 2)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    if np.min(evals) < -tol * scale:
-        raise ValueError(f"map is not completely positive (Choi eigenvalue {np.min(evals):.3e})")
-    ops = []
-    for val, vec in zip(evals, evecs.T):
-        if val > tol * scale:
-            # Choi column index decodes as (input i, output row); vec is grouped
-            # by input index i in blocks of length dim.
-            ops.append(np.sqrt(val) * vec.reshape(dim, dim).T)
-    return ops
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2)||A - B||_1 for Hermitian A, B."""
-    diff = as_operator(a) - as_operator(b)
-    diff = (diff + dagger(diff)) / 2
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -34,7 +34,6 @@ from .operators import (
     DfsProjector,
     anticommutator_superop,
     as_operator,
-    compress_superop,
     dagger,
     four_corners,
     frob,
@@ -86,12 +85,15 @@ def repetition_code_recovery():
     """
     dim = 8
     code = DfsProjector.from_indices(dim, (0, 7))
-    p = code.p
+    p = np.zeros((dim, dim), dtype=complex)
+    p[code.indices, code.indices] = 1.0
     kraus = []
     supports = []
     for qubit in range(3):
         x = pauli_on_qubit("X", qubit)
-        kraus.append(p @ x)
+        f = np.zeros_like(x)  # P X_l: the code rows of X_l
+        f[code.indices] = x[code.indices]
+        kraus.append(f)
         supports.append(x @ p @ x)
     lind = structured_lindbladian(np.zeros((dim, dim), dtype=complex), kraus, code)
     rec = RecoveryChannel(
@@ -140,10 +142,11 @@ def check_recovery_conditions(rec: RecoveryChannel, tol: float = 1e-10) -> Recov
     surj = tuple(surjectivity_residual(f, code) for f in rec.kraus)
     orth = orthogonality_residual(rec.kraus)
     w = sum(dagger(f) @ f for f in rec.kraus)
-    decay = frob(w - code.q)
+    eye = np.eye(rec.dim, dtype=complex)
+    decay = frob(w - four_corners(eye, code).lr)  # Q, the decaying-block projector
     r0 = rec.identity_kraus
-    channel = frob(dagger(r0) @ r0 + w - np.eye(rec.dim, dtype=complex))
-    corners = tuple(frob(f - code.p @ f @ code.q) / max(1.0, frob(f)) for f in rec.kraus)
+    channel = frob(dagger(r0) @ r0 + w - eye)
+    corners = tuple(frob(f - four_corners(f, code).ur) / max(1.0, frob(f)) for f in rec.kraus)
     return RecoveryConditionsReport(
         surjectivity=surj,
         orthogonality=orth,
@@ -221,7 +224,8 @@ def correctability_check(detectable_parts, rec: RecoveryChannel, tol: float = 1e
     r_super = sandwich_superop(r0, dagger(r0))
     for f in rec.kraus:
         r_super = r_super + sandwich_superop(f, dagger(f))
-    m = compress_superop(r_super @ e_super, code.basis)
+    ul = code.vec_order[:code.d ** 2]  # the codespace vec positions
+    m = (r_super @ e_super)[np.ix_(ul, ul)]
     d2 = m.shape[0]
     c = complex(np.trace(m) / d2)
     resid = frob(m - c * np.eye(d2)) / max(frob(m), 1e-300)
@@ -274,8 +278,8 @@ def robustness_check(rec: RecoveryChannel, study: Study, *, tol: float = 1e-10) 
     detectable = [four_corners(f, rec.code).ll for f in pert.fs]
     corr = correctability_check(detectable, rec)
     entries = tuple(classify_miscalibration(f, rec) for f in pert.fs)
-    b = lind.dfs.basis
-    cp_part = eff.cp_superop - 0.5 * anticommutator_superop(dagger(b) @ eff.cp_adjoint_identity @ b)
+    ul = np.ix_(lind.dfs.indices, lind.dfs.indices)
+    cp_part = eff.cp_superop - 0.5 * anticommutator_superop(eff.cp_adjoint_identity[ul])
     h_norm = frob(lind.h)
     hypotheses = structure_ok and conditions.passed and corr.passed and h_norm == 0.0
     return RobustnessReport(
@@ -342,8 +346,7 @@ def hamiltonian_obstruction_demo(eps: float = 1e-2, hamiltonian_scale: float = 0
     rng = np.random.default_rng(seed)
     hr = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = np.zeros((dim, dim), dtype=complex)
-    bq = rec.code.basis_c
-    h += hamiltonian_scale * bq @ ((hr + dagger(hr)) / 2) @ dagger(bq)
+    h[np.ix_(rec.code.rest, rec.code.rest)] = hamiltonian_scale * ((hr + dagger(hr)) / 2)
     cells = []
     for h_on in (False, True):
         lind = structured_lindbladian(h, rec.kraus, rec.code) if h_on else lind0

@@ -90,30 +90,13 @@ def three_level_system(params: ThreeLevelParams):
     return lind, pert
 
 
-def generalized_three_level_perturbation(psi, gamma: float) -> Perturbation:
-    """Drive-type deformation f = sqrt(gamma) |0><psi| for a DFS state psi.
-
-    psi is a length-2 amplitude vector on (|0>, |1>); it is normalized here.
-    On resonance the effective jump vanishes for every psi: the decaying state
-    sqrt(Gamma)|1'> - sqrt(gamma)|e>-type superposition is dark.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (2,):
-        raise ValueError("psi must be a length-2 amplitude vector on the DFS")
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise ValueError("psi must be nonzero")
-    psi = psi / nrm
-    f = np.zeros((3, 3), dtype=complex)
-    f[0, :2] = np.sqrt(gamma) * psi.conj()
-    return Perturbation(v=np.zeros((3, 3), dtype=complex), fs=(f,))
-
-
 def surjectivity_residual(f: np.ndarray, dfs: DfsProjector) -> float:
     """Residual of the condition F (F†F)^-1 F† = P (inverse on the support)."""
     f = as_operator(f)
     w_pinv = np.linalg.pinv(dagger(f) @ f, rcond=1e-12)
-    return frob(f @ w_pinv @ dagger(f) - dfs.p)
+    resid = f @ w_pinv @ dagger(f)
+    resid[dfs.indices, dfs.indices] -= 1.0  # minus P
+    return frob(resid)
 
 
 def orthogonality_residual(jumps) -> float:
@@ -284,10 +267,10 @@ def universal_dissipation(lind: StructuredLindbladian, target_h, target_jumps, *
             f"{len(target_jumps)} target jumps but only {len(lind.jumps)} unperturbed jumps"
         )
     dfs = lind.dfs
-    if frob(target_h - dfs.p @ target_h @ dfs.p) > tol * max(1.0, frob(target_h)):
+    if frob(target_h - four_corners(target_h, dfs).ul) > tol * max(1.0, frob(target_h)):
         raise ValueError("target Hamiltonian must be supported on the DFS corner")
     for i, t in enumerate(target_jumps):
-        if frob(t - dfs.p @ t @ dfs.p) > tol * max(1.0, frob(t)):
+        if frob(t - four_corners(t, dfs).ul) > tol * max(1.0, frob(t)):
             raise ValueError(f"target jump {i} must be supported on the DFS corner")
     fs = list(target_jumps) + [
         np.zeros((dfs.dim, dfs.dim), dtype=complex)
@@ -383,9 +366,11 @@ def build_scenario(name: str, params: dict, seed: int, tol: float) -> ScenarioBu
     return _scenario_universal(params, seed, tol)
 
 
-def _supported_hermitian(basis: np.ndarray, rng, scale: float = 1.0) -> np.ndarray:
-    """A random Hermitian operator supported on the span of the basis columns."""
-    return basis @ (scale * _random_hermitian(rng, basis.shape[1])) @ dagger(basis)
+def _supported_hermitian(dim: int, states: np.ndarray, rng, scale: float = 1.0) -> np.ndarray:
+    """A random Hermitian operator on dim levels, supported on the block of the given basis states."""
+    out = np.zeros((dim, dim), dtype=complex)
+    out[np.ix_(states, states)] = scale * _random_hermitian(rng, states.size)
+    return out
 
 
 def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> list[np.ndarray]:
@@ -394,7 +379,8 @@ def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> li
     fs = []
     for _ in range(count):
         f = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        fs.append(f - dfs.q @ f @ dfs.p)
+        f[np.ix_(dfs.rest, dfs.indices)] = 0.0
+        fs.append(f)
     return fs
 
 
@@ -402,8 +388,9 @@ def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
     tl = ThreeLevelParams(delta=params["delta"], Gamma=params["Gamma"], gamma=params["gamma"])
     study = Study(*three_level_system(tl))
     eff = study.closed
-    basis = study.lind.dfs.basis
-    f_block = dagger(basis) @ eff.jumps_eff[0] @ basis
+    dfs = study.lind.dfs
+    ul = np.ix_(dfs.indices, dfs.indices)
+    f_block = eff.jumps_eff[0][ul]
     f_eff_norm = frob(eff.jumps_eff[0])
     dark = tl.delta == 0.0
     details = {
@@ -411,7 +398,7 @@ def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
         "f_eff": f_block,
         "f_eff_entry": f_block[0, 1],
         "f_eff_norm": f_eff_norm,
-        "h_eff": dagger(basis) @ eff.h_eff @ basis,
+        "h_eff": eff.h_eff[ul],
         "equivalence_residual": study.scaled_residual,
         "dark_state_case": dark,
     }
@@ -450,7 +437,7 @@ def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBu
     blocks = params["blocks"] if params["blocks"] is not None else [d, d]
     jumps, dfs = random_orthogonal_family(d, blocks, seed)
     rng = np.random.default_rng((seed, 2))
-    lind = structured_lindbladian(_supported_hermitian(dfs.basis_c, rng), jumps, dfs)
+    lind = structured_lindbladian(_supported_hermitian(dfs.dim, dfs.rest, rng), jumps, dfs)
     fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
     counter_term = not params["keep_induced_hamiltonian"]
     pert = coherent_cancellation_drive(lind, fs, cancel_induced_hamiltonian=counter_term)
@@ -480,16 +467,14 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
     if n_jumps < 3:
         raise ValueError("scenario.n_jumps: pauli targets need at least 3 jumps")
     lind, _ = random_structured_instance(2, params["decaying_dim"], n_jumps, seed)
-    basis = lind.dfs.basis
+    dfs = lind.dfs
     rng = np.random.default_rng((seed, 3))
-    target_h = _supported_hermitian(basis, rng, scale=params["scale"])
+    target_h = _supported_hermitian(dfs.dim, dfs.indices, rng, scale=params["scale"])
     targets = pauli_lowering_targets(params["scale"], lind.dim)
     study = Study(lind, universal_dissipation(lind, target_h, targets))
     achieved = study.general
-    target_block = assemble_lindbladian(
-        dagger(basis) @ target_h @ basis,
-        [dagger(basis) @ t @ basis for t in targets],
-    )
+    ul = np.ix_(dfs.indices, dfs.indices)
+    target_block = assemble_lindbladian(target_h[ul], [t[ul] for t in targets])
     residual = frob(achieved - target_block) / max(frob(target_block), 1e-300)
     details = {
         "targets": "pauli",

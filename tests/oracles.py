@@ -1,0 +1,226 @@
+"""Dense reference constructions the tests check the package against.
+
+The package represents a DFS as an index set and takes every corner and block
+by slicing. The oracles here build the dense objects the paper writes down:
+the projectors P and Q, the isometries B and B_q, the vec-space columns
+E = conj(B) kron B, Kronecker-form superoperators, and the dense spectral
+inverses of a Schur factor. They are used only by the tests.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from ejof.effective import Perturbation, effective_coupling
+from ejof.lindblad import OrderedSchur, SectorSolver, SingularBlockError, _diagnose
+from ejof.operators import (
+    DEFAULT_TOL,
+    DfsProjector,
+    apply_superop,
+    as_operator,
+    dagger,
+    four_corners,
+    frob,
+    gksl_superop,
+    left_superop,
+    right_superop,
+    sandwich_superop,
+)
+
+
+class DenseDfs(NamedTuple):
+    """P, Q = I - P, and the unit columns B (DFS) and B_q (decaying) of a DFS."""
+
+    p: np.ndarray
+    q: np.ndarray
+    basis: np.ndarray
+    basis_c: np.ndarray
+
+
+def dense_dfs(dfs: DfsProjector) -> DenseDfs:
+    """The dense projectors and isometries of an index-set DFS."""
+    eye = np.eye(dfs.dim, dtype=complex)
+    basis, basis_c = eye[:, dfs.indices], eye[:, dfs.rest]
+    return DenseDfs(p=basis @ dagger(basis), q=basis_c @ dagger(basis_c),
+                    basis=basis, basis_c=basis_c)
+
+
+def dfs_columns(basis: np.ndarray) -> np.ndarray:
+    """E = conj(B) kron B for an isometry B: vec(B sigma B†) = E vec(sigma)."""
+    return np.kron(basis.conj(), basis)
+
+
+def compress_superop(s: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (m^2, m^2) matrix of sigma -> B† S(B sigma B†) B, for a (D, m) isometry B."""
+    return np.kron(basis.T, dagger(basis)) @ as_operator(s) @ dfs_columns(basis)
+
+
+def embed_superop(s_small: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Inverse direction of :func:`compress_superop` (zero outside the block)."""
+    return dfs_columns(basis) @ as_operator(s_small) @ np.kron(basis.T, dagger(basis))
+
+
+def corner_superops(dfs: DfsProjector):
+    """Superoperator projectors onto the four corners (X -> P X P etc.), as (ul, ur, ll, lr)."""
+    p, q = dense_dfs(dfs)[:2]
+    return (sandwich_superop(p, p), sandwich_superop(p, q),
+            sandwich_superop(q, p), sandwich_superop(q, q))
+
+
+def commutator_superop(h: np.ndarray) -> np.ndarray:
+    """Matrix of X -> [H, X]."""
+    return left_superop(h) - right_superop(h)
+
+
+def star_commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Generalized commutator A X - X A† (reduces to [A, X] for Hermitian A)."""
+    return a @ x - x @ dagger(a)
+
+
+def star_commutator_superop(a: np.ndarray) -> np.ndarray:
+    """Matrix of X -> A X - X A†."""
+    return left_superop(a) - right_superop(dagger(a))
+
+
+def dissipator(f: np.ndarray) -> np.ndarray:
+    """Lindblad dissipator D[F](X) = F X F† - (1/2){F† F, X} as a matrix."""
+    f = as_operator(f)
+    w = dagger(f) @ f
+    eye = np.eye(f.shape[0], dtype=complex)
+    return (sandwich_superop(f, dagger(f))
+            - 0.5 * sandwich_superop(w, eye) - 0.5 * sandwich_superop(eye, w))
+
+
+def choi_matrix(s: np.ndarray) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| kron S(|i><j|); S is completely positive iff it is PSD."""
+    s = as_operator(s)
+    dim = int(round(np.sqrt(s.shape[0])))
+    lam = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[i, j] = 1.0
+            lam += np.kron(unit, apply_superop(s, unit))
+    return lam
+
+
+def kraus_operators(s: np.ndarray, tol: float = 1e-12) -> list[np.ndarray]:
+    """Kraus operators of a completely positive superoperator, from its Choi matrix.
+
+    Eigenvalues below -tol raise; those in [-tol, tol] are dropped.
+    """
+    lam = choi_matrix(s)
+    dim = int(round(np.sqrt(lam.shape[0])))
+    evals, evecs = np.linalg.eigh((lam + dagger(lam)) / 2)
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    if np.min(evals) < -tol * scale:
+        raise ValueError(f"map is not completely positive (Choi eigenvalue {np.min(evals):.3e})")
+    # Choi column index decodes as (input i, output row); vec is grouped by
+    # input index i in blocks of length dim.
+    return [np.sqrt(val) * vec.reshape(dim, dim).T
+            for val, vec in zip(evals, evecs.T) if val > tol * scale]
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance (1/2)||A - B||_1 for Hermitian A, B."""
+    diff = as_operator(a) - as_operator(b)
+    diff = (diff + dagger(diff)) / 2
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def structure_report(h, jumps, dfs: DfsProjector, superop=None, tol: float = DEFAULT_TOL):
+    """The structural checks of a generator, evaluated without raising."""
+    h = as_operator(h)
+    jumps = [as_operator(f) for f in jumps]
+    if superop is None:
+        superop = gksl_superop(h, jumps)
+    return _diagnose(h, jumps, dfs, superop, tol)[0]
+
+
+def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:
+    """Drazin pseudoinverse from one dense ordered Schur form of S (default cut 1e-8 ||S||_2)."""
+    return OrderedSchur.of(s, zero_tol=zero_tol).drazin()
+
+
+def asymptotic_projection(s: np.ndarray) -> np.ndarray:
+    """P_inf = I - S S^D, the spectral projection onto the kernel of S."""
+    return OrderedSchur.of(s).projection()
+
+
+def nh_superop_solve(k: np.ndarray, sigma: np.ndarray, dfs: DfsProjector,
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Solve -i(K rho - rho K†) = sigma on the ll, ur and lr corners.
+
+    The ll and ur corners are dense solves with K_qq in the block bases; the
+    lr corner is a Bartels-Stewart solve. sigma must have no ul component.
+    """
+    k = as_operator(k)
+    sigma = as_operator(sigma)
+    c = four_corners(sigma, dfs)
+    if frob(c.ul) > tol * max(1.0, frob(sigma)):
+        raise ValueError(
+            f"right-hand side has weight {frob(c.ul):.3e} on the DFS corner, "
+            "where the map is not invertible"
+        )
+    _, _, bp, bq = dense_dfs(dfs)
+    kk = dagger(bq) @ k @ bq
+    rhs_ll = dagger(bq) @ c.ll @ bp
+    rhs_ur = dagger(bp) @ c.ur @ bq
+    rhs_lr = dagger(bq) @ c.lr @ bq
+    rho = np.zeros_like(sigma)
+    try:
+        if rhs_ll.any():
+            # ll corner: -i K rho = sigma_ll.
+            rho += bq @ np.linalg.solve(-1j * kk, rhs_ll) @ dagger(bp)
+        if rhs_ur.any():
+            # ur corner: i rho K† = sigma_ur, solved from the right.
+            rho += bp @ np.linalg.solve((1j * dagger(kk)).T, rhs_ur.T).T @ dagger(bq)
+    except np.linalg.LinAlgError as err:
+        raise SingularBlockError(f"non-Hermitian sector solve failed: {err}") from err
+    if rhs_lr.any():
+        rho += bq @ SectorSolver.of(k, dfs).solve(rhs_lr) @ dagger(bq)
+    return rho
+
+
+def perturbation_superops(lind, pert: Perturbation):
+    """First- and second-order perturbation superoperators (O1, O2) as dense matrices.
+
+    O1 = V-part + coupling part + mixed-dissipator part:
+        V-part:   -i [ V_diag - (i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l), . ]*
+        coupling: -i [ C, . ]*   (star commutator, C from effective_coupling)
+        mixed:    sum_l ( F_l (.) f_l† + f_l (.) F_l† )
+    O2 = sum_l D[f_l].
+
+    O1 + O2 equals L(H+V, {F+f}) - L(H, {F}) up to round-off.
+    """
+    v = four_corners(pert.v, lind.dfs)
+    a_v = v.ul + v.lr
+    for big_f, f in zip(lind.jumps, pert.fs):
+        f_ur = four_corners(f, lind.dfs).ur
+        a_v = a_v - 0.5j * (dagger(f_ur) @ big_f + dagger(big_f) @ f_ur)
+    o1 = -1j * (star_commutator_superop(a_v)
+                + star_commutator_superop(effective_coupling(lind, pert)))
+    o2 = np.zeros_like(o1)
+    for big_f, f in zip(lind.jumps, pert.fs):
+        o1 += sandwich_superop(big_f, dagger(f)) + sandwich_superop(f, dagger(big_f))
+        o2 += dissipator(f)
+    return o1, o2
+
+
+def generalized_three_level_perturbation(psi, gamma: float) -> Perturbation:
+    """Drive-type deformation f = sqrt(gamma) |0><psi| for a DFS state psi of the three-level system.
+
+    psi is a length-2 amplitude vector on (|0>, |1>); it is normalized here.
+    On resonance the effective jump vanishes for every psi.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.shape != (2,):
+        raise ValueError("psi must be a length-2 amplitude vector on the DFS")
+    nrm = np.linalg.norm(psi)
+    if nrm == 0:
+        raise ValueError("psi must be nonzero")
+    f = np.zeros((3, 3), dtype=complex)
+    f[0, :2] = np.sqrt(gamma) * (psi / nrm).conj()
+    return Perturbation(v=np.zeros((3, 3), dtype=complex), fs=(f,))

@@ -23,14 +23,13 @@ from ejof.operators import (
     DfsProjector,
     dagger,
     devectorize,
-    embed_superop,
     frob,
     projector_frame,
-    trace_distance,
     vectorize,
 )
 from ejof.qec import pauli_miscalibration, repetition_code_recovery
 from ejof.scenarios import ThreeLevelParams, build_scenario, three_level_system
+from oracles import dense_dfs, embed_superop, trace_distance
 
 
 def dfs_states_three_level():
@@ -181,7 +180,7 @@ def _rotated_instance():
     # each block, with round-off leakage between them.
     lind, pert = random_structured_instance(2, 3, 2, 11)
     u, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 5)))
-    frame, rank = projector_frame(u @ lind.dfs.p @ dagger(u))
+    frame, rank = projector_frame(u @ dense_dfs(lind.dfs).p @ dagger(u))
 
     def turn(a):
         return dagger(frame) @ (u @ a @ dagger(u)) @ frame
@@ -199,16 +198,17 @@ def _rotated_instance():
 def test_block_propagation_matches_embedded_expm(make):
     lind, pert = make()
     dfs = lind.dfs
+    _, _, basis, basis_c = dense_dfs(dfs)
     block = effective_lindbladian_general(lind, pert)
     # A DFS state with 1e-10 weight off the DFS corner, which validation allows.
-    b0, b1, q = dfs.basis[:, 0], dfs.basis[:, 1], dfs.basis_c[:, 0]
+    b0, b1, q = basis[:, 0], basis[:, 1], basis_c[:, 0]
     rho = 0.6 * np.outer(b0, b0.conj()) + 0.4 * np.outer(b1, b1.conj())
     rho = rho + 0.2 * (np.outer(b0, b1.conj()) + np.outer(b1, b0.conj()))
     rho = rho + 1e-10 * (np.outer(b0, q.conj()) + np.outer(q, b0.conj()))
     validate_initial_state(rho, dfs)
     for t in (0.0, 1.0, 30.0):
-        want = devectorize(expm(t * embed_superop(block, dfs.basis)) @ vectorize(rho))
-        got = propagate_effective(block, dfs.basis, [t], np.array([rho]))[0, 0]
+        want = devectorize(expm(t * embed_superop(block, basis)) @ vectorize(rho))
+        got = propagate_effective(block, dfs.indices, [t], np.array([rho]))[0, 0]
         assert frob(got - want) <= 1e-12
 
 
@@ -218,7 +218,7 @@ def _dense_cells(lind, pert, config):
     scaled = [pert.scaled(eps) for eps in config.epsilons]
     blocks = [effective_lindbladian_general(lind, p) for p in scaled]
     projection = lind.asymptotic_projection
-    basis = lind.dfs.basis
+    basis = dense_dfs(lind.dfs).basis
     for eps, pert_eps, block in zip(config.epsilons, scaled, blocks):
         l_full = perturbed_superop(lind, pert_eps)
         for tau in config.taus:

@@ -13,7 +13,6 @@ from ejof.effective import (
     effective_lindbladian_general,
     effective_to_superop,
     identity_suite,
-    perturbation_superops,
     perturbed_superop,
     random_structured_instance,
     verify_equivalence,
@@ -21,13 +20,12 @@ from ejof.effective import (
 from ejof.lindblad import nh_superop_inverse_lr, structured_lindbladian
 from ejof.operators import (
     DfsProjector,
-    choi_matrix,
-    compress_superop,
     dagger,
     four_corners,
     frob,
     sandwich_superop,
 )
+from oracles import choi_matrix, compress_superop, dense_dfs, perturbation_superops
 
 
 def test_perturbation_validates_hermiticity():
@@ -134,7 +132,7 @@ def test_corner_sensitivity_tiny(generic_instance):
 
 def _corner_deltas_by_loop(lind, pert):
     """Corner deltas by one general-route call per stripped variant, P O Q products."""
-    p, q = lind.dfs.p, lind.dfs.q
+    p, q = dense_dfs(lind.dfs)[:2]
     reference = effective_lindbladian_general(lind, pert)
     scale = max(frob(reference), 1e-14)
 
@@ -264,7 +262,8 @@ def test_cp_superop_matches_dense_product(n, seed, defective, extra):
     feed = sum(sandwich_superop(f, dagger(f)) for f in lind.jumps)
     f_lls = [four_corners(f, dfs).ll for f in pert.fs]
     source = sum(sandwich_superop(f, dagger(f)) for f in f_lls)
-    want = compress_superop(-feed @ nh_superop_inverse_lr(lind.k, dfs) @ source, dfs.basis)
+    want = compress_superop(-feed @ nh_superop_inverse_lr(lind.k, dfs) @ source,
+                            dense_dfs(dfs).basis)
     got = effective_lindbladian_closed(lind, pert).cp_superop
     assert frob(got - want) <= 1e-11 * frob(want)
 

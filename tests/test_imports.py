@@ -1,7 +1,9 @@
-"""Import hygiene: no unused imports, and no costly import a small run does not need.
+"""Import hygiene: no unused imports, no unreferenced public function, and no
+costly import a small run does not need.
 
-The unused-import check is a stdlib stand-in for a linter's rule. ``__init__``
-is skipped: its imports are the package's re-exports.
+The unused-import and unreferenced-function checks are stdlib stand-ins for a
+linter's rules. ``__init__`` is skipped: its imports are the package's
+re-exports, and a re-export is not a use.
 """
 
 import ast
@@ -41,6 +43,42 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def unreferenced_functions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Public top-level functions of the named module sources that no module or reader names."""
+    used = set().union(*map(referenced_names, [*modules.values(), *readers]))
+    return [f"{name}: {node.name}" for name, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in used]
+
+
+def test_detects_an_unreferenced_function():
+    modules = {
+        "a.py": "def called():\n    pass\n\ndef benched():\n    pass\n\n"
+                "def dead():\n    pass\n\ndef _private():\n    pass\n",
+        "b.py": "from .a import called\n\ndef run():\n    return called()\n",
+    }
+    bench = "from ejof import a, b\na.benched()\nb.run()\n"
+    assert unreferenced_functions(modules, [bench]) == ["a.py: dead"]
+    assert unreferenced_functions(modules, []) == ["a.py: benched", "a.py: dead", "b.py: run"]
+
+
+BENCH = sorted((Path(ejof.__file__).parents[2] / "bench").glob("*.py"))
+
+
+def test_every_public_function_is_referenced_by_the_package_or_the_benchmark():
+    # Oracles and helpers that only tests call live in tests/oracles.py.
+    assert BENCH, "bench/*.py not found next to the package source"
+    modules = {path.name: path.read_text() for path in MODULES}
+    assert unreferenced_functions(modules, [path.read_text() for path in BENCH]) == []
 
 
 def imports_cli(source: str) -> bool:

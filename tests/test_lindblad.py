@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import ejof.effective
 import ejof.lindblad
 from ejof.lindblad import (
     CornerFactor,
@@ -13,17 +12,13 @@ from ejof.lindblad import (
     SpectralGapWarning,
     StructureError,
     assemble_lindbladian,
-    asymptotic_projection,
     asymptotic_projection_analytic,
     asymptotic_projection_limit,
     decay_rates,
-    drazin_inverse,
     min_decay_rate,
     nh_hamiltonian,
     nh_hamiltonian_inverse,
     nh_superop_inverse_lr,
-    nh_superop_solve,
-    structure_report,
     structured_lindbladian,
 )
 from ejof.effective import (
@@ -33,27 +28,34 @@ from ejof.effective import (
     effective_lindbladian_general,
     effective_to_superop,
     identity_suite,
-    perturbation_superops,
     random_structured_instance,
 )
 from ejof.operators import (
     DfsProjector,
     anticommutator_superop,
-    commutator_superop,
-    compress_superop,
     dagger,
-    dfs_columns,
-    dissipator,
-    embed_superop,
     devectorize,
     four_corners,
     frob,
     projector_frame,
-    star_commutator,
     vectorize,
 )
 from ejof.qec import repetition_code_recovery
 from ejof.scenarios import build_scenario
+from oracles import (
+    asymptotic_projection,
+    commutator_superop,
+    compress_superop,
+    dense_dfs,
+    dfs_columns,
+    dissipator,
+    drazin_inverse,
+    embed_superop,
+    nh_superop_solve,
+    perturbation_superops,
+    star_commutator,
+    structure_report,
+)
 
 
 def amplitude_damping(gamma):
@@ -212,8 +214,9 @@ def test_asymptotic_projection_is_idempotent_channel(three_level):
 def test_nh_hamiltonian_inverse_is_block_inverse(three_level):
     lind, _ = three_level
     kinv = nh_hamiltonian_inverse(lind.k, lind.dfs)
-    np.testing.assert_allclose(lind.k @ kinv, lind.dfs.q, atol=1e-12)
-    np.testing.assert_allclose(kinv @ lind.k, lind.dfs.q, atol=1e-12)
+    q = dense_dfs(lind.dfs).q
+    np.testing.assert_allclose(lind.k @ kinv, q, atol=1e-12)
+    np.testing.assert_allclose(kinv @ lind.k, q, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed, defective", [(3, False), (5, False), (9, True)])
@@ -222,7 +225,7 @@ def test_nh_superop_solve_inverts_star_commutator(seed, defective):
     rng = np.random.default_rng(seed + 100)
     dim = lind.dim
     sigma = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    sigma = sigma - lind.dfs.p @ sigma @ lind.dfs.p  # no DFS-corner content
+    sigma = sigma - four_corners(sigma, lind.dfs).ul  # no DFS-corner content
     x = nh_superop_solve(lind.k, sigma, lind.dfs)
     residual = -1j * star_commutator(lind.k, x) - sigma
     assert frob(residual) < 1e-12 * max(1.0, frob(sigma))
@@ -266,7 +269,7 @@ def test_nh_superop_inverse_lr_consistent(generic_instance):
         sigma = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         sigma = four_corners(sigma, dfs).lr
         want = devectorize(nh_superop_inverse_lr(lind.k, dfs) @ vectorize(sigma))
-        bq = dfs.basis_c
+        bq = dense_dfs(dfs).basis_c
         cached = bq @ lind.decaying_sector.solve(dagger(bq) @ sigma @ bq) @ dagger(bq)
         for got in (nh_superop_solve(lind.k, sigma, dfs), cached):
             assert frob(got - want) <= 1e-11 * frob(want), name
@@ -290,8 +293,7 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     # A structured generator is never decomposed densely: its spectrum and
     # its zero cut come from the one Schur form of K_qq (no 2-norm is taken),
     # L^D and P_inf from LUs of the three decaying-corner blocks of L (ll and
-    # ur of side dn, lr of side n^2, none of side D^2 or more), and the
-    # general route never forms O1, O2.
+    # ur of side dn, lr of side n^2, none of side D^2 or more).
     base, pert = generic_instance
     schurs, norms, eigs, lus = [], [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
@@ -300,11 +302,6 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
     _count_calls(monkeypatch, np.linalg, "eigvals", eigs)
     _count_calls(monkeypatch, np.linalg, "eig", eigs)
-
-    def dense_superops(*args, **kwargs):
-        raise AssertionError("the general route formed dense O1, O2")
-
-    monkeypatch.setattr(ejof.effective, "perturbation_superops", dense_superops)
     lind = structured_lindbladian(base.h, base.jumps, base.dfs)
     _ = lind.drazin, lind.asymptotic_projection
     effective_lindbladian_general(lind, pert)
@@ -388,7 +385,7 @@ def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
     assert isinstance(lind.factor, CornerFactor)
     lus = []
     _count_calls(monkeypatch, ejof.lindblad, "lu_factor", lus)
-    want_d, want_p = _bordered_solve(lind.superop, dfs_columns(lind.dfs.basis))
+    want_d, want_p = _bordered_solve(lind.superop, dfs_columns(dense_dfs(lind.dfs).basis))
     assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
     assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)
     assert lus == [lind.dim ** 2 - lind.dfs.d ** 2]
@@ -425,7 +422,7 @@ def _wide_rotated_lindbladian(d=2, n=12):
     rng = np.random.default_rng(8)
     u, _ = np.linalg.qr(rng.standard_normal((d + n, d + n))
                         + 1j * rng.standard_normal((d + n, d + n)))
-    frame, rank = projector_frame(u @ lind.dfs.p @ dagger(u))
+    frame, rank = projector_frame(u @ dense_dfs(lind.dfs).p @ dagger(u))
 
     def turn(a):
         return dagger(frame) @ (u @ a @ dagger(u)) @ frame
@@ -486,11 +483,11 @@ def test_general_route_matches_dense_evaluation(make):
     lind = make()
     pert = _random_perturbation(lind, 3)
     o1, o2 = perturbation_superops(lind, pert)
-    e = dfs_columns(lind.dfs.basis)
+    basis = dense_dfs(lind.dfs).basis
+    e = dfs_columns(basis)
     pe = lind.asymptotic_projection @ e
     cols = (o1 + o2) @ pe - o1 @ lind.drazin @ o1 @ pe
-    want = compress_superop(e @ dagger(e) @ lind.asymptotic_projection @ cols @ dagger(e),
-                            lind.dfs.basis)
+    want = compress_superop(e @ dagger(e) @ lind.asymptotic_projection @ cols @ dagger(e), basis)
     got = effective_lindbladian_general(lind, pert)
     assert frob(got - want) <= 1e-11 * frob(want)
 
@@ -514,7 +511,7 @@ def test_general_blocks_match_single_calls(make):
 def test_block_effective_superop_matches_full_assembly(make):
     lind = make()
     eff = effective_lindbladian_closed(lind, _random_perturbation(lind, 4))
-    basis = lind.dfs.basis
+    basis = dense_dfs(lind.dfs).basis
     full = -1j * commutator_superop(eff.h_eff) + embed_superop(eff.cp_superop, basis)
     full = full - 0.5 * anticommutator_superop(eff.cp_adjoint_identity)
     for f in eff.jumps_eff:
@@ -563,7 +560,7 @@ def test_gap_warning_names_the_caller(path):
         if path == "bordered":
             _ = lind.drazin
         else:
-            drazin_inverse(np.diag([0.0, -1e-7, -1.0]).astype(complex))
+            OrderedSchur.of(np.diag([0.0, -1e-7, -1.0]).astype(complex)).drazin()
     assert [w.filename for w in record] == [__file__]
 
 

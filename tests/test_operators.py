@@ -6,27 +6,32 @@ from ejof.operators import (
     adjoint_superop,
     anticommutator_superop,
     apply_superop,
-    choi_matrix,
-    commutator_superop,
-    compress_superop,
-    corner_superops,
     dagger,
     devectorize,
-    dissipator,
-    embed_superop,
     four_corners,
     frob,
     gksl_superop,
-    kraus_operators,
     left_superop,
     projector_frame,
     require_hermitian,
     right_superop,
     sandwich_superop,
+    vectorize,
+)
+from oracles import (
+    choi_matrix,
+    commutator_superop,
+    compress_superop,
+    corner_superops,
+    dense_dfs,
+    dfs_columns,
+    dissipator,
+    embed_superop,
+    kraus_operators,
     star_commutator,
     star_commutator_superop,
+    structure_report,
     trace_distance,
-    vectorize,
 )
 
 
@@ -123,15 +128,15 @@ def test_superop_identity(rng):
 
 def test_projector_from_indices_is_exact():
     dfs = DfsProjector.from_indices(4, [0, 2])
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = expected[2, 2] = 1.0
-    assert np.array_equal(dfs.p, expected)
     assert dfs.d == 2
     assert dfs.n_decay == 2
-    assert np.array_equal(dfs.basis[:, 0], np.eye(4, dtype=complex)[:, 0])
-    assert np.array_equal(dfs.basis[:, 1], np.eye(4, dtype=complex)[:, 2])
-    assert np.array_equal(dfs.basis_c, np.eye(4, dtype=complex)[:, [1, 3]])
-    assert dfs.order == (0, 2, 1, 3)
+    assert dfs.indices.tolist() == [0, 2]
+    assert dfs.rest.tolist() == [1, 3]
+    assert dfs.order.tolist() == [0, 2, 1, 3]
+    # Frame entry (a, b) is vec index order[a] + 4 order[b], corner by corner.
+    assert dfs.vec_order.tolist() == [0, 2, 8, 10, 1, 3, 9, 11, 4, 6, 12, 14, 5, 7, 13, 15]
+    with pytest.raises(ValueError):
+        dfs.indices[0] = 1
 
 
 def test_projector_validation():
@@ -163,33 +168,89 @@ def test_four_corners_reassemble(rng):
     x = random_matrix(rng, 5)
     c = four_corners(x, dfs)
     np.testing.assert_allclose(c.total(), x, atol=1e-14)
-    assert frob(dfs.q @ c.ul) == 0.0
-    assert frob(c.ul @ dfs.q) == 0.0
-    assert frob(dfs.p @ c.ll) == 0.0
-    assert frob(c.lr @ dfs.p) == 0.0
+    p, q = dense_dfs(dfs)[:2]
+    assert frob(q @ c.ul) == 0.0
+    assert frob(c.ul @ q) == 0.0
+    assert frob(p @ c.ll) == 0.0
+    assert frob(c.lr @ p) == 0.0
+
+
+# DFS index sets at D = 8: the QEC code, an unsorted pair, and one state.
+INDEX_SETS = [(0, 7), (5, 2), (1,)]
+
+
+@pytest.mark.parametrize("indices", INDEX_SETS, ids=str)
+def test_corners_and_blocks_equal_the_projector_products(rng, indices):
+    # A product with 0/1 unit columns adds only exact zeros, so each index
+    # split and gather equals its dense-P form bit for bit, on one operator
+    # and on a (J, D, D) stack.
+    dfs = DfsProjector.from_indices(8, indices)
+    p, q, b, bq = dense_dfs(dfs)
+    for op in (random_matrix(rng, 8), random_matrix(rng, 3 * 8, 8).reshape(3, 8, 8)):
+        c = four_corners(op, dfs)
+        for got, want in ((c.ul, p @ op @ p), (c.ur, p @ op @ q),
+                          (c.ll, q @ op @ p), (c.lr, q @ op @ q)):
+            assert np.array_equal(got, want)
+        for rows, cols, left, right in ((dfs.indices, dfs.indices, b, b),
+                                        (dfs.indices, dfs.rest, b, bq),
+                                        (dfs.rest, dfs.indices, bq, b),
+                                        (dfs.rest, dfs.rest, bq, bq)):
+            block = op[..., rows[:, None], cols]
+            assert np.array_equal(block, dagger(left) @ op @ right)
+            embedded = np.zeros_like(op)
+            embedded[..., rows[:, None], cols] = block
+            assert np.array_equal(embedded, left @ block @ dagger(right))
+
+
+@pytest.mark.parametrize("indices", INDEX_SETS, ids=str)
+def test_vec_positions_equal_the_kronecker_columns(rng, indices):
+    # Column k of the D^2 identity at vec_order[k] is the frame's Kronecker
+    # column, corner by corner: E = conj(B) kron B first, so gathering a
+    # superoperator there is compress_superop and L E is L's DFS columns.
+    dfs = DfsProjector.from_indices(8, indices)
+    _, _, b, bq = dense_dfs(dfs)
+    frame = np.hstack([dfs_columns(b), np.kron(b.conj(), bq), np.kron(bq.conj(), b),
+                       dfs_columns(bq)])
+    assert np.array_equal(np.eye(64)[:, dfs.vec_order], frame)
+    ul = dfs.vec_order[:dfs.d ** 2]
+    s = random_matrix(rng, 64)
+    assert np.array_equal(s[np.ix_(ul, ul)], compress_superop(s, b))
+    assert np.array_equal(s[:, ul], s @ dfs_columns(b))
+
+
+@pytest.mark.parametrize("indices", INDEX_SETS, ids=str)
+def test_steadiness_residual_equals_the_dense_column_product(rng, indices):
+    # Random jumps fail the corner checks, so the report divides by ||L||_2.
+    dfs = DfsProjector.from_indices(8, indices)
+    jumps = [random_matrix(rng, 8) for _ in range(2)]
+    rep = structure_report(np.zeros((8, 8)), jumps, dfs)
+    s = gksl_superop(np.zeros((8, 8)), jumps)
+    cols = s @ dfs_columns(dense_dfs(dfs).basis)
+    want = float(np.max(np.linalg.norm(cols, axis=0))) / max(1.0, np.linalg.norm(s, 2))
+    assert rep.dfs_steady == want > 0
 
 
 def test_corner_superops_reassemble(rng):
     dfs = DfsProjector.from_indices(4, [0, 1])
     x = random_matrix(rng, 4)
     cs = corner_superops(dfs)
-    total = cs.ul + cs.ur + cs.ll + cs.lr
-    np.testing.assert_allclose(apply_superop(total, x), x, atol=1e-14)
+    np.testing.assert_allclose(apply_superop(sum(cs), x), x, atol=1e-14)
     # each block map is idempotent and they are mutually annihilating
-    for s in (cs.ul, cs.ur, cs.ll, cs.lr):
+    for s in cs:
         np.testing.assert_allclose(s @ s, s, atol=1e-14)
-    assert frob(cs.ul @ cs.lr) == 0.0
+    assert frob(cs[0] @ cs[3]) == 0.0
 
 
 def test_compress_embed_roundtrip(rng):
     dfs = DfsProjector.from_indices(5, [1, 3])
+    p, _, basis, _ = dense_dfs(dfs)
     s = dissipator(random_matrix(rng, 2))
-    embedded = embed_superop(s, dfs.basis)
-    np.testing.assert_allclose(compress_superop(embedded, dfs.basis), s, atol=1e-13)
+    embedded = embed_superop(s, basis)
+    np.testing.assert_allclose(compress_superop(embedded, basis), s, atol=1e-13)
     # embedded map acts only within the DFS block
     x = random_matrix(rng, 5)
     out = apply_superop(embedded, x)
-    np.testing.assert_allclose(out, dfs.p @ out @ dfs.p, atol=1e-13)
+    np.testing.assert_allclose(out, p @ out @ p, atol=1e-13)
 
 
 def test_choi_of_identity_channel():

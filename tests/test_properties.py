@@ -4,11 +4,12 @@ Each example draws a normal-form generator (DFS of dimension d, n decaying
 levels, 1-3 jumps, a defective K_qq when n == 2 and asked for, optionally an
 extra zero jump) with a full-corner perturbation, and checks the structured
 spectrum, the corner factor against the dense Schur oracle, the dual-route
-agreement and the insensitivity to the inert perturbation corners. Three
+agreement and the insensitivity to the inert perturbation corners. Four
 metamorphic properties check each route on its own against an exact symmetry
-of the GKSL form: mixing the jumps and their deformations by one unitary, and
-shifting V by a multiple of the identity, leave the effective generator
-unchanged, and scaling the perturbation by s gives s A + s^2 B. Route residuals, corner deltas and the symmetry residuals are read
+of the GKSL form: mixing the jumps and their deformations by one unitary,
+relabelling the basis by a permutation (which scatters the DFS over unsorted
+indices), and shifting V by a multiple of the identity, leave the effective
+generator unchanged, and scaling the perturbation by s gives s A + s^2 B. Route residuals, corner deltas and the symmetry residuals are read
 on the second-order problem scale max(||general||, ||closed||, ||pert||^2):
 for d = 1 the effective generator vanishes identically.
 """
@@ -25,8 +26,9 @@ from ejof.effective import (
     effective_to_superop,
     random_structured_instance,
 )
-from ejof.lindblad import CornerFactor, drazin_inverse, structured_lindbladian
-from ejof.operators import frob
+from ejof.lindblad import CornerFactor, structured_lindbladian
+from ejof.operators import DfsProjector, frob
+from oracles import drazin_inverse
 
 
 @st.composite
@@ -90,6 +92,25 @@ def test_jump_mixing_leaves_each_route_unchanged(instance, seed):
 
     mixed = structured_lindbladian(lind.h, mix(lind.jumps), lind.dfs)
     _assert_each_route_unchanged(lind, pert, mixed, Perturbation(v=pert.v, fs=mix(pert.fs)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(instances(), st.integers(0, 2 ** 16))
+def test_relabelling_the_basis_leaves_each_route_unchanged(instance, seed):
+    # Basis state i -> perm[i] moves the DFS onto scattered, unsorted indices;
+    # its block, read in the order of dfs.indices, is the same matrix.
+    lind, pert = instance
+    perm = np.random.default_rng(seed).permutation(lind.dim)
+
+    def relabel(a):
+        out = np.empty_like(a)
+        out[np.ix_(perm, perm)] = a
+        return out
+
+    dfs = DfsProjector.from_indices(lind.dim, perm[lind.dfs.indices])
+    moved = structured_lindbladian(relabel(lind.h), [relabel(f) for f in lind.jumps], dfs)
+    _assert_each_route_unchanged(lind, pert, moved, Perturbation(
+        v=relabel(pert.v), fs=tuple(relabel(f) for f in pert.fs)))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from ejof.effective import Study, effective_lindbladian_general
 from ejof.lindblad import structured_lindbladian
 from ejof.operators import dagger, four_corners, frob
+from oracles import dense_dfs
 from ejof.qec import (
     check_recovery_conditions,
     classify_miscalibration,
@@ -44,7 +45,7 @@ def test_recovery_channel_shape(repetition):
     assert rec.code.d == 2
     assert lind.dim == 8
     # the code states are |000> and |111>
-    np.testing.assert_allclose(np.diag(rec.code.p).real, [1, 0, 0, 0, 0, 0, 0, 1])
+    np.testing.assert_allclose(np.diag(dense_dfs(rec.code).p).real, [1, 0, 0, 0, 0, 0, 0, 1])
 
 
 def test_recovery_conditions_hold(repetition):
@@ -53,7 +54,7 @@ def test_recovery_conditions_hold(repetition):
     assert rep.passed, rep.failures()
     # the jumps resolve the decaying space exactly: sum F†F = Q with no residual
     w = sum(dagger(f) @ f for f in rec.kraus)
-    assert frob(w - rec.code.q) == 0.0
+    assert frob(w - dense_dfs(rec.code).q) == 0.0
     assert rep.orthogonality == 0.0
 
 
@@ -153,7 +154,7 @@ def test_y_miscalibration_generator_value(repetition):
 def test_hamiltonian_defeats_hypotheses(repetition):
     rec, _ = repetition
     h = np.zeros((8, 8), dtype=complex)
-    bq = rec.code.basis_c
+    bq = dense_dfs(rec.code).basis_c
     h += 0.2 * bq @ np.eye(6) @ dagger(bq)
     lind = structured_lindbladian(h, rec.kraus, rec.code, validate=False)
     rep = robustness_check(rec, Study(lind, pauli_miscalibration("X", 1e-2)))

@@ -15,7 +15,6 @@ from ejof.scenarios import (
     ThreeLevelParams,
     cancellation_check,
     coherent_cancellation_drive,
-    generalized_three_level_perturbation,
     orthogonality_residual,
     pauli_lowering_targets,
     random_orthogonal_family,
@@ -23,6 +22,7 @@ from ejof.scenarios import (
     three_level_system,
     universal_dissipation,
 )
+from oracles import generalized_three_level_perturbation
 
 
 def three_level_closed_jump(delta, Gamma, gamma):
