@@ -20,7 +20,6 @@ from .operators import (
     vectorize,
 )
 from .lindblad import (
-    NonSemisimpleZeroError,
     SingularBlockError,
     SpectralGapWarning,
     StructureError,

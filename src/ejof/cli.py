@@ -516,18 +516,22 @@ def cmd_effective(args) -> Outcome | int:
         report["scenario"] = {"name": parsed.scenario[0], **bundle.details}
 
     rep = study.lind.report
-    gap = float(rep.spectral_gap)
+    gap = rep.spectral_gap
     report["structure"] = {
         "passed": rep.passed,
         "failures": rep.failures(),
-        "zero_multiplicity": int(rep.zero_multiplicity),
+        "zero_multiplicity": rep.zero_multiplicity,
         "expected_multiplicity": int(rep.expected_multiplicity),
-        "spectral_gap": gap if np.isfinite(gap) else None,
+        "spectral_gap": gap if gap is not None and np.isfinite(gap) else None,
     }
-    if not rep.passed and not args.force:
+    # --force waives the block and multiplicity checks, never steadiness: the
+    # general route needs a DFS that L keeps fixed.
+    steady = rep.dfs_steady <= rep.tol
+    if not rep.passed and not (args.force and steady):
         for line in rep.failures():
             print(f"structure check failed: {line}", file=sys.stderr)
-        print("use --force to compute the general route anyway", file=sys.stderr)
+        if steady:
+            print("use --force to compute the general route anyway", file=sys.stderr)
         return EXIT_INPUT
 
     dfs = study.lind.dfs
@@ -558,7 +562,7 @@ def cmd_effective(args) -> Outcome | int:
     if bundle is not None:
         verdicts.update(bundle.verdicts)
     report["verdicts"] = verdicts
-    # A failed structure check gets here only under --force, which waives it.
+    # A failed block or multiplicity check gets here only under --force, which waives it.
     failed = any(v is False for k, v in verdicts.items() if k != "structure_ok")
     return Outcome(report, verdicts, failed=failed)
 
@@ -846,7 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff = sub.add_parser("effective", help="compute the DFS generator by both routes")
     p_eff.add_argument("problem", help="problem file (JSON)")
     p_eff.add_argument("--force", action="store_true",
-                       help="compute the general route even if structure checks fail")
+                       help="compute the general route even if the block or multiplicity "
+                            "checks fail (a DFS that is not steady still exits 2)")
     common(p_eff)
     p_eff.set_defaults(func=cmd_effective)
 
@@ -907,7 +912,7 @@ def main(argv=None) -> int:
     except StructureError as err:
         print(f"error: invalid structure: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except np.linalg.LinAlgError as err:  # SingularBlockError, NonSemisimpleZeroError
+    except np.linalg.LinAlgError as err:  # SingularBlockError
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as err:  # ProblemFormatError and other bad input

@@ -24,17 +24,17 @@ eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
 once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
 zero multiplicity, the gap and the spectral radius rho(L) off it. The zero
 cut is relative to that radius, |lambda| <= 1e-8 max(1, rho(L)), so no norm
-of a structured L is taken. L itself is assembled once, in K form, with one
-GEMM for the jump sum (:func:`~ejof.operators.gksl_superop`). When every
-structural check passes, the Drazin inverse and the asymptotic projection
-come from eliminating the DFS corner (:class:`CornerFactor`): in the frame
-of the DFS basis, L is block-triangular with its kernel on the DFS corner,
-and both are read off LUs of the decaying-corner blocks of L, block
-diagonal over ll, ur and lr under the normal form. A generator that fails a
-check falls back to one dense ordered complex Schur form of L
-(:class:`OrderedSchur`), which the tests also use as an oracle. The
-decaying-sector map sigma -> -i(K sigma - sigma K†) is a Sylvester equation,
-solved by Bartels-Stewart on the cached Schur form of K_qq; its dense
+of L is taken. That Schur form is the only decomposition of the generator:
+L itself is assembled once, in K form, with one GEMM for the jump sum
+(:func:`~ejof.operators.gksl_superop`), and the Drazin inverse and the
+asymptotic projection come from eliminating the DFS corner
+(:class:`CornerFactor`): in the frame of the DFS basis, L is
+block-triangular with its kernel on the DFS corner, and both are read off
+LUs of the decaying-corner blocks of L, block diagonal over ll, ur and lr
+under the normal form; a block with a zero or tiny pivot raises
+:class:`SingularBlockError`. The decaying-sector map
+sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
+Bartels-Stewart on the cached Schur form of K_qq; its dense
 Kronecker form is kept in :func:`nh_superop_inverse_lr` as an independent
 oracle, behind the closed-form :func:`asymptotic_projection_analytic`. Every
 block of an operator or superoperator is an index gather on the DFS index set
@@ -52,8 +52,8 @@ from functools import cached_property
 from math import isqrt
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, schur, solve_triangular
-from scipy.linalg.lapack import zgetri, zgetrs, ztrsyl
+from scipy.linalg import expm, schur
+from scipy.linalg.lapack import zgetrf, zgetri, zgetrs, ztrsyl
 
 from .operators import (
     DEFAULT_TOL,
@@ -70,14 +70,13 @@ from .operators import (
 ZERO_CLUSTER_FACTOR = 1e-8
 # Warn when the smallest retained eigenvalue is within this factor of the cut.
 GAP_WARNING_FACTOR = 100.0
+# A block of L_rr whose smallest |LU pivot| is below this fraction of its
+# largest is taken as singular: its solves would carry no correct digit.
+PIVOT_RATIO_FLOOR = 1e3 * np.finfo(float).eps
 
 
 class SpectralGapWarning(UserWarning):
     """Separation between zero and nonzero spectrum is close to the threshold."""
-
-
-class NonSemisimpleZeroError(np.linalg.LinAlgError):
-    """The zero eigenvalue carries a nilpotent (Jordan) block."""
 
 
 class SingularBlockError(np.linalg.LinAlgError):
@@ -110,9 +109,9 @@ class StructureReport:
     h_on_decaying_block: float
     jumps_into_dfs: tuple[float, ...]
     dfs_steady: float
-    zero_multiplicity: int
+    zero_multiplicity: int | None
     expected_multiplicity: int
-    spectral_gap: float
+    spectral_gap: float | None
     tol: float
 
     @property
@@ -130,7 +129,7 @@ class StructureReport:
                 out.append(f"jump {i} is not a decaying-to-DFS map (residual {r:.3e})")
         if self.dfs_steady > self.tol:
             out.append(f"DFS is not steady (residual {self.dfs_steady:.3e})")
-        if self.zero_multiplicity != self.expected_multiplicity:
+        if self.zero_multiplicity not in (None, self.expected_multiplicity):
             out.append(
                 f"zero eigenvalue multiplicity {self.zero_multiplicity}"
                 f" != DFS block dimension {self.expected_multiplicity}"
@@ -143,8 +142,8 @@ class StructureReport:
 _INTERNAL_FILES = (os.path.dirname(__file__) + os.sep, functools.__file__)
 
 
-def _warn_if_gap_small(gap: float, thresh: float) -> None:
-    if gap < GAP_WARNING_FACTOR * thresh:
+def _warn_if_gap_small(gap: float | None, thresh: float) -> None:
+    if gap is not None and gap < GAP_WARNING_FACTOR * thresh:
         frame, level = sys._getframe(1), 2
         while frame.f_code.co_filename.startswith(_INTERNAL_FILES) and frame.f_back is not None:
             frame, level = frame.f_back, level + 1
@@ -154,99 +153,6 @@ def _warn_if_gap_small(gap: float, thresh: float) -> None:
             SpectralGapWarning,
             stacklevel=level,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class OrderedSchur:
-    """Ordered complex Schur form S = Z T Z† of a square matrix.
-
-    The ``sdim`` eigenvalues with |lambda| above the zero threshold lead the
-    diagonal of T and the zero cluster trails::
-
-        T = [[T11, T12],   S^D = Z [[inv(T11), inv(T11)^2 T12],  Z†
-             [0,   T22]],            [0,        0            ]]
-
-    This is the dense fallback of the spectral layer, for generators that fail
-    a structural check, and the tests' oracle. It exposes the same
-    ``drazin``/``projection``/``apply_drazin``/``apply_projection`` interface
-    as :class:`CornerFactor`.
-    """
-
-    t: np.ndarray
-    z: np.ndarray
-    sdim: int
-    thresh: float
-
-    @classmethod
-    def of(cls, s: np.ndarray, *, zero_tol: float | None = None) -> "OrderedSchur":
-        """Factor S, sorting at zero_tol (default 1e-8 * ||S||_2, by a dense SVD).
-
-        A :class:`StructuredLindbladian` passes its report's zero cut.
-        """
-        s = as_operator(s)
-        if zero_tol is None:
-            zero_tol = ZERO_CLUSTER_FACTOR * float(np.linalg.norm(s, 2))
-        thresh = float(zero_tol)
-        t, z, sdim = schur(s, output="complex", sort=lambda lam: abs(lam) > thresh)
-        return cls(t=t, z=z, sdim=int(sdim), thresh=thresh)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.diag(self.t)
-
-    @cached_property
-    def _split(self) -> tuple[np.ndarray, np.ndarray]:
-        """inv(T11) and inv(T11) T12, after the semisimplicity and gap checks.
-
-        For a semisimple zero cluster T22 vanishes up to round-off; a
-        nilpotent residual above tolerance raises
-        :class:`NonSemisimpleZeroError`. A retained eigenvalue within 100x of
-        the threshold emits :class:`SpectralGapWarning`.
-        """
-        k = self.sdim
-        m = self.t.shape[0] - k
-        t11, t12 = self.t[:k, :k], self.t[:k, k:]
-        if m:
-            nil = frob(self.t[k:, k:])
-            nil_tol = 10.0 * self.thresh * max(1.0, np.sqrt(m))
-            if nil > nil_tol:
-                raise NonSemisimpleZeroError(
-                    f"zero eigenvalue is not semisimple (nilpotent residual {nil:.3e} > {nil_tol:.3e})"
-                )
-            if k:
-                _warn_if_gap_small(float(np.min(np.abs(np.diag(t11)))), self.thresh)
-        inv11 = solve_triangular(t11, np.eye(k, dtype=complex))
-        return inv11, inv11 @ t12
-
-    def apply_drazin(self, y: np.ndarray) -> np.ndarray:
-        """S^D y = Z1 inv(T11) (Z1† y + inv(T11) T12 Z2† y), for columns y."""
-        inv11, x = self._split
-        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
-        return z1 @ (inv11 @ (dagger(z1) @ y + x @ (dagger(z2) @ y)))
-
-    def drazin(self) -> np.ndarray:
-        """S^D = Z1 inv(T11) (Z1† + inv(T11) T12 Z2†)."""
-        inv11, x = self._split
-        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
-        return z1 @ (inv11 @ (dagger(z1) + x @ dagger(z2)))
-
-    def _steady_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Z2 - Z1 inv(T11) T12 and Z2, so that P_inf = (Z2 - Z1 inv(T11) T12) Z2†."""
-        _, x = self._split
-        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
-        return z2 - z1 @ x, z2
-
-    def apply_projection(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """P_inf y, or P_inf† y, for columns y, read off the Z blocks."""
-        left, z2 = self._steady_columns()
-        if adjoint:
-            return z2 @ (dagger(left) @ y)
-        return left @ (dagger(z2) @ y)
-
-    def projection(self) -> np.ndarray:
-        """P_inf = I - S S^D = (Z2 - Z1 inv(T11) T12) Z2†."""
-        left, z2 = self._steady_columns()
-        return left @ dagger(z2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,18 +178,22 @@ class CornerFactor:
     vec index of each frame position, so entering or leaving the frame is an
     index gather or scatter. The factor reads only L's own entries. The LUs
     are taken on first use, with a :class:`SpectralGapWarning` when ``gap`` is
-    within 100x of ``thresh``, as :class:`OrderedSchur` does.
+    within 100x of the zero cut ``thresh`` (``gap`` is None when the
+    structure report has none). A block whose smallest |LU pivot| is zero, or
+    below ``PIVOT_RATIO_FLOOR`` times its largest, raises
+    :class:`SingularBlockError`: L_rr is then numerically singular, and a
+    kernel of L larger than the DFS corner has no group inverse here.
     """
 
     superop: np.ndarray
     order: np.ndarray
     d: int
     thresh: float
-    gap: float
+    gap: float | None
 
     @classmethod
     def of(cls, superop: np.ndarray, dfs: DfsProjector, *, thresh: float,
-           gap: float) -> "CornerFactor":
+           gap: float | None) -> "CornerFactor":
         return cls(superop=superop, order=dfs.vec_order, d=dfs.d, thresh=thresh, gap=gap)
 
     @cached_property
@@ -302,7 +212,15 @@ class CornerFactor:
             cuts = [slice(0, dn), slice(dn, 2 * dn), slice(2 * dn, l_rr.shape[0])]
         blocks, g = [], np.zeros_like(l_ur)
         for cut in cuts:
-            lu = lu_factor(l_rr[cut, cut], check_finite=False)
+            lu = zgetrf(l_rr[cut, cut])[:2]
+            pivots = np.abs(np.diag(lu[0]))
+            small, big = pivots.min(), pivots.max()
+            if small == 0 or small < PIVOT_RATIO_FLOOR * big:
+                raise SingularBlockError(
+                    f"a decaying-corner block of L (side {pivots.size}) is singular: "
+                    f"smallest/largest |LU pivot| {small / big if small else 0.0:.3e}"
+                    f" < {PIVOT_RATIO_FLOOR:.3e}"
+                )
             blocks.append((cut, lu))
             if l_ur[:, cut].any():  # under the normal form, only the lr block feeds ul
                 g[:, cut] = dagger(zgetrs(*lu, dagger(l_ur[:, cut]), trans=2)[0])
@@ -368,11 +286,9 @@ class StructuredLindbladian:
     """A Lindbladian in the DFS structural normal form.
 
     Use :func:`structured_lindbladian` to construct one with validation. The
-    spectral factor of the superoperator (``factor``: a :class:`CornerFactor`
-    when the structural checks pass, else the dense :class:`OrderedSchur`) and
-    the Schur form of K_qq (``decaying_sector``) are built once, at
-    construction; the Drazin inverse and the asymptotic projection are read off
-    ``factor``.
+    corner factor of the superoperator (``factor``) and the Schur form of K_qq
+    (``decaying_sector``) are built once, at construction; the Drazin inverse
+    and the asymptotic projection are read off ``factor``.
     """
 
     h: np.ndarray
@@ -380,7 +296,7 @@ class StructuredLindbladian:
     dfs: DfsProjector
     superop: np.ndarray
     report: StructureReport = field(repr=False)
-    factor: CornerFactor | OrderedSchur = field(repr=False)
+    factor: CornerFactor = field(repr=False)
     decaying_sector: SectorSolver = field(repr=False)
 
     @property
@@ -416,15 +332,15 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
 
 
 def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
-    """(report, Schur form of K_qq, dense fallback factor, zero cut).
+    """(report, Schur form of K_qq, zero cut).
 
-    The cut is 1e-8 max(1, scale): it separates the zero cluster, and the
-    steadiness residual is divided by the same scale. When the H and jump
-    checks pass, the scale is the spectral radius of L, read off the Schur
-    form of K_qq; otherwise it is ||L||_2, from a dense SVD of L. When the
-    steadiness check passes too, the spectrum is read off K_qq and the
-    fallback is None. Otherwise it is read off an ordered Schur form of L,
-    sorted at the same cut and returned as the fallback.
+    The scale is max(1, rho), with rho the largest |lambda| that the normal
+    form reads off the Schur form of K_qq (the spectral radius of L when the
+    H and jump checks pass). The cut is 1e-8 times that scale, and the
+    steadiness residual is divided by it. No decomposition of L is taken: when
+    an H or jump check fails, K_qq does not give the spectrum of L, so the
+    zero multiplicity and the gap are None and the multiplicity check is not
+    made.
     """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
@@ -434,12 +350,8 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     )
     k = nh_hamiltonian(h, jumps)
     sector = SectorSolver.of(k, dfs)
-    blocks_ok = max((h_herm, h_block) + jump_res) <= tol
-    if blocks_ok:
-        mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
-        scale_s = max(1.0, float(np.max(mags)))
-    else:
-        scale_s = max(1.0, float(np.linalg.norm(superop, 2)))
+    mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
+    scale_s = max(1.0, float(np.max(mags)))
     thresh = ZERO_CLUSTER_FACTOR * scale_s
     # Steadiness: L applied to each DFS unit b_i b_j† is L's column at the
     # unit's vec position. np.take returns the columns C-ordered (a fancy-index
@@ -447,22 +359,22 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     # column norms are summed.
     cols = np.take(superop, dfs.vec_order[:dfs.d ** 2], axis=1)
     steady = float(np.max(np.linalg.norm(cols, axis=0))) / scale_s
-    fallback = None
-    if not (blocks_ok and steady <= tol):
-        fallback = OrderedSchur.of(superop, zero_tol=thresh)
-        mags = np.abs(fallback.eigenvalues)
-    nonzero = mags[mags > thresh]
+    multiplicity = gap = None
+    if max((h_herm, h_block) + jump_res) <= tol:
+        nonzero = mags[mags > thresh]
+        multiplicity = int(mags.size - nonzero.size)
+        gap = float(np.min(nonzero)) if nonzero.size else np.inf
     report = StructureReport(
         h_hermitian=h_herm,
         h_on_decaying_block=h_block,
         jumps_into_dfs=jump_res,
         dfs_steady=steady,
-        zero_multiplicity=int(mags.size - nonzero.size),
+        zero_multiplicity=multiplicity,
         expected_multiplicity=dfs.d ** 2,
-        spectral_gap=float(np.min(nonzero)) if nonzero.size else np.inf,
+        spectral_gap=gap,
         tol=tol,
     )
-    return report, sector, fallback, thresh
+    return report, sector, thresh
 
 
 def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
@@ -473,16 +385,15 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     :class:`StructureError`. With validate=False the report is still attached
     so callers can inspect what failed.
 
-    The Schur form of K_qq and the zero cut are computed here, once. When
-    the H and jump checks pass, the cut is 1e-8 max(1, rho(L)), with the
-    spectral radius rho(L) read off K_qq; otherwise it is 1e-8 max(1, ||L||_2),
-    from a dense SVD of L. When the steadiness check passes too, the zero
-    multiplicity and the gap are read off K_qq, with no decomposition of L;
-    if the multiplicity check passes too, L^D and P_inf come from a
-    :class:`CornerFactor`, which eliminates the DFS corner of L and LU-factors
-    its decaying-corner blocks (sides dn, dn and n^2 under the normal form) on
-    first use. Otherwise the factor is a dense :class:`OrderedSchur` of L.
-    Both factors use the report's cut.
+    The Schur form of K_qq and the zero cut 1e-8 max(1, rho) are computed
+    here, once (see :func:`_diagnose`); when the H and jump checks pass, the
+    zero multiplicity and the gap are read off K_qq too. L^D and P_inf come
+    from a :class:`CornerFactor`, which eliminates the DFS corner of L and
+    LU-factors its decaying-corner blocks (sides dn, dn and n^2 under the
+    normal form) on first use. It solves the bordered system
+    [[L, E], [E†, 0]], which is L^D only when the DFS is steady and L_rr is
+    invertible: with validate=False and a DFS that is not steady, the factor
+    is the bordered solve, not L^D.
     """
     h = as_operator(h)
     jumps = tuple(as_operator(f) for f in jumps)
@@ -493,14 +404,10 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     # Assemble without the Hermiticity hard-check; the report records it, and
     # validate=True raises below on any failure.
     superop = gksl_superop(h, jumps)
-    rep, sector, factor, thresh = _diagnose(h, jumps, dfs, superop, tol)
+    rep, sector, thresh = _diagnose(h, jumps, dfs, superop, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
-    if factor is None:
-        if rep.passed:
-            factor = CornerFactor.of(superop, dfs, thresh=thresh, gap=rep.spectral_gap)
-        else:
-            factor = OrderedSchur.of(superop, zero_tol=thresh)
+    factor = CornerFactor.of(superop, dfs, thresh=thresh, gap=rep.spectral_gap)
     return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,
                                  factor=factor, decaying_sector=sector)
 

@@ -3,18 +3,29 @@
 The package represents a DFS as an index set and takes every corner and block
 by slicing. The oracles here build the dense objects the paper writes down:
 the projectors P and Q, the isometries B and B_q, the vec-space columns
-E = conj(B) kron B, Kronecker-form superoperators, and the dense spectral
-inverses of a Schur factor. They are used only by the tests.
+E = conj(B) kron B, Kronecker-form superoperators, and the dense ordered
+Schur form of a generator (:class:`OrderedSchur`) with the spectral inverses
+read off it. The package decomposes no D^2 x D^2 matrix; these are used only
+by the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import schur, solve_triangular
 
 from ejof.effective import Perturbation, effective_coupling
-from ejof.lindblad import OrderedSchur, SectorSolver, SingularBlockError, _diagnose
+from ejof.lindblad import (
+    ZERO_CLUSTER_FACTOR,
+    SectorSolver,
+    SingularBlockError,
+    _diagnose,
+    _warn_if_gap_small,
+)
 from ejof.operators import (
     DEFAULT_TOL,
     DfsProjector,
@@ -137,6 +148,102 @@ def structure_report(h, jumps, dfs: DfsProjector, superop=None, tol: float = DEF
     if superop is None:
         superop = gksl_superop(h, jumps)
     return _diagnose(h, jumps, dfs, superop, tol)[0]
+
+
+class NonSemisimpleZeroError(np.linalg.LinAlgError):
+    """The zero eigenvalue carries a nilpotent (Jordan) block."""
+
+
+@dataclass(frozen=True, eq=False)
+class OrderedSchur:
+    """Ordered complex Schur form S = Z T Z† of a square matrix.
+
+    The ``sdim`` eigenvalues with |lambda| above the zero threshold lead the
+    diagonal of T and the zero cluster trails::
+
+        T = [[T11, T12],   S^D = Z [[inv(T11), inv(T11)^2 T12],  Z†
+             [0,   T22]],            [0,        0            ]]
+
+    The dense oracle of the spectral layer: O(D^6) for a Lindbladian, where the
+    package's :class:`~ejof.lindblad.CornerFactor` takes LUs of the
+    decaying-corner blocks of L. It exposes the same
+    ``drazin``/``projection``/``apply_drazin``/``apply_projection`` interface,
+    so ``dataclasses.replace(lind, factor=OrderedSchur.of(lind.superop))``
+    runs a route on it.
+    """
+
+    t: np.ndarray
+    z: np.ndarray
+    sdim: int
+    thresh: float
+
+    @classmethod
+    def of(cls, s: np.ndarray, *, zero_tol: float | None = None) -> "OrderedSchur":
+        """Factor S, sorting at zero_tol (default 1e-8 * ||S||_2, by a dense SVD)."""
+        s = as_operator(s)
+        if zero_tol is None:
+            zero_tol = ZERO_CLUSTER_FACTOR * float(np.linalg.norm(s, 2))
+        thresh = float(zero_tol)
+        t, z, sdim = schur(s, output="complex", sort=lambda lam: abs(lam) > thresh)
+        return cls(t=t, z=z, sdim=int(sdim), thresh=thresh)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return np.diag(self.t)
+
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """inv(T11) and inv(T11) T12, after the semisimplicity and gap checks.
+
+        For a semisimple zero cluster T22 vanishes up to round-off; a
+        nilpotent residual above tolerance raises
+        :class:`NonSemisimpleZeroError`. A retained eigenvalue within 100x of
+        the threshold emits :class:`~ejof.lindblad.SpectralGapWarning`.
+        """
+        k = self.sdim
+        m = self.t.shape[0] - k
+        t11, t12 = self.t[:k, :k], self.t[:k, k:]
+        if m:
+            nil = frob(self.t[k:, k:])
+            nil_tol = 10.0 * self.thresh * max(1.0, np.sqrt(m))
+            if nil > nil_tol:
+                raise NonSemisimpleZeroError(
+                    f"zero eigenvalue is not semisimple (nilpotent residual {nil:.3e} > {nil_tol:.3e})"
+                )
+            if k:
+                _warn_if_gap_small(float(np.min(np.abs(np.diag(t11)))), self.thresh)
+        inv11 = solve_triangular(t11, np.eye(k, dtype=complex))
+        return inv11, inv11 @ t12
+
+    def apply_drazin(self, y: np.ndarray) -> np.ndarray:
+        """S^D y = Z1 inv(T11) (Z1† y + inv(T11) T12 Z2† y), for columns y."""
+        inv11, x = self._split
+        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
+        return z1 @ (inv11 @ (dagger(z1) @ y + x @ (dagger(z2) @ y)))
+
+    def drazin(self) -> np.ndarray:
+        """S^D = Z1 inv(T11) (Z1† + inv(T11) T12 Z2†)."""
+        inv11, x = self._split
+        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
+        return z1 @ (inv11 @ (dagger(z1) + x @ dagger(z2)))
+
+    def _steady_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Z2 - Z1 inv(T11) T12 and Z2, so that P_inf = (Z2 - Z1 inv(T11) T12) Z2†."""
+        _, x = self._split
+        z1, z2 = self.z[:, :self.sdim], self.z[:, self.sdim:]
+        return z2 - z1 @ x, z2
+
+    def apply_projection(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """P_inf y, or P_inf† y, for columns y, read off the Z blocks."""
+        left, z2 = self._steady_columns()
+        if adjoint:
+            return z2 @ (dagger(left) @ y)
+        return left @ (dagger(z2) @ y)
+
+    def projection(self) -> np.ndarray:
+        """P_inf = I - S S^D = (Z2 - Z1 inv(T11) T12) Z2†."""
+        left, z2 = self._steady_columns()
+        return left @ dagger(z2)
 
 
 def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:

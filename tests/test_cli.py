@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from ejof import cli
 from ejof.cli import main
 from ejof.operators import dagger, projector_frame
 from ejof.qec import repetition_code_recovery
+from oracles import OrderedSchur
 
 
 def pair(z):
@@ -180,15 +182,26 @@ def test_effective_structure_failure(tmp_path, capsys):
     assert "structure check failed" in capsys.readouterr().err
 
 
-def test_effective_force_skips_closed_route(tmp_path):
-    bad = np.zeros((3, 3), dtype=complex)
-    bad[2, 0] = 1.0
-    problem = write_problem(tmp_path, {
-        "version": 1,
-        "hilbert_dim": 3,
-        "dfs": [0, 1],
-        "jumps": [matrix(bad)],
-    })
+# A steady DFS whose jump has an lr entry, |2><2|: a block check fails, and
+# the coupled L_rr is factored whole.
+LR_JUMP_SYSTEM = dict(README_SYSTEM, jumps=[matrix([[0, 0, 1.4142], [0, 0, 0], [0, 0, 0.5]])])
+
+
+def two_rate_problem(fast, slow, v=()):
+    """D = 4, DFS {0, 1}: level 2 decays into 0 at rate fast, level 3 into 1 at slow.
+
+    v lists Hermitian perturbation entries (i, j, value).
+    """
+    f0, f1, pert = np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
+    f0[0, 2], f1[1, 3] = np.sqrt(fast), np.sqrt(slow)
+    for i, j, value in v:
+        pert[i, j] = pert[j, i] = value
+    return {"version": 1, "hilbert_dim": 4, "dfs": [0, 1], "jumps": [matrix(f0), matrix(f1)],
+            "perturbation": {"v": matrix(pert)}}
+
+
+def test_effective_force_skips_closed_route(tmp_path, capsys):
+    problem = write_problem(tmp_path, LR_JUMP_SYSTEM)
     out = tmp_path / "forced.json"
     code = main(["effective", problem, "--force", "--out", str(out)])
     assert code == 0
@@ -197,18 +210,77 @@ def test_effective_force_skips_closed_route(tmp_path):
     assert report["verdicts"]["routes_agree"] is None
     assert report["structure"]["passed"] is False
     assert report["l_eff_general"] is not None
+    # A jump that feeds the DFS into the decaying block leaves no steady DFS:
+    # --force does not waive that.
+    bad = np.zeros((3, 3), dtype=complex)
+    bad[2, 0] = 1.0
+    problem = write_problem(tmp_path, {
+        "version": 1,
+        "hilbert_dim": 3,
+        "dfs": [0, 1],
+        "jumps": [matrix(bad)],
+    }, "not_steady.json")
+    capsys.readouterr()
+    assert main(["effective", problem, "--force"]) == 2
+    err = capsys.readouterr().err
+    assert "DFS is not steady" in err
+    assert "--force" not in err
+
+
+def _study_on_the_dense_oracle(problem, zero_tol=None):
+    """The Study of a problem file, its factor replaced by the dense Schur form of L."""
+    parsed = cli.load_problem(problem)
+    lind = ejof.lindblad.structured_lindbladian(parsed.hamiltonian, parsed.jumps, parsed.dfs,
+                                                validate=False)
+    oracle = dataclasses.replace(lind, factor=OrderedSchur.of(lind.superop, zero_tol=zero_tol))
+    return ejof.effective.Study(oracle, parsed.pert)
+
+
+def test_forced_lr_jump_matches_the_dense_schur_route(tmp_path):
+    problem = write_problem(tmp_path, LR_JUMP_SYSTEM)
+    out = tmp_path / "forced.json"
+    assert main(["effective", problem, "--force", "--out", str(out)]) == 0
+    got = unmatrix(load_report(out)["l_eff_general"])
+    want = _study_on_the_dense_oracle(problem).general
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_forced_separation_matches_the_oracle_and_the_closed_route(tmp_path):
+    # Rates 1e4 and 1e-4 fail the multiplicity check (9 != 4) at the 1e-4 cut;
+    # forced, L_eff is that of a Schur form cut at 1e-9 and of the closed route.
+    problem = write_problem(tmp_path, two_rate_problem(1e4, 1e-4, [(0, 3, 0.1), (1, 2, 0.2)]))
+    out = tmp_path / "forced.json"
+    assert main(["effective", problem, "--force", "--out", str(out)]) == 0
+    report = load_report(out)
+    assert report["structure"]["zero_multiplicity"] == 9
+    got = unmatrix(report["l_eff_general"])
+    # The closed route reads no spectral factor, so the oracle's study has it too.
+    study = _study_on_the_dense_oracle(problem, zero_tol=1e-9)
+    for ref in (study.general, study.closed_block):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_forced_singular_rate_is_numerical_failure(tmp_path, capsys):
+    # Rates 1 and 1e-15: the pivot ratio of L_rr's ll block is 1e-15.
+    problem = write_problem(tmp_path, two_rate_problem(1.0, 1e-15))
+    assert main(["effective", problem]) == 2
+    capsys.readouterr()
+    assert main(["effective", problem, "--force"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "|LU pivot| 1.000e-15" in err
 
 
 def test_effective_defective_zero_is_numerical_failure(tmp_path, capsys):
-    # nilpotent (non-Hermitian) Hamiltonian with no dissipation: structure
-    # checks fail, and under --force the generator's zero eigenvalue carries
-    # a Jordan block that the resolvent route rejects
+    # A nilpotent (non-Hermitian) Hamiltonian |1><2| on the decaying block and
+    # no dissipation: the DFS is steady, but L_rr's ll block, -i K_qq, has an
+    # exactly zero pivot. Under --force the corner factor refuses it.
     problem = write_problem(tmp_path, {
         "version": 1,
-        "hilbert_dim": 2,
+        "hilbert_dim": 3,
         "dfs": [0],
-        "hamiltonian": [[pair(0), pair(1)], [pair(0), pair(0)]],
-        "jumps": [matrix(np.zeros((2, 2)))],
+        "hamiltonian": matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+        "jumps": [matrix(np.zeros((3, 3)))],
     })
     code = main(["effective", problem, "--force"])
     assert code == 3
@@ -797,12 +869,11 @@ def test_each_route_runs_once_per_study(make, closed, solves, tmp_path, monkeypa
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ejof" and getattr(module, route, None) is real:
             monkeypatch.setattr(module, route, counted)
-    for factor in (ejof.lindblad.CornerFactor, ejof.lindblad.OrderedSchur):
-        def counting(self, y, original=factor.apply_drazin):
-            solve_calls.append(y.shape[1])
-            return original(self, y)
+    def counting(self, y, original=ejof.lindblad.CornerFactor.apply_drazin):
+        solve_calls.append(y.shape[1])
+        return original(self, y)
 
-        monkeypatch.setattr(factor, "apply_drazin", counting)
+    monkeypatch.setattr(ejof.lindblad.CornerFactor, "apply_drazin", counting)
     assert main(make(tmp_path)) == cli.EXIT_OK
     assert (len(closed_calls), len(solve_calls)) == (closed, solves)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -25,7 +26,13 @@ from ejof.operators import (
     frob,
     sandwich_superop,
 )
-from oracles import choi_matrix, compress_superop, dense_dfs, perturbation_superops
+from oracles import (
+    OrderedSchur,
+    choi_matrix,
+    compress_superop,
+    dense_dfs,
+    perturbation_superops,
+)
 
 
 def test_perturbation_validates_hermiticity():
@@ -159,10 +166,12 @@ def _corner_deltas_by_loop(lind, pert):
 
 
 def _mislabelled_dfs_instance():
-    # The generator's DFS is {0, 1}; labelled {0, 2}, no corner is inert.
+    # The generator's DFS is {0, 1}; labelled {0, 2}, no corner is inert. Its
+    # L_rr is exactly singular, so the routes run on the dense oracle factor.
     lind, pert = random_structured_instance(2, 3, 2, 11)
     wrong = DfsProjector.from_indices(5, [0, 2])
-    return structured_lindbladian(lind.h, lind.jumps, wrong, validate=False), pert
+    lind = structured_lindbladian(lind.h, lind.jumps, wrong, validate=False)
+    return dataclasses.replace(lind, factor=OrderedSchur.of(lind.superop)), pert
 
 
 @pytest.mark.parametrize("inert", [True, False], ids=["structured", "mislabelled-dfs"])

@@ -7,8 +7,7 @@ from scipy.linalg import expm
 import ejof.lindblad
 from ejof.lindblad import (
     CornerFactor,
-    NonSemisimpleZeroError,
-    OrderedSchur,
+    SingularBlockError,
     SpectralGapWarning,
     StructureError,
     assemble_lindbladian,
@@ -43,6 +42,8 @@ from ejof.operators import (
 from ejof.qec import repetition_code_recovery
 from ejof.scenarios import build_scenario
 from oracles import (
+    NonSemisimpleZeroError,
+    OrderedSchur,
     asymptotic_projection,
     commutator_superop,
     compress_superop,
@@ -297,7 +298,7 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     base, pert = generic_instance
     schurs, norms, eigs, lus = [], [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
-    _count_calls(monkeypatch, ejof.lindblad, "lu_factor", lus)
+    _count_calls(monkeypatch, ejof.lindblad, "zgetrf", lus)
     _count_calls(monkeypatch, np.linalg, "norm", norms,
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
     _count_calls(monkeypatch, np.linalg, "eigvals", eigs)
@@ -315,22 +316,57 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     assert eigs == []
 
 
-def test_failing_generator_falls_back_to_one_dense_schur(monkeypatch):
-    dfs = DfsProjector.from_indices(3, [0, 1])
-    bad = np.zeros((3, 3), dtype=complex)
-    bad[2, 0] = 1.0  # maps the DFS into the decaying space
-    schurs, norms = [], []
+def _generator(dim, dfs, h_entries, jump_entries):
+    h = np.zeros((dim, dim), dtype=complex)
+    for (i, j), value in h_entries.items():
+        h[i, j] = value
+    f = np.zeros((dim, dim), dtype=complex)
+    for (i, j), value in jump_entries.items():
+        f[i, j] = value
+    return h, [f], DfsProjector.from_indices(dim, dfs)
+
+
+# name -> (H, jumps, DFS, whether L_rr is invertible)
+SPY_CASES = {
+    "passing": (*_generator(3, [0, 1], {(2, 2): 1.0}, {(0, 2): 1.0}), True),
+    "non-hermitian-h": (*_generator(3, [0, 1], {(2, 2): 1.0 + 0.3j}, {(0, 2): 1.0}), True),
+    "lr-jump-entry": (*_generator(3, [0, 1], {(2, 2): 1.0}, {(0, 2): 1.0, (2, 2): 0.5}), True),
+    "extra-steady-state": (*_generator(4, [0, 1], {}, {(0, 2): 1.0}), False),
+    # The jump maps the DFS into the decaying level, which then never decays.
+    "not-steady": (*_generator(3, [0, 1], {}, {(2, 0): 1.0}), False),
+}
+
+
+@pytest.mark.parametrize("h, jumps, dfs, invertible", SPY_CASES.values(), ids=SPY_CASES.keys())
+def test_no_generator_is_decomposed_densely(monkeypatch, h, jumps, dfs, invertible):
+    # Passing or failing its checks, a generator gets one Schur form, of K_qq,
+    # no 2-norm and no eigendecomposition; its factor is always a CornerFactor,
+    # and a singular L_rr is refused, not cut by a dense spectrum.
+    schurs, norms, eigs = [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
     _count_calls(monkeypatch, np.linalg, "norm", norms,
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
-    lind = structured_lindbladian(np.zeros((3, 3)), [bad], dfs, validate=False)
-    _ = lind.drazin, lind.asymptotic_projection
-    assert not lind.report.passed
-    assert isinstance(lind.factor, OrderedSchur)
-    # The report's cut, from one dense ||L||_2, is passed to the fallback factor.
-    assert norms == [9]
-    assert lind.factor.thresh == 1e-8 * max(1.0, np.linalg.norm(lind.superop, 2))
-    assert schurs.count(9) == 1
+    _count_calls(monkeypatch, np.linalg, "eigvals", eigs)
+    _count_calls(monkeypatch, np.linalg, "eig", eigs)
+    lind = structured_lindbladian(h, jumps, dfs, validate=False)
+    assert isinstance(lind.factor, CornerFactor)
+    if invertible:
+        _ = lind.drazin, lind.asymptotic_projection
+    else:
+        with pytest.raises(SingularBlockError, match="pivot"):
+            _ = lind.drazin
+    assert schurs == [dfs.n_decay]
+    assert norms == []
+    assert eigs == []
+
+
+def test_failed_block_check_reports_no_spectrum():
+    # K_qq gives the spectrum of L only under the normal form.
+    h, jumps, dfs, _ = SPY_CASES["lr-jump-entry"]
+    rep = structured_lindbladian(h, jumps, dfs, validate=False).report
+    assert rep.dfs_steady <= rep.tol
+    assert (rep.zero_multiplicity, rep.spectral_gap) == (None, None)
+    assert not any("multiplicity" in line for line in rep.failures())
 
 
 def _extra_zero_jump_instance():
@@ -384,7 +420,7 @@ def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
     assert lind.report.h_on_decaying_block > 0
     assert isinstance(lind.factor, CornerFactor)
     lus = []
-    _count_calls(monkeypatch, ejof.lindblad, "lu_factor", lus)
+    _count_calls(monkeypatch, ejof.lindblad, "zgetrf", lus)
     want_d, want_p = _bordered_solve(lind.superop, dfs_columns(dense_dfs(lind.dfs).basis))
     assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
     assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)
@@ -552,15 +588,11 @@ def test_gap_warning_uses_the_report_cut():
         _ = lind.drazin
 
 
-@pytest.mark.parametrize("path", ["bordered", "dense"])
-def test_gap_warning_names_the_caller(path):
+def test_gap_warning_names_the_caller():
     # The warning points at the line that asked for L^D, not at ejof or functools.
     lind = _two_rate_lindbladian(0.02, 2e-7)
     with pytest.warns(SpectralGapWarning) as record:
-        if path == "bordered":
-            _ = lind.drazin
-        else:
-            OrderedSchur.of(np.diag([0.0, -1e-7, -1.0]).astype(complex)).drazin()
+        _ = lind.drazin
     assert [w.filename for w in record] == [__file__]
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
+from ejof.lindblad import nh_hamiltonian
 from ejof.operators import (
     DfsProjector,
     adjoint_superop,
@@ -220,13 +222,18 @@ def test_vec_positions_equal_the_kronecker_columns(rng, indices):
 
 @pytest.mark.parametrize("indices", INDEX_SETS, ids=str)
 def test_steadiness_residual_equals_the_dense_column_product(rng, indices):
-    # Random jumps fail the corner checks, so the report divides by ||L||_2.
+    # Random jumps fail the corner checks. The report still divides by the
+    # scale that the normal form reads off K_qq: the largest |kappa_a| and
+    # |kappa_a - conj(kappa_b)| over the eigenvalues kappa of K_qq.
     dfs = DfsProjector.from_indices(8, indices)
     jumps = [random_matrix(rng, 8) for _ in range(2)]
     rep = structure_report(np.zeros((8, 8)), jumps, dfs)
     s = gksl_superop(np.zeros((8, 8)), jumps)
     cols = s @ dfs_columns(dense_dfs(dfs).basis)
-    want = float(np.max(np.linalg.norm(cols, axis=0))) / max(1.0, np.linalg.norm(s, 2))
+    k = nh_hamiltonian(np.zeros((8, 8)), jumps)[np.ix_(dfs.rest, dfs.rest)]
+    kappa = np.diag(schur(k, output="complex")[0])
+    rho = max(np.abs(kappa).max(), np.abs(kappa[:, None] - kappa.conj()[None, :]).max())
+    want = float(np.max(np.linalg.norm(cols, axis=0))) / max(1.0, rho)
     assert rep.dfs_steady == want > 0
 
 

@@ -68,11 +68,17 @@ def _repetition(kind: str, eps: float, with_states: bool = False) -> dict:
     return problem
 
 
-def _two_rates(fast: float, slow: float, f: float) -> dict:
-    """D = 4, DFS {0, 1}: level 2 decays into 0 at rate fast, level 3 into 1 at slow."""
+def _two_rates(fast: float, slow: float, f: float, v: dict | None = None) -> dict:
+    """D = 4, DFS {0, 1}: level 2 decays into 0 at rate fast, level 3 into 1 at slow.
+
+    v gives the upper entries of a Hermitian perturbation V.
+    """
+    pert = {"f": [_matrix(4, {(0, 1): f})]}
+    if v is not None:
+        pert["v"] = _matrix(4, {**v, **{(j, i): x for (i, j), x in v.items()}})
     return {"version": 1, "hilbert_dim": 4, "dfs": [0, 1],
             "jumps": [_matrix(4, {(0, 2): fast ** 0.5}), _matrix(4, {(1, 3): slow ** 0.5})],
-            "perturbation": {"f": [_matrix(4, {(0, 1): f})]}}
+            "perturbation": pert}
 
 
 def _scenario(name: str, **params) -> dict:
@@ -139,6 +145,13 @@ PROBLEMS = {
     "universal.json": _scenario("universal", scale=0.3),
     # Rates 1e4 and 1e-4: the structure check fails on this generator.
     "separation.json": _two_rates(1e4, 1e-4, 0.0),
+    # The same rates with a V that couples each DFS level to the other's
+    # decaying level: forced, L_eff is nonzero.
+    "separation_v.json": _two_rates(1e4, 1e-4, 0.0, v={(0, 3): 0.1, (1, 2): 0.2}),
+    # Rates 1 and 1e-15: L_rr is numerically singular (pivot ratio 1e-15).
+    "singular.json": _two_rates(1.0, 1e-15, 0.1),
+    # A steady DFS whose jump has an lr entry |2><2|: a block check fails.
+    "lr_jump.json": dict(_explicit({(2, 2): 1}), jumps=[_matrix(3, {(0, 2): 1.4142, (2, 2): 0.5})]),
     # Gaps within 100x of the zero cut: L^D warns.
     "gap_f1.json": _two_rates(1.0, 2e-7, 0.1),
     "gap_f002.json": _two_rates(0.02, 2e-7, 0.1),
@@ -209,6 +222,9 @@ COMMANDS = {
                                     "--taus", "1", "--plot-data", "/dev/null/x"],
     "effective-separation": ["effective", "separation.json"],
     "effective-separation-force": ["effective", "separation.json", "--force"],
+    "effective-separation-v-force": ["effective", "separation_v.json", "--force"],
+    "effective-singular-force": ["effective", "singular.json", "--force"],
+    "effective-lr-jump-force": ["effective", "lr_jump.json", "--force"],
     "effective-gap-f1": ["effective", "gap_f1.json"],
     "effective-gap-f002": ["effective", "gap_f002.json"],
     "effective-unread-seed": ["effective", "three_level.json", "--seed", "5"],
