@@ -36,7 +36,9 @@ columns at the DFS indices, and the block of a map S of the full space is
 E† S E, for E the d^2 unit columns at the DFS vec positions
 (``dfs.vec_order[:d^2]``): vec(b_i b_j†) in column i + d j. The general route
 applies O1 and O2 as maps on the d^2 operators P_inf E, never as D^2 x D^2
-matrices. The closed route is assembled on the block.
+matrices. The closed route is assembled on the block: E_eff acts on the
+d^2 DFS units b_i b_j† at once, as one (d^2, n, n) stack of sources on the
+decaying block, one stacked sector solve and one stacked feed product.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .operators import (
     frob,
     gksl_superop,
     require_hermitian,
-    vectorize,
     vectorize_stack,
 )
 
@@ -116,18 +117,26 @@ def _check_pair(lind: StructuredLindbladian, pert: Perturbation):
         )
 
 
-def effective_coupling(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
+def effective_coupling(lind: StructuredLindbladian, pert: Perturbation,
+                       f_ul: np.ndarray | None = None) -> np.ndarray:
     """Induced non-Hermitian coupling between the DFS and decaying blocks.
 
     C = V_offdiag - (i/2) sum_l (F_l† f_ul_l + f_ul_l† F_l); supported on the
-    block-off-diagonal corners.
+    block-off-diagonal corners. f_ul is the (J, D, D) stack of the f_ul_l
+    when the caller has split the f_l already.
     """
     _check_pair(lind, pert)
-    c = four_corners(pert.v, lind.dfs).offdiag.astype(complex)
-    for big_f, f in zip(lind.jumps, pert.fs):
-        f_ul = four_corners(f, lind.dfs).ul
-        c = c - 0.5j * (dagger(big_f) @ f_ul + dagger(f_ul) @ big_f)
+    if f_ul is None:
+        f_ul = four_corners(_jump_stack(lind, pert), lind.dfs).ul
+    c = four_corners(pert.v, lind.dfs).offdiag
+    for big_f, f in zip(lind.jumps, f_ul):
+        c = c - 0.5j * (dagger(big_f) @ f + dagger(f) @ big_f)
     return c
+
+
+def _jump_stack(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
+    """The f_l of a perturbation as one (J, D, D) stack."""
+    return np.array(pert.fs, dtype=complex).reshape(len(pert.fs), lind.dim, lind.dim)
 
 
 def _stacked(lind: StructuredLindbladian, perts) -> tuple[np.ndarray, np.ndarray]:
@@ -239,33 +248,37 @@ class EffectiveGenerator:
 
 
 def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation) -> EffectiveGenerator:
-    """Second-order effective generator by the closed (effective-operator) route."""
+    """Second-order effective generator by the closed (effective-operator) route.
+
+    One corner split of the stacked f_l gives H_eff, the F_eff_l and
+    sum_l f_ll_l† f_ll_l. E_eff is built on the d^2 DFS units b_i b_j† at
+    once: their sources sum_l f_ll_l b_i b_j† f_ll_l† form one (d^2, n, n)
+    stack on the decaying block, one stacked sector solve inverts the
+    evolution on all of them, and the feed sum_l F_l (.) F_l† maps the
+    solutions back to the DFS block.
+    """
     _check_pair(lind, pert)
     dfs = lind.dfs
     kinv = nh_hamiltonian_inverse(lind.k, dfs)
-    coupling = effective_coupling(lind, pert)
+    f = four_corners(_jump_stack(lind, pert), dfs)
+    coupling = effective_coupling(lind, pert, f.ul)
     v_ul = four_corners(pert.v, dfs).ul
     x = v_ul - coupling @ kinv @ coupling
     h_eff = 0.5 * (x + dagger(x))
-    jumps_eff = tuple(
-        four_corners(f, dfs).ul - big_f @ kinv @ coupling
-        for big_f, f in zip(lind.jumps, pert.fs)
-    )
-    f_lls = [four_corners(f, dfs).ll for f in pert.fs]
-    adj_id = sum((dagger(f) @ f for f in f_lls), np.zeros((dfs.dim, dfs.dim), dtype=complex))
-    # E_eff on the d^2 DFS units b_i b_j†: source f_ll (.) f_ll†, sector solve,
-    # feed F_l (.) F_l†, each on the blocks of its corner.
-    d = dfs.d
-    detect = [f[np.ix_(dfs.rest, dfs.indices)] for f in pert.fs]           # f_ll, (n, d)
-    feed = [big_f[np.ix_(dfs.indices, dfs.rest)] for big_f in lind.jumps]  # F_l, (d, n)
+    jumps_eff = tuple(f_ul - big_f @ kinv @ coupling for big_f, f_ul in zip(lind.jumps, f.ul))
+    adj_id = sum((dagger(f_ll) @ f_ll for f_ll in f.ll), np.zeros((dfs.dim, dfs.dim), dtype=complex))
+    # The source of unit i + d j is sum_l g_l[:, i] g_l[:, j]† for the (n, d)
+    # blocks g_l of f_ll_l, stacked as [j, i] and summed over l in order.
+    d, n = dfs.d, dfs.n_decay
+    g = f.ll[:, dfs.rest[:, None], dfs.indices].transpose(0, 2, 1)  # (J, d, n): row i is g_l[:, i]
+    source = sum((g_l[None, :, :, None] * g_l.conj()[:, None, None, :] for g_l in g),
+                 np.zeros((d, d, n, n), dtype=complex)).reshape(d * d, n, n)
     cp_superop = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            source = sum(np.outer(g[:, i], g[:, j].conj()) for g in detect)
-            if not source.any():
-                continue
-            sigma = lind.decaying_sector.solve(-source)
-            cp_superop[:, i + d * j] = vectorize(sum(g @ sigma @ dagger(g) for g in feed))
+    # With every f_ll zero, E_eff is zero and the sector is not solved.
+    if source.any():
+        sigma = lind.decaying_sector.solve(-source)
+        feed = np.array([big_f[np.ix_(dfs.indices, dfs.rest)] for big_f in lind.jumps])  # F_l, (J, d, n)
+        cp_superop = vectorize_stack(np.sum(feed[:, None] @ sigma @ dagger(feed)[:, None], axis=0))
     return EffectiveGenerator(
         h_eff=h_eff,
         jumps_eff=jumps_eff,
@@ -376,7 +389,7 @@ def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
     """
     _check_pair(lind, pert)
     v_lr = four_corners(pert.v, lind.dfs).lr
-    fs = np.array(pert.fs, dtype=complex).reshape(len(pert.fs), lind.dim, lind.dim)
+    fs = _jump_stack(lind, pert)
     f = four_corners(fs, lind.dfs)
     reference, *stripped = _general_blocks(lind, [
         pert,

@@ -31,10 +31,11 @@ asymptotic projection come from eliminating the DFS corner
 (:class:`CornerFactor`): in the frame of the DFS basis, L is
 block-triangular with its kernel on the DFS corner, and both are read off
 LUs of the decaying-corner blocks of L, block diagonal over ll, ur and lr
-under the normal form; a block with a zero or tiny pivot raises
-:class:`SingularBlockError`. The decaying-sector map
+under the normal form, each gathered on its own; a block with a zero or
+tiny pivot raises :class:`SingularBlockError`. The decaying-sector map
 sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
-Bartels-Stewart on the cached Schur form of K_qq; its dense
+Bartels-Stewart on the cached Schur form of K_qq, for a whole stack of
+right-hand sides in one column sweep of n triangular solves; its dense
 Kronecker form is kept in :func:`nh_superop_inverse_lr` as an independent
 oracle, behind the closed-form :func:`asymptotic_projection_analytic`. Every
 block of an operator or superoperator is an index gather on the DFS index set
@@ -53,7 +54,7 @@ from math import isqrt
 
 import numpy as np
 from scipy.linalg import expm, schur
-from scipy.linalg.lapack import zgetrf, zgetri, zgetrs, ztrsyl
+from scipy.linalg.lapack import zgetrf, zgetrs, ztrtrs
 
 from .operators import (
     DEFAULT_TOL,
@@ -168,11 +169,15 @@ class CornerFactor:
         J† = [I, -G],   P_inf = E J†,   L^D = [[0, G L_rr^-1], [0, L_rr^-1]],
 
     the group inverse of a block-triangular matrix (Campbell and Meyer,
-    *Generalized Inverses of Linear Transformations*). Under the normal form
-    L_rr is block diagonal over ll and ur (side dn each) and lr (side n^2),
-    and each block is LU-factored apart. When a coupling block holds a
-    nonzero entry (leakage below the tolerance), L_rr is factored whole, so
-    no entry of L is dropped.
+    *Generalized Inverses of Linear Transformations*). Every coupling entry
+    between the ll, ur and lr blocks of L_rr, and every entry of the ll and
+    ur columns of L_ur, comes from an H entry outside lr or a jump entry
+    outside ur. Without such an entry (``leaky`` False) L_rr is block
+    diagonal over ll and ur (side dn each) and lr (side n^2), each block is
+    gathered and LU-factored apart, and only the lr columns of L_ur are
+    read. With one (leakage below the tolerance, or a generator that fails
+    its checks), L_rr and L_ur are gathered whole, so no entry of L is
+    dropped. Each block is gathered F-ordered and factored in place.
 
     U is the permutation ``dfs.order``, and ``order`` is ``dfs.vec_order``, the
     vec index of each frame position, so entering or leaving the frame is an
@@ -190,29 +195,32 @@ class CornerFactor:
     d: int
     thresh: float
     gap: float | None
+    leaky: bool
 
     @classmethod
     def of(cls, superop: np.ndarray, dfs: DfsProjector, *, thresh: float,
-           gap: float | None) -> "CornerFactor":
-        return cls(superop=superop, order=dfs.vec_order, d=dfs.d, thresh=thresh, gap=gap)
+           gap: float | None, leaky: bool) -> "CornerFactor":
+        return cls(superop=superop, order=dfs.vec_order, d=dfs.d, thresh=thresh, gap=gap,
+                   leaky=leaky)
+
+    def _gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """L[rows, cols], F-ordered: the transpose of a C-ordered gather of L^T."""
+        return self.superop.T[cols[:, None], rows].T
 
     @cached_property
     def _factored(self) -> tuple[list, np.ndarray]:
         """[(slice of r, LU of its diagonal block of L_rr)] and G = L_ur L_rr^-1."""
         _warn_if_gap_small(self.gap, self.thresh)
         m = self.d ** 2
-        frame = self.superop[self.order[:, None], self.order]
-        l_ur, l_rr = frame[:m, m:], frame[m:, m:]
+        u, r = self.order[:m], self.order[m:]
         dn = self.d * (isqrt(self.order.size) - self.d)
-        # The coupling blocks of L_rr, as contiguous runs of the ll, ur and lr rows.
-        if (l_rr[:dn, dn:].any() or l_rr[dn:2 * dn, :dn].any()
-                or l_rr[dn:2 * dn, 2 * dn:].any() or l_rr[2 * dn:, :2 * dn].any()):
-            cuts = [slice(0, l_rr.shape[0])]
+        if self.leaky:
+            cuts = [slice(0, r.size)]
         else:
-            cuts = [slice(0, dn), slice(dn, 2 * dn), slice(2 * dn, l_rr.shape[0])]
-        blocks, g = [], np.zeros_like(l_ur)
+            cuts = [slice(0, dn), slice(dn, 2 * dn), slice(2 * dn, r.size)]
+        blocks = []
         for cut in cuts:
-            lu = zgetrf(l_rr[cut, cut])[:2]
+            lu = zgetrf(self._gather(r[cut], r[cut]), overwrite_a=True)[:2]
             pivots = np.abs(np.diag(lu[0]))
             small, big = pivots.min(), pivots.max()
             if small == 0 or small < PIVOT_RATIO_FLOOR * big:
@@ -222,8 +230,10 @@ class CornerFactor:
                     f" < {PIVOT_RATIO_FLOOR:.3e}"
                 )
             blocks.append((cut, lu))
-            if l_ur[:, cut].any():  # under the normal form, only the lr block feeds ul
-                g[:, cut] = dagger(zgetrs(*lu, dagger(l_ur[:, cut]), trans=2)[0])
+        # Only the last block (lr, or all of L_rr) feeds ul.
+        cut, lu = blocks[-1]
+        g = np.zeros((m, r.size), dtype=complex)
+        g[:, cut] = dagger(zgetrs(*lu, dagger(self.superop[np.ix_(u, r[cut])]), trans=2)[0])
         return blocks, g
 
     def _leave(self, z: np.ndarray) -> np.ndarray:
@@ -256,15 +266,16 @@ class CornerFactor:
     def drazin(self) -> np.ndarray:
         """L^D = [[0, G L_rr^-1], [0, L_rr^-1]] in the frame, written block by block.
 
-        Each block inverse comes from its LU (LAPACK getri), and the ul row is
-        G times it.
+        Each block inverse is its LU solved against the identity (LAPACK
+        getrs), and the ul row is G times it.
         """
         blocks, g = self._factored
         m = self.d ** 2
         order = self.order
         out = np.zeros((order.size, order.size), dtype=complex)
         for cut, lu in blocks:
-            inv = zgetri(*lu)[0]
+            side = cut.stop - cut.start
+            inv = zgetrs(*lu, np.eye(side, dtype=complex, order="F"), overwrite_b=True)[0]
             rows = order[m + cut.start:m + cut.stop]
             out[np.ix_(rows, rows)] = inv
             out[np.ix_(order[:m], rows)] = g[:, cut] @ inv
@@ -332,7 +343,11 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
 
 
 def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
-    """(report, Schur form of K_qq, zero cut).
+    """(report, Schur form of K_qq, zero cut, whether any entry leaks).
+
+    An entry leaks when it lies in H outside lr or in a jump outside ur. The
+    flag tests the entries themselves: the report's residuals are norms, which
+    underflow to zero for entries below about 1e-154.
 
     The scale is max(1, rho), with rho the largest |lambda| that the normal
     form reads off the Schur form of K_qq (the spectral radius of L when the
@@ -344,10 +359,9 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
-    h_block = frob(h - four_corners(h, dfs).lr) / scale_h
-    jump_res = tuple(
-        frob(f - four_corners(f, dfs).ur) / max(1.0, frob(f)) for f in jumps
-    )
+    leaks = [h - four_corners(h, dfs).lr] + [f - four_corners(f, dfs).ur for f in jumps]
+    h_block = frob(leaks[0]) / scale_h
+    jump_res = tuple(frob(x) / max(1.0, frob(f)) for x, f in zip(leaks[1:], jumps))
     k = nh_hamiltonian(h, jumps)
     sector = SectorSolver.of(k, dfs)
     mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
@@ -374,7 +388,7 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
         spectral_gap=gap,
         tol=tol,
     )
-    return report, sector, thresh
+    return report, sector, thresh, any(x.any() for x in leaks)
 
 
 def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
@@ -404,10 +418,10 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     # Assemble without the Hermiticity hard-check; the report records it, and
     # validate=True raises below on any failure.
     superop = gksl_superop(h, jumps)
-    rep, sector, thresh = _diagnose(h, jumps, dfs, superop, tol)
+    rep, sector, thresh, leaky = _diagnose(h, jumps, dfs, superop, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
-    factor = CornerFactor.of(superop, dfs, thresh=thresh, gap=rep.spectral_gap)
+    factor = CornerFactor.of(superop, dfs, thresh=thresh, gap=rep.spectral_gap, leaky=leaky)
     return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,
                                  factor=factor, decaying_sector=sector)
 
@@ -471,11 +485,18 @@ def nh_hamiltonian_inverse(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
 class SectorSolver:
     """Bartels-Stewart solver for sigma -> -i(K sigma - sigma K†) on the decaying block.
 
-    K_qq = U T U† is Schur-factored once. Each right-hand side C then costs one
-    triangular Sylvester solve T Y - Y T† = i U† C U (LAPACK ztrsyl) and four
-    n x n products, against a dense (n^2, n^2) solve for the Kronecker form.
-    No eigenvectors are involved, so a defective K is handled exactly. A
-    :class:`StructuredLindbladian` caches one as ``decaying_sector``.
+    K_qq = U T U† is Schur-factored once. A right-hand side C, or a stack of
+    m of them, is solved as T Y - Y T† = i U† C U by the column recurrence of
+    Bartels and Stewart (CACM 15, 1972): for j = n-1 down to 0,
+
+        (T - conj(t_jj) I) y_j = c_j + sum_{k>j} conj(t_jk) y_k,
+
+    one triangular solve (LAPACK ztrtrs) carrying the j-th columns of all m
+    right-hand sides. A batch costs n triangular solves and four stacked
+    n x n products, against a dense (n^2, n^2) solve per right-hand side for
+    the Kronecker form. No eigenvectors are involved, so a defective K is
+    handled exactly. A :class:`StructuredLindbladian` caches one as
+    ``decaying_sector``.
     """
 
     t: np.ndarray
@@ -486,17 +507,44 @@ class SectorSolver:
         t, u = schur(as_operator(k)[np.ix_(dfs.rest, dfs.rest)], output="complex")
         return cls(t=t, u=u)
 
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        """sigma with -i(K sigma - sigma K†) = c, both (n, n) in the decaying basis."""
-        u = self.u
-        y, scale, info = ztrsyl(self.t, self.t, 1j * (dagger(u) @ c @ u),
-                                trana="N", tranb="C", isgn=-1)
-        if info != 0:
+    @cached_property
+    def _gaps(self) -> np.ndarray:
+        """The sweep diagonals t_aa - conj(t_jj), as [a, j].
+
+        One at or below ztrsyl's threshold max(eps max|T_ij|, the smallest
+        normal number), in ztrsyl's measure |Re| + |Im|, raises
+        :class:`SingularBlockError`.
+        """
+        diag = np.diag(self.t)
+        gaps = diag[:, None] - diag.conj()[None, :]
+        small = max(np.finfo(float).eps * float(np.max(np.abs(self.t))), np.finfo(float).tiny)
+        if float(np.min(np.abs(gaps.real) + np.abs(gaps.imag))) <= small:
             raise SingularBlockError(
                 "decaying-block evolution superoperator is singular: "
-                f"K and K† share an eigenvalue (LAPACK ztrsyl info {info})"
+                f"K and K† share an eigenvalue (a Schur diagonal gap is at most {small:.3e})"
             )
-        return u @ (y / scale) @ dagger(u)
+        return gaps
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        """sigma with -i(K sigma - sigma K†) = c, in the decaying basis.
+
+        c is one (n, n) operator or an (m, n, n) stack, and sigma has its shape.
+        """
+        u, t, gaps = self.u, self.t, self._gaps
+        n = t.shape[0]
+        rhs = 1j * (dagger(u) @ c @ u)
+        # y[j] holds column j of every Y in the stack as an (m, n) block, so
+        # that y[j].T is the F-ordered (n, m) right-hand side LAPACK reads.
+        y = np.ascontiguousarray(rhs.reshape(-1, n, n).transpose(2, 0, 1))
+        size = y[0].size
+        # T - conj(t_jj) I is T's F-ordered copy with its diagonal, a strided view, reset.
+        shifted = np.array(t, order="F")
+        diagonal = shifted.reshape(-1, order="F")[::n + 1]
+        for j in range(n - 1, -1, -1):
+            y[j] += (t[j, j + 1:].conj() @ y[j + 1:].reshape(n - 1 - j, size)).reshape(y[j].shape)
+            diagonal[:] = gaps[:, j]
+            y[j] = ztrtrs(shifted, y[j].T, overwrite_b=True)[0].T
+        return u @ y.transpose(1, 2, 0).reshape(rhs.shape) @ dagger(u)
 
 
 def _nh_block_matrix(kk: np.ndarray) -> np.ndarray:

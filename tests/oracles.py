@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular
+from scipy.linalg.lapack import ztrsyl
 
 from ejof.effective import Perturbation, effective_coupling
 from ejof.lindblad import (
@@ -38,6 +39,7 @@ from ejof.operators import (
     left_superop,
     right_superop,
     sandwich_superop,
+    vectorize,
 )
 
 
@@ -289,6 +291,33 @@ def nh_superop_solve(k: np.ndarray, sigma: np.ndarray, dfs: DfsProjector,
     if rhs_lr.any():
         rho += bq @ SectorSolver.of(k, dfs).solve(rhs_lr) @ dagger(bq)
     return rho
+
+
+def cp_superop_per_unit(lind, pert: Perturbation) -> np.ndarray:
+    """E_eff's (d^2, d^2) DFS block, one DFS unit b_i b_j† at a time.
+
+    Each unit's source sum_l f_ll_l b_i b_j† f_ll_l† is solved on its own, by
+    one triangular Sylvester solve (LAPACK ztrsyl) on the Schur form of K_qq,
+    and fed back by sum_l F_l (.) F_l†. A unit with a zero source is skipped.
+    """
+    dfs, sector = lind.dfs, lind.decaying_sector
+    t, u = sector.t, sector.u
+    d = dfs.d
+    detect = [f[np.ix_(dfs.rest, dfs.indices)] for f in pert.fs]           # f_ll, (n, d)
+    feed = [big_f[np.ix_(dfs.indices, dfs.rest)] for big_f in lind.jumps]  # F_l, (d, n)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for i in range(d):
+            source = sum(np.outer(g[:, i], g[:, j].conj()) for g in detect)
+            if not source.any():
+                continue
+            y, scale, info = ztrsyl(t, t, 1j * (dagger(u) @ -source @ u),
+                                    trana="N", tranb="C", isgn=-1)
+            if info != 0:
+                raise SingularBlockError(f"K and K† share an eigenvalue (ztrsyl info {info})")
+            sigma = u @ (y / scale) @ dagger(u)
+            out[:, i + d * j] = vectorize(sum(g @ sigma @ dagger(g) for g in feed))
+    return out
 
 
 def perturbation_superops(lind, pert: Perturbation):

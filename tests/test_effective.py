@@ -277,6 +277,40 @@ def test_cp_superop_matches_dense_product(n, seed, defective, extra):
     assert frob(got - want) <= 1e-11 * frob(want)
 
 
+def test_closed_route_solves_the_dfs_units_in_one_stack(monkeypatch):
+    # E_eff on the d^2 = 16 DFS units is one stacked sector solve.
+    lind, pert = random_structured_instance(4, 5, 5, 3)
+    shapes = []
+    real = ejof.lindblad.SectorSolver.solve
+
+    def counting(self, c):
+        shapes.append(np.shape(c))
+        return real(self, c)
+
+    monkeypatch.setattr(ejof.lindblad.SectorSolver, "solve", counting)
+    _ = Study(lind, pert).closed
+    assert shapes == [(16, 5, 5)]
+
+
+def test_cp_superop_is_exactly_zero_without_a_source(generic_instance):
+    # With f_ll = 0 there is no source and E_eff is exactly zero. With f_ll
+    # nonzero on the first DFS column only, the column of every unit b_i b_j†
+    # with i or j another DFS state is exactly zero.
+    lind, pert = generic_instance
+    dfs = lind.dfs
+    bare = tuple(f - four_corners(f, dfs).ll for f in pert.fs)
+    assert not effective_lindbladian_closed(lind, dataclasses.replace(pert, fs=bare)).cp_superop.any()
+    one_column = tuple(f.copy() for f in bare)
+    for f, full in zip(one_column, pert.fs):
+        f[dfs.rest, dfs.indices[0]] = full[dfs.rest, dfs.indices[0]]
+    cp = effective_lindbladian_closed(lind, dataclasses.replace(pert, fs=one_column)).cp_superop
+    d = dfs.d
+    units = np.arange(d * d)
+    reads_other = (units % d != 0) | (units // d != 0)
+    assert not cp[:, reads_other].any()
+    assert cp[:, 0].any()
+
+
 def test_three_level_routes_match(three_level):
     lind, pert = three_level
     gen = effective_lindbladian_general(lind, pert)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 import ejof.lindblad
 from ejof.lindblad import (
     CornerFactor,
+    SectorSolver,
     SingularBlockError,
     SpectralGapWarning,
     StructureError,
@@ -34,10 +36,12 @@ from ejof.operators import (
     anticommutator_superop,
     dagger,
     devectorize,
+    devectorize_columns,
     four_corners,
     frob,
     projector_frame,
     vectorize,
+    vectorize_stack,
 )
 from ejof.qec import repetition_code_recovery
 from ejof.scenarios import build_scenario
@@ -47,6 +51,7 @@ from oracles import (
     asymptotic_projection,
     commutator_superop,
     compress_superop,
+    cp_superop_per_unit,
     dense_dfs,
     dfs_columns,
     dissipator,
@@ -276,6 +281,52 @@ def test_nh_superop_inverse_lr_consistent(generic_instance):
             assert frob(got - want) <= 1e-11 * frob(want), name
 
 
+# The sweep's cases: a defective K (n = 2 Jordan block), the stiff n = 12
+# ladder and an n = 16 draw. The ladder is defined below, and read on call.
+SWEEP_CASES = {
+    "defective": lambda: random_structured_instance(2, 2, 2, 4, defective_k=True)[0],
+    "stiff-n12": lambda: _wide_stiff_lindbladian(),
+    "draw-n16": lambda: random_structured_instance(4, 16, 5, 1)[0],
+}
+
+
+@pytest.mark.parametrize("make", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
+def test_stacked_sector_solve_matches_slices_and_kronecker_oracle(make):
+    # One column sweep over a stack of right-hand sides gives each slice's
+    # own solve, and the dense solve of the Kronecker form of the map.
+    lind = make()
+    dfs, sector = lind.dfs, lind.decaying_sector
+    n = dfs.n_decay
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    got = sector.solve(c)
+    assert got.shape == c.shape
+    lr = dfs.vec_order[-n * n:]
+    kron = nh_superop_inverse_lr(lind.k, dfs)[np.ix_(lr, lr)]
+    want = devectorize_columns(kron @ vectorize_stack(c))
+    for got_s, c_s, want_s in zip(got, c, want):
+        single = sector.solve(c_s)
+        assert single.shape == (n, n)
+        assert frob(got_s - single) <= 1e-12 * frob(single)
+        assert frob(got_s - want_s) <= 1e-12 * frob(want_s)
+
+
+@pytest.mark.parametrize("offset, singular", [(0.0, True), (1e-17, True), (1e-13, False)])
+def test_sector_solve_refuses_a_shared_eigenvalue(offset, singular):
+    # t_00 - conj(t_11) = offset: at or below eps max|T_ij| (3.1e-16 here) the
+    # sector map is singular, as LAPACK ztrsyl would flag it.
+    t = np.array([[1 + 1j, 0.3], [0, 1 - 1j + offset]])
+    sector = SectorSolver(t=t, u=np.eye(2, dtype=complex))
+    c = np.array([[1.0, 2.0], [0.5j, -1.0]])
+    if singular:
+        with pytest.raises(SingularBlockError, match="share an eigenvalue"):
+            sector.solve(c)
+    else:
+        sigma = sector.solve(c)
+        residual = frob(-1j * (t @ sigma - sigma @ dagger(t)) - c)
+        assert residual <= 1e-12 * frob(t) * frob(sigma)
+
+
 SCENARIOS = ("three-level", "cancellation", "coherent-cancel", "universal", "repetition")
 
 
@@ -427,6 +478,38 @@ def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
     assert lus == [lind.dim ** 2 - lind.dfs.d ** 2]
 
 
+def test_corner_factor_reads_the_leak_off_the_entries(monkeypatch):
+    # An H coupling of 1e-170 underflows the report's residual norm to zero,
+    # but it is a coupling entry of L_rr: L_rr is still factored whole.
+    lind = random_structured_instance(2, 3, 2, 11)[0]
+    h = lind.h.copy()
+    h[0, 2] = h[2, 0] = 1e-170
+    lind = structured_lindbladian(h, lind.jumps, lind.dfs)
+    assert lind.report.h_on_decaying_block == 0.0
+    lus = []
+    _count_calls(monkeypatch, ejof.lindblad, "zgetrf", lus)
+    _ = lind.drazin
+    assert lind.factor.leaky
+    assert lus == [lind.dim ** 2 - lind.dfs.d ** 2]
+
+
+def test_corner_factor_copies_only_the_blocks_it_factors():
+    # Without leakage the factor gathers the three diagonal blocks of L_rr
+    # and the lr columns of L_ur, F-ordered, and LU-factors each in place.
+    # Its peak allocation is then about one lr block (side n^2): 1.35 of it
+    # here, 2.1 with a second copy for LAPACK, 3.8 with L gathered whole.
+    lind = random_structured_instance(4, 16, 5, 1)[0]
+    assert not lind.factor.leaky
+    lr_bytes = lind.dfs.n_decay ** 4 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        _ = lind.factor._factored
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * lr_bytes
+
+
 def _scenario_lindbladian(name):
     if name == "repetition":
         return repetition_code_recovery()[1]
@@ -555,6 +638,16 @@ def test_block_effective_superop_matches_full_assembly(make):
     want = compress_superop(full, basis)
     got = effective_to_superop(eff)
     assert frob(got - want) <= 1e-11 * frob(want)
+
+
+@pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_cp_superop_matches_the_per_unit_oracle(make):
+    # The d^2 units in one stacked sector solve, against one ztrsyl per unit.
+    lind = make()
+    pert = _random_perturbation(lind, 4)
+    want = cp_superop_per_unit(lind, pert)
+    got = effective_lindbladian_closed(lind, pert).cp_superop
+    assert frob(got - want) <= 1e-13 * frob(want)
 
 
 def _two_rate_lindbladian(fast, slow):

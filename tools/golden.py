@@ -16,9 +16,12 @@ command:
 
 For each report that differs, it prints how many numbers differ and the
 largest relative difference, over all numbers and over those whose magnitude
-exceeds NONVANISHING. It exits 0 when every command matches on every count,
-and 1 otherwise. Run with the same tree on both sides, it is a cross-process
-determinism check on the reports.
+exceeds NONVANISHING. It then sorts the commands that differ into three
+lists: those whose exit code or a verdict line of stdout (`name: pass|FAIL`,
+`all passed: ...`) differs; those that differ only in numbers; and the rest.
+It exits 0 when every command matches on every count, and 1 otherwise. Run
+with the same tree on both sides, it is a cross-process determinism check on
+the reports.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ NONVANISHING = 1e-12
 TIMEOUT_S = 600
 DONE_LINE = re.compile(r"^done in [0-9.]+ s$", re.MULTILINE)
 RUNNER = "import sys; from ejof.cli import main; sys.exit(main(sys.argv[1:]))"
+VERDICT_LINE = re.compile(r"^(?:[\w .-]+: (?:pass|FAIL|skipped)|all passed: .*)$", re.MULTILINE)
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
+                    r"|\b(?:NaN|nan|inf|Infinity)\b")
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +305,52 @@ def report_difference(old: bytes, new: bytes) -> str:
                    else f"; none above {NONVANISHING:g}")
 
 
-def compare(old_work: Path, new_work: Path, old: dict, new: dict) -> list[str]:
-    """Lines naming every difference between the two runs; empty when they match."""
-    lines = []
+def _numbers_only(old: bytes, new: bytes, rel: Path) -> bool:
+    """Whether two outputs differ in their numbers alone."""
+    if rel.suffix == ".json":
+        try:
+            list(_numbers(json.loads(old), json.loads(new)))
+        except ValueError:
+            return False
+        return True
+    return NUMBER.sub("#", old.decode()) == NUMBER.sub("#", new.decode())
+
+
+def compare(old_work: Path, new_work: Path, old: dict, new: dict) -> tuple[list[str], dict]:
+    """Lines naming every difference between the two runs, and the kind of each differing command.
+
+    The kind is "verdict" when the exit code or a verdict line differs,
+    "numbers" when only numbers differ, and "other" otherwise.
+    """
+    lines, kinds = [], {}
     for name in COMMANDS:
         (code_a, out_a, err_a), (code_b, out_b, err_b) = old[name], new[name]
+        found, numeric = len(lines), True
         if code_a != code_b:
             lines.append(f"{name}: exit code {code_a} -> {code_b}")
         if err_a != err_b:
             lines.append(f"{name}: stderr differs:\n  old: {err_a!r}\n  new: {err_b!r}")
+            numeric &= _numbers_only(err_a.encode(), err_b.encode(), Path("stderr"))
         if out_a != out_b:
             lines.append(f"{name}: stdout differs:\n  old: {out_a!r}\n  new: {out_b!r}")
+            numeric &= _numbers_only(out_a.encode(), out_b.encode(), Path("stdout"))
         outputs = [Path("reports") / f"{name}.json"]
         outputs += [p.relative_to(old_work) for p in (old_work / "plots" / name).glob("*.csv")]
         for rel in outputs:
             a, b = old_work / rel, new_work / rel
             if a.exists() != b.exists():
                 lines.append(f"{name}: {rel} written on one side only")
+                numeric = False
             elif a.exists() and a.read_bytes() != b.read_bytes():
                 detail = (report_difference(a.read_bytes(), b.read_bytes())
                           if rel.suffix == ".json" else "bytes differ")
                 lines.append(f"{name}: {rel}: {detail}")
-    return lines
+                numeric &= _numbers_only(a.read_bytes(), b.read_bytes(), rel)
+        if code_a != code_b or VERDICT_LINE.findall(out_a) != VERDICT_LINE.findall(out_b):
+            kinds[name] = "verdict"
+        elif len(lines) > found:
+            kinds[name] = "numbers" if numeric else "other"
+    return lines, kinds
 
 
 def main(argv=None) -> int:
@@ -332,12 +362,18 @@ def main(argv=None) -> int:
         work = Path(tmp)
         runs = {side: run_tree(tree.resolve(), work / side)
                 for side, tree in (("old", args.old), ("new", args.new))}
-        lines = compare(work / "old", work / "new", runs["old"], runs["new"])
+        lines, kinds = compare(work / "old", work / "new", runs["old"], runs["new"])
         written = len(list((work / "old" / "reports").glob("*.json")))
     for line in lines:
         print(line)
     print(f"{len(COMMANDS)} commands, {written} reports written on the old side, "
           f"{len(lines)} differences")
+    for kind, title in (("verdict", "exit code or verdict line changed"),
+                        ("numbers", "numbers only"), ("other", "other differences")):
+        names = [name for name, k in kinds.items() if k == kind]
+        print(f"{title} ({len(names)}): {', '.join(names) or 'none'}")
+    if not any(k == "verdict" for k in kinds.values()):
+        print("no verdict changed")
     return 1 if lines else 0
 
 
