@@ -9,15 +9,9 @@ continuous-error-correction robustness suite, and dynamics validation.
 from .operators import (
     Corners,
     DfsProjector,
-    adjoint_superop,
-    anticommutator_superop,
-    apply_superop,
     dagger,
-    devectorize,
     four_corners,
     frob,
-    sandwich_superop,
-    vectorize,
 )
 from .lindblad import (
     SingularBlockError,

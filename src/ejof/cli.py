@@ -89,6 +89,14 @@ def _finite(x: float, path: str) -> float:
     return x
 
 
+def _tolerance(value, path: str) -> float:
+    """A verdict tolerance: a positive number (at or below zero every verdict would fail)."""
+    tol = _as_number(value, path)
+    if tol <= 0:
+        raise ProblemFormatError(path, f"must be positive, got {tol!r}")
+    return tol
+
+
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemFormatError(path, f"expected an integer, got {type(value).__name__}")
@@ -263,7 +271,7 @@ def load_problem(path: str) -> ParsedProblem:
     if data.get("version", PROBLEM_VERSION) != PROBLEM_VERSION:
         raise ProblemFormatError("version", f"unsupported version {data['version']!r}")
 
-    tol = _as_number(data["tol"], "tol") if "tol" in data else None
+    tol = _tolerance(data["tol"], "tol") if "tol" in data else None
     seed = _as_int(data["seed"], "seed") if "seed" in data else None
 
     has_system = "jumps" in data
@@ -465,6 +473,8 @@ def _reads_seed(args) -> bool:
 
 
 def _run(command, args) -> int:
+    if args.tol is not None:
+        _tolerance(args.tol, "--tol")
     if args.seed is not None and not _reads_seed(args):
         raise ProblemFormatError("--seed", "this run draws nothing at random, so it reads no "
                                  "seed (random scenarios and qec --obstruction do)")
@@ -534,18 +544,16 @@ def cmd_effective(args) -> Outcome | int:
             print("use --force to compute the general route anyway", file=sys.stderr)
         return EXIT_INPUT
 
-    dfs = study.lind.dfs
-    ul = np.ix_(dfs.indices, dfs.indices)
     report["l_eff_general"] = study.general
     verdicts = {"structure_ok": rep.passed}
 
     if rep.passed:
         eff, eq, ids = study.closed, study.equivalence, study.identities
         report["l_eff_closed"] = study.closed_block
-        report["h_eff"] = eff.h_eff[ul]
-        report["f_eff"] = [f[ul] for f in eff.jumps_eff]
+        report["h_eff"] = eff.h_eff
+        report["f_eff"] = list(eff.jumps_eff)
         report["e_eff_superop"] = eff.cp_superop
-        report["e_eff_trace_part"] = eff.cp_adjoint_identity[ul]
+        report["e_eff_trace_part"] = eff.cp_adjoint_identity
         report["equivalence"] = {
             "residual": eq.residual,
             "scaled_residual": study.scaled_residual,
@@ -651,13 +659,15 @@ def cmd_qec(args) -> Outcome:
     tol = args.tol if args.tol is not None else 1e-10
 
     if args.obstruction:
+        if args.miscal is not None:
+            raise ProblemFormatError("--miscal", "the obstruction table draws its own X and Z "
+                                     "miscalibrations, so it reads no --miscal")
         seed = args.seed if args.seed is not None else 7
-        table = hamiltonian_obstruction_demo(
-            eps=args.eps, hamiltonian_scale=args.hamiltonian_scale, seed=seed
-        )
+        scale = args.hamiltonian_scale if args.hamiltonian_scale is not None else 0.3
+        table = hamiltonian_obstruction_demo(eps=args.eps, hamiltonian_scale=scale, seed=seed)
         digest = params_digest("qec", {
             "code": "repetition", "obstruction": True, "eps": args.eps,
-            "hamiltonian_scale": args.hamiltonian_scale, "seed": seed, "tol": tol,
+            "hamiltonian_scale": scale, "seed": seed, "tol": tol,
         })
         floor = tol * args.eps ** 2
         cells = [{
@@ -677,8 +687,7 @@ def cmd_qec(args) -> Outcome:
             "command": "qec",
             "input_digest": digest,
             "code": "repetition",
-            "obstruction": {"eps": args.eps, "hamiltonian_scale": args.hamiltonian_scale,
-                            "cells": cells},
+            "obstruction": {"eps": args.eps, "hamiltonian_scale": scale, "cells": cells},
             "tol": tol,
             "verdicts": verdicts,
         }
@@ -686,6 +695,9 @@ def cmd_qec(args) -> Outcome:
 
     if args.miscal is None:
         raise ProblemFormatError("", "--miscal X|Y|Z is required (or use --obstruction)")
+    if args.hamiltonian_scale is not None:
+        raise ProblemFormatError("--hamiltonian-scale", "only the obstruction table has a "
+                                 "decaying-block Hamiltonian; use it with --obstruction")
     rec, lind = repetition_code_recovery()
     rep = robustness_check(rec, Study(lind, pauli_miscalibration(args.miscal, args.eps)), tol=tol)
     digest = params_digest("qec", {"code": "repetition", "miscal": args.miscal,
@@ -879,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qec.add_argument("--obstruction", action="store_true",
                        help="emit the Hamiltonian obstruction table instead")
     p_qec.add_argument("--hamiltonian-scale", dest="hamiltonian_scale", type=_finite_float,
-                       default=0.3, help="decaying-block Hamiltonian scale (obstruction)")
+                       default=None, help="decaying-block Hamiltonian scale (obstruction)")
     common(p_qec)
     p_qec.set_defaults(func=cmd_qec)
 

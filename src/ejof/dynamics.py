@@ -23,9 +23,9 @@ exp(t L_full) per cell: at t = 5/eps^2 that expm carries a round-off floor of
 about t u ||L_full||, which at eps = 1e-4 exceeds the distances it measures.
 For each eps, one dense propagator Pi = exp(t0 L_full) is formed at the
 horizon t0 = HORIZON_FACTOR / r, with r the slowest decay rate of the
-unperturbed generator (:func:`slowest_decay_rate`). By t0 every fast mode has
-decayed by about exp(-40), so Pi has numerical rank d^2 and its range is the
-slow invariant subspace of L_full. Two certificates check this
+unperturbed generator (:func:`~ejof.lindblad.slowest_decay_rate`). By t0
+every fast mode has decayed by about exp(-40), so Pi has numerical rank d^2
+and its range is the slow invariant subspace of L_full. Two certificates check this
 (:func:`slow_subspace`):
 
 * rank: in a pivoted QR of Pi, |R_{d^2, d^2}| <= RANK_BOUND |R_00|; the first
@@ -59,7 +59,7 @@ import numpy as np
 from scipy.linalg import expm, qr
 
 from .effective import Perturbation, _general_blocks, perturbed_superop
-from .lindblad import StructuredLindbladian
+from .lindblad import StructuredLindbladian, slowest_decay_rate
 from .operators import (
     as_operator,
     dagger,
@@ -167,17 +167,6 @@ class SweepTable:
             }
             for c in self.cells
         ]
-
-
-def slowest_decay_rate(lind: StructuredLindbladian) -> float:
-    """Slowest decay rate of the unperturbed generator, from the Schur diagonal of K_qq.
-
-    Under the normal form the nonzero spectrum of L is -i kappa_a and
-    i conj(kappa_a) (decay rate -Im kappa_a) and -i(kappa_a - conj(kappa_b))
-    (rate -Im kappa_a - Im kappa_b), over the eigenvalues kappa_a of K_qq, so
-    the slowest rate is min_a -Im kappa_a.
-    """
-    return float(np.min(-np.diag(lind.decaying_sector.t).imag))
 
 
 def slow_subspace(l_full: np.ndarray, horizon: float, rank: int):

@@ -36,9 +36,13 @@ columns at the DFS indices, and the block of a map S of the full space is
 E† S E, for E the d^2 unit columns at the DFS vec positions
 (``dfs.vec_order[:d^2]``): vec(b_i b_j†) in column i + d j. The general route
 applies O1 and O2 as maps on the d^2 operators P_inf E, never as D^2 x D^2
-matrices. The closed route is assembled on the block: E_eff acts on the
-d^2 DFS units b_i b_j† at once, as one (d^2, n, n) stack of sources on the
-decaying block, one stacked sector solve and one stacked feed product.
+matrices. The closed route hands out DFS blocks only
+(:class:`EffectiveGenerator`): H_eff as (d, d), the F_eff_l as (J, d, d),
+E_eff as (d^2, d^2) and sum_l f_ll_l† f_ll_l as (d, d); none of them has
+another corner. E_eff acts on the d^2 DFS units b_i b_j† at once, as one
+(d^2, n, n) stack of sources on the decaying block, one stacked sector solve
+and one stacked feed product, and the block of L_eff is one GKSL assembly of
+these pieces (:func:`effective_to_superop`).
 """
 
 from __future__ import annotations
@@ -53,12 +57,11 @@ from .lindblad import (
     StructuredLindbladian,
     assemble_lindbladian,
     nh_hamiltonian_inverse,
+    slowest_decay_rate,
     structured_lindbladian,
 )
 from .operators import (
     DfsProjector,
-    adjoint_superop,
-    apply_superop,
     as_operator,
     dagger,
     devectorize_columns,
@@ -226,23 +229,24 @@ def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbatio
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Closed-form effective generator data on the DFS.
+    """Closed-form effective generator data, as DFS blocks.
 
-    h_eff and the jumps_eff are supported on the DFS corner. cp_superop is the
-    completely positive feed-through term E_eff as its (d^2, d^2) DFS block
-    (E_eff reads and writes only the DFS corner, so the block is all of it);
-    cp_adjoint_identity = sum_l f_ll_l† f_ll_l is its adjoint applied to the
-    identity, used for the trace-conserving anticommutator counterweight.
-    kinv (the embedded decaying-block inverse of K) and coupling (C of
-    :func:`effective_coupling`) are the pieces the operators were built
-    from; :attr:`Study.identities` reads them here.
+    h_eff (d, d) and jumps_eff (J, d, d) are the DFS blocks of H_eff and of
+    the F_eff_l, which have no other corner. cp_superop is the completely
+    positive feed-through term E_eff as its (d^2, d^2) DFS block (E_eff reads
+    and writes only the DFS corner, so the block is all of it);
+    cp_adjoint_identity (d, d) is the block of sum_l f_ll_l† f_ll_l, the
+    adjoint of E_eff applied to the identity, which sets the trace-conserving
+    anticommutator counterweight. kinv (the embedded decaying-block inverse
+    of K) and coupling (C of :func:`effective_coupling`) are the full-space
+    (D, D) pieces the blocks were built from; :attr:`Study.identities` reads
+    them there.
     """
 
     h_eff: np.ndarray
-    jumps_eff: tuple[np.ndarray, ...]
+    jumps_eff: np.ndarray
     cp_superop: np.ndarray
     cp_adjoint_identity: np.ndarray
-    dfs: DfsProjector
     kinv: np.ndarray
     coupling: np.ndarray
 
@@ -250,56 +254,58 @@ class EffectiveGenerator:
 def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation) -> EffectiveGenerator:
     """Second-order effective generator by the closed (effective-operator) route.
 
-    One corner split of the stacked f_l gives H_eff, the F_eff_l and
-    sum_l f_ll_l† f_ll_l. E_eff is built on the d^2 DFS units b_i b_j† at
-    once: their sources sum_l f_ll_l b_i b_j† f_ll_l† form one (d^2, n, n)
-    stack on the decaying block, one stacked sector solve inverts the
-    evolution on all of them, and the feed sum_l F_l (.) F_l† maps the
-    solutions back to the DFS block.
+    H_eff, the F_eff_l and sum_l f_ll_l† f_ll_l are the DFS corners of their
+    full-space forms, gathered as blocks. E_eff is built on the d^2 DFS units
+    b_i b_j† at once: their sources sum_l f_ll_l b_i b_j† f_ll_l†
+    form one (d^2, n, n) stack on the decaying block, one stacked sector
+    solve inverts the evolution on all of them, and the feed
+    sum_l F_l (.) F_l† maps the solutions back to the DFS block.
     """
     _check_pair(lind, pert)
     dfs = lind.dfs
+    d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
+    ul = np.ix_(idx, idx)
     kinv = nh_hamiltonian_inverse(lind.k, dfs)
     f = four_corners(_jump_stack(lind, pert), dfs)
     coupling = effective_coupling(lind, pert, f.ul)
-    v_ul = four_corners(pert.v, dfs).ul
-    x = v_ul - coupling @ kinv @ coupling
+    jumps = np.array(lind.jumps).reshape(f.ul.shape)
+    # C Kinv C, the F_l Kinv C and the f_ll_l† f_ll_l have only a DFS corner.
+    # They are formed on the full space and that corner is gathered, so the
+    # blocks keep the round-off of the full-space products.
+    x = pert.v[ul] - (coupling @ kinv @ coupling)[ul]
     h_eff = 0.5 * (x + dagger(x))
-    jumps_eff = tuple(f_ul - big_f @ kinv @ coupling for big_f, f_ul in zip(lind.jumps, f.ul))
-    adj_id = sum((dagger(f_ll) @ f_ll for f_ll in f.ll), np.zeros((dfs.dim, dfs.dim), dtype=complex))
+    jumps_eff = (f.ul - jumps @ kinv @ coupling)[:, idx[:, None], idx]
+    adj_id = sum((dagger(f_ll) @ f_ll for f_ll in f.ll), np.zeros_like(coupling))[ul]
     # The source of unit i + d j is sum_l g_l[:, i] g_l[:, j]† for the (n, d)
     # blocks g_l of f_ll_l, stacked as [j, i] and summed over l in order.
-    d, n = dfs.d, dfs.n_decay
-    g = f.ll[:, dfs.rest[:, None], dfs.indices].transpose(0, 2, 1)  # (J, d, n): row i is g_l[:, i]
+    g = f.ll[:, rest[:, None], idx].transpose(0, 2, 1)  # (J, d, n): row i is g_l[:, i]
     source = sum((g_l[None, :, :, None] * g_l.conj()[:, None, None, :] for g_l in g),
                  np.zeros((d, d, n, n), dtype=complex)).reshape(d * d, n, n)
     cp_superop = np.zeros((d * d, d * d), dtype=complex)
     # With every f_ll zero, E_eff is zero and the sector is not solved.
     if source.any():
         sigma = lind.decaying_sector.solve(-source)
-        feed = np.array([big_f[np.ix_(dfs.indices, dfs.rest)] for big_f in lind.jumps])  # F_l, (J, d, n)
+        feed = jumps[:, idx[:, None], rest]  # F_l, (J, d, n)
         cp_superop = vectorize_stack(np.sum(feed[:, None] @ sigma @ dagger(feed)[:, None], axis=0))
     return EffectiveGenerator(
         h_eff=h_eff,
         jumps_eff=jumps_eff,
         cp_superop=cp_superop,
         cp_adjoint_identity=adj_id,
-        dfs=dfs,
         kinv=kinv,
         coupling=coupling,
     )
 
 
 def effective_to_superop(eff: EffectiveGenerator) -> np.ndarray:
-    """Assemble the closed-form pieces into the (d^2, d^2) DFS block.
+    """Assemble the closed-form blocks into the (d^2, d^2) DFS block of L_eff.
 
-    -i[H_eff, .] + sum_l D[F_eff_l] + E_eff - (1/2){E_eff_adj(I), .}, from
-    the DFS blocks of H_eff, of the F_eff_l and of
-    sum_l F_eff_l† F_eff_l + E_eff_adj(I), and the block of E_eff.
+    -i[H_eff, .] + sum_l D[F_eff_l] + E_eff - (1/2){E_eff_adj(I), .}: one
+    GKSL assembly of H_eff and the F_eff_l with
+    W = sum_l F_eff_l† F_eff_l + E_eff_adj(I), plus the block of E_eff.
     """
-    ul = np.ix_(eff.dfs.indices, eff.dfs.indices)
     w = sum((dagger(f) @ f for f in eff.jumps_eff), eff.cp_adjoint_identity)
-    return gksl_superop(eff.h_eff[ul], [f[ul] for f in eff.jumps_eff], w=w[ul]) + eff.cp_superop
+    return gksl_superop(eff.h_eff, eff.jumps_eff, w=w) + eff.cp_superop
 
 
 @dataclass(frozen=True)
@@ -455,17 +461,19 @@ class Study:
         """The operator identities that tie the two routes together."""
         lind, pert, eff = self.lind, self.pert, self.closed
         dfs = lind.dfs
+        ul = np.ix_(dfs.indices, dfs.indices)
         kinv, coupling = eff.kinv, eff.coupling
 
-        # E_eff adjoint on the identity, on the DFS block.
-        lr = np.ix_(dfs.rest, dfs.rest)
-        lhs = apply_superop(adjoint_superop(eff.cp_superop), np.eye(dfs.d, dtype=complex))
-        rhs = eff.cp_adjoint_identity[np.ix_(dfs.indices, dfs.indices)]
+        # E_eff adjoint on the identity, on the DFS block: E_eff† vec(I), unstacked.
+        lhs = (dagger(eff.cp_superop) @ np.eye(dfs.d, dtype=complex).reshape(-1)).reshape(
+            (dfs.d, dfs.d), order="F")
+        rhs = eff.cp_adjoint_identity
         adjoint_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
         # Decaying-sector solve vs i[Kinv, sigma]* on the units q_j b_i† (ll:
         # -i K rho = sigma) and b_i q_j† (ur: i rho K† = sigma). Their solutions
         # are column j of (-i K_qq)^-1 and row j of (i K_qq†)^-1, for every i.
+        lr = np.ix_(dfs.rest, dfs.rest)
         kinv_qq = kinv[lr]
         lu = lu_factor(-1j * lind.k[lr])
         eye = np.eye(dfs.n_decay)
@@ -482,12 +490,12 @@ class Study:
         rhs = -1j * (kinv - dagger(kinv))
         resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
-        # Effective-jump norm identity.
-        lhs = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+        # Effective-jump norm identity, on the DFS block: C Kinv C has no other corner.
+        lhs = np.zeros((dfs.d, dfs.d), dtype=complex)
         for f_eff, f in zip(eff.jumps_eff, pert.fs):
-            f_ul = four_corners(f, dfs).ul
+            f_ul = f[ul]
             lhs = lhs + dagger(f_eff) @ f_eff - dagger(f_ul) @ f_ul
-        x = coupling @ kinv @ coupling
+        x = (coupling @ kinv @ coupling)[ul]
         rhs = -1j * (x - dagger(x))
         jump_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs), frob(coupling) ** 2))
 
@@ -575,9 +583,7 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
             lind = structured_lindbladian(h, jumps, dfs)
             if min(np.abs(np.diag(lind.decaying_sector.t))) < 1e-2:
                 raise ValueError("non-Hermitian Hamiltonian too close to singular")
-            # The slowest decay rate of a structured L is min(-Im kappa) over
-            # the eigenvalues kappa of K_qq, on the cached Schur diagonal.
-            if float(np.min(-np.diag(lind.decaying_sector.t).imag)) < 5e-2:
+            if slowest_decay_rate(lind) < 5e-2:
                 raise ValueError("spectral gap too small for a clean instance")
         except (ValueError, np.linalg.LinAlgError) as err:
             last_err = err

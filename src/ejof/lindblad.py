@@ -297,6 +297,7 @@ class StructuredLindbladian:
     """A Lindbladian in the DFS structural normal form.
 
     Use :func:`structured_lindbladian` to construct one with validation. The
+    non-Hermitian Hamiltonian ``k`` (supported on the decaying block), the
     corner factor of the superoperator (``factor``) and the Schur form of K_qq
     (``decaying_sector``) are built once, at construction; the Drazin inverse
     and the asymptotic projection are read off ``factor``.
@@ -306,6 +307,7 @@ class StructuredLindbladian:
     jumps: tuple[np.ndarray, ...]
     dfs: DfsProjector
     superop: np.ndarray
+    k: np.ndarray = field(repr=False)
     report: StructureReport = field(repr=False)
     factor: CornerFactor = field(repr=False)
     decaying_sector: SectorSolver = field(repr=False)
@@ -313,11 +315,6 @@ class StructuredLindbladian:
     @property
     def dim(self) -> int:
         return self.h.shape[0]
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        """Non-Hermitian Hamiltonian on the decaying block."""
-        return nh_hamiltonian(self.h, self.jumps)
 
     @cached_property
     def drazin(self) -> np.ndarray:
@@ -343,7 +340,7 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
 
 
 def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
-    """(report, Schur form of K_qq, zero cut, whether any entry leaks).
+    """(report, K, Schur form of K_qq, zero cut, whether any entry leaks).
 
     An entry leaks when it lies in H outside lr or in a jump outside ur. The
     flag tests the entries themselves: the report's residuals are norms, which
@@ -388,7 +385,7 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
         spectral_gap=gap,
         tol=tol,
     )
-    return report, sector, thresh, any(x.any() for x in leaks)
+    return report, k, sector, thresh, any(x.any() for x in leaks)
 
 
 def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
@@ -418,11 +415,11 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     # Assemble without the Hermiticity hard-check; the report records it, and
     # validate=True raises below on any failure.
     superop = gksl_superop(h, jumps)
-    rep, sector, thresh, leaky = _diagnose(h, jumps, dfs, superop, tol)
+    rep, k, sector, thresh, leaky = _diagnose(h, jumps, dfs, superop, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
     factor = CornerFactor.of(superop, dfs, thresh=thresh, gap=rep.spectral_gap, leaky=leaky)
-    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, report=rep,
+    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, k=k, report=rep,
                                  factor=factor, decaying_sector=sector)
 
 
@@ -545,6 +542,17 @@ class SectorSolver:
             diagonal[:] = gaps[:, j]
             y[j] = ztrtrs(shifted, y[j].T, overwrite_b=True)[0].T
         return u @ y.transpose(1, 2, 0).reshape(rhs.shape) @ dagger(u)
+
+
+def slowest_decay_rate(lind: StructuredLindbladian) -> float:
+    """Slowest decay rate of the generator, from the Schur diagonal of K_qq.
+
+    Under the normal form the nonzero spectrum of L is -i kappa_a and
+    i conj(kappa_a) (decay rate -Im kappa_a) and -i(kappa_a - conj(kappa_b))
+    (rate -Im kappa_a - Im kappa_b), over the eigenvalues kappa_a of K_qq, so
+    the slowest rate is min_a -Im kappa_a.
+    """
+    return float(np.min(-np.diag(lind.decaying_sector.t).imag))
 
 
 def _nh_block_matrix(kk: np.ndarray) -> np.ndarray:

@@ -6,7 +6,10 @@ arrays acting on column-stacked operators.
 
 Vectorization convention (fixed across the package): vec(X) stacks the columns
 of X, so vec(A X B) = (B^T kron A) vec(X). With numpy this is
-``X.reshape(-1, order="F")``.
+``X.reshape(-1, order="F")``. The one superoperator the package assembles is
+the GKSL generator (:func:`gksl_superop`); every other map acts on stacks of
+operators, moved to and from vec columns by :func:`vectorize_stack` and
+:func:`devectorize_columns`.
 
 The block structure of an open system with a decoherence-free subspace (DFS) is
 handled through :class:`DfsProjector`, a set of computational basis states
@@ -190,20 +193,6 @@ def four_corners(op: np.ndarray, dfs: DfsProjector) -> Corners:
 # Vectorization and superoperator constructors
 # ---------------------------------------------------------------------------
 
-def vectorize(x: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return as_operator(x).reshape(-1, order="F")
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape((dim, dim), order="F")
-
-
 def devectorize_columns(cols: np.ndarray) -> np.ndarray:
     """(D^2, m) vec columns -> (m, D, D) stack of the operators they stack."""
     dim = isqrt(cols.shape[0])
@@ -214,32 +203,6 @@ def vectorize_stack(stack: np.ndarray) -> np.ndarray:
     """Inverse of :func:`devectorize_columns`; leading axes of the stack are flattened."""
     dim = stack.shape[-1]
     return stack.reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim * dim).T
-
-
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X B under column stacking: B^T kron A."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"sandwich factors must share a dimension, got {a.shape} and {b.shape}")
-    return np.kron(b.T, a)
-
-
-def left_superop(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X."""
-    a = as_operator(a)
-    return np.kron(np.eye(a.shape[0], dtype=complex), a)
-
-
-def right_superop(b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> X B."""
-    b = as_operator(b)
-    return np.kron(b.T, np.eye(b.shape[0], dtype=complex))
-
-
-def anticommutator_superop(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> {A, X}."""
-    return left_superop(a) + right_superop(a)
 
 
 def gksl_superop(h: np.ndarray, jumps, w: np.ndarray | None = None) -> np.ndarray:
@@ -270,12 +233,3 @@ def gksl_superop(h: np.ndarray, jumps, w: np.ndarray | None = None) -> np.ndarra
     right = np.einsum("ikjk->ijk", s4)  # K'^T kron I: row (i, k), column (j, k)
     right += 1j * (h + 0.5j * w).T[:, :, None]
     return s
-
-
-def adjoint_superop(s: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt adjoint: if S = sum_i A_i (.) B_i†, returns sum_i A_i† (.) B_i."""
-    return dagger(as_operator(s))
-
-
-def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return devectorize(as_operator(s) @ vectorize(x))

@@ -32,12 +32,12 @@ from .effective import Perturbation, Study, _general_blocks
 from .lindblad import structured_lindbladian
 from .operators import (
     DfsProjector,
-    anticommutator_superop,
     as_operator,
     dagger,
     four_corners,
     frob,
-    sandwich_superop,
+    gksl_superop,
+    vectorize_stack,
 )
 from .scenarios import coherent_cancellation_drive, orthogonality_residual, surjectivity_residual
 
@@ -214,18 +214,17 @@ def correctability_check(detectable_parts, rec: RecoveryChannel, tol: float = 1e
 
     Builds the compressed codespace matrix of rho -> R(E(rho)) and fits the
     best proportionality constant; correctable means the map IS c * identity.
+    E, then R, is applied to the d^2 codespace units b_i b_j† at once, and
+    only the codespace rows of the recovery Kraus operators are read.
     """
     code = rec.code
-    e_super = np.zeros((rec.dim ** 2, rec.dim ** 2), dtype=complex)
-    for f in detectable_parts:
-        f = as_operator(f)
-        e_super = e_super + sandwich_superop(f, dagger(f))
-    r0 = rec.identity_kraus
-    r_super = sandwich_superop(r0, dagger(r0))
-    for f in rec.kraus:
-        r_super = r_super + sandwich_superop(f, dagger(f))
-    ul = code.vec_order[:code.d ** 2]  # the codespace vec positions
-    m = (r_super @ e_super)[np.ix_(ul, ul)]
+    d = code.d
+    # E(b_i b_j†) = sum_f (f b_i)(f b_j)†, stacked as [j, i]: unit i + d j.
+    cols = [as_operator(f)[:, code.indices].T for f in detectable_parts]  # row i is f b_i
+    e_units = sum((c[None, :, :, None] * c.conj()[:, None, None, :] for c in cols),
+                  np.zeros((d, d, rec.dim, rec.dim), dtype=complex)).reshape(d * d, rec.dim, rec.dim)
+    top = np.array([rec.identity_kraus[code.indices]] + [f[code.indices] for f in rec.kraus])
+    m = vectorize_stack(np.sum(top[:, None] @ e_units @ dagger(top)[:, None], axis=0))
     d2 = m.shape[0]
     c = complex(np.trace(m) / d2)
     resid = frob(m - c * np.eye(d2)) / max(frob(m), 1e-300)
@@ -278,8 +277,8 @@ def robustness_check(rec: RecoveryChannel, study: Study, *, tol: float = 1e-10) 
     detectable = [four_corners(f, rec.code).ll for f in pert.fs]
     corr = correctability_check(detectable, rec)
     entries = tuple(classify_miscalibration(f, rec) for f in pert.fs)
-    ul = np.ix_(lind.dfs.indices, lind.dfs.indices)
-    cp_part = eff.cp_superop - 0.5 * anticommutator_superop(eff.cp_adjoint_identity[ul])
+    zero = np.zeros_like(eff.cp_adjoint_identity)
+    cp_part = eff.cp_superop + gksl_superop(zero, [], w=eff.cp_adjoint_identity)
     h_norm = frob(lind.h)
     hypotheses = structure_ok and conditions.passed and corr.passed and h_norm == 0.0
     return RobustnessReport(

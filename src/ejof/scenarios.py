@@ -388,17 +388,15 @@ def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
     tl = ThreeLevelParams(delta=params["delta"], Gamma=params["Gamma"], gamma=params["gamma"])
     study = Study(*three_level_system(tl))
     eff = study.closed
-    dfs = study.lind.dfs
-    ul = np.ix_(dfs.indices, dfs.indices)
-    f_block = eff.jumps_eff[0][ul]
-    f_eff_norm = frob(eff.jumps_eff[0])
+    f_block = eff.jumps_eff[0]
+    f_eff_norm = frob(f_block)
     dark = tl.delta == 0.0
     details = {
         "params": {"delta": tl.delta, "Gamma": tl.Gamma, "gamma": tl.gamma},
         "f_eff": f_block,
         "f_eff_entry": f_block[0, 1],
         "f_eff_norm": f_eff_norm,
-        "h_eff": eff.h_eff[ul],
+        "h_eff": eff.h_eff,
         "equivalence_residual": study.scaled_residual,
         "dark_state_case": dark,
     }

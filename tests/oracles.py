@@ -3,10 +3,12 @@
 The package represents a DFS as an index set and takes every corner and block
 by slicing. The oracles here build the dense objects the paper writes down:
 the projectors P and Q, the isometries B and B_q, the vec-space columns
-E = conj(B) kron B, Kronecker-form superoperators, and the dense ordered
-Schur form of a generator (:class:`OrderedSchur`) with the spectral inverses
-read off it. The package decomposes no D^2 x D^2 matrix; these are used only
-by the tests.
+E = conj(B) kron B, Kronecker-form superoperators (vec, sandwich, left,
+right, anticommutator, adjoint) and the dense ordered Schur form of a
+generator (:class:`OrderedSchur`) with the spectral inverses read off it.
+The package decomposes no D^2 x D^2 matrix and builds no D^2-side
+superoperator but the generators L and L_full; these are used only by the
+tests.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
+from scipy.linalg import schur, solve_sylvester, solve_triangular
 from scipy.linalg.lapack import ztrsyl
 
 from ejof.effective import Perturbation, effective_coupling
 from ejof.lindblad import (
     ZERO_CLUSTER_FACTOR,
-    SectorSolver,
     SingularBlockError,
     _diagnose,
     _warn_if_gap_small,
@@ -30,17 +31,69 @@ from ejof.lindblad import (
 from ejof.operators import (
     DEFAULT_TOL,
     DfsProjector,
-    apply_superop,
     as_operator,
     dagger,
     four_corners,
     frob,
     gksl_superop,
-    left_superop,
-    right_superop,
-    sandwich_superop,
-    vectorize,
 )
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-form superoperators, under column stacking: vec(A X B) = (B^T kron A) vec(X).
+
+
+def vectorize(x: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a vector."""
+    return as_operator(x).reshape(-1, order="F")
+
+
+def devectorize(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vectorize`."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    dim = int(round(np.sqrt(v.size)))
+    if dim * dim != v.size:
+        raise ValueError(f"vector length {v.size} is not a perfect square")
+    return v.reshape((dim, dim), order="F")
+
+
+def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of X -> A X B under column stacking: B^T kron A."""
+    a = as_operator(a)
+    b = as_operator(b)
+    if a.shape != b.shape:
+        raise ValueError(f"sandwich factors must share a dimension, got {a.shape} and {b.shape}")
+    return np.kron(b.T, a)
+
+
+def left_superop(a: np.ndarray) -> np.ndarray:
+    """Matrix of X -> A X."""
+    a = as_operator(a)
+    return np.kron(np.eye(a.shape[0], dtype=complex), a)
+
+
+def right_superop(b: np.ndarray) -> np.ndarray:
+    """Matrix of X -> X B."""
+    b = as_operator(b)
+    return np.kron(b.T, np.eye(b.shape[0], dtype=complex))
+
+
+def anticommutator_superop(a: np.ndarray) -> np.ndarray:
+    """Matrix of X -> {A, X}."""
+    return left_superop(a) + right_superop(a)
+
+
+def adjoint_superop(s: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt adjoint: if S = sum_i A_i (.) B_i†, returns sum_i A_i† (.) B_i."""
+    return dagger(as_operator(s))
+
+
+def apply_superop(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return devectorize(as_operator(s) @ vectorize(x))
+
+
+# ---------------------------------------------------------------------------
+# Dense DFS objects
 
 
 class DenseDfs(NamedTuple):
@@ -263,7 +316,9 @@ def nh_superop_solve(k: np.ndarray, sigma: np.ndarray, dfs: DfsProjector,
     """Solve -i(K rho - rho K†) = sigma on the ll, ur and lr corners.
 
     The ll and ur corners are dense solves with K_qq in the block bases; the
-    lr corner is a Bartels-Stewart solve. sigma must have no ul component.
+    lr corner is SciPy's Sylvester solve K rho + rho (-K†) = i sigma, which
+    shares no code with the package's sector sweep. sigma must have no ul
+    component.
     """
     k = as_operator(k)
     sigma = as_operator(sigma)
@@ -289,7 +344,7 @@ def nh_superop_solve(k: np.ndarray, sigma: np.ndarray, dfs: DfsProjector,
     except np.linalg.LinAlgError as err:
         raise SingularBlockError(f"non-Hermitian sector solve failed: {err}") from err
     if rhs_lr.any():
-        rho += bq @ SectorSolver.of(k, dfs).solve(rhs_lr) @ dagger(bq)
+        rho += bq @ solve_sylvester(kk, -dagger(kk), 1j * rhs_lr) @ dagger(bq)
     return rho
 
 
@@ -318,6 +373,20 @@ def cp_superop_per_unit(lind, pert: Perturbation) -> np.ndarray:
             sigma = u @ (y / scale) @ dagger(u)
             out[:, i + d * j] = vectorize(sum(g @ sigma @ dagger(g) for g in feed))
     return out
+
+
+def dense_correctability(detectable_parts, rec) -> tuple[complex, float]:
+    """Constant and residual of the fit R(E(rho)) = c rho, from Kronecker-form superoperators.
+
+    The (D^2, D^2) matrices of E = sum_f f (.) f† and of the recovery channel
+    R are multiplied whole, and the product's codespace block is fitted.
+    """
+    e_super = sum(sandwich_superop(f, dagger(f)) for f in detectable_parts)
+    r_super = sum(sandwich_superop(r, dagger(r)) for r in (rec.identity_kraus, *rec.kraus))
+    ul = rec.code.vec_order[:rec.code.d ** 2]  # the codespace vec positions
+    m = (r_super @ e_super)[np.ix_(ul, ul)]
+    c = complex(np.trace(m) / m.shape[0])
+    return c, frob(m - c * np.eye(m.shape[0])) / max(frob(m), 1e-300)
 
 
 def perturbation_superops(lind, pert: Perturbation):

@@ -332,6 +332,27 @@ def test_non_finite_tol_is_input_error(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0])
+@pytest.mark.parametrize("make", [
+    lambda tmp, tol: ["scenario", "three-level", "--tol", str(tol)],
+    lambda tmp, tol: ["verify", "--random", "2", "2", "1", "0", "--tol", str(tol)],
+    lambda tmp, tol: ["qec", "repetition", "--miscal", "X", "--tol", str(tol)],
+    lambda tmp, tol: ["effective", three_level_problem(tmp, tol=1e-3), "--tol", str(tol)],
+    lambda tmp, tol: ["effective", three_level_problem(tmp, tol=tol)],
+    lambda tmp, tol: ["evolve", explicit_problem(tmp, tol=tol), "--epsilons", "0.1"],
+], ids=["scenario-flag", "verify-flag", "qec-flag", "effective-flag", "effective-file",
+        "evolve-file"])
+def test_nonpositive_tol_is_an_input_error(make, tol, tmp_path, capsys):
+    # A tolerance at or below zero would fail every verdict; it is named, not run.
+    argv = make(tmp_path, tol)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == cli.EXIT_INPUT
+    flag = "--tol" in argv
+    err = capsys.readouterr().err
+    assert ("error: --tol: must be positive" if flag else "error: tol: must be positive") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [
     [[1, 2.5], [-3, 0.0]],
     [[[1, 0], [0, -2.5]], [[0.5, 0.5], [3, 4]]],
@@ -601,6 +622,28 @@ def test_qec_unknown_code(capsys):
 def test_qec_requires_mode(capsys):
     assert main(["qec", "repetition"]) == 2
     assert "--miscal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--obstruction", "--miscal", "X"], "--miscal"),
+    (["--miscal", "X", "--hamiltonian-scale", "0.5"], "--hamiltonian-scale"),
+], ids=["obstruction-miscal", "miscal-hamiltonian-scale"])
+def test_qec_refuses_a_flag_its_mode_does_not_read(argv, flag, tmp_path, capsys):
+    out = tmp_path / "qec.json"
+    assert main(["qec", "repetition", *argv, "--out", str(out)]) == cli.EXIT_INPUT
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qec_obstruction_default_hamiltonian_scale(tmp_path):
+    # The default scale enters the report and its digest as the value it stands for.
+    reports = []
+    for extra in ([], ["--hamiltonian-scale", "0.3"]):
+        out = tmp_path / f"obstruction{len(extra)}.json"
+        assert main(["qec", "repetition", "--obstruction", *extra, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert load_report(tmp_path / "obstruction0.json")["obstruction"]["hamiltonian_scale"] == 0.3
 
 
 def test_evolve_three_level(tmp_path, capsys):

@@ -18,18 +18,11 @@ from ejof.effective import (
     perturbed_superop,
     random_structured_instance,
 )
-from ejof.lindblad import structured_lindbladian
-from ejof.operators import (
-    DfsProjector,
-    dagger,
-    devectorize,
-    frob,
-    projector_frame,
-    vectorize,
-)
+from ejof.lindblad import slowest_decay_rate, structured_lindbladian
+from ejof.operators import DfsProjector, dagger, frob, projector_frame
 from ejof.qec import pauli_miscalibration, repetition_code_recovery
 from ejof.scenarios import ThreeLevelParams, build_scenario, three_level_system
-from oracles import dense_dfs, embed_superop, trace_distance
+from oracles import dense_dfs, devectorize, embed_superop, trace_distance, vectorize
 
 
 def dfs_states_three_level():
@@ -291,13 +284,13 @@ def test_slow_subspace_propagation_matches_dense_oracle(name):
         assert prop.dense_cells == 0
         assert prop.rank_ratio <= dynamics.RANK_BOUND
         assert prop.invariance <= dynamics.INVARIANCE_BOUND
-        assert prop.horizon == dynamics.HORIZON_FACTOR / dynamics.slowest_decay_rate(lind)
+        assert prop.horizon == dynamics.HORIZON_FACTOR / slowest_decay_rate(lind)
     _assert_matches_oracle(table, lind, pert, config)
 
 
 def test_cells_below_the_horizon_are_dense_and_counted():
     lind, pert, states = SYSTEMS["three-level"]()
-    horizon = dynamics.HORIZON_FACTOR / dynamics.slowest_decay_rate(lind)
+    horizon = dynamics.HORIZON_FACTOR / slowest_decay_rate(lind)
     config = SweepConfig(epsilons=(0.04, 0.02, 0.01), taus=(0.0, 0.5, 1.0, 2.0),
                          initial_states=states, mode="first-order")
     table = evolve_and_compare(lind, pert, config)

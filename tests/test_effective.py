@@ -24,7 +24,6 @@ from ejof.operators import (
     dagger,
     four_corners,
     frob,
-    sandwich_superop,
 )
 from oracles import (
     OrderedSchur,
@@ -32,6 +31,7 @@ from oracles import (
     compress_superop,
     dense_dfs,
     perturbation_superops,
+    sandwich_superop,
 )
 
 
@@ -243,14 +243,22 @@ def test_generator_scales_quadratically():
 
 
 def test_h_eff_is_hermitian_and_dfs_supported(generic_instance):
+    # H_eff and the F_eff_l, formed on the full space from C and Kinv, have
+    # only a DFS corner, and the closed route's blocks are that corner.
     lind, pert = generic_instance
     eff = effective_lindbladian_closed(lind, pert)
+    d, ul = lind.dfs.d, np.ix_(lind.dfs.indices, lind.dfs.indices)
+    assert eff.h_eff.shape == (d, d)
+    assert eff.jumps_eff.shape == (len(lind.jumps), d, d)
     assert frob(eff.h_eff - dagger(eff.h_eff)) < 1e-13
-    corners = four_corners(eff.h_eff, lind.dfs)
-    assert frob(corners.ur) + frob(corners.ll) + frob(corners.lr) < 1e-13
-    for f in eff.jumps_eff:
-        fc = four_corners(f, lind.dfs)
-        assert frob(fc.ur) + frob(fc.ll) + frob(fc.lr) < 1e-13
+    kc = eff.kinv @ eff.coupling
+    x = four_corners(pert.v, lind.dfs).ul - eff.coupling @ kc
+    full_pieces = [0.5 * (x + dagger(x))]
+    full_pieces += [four_corners(f, lind.dfs).ul - big_f @ kc for big_f, f in zip(lind.jumps, pert.fs)]
+    for full, block in zip(full_pieces, [eff.h_eff, *eff.jumps_eff]):
+        corners = four_corners(full, lind.dfs)
+        assert frob(corners.ur) + frob(corners.ll) + frob(corners.lr) < 1e-13
+        assert frob(full[ul] - block) <= 1e-13 * max(frob(block), 1.0)
 
 
 def test_cp_superop_is_completely_positive(generic_instance):

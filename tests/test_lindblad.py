@@ -33,14 +33,11 @@ from ejof.effective import (
 )
 from ejof.operators import (
     DfsProjector,
-    anticommutator_superop,
     dagger,
-    devectorize,
     devectorize_columns,
     four_corners,
     frob,
     projector_frame,
-    vectorize,
     vectorize_stack,
 )
 from ejof.qec import repetition_code_recovery
@@ -48,11 +45,13 @@ from ejof.scenarios import build_scenario
 from oracles import (
     NonSemisimpleZeroError,
     OrderedSchur,
+    anticommutator_superop,
     asymptotic_projection,
     commutator_superop,
     compress_superop,
     cp_superop_per_unit,
     dense_dfs,
+    devectorize,
     dfs_columns,
     dissipator,
     drazin_inverse,
@@ -61,6 +60,7 @@ from oracles import (
     perturbation_superops,
     star_commutator,
     structure_report,
+    vectorize,
 )
 
 
@@ -345,10 +345,12 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     # A structured generator is never decomposed densely: its spectrum and
     # its zero cut come from the one Schur form of K_qq (no 2-norm is taken),
     # L^D and P_inf from LUs of the three decaying-corner blocks of L (ll and
-    # ur of side dn, lr of side n^2, none of side D^2 or more).
+    # ur of side dn, lr of side n^2, none of side D^2 or more). K itself is
+    # formed once, by the structure checks, and kept.
     base, pert = generic_instance
-    schurs, norms, eigs, lus = [], [], [], []
+    schurs, norms, eigs, lus, ks = [], [], [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
+    _count_calls(monkeypatch, ejof.lindblad, "nh_hamiltonian", ks)
     _count_calls(monkeypatch, ejof.lindblad, "zgetrf", lus)
     _count_calls(monkeypatch, np.linalg, "norm", norms,
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
@@ -361,6 +363,7 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     identity_suite(lind, pert)
     assert isinstance(lind.factor, CornerFactor)
     assert schurs == [lind.dfs.n_decay]
+    assert ks == [lind.dim]
     d, n = lind.dfs.d, lind.dfs.n_decay
     assert sorted(lus) == sorted([d * n, d * n, n * n])
     assert norms == []
@@ -631,10 +634,14 @@ def test_block_effective_superop_matches_full_assembly(make):
     lind = make()
     eff = effective_lindbladian_closed(lind, _random_perturbation(lind, 4))
     basis = dense_dfs(lind.dfs).basis
-    full = -1j * commutator_superop(eff.h_eff) + embed_superop(eff.cp_superop, basis)
-    full = full - 0.5 * anticommutator_superop(eff.cp_adjoint_identity)
+
+    def embed(block):
+        return basis @ block @ dagger(basis)
+
+    full = -1j * commutator_superop(embed(eff.h_eff)) + embed_superop(eff.cp_superop, basis)
+    full = full - 0.5 * anticommutator_superop(embed(eff.cp_adjoint_identity))
     for f in eff.jumps_eff:
-        full = full + dissipator(f)
+        full = full + dissipator(embed(f))
     want = compress_superop(full, basis)
     got = effective_to_superop(eff)
     assert frob(got - want) <= 1e-11 * frob(want)

@@ -5,35 +5,35 @@ from scipy.linalg import schur
 from ejof.lindblad import nh_hamiltonian
 from ejof.operators import (
     DfsProjector,
-    adjoint_superop,
-    anticommutator_superop,
-    apply_superop,
     dagger,
-    devectorize,
     four_corners,
     frob,
     gksl_superop,
-    left_superop,
     projector_frame,
     require_hermitian,
-    right_superop,
-    sandwich_superop,
-    vectorize,
 )
 from oracles import (
+    adjoint_superop,
+    anticommutator_superop,
+    apply_superop,
     choi_matrix,
     commutator_superop,
     compress_superop,
     corner_superops,
     dense_dfs,
+    devectorize,
     dfs_columns,
     dissipator,
     embed_superop,
     kraus_operators,
+    left_superop,
+    right_superop,
+    sandwich_superop,
     star_commutator,
     star_commutator_superop,
     structure_report,
     trace_distance,
+    vectorize,
 )
 
 

@@ -4,7 +4,7 @@ import pytest
 from ejof.effective import Study, effective_lindbladian_general
 from ejof.lindblad import structured_lindbladian
 from ejof.operators import dagger, four_corners, frob
-from oracles import dense_dfs
+from oracles import anticommutator_superop, dense_correctability, dense_dfs
 from ejof.qec import (
     check_recovery_conditions,
     classify_miscalibration,
@@ -115,6 +115,40 @@ def test_y_channel_is_not_correctable(repetition):
     verdict = correctability_check(detectable, rec)
     assert not verdict.passed
     assert verdict.residual > 0.5
+
+
+def _random_detectable(rec, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(3):
+        f = rng.standard_normal((rec.dim, rec.dim)) + 1j * rng.standard_normal((rec.dim, rec.dim))
+        parts.append(four_corners(f, rec.code).ll)
+    return parts
+
+
+@pytest.mark.parametrize("kind, eps", [(k, e) for k in "XYZ" for e in (1e-2, 1.0)] + [("random", 1.0)])
+def test_correctability_matches_the_kronecker_oracle(repetition, kind, eps):
+    # E then R on the d^2 codespace units, against the (D^2, D^2) product of their matrices.
+    rec, _ = repetition
+    if kind == "random":
+        detectable = _random_detectable(rec, 11)
+    else:
+        detectable = [four_corners(f, rec.code).ll for f in pauli_miscalibration(kind, eps).fs]
+    verdict = correctability_check(detectable, rec)
+    constant, residual = dense_correctability(detectable, rec)
+    assert abs(verdict.constant - constant) <= 1e-13 * abs(constant)
+    assert abs(verdict.residual - residual) <= 1e-13  # each is already relative
+    if kind == "random":
+        assert residual > 0.1
+
+
+@pytest.mark.parametrize("kind", "XYZ")
+def test_cp_part_is_the_feed_through_with_its_anticommutator(repetition, kind):
+    rec, lind = repetition
+    study = Study(lind, pauli_miscalibration(kind, 1e-2))
+    eff = study.closed
+    want = frob(eff.cp_superop - 0.5 * anticommutator_superop(eff.cp_adjoint_identity))
+    assert robustness_check(rec, study).cp_part_norm == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 @pytest.mark.parametrize("kind", ["X", "Z"])

@@ -161,6 +161,8 @@ PROBLEMS = {
     # Gaps within 100x of the zero cut: L^D warns.
     "gap_f1.json": _two_rates(1.0, 2e-7, 0.1),
     "gap_f002.json": _two_rates(0.02, 2e-7, 0.1),
+    # A tolerance no verdict can meet: an input error.
+    "zero_tol.json": dict(_explicit({(2, 2): 1}), tol=0),
 }
 
 GRID = ["--epsilons", "0.04,0.02,0.01", "--taus", "0.5,1,2,5"]
@@ -210,12 +212,17 @@ COMMANDS = {
     "scenario-universal-wide": ["scenario", "universal", "--decaying-dim", "12"],
     "scenario-unknown": ["scenario", "warp-drive"],
     "scenario-foreign-flag": ["scenario", "three-level", "--blocks", "2,2"],
+    "scenario-negative-tol": ["scenario", "three-level", "--tol", "-1"],
     "qec-x": ["qec", "repetition", "--miscal", "X"],
     "qec-y": ["qec", "repetition", "--miscal", "Y"],
     "qec-z": ["qec", "repetition", "--miscal", "Z"],
     "qec-obstruction": ["qec", "repetition", "--obstruction"],
     "qec-obstruction-flags": ["qec", "repetition", "--obstruction", "--seed", "3",
                               "--hamiltonian-scale", "0.5"],
+    # Flags the mode does not read are input errors.
+    "qec-obstruction-miscal": ["qec", "repetition", "--obstruction", "--miscal", "X"],
+    "qec-miscal-hamiltonian-scale": ["qec", "repetition", "--miscal", "X",
+                                     "--hamiltonian-scale", "0.5"],
     "evolve-three-level": ["evolve", "three_level.json", *GRID,
                            "--plot-data", "plots/evolve-three-level"],
     "evolve-rep": ["evolve", "rep_evolve.json", *GRID, "--plot-data", "plots/evolve-rep"],
@@ -234,6 +241,7 @@ COMMANDS = {
     "effective-gap-f1": ["effective", "gap_f1.json"],
     "effective-gap-f002": ["effective", "gap_f002.json"],
     "effective-unread-seed": ["effective", "three_level.json", "--seed", "5"],
+    "effective-zero-tol": ["effective", "zero_tol.json"],
     "verify-missing-file": ["verify", "no_such_file.json"],
     "help": ["--help"],
     "help-scenario": ["scenario", "--help"],
