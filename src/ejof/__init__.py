@@ -74,7 +74,6 @@ from .qec import (
 )
 from .dynamics import (
     ConvergenceFit,
-    SweepCell,
     SweepConfig,
     SweepTable,
     convergence_order,

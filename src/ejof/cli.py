@@ -8,6 +8,10 @@ Subcommands:
   qec        repetition-code miscalibration robustness
   evolve     full-vs-effective dynamics sweep with convergence fit
 
+One runner (_run) reads every subcommand's input and writes its result: the
+problem file is parsed once, and tol and seed resolve as flag, then file,
+then the command's entry in DEFAULTS.
+
 Problem files and reports are JSON. Complex numbers serialize as [re, im]
 pairs and matrices as row-major nested lists of such pairs. Reports are
 deterministic for a given (input, seed, flags): keys are sorted, floats are
@@ -48,7 +52,7 @@ from .qec import (
     repetition_code_recovery,
     robustness_check,
 )
-from .scenarios import PARAM_SPECS, build_scenario
+from .scenarios import PARAM_SPECS, ScenarioBundle, build_scenario
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -436,17 +440,35 @@ def _scenario_params(name: str, params: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommands
 #
-# Each cmd_* builds its report and what to print, and returns an Outcome;
-# _run writes the report, prints, times the command and picks the exit code.
-# Input errors raise ProblemFormatError, which main maps to exit code 2.
+# Each cmd_* takes the Inputs that _run resolved and returns its report body,
+# verdicts and lines as an Outcome; _run stamps the command and input digest,
+# writes the report, prints, times the command and picks the exit code. Input
+# errors raise ProblemFormatError, which main maps to exit code 2.
+
+# Each command's tol and seed where neither the flag nor the problem file sets
+# them; qec reads the seed only with --obstruction.
+DEFAULTS = {**dict.fromkeys(("effective", "verify", "scenario", "evolve"), (1e-9, 0)),
+            "qec": (1e-10, 7)}
+
+
+@dataclass(frozen=True)
+class Inputs:
+    """A command's input as _run resolved it: tol and seed, and the problem file and its study."""
+
+    tol: float
+    seed: int
+    problem: ParsedProblem | None
+    study: Study | None
+    bundle: ScenarioBundle | None  # when the problem file names a scenario
 
 
 @dataclass
 class Outcome:
-    report: dict
+    report: dict  # the body; _run adds "command" and "input_digest"
     verdicts: dict = field(default_factory=dict)  # printed as sorted "key: pass/FAIL/skipped"
     lines: list[str] = field(default_factory=list)  # printed after the verdicts
     failed: bool | None = None  # None: failed iff a verdict is False
+    params: dict | None = None  # the digested parameters of a run without a problem file
 
 
 def _verdict_word(value) -> str:
@@ -455,7 +477,7 @@ def _verdict_word(value) -> str:
     return "pass" if value else "FAIL"
 
 
-def _reads_seed(args) -> bool:
+def _reads_seed(args, problem: ParsedProblem | None) -> bool:
     """Whether the run draws from --seed: a random scenario or the QEC obstruction table.
 
     The three-level system and explicit problem files are fixed.
@@ -464,25 +486,48 @@ def _reads_seed(args) -> bool:
         return args.obstruction
     if args.command == "scenario":
         return args.name != "three-level"
-    if getattr(args, "random", None) is not None:
-        return False  # verify --random carries its own seed
-    if args.problem is None:
-        return True  # verify without input reports that itself
-    scenario = load_problem(args.problem).scenario
-    return scenario is not None and scenario[0] != "three-level"
+    if problem is None:  # verify --random carries its own seed; without input, verify says so
+        return getattr(args, "random", None) is None
+    return problem.scenario is not None and problem.scenario[0] != "three-level"
 
 
-def _run(command, args) -> int:
+def _inputs(args) -> Inputs:
+    """Check --tol, parse the problem file once, resolve tol and seed, build the file's study."""
     if args.tol is not None:
         _tolerance(args.tol, "--tol")
-    if args.seed is not None and not _reads_seed(args):
+    path = getattr(args, "problem", None)
+    # verify reads no file beside --random; cmd_verify refuses a run given both.
+    reads_file = path is not None and getattr(args, "random", None) is None
+    problem = load_problem(path) if reads_file else None
+    if args.seed is not None and not _reads_seed(args, problem):
         raise ProblemFormatError("--seed", "this run draws nothing at random, so it reads no "
                                  "seed (random scenarios and qec --obstruction do)")
+    # Each of tol and seed: the flag, else the problem file, else the command's default.
+    in_file = (problem.tol, problem.seed) if problem else (None, None)
+    tol, seed = (next(v for v in values if v is not None)
+                 for values in zip((args.tol, args.seed), in_file, DEFAULTS[args.command]))
+    study = bundle = None
+    if problem is not None and problem.scenario is not None:
+        name, params = problem.scenario
+        bundle = build_scenario(name, _scenario_params(name, params), seed, tol)
+        study = bundle.study
+    elif problem is not None:
+        # effective reports a failed structure check itself, and --force waives part of it.
+        lind = structured_lindbladian(problem.hamiltonian, problem.jumps, problem.dfs,
+                                      validate=args.command != "effective")
+        study = Study(lind, problem.pert)
+    return Inputs(tol, seed, problem, study, bundle)
+
+
+def _run(args) -> int:
     start = time.perf_counter()
-    outcome = command(args)
+    inputs = _inputs(args)
+    outcome = args.func(args, inputs)
     if isinstance(outcome, int):  # declined before computing; the reason went to stderr
         return outcome
-    write_report(outcome.report, args.out)
+    problem = inputs.problem
+    digest = problem.digest if problem else params_digest(args.command, outcome.params)
+    write_report({"command": args.command, "input_digest": digest, **outcome.report}, args.out)
     for key in sorted(outcome.verdicts):
         print(f"{key}: {_verdict_word(outcome.verdicts[key])}")
     for line in outcome.lines:
@@ -494,36 +539,11 @@ def _run(command, args) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
-def _resolve(cli_value, file_value, default):
-    if cli_value is not None:
-        return cli_value
-    if file_value is not None:
-        return file_value
-    return default
-
-
-def _materialize(parsed: ParsedProblem, seed: int, tol: float, *, validate: bool):
-    """Turn a parsed problem into (study, scenario bundle or None).
-
-    `validate` applies to explicit systems; a scenario's study is its bundle's.
-    """
-    if parsed.scenario is not None:
-        name, raw_params = parsed.scenario
-        bundle = build_scenario(name, _scenario_params(name, raw_params), seed, tol)
-        return bundle.study, bundle
-    lind = structured_lindbladian(parsed.hamiltonian, parsed.jumps, parsed.dfs, validate=validate)
-    return Study(lind, parsed.pert), None
-
-
-def cmd_effective(args) -> Outcome | int:
-    parsed = load_problem(args.problem)
-    tol = _resolve(args.tol, parsed.tol, 1e-9)
-    seed = _resolve(args.seed, parsed.seed, 0)
-    report: dict = {"command": "effective", "input_digest": parsed.digest, "tol": tol}
-
-    study, bundle = _materialize(parsed, seed, tol, validate=False)
+def cmd_effective(args, inputs: Inputs) -> Outcome | int:
+    study, bundle = inputs.study, inputs.bundle
+    report: dict = {"tol": inputs.tol}
     if bundle is not None:
-        report["scenario"] = {"name": parsed.scenario[0], **bundle.details}
+        report["scenario"] = {"name": inputs.problem.scenario[0], **bundle.details}
 
     rep = study.lind.report
     gap = rep.spectral_gap
@@ -561,7 +581,7 @@ def cmd_effective(args) -> Outcome | int:
             "closed_norm": eq.closed_norm,
         }
         report["identity_residuals"] = ids.as_dict()
-        verdicts["routes_agree"] = bool(study.scaled_residual <= tol)
+        verdicts["routes_agree"] = bool(study.scaled_residual <= inputs.tol)
         verdicts["identities_hold"] = ids.passed
     else:
         report["l_eff_closed"] = None
@@ -575,34 +595,26 @@ def cmd_effective(args) -> Outcome | int:
     return Outcome(report, verdicts, failed=failed)
 
 
-def cmd_verify(args) -> Outcome:
+def cmd_verify(args, inputs: Inputs) -> Outcome:
     if (args.random is None) == (args.problem is None):
         raise ProblemFormatError("", "provide a problem file or --random D N TRIALS SEED")
 
-    rows = []
+    tol, rows, params = inputs.tol, [], None
     if args.random is not None:
         d, n, trials, seed = args.random
         if d < 1 or n < 1 or trials < 0:
             raise ProblemFormatError("", "--random needs D >= 1, N >= 1, TRIALS >= 0")
-        tol = args.tol if args.tol is not None else 1e-9
-        digest = params_digest("verify", {"random": [d, n, trials, seed], "tol": tol})
+        params = {"random": [d, n, trials, seed], "tol": tol}
         for i in range(trials):
             defective = n == 2 and i % 10 == 9
             study = Study(*random_structured_instance(d, n, 1 + i % 3, seed + i,
                                                       defective_k=defective))
             rows.append(_verify_row(study, tol, index=i, defective=defective))
     else:
-        parsed = load_problem(args.problem)
-        tol = _resolve(args.tol, parsed.tol, 1e-9)
-        seed = _resolve(args.seed, parsed.seed, 0)
-        digest = parsed.digest
-        study, _ = _materialize(parsed, seed, tol, validate=True)
-        rows.append(_verify_row(study, tol, index=0, defective=False))
+        rows.append(_verify_row(inputs.study, tol, index=0, defective=False))
 
     all_passed = all(r["passed"] for r in rows)
     report = {
-        "command": "verify",
-        "input_digest": digest,
         "tol": tol,
         "trials": len(rows),
         "rows": rows,
@@ -614,7 +626,7 @@ def cmd_verify(args) -> Outcome:
     lines += [f"worst {key.replace('_', ' ')}: {value:.3e}"
               for key, value in report["worst"].items()]
     lines.append(f"all passed: {all_passed}")
-    return Outcome(report, lines=lines, failed=not all_passed)
+    return Outcome(report, lines=lines, failed=not all_passed, params=params)
 
 
 def _verify_row(study: Study, tol: float, *, index: int, defective: bool) -> dict:
@@ -629,46 +641,43 @@ def _verify_row(study: Study, tol: float, *, index: int, defective: bool) -> dic
     }
 
 
-def cmd_scenario(args) -> Outcome:
+def cmd_scenario(args, inputs: Inputs) -> Outcome:
     if args.name not in PARAM_SPECS:
         raise ProblemFormatError(
             "", f"unknown scenario {args.name!r}; valid names: {', '.join(PARAM_SPECS)}"
         )
-    tol = args.tol if args.tol is not None else 1e-9
-    seed = args.seed if args.seed is not None else 0
+    tol, seed = inputs.tol, inputs.seed
     params = {key: getattr(args, key) for key in _SCENARIO_FLAGS
               if getattr(args, key) is not None}
     bundle = build_scenario(args.name, _scenario_params(args.name, params), seed, tol)
-    digest = params_digest("scenario", {"name": args.name, "params": params,
-                                        "seed": seed, "tol": tol})
     report = {
-        "command": "scenario",
-        "input_digest": digest,
         "name": args.name,
         "seed": seed,
         "tol": tol,
         "details": bundle.details,
         "verdicts": bundle.verdicts,
     }
-    return Outcome(report, bundle.verdicts)
+    return Outcome(report, bundle.verdicts,
+                   params={"name": args.name, "params": params, "seed": seed, "tol": tol})
 
 
-def cmd_qec(args) -> Outcome:
+def cmd_qec(args, inputs: Inputs) -> Outcome:
     if args.code != "repetition":
         raise ProblemFormatError("", f"unknown code {args.code!r}; valid codes: repetition")
-    tol = args.tol if args.tol is not None else 1e-10
+    if args.eps == 0:
+        raise ProblemFormatError("--eps", "must be nonzero: a zero miscalibration has no "
+                                 "effect to protect against or to obstruct")
+    tol = inputs.tol
 
     if args.obstruction:
         if args.miscal is not None:
             raise ProblemFormatError("--miscal", "the obstruction table draws its own X and Z "
                                      "miscalibrations, so it reads no --miscal")
-        seed = args.seed if args.seed is not None else 7
         scale = args.hamiltonian_scale if args.hamiltonian_scale is not None else 0.3
-        table = hamiltonian_obstruction_demo(eps=args.eps, hamiltonian_scale=scale, seed=seed)
-        digest = params_digest("qec", {
-            "code": "repetition", "obstruction": True, "eps": args.eps,
-            "hamiltonian_scale": scale, "seed": seed, "tol": tol,
-        })
+        table = hamiltonian_obstruction_demo(eps=args.eps, hamiltonian_scale=scale,
+                                             seed=inputs.seed)
+        params = {"code": "repetition", "obstruction": True, "eps": args.eps,
+                  "hamiltonian_scale": scale, "seed": inputs.seed, "tol": tol}
         floor = tol * args.eps ** 2
         cells = [{
             "hamiltonian_on": c.hamiltonian_on,
@@ -684,14 +693,12 @@ def cmd_qec(args) -> Outcome:
             "obstruction_cell_nonzero": bool(nonzero > floor),
         }
         report = {
-            "command": "qec",
-            "input_digest": digest,
             "code": "repetition",
             "obstruction": {"eps": args.eps, "hamiltonian_scale": scale, "cells": cells},
             "tol": tol,
             "verdicts": verdicts,
         }
-        return Outcome(report, verdicts)
+        return Outcome(report, verdicts, params=params)
 
     if args.miscal is None:
         raise ProblemFormatError("", "--miscal X|Y|Z is required (or use --obstruction)")
@@ -700,11 +707,7 @@ def cmd_qec(args) -> Outcome:
                                  "decaying-block Hamiltonian; use it with --obstruction")
     rec, lind = repetition_code_recovery()
     rep = robustness_check(rec, Study(lind, pauli_miscalibration(args.miscal, args.eps)), tol=tol)
-    digest = params_digest("qec", {"code": "repetition", "miscal": args.miscal,
-                                   "eps": args.eps, "tol": tol})
     report = {
-        "command": "qec",
-        "input_digest": digest,
         "code": "repetition",
         "miscalibration": args.miscal,
         "eps": args.eps,
@@ -742,15 +745,13 @@ def cmd_qec(args) -> Outcome:
         f"protected: {rep.protected} (l_eff norm {rep.l_eff_norm_general:.3e})",
         f"verdict: {verdict}",
     ]
-    return Outcome(report, lines=lines, failed=failed)
+    params = {"code": "repetition", "miscal": args.miscal, "eps": args.eps, "tol": tol}
+    return Outcome(report, lines=lines, failed=failed, params=params)
 
 
-def cmd_evolve(args) -> Outcome:
-    parsed = load_problem(args.problem)
-    tol = _resolve(args.tol, parsed.tol, 1e-9)
-    seed = _resolve(args.seed, parsed.seed, 0)
-    study, _ = _materialize(parsed, seed, tol, validate=True)
-    for i, rho in enumerate(parsed.initial_states or ()):
+def cmd_evolve(args, inputs: Inputs) -> Outcome:
+    study, initial_states = inputs.study, inputs.problem.initial_states
+    for i, rho in enumerate(initial_states or ()):
         try:
             validate_initial_state(rho, study.lind.dfs)
         except ValueError as err:
@@ -758,34 +759,29 @@ def cmd_evolve(args) -> Outcome:
     config = SweepConfig(
         epsilons=tuple(args.epsilons),
         taus=tuple(args.taus),
-        initial_states=parsed.initial_states or default_states(study.lind.dfs),
+        initial_states=initial_states or default_states(study.lind.dfs),
         mode=args.mode,
     )
     table = evolve_and_compare(study.lind, study.pert, config)
-    drift = drift_constants(table)
+    rows = table.rows()
     report = {
-        "command": "evolve",
-        "input_digest": parsed.digest,
         "mode": config.mode,
         "epsilons": list(config.epsilons),
         "taus": list(config.taus),
         "n_states": len(config.initial_states),
-        "rows": table.rows(),
+        "rows": rows,
         "propagation": [asdict(p) for p in table.propagation],
-        "drift_constants": [
-            {"epsilon": eps, "constant": c} for eps, c in sorted(drift.items(), reverse=True)
-        ],
+        "drift_constants": [{"epsilon": eps, "constant": c}
+                            for eps, c in drift_constants(table).items()],
     }
     if len(config.epsilons) >= 2:
         fit = convergence_order(table)
         report["fit"] = {
             "slope": fit.slope,
-            "per_tau": [{"tau": t, "slope": s} for t, s in sorted(fit.per_tau.items())],
+            "per_tau": [{"tau": t, "slope": s} for t, s in fit.per_tau.items()],
             "monotone": fit.monotone,
-            "max_distances": [
-                {"epsilon": e, "distance": dist}
-                for e, dist in sorted(fit.max_distances.items(), reverse=True)
-            ],
+            "max_distances": [{"epsilon": e, "distance": dist}
+                              for e, dist in fit.max_distances.items()],
             "floor": fit.floor,
         }
         lines = [f"fitted slope: {fit.slope:.4f} (monotone: {fit.monotone})"]
@@ -794,7 +790,8 @@ def cmd_evolve(args) -> Outcome:
         lines = []
     if args.plot_data:
         csv = ["epsilon,tau,state_index,trace_distance"]
-        csv += [f"{c.epsilon!r},{c.tau!r},{c.state_index},{c.distance!r}" for c in table.cells]
+        csv += [f"{r['epsilon']!r},{r['tau']!r},{r['state_index']},{r['trace_distance']!r}"
+                for r in rows]
         csv_path = Path(args.plot_data) / "sweep.csv"
         try:
             csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -803,8 +800,7 @@ def cmd_evolve(args) -> Outcome:
             raise ProblemFormatError(
                 "--plot-data", f"cannot write {csv_path}: {err.strerror or err}") from err
         lines.append(f"plot data written to {csv_path}")
-    worst = max((c.distance for c in table.cells), default=0.0)
-    lines.append(f"cells: {len(table.cells)}, worst trace distance: {worst:.3e}")
+    lines.append(f"cells: {len(rows)}, worst trace distance: {table.trace_distance.max():.3e}")
     return Outcome(report, lines=lines)
 
 
@@ -920,7 +916,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _run(args.func, args)
+        return _run(args)
     except StructureError as err:
         print(f"error: invalid structure: {err}", file=sys.stderr)
         return EXIT_INPUT

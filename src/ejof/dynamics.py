@@ -41,7 +41,9 @@ certificate fails, take the dense exp(t L_full); an eps with no cell past
 the horizon forms no Pi. Each eps records its
 horizon, both certificate values and its number of dense cells
 (:class:`Propagation`). The cell diagnostics (trace distance, drift, trace
-errors, minimum eigenvalues) come from one stacked eigvalsh over all cells.
+errors, minimum eigenvalues) come from one stacked eigvalsh over all cells,
+and :class:`SweepTable` keeps each as an (eps, tau, state) array; the
+convergence fit and the drift constants are reductions over those arrays.
 
 For cancellation scenarios L_eff = 0 and there is no secular drift: the full
 state exp(t L_full) rho_0 itself, without any projection, stays within
@@ -77,6 +79,8 @@ MODES = ("first-order", "second-order")
 HORIZON_FACTOR = 40.0
 RANK_BOUND = 1e-12
 INVARIANCE_BOUND = 1e-12
+# Distances at or below this are converged noise to the convergence fit.
+FIT_FLOOR = 1e-11
 
 
 @dataclass(frozen=True)
@@ -123,50 +127,36 @@ def validate_initial_state(rho: np.ndarray, dfs, tol: float = 1e-9) -> None:
         raise ValueError("initial state is not supported on the DFS")
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    epsilon: float
-    tau: float
-    state_index: int
-    distance: float
-    drift: float
-    trace_error_full: float
-    trace_error_eff: float
-    min_eig_full: float
-    min_eig_eff: float
+# The (E, T, S) cell diagnostics of a SweepTable, named as in its rows.
+CELL_KEYS = ("trace_distance", "drift", "trace_error_full", "trace_error_eff",
+             "min_eig_full", "min_eig_eff")
 
 
 @dataclass(frozen=True)
 class SweepTable:
-    cells: tuple[SweepCell, ...]
-    mode: str
+    """The sweep's cell diagnostics, each an (E, T, S) array over (eps, tau, state).
+
+    epsilons and taus are the grid in the order of the config; propagation
+    holds one :class:`Propagation` per eps.
+    """
+
+    epsilons: np.ndarray
+    taus: np.ndarray
+    trace_distance: np.ndarray
+    drift: np.ndarray
+    trace_error_full: np.ndarray
+    trace_error_eff: np.ndarray
+    min_eig_full: np.ndarray
+    min_eig_eff: np.ndarray
     propagation: tuple[Propagation, ...]
 
-    def distances(self, epsilon: float) -> np.ndarray:
-        return np.array([c.distance for c in self.cells if c.epsilon == epsilon])
-
-    def max_distance(self, epsilon: float, tau: float | None = None) -> float:
-        sel = [
-            c.distance for c in self.cells
-            if c.epsilon == epsilon and (tau is None or c.tau == tau)
-        ]
-        return max(sel) if sel else 0.0
-
     def rows(self) -> list[dict]:
-        return [
-            {
-                "epsilon": c.epsilon,
-                "tau": c.tau,
-                "state_index": c.state_index,
-                "trace_distance": c.distance,
-                "drift": c.drift,
-                "trace_error_full": c.trace_error_full,
-                "trace_error_eff": c.trace_error_eff,
-                "min_eig_full": c.min_eig_full,
-                "min_eig_eff": c.min_eig_eff,
-            }
-            for c in self.cells
-        ]
+        """One dict per cell, in (eps, tau, state) order."""
+        e, t, s = np.indices(self.trace_distance.shape).reshape(3, -1)
+        columns = [self.epsilons[e].tolist(), self.taus[t].tolist(), s.tolist()]
+        columns += [getattr(self, key).ravel().tolist() for key in CELL_KEYS]
+        keys = ("epsilon", "tau", "state_index", *CELL_KEYS)
+        return [dict(zip(keys, values)) for values in zip(*columns)]
 
 
 def slow_subspace(l_full: np.ndarray, horizon: float, rank: int):
@@ -279,25 +269,9 @@ def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
     spectra = np.linalg.eigvalsh((stack + dagger(stack)) / 2)
     distance, drift = 0.5 * np.abs(spectra[:2]).sum(axis=-1)
     min_full, min_eff = spectra[2:, ..., 0]
-    trace_full = np.abs(np.trace(full, axis1=-2, axis2=-1) - 1.0)
-    trace_eff = np.abs(np.trace(eff, axis1=-2, axis2=-1) - 1.0)
-    cells = tuple(
-        SweepCell(
-            epsilon=eps,
-            tau=tau,
-            state_index=s,
-            distance=float(distance[e, t, s]),
-            drift=float(drift[e, t, s]),
-            trace_error_full=float(trace_full[e, t, s]),
-            trace_error_eff=float(trace_eff[e, t, s]),
-            min_eig_full=float(min_full[e, t, s]),
-            min_eig_eff=float(min_eff[e, t, s]),
-        )
-        for e, eps in enumerate(config.epsilons)
-        for t, tau in enumerate(config.taus)
-        for s in range(len(rho0))
-    )
-    return SweepTable(cells=cells, mode=config.mode, propagation=tuple(propagation))
+    trace_full, trace_eff = np.abs(np.trace(stack[2:], axis1=-2, axis2=-1) - 1.0)
+    return SweepTable(np.array(config.epsilons), taus, distance, drift, trace_full, trace_eff,
+                      min_full, min_eff, tuple(propagation))
 
 
 @dataclass(frozen=True)
@@ -307,7 +281,8 @@ class ConvergenceFit:
     slope: fit of max-over-(tau, state) distance against eps.
     per_tau: fitted slope for each tau with errors above the floor.
     monotone: distances nonincreasing in eps at every tau (up to the floor).
-    floor: distances below this are treated as converged noise.
+    max_distances: max-over-(tau, state) distance per eps, eps descending.
+    floor: FIT_FLOOR, below which distances are treated as converged noise.
     """
 
     slope: float
@@ -317,36 +292,30 @@ class ConvergenceFit:
     floor: float
 
 
-def convergence_order(table: SweepTable, floor: float = 1e-11) -> ConvergenceFit:
-    eps_values = sorted({c.epsilon for c in table.cells}, reverse=True)
-    taus = sorted({c.tau for c in table.cells})
-    if len(eps_values) < 2:
+def convergence_order(table: SweepTable) -> ConvergenceFit:
+    if len(table.epsilons) < 2:
         raise ValueError("need at least two epsilon values to fit a slope")
-    max_d = {e: max(c.distance for c in table.cells if c.epsilon == e) for e in eps_values}
-    slope = float(np.polyfit(np.log(eps_values), np.log([max(max_d[e], floor) for e in eps_values]), 1)[0])
-    per_tau = {}
-    monotone = True
-    for tau in taus:
-        errs = []
-        for e in eps_values:
-            sel = [c.distance for c in table.cells if c.epsilon == e and c.tau == tau]
-            errs.append(max(sel))
-        for a, b in zip(errs, errs[1:]):
-            if b > max(a, floor) * (1 + 1e-9) and b > floor:
-                monotone = False
-        if all(err > floor for err in errs):
-            per_tau[tau] = float(np.polyfit(np.log(eps_values), np.log(errs), 1)[0])
+    order = np.argsort(-table.epsilons)
+    log_eps = np.log(table.epsilons[order])
+    errs = table.trace_distance[order].max(axis=2)  # (E, T), eps descending
+    max_d = errs.max(axis=1)
+    slope = float(np.polyfit(log_eps, np.log(np.maximum(max_d, FIT_FLOOR)), 1)[0])
+    rising = (errs[1:] > np.maximum(errs[:-1], FIT_FLOOR) * (1 + 1e-9)) & (errs[1:] > FIT_FLOOR)
+    per_tau = {
+        float(table.taus[t]): float(np.polyfit(log_eps, np.log(errs[:, t]), 1)[0])
+        for t in np.argsort(table.taus) if np.all(errs[:, t] > FIT_FLOOR)
+    }
     return ConvergenceFit(
         slope=slope,
         per_tau=per_tau,
-        monotone=monotone,
-        max_distances=max_d,
-        floor=floor,
+        monotone=not rising.any(),
+        max_distances=dict(zip(table.epsilons[order].tolist(), max_d.tolist())),
+        floor=FIT_FLOOR,
     )
 
 
 def drift_constants(table: SweepTable) -> dict[float, float]:
-    """Fitted constants C_eps = max over cells of drift / (eps * (1 + tau)).
+    """Fitted constants C_eps = max over cells of drift / (eps * (1 + tau)), eps descending.
 
     The drift is the trace distance of the unprojected full state from its
     initial state. For a cancellation scenario it is bounded by
@@ -355,11 +324,7 @@ def drift_constants(table: SweepTable) -> dict[float, float]:
     decay at rate eps^2 would show up as C growing like 1/eps on the
     rescaled clock).
     """
-    out = {}
-    for eps in sorted({c.epsilon for c in table.cells}, reverse=True):
-        vals = [
-            c.drift / (eps * (1.0 + c.tau))
-            for c in table.cells if c.epsilon == eps
-        ]
-        out[eps] = max(vals)
-    return out
+    order = np.argsort(-table.epsilons)
+    eps = table.epsilons[order]
+    scale = eps[:, None, None] * (1.0 + table.taus[:, None])
+    return dict(zip(eps.tolist(), (table.drift[order] / scale).max(axis=(1, 2)).tolist()))

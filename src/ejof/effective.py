@@ -516,6 +516,10 @@ class Study:
 # Random structured instances
 # ---------------------------------------------------------------------------
 
+# Draws random_structured_instance makes before it gives up.
+MAX_DRAWS = 8
+
+
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + dagger(a)) / 2
@@ -547,8 +551,7 @@ def _defective_decaying_hamiltonian(w: np.ndarray) -> np.ndarray:
 def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
                                defective_k: bool = False,
                                pert_scale: float = 1.0,
-                               extra_zero_jump: bool = False,
-                               max_attempts: int = 8):
+                               extra_zero_jump: bool = False):
     """Draw a random structured Lindbladian and a full-corner perturbation.
 
     The DFS is the first d basis states of a (d+n)-dimensional space. Jumps
@@ -561,7 +564,7 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
     With extra_zero_jump=True a zero jump with a nonzero deformation is
     appended, exercising newly opened channels.
 
-    Redraws (up to max_attempts) when the instance fails validation or is too
+    Redraws (up to MAX_DRAWS times) when the instance fails validation or is too
     close to degenerate for reliable spectral separation.
     """
     if defective_k and n != 2:
@@ -570,7 +573,7 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
     dim = d + n
     dfs = DfsProjector.from_indices(dim, range(d))
     last_err = None
-    for _ in range(max_attempts):
+    for _ in range(MAX_DRAWS):
         jumps = []
         for _ in range(n_jumps):
             f = np.zeros((dim, dim), dtype=complex)
@@ -595,7 +598,7 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
         v = pert_scale * _random_hermitian(rng, dim)
         fs = [pert_scale * _random_matrix(rng, dim, dim) for _ in lind.jumps]
         return lind, Perturbation(v=v, fs=tuple(fs))
-    raise RuntimeError(f"no valid instance after {max_attempts} draws: {last_err}")
+    raise RuntimeError(f"no valid instance after {MAX_DRAWS} draws: {last_err}")
 
 
 def perturbed_superop(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:

@@ -68,7 +68,6 @@ class RecoveryChannel:
     kraus: tuple[np.ndarray, ...]
     identity_kraus: np.ndarray
     code: DfsProjector
-    syndrome_supports: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
@@ -88,21 +87,13 @@ def repetition_code_recovery():
     p = np.zeros((dim, dim), dtype=complex)
     p[code.indices, code.indices] = 1.0
     kraus = []
-    supports = []
     for qubit in range(3):
         x = pauli_on_qubit("X", qubit)
         f = np.zeros_like(x)  # P X_l: the code rows of X_l
         f[code.indices] = x[code.indices]
         kraus.append(f)
-        supports.append(x @ p @ x)
     lind = structured_lindbladian(np.zeros((dim, dim), dtype=complex), kraus, code)
-    rec = RecoveryChannel(
-        kraus=tuple(kraus),
-        identity_kraus=p.copy(),
-        code=code,
-        syndrome_supports=tuple(supports),
-    )
-    return rec, lind
+    return RecoveryChannel(kraus=tuple(kraus), identity_kraus=p, code=code), lind
 
 
 @dataclass(frozen=True)

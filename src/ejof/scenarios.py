@@ -56,6 +56,10 @@ from .operators import (
     require_hermitian,
 )
 
+# Largest residual of a cancellation condition (surjectivity, orthogonality,
+# relative f_ll) that still counts as met.
+CONDITION_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ThreeLevelParams:
@@ -166,7 +170,7 @@ class CancellationReport:
         return self.l_eff_norm <= self.tol * max(self.pert_norm ** 2, 1e-300)
 
 
-def _check_conditions(jumps, fs, dfs: DfsProjector, condition_tol: float):
+def _check_conditions(jumps, fs, dfs: DfsProjector):
     """Residuals of the cancellation conditions and a message per violated one.
 
     Returns (surjectivity residual per jump, orthogonality residual, ||f_ll||
@@ -176,18 +180,17 @@ def _check_conditions(jumps, fs, dfs: DfsProjector, condition_tol: float):
     orth = orthogonality_residual(jumps)
     f_ll = tuple(frob(four_corners(f, dfs).ll) for f in fs)
     messages = []
-    if max(surj, default=0.0) > condition_tol:
+    if max(surj, default=0.0) > CONDITION_TOL:
         messages.append(f"surjectivity condition violated (worst residual {max(surj):.3e})")
-    if orth > condition_tol:
+    if orth > CONDITION_TOL:
         messages.append(f"orthogonality condition violated (residual {orth:.3e})")
     for i, (r, f) in enumerate(zip(f_ll, fs)):
-        if r > condition_tol * max(1.0, frob(f)):
+        if r > CONDITION_TOL * max(1.0, frob(f)):
             messages.append(f"deformation {i} has a detectable (ll) corner (norm {r:.3e})")
     return surj, orth, f_ll, messages
 
 
-def cancellation_check(study: Study, *, tol: float = 1e-10,
-                       condition_tol: float = 1e-9) -> CancellationReport:
+def cancellation_check(study: Study, *, tol: float = 1e-10) -> CancellationReport:
     """Evaluate generic cancellation: H = 0, V = 0, conditions met, f_ll = 0.
 
     Computes the effective generator of (lind, pert) by both routes and
@@ -196,7 +199,7 @@ def cancellation_check(study: Study, *, tol: float = 1e-10,
     can be quantified.
     """
     lind, pert = study.lind, study.pert
-    surj, orth, f_ll, violated = _check_conditions(lind.jumps, pert.fs, lind.dfs, condition_tol)
+    surj, orth, f_ll, violated = _check_conditions(lind.jumps, pert.fs, lind.dfs)
     return CancellationReport(
         surjectivity=surj,
         orthogonality=orth,
@@ -210,8 +213,7 @@ def cancellation_check(study: Study, *, tol: float = 1e-10,
 
 
 def coherent_cancellation_drive(lind: StructuredLindbladian, fs, *,
-                                cancel_induced_hamiltonian: bool = False,
-                                condition_tol: float = 1e-9) -> Perturbation:
+                                cancel_induced_hamiltonian: bool = False) -> Perturbation:
     """Hermitian drive V cancelling the effective jumps of a deformation family.
 
     V = (i/2) sum_l (F_l† f_l - f_l† F_l) + Vtilde + Vtilde†, with
@@ -229,7 +231,7 @@ def coherent_cancellation_drive(lind: StructuredLindbladian, fs, *,
     if len(fs) != len(lind.jumps):
         raise ValueError(f"{len(fs)} deformations for {len(lind.jumps)} jumps")
     dfs = lind.dfs
-    violated = _check_conditions(lind.jumps, fs, dfs, condition_tol)[3]
+    violated = _check_conditions(lind.jumps, fs, dfs)[3]
     if violated:
         raise ValueError(violated[0])
     v = np.zeros((dfs.dim, dfs.dim), dtype=complex)

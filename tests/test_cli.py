@@ -635,6 +635,23 @@ def test_qec_refuses_a_flag_its_mode_does_not_read(argv, flag, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", [["--obstruction"], ["--miscal", "X"]],
+                         ids=["obstruction", "miscal"])
+def test_qec_refuses_a_zero_eps(mode, tmp_path, capsys):
+    # At eps = 0 the obstruction cell reads FAIL and a miscalibration reads
+    # "robust": neither says anything about the code.
+    out = tmp_path / "qec.json"
+    assert main(["qec", "repetition", *mode, "--eps", "0", "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: --eps: must be nonzero")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [["--obstruction"], ["--miscal", "X"]],
+                         ids=["obstruction", "miscal"])
+def test_qec_reads_a_negative_eps(mode):
+    assert main(["qec", "repetition", *mode, "--eps", "-0.01"]) == cli.EXIT_OK
+
+
 def test_qec_obstruction_default_hamiltonian_scale(tmp_path):
     # The default scale enters the report and its digest as the value it stands for.
     reports = []
@@ -776,6 +793,25 @@ def test_file_tol_and_cli_tol(tmp_path):
     assert load_report(out)["tol"] == 1e-7
 
 
+def test_tol_and_seed_resolve_flag_then_file_then_default(tmp_path):
+    cancellation = {"version": 1, "scenario": {"name": "cancellation"}}
+    plain = write_problem(tmp_path, cancellation, "plain.json")
+    pinned = write_problem(tmp_path, dict(cancellation, tol=1e-8, seed=3), "pinned.json")
+
+    def body(*argv):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        report = load_report(out)
+        del report["input_digest"]
+        return report
+
+    default, from_file = body("effective", plain), body("effective", pinned)
+    assert (default["tol"], from_file["tol"]) == (1e-9, 1e-8)
+    assert default != from_file
+    assert body("effective", plain, "--seed", "3", "--tol", "1e-8") == from_file
+    assert body("effective", pinned, "--seed", "0", "--tol", "1e-9") == default
+
+
 SEEDLESS_RUNS = {
     "explicit-system": lambda tmp: ["effective", explicit_problem(tmp)],
     "explicit-verify": lambda tmp: ["verify", explicit_problem(tmp)],
@@ -810,6 +846,26 @@ def test_seed_changes_a_random_run(make, tmp_path):
         assert main([*make(tmp_path), "--seed", seed, "--out", str(out)]) == cli.EXIT_OK
         reports.append(load_report(out))
     assert reports[0] != reports[1]
+
+
+ONE_FILE_RUNS = {
+    "effective-seeded": lambda tmp: ["effective", write_problem(
+        tmp, {"version": 1, "scenario": {"name": "cancellation"}}), "--seed", "3"],
+    "verify": lambda tmp: ["verify", explicit_problem(tmp)],
+    "evolve": lambda tmp: ["evolve", three_level_problem(tmp), "--epsilons", "0.04,0.02",
+                           "--taus", "1"],
+}
+
+
+@pytest.mark.parametrize("make", ONE_FILE_RUNS.values(), ids=ONE_FILE_RUNS.keys())
+def test_a_run_parses_its_problem_file_once(make, tmp_path, monkeypatch):
+    # The --seed gate and the command read the same parsed problem.
+    argv = make(tmp_path)
+    calls = []
+    load = cli.load_problem
+    monkeypatch.setattr(cli, "load_problem", lambda path: calls.append(path) or load(path))
+    assert main(argv) == cli.EXIT_OK
+    assert calls == [argv[1]]
 
 
 def test_no_command_embeds_an_effective_generator(tmp_path):

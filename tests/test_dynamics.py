@@ -108,11 +108,29 @@ def test_sweep_cells_are_physical():
 
 def test_table_accessors():
     table = three_level_sweep(delta=2.0, epsilons=(0.04, 0.02), taus=(1.0, 5.0))
-    d = table.distances(0.04)
-    assert d.shape == (4,)  # 2 taus x 2 states
-    assert table.max_distance(0.04) == d.max()
-    assert table.max_distance(0.04, tau=5.0) >= table.max_distance(0.04, tau=5.0) * 0.999
-    assert table.max_distance(0.77) == 0.0
+    assert table.epsilons.tolist() == [0.04, 0.02]
+    assert table.taus.tolist() == [1.0, 5.0]
+    for key in dynamics.CELL_KEYS:
+        assert getattr(table, key).shape == (2, 2, 2)  # (eps, tau, state)
+    rows = table.rows()
+    assert [(r["epsilon"], r["tau"], r["state_index"]) for r in rows] == [
+        (eps, tau, s) for eps in (0.04, 0.02) for tau in (1.0, 5.0) for s in range(2)]
+    for (e, t, s), row in zip(np.ndindex(table.trace_distance.shape), rows):
+        for key in dynamics.CELL_KEYS:
+            assert row[key] == getattr(table, key)[e, t, s]
+    fit = convergence_order(table)
+    worst = table.trace_distance.max(axis=(1, 2))
+    assert fit.max_distances == {0.04: worst[0], 0.02: worst[1]}
+
+
+def test_ascending_epsilons_fit_as_descending_ones():
+    down = three_level_sweep(delta=2.0, epsilons=(0.04, 0.02, 0.01))
+    up = three_level_sweep(delta=2.0, epsilons=(0.01, 0.02, 0.04))
+    assert np.array_equal(up.trace_distance, down.trace_distance[::-1])
+    assert convergence_order(up) == convergence_order(down)
+    assert list(convergence_order(up).max_distances) == [0.04, 0.02, 0.01]
+    assert drift_constants(up) == drift_constants(down)
+    assert list(drift_constants(up)) == [0.04, 0.02, 0.01]
 
 
 def test_convergence_needs_two_epsilons():
@@ -133,7 +151,7 @@ def test_dark_drive_has_bounded_drift():
     fit = convergence_order(table)
     assert fit.monotone
     assert fit.slope >= 1.7
-    assert table.max_distance(0.01) < 1e-4
+    assert table.trace_distance[table.epsilons == 0.01].max() < 1e-4
 
 
 def qec_z_sweep(epsilons=(0.04, 0.02, 0.01), taus=(0.5, 1.0, 2.0, 5.0)):
@@ -156,7 +174,7 @@ def test_qec_z_sweep_protected():
     fit = convergence_order(table)
     assert fit.monotone
     assert fit.slope >= 1.7
-    assert table.max_distance(0.01) < 1e-3
+    assert table.trace_distance[table.epsilons == 0.01].max() < 1e-3
 
 
 def test_secular_decay_shows_up_in_drift():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,12 +62,7 @@ def test_recovery_conditions_hold(repetition):
 
 def test_recovery_conditions_flag_broken_channel(repetition):
     rec, _ = repetition
-    broken = type(rec)(
-        kraus=rec.kraus[:2],  # drop one syndrome
-        identity_kraus=rec.identity_kraus,
-        code=rec.code,
-        syndrome_supports=rec.syndrome_supports[:2],
-    )
+    broken = dataclasses.replace(rec, kraus=rec.kraus[:2])  # drop one syndrome
     rep = check_recovery_conditions(broken)
     assert not rep.passed
     assert rep.decay_completeness > 0.5

@@ -223,6 +223,9 @@ COMMANDS = {
     "qec-obstruction-miscal": ["qec", "repetition", "--obstruction", "--miscal", "X"],
     "qec-miscal-hamiltonian-scale": ["qec", "repetition", "--miscal", "X",
                                      "--hamiltonian-scale", "0.5"],
+    # A zero miscalibration is an input error in both modes.
+    "qec-obstruction-zero-eps": ["qec", "repetition", "--obstruction", "--eps", "0"],
+    "qec-miscal-zero-eps": ["qec", "repetition", "--miscal", "X", "--eps", "0"],
     "evolve-three-level": ["evolve", "three_level.json", *GRID,
                            "--plot-data", "plots/evolve-three-level"],
     "evolve-rep": ["evolve", "rep_evolve.json", *GRID, "--plot-data", "plots/evolve-rep"],
@@ -241,6 +244,11 @@ COMMANDS = {
     "effective-gap-f1": ["effective", "gap_f1.json"],
     "effective-gap-f002": ["effective", "gap_f002.json"],
     "effective-unread-seed": ["effective", "three_level.json", "--seed", "5"],
+    # The runner's input gate and its tol and seed resolution: flag, then file, then default.
+    "verify-file-and-random": ["verify", "rep_x.json", "--random", "2", "2", "1", "0"],
+    "verify-random-seed": ["verify", "--random", "2", "2", "1", "0", "--seed", "1"],
+    "effective-cancellation-seed-tol": ["effective", "cancellation.json", "--seed", "3",
+                                        "--tol", "1e-8"],
     "effective-zero-tol": ["effective", "zero_tol.json"],
     "verify-missing-file": ["verify", "no_such_file.json"],
     "help": ["--help"],
