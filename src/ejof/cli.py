@@ -63,6 +63,13 @@ PROBLEM_VERSION = 1
 # Largest input magnitude whose square is a finite float; the numerics square
 # every entry (norms, K = H - (i/2) sum F† F), so a larger one overflows.
 MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
+# `qec --eps` range. L_eff is of order eps^2 and its norm squares its entries,
+# so eps^4 must stay a normal float: |eps| within [tiny^(1/4), max^(1/4)]
+# (about 1.2e-77 and 1.2e77), narrowed by QEC_EPS_MARGIN at each end for the
+# code's own constants in L_eff.
+QEC_EPS_MARGIN = 100.0
+QEC_EPS_RANGE = (QEC_EPS_MARGIN * sys.float_info.min ** 0.25,
+                 sys.float_info.max ** 0.25 / QEC_EPS_MARGIN)
 
 
 class ProblemFormatError(ValueError):
@@ -667,6 +674,11 @@ def cmd_qec(args, inputs: Inputs) -> Outcome:
     if args.eps == 0:
         raise ProblemFormatError("--eps", "must be nonzero: a zero miscalibration has no "
                                  "effect to protect against or to obstruct")
+    low, high = QEC_EPS_RANGE
+    if not low <= abs(args.eps) <= high:
+        raise ProblemFormatError("--eps", f"magnitude {abs(args.eps):.3g} is outside "
+                                 f"[{low:.3g}, {high:.3g}]: L_eff is of order eps^2, and its "
+                                 "norm would underflow or overflow")
     tol = inputs.tol
 
     if args.obstruction:

@@ -24,15 +24,19 @@ eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
 once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
 zero multiplicity, the gap and the spectral radius rho(L) off it. The zero
 cut is relative to that radius, |lambda| <= 1e-8 max(1, rho(L)), so no norm
-of L is taken. That Schur form is the only decomposition of the generator:
-L itself is assembled once, in K form, with one GEMM for the jump sum
-(:func:`~ejof.operators.gksl_superop`), and the Drazin inverse and the
-asymptotic projection come from eliminating the DFS corner
-(:class:`CornerFactor`): in the frame of the DFS basis, L is
+of L is taken. That Schur form is the only decomposition of the generator,
+and the DFS steadiness check applies L to the d^2 DFS units by D x D
+products. The (D^2, D^2) matrix of L is not built to construct a generator:
+the Drazin inverse and the asymptotic projection come from eliminating the
+DFS corner (:class:`CornerFactor`): in the frame of the DFS basis, L is
 block-triangular with its kernel on the DFS corner, and both are read off
-LUs of the decaying-corner blocks of L, block diagonal over ll, ur and lr
-under the normal form, each gathered on its own; a block with a zero or
-tiny pivot raises :class:`SingularBlockError`. The decaying-sector map
+LUs of the decaying-corner blocks of L. Under the normal form these blocks
+(ll, ur and lr, block diagonal) and the feed into the DFS corner are
+Kronecker functions of K_qq and the jumps' decaying columns, built in place
+from H and the jumps; only when an entry leaks off its corner is L
+assembled, once, in K form with one GEMM for the jump sum
+(:func:`~ejof.operators.gksl_superop`), and L_rr gathered whole. A block with
+a zero or tiny pivot raises :class:`SingularBlockError`. The decaying-sector map
 sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
 Bartels-Stewart on the cached Schur form of K_qq, for a whole stack of
 right-hand sides in one column sweep of n triangular solves; its dense
@@ -50,7 +54,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -156,6 +159,44 @@ def _warn_if_gap_small(gap: float | None, thresh: float) -> None:
         )
 
 
+def _normal_form_blocks(h, jumps, dfs: DfsProjector) -> tuple[np.ndarray, ...]:
+    """The ll, ur and lr blocks of L_rr and the lr columns of L_ur, for a generator in normal form.
+
+    Each block is one F-ordered allocation, and its Kronecker terms are
+    written on strided diagonal views of it, as
+    :func:`~ejof.operators.gksl_superop` writes them on L: -i K_qq and
+    i K_qq'^T, for K_qq = H_qq - (i/2) W_qq and K_qq' = H_qq + (i/2) W_qq
+    (K_qq'^T = conj K_qq for Hermitian H), with W_qq = sum_l F_l† F_l over
+    the jumps' decaying columns. The jump sum of L_ur is one GEMM, reordered
+    once to Kronecker layout.
+    """
+    d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
+    f = np.array(jumps, dtype=complex).reshape(-1, dfs.dim, dfs.dim)[:, :, rest]
+    flat = f.reshape(-1, n)
+    w = dagger(flat) @ flat
+    h_qq = h[rest[:, None], rest]
+    minus_ik = -1j * (h_qq - 0.5j * w)
+    ik_t = 1j * (h_qq + 0.5j * w).T
+    ll, ur = (np.zeros((d * n, d * n), dtype=complex, order="F") for _ in range(2))
+    lr = np.zeros((n * n, n * n), dtype=complex, order="F")
+    # A block of side p q, reshaped F-ordered to (p, q, p, q), is indexed
+    # [a, b, c, e], with row a + p b and column c + p e: "abcb" is I_q kron A,
+    # its view [a, b, c] holding A[a, c], and "abad" is A kron I_p, its view
+    # [a, b, e] holding A[b, e].
+    for block, shape, pattern, term in (
+            (ll, (n, d, n, d), "abcb->abc", minus_ik[:, None, :]),  # I_d kron (-i K_qq)
+            (ur, (d, n, d, n), "abad->abd", ik_t[None]),            # i K_qq'^T kron I_d
+            (lr, (n, n, n, n), "abcb->abc", minus_ik[:, None, :]),  # I_n kron (-i K_qq)
+            (lr, (n, n, n, n), "abad->abd", ik_t[None])):           # + i K_qq'^T kron I_n
+        view = np.einsum(pattern, block.reshape(shape, order="F"))
+        view += term
+    # (a^T conj(a))[(i, k), (j, m)] = sum_l F_l[idx_i, rest_k] conj(F_l[idx_j, rest_m]);
+    # its Kronecker row is i + d j and its column k + n m.
+    a = f[:, idx, :].reshape(len(f), d * n)
+    feed = (a.T @ a.conj()).reshape(d, n, d, n).transpose(2, 0, 3, 1).reshape(d * d, n * n)
+    return ll, ur, lr, feed
+
+
 @dataclass(frozen=True, eq=False)
 class CornerFactor:
     """L^D and P_inf of a generator whose kernel is its DFS corner, by eliminating that corner.
@@ -173,35 +214,43 @@ class CornerFactor:
     between the ll, ur and lr blocks of L_rr, and every entry of the ll and
     ur columns of L_ur, comes from an H entry outside lr or a jump entry
     outside ur. Without such an entry (``leaky`` False) L_rr is block
-    diagonal over ll and ur (side dn each) and lr (side n^2), each block is
-    gathered and LU-factored apart, and only the lr columns of L_ur are
-    read. With one (leakage below the tolerance, or a generator that fails
-    its checks), L_rr and L_ur are gathered whole, so no entry of L is
-    dropped. Each block is gathered F-ordered and factored in place.
+    diagonal, and its blocks and the lr columns of L_ur are built in place
+    from K_qq = H_qq - (i/2) W_qq, W_qq the sum of F_l† F_l over the jumps'
+    decaying columns, and from the F_l[idx, rest] (:func:`_normal_form_blocks`):
 
-    U is the permutation ``dfs.order``, and ``order`` is ``dfs.vec_order``, the
-    vec index of each frame position, so entering or leaving the frame is an
-    index gather or scatter. The factor reads only L's own entries. The LUs
-    are taken on first use, with a :class:`SpectralGapWarning` when ``gap`` is
-    within 100x of the zero cut ``thresh`` (``gap`` is None when the
-    structure report has none). A block whose smallest |LU pivot| is zero, or
-    below ``PIVOT_RATIO_FLOOR`` times its largest, raises
-    :class:`SingularBlockError`: L_rr is then numerically singular, and a
-    kernel of L larger than the DFS corner has no group inverse here.
+        ll = I_d kron (-i K_qq),   ur = (i conj K_qq) kron I_d,
+        lr = -i (I_n kron K_qq - conj K_qq kron I_n),
+        L_ur at lr = sum_l conj(F_l[idx, rest]) kron F_l[idx, rest].
+
+    K_qq is formed here, never read off the generator's ``k``, so the general
+    route shares no input with the closed one. With a leaking entry (leakage
+    below the tolerance, or a generator that fails its checks), L is
+    assembled (``superop``, on first read) and L_rr and L_ur are gathered
+    whole, so no entry of L is dropped. Each block is one F-ordered array,
+    LU-factored in place.
+
+    The frame is the permutation ``dfs.order``, and ``dfs.vec_order`` gives
+    the vec index of each frame position, so entering or leaving the frame is
+    an index gather or scatter. The LUs are taken on first use, with a
+    :class:`SpectralGapWarning` when ``gap`` is within 100x of the zero cut
+    ``thresh`` (``gap`` is None when the structure report has none). A block
+    whose smallest |LU pivot| is zero, or below ``PIVOT_RATIO_FLOOR`` times
+    its largest, raises :class:`SingularBlockError`: L_rr is then numerically
+    singular, and a kernel of L larger than the DFS corner has no group
+    inverse here.
     """
 
-    superop: np.ndarray
-    order: np.ndarray
-    d: int
+    h: np.ndarray
+    jumps: tuple[np.ndarray, ...]
+    dfs: DfsProjector
     thresh: float
     gap: float | None
     leaky: bool
 
-    @classmethod
-    def of(cls, superop: np.ndarray, dfs: DfsProjector, *, thresh: float,
-           gap: float | None, leaky: bool) -> "CornerFactor":
-        return cls(superop=superop, order=dfs.vec_order, d=dfs.d, thresh=thresh, gap=gap,
-                   leaky=leaky)
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """L as a (D^2, D^2) matrix, assembled on first read (:func:`gksl_superop`)."""
+        return gksl_superop(self.h, self.jumps)
 
     def _gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """L[rows, cols], F-ordered: the transpose of a C-ordered gather of L^T."""
@@ -211,16 +260,15 @@ class CornerFactor:
     def _factored(self) -> tuple[list, np.ndarray]:
         """[(slice of r, LU of its diagonal block of L_rr)] and G = L_ur L_rr^-1."""
         _warn_if_gap_small(self.gap, self.thresh)
-        m = self.d ** 2
-        u, r = self.order[:m], self.order[m:]
-        dn = self.d * (isqrt(self.order.size) - self.d)
+        m = self.dfs.d ** 2
+        u, r = self.dfs.vec_order[:m], self.dfs.vec_order[m:]
         if self.leaky:
-            cuts = [slice(0, r.size)]
+            diagonal, feed = [self._gather(r, r)], self.superop[np.ix_(u, r)]
         else:
-            cuts = [slice(0, dn), slice(dn, 2 * dn), slice(2 * dn, r.size)]
-        blocks = []
-        for cut in cuts:
-            lu = zgetrf(self._gather(r[cut], r[cut]), overwrite_a=True)[:2]
+            *diagonal, feed = _normal_form_blocks(self.h, self.jumps, self.dfs)
+        blocks, start = [], 0
+        for block in diagonal:
+            lu = zgetrf(block, overwrite_a=True)[:2]
             pivots = np.abs(np.diag(lu[0]))
             small, big = pivots.min(), pivots.max()
             if small == 0 or small < PIVOT_RATIO_FLOOR * big:
@@ -229,23 +277,24 @@ class CornerFactor:
                     f"smallest/largest |LU pivot| {small / big if small else 0.0:.3e}"
                     f" < {PIVOT_RATIO_FLOOR:.3e}"
                 )
-            blocks.append((cut, lu))
+            blocks.append((slice(start, start + pivots.size), lu))
+            start += pivots.size
         # Only the last block (lr, or all of L_rr) feeds ul.
         cut, lu = blocks[-1]
         g = np.zeros((m, r.size), dtype=complex)
-        g[:, cut] = dagger(zgetrs(*lu, dagger(self.superop[np.ix_(u, r[cut])]), trans=2)[0])
+        g[:, cut] = dagger(zgetrs(*lu, dagger(feed), trans=2)[0])
         return blocks, g
 
     def _leave(self, z: np.ndarray) -> np.ndarray:
         """Frame columns z, in corner order, scattered back to vec order."""
         out = np.empty(z.shape, dtype=complex)
-        out[self.order] = z
+        out[self.dfs.vec_order] = z
         return out
 
     def apply_drazin(self, y: np.ndarray) -> np.ndarray:
         """L^D y = [G z_r; z_r] in the frame, z_r = L_rr^-1 y_r, for columns y."""
         blocks, g = self._factored
-        y_r = y[self.order[self.d ** 2:]]
+        y_r = y[self.dfs.vec_order[self.dfs.d ** 2:]]
         z = np.empty(y_r.shape, dtype=complex)
         for cut, lu in blocks:
             z[cut] = zgetrs(*lu, y_r[cut])[0]
@@ -257,8 +306,8 @@ class CornerFactor:
         P_inf E = E and E† P_inf = J† hold exactly: no D^2 x D^2 matrix is formed.
         """
         _, g = self._factored
-        m = self.d ** 2
-        y = y[self.order]
+        m = self.dfs.d ** 2
+        y = y[self.dfs.vec_order]
         if adjoint:
             return self._leave(np.concatenate([y[:m], -dagger(g) @ y[:m]]))
         return self._leave(np.concatenate([y[:m] - g @ y[m:], np.zeros(y[m:].shape)]))
@@ -270,8 +319,7 @@ class CornerFactor:
         getrs), and the ul row is G times it.
         """
         blocks, g = self._factored
-        m = self.d ** 2
-        order = self.order
+        order, m = self.dfs.vec_order, self.dfs.d ** 2
         out = np.zeros((order.size, order.size), dtype=complex)
         for cut, lu in blocks:
             side = cut.stop - cut.start
@@ -284,11 +332,11 @@ class CornerFactor:
     def projection(self) -> np.ndarray:
         """P_inf = E J† = [[I, -G], [0, 0]] in the frame."""
         _, g = self._factored
-        m = self.d ** 2
-        out = np.zeros((self.order.size,) * 2, dtype=complex)
-        top = self.order[:m]
+        order, m = self.dfs.vec_order, self.dfs.d ** 2
+        out = np.zeros((order.size,) * 2, dtype=complex)
+        top = order[:m]
         out[top, top] = 1.0
-        out[top[:, None], self.order[m:]] = -g
+        out[top[:, None], order[m:]] = -g
         return out
 
 
@@ -298,15 +346,16 @@ class StructuredLindbladian:
 
     Use :func:`structured_lindbladian` to construct one with validation. The
     non-Hermitian Hamiltonian ``k`` (supported on the decaying block), the
-    corner factor of the superoperator (``factor``) and the Schur form of K_qq
+    corner factor (``factor``) and the Schur form of K_qq
     (``decaying_sector``) are built once, at construction; the Drazin inverse
-    and the asymptotic projection are read off ``factor``.
+    and the asymptotic projection are read off ``factor``. The (D^2, D^2)
+    matrix of L is not: ``superop`` is the factor's, assembled at most once,
+    on first read (by the oracles, or by a leaky factor).
     """
 
     h: np.ndarray
     jumps: tuple[np.ndarray, ...]
     dfs: DfsProjector
-    superop: np.ndarray
     k: np.ndarray = field(repr=False)
     report: StructureReport = field(repr=False)
     factor: CornerFactor = field(repr=False)
@@ -315,6 +364,11 @@ class StructuredLindbladian:
     @property
     def dim(self) -> int:
         return self.h.shape[0]
+
+    @property
+    def superop(self) -> np.ndarray:
+        """L as a (D^2, D^2) matrix, cached on the factor after its first assembly."""
+        return self.factor.superop
 
     @cached_property
     def drazin(self) -> np.ndarray:
@@ -339,7 +393,32 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
     ])
 
 
-def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
+def _dfs_columns(h, jumps, dfs: DfsProjector) -> np.ndarray:
+    """L's columns at the d^2 DFS vec positions, as a C-ordered (D^2, d^2) array, from D x D products.
+
+    Column i + d j is vec L(b_i b_j†), with
+
+        L(b_i b_j†) = -i(H b_i b_j† - b_i b_j† H) + sum_l F_l b_i (F_l b_j)†
+                      - (1/2){W, b_i b_j†},   W = sum_l F_l† F_l,
+
+    so only the DFS columns of the F_l, one column and one row of H and W
+    per unit, and one (D d)-side product for the jump sum are formed. The
+    entries are computed as :func:`~ejof.operators.gksl_superop` computes
+    them, jump sum first, then the K and K' terms.
+    """
+    dim, d, idx = dfs.dim, dfs.d, dfs.indices
+    f = np.array(jumps, dtype=complex).reshape(-1, dim, dim)[:, :, idx].reshape(-1, dim * d)
+    # (conj(f)^T f)[(b, j), (a, i)] = sum_l conj(F_l[b, idx_j]) F_l[a, idx_i] is
+    # entry (a, b) of unit i + d j, at row a + D b: cols[b, a, j, i] below.
+    cols = np.ascontiguousarray((f.conj().T @ f).reshape(dim, d, dim, d).transpose(0, 2, 1, 3))
+    w = sum((dagger(a) @ a for a in jumps), np.zeros_like(h))
+    units = np.arange(d)
+    cols[idx, :, units, :] -= 1j * (h - 0.5j * w)[:, idx]    # column idx_j of unit (i, j): -i K b_i
+    cols[:, idx, :, units] += 1j * (h + 0.5j * w).T[:, idx]  # row idx_i of unit (i, j): i b_j† K'
+    return cols.reshape(dim * dim, d * d)
+
+
+def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     """(report, K, Schur form of K_qq, zero cut, whether any entry leaks).
 
     An entry leaks when it lies in H outside lr or in a jump outside ur. The
@@ -349,10 +428,11 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     The scale is max(1, rho), with rho the largest |lambda| that the normal
     form reads off the Schur form of K_qq (the spectral radius of L when the
     H and jump checks pass). The cut is 1e-8 times that scale, and the
-    steadiness residual is divided by it. No decomposition of L is taken: when
-    an H or jump check fails, K_qq does not give the spectrum of L, so the
-    zero multiplicity and the gap are None and the multiplicity check is not
-    made.
+    steadiness residual, the largest norm of L(b_i b_j†) over the DFS units
+    (:func:`_dfs_columns`), is divided by it. L is not formed and no
+    decomposition of it is taken: when an H or jump check fails, K_qq does
+    not give the spectrum of L, so the zero multiplicity and the gap are None
+    and the multiplicity check is not made.
     """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
@@ -364,12 +444,7 @@ def _diagnose(h, jumps, dfs: DfsProjector, superop: np.ndarray, tol: float):
     mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
     scale_s = max(1.0, float(np.max(mags)))
     thresh = ZERO_CLUSTER_FACTOR * scale_s
-    # Steadiness: L applied to each DFS unit b_i b_j† is L's column at the
-    # unit's vec position. np.take returns the columns C-ordered (a fancy-index
-    # gather would be F-ordered), and the layout fixes the order in which the
-    # column norms are summed.
-    cols = np.take(superop, dfs.vec_order[:dfs.d ** 2], axis=1)
-    steady = float(np.max(np.linalg.norm(cols, axis=0))) / scale_s
+    steady = float(np.max(np.linalg.norm(_dfs_columns(h, jumps, dfs), axis=0))) / scale_s
     multiplicity = gap = None
     if max((h_herm, h_block) + jump_res) <= tol:
         nonzero = mags[mags > thresh]
@@ -397,14 +472,16 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     so callers can inspect what failed.
 
     The Schur form of K_qq and the zero cut 1e-8 max(1, rho) are computed
-    here, once (see :func:`_diagnose`); when the H and jump checks pass, the
-    zero multiplicity and the gap are read off K_qq too. L^D and P_inf come
-    from a :class:`CornerFactor`, which eliminates the DFS corner of L and
-    LU-factors its decaying-corner blocks (sides dn, dn and n^2 under the
-    normal form) on first use. It solves the bordered system
-    [[L, E], [E†, 0]], which is L^D only when the DFS is steady and L_rr is
-    invertible: with validate=False and a DFS that is not steady, the factor
-    is the bordered solve, not L^D.
+    here, once, and the DFS steadiness is read off D x D products (see
+    :func:`_diagnose`); when the H and jump checks pass, the zero
+    multiplicity and the gap are read off K_qq too. The (D^2, D^2) matrix of
+    L is not assembled here. L^D and P_inf come from a :class:`CornerFactor`,
+    which eliminates the DFS corner of L and LU-factors its decaying-corner
+    blocks (sides dn, dn and n^2 under the normal form, built from H and the
+    jumps) on first use. It solves the bordered system [[L, E], [E†, 0]],
+    which is L^D only when the DFS is steady and L_rr is invertible: with
+    validate=False and a DFS that is not steady, the factor is the bordered
+    solve, not L^D.
     """
     h = as_operator(h)
     jumps = tuple(as_operator(f) for f in jumps)
@@ -412,15 +489,16 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
         raise ValueError(f"hamiltonian dimension {h.shape[0]} != projector dimension {dfs.dim}")
     if dfs.d >= dfs.dim:
         raise ValueError("DFS must be a proper subspace (nonempty decaying block)")
-    # Assemble without the Hermiticity hard-check; the report records it, and
-    # validate=True raises below on any failure.
-    superop = gksl_superop(h, jumps)
-    rep, k, sector, thresh, leaky = _diagnose(h, jumps, dfs, superop, tol)
+    for f in jumps:
+        if f.shape != h.shape:
+            raise ValueError(f"jump shape {f.shape} != hamiltonian shape {h.shape}")
+    rep, k, sector, thresh, leaky = _diagnose(h, jumps, dfs, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
-    factor = CornerFactor.of(superop, dfs, thresh=thresh, gap=rep.spectral_gap, leaky=leaky)
-    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, superop=superop, k=k, report=rep,
-                                 factor=factor, decaying_sector=sector)
+    factor = CornerFactor(h=h, jumps=jumps, dfs=dfs, thresh=thresh, gap=rep.spectral_gap,
+                          leaky=leaky)
+    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, k=k, report=rep, factor=factor,
+                                 decaying_sector=sector)
 
 
 def decay_rates(s: np.ndarray) -> np.ndarray:

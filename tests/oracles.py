@@ -35,7 +35,6 @@ from ejof.operators import (
     dagger,
     four_corners,
     frob,
-    gksl_superop,
 )
 
 
@@ -196,13 +195,11 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def structure_report(h, jumps, dfs: DfsProjector, superop=None, tol: float = DEFAULT_TOL):
+def structure_report(h, jumps, dfs: DfsProjector, tol: float = DEFAULT_TOL):
     """The structural checks of a generator, evaluated without raising."""
     h = as_operator(h)
     jumps = [as_operator(f) for f in jumps]
-    if superop is None:
-        superop = gksl_superop(h, jumps)
-    return _diagnose(h, jumps, dfs, superop, tol)[0]
+    return _diagnose(h, jumps, dfs, tol)[0]
 
 
 class NonSemisimpleZeroError(np.linalg.LinAlgError):
@@ -299,6 +296,14 @@ class OrderedSchur:
         """P_inf = I - S S^D = (Z2 - Z1 inv(T11) T12) Z2†."""
         left, z2 = self._steady_columns()
         return left @ dagger(z2)
+
+
+def bordered_solve(s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L^D and P_inf from the dense inverse of [[L, E], [E†, 0]], for the DFS columns E."""
+    n, m = e.shape
+    inv = np.linalg.inv(np.block([[s, e], [dagger(e), np.zeros((m, m))]]))
+    z, j = inv[:n, :n], dagger(inv[n:, :n])
+    return z - e @ (dagger(j) @ z), e @ dagger(j)
 
 
 def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:

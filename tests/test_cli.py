@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,14 @@ from ejof import cli
 from ejof.cli import main
 from ejof.operators import dagger, projector_frame
 from ejof.qec import repetition_code_recovery
-from oracles import OrderedSchur
+from oracles import (
+    OrderedSchur,
+    bordered_solve,
+    compress_superop,
+    dense_dfs,
+    dfs_columns,
+    perturbation_superops,
+)
 
 
 def pair(z):
@@ -635,8 +644,10 @@ def test_qec_refuses_a_flag_its_mode_does_not_read(argv, flag, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", [["--obstruction"], ["--miscal", "X"]],
-                         ids=["obstruction", "miscal"])
+QEC_MODES = {"obstruction": ["--obstruction"], "miscal": ["--miscal", "X"]}
+
+
+@pytest.mark.parametrize("mode", QEC_MODES.values(), ids=QEC_MODES.keys())
 def test_qec_refuses_a_zero_eps(mode, tmp_path, capsys):
     # At eps = 0 the obstruction cell reads FAIL and a miscalibration reads
     # "robust": neither says anything about the code.
@@ -646,8 +657,35 @@ def test_qec_refuses_a_zero_eps(mode, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", [["--obstruction"], ["--miscal", "X"]],
-                         ids=["obstruction", "miscal"])
+@pytest.mark.parametrize("eps", ["1e150", "1e-200", "-1.2e75", "1.2e-75"])
+@pytest.mark.parametrize("mode", QEC_MODES.values(), ids=QEC_MODES.keys())
+def test_qec_refuses_an_eps_whose_l_eff_norm_leaves_the_float_range(mode, eps, monkeypatch,
+                                                                     tmp_path, capsys):
+    # L_eff is O(eps^2) and its norm squares it: at 1e150 the norm overflows
+    # to inf, at 1e-200 it underflows to 0 and the obstruction cell reads
+    # FAIL. Both ends are refused before anything is computed.
+    def computed(*args, **kwargs):
+        raise AssertionError("computed with an eps out of range")
+
+    monkeypatch.setattr(cli, "robustness_check", computed)
+    monkeypatch.setattr(cli, "hamiltonian_obstruction_demo", computed)
+    out = tmp_path / "qec.json"
+    assert main(["qec", "repetition", *mode, f"--eps={eps}", "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: --eps: magnitude")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["1.1e75", "-1.3e-75"])
+@pytest.mark.parametrize("mode", QEC_MODES.values(), ids=QEC_MODES.keys())
+def test_qec_passes_just_inside_the_eps_range(mode, eps, tmp_path):
+    out = tmp_path / "qec.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["qec", "repetition", *mode, f"--eps={eps}", "--out", str(out)]) == 0
+    assert all(load_report(out)["verdicts"].values())
+
+
+@pytest.mark.parametrize("mode", QEC_MODES.values(), ids=QEC_MODES.keys())
 def test_qec_reads_a_negative_eps(mode):
     assert main(["qec", "repetition", *mode, "--eps", "-0.01"]) == cli.EXIT_OK
 
@@ -993,3 +1031,151 @@ def test_identity_check_reuses_the_closed_route_pieces(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     assert main(["effective", three_level_problem(tmp_path)]) == cli.EXIT_OK
     assert calls == {"nh_hamiltonian_inverse": 1, "effective_coupling": 1}
+
+
+def structured_draw_problem(tmp_path, d=4, n=16, n_jumps=5, seed=2):
+    """A random normal-form draw and its perturbation, as a problem file."""
+    lind, pert = ejof.effective.random_structured_instance(d, n, n_jumps, seed)
+    return write_problem(tmp_path, {
+        "version": 1, "hilbert_dim": d + n, "dfs": list(range(d)),
+        "hamiltonian": cli.matrix_json(lind.h), "jumps": [cli.matrix_json(f) for f in lind.jumps],
+        "perturbation": {"v": cli.matrix_json(pert.v),
+                         "f": [cli.matrix_json(f) for f in pert.fs]},
+    }, "draw.json")
+
+
+def repetition_x_problem(tmp_path, eps=0.01):
+    """The repetition code under an X miscalibration, as a problem file."""
+    _, lind = repetition_code_recovery()
+    pert = ejof.qec.pauli_miscalibration("X", eps)
+    return write_problem(tmp_path, {
+        "version": 1, "hilbert_dim": lind.dim, "dfs": lind.dfs.indices.tolist(),
+        "jumps": [cli.matrix_json(f) for f in lind.jumps],
+        "perturbation": {"f": [cli.matrix_json(f) for f in pert.fs]},
+    }, "rep_x.json")
+
+
+def spy_superop_sides(monkeypatch):
+    """The side of the H each gksl_superop call gets, from every ejof namespace."""
+    real, sides = ejof.operators.gksl_superop, []
+
+    def spy(h, *args, **kwargs):
+        sides.append(np.shape(h)[0])
+        return real(h, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ejof" and getattr(module, "gksl_superop", None) is real:
+            monkeypatch.setattr(module, "gksl_superop", spy)
+    return sides
+
+
+def largest_line_growth(argv, modules=("lindblad", "operators", "effective")):
+    """Exit code of main(argv), and the largest tracemalloc growth over one traced source line.
+
+    The lines of the named ejof modules are traced: each one's growth is the
+    peak of traced memory while it runs (what it calls included), less the
+    memory traced when it started. Entering these modules from other code
+    starts afresh, so only their own lines are measured. An array allocated
+    inside a line raises that line's growth by at least its size.
+    """
+    files = tuple(str(Path(ejof.operators.__file__).with_name(f"{m}.py")) for m in modules)
+    worst, start = [0], [0]
+
+    def checkpoint(record):
+        if record:
+            worst[0] = max(worst[0], tracemalloc.get_traced_memory()[1] - start[0])
+        tracemalloc.reset_peak()
+        start[0] = tracemalloc.get_traced_memory()[0]
+
+    def step(frame, event, arg):
+        checkpoint(True)
+        return step
+
+    def enter(frame, event, arg):
+        if frame.f_code.co_filename not in files:
+            return None
+        checkpoint(frame.f_back is not None and frame.f_back.f_code.co_filename in files)
+        return step
+
+    tracemalloc.start()
+    sys.settrace(enter)
+    try:
+        code = main(argv)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return code, worst[0]
+
+
+@pytest.mark.parametrize("command", ["effective", "verify"])
+@pytest.mark.parametrize("make, dim", [(structured_draw_problem, 20), (repetition_x_problem, 8)],
+                         ids=["draw-d20", "rep-x"])
+def test_effective_and_verify_build_no_full_space_superoperator(command, make, dim, tmp_path,
+                                                                 monkeypatch):
+    # On a generator in normal form the corner factor builds the blocks of
+    # L_rr from K_qq and the jumps: L, with D^4 entries, is never assembled.
+    # At D = 8 the largest line, the O2 stack of verify's corner batch, grows
+    # by 0.94 of a D^4 array; assembling L grows one line by 2.0 of it.
+    argv = [command, make(tmp_path), "--out", str(tmp_path / "report.json")]
+    sides = spy_superop_sides(monkeypatch)
+    code, growth = largest_line_growth(argv)
+    assert code == (1 if make is repetition_x_problem and command == "verify" else 0)
+    assert sides and dim not in sides
+    assert growth < dim ** 4 * np.dtype(complex).itemsize
+
+
+def test_a_corrupted_k_moves_the_closed_route_only(tmp_path, monkeypatch):
+    # The corner factor forms K_qq from H and the jumps, never from lind.k.
+    # K corrupted by 1e-6 on its lr block leaves the general route as it is,
+    # moves the closed route, which reads lind.k, and fails verify.
+    problem = structured_draw_problem(tmp_path)
+    parsed = cli.load_problem(problem)
+
+    def study():
+        lind = ejof.lindblad.structured_lindbladian(parsed.hamiltonian, parsed.jumps, parsed.dfs)
+        return ejof.effective.Study(lind, parsed.pert)
+
+    want = study()
+    rng = np.random.default_rng(0)
+    lr = np.ix_(parsed.dfs.rest, parsed.dfs.rest)
+    noise = np.zeros(parsed.hamiltonian.shape, dtype=complex)
+    noise[lr] = 1e-6 * (rng.standard_normal(noise[lr].shape)
+                        + 1j * rng.standard_normal(noise[lr].shape))
+    real = ejof.lindblad.nh_hamiltonian
+    monkeypatch.setattr(ejof.lindblad, "nh_hamiltonian", lambda h, jumps: real(h, jumps) + noise)
+    got = study()
+    assert np.linalg.norm(got.general - want.general) <= 1e-14 * np.linalg.norm(want.general)
+    moved = np.linalg.norm(got.closed_block - want.closed_block)
+    assert moved > 1e-9 * np.linalg.norm(want.closed_block)
+    assert main(["verify", problem]) == 1
+
+
+# H couples the DFS to the decaying level by 1e-12, below the structure tolerance.
+LEAKY_SYSTEM = dict(README_SYSTEM, hamiltonian=matrix([[0, 0, 1e-12], [0, 0, 0], [1e-12, 0, 1]]))
+
+
+@pytest.mark.parametrize("payload, flags", [(LEAKY_SYSTEM, []), (LR_JUMP_SYSTEM, ["--force"])],
+                         ids=["leaky", "lr-jump-force"])
+def test_a_leaky_generator_factors_l_rr_whole_from_l(payload, flags, tmp_path, monkeypatch):
+    # An H or jump entry off its corner couples the blocks of L_rr: the
+    # factor assembles L once, on first use, and factors L_rr whole.
+    problem = write_problem(tmp_path, payload)
+    out = tmp_path / "report.json"
+    sides = spy_superop_sides(monkeypatch)
+    lus = []
+    real = ejof.lindblad.zgetrf
+    monkeypatch.setattr(ejof.lindblad, "zgetrf",
+                        lambda a, *args, **kwargs: lus.append(a.shape[0]) or real(a, *args, **kwargs))
+    assert main(["effective", problem, *flags, "--out", str(out)]) == 0
+    assert sides.count(3) == 1
+    assert lus == [3 ** 2 - 2 ** 2]
+    # The dense resolvent formula on the bordered solve, which the factor is.
+    parsed = cli.load_problem(problem)
+    lind = ejof.lindblad.structured_lindbladian(parsed.hamiltonian, parsed.jumps, parsed.dfs,
+                                                validate=False)
+    basis = dense_dfs(lind.dfs).basis
+    drazin, proj = bordered_solve(lind.superop, dfs_columns(basis))
+    o1, o2 = perturbation_superops(lind, parsed.pert)
+    want = compress_superop(proj @ (o1 + o2 - o1 @ drazin @ o1) @ proj, basis)
+    got = unmatrix(load_report(out)["l_eff_general"])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -47,6 +47,7 @@ from oracles import (
     OrderedSchur,
     anticommutator_superop,
     asymptotic_projection,
+    bordered_solve,
     commutator_superop,
     compress_superop,
     cp_superop_per_unit,
@@ -455,14 +456,6 @@ def test_bordered_factor_matches_schur_oracle(make):
         assert frob(got - want @ cols) <= 1e-11 * frob(want @ cols)
 
 
-def _bordered_solve(s, e):
-    """L^D and P_inf from the dense inverse of [[L, E], [E†, 0]]."""
-    n, m = e.shape
-    inv = np.linalg.inv(np.block([[s, e], [dagger(e), np.zeros((m, m))]]))
-    z, j = inv[:n, :n], dagger(inv[n:, :n])
-    return z - e @ (dagger(j) @ z), e @ dagger(j)
-
-
 def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
     # H couples the DFS to the decaying block by 1e-12: the checks pass, L's
     # coupling blocks are nonzero, and L_rr is factored whole. The result is
@@ -475,7 +468,7 @@ def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
     assert isinstance(lind.factor, CornerFactor)
     lus = []
     _count_calls(monkeypatch, ejof.lindblad, "zgetrf", lus)
-    want_d, want_p = _bordered_solve(lind.superop, dfs_columns(dense_dfs(lind.dfs).basis))
+    want_d, want_p = bordered_solve(lind.superop, dfs_columns(dense_dfs(lind.dfs).basis))
     assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
     assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)
     assert lus == [lind.dim ** 2 - lind.dfs.d ** 2]

@@ -226,6 +226,9 @@ COMMANDS = {
     # A zero miscalibration is an input error in both modes.
     "qec-obstruction-zero-eps": ["qec", "repetition", "--obstruction", "--eps", "0"],
     "qec-miscal-zero-eps": ["qec", "repetition", "--miscal", "X", "--eps", "0"],
+    # So is an eps whose L_eff norm would overflow or underflow.
+    "qec-miscal-huge-eps": ["qec", "repetition", "--miscal", "X", "--eps", "1e150"],
+    "qec-obstruction-tiny-eps": ["qec", "repetition", "--obstruction", "--eps", "1e-200"],
     "evolve-three-level": ["evolve", "three_level.json", *GRID,
                            "--plot-data", "plots/evolve-three-level"],
     "evolve-rep": ["evolve", "rep_evolve.json", *GRID, "--plot-data", "plots/evolve-rep"],
