@@ -26,14 +26,15 @@ zero multiplicity, the gap and the spectral radius rho(L) off it. The zero
 cut is relative to that radius, |lambda| <= 1e-8 max(1, rho(L)), so no norm
 of L is taken. That Schur form is the only decomposition of the generator,
 and the DFS steadiness check applies L to the d^2 DFS units by D x D
-products. The (D^2, D^2) matrix of L is not built to construct a generator:
-the Drazin inverse and the asymptotic projection come from eliminating the
-DFS corner (:class:`CornerFactor`): in the frame of the DFS basis, L is
-block-triangular with its kernel on the DFS corner, and both are read off
-LUs of the decaying-corner blocks of L. Under the normal form these blocks
+products when an entry leaks off its corner (without one, L(b_i b_j†) is
+exactly zero). The (D^2, D^2) matrix of L is not built to construct a
+generator: the Drazin inverse and the asymptotic projection come from
+eliminating the DFS corner (:class:`CornerFactor`): in the frame of the DFS
+basis, L is block-triangular with its kernel on the DFS corner, and both are
+read off LUs of the decaying-corner blocks of L. Under the normal form these blocks
 (ll, ur and lr, block diagonal) and the feed into the DFS corner are
 Kronecker functions of K_qq and the jumps' decaying columns, built in place
-from H and the jumps; only when an entry leaks off its corner is L
+from H, the jumps and W = sum_l F_l† F_l, summed once; only when an entry leaks off its corner is L
 assembled, once, in K form with one GEMM for the jump sum
 (:func:`~ejof.operators.gksl_superop`), and L_rr gathered whole. A block with
 a zero or tiny pivot raises :class:`SingularBlockError`. The decaying-sector map
@@ -159,24 +160,22 @@ def _warn_if_gap_small(gap: float | None, thresh: float) -> None:
         )
 
 
-def _normal_form_blocks(h, jumps, dfs: DfsProjector) -> tuple[np.ndarray, ...]:
+def _normal_form_blocks(h, w, jumps, dfs: DfsProjector) -> tuple[np.ndarray, ...]:
     """The ll, ur and lr blocks of L_rr and the lr columns of L_ur, for a generator in normal form.
 
     Each block is one F-ordered allocation, and its Kronecker terms are
     written on strided diagonal views of it, as
-    :func:`~ejof.operators.gksl_superop` writes them on L: -i K_qq and
-    i K_qq'^T, for K_qq = H_qq - (i/2) W_qq and K_qq' = H_qq + (i/2) W_qq
-    (K_qq'^T = conj K_qq for Hermitian H), with W_qq = sum_l F_l† F_l over
-    the jumps' decaying columns. The jump sum of L_ur is one GEMM, reordered
-    once to Kronecker layout.
+    :func:`~ejof.operators.gksl_superop` writes them on L, with the same
+    entries: -i K_qq and i K_qq'^T, for K_qq = H_qq - (i/2) W_qq and
+    K_qq' = H_qq + (i/2) W_qq (K_qq'^T = conj K_qq for Hermitian H), read off
+    W = sum_l F_l† F_l. The jump sum of L_ur is one GEMM over the jumps'
+    ur entries, reordered once to Kronecker layout.
     """
     d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
-    f = np.array(jumps, dtype=complex).reshape(-1, dfs.dim, dfs.dim)[:, :, rest]
-    flat = f.reshape(-1, n)
-    w = dagger(flat) @ flat
-    h_qq = h[rest[:, None], rest]
-    minus_ik = -1j * (h_qq - 0.5j * w)
-    ik_t = 1j * (h_qq + 0.5j * w).T
+    lr_of = (rest[:, None], rest)
+    h_qq, w_qq = h[lr_of], w[lr_of]
+    minus_ik = -1j * (h_qq - 0.5j * w_qq)
+    ik_t = 1j * (h_qq + 0.5j * w_qq).T
     ll, ur = (np.zeros((d * n, d * n), dtype=complex, order="F") for _ in range(2))
     lr = np.zeros((n * n, n * n), dtype=complex, order="F")
     # A block of side p q, reshaped F-ordered to (p, q, p, q), is indexed
@@ -192,7 +191,8 @@ def _normal_form_blocks(h, jumps, dfs: DfsProjector) -> tuple[np.ndarray, ...]:
         view += term
     # (a^T conj(a))[(i, k), (j, m)] = sum_l F_l[idx_i, rest_k] conj(F_l[idx_j, rest_m]);
     # its Kronecker row is i + d j and its column k + n m.
-    a = f[:, idx, :].reshape(len(f), d * n)
+    a = np.array([f[idx[:, None], rest] for f in jumps], dtype=complex)
+    a = a.reshape(len(jumps), d * n)
     feed = (a.T @ a.conj()).reshape(d, n, d, n).transpose(2, 0, 3, 1).reshape(d * d, n * n)
     return ll, ur, lr, feed
 
@@ -215,8 +215,8 @@ class CornerFactor:
     ur columns of L_ur, comes from an H entry outside lr or a jump entry
     outside ur. Without such an entry (``leaky`` False) L_rr is block
     diagonal, and its blocks and the lr columns of L_ur are built in place
-    from K_qq = H_qq - (i/2) W_qq, W_qq the sum of F_l† F_l over the jumps'
-    decaying columns, and from the F_l[idx, rest] (:func:`_normal_form_blocks`):
+    from K_qq = H_qq - (i/2) W_qq, with ``w`` = W = sum_l F_l† F_l formed
+    from the jumps, and from the F_l[idx, rest] (:func:`_normal_form_blocks`):
 
         ll = I_d kron (-i K_qq),   ur = (i conj K_qq) kron I_d,
         lr = -i (I_n kron K_qq - conj K_qq kron I_n),
@@ -225,9 +225,9 @@ class CornerFactor:
     K_qq is formed here, never read off the generator's ``k``, so the general
     route shares no input with the closed one. With a leaking entry (leakage
     below the tolerance, or a generator that fails its checks), L is
-    assembled (``superop``, on first read) and L_rr and L_ur are gathered
-    whole, so no entry of L is dropped. Each block is one F-ordered array,
-    LU-factored in place.
+    assembled (``superop``, on first read, with this W) and L_rr and L_ur
+    are gathered whole, so no entry of L is dropped. Each block is one
+    F-ordered array, LU-factored in place.
 
     The frame is the permutation ``dfs.order``, and ``dfs.vec_order`` gives
     the vec index of each frame position, so entering or leaving the frame is
@@ -242,6 +242,7 @@ class CornerFactor:
 
     h: np.ndarray
     jumps: tuple[np.ndarray, ...]
+    w: np.ndarray
     dfs: DfsProjector
     thresh: float
     gap: float | None
@@ -250,7 +251,7 @@ class CornerFactor:
     @cached_property
     def superop(self) -> np.ndarray:
         """L as a (D^2, D^2) matrix, assembled on first read (:func:`gksl_superop`)."""
-        return gksl_superop(self.h, self.jumps)
+        return gksl_superop(self.h, self.jumps, self.w)
 
     def _gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """L[rows, cols], F-ordered: the transpose of a C-ordered gather of L^T."""
@@ -265,7 +266,7 @@ class CornerFactor:
         if self.leaky:
             diagonal, feed = [self._gather(r, r)], self.superop[np.ix_(u, r)]
         else:
-            *diagonal, feed = _normal_form_blocks(self.h, self.jumps, self.dfs)
+            *diagonal, feed = _normal_form_blocks(self.h, self.w, self.jumps, self.dfs)
         blocks, start = [], 0
         for block in diagonal:
             lu = zgetrf(block, overwrite_a=True)[:2]
@@ -350,7 +351,8 @@ class StructuredLindbladian:
     (``decaying_sector``) are built once, at construction; the Drazin inverse
     and the asymptotic projection are read off ``factor``. The (D^2, D^2)
     matrix of L is not: ``superop`` is the factor's, assembled at most once,
-    on first read (by the oracles, or by a leaky factor).
+    on first read (by the oracles, or by a leaky factor). A factor swapped in
+    for the corner factor keeps the matrix it factors as its ``superop``.
     """
 
     h: np.ndarray
@@ -393,7 +395,7 @@ def _normal_form_magnitudes(kappa: np.ndarray, d: int) -> np.ndarray:
     ])
 
 
-def _dfs_columns(h, jumps, dfs: DfsProjector) -> np.ndarray:
+def _dfs_columns(h, w, jumps, dfs: DfsProjector) -> np.ndarray:
     """L's columns at the d^2 DFS vec positions, as a C-ordered (D^2, d^2) array, from D x D products.
 
     Column i + d j is vec L(b_i b_j†), with
@@ -404,14 +406,13 @@ def _dfs_columns(h, jumps, dfs: DfsProjector) -> np.ndarray:
     so only the DFS columns of the F_l, one column and one row of H and W
     per unit, and one (D d)-side product for the jump sum are formed. The
     entries are computed as :func:`~ejof.operators.gksl_superop` computes
-    them, jump sum first, then the K and K' terms.
+    them, jump sum first, then the K and K' terms, from the same W.
     """
     dim, d, idx = dfs.dim, dfs.d, dfs.indices
     f = np.array(jumps, dtype=complex).reshape(-1, dim, dim)[:, :, idx].reshape(-1, dim * d)
     # (conj(f)^T f)[(b, j), (a, i)] = sum_l conj(F_l[b, idx_j]) F_l[a, idx_i] is
     # entry (a, b) of unit i + d j, at row a + D b: cols[b, a, j, i] below.
     cols = np.ascontiguousarray((f.conj().T @ f).reshape(dim, d, dim, d).transpose(0, 2, 1, 3))
-    w = sum((dagger(a) @ a for a in jumps), np.zeros_like(h))
     units = np.arange(d)
     cols[idx, :, units, :] -= 1j * (h - 0.5j * w)[:, idx]    # column idx_j of unit (i, j): -i K b_i
     cols[:, idx, :, units] += 1j * (h + 0.5j * w).T[:, idx]  # row idx_i of unit (i, j): i b_j† K'
@@ -419,17 +420,21 @@ def _dfs_columns(h, jumps, dfs: DfsProjector) -> np.ndarray:
 
 
 def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
-    """(report, K, Schur form of K_qq, zero cut, whether any entry leaks).
+    """(report, K, W, Schur form of K_qq, zero cut, whether any entry leaks).
 
     An entry leaks when it lies in H outside lr or in a jump outside ur. The
     flag tests the entries themselves: the report's residuals are norms, which
-    underflow to zero for entries below about 1e-154.
+    underflow to zero for entries below about 1e-154. W = sum_l F_l† F_l is
+    summed here once, as :func:`~ejof.operators.gksl_superop` sums it, for the
+    steadiness residual and the corner factor; K is :func:`nh_hamiltonian`'s.
 
     The scale is max(1, rho), with rho the largest |lambda| that the normal
     form reads off the Schur form of K_qq (the spectral radius of L when the
     H and jump checks pass). The cut is 1e-8 times that scale, and the
     steadiness residual, the largest norm of L(b_i b_j†) over the DFS units
-    (:func:`_dfs_columns`), is divided by it. L is not formed and no
+    (:func:`_dfs_columns`), is divided by it. Without a leaking entry the
+    DFS columns of H, of the F_l and of W are exact zeros, so L(b_i b_j†) is
+    exactly zero and the residual is 0 without a product. L is not formed and no
     decomposition of it is taken: when an H or jump check fails, K_qq does
     not give the spectrum of L, so the zero multiplicity and the gap are None
     and the multiplicity check is not made.
@@ -439,12 +444,16 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     leaks = [h - four_corners(h, dfs).lr] + [f - four_corners(f, dfs).ur for f in jumps]
     h_block = frob(leaks[0]) / scale_h
     jump_res = tuple(frob(x) / max(1.0, frob(f)) for x, f in zip(leaks[1:], jumps))
+    leaky = any(x.any() for x in leaks)
     k = nh_hamiltonian(h, jumps)
+    w = sum((dagger(f) @ f for f in jumps), np.zeros_like(h))
     sector = SectorSolver.of(k, dfs)
     mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
     scale_s = max(1.0, float(np.max(mags)))
     thresh = ZERO_CLUSTER_FACTOR * scale_s
-    steady = float(np.max(np.linalg.norm(_dfs_columns(h, jumps, dfs), axis=0))) / scale_s
+    steady = 0.0
+    if leaky:
+        steady = float(np.max(np.linalg.norm(_dfs_columns(h, w, jumps, dfs), axis=0))) / scale_s
     multiplicity = gap = None
     if max((h_herm, h_block) + jump_res) <= tol:
         nonzero = mags[mags > thresh]
@@ -460,7 +469,7 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
         spectral_gap=gap,
         tol=tol,
     )
-    return report, k, sector, thresh, any(x.any() for x in leaks)
+    return report, k, w, sector, thresh, leaky
 
 
 def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
@@ -472,13 +481,14 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     so callers can inspect what failed.
 
     The Schur form of K_qq and the zero cut 1e-8 max(1, rho) are computed
-    here, once, and the DFS steadiness is read off D x D products (see
+    here, once, and the DFS steadiness is read off D x D products when an
+    entry leaks off its corner, and is exactly 0 otherwise (see
     :func:`_diagnose`); when the H and jump checks pass, the zero
     multiplicity and the gap are read off K_qq too. The (D^2, D^2) matrix of
     L is not assembled here. L^D and P_inf come from a :class:`CornerFactor`,
     which eliminates the DFS corner of L and LU-factors its decaying-corner
-    blocks (sides dn, dn and n^2 under the normal form, built from H and the
-    jumps) on first use. It solves the bordered system [[L, E], [E†, 0]],
+    blocks (sides dn, dn and n^2 under the normal form, built from H, the
+    jumps and their W = sum_l F_l† F_l) on first use. It solves the bordered system [[L, E], [E†, 0]],
     which is L^D only when the DFS is steady and L_rr is invertible: with
     validate=False and a DFS that is not steady, the factor is the bordered
     solve, not L^D.
@@ -492,10 +502,10 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     for f in jumps:
         if f.shape != h.shape:
             raise ValueError(f"jump shape {f.shape} != hamiltonian shape {h.shape}")
-    rep, k, sector, thresh, leaky = _diagnose(h, jumps, dfs, tol)
+    rep, k, w, sector, thresh, leaky = _diagnose(h, jumps, dfs, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
-    factor = CornerFactor(h=h, jumps=jumps, dfs=dfs, thresh=thresh, gap=rep.spectral_gap,
+    factor = CornerFactor(h=h, jumps=jumps, w=w, dfs=dfs, thresh=thresh, gap=rep.spectral_gap,
                           leaky=leaky)
     return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, k=k, report=rep, factor=factor,
                                  decaying_sector=sector)

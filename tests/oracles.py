@@ -220,10 +220,12 @@ class OrderedSchur:
     package's :class:`~ejof.lindblad.CornerFactor` takes LUs of the
     decaying-corner blocks of L. It exposes the same
     ``drazin``/``projection``/``apply_drazin``/``apply_projection`` interface,
-    so ``dataclasses.replace(lind, factor=OrderedSchur.of(lind.superop))``
-    runs a route on it.
+    and keeps the matrix it factors as ``superop``, as a corner factor keeps
+    its assembly, so ``dataclasses.replace(lind, factor=OrderedSchur.of(lind.superop))``
+    runs a route on it and still reads ``lind.superop``.
     """
 
+    superop: np.ndarray
     t: np.ndarray
     z: np.ndarray
     sdim: int
@@ -237,7 +239,7 @@ class OrderedSchur:
             zero_tol = ZERO_CLUSTER_FACTOR * float(np.linalg.norm(s, 2))
         thresh = float(zero_tol)
         t, z, sdim = schur(s, output="complex", sort=lambda lam: abs(lam) > thresh)
-        return cls(t=t, z=z, sdim=int(sdim), thresh=thresh)
+        return cls(superop=s, t=t, z=z, sdim=int(sdim), thresh=thresh)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -504,6 +505,14 @@ def test_corner_factor_copies_only_the_blocks_it_factors():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * lr_bytes
+
+
+def test_a_swapped_factor_keeps_the_generator_matrix():
+    # Routes are run on the dense oracle by swapping it in for the corner
+    # factor; the generator's matrix is then the oracle's, the same L.
+    lind = random_structured_instance(2, 3, 2, 11)[0]
+    swapped = dataclasses.replace(lind, factor=OrderedSchur.of(lind.superop))
+    assert swapped.superop is lind.superop
 
 
 def _scenario_lindbladian(name):

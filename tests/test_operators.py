@@ -237,6 +237,23 @@ def test_steadiness_residual_equals_the_dense_column_product(rng, indices):
     assert rep.dfs_steady == want > 0
 
 
+@pytest.mark.parametrize("indices", INDEX_SETS, ids=str)
+def test_a_generator_in_normal_form_has_exactly_zero_dfs_columns(rng, indices):
+    # With H on lr and the jumps on ur, L's DFS columns are exact zeros, so
+    # the report reads the steadiness residual as 0 without forming them.
+    dfs = DfsProjector.from_indices(8, indices)
+    lr, ur = np.ix_(dfs.rest, dfs.rest), np.ix_(dfs.indices, dfs.rest)
+    h = np.zeros((8, 8), dtype=complex)
+    a = random_matrix(rng, dfs.n_decay)
+    h[lr] = a + dagger(a)
+    jumps = [np.zeros((8, 8), dtype=complex) for _ in range(2)]
+    for f in jumps:
+        f[ur] = rng.standard_normal((dfs.d, dfs.n_decay))
+    cols = gksl_superop(h, jumps) @ dfs_columns(dense_dfs(dfs).basis)
+    assert not cols.any()
+    assert structure_report(h, jumps, dfs).dfs_steady == 0.0
+
+
 def test_corner_superops_reassemble(rng):
     dfs = DfsProjector.from_indices(4, [0, 1])
     x = random_matrix(rng, 4)

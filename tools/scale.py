@@ -1,19 +1,18 @@
 """Scale ladder: build time, general-route time and peak RSS of large draws, on two trees.
 
-    python tools/scale.py OLD_SRC NEW_SRC [--labels OLD,NEW] [--sizes 20,40,64]
-                          [--repeats 3] [--out BENCH.json]
+    python tools/scale.py PARENT_SRC CHANGE_SRC [--out BENCH.json]
 
 Each tree is a directory that holds the `ejof` package (for example `src`).
-For each D, `random_structured_instance(4, D - 4, 5, 3)` is drawn in a fresh
-interpreter with that tree first on PYTHONPATH and one BLAS thread, and the
-child reports:
+For each D in 20, 40 and 64, `random_structured_instance(4, D - 4, 5, 3)` is
+drawn three times per tree, each in a fresh interpreter with that tree first
+on PYTHONPATH and one BLAS thread, and the child reports:
 
 * `draw_build_s`: the draw, which builds and checks the generator;
 * `general_s`: `Study(lind, pert).general`, the general route including the
   first use of the corner factor;
 * `peak_rss_mb`: the child's peak resident set (`ru_maxrss`), import included.
 
-The two trees alternate, old first on even repeats and new first on odd ones,
+The two trees alternate, parent first on even repeats and change first on odd ones,
 and every run is written to the JSON file with the per-(tree, D) medians.
 The script records measurements and claims nothing; it is not a workload of
 the benchmark in `bench/`.
@@ -31,6 +30,9 @@ import sys
 from pathlib import Path
 
 DRAW = (4, 5, 3)  # d, jumps, seed: random_structured_instance(d, D - d, jumps, seed)
+SIZES = (20, 40, 64)
+REPEATS = 3
+LABELS = ("parent", "change")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 METRICS = ("draw_build_s", "general_s", "peak_rss_mb")
 TIMEOUT_S = 900
@@ -74,21 +76,14 @@ def host() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old", type=Path)
-    parser.add_argument("new", type=Path)
-    parser.add_argument("--labels", default="old,new", help="names of the two trees in the output")
-    parser.add_argument("--sizes", default="20,40,64", help="comma-separated D")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, default=None, help="JSON file (default: stdout only)")
     args = parser.parse_args(argv)
-    labels = args.labels.split(",")
-    if len(labels) != 2:
-        parser.error("--labels takes two comma-separated names")
-    trees = list(zip(labels, (args.old, args.new)))
-    sizes = [int(x) for x in args.sizes.split(",")]
+    trees = list(zip(LABELS, (args.parent, args.change)))
     runs = []
-    for repeat in range(args.repeats):
-        for dim in sizes:
+    for repeat in range(REPEATS):
+        for dim in SIZES:
             for label, src in trees if repeat % 2 == 0 else trees[::-1]:
                 runs.append({"tree": label, "D": dim, "repeat": repeat, **run_child(src, dim)})
                 print(json.dumps(runs[-1]), flush=True)
@@ -96,7 +91,7 @@ def main(argv=None) -> int:
         {"tree": label, "D": dim, **{
             m: statistics.median(r[m] for r in runs if r["tree"] == label and r["D"] == dim)
             for m in METRICS}}
-        for dim in sizes for label, _ in trees
+        for dim in SIZES for label in LABELS
     ]
     for row in medians:
         print(f"D={row['D']:<4} {row['tree']:<8} draw+build {row['draw_build_s']:8.3f} s"
