@@ -35,7 +35,8 @@ reads its numbers from one. The DFS block of an operator is its rows and
 columns at the DFS indices, and the block of a map S of the full space is
 E† S E, for E the d^2 unit columns at the DFS vec positions
 (``dfs.vec_order[:d^2]``): vec(b_i b_j†) in column i + d j. The general route
-applies O1 and O2 as maps on the d^2 operators P_inf E, never as D^2 x D^2
+applies O1 and O2 as maps on the d^2 operators P_inf E (the DFS units
+themselves, for the generator's corner factor), never as D^2 x D^2
 matrices. The closed route hands out DFS blocks only
 (:class:`EffectiveGenerator`): H_eff as (d, d), the F_eff_l as (J, d, d),
 E_eff as (d^2, d^2) and sum_l f_ll_l† f_ll_l as (d, d); none of them has
@@ -193,27 +194,59 @@ def _apply_o2(fs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _on_units(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_l left_l E right_l† on each DFS unit E = b_i b_j†, as (K, d^2, D, D), unit i + d j.
+
+    left and right are (K, P, D, d) stacks of the DFS columns left_l[:, idx]
+    and right_l[:, idx] of P operator pairs. As left_l b_i b_j† right_l† =
+    left_l[:, idx_i] right_l[:, idx_j]†, every unit and pair is one
+    (D d, P) x (P, D d) product per perturbation.
+    """
+    k, pairs, dim, d = left.shape
+    outer = left.reshape(k, pairs, dim * d).transpose(0, 2, 1) @ right.conj().reshape(k, pairs, dim * d)
+    # outer[k, (p, i), (q, j)] is entry (p, q) of unit i + d j.
+    return outer.reshape(k, dim, d, dim, d).transpose(0, 4, 2, 1, 3).reshape(k, d * d, dim, dim)
+
+
 def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     """General-route DFS blocks of K perturbations of one generator, as (K, d^2, d^2).
 
     Block k is E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] for the
-    O1, O2 of perturbation k. The d^2 operators P_inf E are built once and
-    shared, O1 and O2 act on them as stacked D x D products, and L^D is
-    applied to the K d^2 columns O1 P_inf E in one solve. P_inf enters only
-    through the d^2 columns P_inf E and P_inf† E (E and J for a
-    :class:`~ejof.lindblad.CornerFactor`), never as a D^2 x D^2 matrix. Only
-    the generator's own spectral factor enters, so the route stays
-    independent of the closed one.
+    O1, O2 of perturbation k. A :class:`~ejof.lindblad.CornerFactor` gives
+    P_inf E = E exactly, so O1 and O2 act on the d^2 DFS units themselves,
+    each a sum of pairs left_l E right_l† over DFS columns
+    (:func:`_on_units`): with c = -i A for O1 (A of :func:`_o1_coefficient`)
+    and c = -(1/2) sum_l f_l† f_l for O2, c E + E c† is the pairs (c, I) and
+    (I, c), and the jump terms are (F_l, f_l) and (f_l, F_l) for O1 and
+    (f_l, f_l) for O2. A factor with P_inf E != E (the dense oracle on a DFS
+    that is not steady) adds O1 and O2 of P_inf E - E as stacked D x D
+    products. L^D is applied to the K d^2 columns O1 P_inf E in one solve,
+    and the second O1 acts on them as stacked D x D products. P_inf enters
+    only through the d^2 columns P_inf E and P_inf† E (E and J for a corner
+    factor), never as a D^2 x D^2 matrix. Only the generator's own spectral
+    factor enters, so the route stays independent of the closed one.
     """
     v, fs = _stacked(lind, perts)
-    m = lind.dfs.d ** 2
-    e = np.zeros((lind.dim ** 2, m), dtype=complex)
-    e[lind.dfs.vec_order[:m], range(m)] = 1.0
-    x = devectorize_columns(lind.factor.apply_projection(e))
+    dim, idx, m = lind.dim, lind.dfs.indices, lind.dfs.d ** 2
     a = _o1_coefficient(lind, v, fs)
-    o1x = _apply_o1(a, lind.jumps, fs, x)
+    f = fs[..., idx]
+    shape = (len(perts), 1, dim, idx.size)
+    big_f = np.broadcast_to(np.array(lind.jumps, dtype=complex).reshape(-1, dim, dim)[:, :, idx],
+                            f.shape)
+    unit = np.broadcast_to(np.eye(dim, dtype=complex)[:, idx], shape)
+    c1 = (-1j * a[..., idx]).reshape(shape)
+    c2 = (-0.5 * np.sum(dagger(fs) @ f, axis=1)).reshape(shape)
+    o1x = _on_units(np.concatenate([c1, unit, big_f, f], axis=1),
+                    np.concatenate([unit, c1, f, big_f], axis=1))
+    o2x = _on_units(np.concatenate([c2, unit, f], axis=1), np.concatenate([unit, c2, f], axis=1))
+    e = np.zeros((dim ** 2, m), dtype=complex)
+    e[lind.dfs.vec_order[:m], range(m)] = 1.0
+    moved = devectorize_columns(lind.factor.apply_projection(e) - e)
+    if moved.any():
+        o1x = o1x + _apply_o1(a, lind.jumps, fs, moved)
+        o2x = o2x + _apply_o2(fs, moved)
     ld_o1x = devectorize_columns(lind.factor.apply_drazin(vectorize_stack(o1x))).reshape(o1x.shape)
-    cols = vectorize_stack(o1x + _apply_o2(fs, x) - _apply_o1(a, lind.jumps, fs, ld_o1x))
+    cols = vectorize_stack(o1x + o2x - _apply_o1(a, lind.jumps, fs, ld_o1x))
     j = lind.factor.apply_projection(e, adjoint=True)
     return (dagger(j) @ cols).reshape(m, len(perts), m).transpose(1, 0, 2)
 

@@ -24,20 +24,25 @@ eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
 once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
 zero multiplicity, the gap and the spectral radius rho(L) off it. The zero
 cut is relative to that radius, |lambda| <= 1e-8 max(1, rho(L)), so no norm
-of L is taken. That Schur form is the only decomposition of the generator,
-and the DFS steadiness check applies L to the d^2 DFS units by D x D
-products when an entry leaks off its corner (without one, L(b_i b_j†) is
-exactly zero). The (D^2, D^2) matrix of L is not built to construct a
-generator: the Drazin inverse and the asymptotic projection come from
-eliminating the DFS corner (:class:`CornerFactor`): in the frame of the DFS
-basis, L is block-triangular with its kernel on the DFS corner, and both are
-read off LUs of the decaying-corner blocks of L. Under the normal form these blocks
-(ll, ur and lr, block diagonal) and the feed into the DFS corner are
-Kronecker functions of K_qq and the jumps' decaying columns, built in place
-from H, the jumps and W = sum_l F_l† F_l, summed once; only when an entry leaks off its corner is L
-assembled, once, in K form with one GEMM for the jump sum
-(:func:`~ejof.operators.gksl_superop`), and L_rr gathered whole. A block with
-a zero or tiny pivot raises :class:`SingularBlockError`. The decaying-sector map
+of L is taken. Every Schur form is LAPACK zgees behind a finiteness check
+(:func:`complex_schur`), and no decomposition of L is taken; the DFS
+steadiness check applies L to the d^2 DFS units by D x D products when an
+entry leaks off its corner (without one, L(b_i b_j†) is exactly zero). The
+(D^2, D^2) matrix of L is not built to construct a generator: the Drazin
+inverse and the asymptotic projection come from eliminating the DFS corner
+(:class:`CornerFactor`): in the frame of the DFS basis, L is
+block-triangular with its kernel on the DFS corner, and both are read off
+the decaying-corner blocks of L. Under the normal form these blocks (ll, ur
+and lr, block diagonal) and the feed into the DFS corner are Kronecker
+functions of K_qq, K_qq' = H_qq + (i/2) W_qq and the jumps' decaying
+columns, with W = sum_l F_l† F_l summed once, and none is formed: ll and ur
+are solved by one n x n LU each, and lr by a Bartels-Stewart sweep on the
+factor's own Schur forms of K_qq and K_qq' (:class:`LrSweep`), so the factor
+holds O(n^2) entries where the lr block has n^4. Only when an entry leaks
+off its corner is L assembled, once, in K form with one GEMM for the jump
+sum (:func:`~ejof.operators.gksl_superop`), and L_rr gathered whole and
+LU-factored. An LU with a zero or tiny pivot, or a sweep with a zero or
+tiny shift, raises :class:`SingularBlockError`. The decaying-sector map
 sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
 Bartels-Stewart on the cached Schur form of K_qq, for a whole stack of
 right-hand sides in one column sweep of n triangular solves; its dense
@@ -57,15 +62,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm, schur
-from scipy.linalg.lapack import zgetrf, zgetrs, ztrtrs
+from scipy.linalg import expm
+from scipy.linalg.lapack import zgees, zgetrf, zgetrs, ztrtrs
 
 from .operators import (
     DEFAULT_TOL,
     DfsProjector,
     as_operator,
     dagger,
-    four_corners,
     frob,
     gksl_superop,
     require_hermitian,
@@ -75,8 +79,9 @@ from .operators import (
 ZERO_CLUSTER_FACTOR = 1e-8
 # Warn when the smallest retained eigenvalue is within this factor of the cut.
 GAP_WARNING_FACTOR = 100.0
-# A block of L_rr whose smallest |LU pivot| is below this fraction of its
-# largest is taken as singular: its solves would carry no correct digit.
+# A block of L_rr whose smallest |LU pivot|, or Bartels-Stewart |shift|, is
+# below this fraction of its largest is taken as singular: its solves would
+# carry no correct digit.
 PIVOT_RATIO_FLOOR = 1e3 * np.finfo(float).eps
 
 
@@ -160,41 +165,110 @@ def _warn_if_gap_small(gap: float | None, thresh: float) -> None:
         )
 
 
-def _normal_form_blocks(h, w, jumps, dfs: DfsProjector) -> tuple[np.ndarray, ...]:
-    """The ll, ur and lr blocks of L_rr and the lr columns of L_ur, for a generator in normal form.
+def complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, U) with a = U T U†, T upper triangular: the complex Schur form, by LAPACK zgees.
 
-    Each block is one F-ordered allocation, and its Kronecker terms are
-    written on strided diagonal views of it, as
-    :func:`~ejof.operators.gksl_superop` writes them on L, with the same
-    entries: -i K_qq and i K_qq'^T, for K_qq = H_qq - (i/2) W_qq and
-    K_qq' = H_qq + (i/2) W_qq (K_qq'^T = conj K_qq for Hermitian H), read off
-    W = sum_l F_l† F_l. The jump sum of L_ur is one GEMM over the jumps'
-    ur entries, reordered once to Kronecker layout.
+    The diagonal of T is unsorted. A non-finite entry raises ValueError
+    before LAPACK sees it, and a QR iteration that does not converge raises
+    LinAlgError.
     """
-    d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
-    lr_of = (rest[:, None], rest)
-    h_qq, w_qq = h[lr_of], w[lr_of]
-    minus_ik = -1j * (h_qq - 0.5j * w_qq)
-    ik_t = 1j * (h_qq + 0.5j * w_qq).T
-    ll, ur = (np.zeros((d * n, d * n), dtype=complex, order="F") for _ in range(2))
-    lr = np.zeros((n * n, n * n), dtype=complex, order="F")
-    # A block of side p q, reshaped F-ordered to (p, q, p, q), is indexed
-    # [a, b, c, e], with row a + p b and column c + p e: "abcb" is I_q kron A,
-    # its view [a, b, c] holding A[a, c], and "abad" is A kron I_p, its view
-    # [a, b, e] holding A[b, e].
-    for block, shape, pattern, term in (
-            (ll, (n, d, n, d), "abcb->abc", minus_ik[:, None, :]),  # I_d kron (-i K_qq)
-            (ur, (d, n, d, n), "abad->abd", ik_t[None]),            # i K_qq'^T kron I_d
-            (lr, (n, n, n, n), "abcb->abc", minus_ik[:, None, :]),  # I_n kron (-i K_qq)
-            (lr, (n, n, n, n), "abad->abd", ik_t[None])):           # + i K_qq'^T kron I_n
-        view = np.einsum(pattern, block.reshape(shape, order="F"))
-        view += term
-    # (a^T conj(a))[(i, k), (j, m)] = sum_l F_l[idx_i, rest_k] conj(F_l[idx_j, rest_m]);
-    # its Kronecker row is i + d j and its column k + n m.
-    a = np.array([f[idx[:, None], rest] for f in jumps], dtype=complex)
-    a = a.reshape(len(jumps), d * n)
-    feed = (a.T @ a.conj()).reshape(d, n, d, n).transpose(2, 0, 3, 1).reshape(d * d, n * n)
-    return ll, ur, lr, feed
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    t, _, _, u, _, info = zgees(lambda _: None, a)
+    if info:
+        raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
+    return t, u
+
+
+def _refuse_if_singular(values: np.ndarray, side: int, what: str) -> None:
+    """Raise :class:`SingularBlockError` if min |values| is 0 or below PIVOT_RATIO_FLOOR max |values|."""
+    mags = np.abs(values)
+    small, big = mags.min(), mags.max()
+    if small == 0 or small < PIVOT_RATIO_FLOOR * big:
+        raise SingularBlockError(
+            f"a decaying-corner block of L (side {side}) is singular: "
+            f"smallest/largest {what} {small / big if small else 0.0:.3e} < {PIVOT_RATIO_FLOOR:.3e}"
+        )
+
+
+def _lu(a: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """LU of a square block (LAPACK getrf, in place when a is F-ordered), refusing a small pivot.
+
+    ``side`` is the side of the block of L_rr that a factors, named in the error.
+    """
+    lu = zgetrf(a, overwrite_a=True)[:2]
+    _refuse_if_singular(np.diag(lu[0]), side, "|LU pivot|")
+    return lu
+
+
+@dataclass(frozen=True, eq=False)
+class LrSweep:
+    """The lr block of L_rr, X -> -i K X + i X K' on n x n operators, solved by Bartels-Stewart.
+
+    With the Schur forms K = U T U† and K' = V S V† (:func:`complex_schur`),
+    X = U Y V† turns lr X = C into -i T Y + i Y S = U† C V, solved column by
+    column (Bartels and Stewart, CACM 15, 1972), for j = 0 .. n-1:
+
+        (-i T + i s_jj I) y_j = c_j - i sum_{k<j} s_kj y_k.
+
+    The adjoint lr†(Z) = i K† Z - i Z K'† = M becomes, with Z = U Y V†, the
+    sweep j = n-1 .. 0 of (-i T + i s_jj I)† y_j = c_j + i sum_{k>j} conj(s_jk) y_k.
+    Each step is one triangular solve (LAPACK ztrtrs) that carries column j
+    of every right-hand side. A stack of m right-hand sides lives in the
+    Schur frame as a C-ordered (n, m, n) array y, y[j, c] column j of Y_c,
+    so that y[j].T is the F-ordered (n, m) block LAPACK reads. A shift
+    -i t_pp + i s_jj whose modulus is zero or below ``PIVOT_RATIO_FLOOR``
+    times the largest raises :class:`SingularBlockError`, as a small LU pivot
+    does. No eigenvector is taken, so a defective K is handled exactly, and
+    no (n^2, n^2) array is formed.
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    shifts: np.ndarray  # [p, j] = -i t_pp + i s_jj
+
+    @classmethod
+    def of(cls, k: np.ndarray, k_prime: np.ndarray) -> "LrSweep":
+        (t, u), (s, v) = complex_schur(k), complex_schur(k_prime)
+        shifts = -1j * np.diag(t)[:, None] + 1j * np.diag(s)[None, :]
+        _refuse_if_singular(shifts, t.size, "|sweep shift|")
+        return cls(t=t, u=u, s=s, v=v, shifts=shifts)
+
+    def enter(self, cols: np.ndarray) -> np.ndarray:
+        """Vec columns C_c (rows a + n b, one per c) as the Schur-frame stack U† C_c V."""
+        n, m = self.t.shape[0], cols.shape[1]
+        # cols[a + n b, c] read as [b, (a, c)]: V^T on the left gives [q, (a, c)] = (C_c V)[a, q].
+        cv = (self.v.T @ cols.reshape(n, n * m)).reshape(n, n, m).transpose(0, 2, 1)
+        return (cv.reshape(n * m, n) @ self.u.conj()).reshape(n, m, n)
+
+    def leave(self, y: np.ndarray) -> np.ndarray:
+        """The stack X_c = U Y_c V†, written over y as [q, c, p] = X_c[p, q]."""
+        n, m = y.shape[:2]
+        uy = y.reshape(n * m, n) @ self.u.T  # [(j, c), p] = (U Y_c)[p, j]
+        x = np.matmul(self.v.conj(), uy.reshape(n, m * n), out=y.reshape(n, m * n))
+        return x.reshape(y.shape)
+
+    def sweep(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Solve the stack y in the Schur frame, in place: lr, or with ``adjoint`` lr†."""
+        n = self.t.shape[0]
+        y = np.ascontiguousarray(y)
+        rows = y.reshape(n, -1)  # row j: column j of every Y_c
+        coupling = 1j * (self.s.conj() if adjoint else self.s)
+        # -i T + i s_jj I is -i T's F-ordered copy with its diagonal, a strided view, reset;
+        # y[j].T is F-ordered, so LAPACK overwrites it in place.
+        shifted = np.array(-1j * self.t, order="F")
+        diagonal = shifted.reshape(-1, order="F")[::n + 1]
+        for j in (range(n - 1, -1, -1) if adjoint else range(n)):
+            if adjoint and j < n - 1:
+                rows[j] += np.dot(coupling[j, j + 1:], rows[j + 1:])
+            elif not adjoint and j:
+                rows[j] -= np.dot(coupling[:j, j], rows[:j])
+            diagonal[:] = self.shifts[:, j]
+            ztrtrs(shifted, y[j].T, trans=2 if adjoint else 0, overwrite_b=True)
+        return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,30 +288,35 @@ class CornerFactor:
     between the ll, ur and lr blocks of L_rr, and every entry of the ll and
     ur columns of L_ur, comes from an H entry outside lr or a jump entry
     outside ur. Without such an entry (``leaky`` False) L_rr is block
-    diagonal, and its blocks and the lr columns of L_ur are built in place
-    from K_qq = H_qq - (i/2) W_qq, with ``w`` = W = sum_l F_l† F_l formed
-    from the jumps, and from the F_l[idx, rest] (:func:`_normal_form_blocks`):
+    diagonal, and each block is a Kronecker function of K_qq = H_qq -
+    (i/2) W_qq and K_qq' = H_qq + (i/2) W_qq, with ``w`` = W = sum_l F_l† F_l
+    formed from the jumps:
 
-        ll = I_d kron (-i K_qq),   ur = (i conj K_qq) kron I_d,
-        lr = -i (I_n kron K_qq - conj K_qq kron I_n),
-        L_ur at lr = sum_l conj(F_l[idx, rest]) kron F_l[idx, rest].
+        ll X = -i K_qq X,   ur X = i X K_qq',   lr X = -i K_qq X + i X K_qq',
 
-    K_qq is formed here, never read off the generator's ``k``, so the general
-    route shares no input with the closed one. With a leaking entry (leakage
-    below the tolerance, or a generator that fails its checks), L is
-    assembled (``superop``, on first read, with this W) and L_rr and L_ur
-    are gathered whole, so no entry of L is dropped. Each block is one
-    F-ordered array, LU-factored in place.
+    for X the (n, d), (d, n) and (n, n) corner of an operator, and the lr
+    columns of L_ur map X to sum_l A_l X A_l†, A_l = F_l[idx, rest]. No
+    block is formed: ll and ur are solved by one n x n LU each, of -i K_qq
+    and of i K_qq'^T, on reshaped right-hand sides; lr by a Bartels-Stewart
+    sweep on the factor's own Schur forms of K_qq and K_qq' (:class:`LrSweep`);
+    and G, whose ll and ur columns are zero, by the adjoint sweep on the d^2
+    operators sum_l A_l† b_i b_j† A_l. K_qq and K_qq' are formed here, never
+    read off the generator's ``k`` or ``decaying_sector``, so the general
+    route shares no input with the closed one. With a leaking entry
+    (leakage below the tolerance, or a generator that fails its checks), L
+    is assembled (``superop``, on first read, with this W) and L_rr and L_ur
+    are gathered whole, so no entry of L is dropped, and L_rr is LU-factored
+    in place.
 
     The frame is the permutation ``dfs.order``, and ``dfs.vec_order`` gives
     the vec index of each frame position, so entering or leaving the frame is
-    an index gather or scatter. The LUs are taken on first use, with a
+    an index gather or scatter. The factors are taken on first use, with a
     :class:`SpectralGapWarning` when ``gap`` is within 100x of the zero cut
-    ``thresh`` (``gap`` is None when the structure report has none). A block
-    whose smallest |LU pivot| is zero, or below ``PIVOT_RATIO_FLOOR`` times
-    its largest, raises :class:`SingularBlockError`: L_rr is then numerically
-    singular, and a kernel of L larger than the DFS corner has no group
-    inverse here.
+    ``thresh`` (``gap`` is None when the structure report has none). An LU
+    whose smallest |pivot|, or a sweep whose smallest |shift|, is zero or
+    below ``PIVOT_RATIO_FLOOR`` times its largest raises
+    :class:`SingularBlockError`: L_rr is then numerically singular, and a
+    kernel of L larger than the DFS corner has no group inverse here.
     """
 
     h: np.ndarray
@@ -258,33 +337,49 @@ class CornerFactor:
         return self.superop.T[cols[:, None], rows].T
 
     @cached_property
-    def _factored(self) -> tuple[list, np.ndarray]:
-        """[(slice of r, LU of its diagonal block of L_rr)] and G = L_ur L_rr^-1."""
+    def _factored(self) -> tuple[tuple, np.ndarray]:
+        """The factors of L_rr, and G = L_ur L_rr^-1.
+
+        The factors are (LU of L_rr,) when ``leaky``, and otherwise (LU of
+        -i K_qq, LU of i K_qq'^T, :class:`LrSweep` of lr).
+        """
         _warn_if_gap_small(self.gap, self.thresh)
-        m = self.dfs.d ** 2
-        u, r = self.dfs.vec_order[:m], self.dfs.vec_order[m:]
+        d, n = self.dfs.d, self.dfs.n_decay
+        u, r = self.dfs.vec_order[:d * d], self.dfs.vec_order[d * d:]
         if self.leaky:
-            diagonal, feed = [self._gather(r, r)], self.superop[np.ix_(u, r)]
-        else:
-            *diagonal, feed = _normal_form_blocks(self.h, self.w, self.jumps, self.dfs)
-        blocks, start = [], 0
-        for block in diagonal:
-            lu = zgetrf(block, overwrite_a=True)[:2]
-            pivots = np.abs(np.diag(lu[0]))
-            small, big = pivots.min(), pivots.max()
-            if small == 0 or small < PIVOT_RATIO_FLOOR * big:
-                raise SingularBlockError(
-                    f"a decaying-corner block of L (side {pivots.size}) is singular: "
-                    f"smallest/largest |LU pivot| {small / big if small else 0.0:.3e}"
-                    f" < {PIVOT_RATIO_FLOOR:.3e}"
-                )
-            blocks.append((slice(start, start + pivots.size), lu))
-            start += pivots.size
-        # Only the last block (lr, or all of L_rr) feeds ul.
-        cut, lu = blocks[-1]
-        g = np.zeros((m, r.size), dtype=complex)
-        g[:, cut] = dagger(zgetrs(*lu, dagger(feed), trans=2)[0])
-        return blocks, g
+            lu = _lu(self._gather(r, r), r.size)
+            return (lu,), dagger(zgetrs(*lu, dagger(self.superop[np.ix_(u, r)]), trans=2)[0])
+        idx, rest = self.dfs.indices, self.dfs.rest
+        lr_of = (rest[:, None], rest)
+        k, k_prime = self.h[lr_of] - 0.5j * self.w[lr_of], self.h[lr_of] + 0.5j * self.w[lr_of]
+        ll, ur = _lu(-1j * k, d * n), _lu(1j * k_prime.T, d * n)
+        lr = LrSweep.of(k, k_prime)
+        # Feed operator i + d j, in the Schur frame: U† A_l† b_i b_j† A_l V, entry
+        # [p, q] = sum_l conj((A_l U)[i, p]) (A_l V)[j, q], one GEMM laid out as [q, (j, i), p].
+        a = np.array([f[idx[:, None], rest] for f in self.jumps], dtype=complex).reshape(-1, d, n)
+        au, av = (a @ lr.u).reshape(-1, d * n), (a @ lr.v).reshape(-1, d * n)
+        feed = (av.T @ au.conj()).reshape(d, n, d, n).transpose(1, 0, 2, 3).reshape(n, d * d, n)
+        z = lr.leave(lr.sweep(feed, adjoint=True))  # [q, (j, i), p] = Z_ij[p, q]
+        # Row i + d j of G holds conj(vec Z_ij) on the lr columns, rows p + n q.
+        g = np.zeros((d * d, r.size), dtype=complex)
+        g[:, 2 * d * n:].reshape(d * d, n, n)[:] = np.conjugate(z, out=z).transpose(1, 0, 2)
+        return (ll, ur, lr), g
+
+    def _solve_rr(self, y_r: np.ndarray, z_r: np.ndarray) -> None:
+        """Write L_rr^-1 y_r into z_r, for columns y_r in corner order."""
+        factors, _ = self._factored
+        if self.leaky:
+            z_r[:] = zgetrs(*factors[0], y_r)[0]
+            return
+        (ll, ur, lr), d, n = factors, self.dfs.d, self.dfs.n_decay
+        dn, m = d * n, y_r.shape[1]
+        # ll: column c holds X_c (n, d) at rows a + n b; solve -i K_qq X_c = C_c on [a, (b, c)].
+        x = zgetrs(*ll, y_r[:dn].reshape(d, n, m).transpose(1, 0, 2).reshape(n, d * m))[0]
+        z_r[:dn].reshape(d, n, m)[:] = x.reshape(n, d, m).transpose(1, 0, 2)
+        # ur: X_c (d, n) at rows i + d k, read as [k, (i, c)], is X_c^T: solve i K_qq'^T X_c^T = C_c^T.
+        z_r[dn:2 * dn] = zgetrs(*ur, y_r[dn:2 * dn].reshape(n, d * m))[0].reshape(dn, m)
+        x = lr.leave(lr.sweep(lr.enter(y_r[2 * dn:])))  # [q, c, p] = X_c[p, q], at row p + n q
+        z_r[2 * dn:].reshape(n, n, m)[:] = x.transpose(0, 2, 1)
 
     def _leave(self, z: np.ndarray) -> np.ndarray:
         """Frame columns z, in corner order, scattered back to vec order."""
@@ -294,12 +389,12 @@ class CornerFactor:
 
     def apply_drazin(self, y: np.ndarray) -> np.ndarray:
         """L^D y = [G z_r; z_r] in the frame, z_r = L_rr^-1 y_r, for columns y."""
-        blocks, g = self._factored
-        y_r = y[self.dfs.vec_order[self.dfs.d ** 2:]]
-        z = np.empty(y_r.shape, dtype=complex)
-        for cut, lu in blocks:
-            z[cut] = zgetrs(*lu, y_r[cut])[0]
-        return self._leave(np.concatenate([g @ z, z]))
+        _, g = self._factored
+        m = self.dfs.d ** 2
+        z = np.empty(y.shape, dtype=complex)
+        self._solve_rr(y[self.dfs.vec_order[m:]], z[m:])
+        np.matmul(g, z[m:], out=z[:m])
+        return self._leave(z)
 
     def apply_projection(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """P_inf y = E (J† y), or P_inf† y = J (E† y), for columns y.
@@ -316,15 +411,31 @@ class CornerFactor:
     def drazin(self) -> np.ndarray:
         """L^D = [[0, G L_rr^-1], [0, L_rr^-1]] in the frame, written block by block.
 
-        Each block inverse is its LU solved against the identity (LAPACK
-        getrs), and the ul row is G times it.
+        Leaky, L_rr^-1 is its LU solved against the identity (LAPACK getrs).
+        Otherwise the ll and ur inverses are I_d kron (-i K_qq)^-1 and
+        (i K_qq'^T)^-1 kron I_d, and the lr inverse is the sweep of the n^2
+        units q_a q_b†, whose Schur-frame right-hand sides U† q_a q_b† V are
+        one outer product of the rows of conj U and V. The ul row is G times
+        L_rr^-1, whose ll and ur columns are zero here.
         """
-        blocks, g = self._factored
-        order, m = self.dfs.vec_order, self.dfs.d ** 2
+        factors, g = self._factored
+        order, d, n = self.dfs.vec_order, self.dfs.d, self.dfs.n_decay
+        m, dn = d * d, d * n
+        if self.leaky:
+            side = order.size - m
+            eye = np.eye(side, dtype=complex, order="F")
+            blocks = [(slice(0, side), zgetrs(*factors[0], eye, overwrite_b=True)[0])]
+        else:
+            ll, ur, lr = factors
+            eye_n, eye_d = np.eye(n, dtype=complex), np.eye(d, dtype=complex)
+            # Unit c = a + n b: U† q_a q_b† V = conj(U[a, :])^T V[b, :], laid out as [q, (b, a), p].
+            units = np.multiply.outer(lr.v.T, lr.u.conj()).reshape(n, n * n, n)
+            blocks = [(slice(0, dn), np.kron(eye_d, zgetrs(*ll, eye_n)[0])),
+                      (slice(dn, 2 * dn), np.kron(zgetrs(*ur, eye_n)[0], eye_d)),
+                      (slice(2 * dn, 2 * dn + n * n),
+                       lr.leave(lr.sweep(units)).transpose(0, 2, 1).reshape(n * n, n * n))]
         out = np.zeros((order.size, order.size), dtype=complex)
-        for cut, lu in blocks:
-            side = cut.stop - cut.start
-            inv = zgetrs(*lu, np.eye(side, dtype=complex, order="F"), overwrite_b=True)[0]
+        for cut, inv in blocks:
             rows = order[m + cut.start:m + cut.stop]
             out[np.ix_(rows, rows)] = inv
             out[np.ix_(order[:m], rows)] = g[:, cut] @ inv
@@ -422,7 +533,8 @@ def _dfs_columns(h, w, jumps, dfs: DfsProjector) -> np.ndarray:
 def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     """(report, K, W, Schur form of K_qq, zero cut, whether any entry leaks).
 
-    An entry leaks when it lies in H outside lr or in a jump outside ur. The
+    An entry leaks when it lies in H outside lr or in a jump outside ur; each
+    leak is its operator with the one corner it may hold set to zero. The
     flag tests the entries themselves: the report's residuals are norms, which
     underflow to zero for entries below about 1e-154. W = sum_l F_l† F_l is
     summed here once, as :func:`~ejof.operators.gksl_superop` sums it, for the
@@ -441,7 +553,8 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     """
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
-    leaks = [h - four_corners(h, dfs).lr] + [f - four_corners(f, dfs).ur for f in jumps]
+    _, ur, _, lr = dfs._corner_masks
+    leaks = [np.where(lr, 0j, h)] + [np.where(ur, 0j, f) for f in jumps]
     h_block = frob(leaks[0]) / scale_h
     jump_res = tuple(frob(x) / max(1.0, frob(f)) for x, f in zip(leaks[1:], jumps))
     leaky = any(x.any() for x in leaks)
@@ -486,9 +599,10 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     :func:`_diagnose`); when the H and jump checks pass, the zero
     multiplicity and the gap are read off K_qq too. The (D^2, D^2) matrix of
     L is not assembled here. L^D and P_inf come from a :class:`CornerFactor`,
-    which eliminates the DFS corner of L and LU-factors its decaying-corner
-    blocks (sides dn, dn and n^2 under the normal form, built from H, the
-    jumps and their W = sum_l F_l† F_l) on first use. It solves the bordered system [[L, E], [E†, 0]],
+    which eliminates the DFS corner of L and, on first use, factors its
+    decaying-corner blocks: under the normal form by n x n LUs and Schur
+    forms of K_qq and K_qq', formed from H, the jumps and their
+    W = sum_l F_l† F_l. It solves the bordered system [[L, E], [E†, 0]],
     which is L^D only when the DFS is steady and L_rr is invertible: with
     validate=False and a DFS that is not steady, the factor is the bordered
     solve, not L^D.
@@ -589,7 +703,7 @@ class SectorSolver:
 
     @classmethod
     def of(cls, k: np.ndarray, dfs: DfsProjector) -> "SectorSolver":
-        t, u = schur(as_operator(k)[np.ix_(dfs.rest, dfs.rest)], output="complex")
+        t, u = complex_schur(as_operator(k)[np.ix_(dfs.rest, dfs.rest)])
         return cls(t=t, u=u)
 
     @cached_property

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import schur, solve_sylvester, solve_triangular
+from scipy.linalg import block_diag, lu_factor, lu_solve, schur, solve_sylvester, solve_triangular
 from scipy.linalg.lapack import ztrsyl
 
 from ejof.effective import Perturbation, effective_coupling
@@ -217,8 +217,8 @@ class OrderedSchur:
              [0,   T22]],            [0,        0            ]]
 
     The dense oracle of the spectral layer: O(D^6) for a Lindbladian, where the
-    package's :class:`~ejof.lindblad.CornerFactor` takes LUs of the
-    decaying-corner blocks of L. It exposes the same
+    package's :class:`~ejof.lindblad.CornerFactor` solves the decaying-corner
+    blocks of L by their structure. It exposes the same
     ``drazin``/``projection``/``apply_drazin``/``apply_projection`` interface,
     and keeps the matrix it factors as ``superop``, as a corner factor keeps
     its assembly, so ``dataclasses.replace(lind, factor=OrderedSchur.of(lind.superop))``
@@ -306,6 +306,70 @@ def bordered_solve(s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
     inv = np.linalg.inv(np.block([[s, e], [dagger(e), np.zeros((m, m))]]))
     z, j = inv[:n, :n], dagger(inv[n:, :n])
     return z - e @ (dagger(j) @ z), e @ dagger(j)
+
+
+def normal_form_blocks(h, w, jumps, dfs: DfsProjector) -> tuple[np.ndarray, ...]:
+    """The ll, ur and lr blocks of L_rr and the lr columns of L_ur, for a generator in normal form.
+
+    Each block is one F-ordered allocation, and its Kronecker terms are
+    written on strided diagonal views of it, as
+    :func:`~ejof.operators.gksl_superop` writes them on L, with the same
+    entries: -i K_qq and i K_qq'^T, for K_qq = H_qq - (i/2) W_qq and
+    K_qq' = H_qq + (i/2) W_qq, read off W = sum_l F_l† F_l. The jump sum of
+    L_ur is one GEMM over the jumps' ur entries, reordered once to Kronecker
+    layout.
+    """
+    d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
+    lr_of = (rest[:, None], rest)
+    h_qq, w_qq = h[lr_of], w[lr_of]
+    minus_ik = -1j * (h_qq - 0.5j * w_qq)
+    ik_t = 1j * (h_qq + 0.5j * w_qq).T
+    ll, ur = (np.zeros((d * n, d * n), dtype=complex, order="F") for _ in range(2))
+    lr = np.zeros((n * n, n * n), dtype=complex, order="F")
+    # A block of side p q, reshaped F-ordered to (p, q, p, q), is indexed
+    # [a, b, c, e], with row a + p b and column c + p e: "abcb" is I_q kron A,
+    # its view [a, b, c] holding A[a, c], and "abad" is A kron I_p, its view
+    # [a, b, e] holding A[b, e].
+    for block, shape, pattern, term in (
+            (ll, (n, d, n, d), "abcb->abc", minus_ik[:, None, :]),  # I_d kron (-i K_qq)
+            (ur, (d, n, d, n), "abad->abd", ik_t[None]),            # i K_qq'^T kron I_d
+            (lr, (n, n, n, n), "abcb->abc", minus_ik[:, None, :]),  # I_n kron (-i K_qq)
+            (lr, (n, n, n, n), "abad->abd", ik_t[None])):           # + i K_qq'^T kron I_n
+        view = np.einsum(pattern, block.reshape(shape, order="F"))
+        view += term
+    # (a^T conj(a))[(i, k), (j, m)] = sum_l F_l[idx_i, rest_k] conj(F_l[idx_j, rest_m]);
+    # its Kronecker row is i + d j and its column k + n m.
+    a = np.array([f[idx[:, None], rest] for f in jumps], dtype=complex)
+    a = a.reshape(len(jumps), d * n)
+    feed = (a.T @ a.conj()).reshape(d, n, d, n).transpose(2, 0, 3, 1).reshape(d * d, n * n)
+    return ll, ur, lr, feed
+
+
+def dense_normal_form_factor(lind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L^D, P_inf and G = L_ur L_rr^-1 of a generator in normal form, from dense blocks.
+
+    The ll, ur and lr blocks of L_rr are formed whole (:func:`normal_form_blocks`,
+    sides dn, dn and n^2) and each is inverted through its LU; in the frame
+    of ``dfs.vec_order``, L^D = [[0, G L_rr^-1], [0, L_rr^-1]] and
+    P_inf = [[I, -G], [0, 0]]. The package solves the same blocks by their
+    structure, never forming one.
+    """
+    dfs = lind.dfs
+    w = sum((dagger(f) @ f for f in lind.jumps), np.zeros_like(lind.h))
+    *diagonal, feed = normal_form_blocks(lind.h, w, lind.jumps, dfs)
+    inverses = [lu_solve(lu_factor(block), np.eye(block.shape[0])) for block in diagonal]
+    m, order = dfs.d ** 2, dfs.vec_order
+    u, r = order[:m], order[m:]
+    g = np.zeros((m, r.size), dtype=complex)
+    g[:, r.size - dfs.n_decay ** 2:] = feed @ inverses[-1]
+    inv_rr = block_diag(*inverses)
+    drazin = np.zeros((order.size,) * 2, dtype=complex)
+    drazin[np.ix_(r, r)] = inv_rr
+    drazin[np.ix_(u, r)] = g @ inv_rr
+    projection = np.zeros((order.size,) * 2, dtype=complex)
+    projection[u, u] = 1.0
+    projection[np.ix_(u, r)] = -g
+    return drazin, projection, g
 
 
 def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:

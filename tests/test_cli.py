@@ -1107,21 +1107,27 @@ def largest_line_growth(argv, modules=("lindblad", "operators", "effective")):
     return code, worst[0]
 
 
+def structured_draw_problem_d40(tmp_path):
+    return structured_draw_problem(tmp_path, n=36, seed=3)
+
+
 @pytest.mark.parametrize("command", ["effective", "verify"])
-@pytest.mark.parametrize("make, dim", [(structured_draw_problem, 20), (repetition_x_problem, 8)],
-                         ids=["draw-d20", "rep-x"])
-def test_effective_and_verify_build_no_full_space_superoperator(command, make, dim, tmp_path,
-                                                                 monkeypatch):
-    # On a generator in normal form the corner factor builds the blocks of
-    # L_rr from K_qq and the jumps: L, with D^4 entries, is never assembled.
-    # At D = 8 the largest line, the O2 stack of verify's corner batch, grows
-    # by 0.94 of a D^4 array; assembling L grows one line by 2.0 of it.
+@pytest.mark.parametrize("make, dim, bound", [
+    (structured_draw_problem, 20, 20 ** 4), (repetition_x_problem, 8, 8 ** 4),
+    (structured_draw_problem_d40, 40, 36 ** 4 // 4)], ids=["draw-d20", "rep-x", "draw-d40"])
+def test_effective_and_verify_build_no_full_space_superoperator(command, make, dim, bound,
+                                                                 tmp_path, monkeypatch):
+    # On a generator in normal form the corner factor solves the blocks of
+    # L_rr by their structure, from K_qq and the jumps: L, with D^4 entries,
+    # is never assembled, nor the lr block of L_rr, with n^4. verify's
+    # largest line grows by 0.64 of a D^4 array at D = 8, where assembling L
+    # grows one line by 2.0 of it, and by 0.50 of n^4 / 4 entries at D = 40.
     argv = [command, make(tmp_path), "--out", str(tmp_path / "report.json")]
     sides = spy_superop_sides(monkeypatch)
     code, growth = largest_line_growth(argv)
     assert code == (1 if make is repetition_x_problem and command == "verify" else 0)
     assert sides and dim not in sides
-    assert growth < dim ** 4 * np.dtype(complex).itemsize
+    assert growth < bound * np.dtype(complex).itemsize
 
 
 def test_a_corrupted_k_moves_the_closed_route_only(tmp_path, monkeypatch):

@@ -197,9 +197,12 @@ def test_corner_sensitivity_takes_one_drazin_solve(count_drazin_solves, generic_
 
 
 def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch):
-    # The routes stay independent: the general block of a fresh study uses
-    # neither Kinv, the coupling C nor a decaying-sector solve.
-    lind, pert = generic_instance
+    # The routes stay independent: the general block of a fresh study, with
+    # the first use of a fresh corner factor, uses neither Kinv, the coupling
+    # C, the generator's K, its decaying sector nor a Schur form or solve of
+    # that sector.
+    base, pert = generic_instance
+    lind = structured_lindbladian(base.h, base.jumps, base.dfs)
     for name in ("nh_hamiltonian_inverse", "effective_coupling"):
         real = getattr(sys.modules["ejof.effective"], name)
 
@@ -211,6 +214,12 @@ def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(ejof.lindblad.SectorSolver, "solve", lambda self, c: pytest.fail(
         "the general route called SectorSolver.solve"))
+    monkeypatch.setattr(ejof.lindblad.SectorSolver, "of", classmethod(lambda cls, k, dfs: pytest.fail(
+        "the general route called SectorSolver.of")))
+    for name in ("k", "decaying_sector"):
+        # A class property shadows the instance field, so every read fails.
+        monkeypatch.setattr(ejof.lindblad.StructuredLindbladian, name, property(
+            lambda self, name=name: pytest.fail(f"the general route read lind.{name}")), raising=False)
     study = Study(lind, pert)
     general = study.general
     assert "closed" not in vars(study) and "closed_block" not in vars(study)

@@ -345,13 +345,14 @@ def _count_calls(monkeypatch, owner, name, log, when=lambda *args, **kwargs: Tru
 
 def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     # A structured generator is never decomposed densely: its spectrum and
-    # its zero cut come from the one Schur form of K_qq (no 2-norm is taken),
-    # L^D and P_inf from LUs of the three decaying-corner blocks of L (ll and
-    # ur of side dn, lr of side n^2, none of side D^2 or more). K itself is
-    # formed once, by the structure checks, and kept.
+    # its zero cut come from the Schur form of K_qq that the structure checks
+    # take (no 2-norm is taken), L^D and P_inf from n x n factors only: LUs of
+    # -i K_qq (ll) and i K_qq'^T (ur), and the corner factor's own Schur forms
+    # of K_qq and K_qq' (lr), none of side dn or more. K itself is formed
+    # once, by the structure checks, and kept.
     base, pert = generic_instance
     schurs, norms, eigs, lus, ks = [], [], [], [], []
-    _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
+    _count_calls(monkeypatch, ejof.lindblad, "complex_schur", schurs)
     _count_calls(monkeypatch, ejof.lindblad, "nh_hamiltonian", ks)
     _count_calls(monkeypatch, ejof.lindblad, "zgetrf", lus)
     _count_calls(monkeypatch, np.linalg, "norm", norms,
@@ -364,10 +365,10 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     effective_lindbladian_closed(lind, pert)
     identity_suite(lind, pert)
     assert isinstance(lind.factor, CornerFactor)
-    assert schurs == [lind.dfs.n_decay]
+    n = lind.dfs.n_decay
+    assert schurs == [n, n, n]
     assert ks == [lind.dim]
-    d, n = lind.dfs.d, lind.dfs.n_decay
-    assert sorted(lus) == sorted([d * n, d * n, n * n])
+    assert lus == [n, n]
     assert norms == []
     assert eigs == []
 
@@ -395,11 +396,13 @@ SPY_CASES = {
 
 @pytest.mark.parametrize("h, jumps, dfs, invertible", SPY_CASES.values(), ids=SPY_CASES.keys())
 def test_no_generator_is_decomposed_densely(monkeypatch, h, jumps, dfs, invertible):
-    # Passing or failing its checks, a generator gets one Schur form, of K_qq,
-    # no 2-norm and no eigendecomposition; its factor is always a CornerFactor,
-    # and a singular L_rr is refused, not cut by a dense spectrum.
+    # Passing or failing its checks, a generator gets one Schur form of K_qq
+    # for its checks, and two n x n ones (of K_qq and K_qq') when its factor
+    # sweeps an lr block in normal form; no 2-norm and no eigendecomposition.
+    # Its factor is always a CornerFactor, and a singular L_rr is refused, not
+    # cut by a dense spectrum.
     schurs, norms, eigs = [], [], []
-    _count_calls(monkeypatch, ejof.lindblad, "schur", schurs)
+    _count_calls(monkeypatch, ejof.lindblad, "complex_schur", schurs)
     _count_calls(monkeypatch, np.linalg, "norm", norms,
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
     _count_calls(monkeypatch, np.linalg, "eigvals", eigs)
@@ -411,9 +414,21 @@ def test_no_generator_is_decomposed_densely(monkeypatch, h, jumps, dfs, invertib
     else:
         with pytest.raises(SingularBlockError, match="pivot"):
             _ = lind.drazin
-    assert schurs == [dfs.n_decay]
+    swept = invertible and not lind.factor.leaky
+    assert schurs == [dfs.n_decay] * (3 if swept else 1)
     assert norms == []
     assert eigs == []
+
+
+def test_an_undamped_level_is_refused_by_the_sweep_shift():
+    # Level 2 has energy 1 and no decay: K_qq = [1], so the ll and ur LUs
+    # have the one pivot -i and i, but the lr shift -i + i is exactly 0.
+    h, jumps, dfs = _generator(3, [0, 1], {(2, 2): 1.0}, {})
+    lind = structured_lindbladian(h, jumps, dfs, validate=False)
+    assert lind.report.zero_multiplicity == dfs.d ** 2 + 1
+    assert not lind.factor.leaky
+    with pytest.raises(SingularBlockError, match=r"side 1\) is singular: smallest/largest \|sweep shift\| 0"):
+        _ = lind.drazin
 
 
 def test_failed_block_check_reports_no_spectrum():
@@ -475,6 +490,20 @@ def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
     assert lus == [lind.dim ** 2 - lind.dfs.d ** 2]
 
 
+def test_corner_factor_solves_with_k_prime_for_a_non_hermitian_h():
+    # With H not Hermitian, K_qq' = H_qq + (i/2) W_qq is not K_qq†: the ur and
+    # lr blocks must be solved with K_qq', as L holds it, to match the
+    # bordered solve of L.
+    lind = random_structured_instance(2, 3, 2, 11)[0]
+    h = lind.h.copy()
+    h[3, 4] += 0.3j
+    lind = structured_lindbladian(h, lind.jumps, lind.dfs, validate=False)
+    assert not lind.factor.leaky
+    want_d, want_p = bordered_solve(lind.superop, dfs_columns(dense_dfs(lind.dfs).basis))
+    assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
+    assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)
+
+
 def test_corner_factor_reads_the_leak_off_the_entries(monkeypatch):
     # An H coupling of 1e-170 underflows the report's residual norm to zero,
     # but it is a coupling entry of L_rr: L_rr is still factored whole.
@@ -491,20 +520,22 @@ def test_corner_factor_reads_the_leak_off_the_entries(monkeypatch):
 
 
 def test_corner_factor_copies_only_the_blocks_it_factors():
-    # Without leakage the factor gathers the three diagonal blocks of L_rr
-    # and the lr columns of L_ur, F-ordered, and LU-factors each in place.
-    # Its peak allocation is then about one lr block (side n^2): 1.35 of it
-    # here, 2.1 with a second copy for LAPACK, 3.8 with L gathered whole.
-    lind = random_structured_instance(4, 16, 5, 1)[0]
-    assert not lind.factor.leaky
-    lr_bytes = lind.dfs.n_decay ** 4 * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        _ = lind.factor._factored
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * lr_bytes
+    # Without leakage the factor forms no block of L_rr: it keeps n x n LUs
+    # and Schur forms, and sweeps the d^2 feed operators for G. Its peak
+    # allocation stays below a quarter of the lr block (n^4 entries), which
+    # the dense normal-form factor held 1.35 times and L gathered whole 3.8:
+    # 0.84 of that quarter at D = 20 (d^2 = n^4 / 16 feed operators), 0.14 at D = 40.
+    for n, seed in ((16, 1), (36, 3)):
+        lind = random_structured_instance(4, n, 5, seed)[0]
+        assert not lind.factor.leaky
+        lr_bytes = n ** 4 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            _ = lind.factor._factored
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= lr_bytes / 4, n
 
 
 def test_a_swapped_factor_keeps_the_generator_matrix():

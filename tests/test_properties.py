@@ -3,7 +3,8 @@
 Each example draws a normal-form generator (DFS of dimension d, n decaying
 levels, 1-3 jumps, a defective K_qq when n == 2 and asked for, optionally an
 extra zero jump) with a full-corner perturbation, and checks the structured
-spectrum, the corner factor against the dense Schur oracle, the dual-route
+spectrum, the corner factor against the dense Schur oracle and (up to D = 20)
+against the dense normal-form factor, the dual-route
 agreement and the insensitivity to the inert perturbation corners. Four
 metamorphic properties check each route on its own against an exact symmetry
 of the GKSL form: mixing the jumps and their deformations by one unitary,
@@ -15,7 +16,7 @@ for d = 1 the effective generator vanishes identically.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ejof.effective import (
     RESIDUAL_FLOOR,
@@ -28,7 +29,7 @@ from ejof.effective import (
 )
 from ejof.lindblad import CornerFactor, structured_lindbladian
 from ejof.operators import DfsProjector, frob
-from oracles import drazin_inverse
+from oracles import dense_normal_form_factor, drazin_inverse
 
 
 @st.composite
@@ -63,6 +64,36 @@ def test_structured_instance_properties(instance):
     # corner_sensitivity reports ||stripped - general|| / max(||general||, floor).
     corner = max(corner_sensitivity(lind, pert).as_dict().values())
     assert corner * max(frob(general), RESIDUAL_FLOOR) <= 1e-10 * scale
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 16), st.integers(1, 5), st.integers(0, 2 ** 16),
+       st.booleans(), st.booleans())
+@example(1, 3, 2, 0, False, False)  # d = 1
+@example(2, 2, 2, 4, True, False)   # defective K_qq
+@example(2, 3, 2, 6, False, True)   # an extra zero jump
+def test_structured_solves_match_the_dense_normal_form_factor(d, n, n_jumps, seed, defective,
+                                                               extra):
+    # D <= 20: the corner factor solves ll and ur by n x n LUs and lr by a
+    # Bartels-Stewart sweep; the oracle forms the three blocks and LU-factors
+    # each. A K = 5 batch of columns goes through apply_drazin at once.
+    assume(d + n <= 20)
+    try:
+        lind, _ = random_structured_instance(d, n, n_jumps, seed, defective_k=defective and n == 2,
+                                             extra_zero_jump=extra)
+    except RuntimeError:
+        assume(False)
+    factor = lind.factor
+    assert not factor.leaky
+    drazin, projection, g = dense_normal_form_factor(lind)
+    assert frob(factor._factored[1] - g) <= 1e-12 * frob(g)
+    assert frob(factor.drazin() - drazin) <= 1e-12 * frob(drazin)
+    assert frob(factor.projection() - projection) <= 1e-12 * frob(projection)
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((lind.dim ** 2, 5 * d * d)) + 1j * rng.standard_normal(
+        (lind.dim ** 2, 5 * d * d))
+    want = drazin @ cols
+    assert frob(factor.apply_drazin(cols) - want) <= 1e-12 * frob(want)
 
 
 def _routes(lind, pert):

@@ -1,21 +1,28 @@
-"""Scale ladder: build time, general-route time and peak RSS of large draws, on two trees.
+"""Scale ladder: build, general-route and command times and peak RSS of large draws, on two trees.
 
     python tools/scale.py PARENT_SRC CHANGE_SRC [--out BENCH.json]
 
 Each tree is a directory that holds the `ejof` package (for example `src`).
-For each D in 20, 40 and 64, `random_structured_instance(4, D - 4, 5, 3)` is
-drawn three times per tree, each in a fresh interpreter with that tree first
-on PYTHONPATH and one BLAS thread, and the child reports:
+For each D in 20, 40, 64 and 128, `random_structured_instance(4, D - 4, 5, 3)`
+is drawn three times per tree. Each run is three fresh interpreters with that
+tree first on PYTHONPATH, one BLAS thread and an address space capped at
+MEMORY_LIMIT_GB. The first reports:
 
 * `draw_build_s`: the draw, which builds and checks the generator;
 * `general_s`: `Study(lind, pert).general`, the general route including the
   first use of the corner factor;
 * `peak_rss_mb`: the child's peak resident set (`ru_maxrss`), import included.
 
+The other two write the draw as a problem file and run `ejof effective` and
+`ejof verify` on it, reporting `effective_s` and `verify_s` (the command
+alone) and `effective_peak_rss_mb` and `verify_peak_rss_mb` (the whole child).
+
 The two trees alternate, parent first on even repeats and change first on odd ones,
-and every run is written to the JSON file with the per-(tree, D) medians.
-The script records measurements and claims nothing; it is not a workload of
-the benchmark in `bench/`.
+and every run is written to the JSON file with the per-(tree, D) medians. A
+child whose allocation fails under the cap records `not_run` with the
+MemoryError's text instead of numbers, and the tree's later children at that
+D are not started. The script records measurements and claims nothing; it is
+not a workload of the benchmark in `bench/`.
 """
 
 from __future__ import annotations
@@ -27,36 +34,83 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 DRAW = (4, 5, 3)  # d, jumps, seed: random_structured_instance(d, D - d, jumps, seed)
-SIZES = (20, 40, 64)
+SIZES = (20, 40, 64, 128)
 REPEATS = 3
 LABELS = ("parent", "change")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("draw_build_s", "general_s", "peak_rss_mb")
+METRICS = ("draw_build_s", "general_s", "peak_rss_mb", "effective_s", "effective_peak_rss_mb",
+           "verify_s", "verify_peak_rss_mb")
+UNITS = {m: "MB" if m.endswith("_mb") else "s" for m in METRICS}
 TIMEOUT_S = 900
-CHILD = """
+# Address-space cap of each child: a tree that needs more is recorded as not run.
+MEMORY_LIMIT_GB = 2
+LIMIT = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT_GB << 30}, {MEMORY_LIMIT_GB << 30}))
+"""
+ROUTE_CHILD = LIMIT + """
 import json, resource, sys, time
 from ejof.effective import Study, random_structured_instance
 d, jumps, seed, dim = map(int, sys.argv[1:])
 t0 = time.perf_counter()
 lind, pert = random_structured_instance(d, dim - d, jumps, seed)
 t1 = time.perf_counter()
-Study(lind, pert).general
+try:
+    Study(lind, pert).general
+except MemoryError as err:
+    print(json.dumps({"not_run": str(err)}))
+    sys.exit()
 t2 = time.perf_counter()
 print(json.dumps({"draw_build_s": t1 - t0, "general_s": t2 - t1,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
+COMMAND_CHILD = LIMIT + """
+import contextlib, io, json, resource, sys, time
+from ejof import cli
+from ejof.effective import random_structured_instance
+command, (d, jumps, seed, dim) = sys.argv[1], map(int, sys.argv[2:])
+lind, pert = random_structured_instance(d, dim - d, jumps, seed)
+with open("problem.json", "w") as fh:
+    json.dump({"version": 1, "hilbert_dim": dim, "dfs": list(range(d)),
+               "hamiltonian": cli.matrix_json(lind.h), "jumps": [cli.matrix_json(f) for f in lind.jumps],
+               "perturbation": {"v": cli.matrix_json(pert.v),
+                                "f": [cli.matrix_json(f) for f in pert.fs]}}, fh)
+t0 = time.perf_counter()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "problem.json", "--out", "report.json"])
+except MemoryError as err:
+    print(json.dumps({"not_run": str(err)}))
+    sys.exit()
+t1 = time.perf_counter()
+if code != 0:
+    sys.exit(f"ejof {command} exited {code}")
+print(json.dumps({f"{command}_s": t1 - t0, f"{command}_peak_rss_mb":
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
 
 
-def run_child(src: Path, dim: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), **dict.fromkeys(THREAD_VARS, "1"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, DRAW), str(dim)], env=env,
-                          capture_output=True, text=True, timeout=TIMEOUT_S)
+def run_child(src: Path, code: str, *args) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), **dict.fromkeys(THREAD_VARS, "1"))
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, cwd=work,
+                              capture_output=True, text=True, timeout=TIMEOUT_S)
     if proc.returncode != 0:
-        raise RuntimeError(f"D={dim} on {src} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"{args} on {src} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_tree(src: Path, dim: int) -> dict:
+    """One run of every child on one tree at one D."""
+    out = run_child(src, ROUTE_CHILD, *DRAW, dim)
+    for command in ("effective", "verify"):
+        if "not_run" not in out:
+            out.update(run_child(src, COMMAND_CHILD, command, *DRAW, dim))
+    return out
 
 
 def host() -> dict:
@@ -85,20 +139,30 @@ def main(argv=None) -> int:
     for repeat in range(REPEATS):
         for dim in SIZES:
             for label, src in trees if repeat % 2 == 0 else trees[::-1]:
-                runs.append({"tree": label, "D": dim, "repeat": repeat, **run_child(src, dim)})
+                runs.append({"tree": label, "D": dim, "repeat": repeat, **run_tree(src, dim)})
                 print(json.dumps(runs[-1]), flush=True)
-    medians = [
-        {"tree": label, "D": dim, **{
-            m: statistics.median(r[m] for r in runs if r["tree"] == label and r["D"] == dim)
-            for m in METRICS}}
-        for dim in SIZES for label in LABELS
-    ]
+
+    def median_row(label, dim):
+        rows = [r for r in runs if r["tree"] == label and r["D"] == dim]
+        refused = [r["not_run"] for r in rows if "not_run" in r]
+        if refused:
+            return {"tree": label, "D": dim, "not_run": refused[0]}
+        return {"tree": label, "D": dim, **{m: statistics.median(r[m] for r in rows) for m in METRICS}}
+
+    medians = [median_row(label, dim) for dim in SIZES for label in LABELS]
     for row in medians:
-        print(f"D={row['D']:<4} {row['tree']:<8} draw+build {row['draw_build_s']:8.3f} s"
-              f"   general {row['general_s']:8.3f} s   peak RSS {row['peak_rss_mb']:7.1f} MB")
+        head = f"D={row['D']:<4} {row['tree']:<8}"
+        if "not_run" in row:
+            print(f"{head} not run: {row['not_run']}")
+            continue
+        print(f"{head} draw+build {row['draw_build_s']:7.3f} s   general {row['general_s']:7.3f} s"
+              f"   peak RSS {row['peak_rss_mb']:7.1f} MB   effective {row['effective_s']:7.3f} s"
+              f" {row['effective_peak_rss_mb']:7.1f} MB   verify {row['verify_s']:7.3f} s"
+              f" {row['verify_peak_rss_mb']:7.1f} MB")
     result = {
         "draw": f"random_structured_instance({DRAW[0]}, D - {DRAW[0]}, {DRAW[1]}, {DRAW[2]})",
-        "metrics": {"draw_build_s": "s", "general_s": "s", "peak_rss_mb": "MB"},
+        "memory_limit_gb": MEMORY_LIMIT_GB,
+        "metrics": UNITS,
         "host": host(),
         "medians": medians,
         "runs": runs,
