@@ -561,13 +561,13 @@ def cmd_effective(args, inputs: Inputs) -> Outcome | int:
         "expected_multiplicity": int(rep.expected_multiplicity),
         "spectral_gap": gap if gap is not None and np.isfinite(gap) else None,
     }
-    # --force waives the block and multiplicity checks, never steadiness: the
-    # general route needs a DFS that L keeps fixed.
-    steady = rep.dfs_steady <= rep.tol
-    if not rep.passed and not (args.force and steady):
+    # --force waives the block and multiplicity checks, never steadiness or a
+    # Hermitian H: the general route needs a DFS that a Lindbladian keeps fixed.
+    waivable = rep.dfs_steady <= rep.tol and rep.h_hermitian <= rep.tol
+    if not rep.passed and not (args.force and waivable):
         for line in rep.failures():
             print(f"structure check failed: {line}", file=sys.stderr)
-        if steady:
+        if waivable:
             print("use --force to compute the general route anyway", file=sys.stderr)
         return EXIT_INPUT
 
@@ -871,7 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("problem", help="problem file (JSON)")
     p_eff.add_argument("--force", action="store_true",
                        help="compute the general route even if the block or multiplicity "
-                            "checks fail (a DFS that is not steady still exits 2)")
+                            "checks fail (a DFS that is not steady, or an H that is not "
+                            "Hermitian, still exits 2)")
     common(p_eff)
     p_eff.set_defaults(func=cmd_effective)
 

@@ -121,6 +121,9 @@ def validate_initial_state(rho: np.ndarray, dfs, tol: float = 1e-9) -> None:
     rho = as_operator(rho)
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"initial state trace {np.trace(rho):.6f} != 1")
+    skew = frob(rho - rho.conj().T)
+    if skew > tol:
+        raise ValueError(f"initial state is not Hermitian (residual {skew:.3e})")
     if float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2))) < -tol:
         raise ValueError("initial state is not positive semidefinite")
     if frob(rho - four_corners(rho, dfs).ul) > tol:

@@ -40,9 +40,9 @@ themselves, for the generator's corner factor), never as D^2 x D^2
 matrices. The closed route hands out DFS blocks only
 (:class:`EffectiveGenerator`): H_eff as (d, d), the F_eff_l as (J, d, d),
 E_eff as (d^2, d^2) and sum_l f_ll_l† f_ll_l as (d, d); none of them has
-another corner. E_eff acts on the d^2 DFS units b_i b_j† at once, as one
-(d^2, n, n) stack of sources on the decaying block, one stacked sector solve
-and one stacked feed product, and the block of L_eff is one GKSL assembly of
+another corner. E_eff acts on the d^2 DFS units b_i b_j† at once, as d^2 vec
+columns of sources on the decaying block, one sweep of the sector map and
+one stacked feed product, and the block of L_eff is one GKSL assembly of
 these pieces (:func:`effective_to_superop`).
 """
 
@@ -289,10 +289,10 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
 
     H_eff, the F_eff_l and sum_l f_ll_l† f_ll_l are the DFS corners of their
     full-space forms, gathered as blocks. E_eff is built on the d^2 DFS units
-    b_i b_j† at once: their sources sum_l f_ll_l b_i b_j† f_ll_l†
-    form one (d^2, n, n) stack on the decaying block, one stacked sector
-    solve inverts the evolution on all of them, and the feed
-    sum_l F_l (.) F_l† maps the solutions back to the DFS block.
+    b_i b_j† at once: their sources sum_l f_ll_l b_i b_j† f_ll_l† on the
+    decaying block are d^2 vec columns of one GEMM, one sweep of the
+    generator's ``decaying_sector`` inverts the evolution on all of them, and
+    the feed sum_l F_l (.) F_l† maps the solutions back to the DFS block.
     """
     _check_pair(lind, pert)
     dfs = lind.dfs
@@ -310,14 +310,14 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
     jumps_eff = (f.ul - jumps @ kinv @ coupling)[:, idx[:, None], idx]
     adj_id = sum((dagger(f_ll) @ f_ll for f_ll in f.ll), np.zeros_like(coupling))[ul]
     # The source of unit i + d j is sum_l g_l[:, i] g_l[:, j]† for the (n, d)
-    # blocks g_l of f_ll_l, stacked as [j, i] and summed over l in order.
-    g = f.ll[:, rest[:, None], idx].transpose(0, 2, 1)  # (J, d, n): row i is g_l[:, i]
-    source = sum((g_l[None, :, :, None] * g_l.conj()[:, None, None, :] for g_l in g),
-                 np.zeros((d, d, n, n), dtype=complex)).reshape(d * d, n, n)
+    # blocks g_l of f_ll_l: its vec column, entry a + n b, is one GEMM over [l, (a, i)].
+    g = f.ll[:, rest[:, None], idx].reshape(-1, n * d)
+    source = (g.conj().T @ g).reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
     cp_superop = np.zeros((d * d, d * d), dtype=complex)
     # With every f_ll zero, E_eff is zero and the sector is not solved.
     if source.any():
-        sigma = lind.decaying_sector.solve(-source)
+        # One sweep of the d^2 columns; [q, p, c] = sigma_c[p, q] turns to the (c, p, q) stack.
+        sigma = lind.decaying_sector.solve(-source).transpose(2, 1, 0)
         feed = jumps[:, idx[:, None], rest]  # F_l, (J, d, n)
         cp_superop = vectorize_stack(np.sum(feed[:, None] @ sigma @ dagger(feed)[:, None], axis=0))
     return EffectiveGenerator(
@@ -364,8 +364,8 @@ class IdentityReport:
     """Relative residuals of the structural identities behind the closed route.
 
     adjoint_identity: E_eff adjoint applied to I vs sum_l f_ll_l† f_ll_l.
-    offdiag_inverse: the decaying-sector solve against i[Kinv, sigma]* on a
-        basis of block-off-diagonal operators.
+    offdiag_inverse: LU solves of -i K_qq and i K_qq† on the ll and ur units
+        against the columns of i Kinv_qq and the rows of -i Kinv_qq†.
     resolvent_identity: sum_l Kinv† F_l† F_l Kinv vs -i(Kinv - Kinv†).
     jump_norm_identity: sum_l (F_eff_l† F_eff_l - f_ul_l† f_ul_l) vs
         -i(C Kinv C - H.c.).
@@ -617,7 +617,7 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
         try:
             h[d:, d:] = _defective_decaying_hamiltonian(w) if defective_k else _random_hermitian(rng, n)
             lind = structured_lindbladian(h, jumps, dfs)
-            if min(np.abs(np.diag(lind.decaying_sector.t))) < 1e-2:
+            if min(np.abs(np.diag(lind.k_schur[0]))) < 1e-2:
                 raise ValueError("non-Hermitian Hamiltonian too close to singular")
             if slowest_decay_rate(lind) < 5e-2:
                 raise ValueError("spectral gap too small for a clean instance")

@@ -21,11 +21,11 @@ Under the normal form L is block-triangular over the corners, so its spectrum
 is known from the n x n block K_qq alone: {0}^(d^2), -i kappa_a and
 i conj(kappa_a) d times each, and -i(kappa_a - conj(kappa_b)), for the
 eigenvalues kappa_a of K_qq. :func:`structured_lindbladian` Schur-factors K_qq
-once (:class:`SectorSolver`, cached as ``decaying_sector``) and reads the
-zero multiplicity, the gap and the spectral radius rho(L) off it. The zero
-cut is relative to that radius, |lambda| <= 1e-8 max(1, rho(L)), so no norm
-of L is taken. Every Schur form is LAPACK zgees behind a finiteness check
-(:func:`complex_schur`), and no decomposition of L is taken; the DFS
+once (kept as ``k_schur``) and reads the zero multiplicity, the gap and the
+spectral radius rho(L) off it. The zero cut is relative to that radius,
+|lambda| <= 1e-8 max(1, rho(L)), so no norm of L is taken. Every Schur form
+is LAPACK zgees behind a finiteness check (:func:`complex_schur`), and no
+decomposition of L is taken; the DFS
 steadiness check applies L to the d^2 DFS units by D x D products when an
 entry leaks off its corner (without one, L(b_i b_j†) is exactly zero). The
 (D^2, D^2) matrix of L is not built to construct a generator: the Drazin
@@ -42,13 +42,13 @@ holds O(n^2) entries where the lr block has n^4. Only when an entry leaks
 off its corner is L assembled, once, in K form with one GEMM for the jump
 sum (:func:`~ejof.operators.gksl_superop`), and L_rr gathered whole and
 LU-factored. An LU with a zero or tiny pivot, or a sweep with a zero or
-tiny shift, raises :class:`SingularBlockError`. The decaying-sector map
-sigma -> -i(K sigma - sigma K†) is a Sylvester equation, solved by
-Bartels-Stewart on the cached Schur form of K_qq, for a whole stack of
-right-hand sides in one column sweep of n triangular solves; its dense
-Kronecker form is kept in :func:`nh_superop_inverse_lr` as an independent
-oracle, behind the closed-form :func:`asymptotic_projection_analytic`. Every
-block of an operator or superoperator is an index gather on the DFS index set
+tiny shift, raises :class:`SingularBlockError`. The closed route's sector
+map sigma -> -i(K sigma - sigma K†) is the lr map with K' = K†: its sweep
+(``decaying_sector``) is built on first read from ``k_schur`` alone, so
+each route has its own K, Schur form and sweep. The map's dense Kronecker
+form is kept in :func:`nh_superop_inverse_lr` as an independent oracle,
+behind the closed-form :func:`asymptotic_projection_analytic`. Every block
+of an operator or superoperator is an index gather on the DFS index set
 (:class:`~ejof.operators.DfsProjector`), never a product with a projector.
 """
 
@@ -204,38 +204,51 @@ def _lu(a: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class LrSweep:
-    """The lr block of L_rr, X -> -i K X + i X K' on n x n operators, solved by Bartels-Stewart.
+    """X -> -i K X + i X K' on n x n operators, solved by Bartels-Stewart.
 
-    With the Schur forms K = U T U† and K' = V S V† (:func:`complex_schur`),
-    X = U Y V† turns lr X = C into -i T Y + i Y S = U† C V, solved column by
+    It is the lr block of L_rr (K' = K_qq') and the closed route's sector map
+    (K' = K†). With the Schur forms K = U T U† and K' = V S V†, X = U Y V†
+    turns the map X -> C into -i T Y + i Y S = U† C V, solved column by
     column (Bartels and Stewart, CACM 15, 1972), for j = 0 .. n-1:
 
         (-i T + i s_jj I) y_j = c_j - i sum_{k<j} s_kj y_k.
 
-    The adjoint lr†(Z) = i K† Z - i Z K'† = M becomes, with Z = U Y V†, the
+    The adjoint map Z -> i K† Z - i Z K'† = M becomes, with Z = U Y V†, the
     sweep j = n-1 .. 0 of (-i T + i s_jj I)† y_j = c_j + i sum_{k>j} conj(s_jk) y_k.
     Each step is one triangular solve (LAPACK ztrtrs) that carries column j
     of every right-hand side. A stack of m right-hand sides lives in the
     Schur frame as a C-ordered (n, m, n) array y, y[j, c] column j of Y_c,
     so that y[j].T is the F-ordered (n, m) block LAPACK reads. A shift
     -i t_pp + i s_jj whose modulus is zero or below ``PIVOT_RATIO_FLOOR``
-    times the largest raises :class:`SingularBlockError`, as a small LU pivot
-    does. No eigenvector is taken, so a defective K is handled exactly, and
-    no (n^2, n^2) array is formed.
+    times the largest raises :class:`SingularBlockError` at construction, as
+    a small LU pivot does. No eigenvector is taken, so a defective K is
+    handled exactly, and no (n^2, n^2) array is formed.
     """
 
     t: np.ndarray
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    shifts: np.ndarray  # [p, j] = -i t_pp + i s_jj
+    shifts: np.ndarray = field(init=False, repr=False)  # [p, j] = -i t_pp + i s_jj
+
+    def __post_init__(self):
+        shifts = -1j * np.diag(self.t)[:, None] + 1j * np.diag(self.s)[None, :]
+        _refuse_if_singular(shifts, self.t.size, "|sweep shift|")
+        object.__setattr__(self, "shifts", shifts)
 
     @classmethod
     def of(cls, k: np.ndarray, k_prime: np.ndarray) -> "LrSweep":
         (t, u), (s, v) = complex_schur(k), complex_schur(k_prime)
-        shifts = -1j * np.diag(t)[:, None] + 1j * np.diag(s)[None, :]
-        _refuse_if_singular(shifts, t.size, "|sweep shift|")
-        return cls(t=t, u=u, s=s, v=v, shifts=shifts)
+        return cls(t=t, u=u, s=s, v=v)
+
+    @classmethod
+    def of_adjoint_pair(cls, t: np.ndarray, u: np.ndarray) -> "LrSweep":
+        """The sweep with K' = K†, from the one Schur form K = U T U†.
+
+        With P the reversal permutation, K† = (U P)(P T† P)(U P)† and P T† P
+        is upper triangular, so no second Schur form is taken.
+        """
+        return cls(t=t, u=u, s=dagger(t)[::-1, ::-1], v=u[:, ::-1])
 
     def enter(self, cols: np.ndarray) -> np.ndarray:
         """Vec columns C_c (rows a + n b, one per c) as the Schur-frame stack U† C_c V."""
@@ -250,6 +263,13 @@ class LrSweep:
         uy = y.reshape(n * m, n) @ self.u.T  # [(j, c), p] = (U Y_c)[p, j]
         x = np.matmul(self.v.conj(), uy.reshape(n, m * n), out=y.reshape(n, m * n))
         return x.reshape(y.shape)
+
+    def solve(self, cols: np.ndarray) -> np.ndarray:
+        """The solutions X_c of vec columns C_c, as an (n, n, m) view [q, p, c] = X_c[p, q].
+
+        Reshaped to (n^2, m), it is the vec columns of the X_c.
+        """
+        return self.leave(self.sweep(self.enter(cols))).transpose(0, 2, 1)
 
     def sweep(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve the stack y in the Schur frame, in place: lr, or with ``adjoint`` lr†."""
@@ -378,8 +398,7 @@ class CornerFactor:
         z_r[:dn].reshape(d, n, m)[:] = x.reshape(n, d, m).transpose(1, 0, 2)
         # ur: X_c (d, n) at rows i + d k, read as [k, (i, c)], is X_c^T: solve i K_qq'^T X_c^T = C_c^T.
         z_r[dn:2 * dn] = zgetrs(*ur, y_r[dn:2 * dn].reshape(n, d * m))[0].reshape(dn, m)
-        x = lr.leave(lr.sweep(lr.enter(y_r[2 * dn:])))  # [q, c, p] = X_c[p, q], at row p + n q
-        z_r[2 * dn:].reshape(n, n, m)[:] = x.transpose(0, 2, 1)
+        z_r[2 * dn:].reshape(n, n, m)[:] = lr.solve(y_r[2 * dn:])
 
     def _leave(self, z: np.ndarray) -> np.ndarray:
         """Frame columns z, in corner order, scattered back to vec order."""
@@ -458,9 +477,11 @@ class StructuredLindbladian:
 
     Use :func:`structured_lindbladian` to construct one with validation. The
     non-Hermitian Hamiltonian ``k`` (supported on the decaying block), the
-    corner factor (``factor``) and the Schur form of K_qq
-    (``decaying_sector``) are built once, at construction; the Drazin inverse
-    and the asymptotic projection are read off ``factor``. The (D^2, D^2)
+    Schur form (T, U) of K_qq (``k_schur``) and the corner factor
+    (``factor``) are built once, at construction; the Drazin inverse and the
+    asymptotic projection are read off ``factor``. The closed route's sector
+    sweep (``decaying_sector``) is built on first read, so a small sector
+    shift is refused at the first closed solve. The (D^2, D^2)
     matrix of L is not: ``superop`` is the factor's, assembled at most once,
     on first read (by the oracles, or by a leaky factor). A factor swapped in
     for the corner factor keeps the matrix it factors as its ``superop``.
@@ -470,9 +491,9 @@ class StructuredLindbladian:
     jumps: tuple[np.ndarray, ...]
     dfs: DfsProjector
     k: np.ndarray = field(repr=False)
+    k_schur: tuple[np.ndarray, np.ndarray] = field(repr=False)
     report: StructureReport = field(repr=False)
     factor: CornerFactor = field(repr=False)
-    decaying_sector: SectorSolver = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -482,6 +503,11 @@ class StructuredLindbladian:
     def superop(self) -> np.ndarray:
         """L as a (D^2, D^2) matrix, cached on the factor after its first assembly."""
         return self.factor.superop
+
+    @cached_property
+    def decaying_sector(self) -> LrSweep:
+        """The closed route's sweep of sigma -> -i(K_qq sigma - sigma K_qq†), built on first read."""
+        return LrSweep.of_adjoint_pair(*self.k_schur)
 
     @cached_property
     def drazin(self) -> np.ndarray:
@@ -560,8 +586,8 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     leaky = any(x.any() for x in leaks)
     k = nh_hamiltonian(h, jumps)
     w = sum((dagger(f) @ f for f in jumps), np.zeros_like(h))
-    sector = SectorSolver.of(k, dfs)
-    mags = _normal_form_magnitudes(np.diag(sector.t), dfs.d)
+    k_schur = complex_schur(k[np.ix_(dfs.rest, dfs.rest)])
+    mags = _normal_form_magnitudes(np.diag(k_schur[0]), dfs.d)
     scale_s = max(1.0, float(np.max(mags)))
     thresh = ZERO_CLUSTER_FACTOR * scale_s
     steady = 0.0
@@ -582,7 +608,7 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
         spectral_gap=gap,
         tol=tol,
     )
-    return report, k, w, sector, thresh, leaky
+    return report, k, w, k_schur, thresh, leaky
 
 
 def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
@@ -616,13 +642,13 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     for f in jumps:
         if f.shape != h.shape:
             raise ValueError(f"jump shape {f.shape} != hamiltonian shape {h.shape}")
-    rep, k, w, sector, thresh, leaky = _diagnose(h, jumps, dfs, tol)
+    rep, k, w, k_schur, thresh, leaky = _diagnose(h, jumps, dfs, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
     factor = CornerFactor(h=h, jumps=jumps, w=w, dfs=dfs, thresh=thresh, gap=rep.spectral_gap,
                           leaky=leaky)
-    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, k=k, report=rep, factor=factor,
-                                 decaying_sector=sector)
+    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, k=k, k_schur=k_schur, report=rep,
+                                 factor=factor)
 
 
 def decay_rates(s: np.ndarray) -> np.ndarray:
@@ -680,72 +706,6 @@ def nh_hamiltonian_inverse(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SectorSolver:
-    """Bartels-Stewart solver for sigma -> -i(K sigma - sigma K†) on the decaying block.
-
-    K_qq = U T U† is Schur-factored once. A right-hand side C, or a stack of
-    m of them, is solved as T Y - Y T† = i U† C U by the column recurrence of
-    Bartels and Stewart (CACM 15, 1972): for j = n-1 down to 0,
-
-        (T - conj(t_jj) I) y_j = c_j + sum_{k>j} conj(t_jk) y_k,
-
-    one triangular solve (LAPACK ztrtrs) carrying the j-th columns of all m
-    right-hand sides. A batch costs n triangular solves and four stacked
-    n x n products, against a dense (n^2, n^2) solve per right-hand side for
-    the Kronecker form. No eigenvectors are involved, so a defective K is
-    handled exactly. A :class:`StructuredLindbladian` caches one as
-    ``decaying_sector``.
-    """
-
-    t: np.ndarray
-    u: np.ndarray
-
-    @classmethod
-    def of(cls, k: np.ndarray, dfs: DfsProjector) -> "SectorSolver":
-        t, u = complex_schur(as_operator(k)[np.ix_(dfs.rest, dfs.rest)])
-        return cls(t=t, u=u)
-
-    @cached_property
-    def _gaps(self) -> np.ndarray:
-        """The sweep diagonals t_aa - conj(t_jj), as [a, j].
-
-        One at or below ztrsyl's threshold max(eps max|T_ij|, the smallest
-        normal number), in ztrsyl's measure |Re| + |Im|, raises
-        :class:`SingularBlockError`.
-        """
-        diag = np.diag(self.t)
-        gaps = diag[:, None] - diag.conj()[None, :]
-        small = max(np.finfo(float).eps * float(np.max(np.abs(self.t))), np.finfo(float).tiny)
-        if float(np.min(np.abs(gaps.real) + np.abs(gaps.imag))) <= small:
-            raise SingularBlockError(
-                "decaying-block evolution superoperator is singular: "
-                f"K and K† share an eigenvalue (a Schur diagonal gap is at most {small:.3e})"
-            )
-        return gaps
-
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        """sigma with -i(K sigma - sigma K†) = c, in the decaying basis.
-
-        c is one (n, n) operator or an (m, n, n) stack, and sigma has its shape.
-        """
-        u, t, gaps = self.u, self.t, self._gaps
-        n = t.shape[0]
-        rhs = 1j * (dagger(u) @ c @ u)
-        # y[j] holds column j of every Y in the stack as an (m, n) block, so
-        # that y[j].T is the F-ordered (n, m) right-hand side LAPACK reads.
-        y = np.ascontiguousarray(rhs.reshape(-1, n, n).transpose(2, 0, 1))
-        size = y[0].size
-        # T - conj(t_jj) I is T's F-ordered copy with its diagonal, a strided view, reset.
-        shifted = np.array(t, order="F")
-        diagonal = shifted.reshape(-1, order="F")[::n + 1]
-        for j in range(n - 1, -1, -1):
-            y[j] += (t[j, j + 1:].conj() @ y[j + 1:].reshape(n - 1 - j, size)).reshape(y[j].shape)
-            diagonal[:] = gaps[:, j]
-            y[j] = ztrtrs(shifted, y[j].T, overwrite_b=True)[0].T
-        return u @ y.transpose(1, 2, 0).reshape(rhs.shape) @ dagger(u)
-
-
 def slowest_decay_rate(lind: StructuredLindbladian) -> float:
     """Slowest decay rate of the generator, from the Schur diagonal of K_qq.
 
@@ -754,7 +714,7 @@ def slowest_decay_rate(lind: StructuredLindbladian) -> float:
     (rate -Im kappa_a - Im kappa_b), over the eigenvalues kappa_a of K_qq, so
     the slowest rate is min_a -Im kappa_a.
     """
-    return float(np.min(-np.diag(lind.decaying_sector.t).imag))
+    return float(np.min(-np.diag(lind.k_schur[0]).imag))
 
 
 def _nh_block_matrix(kk: np.ndarray) -> np.ndarray:
@@ -771,7 +731,7 @@ def nh_superop_inverse_lr(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
     operators and annihilates the other corners. Implemented as a dense linear
     solve on the Kronecker form of the map, (D-d)^2 square, so a
     non-diagonalizable K is handled exactly. The routes solve the sector by
-    Bartels-Stewart (:class:`SectorSolver`); this dense form is kept as the
+    Bartels-Stewart (:class:`LrSweep`); this dense form is kept as the
     independent oracle behind :func:`asymptotic_projection_analytic` and the
     tests.
     """

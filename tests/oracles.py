@@ -423,11 +423,11 @@ def cp_superop_per_unit(lind, pert: Perturbation) -> np.ndarray:
     """E_eff's (d^2, d^2) DFS block, one DFS unit b_i b_j† at a time.
 
     Each unit's source sum_l f_ll_l b_i b_j† f_ll_l† is solved on its own, by
-    one triangular Sylvester solve (LAPACK ztrsyl) on the Schur form of K_qq,
+    one triangular Sylvester solve (LAPACK ztrsyl) on the generator's stored
+    Schur form of K_qq (``k_schur``),
     and fed back by sum_l F_l (.) F_l†. A unit with a zero source is skipped.
     """
-    dfs, sector = lind.dfs, lind.decaying_sector
-    t, u = sector.t, sector.u
+    dfs, (t, u) = lind.dfs, lind.k_schur
     d = dfs.d
     detect = [f[np.ix_(dfs.rest, dfs.indices)] for f in pert.fs]           # f_ll, (n, d)
     feed = [big_f[np.ix_(dfs.indices, dfs.rest)] for big_f in lind.jumps]  # F_l, (d, n)

@@ -219,21 +219,23 @@ def test_effective_force_skips_closed_route(tmp_path, capsys):
     assert report["verdicts"]["routes_agree"] is None
     assert report["structure"]["passed"] is False
     assert report["l_eff_general"] is not None
-    # A jump that feeds the DFS into the decaying block leaves no steady DFS:
-    # --force does not waive that.
+    # A jump that feeds the DFS into the decaying block leaves no steady DFS,
+    # and H_22 = 1 + 0.5i (the only defect) is not Hermitian: --force waives
+    # neither.
     bad = np.zeros((3, 3), dtype=complex)
     bad[2, 0] = 1.0
-    problem = write_problem(tmp_path, {
-        "version": 1,
-        "hilbert_dim": 3,
-        "dfs": [0, 1],
-        "jumps": [matrix(bad)],
-    }, "not_steady.json")
-    capsys.readouterr()
-    assert main(["effective", problem, "--force"]) == 2
-    err = capsys.readouterr().err
-    assert "DFS is not steady" in err
-    assert "--force" not in err
+    refused = {
+        "DFS is not steady": {"version": 1, "hilbert_dim": 3, "dfs": [0, 1], "jumps": [matrix(bad)]},
+        "hamiltonian not Hermitian (residual 8.944e-01)":
+            dict(README_SYSTEM, hamiltonian=matrix(np.diag([0, 0, 1 + 0.5j]))),
+    }
+    for failure, payload in refused.items():
+        problem = write_problem(tmp_path, payload, "refused.json")
+        capsys.readouterr()
+        assert main(["effective", problem, "--force"]) == 2
+        err = capsys.readouterr().err
+        assert failure in err
+        assert "--force" not in err
 
 
 def _study_on_the_dense_oracle(problem, zero_tol=None):
@@ -280,20 +282,26 @@ def test_forced_singular_rate_is_numerical_failure(tmp_path, capsys):
     assert "|LU pivot| 1.000e-15" in err
 
 
-def test_effective_defective_zero_is_numerical_failure(tmp_path, capsys):
+def test_effective_defective_zero_is_refused(tmp_path, capsys):
     # A nilpotent (non-Hermitian) Hamiltonian |1><2| on the decaying block and
     # no dissipation: the DFS is steady, but L_rr's ll block, -i K_qq, has an
-    # exactly zero pivot. Under --force the corner factor refuses it.
+    # exactly zero pivot. A Hermitian H cannot give L a defective zero, and
+    # --force does not waive Hermiticity, so the file exits 2 before any
+    # solve; unvalidated, the corner factor refuses the pivot.
+    h = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
     problem = write_problem(tmp_path, {
         "version": 1,
         "hilbert_dim": 3,
         "dfs": [0],
-        "hamiltonian": matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+        "hamiltonian": matrix(h),
         "jumps": [matrix(np.zeros((3, 3)))],
     })
-    code = main(["effective", problem, "--force"])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert main(["effective", problem, "--force"]) == cli.EXIT_INPUT
+    assert "hamiltonian not Hermitian" in capsys.readouterr().err
+    lind = ejof.lindblad.structured_lindbladian(h, [np.zeros((3, 3))],
+                                                cli.load_problem(problem).dfs, validate=False)
+    with pytest.raises(ejof.lindblad.SingularBlockError, match=r"\|LU pivot\| 0"):
+        _ = lind.drazin
 
 
 @pytest.mark.parametrize("entry, path", [
@@ -794,6 +802,15 @@ def test_initial_state_off_the_dfs_is_named_by_its_key(tmp_path, capsys):
     assert main(["evolve", problem, "--taus", "1.0"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == (
         "error: initial_states[1]: initial state is not supported on the DFS\n")
+
+
+def test_non_hermitian_initial_state_is_named_by_its_key(tmp_path, capsys):
+    # Its Hermitian part [[0.5, 0.5], [0.5, 0.5]] on the DFS is a state; rho is not.
+    rho = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    problem = explicit_problem(tmp_path, initial_states=[matrix(rho)])
+    assert main(["evolve", problem, "--taus", "1.0"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: initial_states[0]: initial state is not Hermitian (residual 1.414e+00)\n")
 
 
 @pytest.mark.parametrize("dfs", [[0, 1, 2], matrix(np.eye(3))], ids=["indices", "projector"])

@@ -67,6 +67,10 @@ def test_validate_initial_state(three_level):
         validate_initial_state(bad, lind.dfs)
     with pytest.raises(ValueError, match="DFS"):
         validate_initial_state(np.diag([0.5, 0.0, 0.5]).astype(complex), lind.dfs)
+    # (rho + rho†)/2 of this rho is PSD, but rho is not Hermitian.
+    skew = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"not Hermitian \(residual 1.414e\+00\)"):
+        validate_initial_state(skew, lind.dfs)
 
 
 def three_level_sweep(delta, epsilons=(0.04, 0.02, 0.01), taus=(0.5, 1.0, 2.0, 5.0)):

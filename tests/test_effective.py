@@ -199,8 +199,8 @@ def test_corner_sensitivity_takes_one_drazin_solve(count_drazin_solves, generic_
 def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch):
     # The routes stay independent: the general block of a fresh study, with
     # the first use of a fresh corner factor, uses neither Kinv, the coupling
-    # C, the generator's K, its decaying sector nor a Schur form or solve of
-    # that sector.
+    # C, the generator's K, its stored Schur form of K_qq nor its decaying
+    # sector, and builds no sweep from one Schur form.
     base, pert = generic_instance
     lind = structured_lindbladian(base.h, base.jumps, base.dfs)
     for name in ("nh_hamiltonian_inverse", "effective_coupling"):
@@ -212,11 +212,9 @@ def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "ejof" and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(ejof.lindblad.SectorSolver, "solve", lambda self, c: pytest.fail(
-        "the general route called SectorSolver.solve"))
-    monkeypatch.setattr(ejof.lindblad.SectorSolver, "of", classmethod(lambda cls, k, dfs: pytest.fail(
-        "the general route called SectorSolver.of")))
-    for name in ("k", "decaying_sector"):
+    monkeypatch.setattr(ejof.lindblad.LrSweep, "of_adjoint_pair", classmethod(
+        lambda cls, t, u: pytest.fail("the general route called LrSweep.of_adjoint_pair")))
+    for name in ("k", "k_schur", "decaying_sector"):
         # A class property shadows the instance field, so every read fails.
         monkeypatch.setattr(ejof.lindblad.StructuredLindbladian, name, property(
             lambda self, name=name: pytest.fail(f"the general route read lind.{name}")), raising=False)
@@ -295,18 +293,19 @@ def test_cp_superop_matches_dense_product(n, seed, defective, extra):
 
 
 def test_closed_route_solves_the_dfs_units_in_one_stack(monkeypatch):
-    # E_eff on the d^2 = 16 DFS units is one stacked sector solve.
+    # E_eff on the d^2 = 16 DFS units is one sweep of 16 columns, on the
+    # generator's decaying sector.
     lind, pert = random_structured_instance(4, 5, 5, 3)
     shapes = []
-    real = ejof.lindblad.SectorSolver.solve
+    real = ejof.lindblad.LrSweep.sweep
 
-    def counting(self, c):
-        shapes.append(np.shape(c))
-        return real(self, c)
+    def counting(self, y, adjoint=False):
+        shapes.append((self, np.shape(y), adjoint))
+        return real(self, y, adjoint)
 
-    monkeypatch.setattr(ejof.lindblad.SectorSolver, "solve", counting)
+    monkeypatch.setattr(ejof.lindblad.LrSweep, "sweep", counting)
     _ = Study(lind, pert).closed
-    assert shapes == [(16, 5, 5)]
+    assert shapes == [(lind.decaying_sector, (5, 16, 5), False)]
 
 
 def test_cp_superop_is_exactly_zero_without_a_source(generic_instance):

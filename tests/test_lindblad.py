@@ -9,7 +9,7 @@ from scipy.linalg import expm
 import ejof.lindblad
 from ejof.lindblad import (
     CornerFactor,
-    SectorSolver,
+    LrSweep,
     SingularBlockError,
     SpectralGapWarning,
     StructureError,
@@ -278,7 +278,8 @@ def test_nh_superop_inverse_lr_consistent(generic_instance):
         sigma = four_corners(sigma, dfs).lr
         want = devectorize(nh_superop_inverse_lr(lind.k, dfs) @ vectorize(sigma))
         bq = dense_dfs(dfs).basis_c
-        cached = bq @ lind.decaying_sector.solve(dagger(bq) @ sigma @ bq) @ dagger(bq)
+        swept = lind.decaying_sector.solve(vectorize(dagger(bq) @ sigma @ bq)[:, None])
+        cached = bq @ devectorize(swept.reshape(-1)) @ dagger(bq)
         for got in (nh_superop_solve(lind.k, sigma, dfs), cached):
             assert frob(got - want) <= 1e-11 * frob(want), name
 
@@ -301,30 +302,31 @@ def test_stacked_sector_solve_matches_slices_and_kronecker_oracle(make):
     n = dfs.n_decay
     rng = np.random.default_rng(5)
     c = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
-    got = sector.solve(c)
+    got = devectorize_columns(sector.solve(vectorize_stack(c)).reshape(n * n, 6))
     assert got.shape == c.shape
     lr = dfs.vec_order[-n * n:]
     kron = nh_superop_inverse_lr(lind.k, dfs)[np.ix_(lr, lr)]
     want = devectorize_columns(kron @ vectorize_stack(c))
     for got_s, c_s, want_s in zip(got, c, want):
-        single = sector.solve(c_s)
-        assert single.shape == (n, n)
+        single = devectorize(sector.solve(vectorize(c_s)[:, None]).reshape(-1))
         assert frob(got_s - single) <= 1e-12 * frob(single)
         assert frob(got_s - want_s) <= 1e-12 * frob(want_s)
 
 
-@pytest.mark.parametrize("offset, singular", [(0.0, True), (1e-17, True), (1e-13, False)])
+@pytest.mark.parametrize("offset, singular", [(0.0, True), (1e-17, True), (1e-13, True),
+                                              (1e-11, False)])
 def test_sector_solve_refuses_a_shared_eigenvalue(offset, singular):
-    # t_00 - conj(t_11) = offset: at or below eps max|T_ij| (3.1e-16 here) the
-    # sector map is singular, as LAPACK ztrsyl would flag it.
+    # t_00 - conj(t_11) = offset: the smallest sweep shift over the largest
+    # (|2 Im t_00| = 2) is offset / 2. Below PIVOT_RATIO_FLOOR (2.2e-13) the
+    # sector map is refused as singular, as a small LU pivot is.
     t = np.array([[1 + 1j, 0.3], [0, 1 - 1j + offset]])
-    sector = SectorSolver(t=t, u=np.eye(2, dtype=complex))
     c = np.array([[1.0, 2.0], [0.5j, -1.0]])
     if singular:
-        with pytest.raises(SingularBlockError, match="share an eigenvalue"):
-            sector.solve(c)
+        with pytest.raises(SingularBlockError, match=r"smallest/largest \|sweep shift\|"):
+            LrSweep.of_adjoint_pair(t, np.eye(2, dtype=complex))
     else:
-        sigma = sector.solve(c)
+        sector = LrSweep.of_adjoint_pair(t, np.eye(2, dtype=complex))
+        sigma = devectorize(sector.solve(vectorize(c)[:, None]).reshape(-1))
         residual = frob(-1j * (t @ sigma - sigma @ dagger(t)) - c)
         assert residual <= 1e-12 * frob(t) * frob(sigma)
 

@@ -163,6 +163,11 @@ PROBLEMS = {
     "gap_f002.json": _two_rates(0.02, 2e-7, 0.1),
     # A tolerance no verdict can meet: an input error.
     "zero_tol.json": dict(_explicit({(2, 2): 1}), tol=0),
+    # H_22 = 1 + 0.5i is the only defect: H is not Hermitian.
+    "non_hermitian_h.json": _explicit({(2, 2): 1 + 0.5j}),
+    # An initial state whose Hermitian part is a DFS state, but which is not Hermitian.
+    "skew_state.json": dict(_explicit({(2, 2): 1}),
+                            initial_states=[_matrix(3, {(0, 0): 0.5, (0, 1): 1, (1, 1): 0.5})]),
 }
 
 GRID = ["--epsilons", "0.04,0.02,0.01", "--taus", "0.5,1,2,5"]
@@ -244,6 +249,9 @@ COMMANDS = {
     "effective-separation-v-force": ["effective", "separation_v.json", "--force"],
     "effective-singular-force": ["effective", "singular.json", "--force"],
     "effective-lr-jump-force": ["effective", "lr_jump.json", "--force"],
+    # --force waives neither a non-Hermitian H nor does evolve take a non-Hermitian state.
+    "effective-non-hermitian-h-force": ["effective", "non_hermitian_h.json", "--force"],
+    "evolve-skew-state": ["evolve", "skew_state.json", "--taus", "1"],
     "effective-gap-f1": ["effective", "gap_f1.json"],
     "effective-gap-f002": ["effective", "gap_f002.json"],
     "effective-unread-seed": ["effective", "three_level.json", "--seed", "5"],
