@@ -19,7 +19,7 @@ rendered as shortest round-trip decimals, and no timestamps or timings are
 written to the file (wall-clock time goes to standard output instead).
 
 Exit codes: 0 success, 1 verification failed, 2 invalid input, 3 numerical
-failure.
+failure or out of memory.
 """
 
 from __future__ import annotations
@@ -609,8 +609,8 @@ def cmd_verify(args, inputs: Inputs) -> Outcome:
     tol, rows, params = inputs.tol, [], None
     if args.random is not None:
         d, n, trials, seed = args.random
-        if d < 1 or n < 1 or trials < 0:
-            raise ProblemFormatError("", "--random needs D >= 1, N >= 1, TRIALS >= 0")
+        if d < 1 or n < 1 or trials < 1:
+            raise ProblemFormatError("", "--random needs D >= 1, N >= 1, TRIALS >= 1")
         params = {"random": [d, n, trials, seed], "tol": tol}
         for i in range(trials):
             defective = n == 2 and i % 10 == 9
@@ -935,6 +935,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except np.linalg.LinAlgError as err:  # SingularBlockError
         print(f"error: numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as err:  # ProblemFormatError and other bad input
         print(f"error: {err}", file=sys.stderr)

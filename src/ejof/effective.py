@@ -15,17 +15,23 @@ O1 + O2 = L(H+V, {F+f}) - L(H, {F}) holds as a matrix identity. The route is
 evaluated for K perturbations of one generator at once, with one L^D solve.
 
 Closed route (effective operators)
-    H_eff = (1/2)(V_ul - C Kinv C) + H.c.
-    F_eff_l = f_ul_l - F_l Kinv C
-    E_eff(rho) = - sum_l' F_l' Kinv_lr( sum_l f_ll_l rho f_ll_l† ) F_l'†
+    H_eff = Herm(V_pp - C_pq Kinv C_qp)
+    F_eff_l = f_pp_l - A_l Kinv C_qp
+    E_eff(rho) = - sum_l' A_l' Kinv_lr( sum_l f_qp_l rho f_qp_l† ) A_l'†
 assembled as
     L_eff(rho) = -i[H_eff, rho] + sum_l D[F_eff_l](rho)
-                 + E_eff(rho) - (1/2){ sum_l f_ll_l† f_ll_l , rho }
-where K is the non-Hermitian Hamiltonian of the unperturbed generator, Kinv
-its decaying-block inverse, Kinv_lr the inverse of the decaying-block
-evolution sigma -> -i(K sigma - sigma K†), and C the induced non-Hermitian
-coupling between the blocks,
-    C = V_offdiag - (i/2) sum_l ( F_l† f_ul_l + f_ul_l† F_l ).
+                 + E_eff(rho) - (1/2){ sum_l f_qp_l† f_qp_l , rho }
+on the blocks of a DFS P (d states, indices ``dfs.indices``) and its decaying
+complement Q (n states, ``dfs.rest``): X_pq is the (d, n) block X[P, Q] of an
+operator, and so on. A_l = F_l[P, Q] is the part of a jump that feeds the DFS,
+K the non-Hermitian Hamiltonian of the unperturbed generator, Kinv = K_qq^-1
+(n, n), Kinv_lr the inverse of the decaying-block evolution
+sigma -> -i(K_qq sigma - sigma K_qq†), and C_qp, C_pq the two blocks of the
+induced coupling between the DFS and the decaying block,
+    C_qp = V_qp - (i/2) sum_l A_l† f_pp_l,   C_pq = V_pq - (i/2) sum_l f_pp_l† A_l.
+The coupling has no other block that the route reads, and these forms are
+exact: the paper's full-space products (C Kinv C, F_l Kinv C) read only these
+blocks, since Kinv lives on the decaying block and only the DFS corner is kept.
 
 Both routes return the effective generator as the (d^2, d^2) DFS block, its
 only form. A :class:`Study` of one generator and perturbation evaluates each
@@ -37,13 +43,11 @@ E† S E, for E the d^2 unit columns at the DFS vec positions
 (``dfs.vec_order[:d^2]``): vec(b_i b_j†) in column i + d j. The general route
 applies O1 and O2 as maps on the d^2 operators P_inf E (the DFS units
 themselves, for the generator's corner factor), never as D^2 x D^2
-matrices. The closed route hands out DFS blocks only
-(:class:`EffectiveGenerator`): H_eff as (d, d), the F_eff_l as (J, d, d),
-E_eff as (d^2, d^2) and sum_l f_ll_l† f_ll_l as (d, d); none of them has
-another corner. E_eff acts on the d^2 DFS units b_i b_j† at once, as d^2 vec
-columns of sources on the decaying block, one sweep of the sector map and
-one stacked feed product, and the block of L_eff is one GKSL assembly of
-these pieces (:func:`effective_to_superop`).
+matrices. The closed route forms no D x D array (:class:`EffectiveGenerator`):
+E_eff acts on the d^2 DFS units b_i b_j† at once, as d^2 vec columns of
+sources on the decaying block, one sweep of the sector map and one stacked
+feed product, and the block of L_eff is one GKSL assembly of the pieces
+(:func:`effective_to_superop`).
 """
 
 from __future__ import annotations
@@ -121,26 +125,27 @@ def _check_pair(lind: StructuredLindbladian, pert: Perturbation):
         )
 
 
-def effective_coupling(lind: StructuredLindbladian, pert: Perturbation,
-                       f_ul: np.ndarray | None = None) -> np.ndarray:
-    """Induced non-Hermitian coupling between the DFS and decaying blocks.
+def _blocks(ops, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The [rows, cols] block of each operator, as one (len(ops), rows, cols) stack."""
+    return np.array([op[np.ix_(rows, cols)] for op in ops],
+                    dtype=complex).reshape(len(ops), rows.size, cols.size)
 
-    C = V_offdiag - (i/2) sum_l (F_l† f_ul_l + f_ul_l† F_l); supported on the
-    block-off-diagonal corners. f_ul is the (J, D, D) stack of the f_ul_l
-    when the caller has split the f_l already.
+
+def effective_coupling(lind: StructuredLindbladian,
+                       pert: Perturbation) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks (C_qp, C_pq) of the induced coupling between the DFS and decaying blocks.
+
+    C_qp = V_qp - (i/2) sum_l A_l† f_pp_l, (n, d), and
+    C_pq = V_pq - (i/2) sum_l f_pp_l† A_l, (d, n), for A_l = F_l[P, Q]: the
+    blocks of the paper's C = V_offdiag - (i/2) sum_l (F_l† f_ul_l + f_ul_l† F_l)
+    that the closed route reads.
     """
     _check_pair(lind, pert)
-    if f_ul is None:
-        f_ul = four_corners(_jump_stack(lind, pert), lind.dfs).ul
-    c = four_corners(pert.v, lind.dfs).offdiag
-    for big_f, f in zip(lind.jumps, f_ul):
-        c = c - 0.5j * (dagger(big_f) @ f + dagger(f) @ big_f)
-    return c
-
-
-def _jump_stack(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
-    """The f_l of a perturbation as one (J, D, D) stack."""
-    return np.array(pert.fs, dtype=complex).reshape(len(pert.fs), lind.dim, lind.dim)
+    idx, rest = lind.dfs.indices, lind.dfs.rest
+    a = _blocks(lind.jumps, idx, rest)
+    f_pp = _blocks(pert.fs, idx, idx)
+    g = np.sum(dagger(a) @ f_pp, axis=0)  # sum_l A_l† f_pp_l, (n, d)
+    return pert.v[np.ix_(rest, idx)] - 0.5j * g, pert.v[np.ix_(idx, rest)] - 0.5j * dagger(g)
 
 
 def _stacked(lind: StructuredLindbladian, perts) -> tuple[np.ndarray, np.ndarray]:
@@ -157,10 +162,10 @@ def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) 
     """A of O1 for each of K stacked perturbations, as (K, D, D).
 
     O1(X) = -i(A X - X A†) + sum_l (F_l X f_l† + f_l X F_l†). The star
-    commutator is additive in A, so its V_diag part, the coupling C of
-    :func:`effective_coupling` and its f_ur part -(i/2) sum_l
-    (f_ur_l† F_l + F_l† f_ur_l) share one A; as f_ul + f_ur = P f, the DFS
-    rows of f, A = V - (i/2)(G + G†) with G = sum_l F_l† P f_l.
+    commutator is additive in A, so its V_diag part, the full-space coupling C
+    (whose two blocks :func:`effective_coupling` returns) and its f_ur part
+    -(i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l) share one A; as f_ul + f_ur = P f,
+    the DFS rows of f, A = V - (i/2)(G + G†) with G = sum_l F_l† P f_l.
     """
     top = np.zeros_like(fs)
     top[..., lind.dfs.indices, :] = fs[..., lind.dfs.indices, :]
@@ -262,18 +267,16 @@ def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbatio
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Closed-form effective generator data, as DFS blocks.
+    """Closed-form effective generator data, as the blocks it is built from.
 
-    h_eff (d, d) and jumps_eff (J, d, d) are the DFS blocks of H_eff and of
-    the F_eff_l, which have no other corner. cp_superop is the completely
-    positive feed-through term E_eff as its (d^2, d^2) DFS block (E_eff reads
-    and writes only the DFS corner, so the block is all of it);
-    cp_adjoint_identity (d, d) is the block of sum_l f_ll_l† f_ll_l, the
-    adjoint of E_eff applied to the identity, which sets the trace-conserving
-    anticommutator counterweight. kinv (the embedded decaying-block inverse
-    of K) and coupling (C of :func:`effective_coupling`) are the full-space
-    (D, D) pieces the blocks were built from; :attr:`Study.identities` reads
-    them there.
+    h_eff (d, d) and jumps_eff (J, d, d) are H_eff and the F_eff_l on the DFS,
+    their only block. cp_superop is the completely positive feed-through term
+    E_eff as its (d^2, d^2) DFS block (E_eff reads and writes only the DFS
+    corner, so the block is all of it); cp_adjoint_identity (d, d) is
+    sum_l f_qp_l† f_qp_l, the adjoint of E_eff applied to the identity, which
+    sets the trace-conserving anticommutator counterweight. kinv (n, n) is
+    K_qq^-1 and coupling the blocks (C_qp, C_pq) of :func:`effective_coupling`;
+    :attr:`Study.identities` reads them.
     """
 
     h_eff: np.ndarray
@@ -281,44 +284,40 @@ class EffectiveGenerator:
     cp_superop: np.ndarray
     cp_adjoint_identity: np.ndarray
     kinv: np.ndarray
-    coupling: np.ndarray
+    coupling: tuple[np.ndarray, np.ndarray]
 
 
 def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation) -> EffectiveGenerator:
     """Second-order effective generator by the closed (effective-operator) route.
 
-    H_eff, the F_eff_l and sum_l f_ll_l† f_ll_l are the DFS corners of their
-    full-space forms, gathered as blocks. E_eff is built on the d^2 DFS units
-    b_i b_j† at once: their sources sum_l f_ll_l b_i b_j† f_ll_l† on the
-    decaying block are d^2 vec columns of one GEMM, one sweep of the
+    H_eff, the F_eff_l and sum_l f_qp_l† f_qp_l are products of the (d, d),
+    (d, n) and (n, d) blocks of the module docstring. E_eff is built on the
+    d^2 DFS units b_i b_j† at once: their sources sum_l f_qp_l b_i b_j† f_qp_l†
+    on the decaying block are d^2 vec columns of one GEMM, one sweep of the
     generator's ``decaying_sector`` inverts the evolution on all of them, and
-    the feed sum_l F_l (.) F_l† maps the solutions back to the DFS block.
+    the feed sum_l A_l (.) A_l† maps the solutions back to the DFS block.
     """
     _check_pair(lind, pert)
     dfs = lind.dfs
     d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
-    ul = np.ix_(idx, idx)
     kinv = nh_hamiltonian_inverse(lind.k, dfs)
-    f = four_corners(_jump_stack(lind, pert), dfs)
-    coupling = effective_coupling(lind, pert, f.ul)
-    jumps = np.array(lind.jumps).reshape(f.ul.shape)
-    # C Kinv C, the F_l Kinv C and the f_ll_l† f_ll_l have only a DFS corner.
-    # They are formed on the full space and that corner is gathered, so the
-    # blocks keep the round-off of the full-space products.
-    x = pert.v[ul] - (coupling @ kinv @ coupling)[ul]
+    c_qp, c_pq = effective_coupling(lind, pert)
+    feed = _blocks(lind.jumps, idx, rest)  # A_l, (J, d, n)
+    kc = kinv @ c_qp
+    x = pert.v[np.ix_(idx, idx)] - c_pq @ kc
     h_eff = 0.5 * (x + dagger(x))
-    jumps_eff = (f.ul - jumps @ kinv @ coupling)[:, idx[:, None], idx]
-    adj_id = sum((dagger(f_ll) @ f_ll for f_ll in f.ll), np.zeros_like(coupling))[ul]
-    # The source of unit i + d j is sum_l g_l[:, i] g_l[:, j]† for the (n, d)
-    # blocks g_l of f_ll_l: its vec column, entry a + n b, is one GEMM over [l, (a, i)].
-    g = f.ll[:, rest[:, None], idx].reshape(-1, n * d)
+    jumps_eff = _blocks(pert.fs, idx, idx) - feed @ kc
+    f_qp = _blocks(pert.fs, rest, idx)
+    adj_id = np.sum(dagger(f_qp) @ f_qp, axis=0)
+    # The source of unit i + d j is sum_l f_qp_l[:, i] f_qp_l[:, j]†: its vec
+    # column, entry a + n b, is one GEMM over [l, (a, i)].
+    g = f_qp.reshape(-1, n * d)
     source = (g.conj().T @ g).reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
     cp_superop = np.zeros((d * d, d * d), dtype=complex)
-    # With every f_ll zero, E_eff is zero and the sector is not solved.
+    # With every f_qp zero, E_eff is zero and the sector is not solved.
     if source.any():
         # One sweep of the d^2 columns; [q, p, c] = sigma_c[p, q] turns to the (c, p, q) stack.
         sigma = lind.decaying_sector.solve(-source).transpose(2, 1, 0)
-        feed = jumps[:, idx[:, None], rest]  # F_l, (J, d, n)
         cp_superop = vectorize_stack(np.sum(feed[:, None] @ sigma @ dagger(feed)[:, None], axis=0))
     return EffectiveGenerator(
         h_eff=h_eff,
@@ -326,7 +325,7 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
         cp_superop=cp_superop,
         cp_adjoint_identity=adj_id,
         kinv=kinv,
-        coupling=coupling,
+        coupling=(c_qp, c_pq),
     )
 
 
@@ -363,12 +362,13 @@ def verify_equivalence(lind: StructuredLindbladian, pert: Perturbation,
 class IdentityReport:
     """Relative residuals of the structural identities behind the closed route.
 
-    adjoint_identity: E_eff adjoint applied to I vs sum_l f_ll_l† f_ll_l.
+    adjoint_identity: E_eff adjoint applied to I vs sum_l f_qp_l† f_qp_l.
     offdiag_inverse: LU solves of -i K_qq and i K_qq† on the ll and ur units
-        against the columns of i Kinv_qq and the rows of -i Kinv_qq†.
-    resolvent_identity: sum_l Kinv† F_l† F_l Kinv vs -i(Kinv - Kinv†).
-    jump_norm_identity: sum_l (F_eff_l† F_eff_l - f_ul_l† f_ul_l) vs
-        -i(C Kinv C - H.c.).
+        against the columns of i Kinv and the rows of -i Kinv†.
+    resolvent_identity: Kinv† W_qq Kinv vs -i(Kinv - Kinv†), for
+        W_qq = sum_l F_l[:, Q]† F_l[:, Q].
+    jump_norm_identity: sum_l (F_eff_l† F_eff_l - f_pp_l† f_pp_l) vs
+        -i(C_pq Kinv C_qp - H.c.).
     """
 
     adjoint_identity: float
@@ -428,7 +428,7 @@ def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
     """
     _check_pair(lind, pert)
     v_lr = four_corners(pert.v, lind.dfs).lr
-    fs = _jump_stack(lind, pert)
+    fs = np.array(pert.fs, dtype=complex).reshape(len(pert.fs), lind.dim, lind.dim)
     f = four_corners(fs, lind.dfs)
     reference, *stripped = _general_blocks(lind, [
         pert,
@@ -491,11 +491,10 @@ class Study:
 
     @cached_property
     def identities(self) -> IdentityReport:
-        """The operator identities that tie the two routes together."""
-        lind, pert, eff = self.lind, self.pert, self.closed
+        """The operator identities that tie the two routes together, on blocks."""
+        lind, eff = self.lind, self.closed
         dfs = lind.dfs
-        ul = np.ix_(dfs.indices, dfs.indices)
-        kinv, coupling = eff.kinv, eff.coupling
+        kinv, (c_qp, c_pq) = eff.kinv, eff.coupling
 
         # E_eff adjoint on the identity, on the DFS block: E_eff† vec(I), unstacked.
         lhs = (dagger(eff.cp_superop) @ np.eye(dfs.d, dtype=complex).reshape(-1)).reshape(
@@ -506,31 +505,28 @@ class Study:
         # Decaying-sector solve vs i[Kinv, sigma]* on the units q_j b_i† (ll:
         # -i K rho = sigma) and b_i q_j† (ur: i rho K† = sigma). Their solutions
         # are column j of (-i K_qq)^-1 and row j of (i K_qq†)^-1, for every i.
-        lr = np.ix_(dfs.rest, dfs.rest)
-        kinv_qq = kinv[lr]
-        lu = lu_factor(-1j * lind.k[lr])
+        lu = lu_factor(-1j * lind.k[np.ix_(dfs.rest, dfs.rest)])
         eye = np.eye(dfs.n_decay)
         offdiag_res = float(max(
             np.max(np.linalg.norm(got - want, axis=axis)
                    / np.maximum(np.linalg.norm(want, axis=axis), RESIDUAL_FLOOR))
-            for got, want, axis in ((lu_solve(lu, eye), 1j * kinv_qq, 0),
-                                    (lu_solve(lu, eye, trans=2), -1j * dagger(kinv_qq), 1))
+            for got, want, axis in ((lu_solve(lu, eye), 1j * kinv, 0),
+                                    (lu_solve(lu, eye, trans=2), -1j * dagger(kinv), 1))
         ))
 
-        # Resolvent identity.
-        lhs = sum((dagger(kinv) @ dagger(big_f) @ big_f @ kinv for big_f in lind.jumps),
-                  np.zeros((dfs.dim, dfs.dim), dtype=complex))
+        # Resolvent identity on the decaying block, W_qq = sum_l F_l[:, Q]† F_l[:, Q].
+        f_q = _blocks(lind.jumps, np.arange(dfs.dim), dfs.rest).reshape(-1, dfs.n_decay)
+        lhs = dagger(kinv) @ (dagger(f_q) @ f_q) @ kinv
         rhs = -1j * (kinv - dagger(kinv))
         resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
-        # Effective-jump norm identity, on the DFS block: C Kinv C has no other corner.
-        lhs = np.zeros((dfs.d, dfs.d), dtype=complex)
-        for f_eff, f in zip(eff.jumps_eff, pert.fs):
-            f_ul = f[ul]
-            lhs = lhs + dagger(f_eff) @ f_eff - dagger(f_ul) @ f_ul
-        x = (coupling @ kinv @ coupling)[ul]
+        # Effective-jump norm identity, on the DFS block.
+        f_pp = _blocks(self.pert.fs, dfs.indices, dfs.indices)
+        lhs = np.sum(dagger(eff.jumps_eff) @ eff.jumps_eff - dagger(f_pp) @ f_pp, axis=0)
+        x = c_pq @ kinv @ c_qp
         rhs = -1j * (x - dagger(x))
-        jump_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs), frob(coupling) ** 2))
+        coupling_sq = frob(c_qp) ** 2 + frob(c_pq) ** 2
+        jump_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs), coupling_sq))
 
         return IdentityReport(
             adjoint_identity=adjoint_res,

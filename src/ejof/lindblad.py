@@ -690,20 +690,12 @@ def asymptotic_projection_limit(s: np.ndarray, *, t: float | None = None,
 # ---------------------------------------------------------------------------
 
 def nh_hamiltonian_inverse(k: np.ndarray, dfs: DfsProjector) -> np.ndarray:
-    """Inverse of K on the decaying block, embedded in the full space.
-
-    The result X satisfies X K = K X = Q (the decaying-block projector) and
-    vanishes on the other corners.
-    """
-    lr = np.ix_(dfs.rest, dfs.rest)
-    kk = as_operator(k)[lr]
+    """Inverse of K on the decaying block: K_qq^-1, as an (n, n) matrix."""
+    kk = as_operator(k)[np.ix_(dfs.rest, dfs.rest)]
     try:
-        inv = np.linalg.solve(kk, np.eye(kk.shape[0], dtype=complex))
+        return np.linalg.solve(kk, np.eye(kk.shape[0], dtype=complex))
     except np.linalg.LinAlgError as err:
         raise SingularBlockError(f"non-Hermitian Hamiltonian is singular on the decaying block: {err}") from err
-    out = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    out[lr] = inv
-    return out
 
 
 def slowest_decay_rate(lind: StructuredLindbladian) -> float:

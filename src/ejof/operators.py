@@ -170,11 +170,6 @@ class Corners:
     def total(self) -> np.ndarray:
         return self.ul + self.ur + self.ll + self.lr
 
-    @property
-    def offdiag(self) -> np.ndarray:
-        """Block-off-diagonal part ur + ll."""
-        return self.ur + self.ll
-
 
 def four_corners(op: np.ndarray, dfs: DfsProjector) -> Corners:
     """Corners of an operator, or of each operator in a (..., D, D) stack.

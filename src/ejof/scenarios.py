@@ -224,8 +224,8 @@ def coherent_cancellation_drive(lind: StructuredLindbladian, fs, *,
 
     The drive still leaves a second-order DFS Hamiltonian (a Stark-type shift
     from the virtual coupling). cancel_induced_hamiltonian=True adds the
-    Hermitian counter-term V_ul = Herm(C Kinv C) that removes it, which is
-    free since the DFS corner of V never feeds back into the coupling C.
+    Hermitian counter-term V_pp = Herm(C_pq Kinv C_qp) that removes it, which
+    is free since the DFS block of V never feeds back into the coupling.
     """
     fs = [as_operator(f) for f in fs]
     if len(fs) != len(lind.jumps):
@@ -244,10 +244,11 @@ def coherent_cancellation_drive(lind: StructuredLindbladian, fs, *,
     v = v + x + dagger(x)
     pert = Perturbation(v=v, fs=tuple(fs))
     if cancel_induced_hamiltonian:
-        coupling = effective_coupling(lind, pert)
-        kinv = nh_hamiltonian_inverse(lind.k, dfs)
-        t = coupling @ kinv @ coupling
-        pert = Perturbation(v=v + 0.5 * (t + dagger(t)), fs=tuple(fs))
+        c_qp, c_pq = effective_coupling(lind, pert)
+        t = c_pq @ nh_hamiltonian_inverse(lind.k, dfs) @ c_qp
+        v = v.copy()
+        v[np.ix_(dfs.indices, dfs.indices)] += 0.5 * (t + dagger(t))
+        pert = Perturbation(v=v, fs=tuple(fs))
     return pert
 
 

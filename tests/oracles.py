@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import block_diag, lu_factor, lu_solve, schur, solve_sylvester, solve_triangular
 from scipy.linalg.lapack import ztrsyl
 
-from ejof.effective import Perturbation, effective_coupling
+from ejof.effective import EffectiveGenerator, Perturbation
 from ejof.lindblad import (
     ZERO_CLUSTER_FACTOR,
     SingularBlockError,
@@ -460,12 +460,61 @@ def dense_correctability(detectable_parts, rec) -> tuple[complex, float]:
     return c, frob(m - c * np.eye(m.shape[0])) / max(frob(m), 1e-300)
 
 
+def full_space_coupling(lind, pert: Perturbation) -> np.ndarray:
+    """The induced coupling on the full space, as the paper writes it.
+
+    C = V_offdiag - (i/2) sum_l (F_l† f_ul_l + f_ul_l† F_l), a (D, D) matrix.
+    """
+    v = four_corners(pert.v, lind.dfs)
+    c = v.ur + v.ll
+    for big_f, f in zip(lind.jumps, pert.fs):
+        f_ul = four_corners(f, lind.dfs).ul
+        c = c - 0.5j * (dagger(big_f) @ f_ul + dagger(f_ul) @ big_f)
+    return c
+
+
+def embedded_nh_inverse(lind) -> np.ndarray:
+    """K_qq^-1 embedded in the full space: X K = K X = Q, zero on the other corners."""
+    lr = np.ix_(lind.dfs.rest, lind.dfs.rest)
+    out = np.zeros((lind.dim, lind.dim), dtype=complex)
+    out[lr] = np.linalg.inv(lind.k[lr])
+    return out
+
+
+def closed_route_full_space(lind, pert: Perturbation) -> EffectiveGenerator:
+    """The closed route from the full-space forms of C and Kinv, its blocks gathered at the end.
+
+    H_eff = Herm(V_ul - C Kinv C) and F_eff_l = f_ul_l - F_l Kinv C are
+    formed as (D, D) products and their DFS corner kept, sum_l f_ll_l† f_ll_l
+    likewise, and E_eff is the per-unit oracle :func:`cp_superop_per_unit`.
+    kinv and coupling hold the blocks of the full-space Kinv and C that the
+    package keeps.
+    """
+    dfs = lind.dfs
+    idx, rest = dfs.indices, dfs.rest
+    ul = np.ix_(idx, idx)
+    kinv = embedded_nh_inverse(lind)
+    c = full_space_coupling(lind, pert)
+    x = four_corners(pert.v, dfs).ul - c @ kinv @ c
+    corners = [four_corners(f, dfs) for f in pert.fs]
+    return EffectiveGenerator(
+        h_eff=(0.5 * (x + dagger(x)))[ul],
+        jumps_eff=np.array([(f.ul - big_f @ kinv @ c)[ul] for big_f, f in zip(lind.jumps, corners)],
+                           dtype=complex).reshape(len(corners), dfs.d, dfs.d),
+        cp_superop=cp_superop_per_unit(lind, pert),
+        cp_adjoint_identity=sum((dagger(f.ll) @ f.ll for f in corners),
+                                np.zeros((dfs.dim, dfs.dim), dtype=complex))[ul],
+        kinv=kinv[np.ix_(rest, rest)],
+        coupling=(c[np.ix_(rest, idx)], c[np.ix_(idx, rest)]),
+    )
+
+
 def perturbation_superops(lind, pert: Perturbation):
     """First- and second-order perturbation superoperators (O1, O2) as dense matrices.
 
     O1 = V-part + coupling part + mixed-dissipator part:
         V-part:   -i [ V_diag - (i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l), . ]*
-        coupling: -i [ C, . ]*   (star commutator, C from effective_coupling)
+        coupling: -i [ C, . ]*   (star commutator, C from full_space_coupling)
         mixed:    sum_l ( F_l (.) f_l† + f_l (.) F_l† )
     O2 = sum_l D[f_l].
 
@@ -477,7 +526,7 @@ def perturbation_superops(lind, pert: Perturbation):
         f_ur = four_corners(f, lind.dfs).ur
         a_v = a_v - 0.5j * (dagger(f_ur) @ big_f + dagger(big_f) @ f_ur)
     o1 = -1j * (star_commutator_superop(a_v)
-                + star_commutator_superop(effective_coupling(lind, pert)))
+                + star_commutator_superop(full_space_coupling(lind, pert)))
     o2 = np.zeros_like(o1)
     for big_f, f in zip(lind.jumps, pert.fs):
         o1 += sandwich_superop(big_f, dagger(f)) + sandwich_superop(f, dagger(big_f))

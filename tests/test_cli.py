@@ -450,8 +450,26 @@ def test_verify_random_passes(tmp_path):
     assert report["worst"]["equivalence_residual"] <= 1e-9
 
 
-def test_verify_zero_trials(tmp_path):
-    assert main(["verify", "--random", "2", "2", "0", "1"]) == 0
+@pytest.mark.parametrize("batch", [["0", "2", "1", "0"], ["2", "0", "1", "0"], ["2", "3", "0", "0"],
+                                   ["2", "3", "-1", "0"]],
+                         ids=["dfs-dim-0", "decaying-dim-0", "zero-trials", "negative-trials"])
+def test_verify_random_refuses_a_batch_it_cannot_draw(batch, capsys):
+    # A batch of no trials checks nothing, so it cannot pass.
+    assert main(["verify", "--random", *batch]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --random needs D >= 1, N >= 1, TRIALS >= 1\n"
+
+
+def test_an_allocation_failure_is_a_numerical_failure(monkeypatch, capsys):
+    # Exit 1 means a verdict failed; running out of memory decides none.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "random_structured_instance", refuse)
+    assert main(["verify", "--random", "2", "3", "1", "0"]) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 6.0 GiB for an array\n"
+    assert "all passed" not in captured.out
 
 
 def test_verify_needs_exactly_one_source(tmp_path, capsys):

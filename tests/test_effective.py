@@ -6,6 +6,7 @@ import pytest
 
 import ejof.lindblad
 from ejof.effective import (
+    IDENTITY_TOL,
     Perturbation,
     Study,
     corner_sensitivity,
@@ -30,6 +31,8 @@ from oracles import (
     choi_matrix,
     compress_superop,
     dense_dfs,
+    embedded_nh_inverse,
+    full_space_coupling,
     perturbation_superops,
     sandwich_superop,
 )
@@ -80,12 +83,19 @@ def test_zero_perturbation_gives_zero_generator(three_level):
 
 
 def test_coupling_is_off_diagonal(generic_instance):
+    # The full-space C has only its off-diagonal corners, and effective_coupling
+    # returns exactly those two blocks.
     lind, pert = generic_instance
-    c = effective_coupling(lind, pert)
-    corners = four_corners(c, lind.dfs)
+    dfs = lind.dfs
+    c = full_space_coupling(lind, pert)
+    corners = four_corners(c, dfs)
     assert frob(corners.ul) == 0.0
     assert frob(corners.lr) == 0.0
-    assert frob(c) > 0
+    c_qp, c_pq = effective_coupling(lind, pert)
+    assert c_qp.shape == (dfs.n_decay, dfs.d) and c_pq.shape == (dfs.d, dfs.n_decay)
+    for got, want in ((c_qp, c[np.ix_(dfs.rest, dfs.indices)]), (c_pq, c[np.ix_(dfs.indices, dfs.rest)])):
+        assert frob(got - want) <= 1e-14 * frob(want)
+    assert frob(c_qp) > 0
 
 
 @pytest.mark.parametrize(
@@ -127,6 +137,47 @@ def test_identity_suite_on_random_instances():
         rep = identity_suite(lind, pert)
         assert rep.passed, rep.as_dict()
         assert max(rep.as_dict().values()) <= 1e-11
+
+
+def _corrupt_kinv(eff):
+    return dataclasses.replace(eff, kinv=eff.kinv * (1 + 1e-6))
+
+
+def _corrupt_jump(eff):
+    jumps = eff.jumps_eff.copy()
+    jumps[0, 0, 1] += 1e-6 * frob(jumps)
+    return dataclasses.replace(eff, jumps_eff=jumps)
+
+
+def _corrupt_cp_superop(eff):
+    # Row 0 of the block is read by E_eff† vec(I): it holds vec(b_0 b_0†).
+    cp = eff.cp_superop.copy()
+    cp[0, 0] += 1e-6 * frob(cp)
+    return dataclasses.replace(eff, cp_superop=cp)
+
+
+def _corrupt_coupling(eff):
+    c_qp, c_pq = eff.coupling
+    return dataclasses.replace(eff, coupling=(c_qp * (1 + 1e-6), c_pq))
+
+
+@pytest.mark.parametrize("corrupt, failing", [
+    (_corrupt_kinv, {"offdiag_inverse", "resolvent_identity", "jump_norm_identity"}),
+    (_corrupt_jump, {"jump_norm_identity"}),
+    (_corrupt_cp_superop, {"adjoint_identity"}),
+    (_corrupt_coupling, {"jump_norm_identity"}),
+], ids=["kinv", "f_eff", "cp_superop", "c_qp"])
+def test_each_identity_fails_on_a_corrupted_closed_route_piece(generic_instance, corrupt, failing):
+    # A relative error of 1e-6 in one piece of Study.closed lifts each identity
+    # that reads it to 1e-7 or more, four orders above IDENTITY_TOL, and leaves
+    # the others at round-off.
+    study = Study(*generic_instance)
+    assert study.identities.passed
+    corrupted = Study(*generic_instance)
+    vars(corrupted)["closed"] = corrupt(study.closed)
+    residuals = corrupted.identities.as_dict()
+    assert {name for name, r in residuals.items() if r > IDENTITY_TOL} == failing
+    assert all(residuals[name] > 1e3 * IDENTITY_TOL for name in failing)
 
 
 def test_corner_sensitivity_tiny(generic_instance):
@@ -258,8 +309,9 @@ def test_h_eff_is_hermitian_and_dfs_supported(generic_instance):
     assert eff.h_eff.shape == (d, d)
     assert eff.jumps_eff.shape == (len(lind.jumps), d, d)
     assert frob(eff.h_eff - dagger(eff.h_eff)) < 1e-13
-    kc = eff.kinv @ eff.coupling
-    x = four_corners(pert.v, lind.dfs).ul - eff.coupling @ kc
+    c = full_space_coupling(lind, pert)
+    kc = embedded_nh_inverse(lind) @ c
+    x = four_corners(pert.v, lind.dfs).ul - c @ kc
     full_pieces = [0.5 * (x + dagger(x))]
     full_pieces += [four_corners(f, lind.dfs).ul - big_f @ kc for big_f, f in zip(lind.jumps, pert.fs)]
     for full, block in zip(full_pieces, [eff.h_eff, *eff.jumps_eff]):

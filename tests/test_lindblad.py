@@ -222,9 +222,11 @@ def test_asymptotic_projection_is_idempotent_channel(three_level):
 def test_nh_hamiltonian_inverse_is_block_inverse(three_level):
     lind, _ = three_level
     kinv = nh_hamiltonian_inverse(lind.k, lind.dfs)
-    q = dense_dfs(lind.dfs).q
-    np.testing.assert_allclose(lind.k @ kinv, q, atol=1e-12)
-    np.testing.assert_allclose(kinv @ lind.k, q, atol=1e-12)
+    kk = lind.k[np.ix_(lind.dfs.rest, lind.dfs.rest)]
+    eye = np.eye(lind.dfs.n_decay)
+    assert kinv.shape == eye.shape
+    np.testing.assert_allclose(kk @ kinv, eye, atol=1e-12)
+    np.testing.assert_allclose(kinv @ kk, eye, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed, defective", [(3, False), (5, False), (9, True)])

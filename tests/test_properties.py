@@ -15,12 +15,17 @@ on the second-order problem scale max(||general||, ||closed||, ||pert||^2):
 for d = 1 the effective generator vanishes identically.
 """
 
+import dataclasses
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ejof.effective import (
     RESIDUAL_FLOOR,
     Perturbation,
+    Study,
     corner_sensitivity,
     effective_lindbladian_closed,
     effective_lindbladian_general,
@@ -28,8 +33,8 @@ from ejof.effective import (
     random_structured_instance,
 )
 from ejof.lindblad import CornerFactor, structured_lindbladian
-from ejof.operators import DfsProjector, frob
-from oracles import dense_normal_form_factor, drazin_inverse
+from ejof.operators import DfsProjector, dagger, frob, projector_frame
+from oracles import closed_route_full_space, dense_normal_form_factor, drazin_inverse
 
 
 @st.composite
@@ -165,3 +170,82 @@ def test_scaled_perturbation_is_a_polynomial_on_each_route(instance):
         b = 2 * (at_one - 2 * at_half)
         a = at_one - b
         assert frob(0.37 * a + 0.37 ** 2 * b - got) <= 1e-12 * scale
+
+
+def _assert_closed_route_matches_the_full_space_oracle(lind, pert):
+    # The closed route and the identities on blocks, with four_corners refused
+    # everywhere in the package, against the route on the full-space C and Kinv.
+    study = Study(lind, pert)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ejof" and hasattr(module, "four_corners"):
+                patch.setattr(module, "four_corners",
+                              lambda *a, **k: pytest.fail("the closed route called four_corners"))
+        got = study.closed_block
+        assert study.identities.passed, study.identities.as_dict()
+    # Every field is a block, none the (D, D) of the full space.
+    d, n, eff = lind.dfs.d, lind.dfs.n_decay, study.closed
+    shapes = {f.name: np.shape(getattr(eff, f.name)) for f in dataclasses.fields(eff)
+              if f.name != "coupling"}
+    assert shapes == {"h_eff": (d, d), "jumps_eff": (len(lind.jumps), d, d),
+                      "cp_superop": (d * d, d * d), "cp_adjoint_identity": (d, d), "kinv": (n, n)}
+    assert [c.shape for c in eff.coupling] == [(n, d), (d, n)]
+    want = effective_to_superop(closed_route_full_space(lind, pert))
+    assert frob(got - want) <= 1e-12 * max(frob(want), pert.norm() ** 2)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 16), st.integers(1, 5), st.integers(0, 2 ** 16),
+       st.booleans(), st.booleans())
+@example(1, 3, 2, 0, False, False)  # d = 1
+@example(2, 2, 2, 4, True, False)   # defective K_qq
+@example(2, 3, 2, 6, False, True)   # an extra zero jump
+def test_closed_route_matches_the_full_space_oracle(d, n, n_jumps, seed, defective, extra):
+    assume(d + n <= 20)
+    try:
+        lind, pert = random_structured_instance(d, n, n_jumps, seed,
+                                                defective_k=defective and n == 2,
+                                                extra_zero_jump=extra)
+    except RuntimeError:
+        assume(False)
+    _assert_closed_route_matches_the_full_space_oracle(lind, pert)
+
+
+def _leaky_system():
+    """The README system with H coupling the DFS to the decaying level by 1e-12."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[2, 2], h[0, 2], h[2, 0] = 1.0, 1e-12, 1e-12
+    f = np.zeros((3, 3), dtype=complex)
+    f[0, 2] = 1.4142
+    lind = structured_lindbladian(h, [f], DfsProjector.from_indices(3, [0, 1]))
+    assert lind.factor.leaky
+    deformation = np.zeros((3, 3), dtype=complex)
+    deformation[0, 1] = 0.2
+    return lind, Perturbation(v=np.zeros((3, 3)), fs=(deformation,))
+
+
+def _rotated_draw():
+    """A draw turned by a dense unitary and read in its projector's eigenbasis.
+
+    That frame is dense inside each block and leaves round-off in every corner
+    of H and the jumps.
+    """
+    lind, pert = random_structured_instance(2, 6, 3, 5)
+    rng = np.random.default_rng(8)
+    dim = lind.dim
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    p = np.zeros((dim, dim))
+    p[lind.dfs.indices, lind.dfs.indices] = 1.0
+    frame, rank = projector_frame(u @ p @ dagger(u))
+
+    def turn(a):
+        return dagger(frame) @ (u @ a @ dagger(u)) @ frame
+
+    turned = structured_lindbladian(turn(lind.h), [turn(f) for f in lind.jumps],
+                                    DfsProjector.from_indices(dim, range(rank)))
+    return turned, Perturbation(v=turn(pert.v), fs=tuple(turn(f) for f in pert.fs))
+
+
+@pytest.mark.parametrize("make", [_leaky_system, _rotated_draw], ids=["leaky", "rotated"])
+def test_closed_route_matches_the_full_space_oracle_off_the_exact_normal_form(make):
+    _assert_closed_route_matches_the_full_space_oracle(*make())

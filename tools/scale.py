@@ -1,4 +1,4 @@
-"""Scale ladder: build, general-route and command times and peak RSS of large draws, on two trees.
+"""Scale ladder: build, route, identity and command times and peak RSS of large draws, on two trees.
 
     python tools/scale.py PARENT_SRC CHANGE_SRC [--out BENCH.json]
 
@@ -11,6 +11,9 @@ MEMORY_LIMIT_GB. The first reports:
 * `draw_build_s`: the draw, which builds and checks the generator;
 * `general_s`: `Study(lind, pert).general`, the general route including the
   first use of the corner factor;
+* `closed_s`: then `Study.closed_block`, the closed route and its GKSL
+  assembly;
+* `identities_s`: then `Study.identities`, on the closed route's pieces;
 * `peak_rss_mb`: the child's peak resident set (`ru_maxrss`), import included.
 
 The other two write the draw as a problem file and run `ejof effective` and
@@ -42,8 +45,8 @@ SIZES = (20, 40, 64, 128)
 REPEATS = 3
 LABELS = ("parent", "change")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("draw_build_s", "general_s", "peak_rss_mb", "effective_s", "effective_peak_rss_mb",
-           "verify_s", "verify_peak_rss_mb")
+METRICS = ("draw_build_s", "general_s", "closed_s", "identities_s", "peak_rss_mb", "effective_s",
+           "effective_peak_rss_mb", "verify_s", "verify_peak_rss_mb")
 UNITS = {m: "MB" if m.endswith("_mb") else "s" for m in METRICS}
 TIMEOUT_S = 900
 # Address-space cap of each child: a tree that needs more is recorded as not run.
@@ -59,13 +62,19 @@ d, jumps, seed, dim = map(int, sys.argv[1:])
 t0 = time.perf_counter()
 lind, pert = random_structured_instance(d, dim - d, jumps, seed)
 t1 = time.perf_counter()
+study = Study(lind, pert)
 try:
-    Study(lind, pert).general
+    study.general
+    t2 = time.perf_counter()
+    study.closed_block
+    t3 = time.perf_counter()
+    study.identities
 except MemoryError as err:
     print(json.dumps({"not_run": str(err)}))
     sys.exit()
-t2 = time.perf_counter()
-print(json.dumps({"draw_build_s": t1 - t0, "general_s": t2 - t1,
+t4 = time.perf_counter()
+print(json.dumps({"draw_build_s": t1 - t0, "general_s": t2 - t1, "closed_s": t3 - t2,
+                  "identities_s": t4 - t3,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
 COMMAND_CHILD = LIMIT + """
@@ -156,6 +165,7 @@ def main(argv=None) -> int:
             print(f"{head} not run: {row['not_run']}")
             continue
         print(f"{head} draw+build {row['draw_build_s']:7.3f} s   general {row['general_s']:7.3f} s"
+              f"   closed {row['closed_s']:7.3f} s   identities {row['identities_s']:7.3f} s"
               f"   peak RSS {row['peak_rss_mb']:7.1f} MB   effective {row['effective_s']:7.3f} s"
               f" {row['effective_peak_rss_mb']:7.1f} MB   verify {row['verify_s']:7.3f} s"
               f" {row['verify_peak_rss_mb']:7.1f} MB")
