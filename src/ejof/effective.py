@@ -12,7 +12,10 @@ where P_inf is the asymptotic projection of the unperturbed generator, L^D its
 Drazin pseudoinverse, O1 collects the first-order perturbation superoperators
 and O2 the second-order dissipators of the f_l alone. The consistency contract
 O1 + O2 = L(H+V, {F+f}) - L(H, {F}) holds as a matrix identity. The route is
-evaluated for K perturbations of one generator at once, with one L^D solve.
+evaluated for K perturbations of one generator at once. In normal form every
+jump annihilates the DFS, so O1 maps each DFS unit to a rank-two operator and
+L^D maps that to x_i b_j† + b_i y_j†, read off two n x n LUs of the
+generator's corner factor in one solve for all K (:func:`_rank_two_blocks`).
 
 Closed route (effective operators)
     H_eff = Herm(V_pp - C_pq Kinv C_qp)
@@ -43,8 +46,8 @@ E† S E, for E the d^2 unit columns at the DFS vec positions
 (``dfs.vec_order[:d^2]``): vec(b_i b_j†) in column i + d j. The general route
 applies O1 and O2 as maps on the d^2 operators P_inf E (the DFS units
 themselves, for the generator's corner factor), never as D^2 x D^2
-matrices. The closed route forms no D x D array (:class:`EffectiveGenerator`):
-E_eff acts on the d^2 DFS units b_i b_j† at once, as d^2 vec columns of
+matrices, and on a generator in normal form as pairs of DFS columns only.
+The closed route forms no D x D array (:class:`EffectiveGenerator`): E_eff acts on the d^2 DFS units b_i b_j† at once, as d^2 vec columns of
 sources on the decaying block, one sweep of the sector map and one stacked
 feed product, and the block of L_eff is one GKSL assembly of the pieces
 (:func:`effective_to_superop`).
@@ -59,6 +62,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .lindblad import (
+    CornerFactor,
     StructuredLindbladian,
     assemble_lindbladian,
     nh_hamiltonian_inverse,
@@ -158,6 +162,11 @@ def _stacked(lind: StructuredLindbladian, perts) -> tuple[np.ndarray, np.ndarray
     return v, fs
 
 
+def _jump_stack(lind: StructuredLindbladian) -> np.ndarray:
+    """The unperturbed jumps F_l as one (J, D, D) stack."""
+    return np.array(lind.jumps, dtype=complex).reshape(-1, lind.dim, lind.dim)
+
+
 def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """A of O1 for each of K stacked perturbations, as (K, D, D).
 
@@ -165,12 +174,13 @@ def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) 
     commutator is additive in A, so its V_diag part, the full-space coupling C
     (whose two blocks :func:`effective_coupling` returns) and its f_ur part
     -(i/2) sum_l (f_ur_l† F_l + F_l† f_ur_l) share one A; as f_ul + f_ur = P f,
-    the DFS rows of f, A = V - (i/2)(G + G†) with G = sum_l F_l† P f_l.
+    the DFS rows of f, A = V - (i/2)(G + G†) with G = sum_l F_l† P f_l. As P
+    acts on the rows of f_l, G = sum_l F_l[idx, :]† f_l[idx, :], one
+    (D, J d) x (J d, D) product per perturbation, whatever rows F_l has.
     """
-    top = np.zeros_like(fs)
-    top[..., lind.dfs.indices, :] = fs[..., lind.dfs.indices, :]
-    g = sum((dagger(big_f) @ top[:, j] for j, big_f in enumerate(lind.jumps)),
-            np.zeros_like(v))
+    idx = lind.dfs.indices
+    rows = _jump_stack(lind)[:, idx].reshape(-1, lind.dim)  # row (l, i) is F_l[idx_i, :]
+    g = dagger(rows) @ fs[..., idx, :].reshape(len(fs), -1, lind.dim)
     return v - 0.5j * (g + dagger(g))
 
 
@@ -199,18 +209,113 @@ def _apply_o2(fs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _on_units(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _on_units(left: list, right: list) -> np.ndarray:
     """sum_l left_l E right_l† on each DFS unit E = b_i b_j†, as (K, d^2, D, D), unit i + d j.
 
-    left and right are (K, P, D, d) stacks of the DFS columns left_l[:, idx]
-    and right_l[:, idx] of P operator pairs. As left_l b_i b_j† right_l† =
-    left_l[:, idx_i] right_l[:, idx_j]†, every unit and pair is one
-    (D d, P) x (P, D d) product per perturbation.
+    left and right are lists of (K, P, D, d) stacks of the DFS columns
+    left_l[:, idx] and right_l[:, idx] of operator pairs, joined along P. As
+    left_l b_i b_j† right_l† = left_l[:, idx_i] right_l[:, idx_j]†, every unit
+    and pair is one (D d, P) x (P, D d) product per perturbation.
     """
+    left, right = np.concatenate(left, axis=1), np.concatenate(right, axis=1)
     k, pairs, dim, d = left.shape
     outer = left.reshape(k, pairs, dim * d).transpose(0, 2, 1) @ right.conj().reshape(k, pairs, dim * d)
     # outer[k, (p, i), (q, j)] is entry (p, q) of unit i + d j.
     return outer.reshape(k, dim, d, dim, d).transpose(0, 4, 2, 1, 3).reshape(k, d * d, dim, dim)
+
+
+def _unit_terms(lind: StructuredLindbladian, perts):
+    """A of O1, the (K, J, D, D) f_l, and the DFS columns of the pairs of O1 E and O2 E.
+
+    Each of O1 E and O2 E is a (left, right) pair of lists of (K, P, D, d)
+    stacks for :func:`_on_units`: with c = -i A for O1 and
+    c = -(1/2) sum_l f_l† f_l for O2, c E + E c† is the pairs (c, I) and
+    (I, c), and the jump terms are (F_l, f_l) and (f_l, F_l) for O1 and
+    (f_l, f_l) for O2. So O1 E's left list is [c b, b, F_l b, f_l b].
+    """
+    v, fs = _stacked(lind, perts)
+    dim, idx = lind.dim, lind.dfs.indices
+    a = _o1_coefficient(lind, v, fs)
+    f = fs[..., idx]
+    shape = (len(perts), 1, dim, idx.size)
+    big_f = np.broadcast_to(_jump_stack(lind)[..., idx], f.shape)
+    unit = np.broadcast_to(np.eye(dim, dtype=complex)[:, idx], shape)
+    c1 = (-1j * a[..., idx]).reshape(shape)
+    c2 = (-0.5 * np.sum(dagger(fs) @ f, axis=1)).reshape(shape)
+    return a, fs, ([c1, unit, big_f, f], [unit, c1, f, big_f]), ([c2, unit, f], [unit, c2, f])
+
+
+def _dfs_unit_columns(lind: StructuredLindbladian) -> np.ndarray:
+    """E, the d^2 vec columns of the DFS units b_i b_j†, unit i + d j."""
+    m = lind.dfs.d ** 2
+    e = np.zeros((lind.dim ** 2, m), dtype=complex)
+    e[lind.dfs.vec_order[:m], range(m)] = 1.0
+    return e
+
+
+def _contract(lind: StructuredLindbladian, units: np.ndarray) -> np.ndarray:
+    """E† P_inf of (K, d^2, D, D) operators, as (K, d^2, d^2): J† of their vec columns."""
+    m = lind.dfs.d ** 2
+    j = lind.factor.apply_projection(_dfs_unit_columns(lind), adjoint=True)
+    return (dagger(j) @ vectorize_stack(units)).reshape(m, len(units), m).transpose(1, 0, 2)
+
+
+def _stacked_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
+    """The route of :func:`_general_blocks` by L^D columns and stacked D x D products.
+
+    O1 and O2 act on the DFS units as pairs (:func:`_unit_terms`); a factor
+    with P_inf E != E (the dense oracle on a DFS that is not steady) adds O1
+    and O2 of P_inf E - E as stacked D x D products. L^D is applied to the
+    K d^2 columns O1 P_inf E in one solve, and the second O1 acts on them as
+    stacked D x D products, 2 + 4J per operator. Exact for any factor.
+    """
+    a, fs, o1, o2 = _unit_terms(lind, perts)
+    o1x, o2x = _on_units(*o1), _on_units(*o2)
+    e = _dfs_unit_columns(lind)
+    moved = devectorize_columns(lind.factor.apply_projection(e) - e)
+    if moved.any():
+        o1x = o1x + _apply_o1(a, lind.jumps, fs, moved)
+        o2x = o2x + _apply_o2(fs, moved)
+    ld_o1x = devectorize_columns(lind.factor.apply_drazin(vectorize_stack(o1x))).reshape(o1x.shape)
+    return _contract(lind, o1x + o2x - _apply_o1(a, lind.jumps, fs, ld_o1x))
+
+
+def _rank_two_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
+    """The route of :func:`_general_blocks` on a non-leaky corner factor: L^D O1 E is rank two.
+
+    In normal form H = QHQ and F_l = P F_l Q, and a non-leaky factor has no
+    entry outside them, so F_l b_i = 0 exactly. With c = -i A (A of
+    :func:`_o1_coefficient`), O1(E_ij) = (c b_i) b_j† + b_i (c b_j)†, the
+    pairs (c, I) and (I, c). Its ul corner is dropped by L^D, its lr corner
+    is zero, and its ll and ur corners are c_qp[:, i] b_j† and
+    b_i c_qp[:, j]†, which L_rr maps to themselves and G does not read, so
+    (:meth:`~ejof.lindblad.CornerFactor.solve_rank_two`)
+
+        L^D O1 E_ij = x_i b_j† + b_i y_j†,
+        x = (-i K_qq)^-1 c_qp,   y = (i K_qq')^-† c_qp,
+
+    one solve with each of the factor's n x n LUs on the K d columns of
+    c_qp. As F_l b = 0, the second O1 maps x_i b_j† to the pairs (c x, b),
+    (x, c b) and (F_l x, f_l b), and b_i y_j† to (c b, y), (b, c y) and
+    (f_l b, F_l y): six pair kinds on the DFS columns, with no D x D x D
+    product. They enter :func:`_on_units` with the pairs of O1 E and O2 E,
+    the second-order ones negated.
+    """
+    a, fs, ((cb, b, _, fb), _), (o2_left, o2_right) = _unit_terms(lind, perts)
+    k = len(perts)
+    dim, d, n, rest = lind.dim, lind.dfs.d, lind.dfs.n_decay, lind.dfs.rest
+    # Column (k, j) is c_qp[:, j] of perturbation k; x and y come back as (K, n, d).
+    c_qp = cb[:, 0, rest].transpose(1, 0, 2).reshape(n, k * d)
+    x_q, y_q = (s.reshape(n, k, d).transpose(1, 0, 2) for s in lind.factor.solve_rank_two(c_qp))
+    x, y = np.zeros((2, k, 1, dim, d), dtype=complex)
+    x[:, 0, rest], y[:, 0, rest] = x_q, y_q
+    c_q = -1j * a[..., rest]  # (K, D, n)
+    big_f_q = _jump_stack(lind)[..., rest]  # (J, D, n)
+    cx, cy = (c_q @ x_q)[:, None], (c_q @ y_q)[:, None]
+    fx, fy = big_f_q @ x_q[:, None], big_f_q @ y_q[:, None]  # (K, J, D, d)
+    left = [cb, b, *o2_left, -cx, -x, -fx, -cb, -b, -fb]
+    right = [b, cb, *o2_right, b, cb, fb, y, cy, fy]
+    return _contract(lind, _on_units(left, right))
 
 
 def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
@@ -218,42 +323,20 @@ def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
 
     Block k is E† P_inf [ (O1 + O2)(P_inf E) - O1 L^D O1 (P_inf E) ] for the
     O1, O2 of perturbation k. A :class:`~ejof.lindblad.CornerFactor` gives
-    P_inf E = E exactly, so O1 and O2 act on the d^2 DFS units themselves,
-    each a sum of pairs left_l E right_l† over DFS columns
-    (:func:`_on_units`): with c = -i A for O1 (A of :func:`_o1_coefficient`)
-    and c = -(1/2) sum_l f_l† f_l for O2, c E + E c† is the pairs (c, I) and
-    (I, c), and the jump terms are (F_l, f_l) and (f_l, F_l) for O1 and
-    (f_l, f_l) for O2. A factor with P_inf E != E (the dense oracle on a DFS
-    that is not steady) adds O1 and O2 of P_inf E - E as stacked D x D
-    products. L^D is applied to the K d^2 columns O1 P_inf E in one solve,
-    and the second O1 acts on them as stacked D x D products. P_inf enters
-    only through the d^2 columns P_inf E and P_inf† E (E and J for a corner
-    factor), never as a D^2 x D^2 matrix. Only the generator's own spectral
-    factor enters, so the route stays independent of the closed one.
+    P_inf E = E exactly, so O1 and O2 act on the d^2 DFS units themselves, as
+    pairs over DFS columns (:func:`_unit_terms`). On a non-leaky corner
+    factor L^D O1 E is rank two per unit and is read off the factor's two
+    n x n LUs (:func:`_rank_two_blocks`); a leaky factor, whose F_l b_i need
+    not vanish, or any other factor takes the L^D solve and the stacked
+    products (:func:`_stacked_blocks`). P_inf enters only through the d^2
+    columns P_inf E and P_inf† E (E and J for a corner factor), never as a
+    D^2 x D^2 matrix. Only the generator's own spectral factor enters, so
+    the route stays independent of the closed one.
     """
-    v, fs = _stacked(lind, perts)
-    dim, idx, m = lind.dim, lind.dfs.indices, lind.dfs.d ** 2
-    a = _o1_coefficient(lind, v, fs)
-    f = fs[..., idx]
-    shape = (len(perts), 1, dim, idx.size)
-    big_f = np.broadcast_to(np.array(lind.jumps, dtype=complex).reshape(-1, dim, dim)[:, :, idx],
-                            f.shape)
-    unit = np.broadcast_to(np.eye(dim, dtype=complex)[:, idx], shape)
-    c1 = (-1j * a[..., idx]).reshape(shape)
-    c2 = (-0.5 * np.sum(dagger(fs) @ f, axis=1)).reshape(shape)
-    o1x = _on_units(np.concatenate([c1, unit, big_f, f], axis=1),
-                    np.concatenate([unit, c1, f, big_f], axis=1))
-    o2x = _on_units(np.concatenate([c2, unit, f], axis=1), np.concatenate([unit, c2, f], axis=1))
-    e = np.zeros((dim ** 2, m), dtype=complex)
-    e[lind.dfs.vec_order[:m], range(m)] = 1.0
-    moved = devectorize_columns(lind.factor.apply_projection(e) - e)
-    if moved.any():
-        o1x = o1x + _apply_o1(a, lind.jumps, fs, moved)
-        o2x = o2x + _apply_o2(fs, moved)
-    ld_o1x = devectorize_columns(lind.factor.apply_drazin(vectorize_stack(o1x))).reshape(o1x.shape)
-    cols = vectorize_stack(o1x + o2x - _apply_o1(a, lind.jumps, fs, ld_o1x))
-    j = lind.factor.apply_projection(e, adjoint=True)
-    return (dagger(j) @ cols).reshape(m, len(perts), m).transpose(1, 0, 2)
+    factor = lind.factor
+    if isinstance(factor, CornerFactor) and not factor.leaky:
+        return _rank_two_blocks(lind, perts)
+    return _stacked_blocks(lind, perts)
 
 
 def effective_lindbladian_general(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:

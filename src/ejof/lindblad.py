@@ -415,6 +415,20 @@ class CornerFactor:
         np.matmul(g, z[m:], out=z[:m])
         return self._leave(z)
 
+    def solve_rank_two(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x = (-i K_qq)^-1 c and y = (i K_qq')^-† c, for (n, m) columns c on the decaying block.
+
+        For decaying-block vectors u and v, L^D (u b_j† + b_i v†) is
+        ((-i K_qq)^-1 u) b_j† + b_i ((i K_qq')^-† v)†: the operator has only
+        an ll and a ur corner, which L_rr maps to themselves, and G is zero
+        on both. One solve with the ll LU and one with the ur LU, of
+        A = i K_qq'^T, whose conjugate is (i K_qq')†. Not for a leaky factor.
+        """
+        if self.leaky:
+            raise ValueError("a leaky corner factor has no rank-two solve")
+        (ll, ur, _), _ = self._factored
+        return zgetrs(*ll, c)[0], zgetrs(*ur, c.conj())[0].conj()
+
     def apply_projection(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """P_inf y = E (J† y), or P_inf† y = J (E† y), for columns y.
 

@@ -45,17 +45,21 @@ def density_factory(rng):
 
 @pytest.fixture
 def count_drazin_solves(monkeypatch):
-    """Record the column count of every L^D solve of a generator's factor class."""
+    """Record the column count of every L^D solve of a generator's corner factor.
+
+    On a generator in normal form the general route reads L^D O1 E off one
+    rank-two solve (``solve_rank_two``) on the K d columns of c_qp.
+    """
     def install(lind):
         cls = type(lind.factor)
-        original = cls.apply_drazin
+        original = cls.solve_rank_two
         widths = []
 
-        def counting(self, y):
-            widths.append(y.shape[1])
-            return original(self, y)
+        def counting(self, c):
+            widths.append(c.shape[1])
+            return original(self, c)
 
-        monkeypatch.setattr(cls, "apply_drazin", counting)
+        monkeypatch.setattr(cls, "solve_rank_two", counting)
         return widths
 
     return install

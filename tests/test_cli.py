@@ -1014,9 +1014,10 @@ def test_each_run_builds_its_generator_once(argv, monkeypatch):
     assert len(calls) == 1
 
 
-# (closed-route evaluations, L^D solves) per command. A study runs each route
-# once: the general route is one solve and the corner-sensitivity batch one
-# more, and the obstruction table takes both cells of a generator in one batch.
+# (closed-route evaluations, rank-two L^D solves) per command. A study runs
+# each route once: the general route is one solve and the corner-sensitivity
+# batch one more, and the obstruction table takes both cells of a generator in
+# one batch.
 ROUTE_RUNS = {
     "effective-explicit": (lambda tmp: ["effective", explicit_problem(tmp)], 1, 1),
     "effective-scenario-file": (lambda tmp: ["effective", three_level_problem(tmp)], 1, 1),
@@ -1041,11 +1042,11 @@ def test_each_route_runs_once_per_study(make, closed, solves, tmp_path, monkeypa
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ejof" and getattr(module, route, None) is real:
             monkeypatch.setattr(module, route, counted)
-    def counting(self, y, original=ejof.lindblad.CornerFactor.apply_drazin):
-        solve_calls.append(y.shape[1])
-        return original(self, y)
+    def counting(self, c, original=ejof.lindblad.CornerFactor.solve_rank_two):
+        solve_calls.append(c.shape[1])
+        return original(self, c)
 
-    monkeypatch.setattr(ejof.lindblad.CornerFactor, "apply_drazin", counting)
+    monkeypatch.setattr(ejof.lindblad.CornerFactor, "solve_rank_two", counting)
     assert main(make(tmp_path)) == cli.EXIT_OK
     assert (len(closed_calls), len(solve_calls)) == (closed, solves)
 
@@ -1220,3 +1221,59 @@ def test_a_leaky_generator_factors_l_rr_whole_from_l(payload, flags, tmp_path, m
     want = compress_superop(proj @ (o1 + o2 - o1 @ drazin @ o1) @ proj, basis)
     got = unmatrix(load_report(out)["l_eff_general"])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def spy_stacked_path(monkeypatch):
+    """Counts of the stacked general route's calls: the D x D x D second O1 and the L^D solve."""
+    calls = {"_apply_o1": 0, "apply_drazin": 0}
+    real_o1, real_drazin = ejof.effective._apply_o1, ejof.lindblad.CornerFactor.apply_drazin
+
+    def o1(*args, **kwargs):
+        calls["_apply_o1"] += 1
+        return real_o1(*args, **kwargs)
+
+    def drazin(self, y):
+        calls["apply_drazin"] += 1
+        return real_drazin(self, y)
+
+    monkeypatch.setattr(ejof.effective, "_apply_o1", o1)
+    monkeypatch.setattr(ejof.lindblad.CornerFactor, "apply_drazin", drazin)
+    return calls
+
+
+def _evolve_explicit(tmp_path):
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[1, 1] = 1.0
+    return ["evolve", explicit_problem(tmp_path, initial_states=[matrix(rho)]),
+            "--epsilons", "0.04,0.02", "--taus", "1.0"]
+
+
+NORMAL_FORM_RUNS = {
+    "effective": lambda tmp: ["effective", explicit_problem(tmp)],
+    "verify": lambda tmp: ["verify", explicit_problem(tmp)],
+    "verify-draw": lambda tmp: ["verify", structured_draw_problem(tmp)],
+    "evolve": _evolve_explicit,
+    "qec-miscal": lambda tmp: ["qec", "repetition", "--miscal", "X"],
+    "qec-obstruction": lambda tmp: ["qec", "repetition", "--obstruction"],
+    "scenario": lambda tmp: ["scenario", "three-level"],
+}
+
+
+@pytest.mark.parametrize("make", NORMAL_FORM_RUNS.values(), ids=NORMAL_FORM_RUNS.keys())
+def test_normal_form_runs_take_no_stacked_product_and_no_drazin_solve(make, tmp_path,
+                                                                       monkeypatch):
+    # On a generator in normal form L^D O1 E is read off the factor's two
+    # n x n LUs, and the second O1 acts on DFS columns.
+    calls = spy_stacked_path(monkeypatch)
+    assert main([*make(tmp_path), "--out", str(tmp_path / "report.json")]) == cli.EXIT_OK
+    assert calls == {"_apply_o1": 0, "apply_drazin": 0}
+
+
+@pytest.mark.parametrize("command", ["effective", "verify"])
+def test_a_leaky_generator_keeps_the_stacked_path(command, tmp_path, monkeypatch):
+    # A jump or H entry off its corner: F_l b_i need not vanish, and the
+    # stacked path, the only exact one there, runs.
+    calls = spy_stacked_path(monkeypatch)
+    problem = write_problem(tmp_path, LEAKY_SYSTEM)
+    assert main([command, problem, "--out", str(tmp_path / "report.json")]) == cli.EXIT_OK
+    assert calls["_apply_o1"] > 0 and calls["apply_drazin"] > 0

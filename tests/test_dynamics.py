@@ -86,7 +86,7 @@ def test_sweep_takes_one_drazin_solve_for_all_epsilons(count_drazin_solves):
     cfg = SweepConfig(epsilons=(0.04, 0.02, 0.01), taus=(1.0,),
                       initial_states=dfs_states_three_level())
     evolve_and_compare(lind, pert, cfg)
-    assert widths == [3 * lind.dfs.d ** 2]
+    assert widths == [3 * lind.dfs.d]
 
 
 def test_three_level_sweep_converges_at_second_order():

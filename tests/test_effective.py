@@ -244,7 +244,7 @@ def test_corner_sensitivity_takes_one_drazin_solve(count_drazin_solves, generic_
     lind, pert = generic_instance
     widths = count_drazin_solves(lind)
     corner_sensitivity(lind, pert)
-    assert widths == [5 * lind.dfs.d ** 2]
+    assert widths == [5 * lind.dfs.d]
 
 
 def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch):

@@ -125,8 +125,9 @@ def test_cli_run_does_not_import_scipy_sparse():
 
 
 ROUTE_FUNCTIONS = {"effective_lindbladian_general", "effective_lindbladian_closed",
-                   "effective_to_superop", "_general_blocks", "verify_equivalence",
-                   "identity_suite", "corner_sensitivity"}
+                   "effective_to_superop", "_general_blocks", "_rank_two_blocks",
+                   "_stacked_blocks", "verify_equivalence", "identity_suite",
+                   "corner_sensitivity"}
 
 
 @pytest.mark.parametrize("name", ["cli.py", "scenarios.py"])

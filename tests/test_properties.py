@@ -5,7 +5,8 @@ levels, 1-3 jumps, a defective K_qq when n == 2 and asked for, optionally an
 extra zero jump) with a full-corner perturbation, and checks the structured
 spectrum, the corner factor against the dense Schur oracle and (up to D = 20)
 against the dense normal-form factor, the dual-route
-agreement and the insensitivity to the inert perturbation corners. Four
+agreement, the rank-two general route against its stacked path, and the
+insensitivity to the inert perturbation corners. Four
 metamorphic properties check each route on its own against an exact symmetry
 of the GKSL form: mixing the jumps and their deformations by one unitary,
 relabelling the basis by a permutation (which scatters the DFS over unsorted
@@ -26,6 +27,8 @@ from ejof.effective import (
     RESIDUAL_FLOOR,
     Perturbation,
     Study,
+    _general_blocks,
+    _stacked_blocks,
     corner_sensitivity,
     effective_lindbladian_closed,
     effective_lindbladian_general,
@@ -99,6 +102,33 @@ def test_structured_solves_match_the_dense_normal_form_factor(d, n, n_jumps, see
         (lind.dim ** 2, 5 * d * d))
     want = drazin @ cols
     assert frob(factor.apply_drazin(cols) - want) <= 1e-12 * frob(want)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 16), st.integers(1, 5), st.integers(0, 2 ** 16),
+       st.booleans(), st.booleans(), st.integers(2, 4))
+@example(1, 3, 2, 0, False, False, 2)  # d = 1
+@example(2, 2, 2, 4, True, False, 3)   # defective K_qq
+@example(2, 3, 2, 6, False, True, 2)   # an extra zero jump
+def test_rank_two_route_matches_the_stacked_path(d, n, n_jumps, seed, defective, extra, k):
+    # D <= 20, a batch of K >= 2 perturbations of one generator: L^D O1 E read
+    # off the factor's two n x n LUs as six pair kinds on DFS columns, against
+    # the L^D solve and the stacked D x D products of the second O1.
+    assume(d + n <= 20)
+    try:
+        lind, pert = random_structured_instance(d, n, n_jumps, seed,
+                                                defective_k=defective and n == 2,
+                                                extra_zero_jump=extra)
+    except RuntimeError:
+        assume(False)
+    assert isinstance(lind.factor, CornerFactor) and not lind.factor.leaky
+    rng = np.random.default_rng(seed)
+    shape = (k - 1, 1 + len(lind.jumps), lind.dim, lind.dim)
+    ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    perts = [pert] + [Perturbation(v=op[0] + dagger(op[0]), fs=tuple(op[1:])) for op in ops]
+    got, want = _general_blocks(lind, perts), _stacked_blocks(lind, perts)
+    for got_k, want_k, pert_k in zip(got, want, perts):
+        assert frob(got_k - want_k) <= 1e-12 * max(frob(want_k), pert_k.norm() ** 2)
 
 
 def _routes(lind, pert):

@@ -218,4 +218,4 @@ def test_obstruction_takes_one_drazin_solve_per_generator(count_drazin_solves, r
     _, lind = repetition
     widths = count_drazin_solves(lind)
     hamiltonian_obstruction_demo()
-    assert widths == [2 * lind.dfs.d ** 2] * 2
+    assert widths == [2 * lind.dfs.d] * 2

@@ -3,10 +3,11 @@
     python tools/scale.py PARENT_SRC CHANGE_SRC [--out BENCH.json]
 
 Each tree is a directory that holds the `ejof` package (for example `src`).
-For each D in 20, 40, 64 and 128, `random_structured_instance(4, D - 4, 5, 3)`
-is drawn three times per tree. Each run is three fresh interpreters with that
-tree first on PYTHONPATH, one BLAS thread and an address space capped at
-MEMORY_LIMIT_GB. The first reports:
+Each rung is a draw `random_structured_instance(d, n, jumps, seed)`, D = d + n:
+(4, n, 5, 3) for n in 16, 36, 60 and 124, and (4, 252, 16, 3), where a 5-jump
+draw fails the gap check. Each rung is drawn three times per tree. Each run is
+three fresh interpreters with that tree first on PYTHONPATH, one BLAS thread
+and an address space capped at MEMORY_LIMIT_GB. The first reports:
 
 * `draw_build_s`: the draw, which builds and checks the generator;
 * `general_s`: `Study(lind, pert).general`, the general route including the
@@ -21,10 +22,10 @@ The other two write the draw as a problem file and run `ejof effective` and
 alone) and `effective_peak_rss_mb` and `verify_peak_rss_mb` (the whole child).
 
 The two trees alternate, parent first on even repeats and change first on odd ones,
-and every run is written to the JSON file with the per-(tree, D) medians. A
+and every run is written to the JSON file with the per-(tree, rung) medians. A
 child whose allocation fails under the cap records `not_run` with the
-MemoryError's text instead of numbers, and the tree's later children at that
-D are not started. The script records measurements and claims nothing; it is
+MemoryError's text instead of numbers, and the tree's later children on that
+rung are not started. The script records measurements and claims nothing; it is
 not a workload of the benchmark in `bench/`.
 """
 
@@ -40,8 +41,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-DRAW = (4, 5, 3)  # d, jumps, seed: random_structured_instance(d, D - d, jumps, seed)
-SIZES = (20, 40, 64, 128)
+# (d, n, jumps, seed): random_structured_instance(d, n, jumps, seed), D = d + n.
+RUNGS = ((4, 16, 5, 3), (4, 36, 5, 3), (4, 60, 5, 3), (4, 124, 5, 3), (4, 252, 16, 3))
 REPEATS = 3
 LABELS = ("parent", "change")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -58,9 +59,9 @@ resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT_GB << 30}, {MEMORY_LIMIT_G
 ROUTE_CHILD = LIMIT + """
 import json, resource, sys, time
 from ejof.effective import Study, random_structured_instance
-d, jumps, seed, dim = map(int, sys.argv[1:])
+d, n, jumps, seed = map(int, sys.argv[1:])
 t0 = time.perf_counter()
-lind, pert = random_structured_instance(d, dim - d, jumps, seed)
+lind, pert = random_structured_instance(d, n, jumps, seed)
 t1 = time.perf_counter()
 study = Study(lind, pert)
 try:
@@ -81,10 +82,10 @@ COMMAND_CHILD = LIMIT + """
 import contextlib, io, json, resource, sys, time
 from ejof import cli
 from ejof.effective import random_structured_instance
-command, (d, jumps, seed, dim) = sys.argv[1], map(int, sys.argv[2:])
-lind, pert = random_structured_instance(d, dim - d, jumps, seed)
+command, (d, n, jumps, seed) = sys.argv[1], map(int, sys.argv[2:])
+lind, pert = random_structured_instance(d, n, jumps, seed)
 with open("problem.json", "w") as fh:
-    json.dump({"version": 1, "hilbert_dim": dim, "dfs": list(range(d)),
+    json.dump({"version": 1, "hilbert_dim": d + n, "dfs": list(range(d)),
                "hamiltonian": cli.matrix_json(lind.h), "jumps": [cli.matrix_json(f) for f in lind.jumps],
                "perturbation": {"v": cli.matrix_json(pert.v),
                                 "f": [cli.matrix_json(f) for f in pert.fs]}}, fh)
@@ -113,12 +114,12 @@ def run_child(src: Path, code: str, *args) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_tree(src: Path, dim: int) -> dict:
-    """One run of every child on one tree at one D."""
-    out = run_child(src, ROUTE_CHILD, *DRAW, dim)
+def run_tree(src: Path, rung: tuple) -> dict:
+    """One run of every child on one tree on one rung."""
+    out = run_child(src, ROUTE_CHILD, *rung)
     for command in ("effective", "verify"):
         if "not_run" not in out:
-            out.update(run_child(src, COMMAND_CHILD, command, *DRAW, dim))
+            out.update(run_child(src, COMMAND_CHILD, command, *rung))
     return out
 
 
@@ -146,21 +147,23 @@ def main(argv=None) -> int:
     trees = list(zip(LABELS, (args.parent, args.change)))
     runs = []
     for repeat in range(REPEATS):
-        for dim in SIZES:
+        for rung in RUNGS:
             for label, src in trees if repeat % 2 == 0 else trees[::-1]:
-                runs.append({"tree": label, "D": dim, "repeat": repeat, **run_tree(src, dim)})
+                runs.append({"tree": label, "draw": list(rung), "D": rung[0] + rung[1],
+                             "repeat": repeat, **run_tree(src, rung)})
                 print(json.dumps(runs[-1]), flush=True)
 
-    def median_row(label, dim):
-        rows = [r for r in runs if r["tree"] == label and r["D"] == dim]
+    def median_row(label, rung):
+        head = {"tree": label, "draw": list(rung), "D": rung[0] + rung[1]}
+        rows = [r for r in runs if r["tree"] == label and r["draw"] == list(rung)]
         refused = [r["not_run"] for r in rows if "not_run" in r]
         if refused:
-            return {"tree": label, "D": dim, "not_run": refused[0]}
-        return {"tree": label, "D": dim, **{m: statistics.median(r[m] for r in rows) for m in METRICS}}
+            return {**head, "not_run": refused[0]}
+        return {**head, **{m: statistics.median(r[m] for r in rows) for m in METRICS}}
 
-    medians = [median_row(label, dim) for dim in SIZES for label in LABELS]
+    medians = [median_row(label, rung) for rung in RUNGS for label in LABELS]
     for row in medians:
-        head = f"D={row['D']:<4} {row['tree']:<8}"
+        head = f"D={row['D']:<4} J={row['draw'][2]:<3} {row['tree']:<8}"
         if "not_run" in row:
             print(f"{head} not run: {row['not_run']}")
             continue
@@ -170,7 +173,7 @@ def main(argv=None) -> int:
               f" {row['effective_peak_rss_mb']:7.1f} MB   verify {row['verify_s']:7.3f} s"
               f" {row['verify_peak_rss_mb']:7.1f} MB")
     result = {
-        "draw": f"random_structured_instance({DRAW[0]}, D - {DRAW[0]}, {DRAW[1]}, {DRAW[2]})",
+        "draw": "random_structured_instance(d, n, jumps, seed), listed per rung as [d, n, jumps, seed]",
         "memory_limit_gb": MEMORY_LIMIT_GB,
         "metrics": UNITS,
         "host": host(),
