@@ -251,7 +251,7 @@ class ParsedProblem:
     scenario: tuple[str, dict] | None = None
     dfs: DfsProjector | None = None
     hamiltonian: np.ndarray | None = None
-    jumps: tuple[np.ndarray, ...] | None = None
+    jumps: np.ndarray | None = None  # (J, D, D), the generator's jump stack as it is
     pert: Perturbation | None = None
     tol: float | None = None
     seed: int | None = None
@@ -319,9 +319,10 @@ def load_problem(path: str) -> ParsedProblem:
 
     if not isinstance(data["jumps"], list) or not data["jumps"]:
         raise ProblemFormatError("jumps", "expected a nonempty list of matrices")
-    jumps = tuple(
-        parse_matrix(m, f"jumps[{i}]", shape=(dim, dim)) for i, m in enumerate(data["jumps"])
-    )
+    # Each matrix is parsed into its row of one stack, which the generator keeps.
+    jumps = np.empty((len(data["jumps"]), dim, dim), dtype=complex)
+    for i, m in enumerate(data["jumps"]):
+        jumps[i] = parse_matrix(m, f"jumps[{i}]", shape=(dim, dim))
 
     hamiltonian = (
         parse_matrix(data["hamiltonian"], "hamiltonian", shape=(dim, dim))
@@ -340,7 +341,7 @@ def load_problem(path: str) -> ParsedProblem:
             parse_matrix(block["v"], "perturbation.v", shape=(dim, dim))
             if "v" in block else np.zeros((dim, dim), dtype=complex)
         )
-        fs = []
+        fs = np.zeros(jumps.shape, dtype=complex)
         if "f" in block:
             if not isinstance(block["f"], list):
                 raise ProblemFormatError("perturbation.f", "expected a list of matrices")
@@ -350,14 +351,10 @@ def load_problem(path: str) -> ParsedProblem:
                     f"{len(block['f'])} deformations for {len(jumps)} jumps; append zero "
                     "matrices to 'jumps' to open new channels",
                 )
-            fs = [
-                parse_matrix(m, f"perturbation.f[{i}]", shape=(dim, dim))
-                for i, m in enumerate(block["f"])
-            ]
-        while len(fs) < len(jumps):
-            fs.append(np.zeros((dim, dim), dtype=complex))
+            for i, m in enumerate(block["f"]):
+                fs[i] = parse_matrix(m, f"perturbation.f[{i}]", shape=(dim, dim))
         try:
-            pert = Perturbation(v=v, fs=tuple(fs))
+            pert = Perturbation(v=v, fs=fs)
         except ValueError as err:
             raise ProblemFormatError("perturbation", str(err)) from err
 
@@ -375,8 +372,8 @@ def load_problem(path: str) -> ParsedProblem:
             return dagger(frame) @ a @ frame
 
         hamiltonian = turn(hamiltonian)
-        jumps = tuple(turn(f) for f in jumps)
-        pert = Perturbation(v=turn(pert.v), fs=tuple(turn(f) for f in pert.fs))
+        jumps = turn(jumps)
+        pert = Perturbation(v=turn(pert.v), fs=turn(pert.stack))
         if initial_states is not None:
             initial_states = tuple(turn(rho) for rho in initial_states)
 

@@ -47,15 +47,16 @@ E† S E, for E the d^2 unit columns at the DFS vec positions
 applies O1 and O2 as maps on the d^2 operators P_inf E (the DFS units
 themselves, for the generator's corner factor), never as D^2 x D^2
 matrices, and on a generator in normal form as pairs of DFS columns only.
-The closed route forms no D x D array (:class:`EffectiveGenerator`): E_eff acts on the d^2 DFS units b_i b_j† at once, as d^2 vec columns of
-sources on the decaying block, one sweep of the sector map and one stacked
-feed product, and the block of L_eff is one GKSL assembly of the pieces
-(:func:`effective_to_superop`).
+The closed route forms no D x D array (:class:`EffectiveGenerator`): E_eff
+acts on the d^2 DFS units b_i b_j† at once, as d^2 sources on the decaying
+block formed in the Schur frame of the sector map, one sweep of that map,
+and the feed read off the solutions in the same frame, and the block of
+L_eff is one GKSL assembly of the pieces (:func:`effective_to_superop`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -93,27 +94,34 @@ class Perturbation:
 
     fs must have one entry per unperturbed jump (zero matrices are fine, and
     extra channels can be represented by appending zero unperturbed jumps).
+    The f_l are kept as the rows of one (J, D, D) array, ``stack``: fs given
+    as a complex (J, D, D) array is kept as it is, and a sequence is stacked
+    once.
     """
 
     v: np.ndarray
     fs: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = require_hermitian(self.v, "perturbation Hamiltonian")
-        fs = tuple(as_operator(f) for f in self.fs)
+        given, fs = self.fs, tuple(as_operator(f) for f in self.fs)
         for f in fs:
             if f.shape != v.shape:
                 raise ValueError(f"jump deformation shape {f.shape} != V shape {v.shape}")
+        stack = np.asarray(given if isinstance(given, np.ndarray) else fs,
+                           dtype=complex).reshape(len(fs), *v.shape)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "fs", tuple(stack))
+        object.__setattr__(self, "stack", stack)
 
     @classmethod
     def zero(cls, dim: int, n_jumps: int) -> "Perturbation":
-        z = np.zeros((dim, dim), dtype=complex)
-        return cls(v=z, fs=tuple(z.copy() for _ in range(n_jumps)))
+        return cls(v=np.zeros((dim, dim), dtype=complex),
+                   fs=np.zeros((n_jumps, dim, dim), dtype=complex))
 
     def scaled(self, s: float) -> "Perturbation":
-        return Perturbation(v=s * self.v, fs=tuple(s * f for f in self.fs))
+        return Perturbation(v=s * self.v, fs=s * self.stack)
 
     def norm(self) -> float:
         return float(np.sqrt(frob(self.v) ** 2 + sum(frob(f) ** 2 for f in self.fs)))
@@ -129,10 +137,9 @@ def _check_pair(lind: StructuredLindbladian, pert: Perturbation):
         )
 
 
-def _blocks(ops, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The [rows, cols] block of each operator, as one (len(ops), rows, cols) stack."""
-    return np.array([op[np.ix_(rows, cols)] for op in ops],
-                    dtype=complex).reshape(len(ops), rows.size, cols.size)
+def _blocks(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The [rows, cols] block of each operator of a (J, D, D) stack, as one gather."""
+    return stack[:, rows[:, None], cols]
 
 
 def effective_coupling(lind: StructuredLindbladian,
@@ -146,8 +153,8 @@ def effective_coupling(lind: StructuredLindbladian,
     """
     _check_pair(lind, pert)
     idx, rest = lind.dfs.indices, lind.dfs.rest
-    a = _blocks(lind.jumps, idx, rest)
-    f_pp = _blocks(pert.fs, idx, idx)
+    a = _blocks(lind.jump_stack, idx, rest)
+    f_pp = _blocks(pert.stack, idx, idx)
     g = np.sum(dagger(a) @ f_pp, axis=0)  # sum_l A_l† f_pp_l, (n, d)
     return pert.v[np.ix_(rest, idx)] - 0.5j * g, pert.v[np.ix_(idx, rest)] - 0.5j * dagger(g)
 
@@ -158,13 +165,8 @@ def _stacked(lind: StructuredLindbladian, perts) -> tuple[np.ndarray, np.ndarray
         _check_pair(lind, pert)
     dim, n = lind.dim, len(perts)
     v = np.array([pert.v for pert in perts]).reshape(n, dim, dim)
-    fs = np.array([pert.fs for pert in perts], dtype=complex).reshape(n, len(lind.jumps), dim, dim)
+    fs = np.array([pert.stack for pert in perts]).reshape(n, len(lind.jumps), dim, dim)
     return v, fs
-
-
-def _jump_stack(lind: StructuredLindbladian) -> np.ndarray:
-    """The unperturbed jumps F_l as one (J, D, D) stack."""
-    return np.array(lind.jumps, dtype=complex).reshape(-1, lind.dim, lind.dim)
 
 
 def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) -> np.ndarray:
@@ -179,7 +181,7 @@ def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) 
     (D, J d) x (J d, D) product per perturbation, whatever rows F_l has.
     """
     idx = lind.dfs.indices
-    rows = _jump_stack(lind)[:, idx].reshape(-1, lind.dim)  # row (l, i) is F_l[idx_i, :]
+    rows = lind.jump_stack[:, idx].reshape(-1, lind.dim)  # row (l, i) is F_l[idx_i, :]
     g = dagger(rows) @ fs[..., idx, :].reshape(len(fs), -1, lind.dim)
     return v - 0.5j * (g + dagger(g))
 
@@ -238,10 +240,12 @@ def _unit_terms(lind: StructuredLindbladian, perts):
     a = _o1_coefficient(lind, v, fs)
     f = fs[..., idx]
     shape = (len(perts), 1, dim, idx.size)
-    big_f = np.broadcast_to(_jump_stack(lind)[..., idx], f.shape)
+    big_f = np.broadcast_to(lind.jump_stack[..., idx], f.shape)
     unit = np.broadcast_to(np.eye(dim, dtype=complex)[:, idx], shape)
     c1 = (-1j * a[..., idx]).reshape(shape)
-    c2 = (-0.5 * np.sum(dagger(fs) @ f, axis=1)).reshape(shape)
+    # sum_l f_l† (f_l b) is the conjugate of sum_l f_l^T conj(f_l b), which conjugates
+    # only the DFS columns f_l b, not the (K, J, D, D) stack.
+    c2 = (-0.5 * np.sum(fs.swapaxes(-1, -2) @ f.conj(), axis=1).conj()).reshape(shape)
     return a, fs, ([c1, unit, big_f, f], [unit, c1, f, big_f]), ([c2, unit, f], [unit, c2, f])
 
 
@@ -310,7 +314,7 @@ def _rank_two_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     x, y = np.zeros((2, k, 1, dim, d), dtype=complex)
     x[:, 0, rest], y[:, 0, rest] = x_q, y_q
     c_q = -1j * a[..., rest]  # (K, D, n)
-    big_f_q = _jump_stack(lind)[..., rest]  # (J, D, n)
+    big_f_q = lind.jump_stack[..., rest]  # (J, D, n)
     cx, cy = (c_q @ x_q)[:, None], (c_q @ y_q)[:, None]
     fx, fy = big_f_q @ x_q[:, None], big_f_q @ y_q[:, None]  # (K, J, D, d)
     left = [cb, b, *o2_left, -cx, -x, -fx, -cb, -b, -fb]
@@ -376,32 +380,40 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
     H_eff, the F_eff_l and sum_l f_qp_l† f_qp_l are products of the (d, d),
     (d, n) and (n, d) blocks of the module docstring. E_eff is built on the
     d^2 DFS units b_i b_j† at once: their sources sum_l f_qp_l b_i b_j† f_qp_l†
-    on the decaying block are d^2 vec columns of one GEMM, one sweep of the
-    generator's ``decaying_sector`` inverts the evolution on all of them, and
-    the feed sum_l A_l (.) A_l† maps the solutions back to the DFS block.
+    on the decaying block are one GEMM, one sweep of the generator's
+    ``decaying_sector`` inverts the evolution on all of them, and the feed
+    sum_l A_l (.) A_l† maps the solutions back to the DFS block. Sources and
+    feed are taken in the sweep's Schur frame (sigma = U Y V†), from the
+    (n, d) and (d, n) blocks times U and V, so no n x n solution is turned
+    back out of that frame.
     """
     _check_pair(lind, pert)
     dfs = lind.dfs
     d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
     kinv = nh_hamiltonian_inverse(lind.k, dfs)
     c_qp, c_pq = effective_coupling(lind, pert)
-    feed = _blocks(lind.jumps, idx, rest)  # A_l, (J, d, n)
+    feed = _blocks(lind.jump_stack, idx, rest)  # A_l, (J, d, n)
     kc = kinv @ c_qp
     x = pert.v[np.ix_(idx, idx)] - c_pq @ kc
     h_eff = 0.5 * (x + dagger(x))
-    jumps_eff = _blocks(pert.fs, idx, idx) - feed @ kc
-    f_qp = _blocks(pert.fs, rest, idx)
+    jumps_eff = _blocks(pert.stack, idx, idx) - feed @ kc
+    f_qp = _blocks(pert.stack, rest, idx)
     adj_id = np.sum(dagger(f_qp) @ f_qp, axis=0)
-    # The source of unit i + d j is sum_l f_qp_l[:, i] f_qp_l[:, j]†: its vec
-    # column, entry a + n b, is one GEMM over [l, (a, i)].
-    g = f_qp.reshape(-1, n * d)
-    source = (g.conj().T @ g).reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n * n, d * d)
     cp_superop = np.zeros((d * d, d * d), dtype=complex)
     # With every f_qp zero, E_eff is zero and the sector is not solved.
-    if source.any():
-        # One sweep of the d^2 columns; [q, p, c] = sigma_c[p, q] turns to the (c, p, q) stack.
-        sigma = lind.decaying_sector.solve(-source).transpose(2, 1, 0)
-        cp_superop = vectorize_stack(np.sum(feed[:, None] @ sigma @ dagger(feed)[:, None], axis=0))
+    if f_qp.any():
+        # In the sector's Schur frame sigma = U Y V†, the source of unit i + d j,
+        # sum_l f_qp_l[:, i] f_qp_l[:, j]†, is sum_l (U† f_qp_l)[:, i] (V† f_qp_l)[:, j]†:
+        # one GEMM over [l, (q, j)] and [l, (p, i)], laid out as the stack [q, p, (j, i)].
+        sector = lind.decaying_sector
+        gu = (dagger(sector.u) @ f_qp).reshape(-1, n * d)
+        gv = (dagger(sector.v) @ f_qp).reshape(-1, n * d)
+        source = (gv.conj().T @ gu).reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n, n, d * d)
+        y = sector.sweep(-source)  # [q, p, c] = Y_c[p, q]
+        # The feed sum_l A_l sigma_c A_l† is sum_l (A_l U) Y_c (A_l V)†: V's side is one
+        # GEMM over q, laid out as [l, j, p, c], and U's side one product per jump.
+        z = (np.conj(feed @ sector.v).reshape(-1, n) @ y.reshape(n, -1)).reshape(-1, d, n, d * d)
+        cp_superop = np.sum((feed @ sector.u)[:, None] @ z, axis=0).reshape(d * d, d * d)
     return EffectiveGenerator(
         h_eff=h_eff,
         jumps_eff=jumps_eff,
@@ -511,7 +523,7 @@ def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
     """
     _check_pair(lind, pert)
     v_lr = four_corners(pert.v, lind.dfs).lr
-    fs = np.array(pert.fs, dtype=complex).reshape(len(pert.fs), lind.dim, lind.dim)
+    fs = pert.stack
     f = four_corners(fs, lind.dfs)
     reference, *stripped = _general_blocks(lind, [
         pert,
@@ -598,13 +610,13 @@ class Study:
         ))
 
         # Resolvent identity on the decaying block, W_qq = sum_l F_l[:, Q]† F_l[:, Q].
-        f_q = _blocks(lind.jumps, np.arange(dfs.dim), dfs.rest).reshape(-1, dfs.n_decay)
+        f_q = lind.jump_stack[..., dfs.rest].reshape(-1, dfs.n_decay)
         lhs = dagger(kinv) @ (dagger(f_q) @ f_q) @ kinv
         rhs = -1j * (kinv - dagger(kinv))
         resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
         # Effective-jump norm identity, on the DFS block.
-        f_pp = _blocks(self.pert.fs, dfs.indices, dfs.indices)
+        f_pp = _blocks(self.pert.stack, dfs.indices, dfs.indices)
         lhs = np.sum(dagger(eff.jumps_eff) @ eff.jumps_eff - dagger(f_pp) @ f_pp, axis=0)
         x = c_pq @ kinv @ c_qp
         rhs = -1j * (x - dagger(x))
@@ -686,11 +698,9 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
     dfs = DfsProjector.from_indices(dim, range(d))
     last_err = None
     for _ in range(MAX_DRAWS):
-        jumps = []
-        for _ in range(n_jumps):
-            f = np.zeros((dim, dim), dtype=complex)
+        jumps = np.zeros((n_jumps, dim, dim), dtype=complex)
+        for f in jumps:
             f[:d, d:] = _random_matrix(rng, d, n)
-            jumps.append(f)
         w = sum(dagger(f) @ f for f in jumps)[d:, d:]
         h = np.zeros((dim, dim), dtype=complex)
         try:
@@ -708,8 +718,10 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
                 h, list(jumps) + [np.zeros((dim, dim), dtype=complex)], dfs
             )
         v = pert_scale * _random_hermitian(rng, dim)
-        fs = [pert_scale * _random_matrix(rng, dim, dim) for _ in lind.jumps]
-        return lind, Perturbation(v=v, fs=tuple(fs))
+        fs = np.empty((len(lind.jumps), dim, dim), dtype=complex)
+        for f in fs:
+            f[:] = pert_scale * _random_matrix(rng, dim, dim)
+        return lind, Perturbation(v=v, fs=fs)
     raise RuntimeError(f"no valid instance after {MAX_DRAWS} draws: {last_err}")
 
 

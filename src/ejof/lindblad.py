@@ -63,7 +63,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.lapack import zgees, zgetrf, zgetrs, ztrtrs
+from scipy.linalg.blas import ztrsm
+from scipy.linalg.lapack import zgees, zgetrf, zgetrs
 
 from .operators import (
     DEFAULT_TOL,
@@ -83,6 +84,9 @@ GAP_WARNING_FACTOR = 100.0
 # below this fraction of its largest is taken as singular: its solves would
 # carry no correct digit.
 PIVOT_RATIO_FLOOR = 1e3 * np.finfo(float).eps
+# LrSweep.leave multiplies a stack by conj(V) in place, this many of its
+# (p, c) columns at a time: its temporaries are n x 256, not the stack's size.
+LEAVE_COLUMNS = 256
 
 
 class SpectralGapWarning(UserWarning):
@@ -215,14 +219,21 @@ class LrSweep:
 
     The adjoint map Z -> i K† Z - i Z K'† = M becomes, with Z = U Y V†, the
     sweep j = n-1 .. 0 of (-i T + i s_jj I)† y_j = c_j + i sum_{k>j} conj(s_jk) y_k.
-    Each step is one triangular solve (LAPACK ztrtrs) that carries column j
-    of every right-hand side. A stack of m right-hand sides lives in the
-    Schur frame as a C-ordered (n, m, n) array y, y[j, c] column j of Y_c,
-    so that y[j].T is the F-ordered (n, m) block LAPACK reads. A shift
-    -i t_pp + i s_jj whose modulus is zero or below ``PIVOT_RATIO_FLOOR``
-    times the largest raises :class:`SingularBlockError` at construction, as
-    a small LU pivot does. No eigenvector is taken, so a defective K is
-    handled exactly, and no (n^2, n^2) array is formed.
+    A stack of m right-hand sides lives in the Schur frame as a C-ordered
+    (n, n, m) array y, y[j, p, c] = Y_c[p, j]: row j holds column j of every
+    Y_c as one (n, m) block, and y[j].T is the F-ordered (m, n) block that
+    BLAS reads. Each step is then one in-place triangular solve from the
+    right (BLAS ztrsm) on y[j].T, by the transpose of -i T + i s_jj I, or
+    for the adjoint by its conjugate i conj(T) - i conj(s_jj) I. Entering
+    the frame is two matrix products. Leaving it is two more, made in place
+    on the stack, so that it makes no copy of the stack: conj(V) on the
+    leading axis, ``LEAVE_COLUMNS`` columns at a time, then U on each row
+    block. A stack leaves as [q, p, c] = X_c[p, q], which reshapes to the
+    (n^2, m) vec columns of the X_c. A shift -i t_pp + i s_jj whose modulus
+    is zero or below ``PIVOT_RATIO_FLOOR`` times the largest raises
+    :class:`SingularBlockError` at construction, as a small LU pivot does.
+    No eigenvector is taken, so a defective K is handled exactly, and no
+    (n^2, n^2) array is formed.
     """
 
     t: np.ndarray
@@ -251,25 +262,28 @@ class LrSweep:
         return cls(t=t, u=u, s=dagger(t)[::-1, ::-1], v=u[:, ::-1])
 
     def enter(self, cols: np.ndarray) -> np.ndarray:
-        """Vec columns C_c (rows a + n b, one per c) as the Schur-frame stack U† C_c V."""
+        """Vec columns C_c (rows a + n b) as the Schur-frame stack [j, p, c] = (U† C_c V)[p, j]."""
         n, m = self.t.shape[0], cols.shape[1]
-        # cols[a + n b, c] read as [b, (a, c)]: V^T on the left gives [q, (a, c)] = (C_c V)[a, q].
-        cv = (self.v.T @ cols.reshape(n, n * m)).reshape(n, n, m).transpose(0, 2, 1)
-        return (cv.reshape(n * m, n) @ self.u.conj()).reshape(n, m, n)
+        # cols[a + n b, c] read as [b, (a, c)]: V^T on the left gives [j, a, c] = (C_c V)[a, j].
+        cv = (self.v.T @ cols.reshape(n, n * m)).reshape(n, n, m)
+        return self.u.conj().T @ cv
 
     def leave(self, y: np.ndarray) -> np.ndarray:
-        """The stack X_c = U Y_c V†, written over y as [q, c, p] = X_c[p, q]."""
-        n, m = y.shape[:2]
-        uy = y.reshape(n * m, n) @ self.u.T  # [(j, c), p] = (U Y_c)[p, j]
-        x = np.matmul(self.v.conj(), uy.reshape(n, m * n), out=y.reshape(n, m * n))
-        return x.reshape(y.shape)
+        """X_c = U Y_c V† for the stack y[j, p, c] = Y_c[p, j], written over y as X_c[p, q] at [q, p, c]."""
+        n = y.shape[0]
+        rows, v_conj = y.reshape(n, -1), self.v.conj()
+        for k in range(0, rows.shape[1], LEAVE_COLUMNS):
+            rows[:, k:k + LEAVE_COLUMNS] = v_conj @ rows[:, k:k + LEAVE_COLUMNS]  # (Y_c V†)[p, q]
+        for q in range(n):
+            y[q] = self.u @ y[q]
+        return y
 
     def solve(self, cols: np.ndarray) -> np.ndarray:
-        """The solutions X_c of vec columns C_c, as an (n, n, m) view [q, p, c] = X_c[p, q].
+        """The solutions X_c of vec columns C_c, as an (n, n, m) array [q, p, c] = X_c[p, q].
 
         Reshaped to (n^2, m), it is the vec columns of the X_c.
         """
-        return self.leave(self.sweep(self.enter(cols))).transpose(0, 2, 1)
+        return self.leave(self.sweep(self.enter(cols)))
 
     def sweep(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve the stack y in the Schur frame, in place: lr, or with ``adjoint`` lr†."""
@@ -277,17 +291,18 @@ class LrSweep:
         y = np.ascontiguousarray(y)
         rows = y.reshape(n, -1)  # row j: column j of every Y_c
         coupling = 1j * (self.s.conj() if adjoint else self.s)
-        # -i T + i s_jj I is -i T's F-ordered copy with its diagonal, a strided view, reset;
-        # y[j].T is F-ordered, so LAPACK overwrites it in place.
-        shifted = np.array(-1j * self.t, order="F")
+        # The step's matrix is -i T (forward, read transposed) or i conj(T)
+        # (adjoint), F-ordered, with its diagonal, a strided view, reset.
+        shifted = np.array(1j * self.t.conj() if adjoint else -1j * self.t, order="F")
         diagonal = shifted.reshape(-1, order="F")[::n + 1]
+        shifts = self.shifts.conj() if adjoint else self.shifts
         for j in (range(n - 1, -1, -1) if adjoint else range(n)):
             if adjoint and j < n - 1:
                 rows[j] += np.dot(coupling[j, j + 1:], rows[j + 1:])
             elif not adjoint and j:
                 rows[j] -= np.dot(coupling[:j, j], rows[:j])
-            diagonal[:] = self.shifts[:, j]
-            ztrtrs(shifted, y[j].T, trans=2 if adjoint else 0, overwrite_b=True)
+            diagonal[:] = shifts[:, j]
+            ztrsm(1.0, shifted, y[j].T, side=1, trans_a=int(not adjoint), overwrite_b=True)
         return y
 
 
@@ -375,14 +390,14 @@ class CornerFactor:
         ll, ur = _lu(-1j * k, d * n), _lu(1j * k_prime.T, d * n)
         lr = LrSweep.of(k, k_prime)
         # Feed operator i + d j, in the Schur frame: U† A_l† b_i b_j† A_l V, entry
-        # [p, q] = sum_l conj((A_l U)[i, p]) (A_l V)[j, q], one GEMM laid out as [q, (j, i), p].
+        # [p, q] = sum_l conj((A_l U)[i, p]) (A_l V)[j, q], one GEMM laid out as [q, p, (j, i)].
         a = np.array([f[idx[:, None], rest] for f in self.jumps], dtype=complex).reshape(-1, d, n)
         au, av = (a @ lr.u).reshape(-1, d * n), (a @ lr.v).reshape(-1, d * n)
-        feed = (av.T @ au.conj()).reshape(d, n, d, n).transpose(1, 0, 2, 3).reshape(n, d * d, n)
-        z = lr.leave(lr.sweep(feed, adjoint=True))  # [q, (j, i), p] = Z_ij[p, q]
+        feed = (av.T @ au.conj()).reshape(d, n, d, n).transpose(1, 3, 0, 2).reshape(n, n, d * d)
+        z = lr.leave(lr.sweep(feed, adjoint=True))  # [q, p, (j, i)] = Z_ij[p, q]
         # Row i + d j of G holds conj(vec Z_ij) on the lr columns, rows p + n q.
         g = np.zeros((d * d, r.size), dtype=complex)
-        g[:, 2 * d * n:].reshape(d * d, n, n)[:] = np.conjugate(z, out=z).transpose(1, 0, 2)
+        g[:, 2 * d * n:] = np.conjugate(z, out=z).reshape(n * n, d * d).T
         return (ll, ur, lr), g
 
     def _solve_rr(self, y_r: np.ndarray, z_r: np.ndarray) -> None:
@@ -445,33 +460,36 @@ class CornerFactor:
         """L^D = [[0, G L_rr^-1], [0, L_rr^-1]] in the frame, written block by block.
 
         Leaky, L_rr^-1 is its LU solved against the identity (LAPACK getrs).
-        Otherwise the ll and ur inverses are I_d kron (-i K_qq)^-1 and
-        (i K_qq'^T)^-1 kron I_d, and the lr inverse is the sweep of the n^2
-        units q_a q_b†, whose Schur-frame right-hand sides U† q_a q_b† V are
-        one outer product of the rows of conj U and V. The ul row is G times
-        L_rr^-1, whose ll and ur columns are zero here.
+        Otherwise the lr inverse is the sweep of the n^2 units q_a q_b†, whose
+        Schur-frame right-hand sides U† q_a q_b† V are one outer product of
+        the rows of V and conj U; the sweep's own stack reshapes to its
+        (n^2, n^2) columns. The ll and ur inverses, I_d kron (-i K_qq)^-1
+        and (i K_qq'^T)^-1 kron I_d, are written on the strided diagonals of
+        the output's (D, D, D, D) view, [q, p, b, a] the entry at
+        (p + D q, a + D b): one (n, n) write per DFS index each. The ul row
+        is G times L_rr^-1, whose ll and ur columns are zero here.
         """
         factors, g = self._factored
-        order, d, n = self.dfs.vec_order, self.dfs.d, self.dfs.n_decay
-        m, dn = d * d, d * n
+        order, m = self.dfs.vec_order, self.dfs.d ** 2
+        out = np.zeros((order.size,) * 2, dtype=complex)
         if self.leaky:
-            side = order.size - m
-            eye = np.eye(side, dtype=complex, order="F")
-            blocks = [(slice(0, side), zgetrs(*factors[0], eye, overwrite_b=True)[0])]
+            rows = order[m:]
+            inv = zgetrs(*factors[0], np.eye(rows.size, dtype=complex, order="F"),
+                         overwrite_b=True)[0]
         else:
-            ll, ur, lr = factors
-            eye_n, eye_d = np.eye(n, dtype=complex), np.eye(d, dtype=complex)
-            # Unit c = a + n b: U† q_a q_b† V = conj(U[a, :])^T V[b, :], laid out as [q, (b, a), p].
-            units = np.multiply.outer(lr.v.T, lr.u.conj()).reshape(n, n * n, n)
-            blocks = [(slice(0, dn), np.kron(eye_d, zgetrs(*ll, eye_n)[0])),
-                      (slice(dn, 2 * dn), np.kron(zgetrs(*ur, eye_n)[0], eye_d)),
-                      (slice(2 * dn, 2 * dn + n * n),
-                       lr.leave(lr.sweep(units)).transpose(0, 2, 1).reshape(n * n, n * n))]
-        out = np.zeros((order.size, order.size), dtype=complex)
-        for cut, inv in blocks:
-            rows = order[m + cut.start:m + cut.stop]
-            out[np.ix_(rows, rows)] = inv
-            out[np.ix_(order[:m], rows)] = g[:, cut] @ inv
+            (ll, ur, lr), n, rest = factors, self.dfs.n_decay, self.dfs.rest
+            rows = order[-n * n:]
+            # Unit c = a + n b: U† q_a q_b† V = conj(U[a, :])^T V[b, :], laid out as [j, p, (b, a)].
+            units = lr.v.T[:, None, :, None] * lr.u.conj().T[:, None]
+            inv = lr.leave(lr.sweep(units.reshape(n, n, n * n))).reshape(n * n, n * n)
+            view = out.reshape((self.dfs.dim,) * 4)
+            eye = np.eye(n, dtype=complex)
+            inv_ll, inv_ur = zgetrs(*ll, eye)[0], zgetrs(*ur, eye)[0]
+            for i in self.dfs.indices:
+                view[i, rest[:, None], i, rest] = inv_ll
+                view[rest[:, None], i, rest, i] = inv_ur
+        out[np.ix_(rows, rows)] = inv
+        out[np.ix_(order[:m], rows)] = g[:, -rows.size:] @ inv
         return out
 
     def projection(self) -> np.ndarray:
@@ -490,6 +508,7 @@ class StructuredLindbladian:
     """A Lindbladian in the DFS structural normal form.
 
     Use :func:`structured_lindbladian` to construct one with validation. The
+    jumps are the rows of one (J, D, D) array, ``jump_stack``. The
     non-Hermitian Hamiltonian ``k`` (supported on the decaying block), the
     Schur form (T, U) of K_qq (``k_schur``) and the corner factor
     (``factor``) are built once, at construction; the Drazin inverse and the
@@ -503,6 +522,7 @@ class StructuredLindbladian:
 
     h: np.ndarray
     jumps: tuple[np.ndarray, ...]
+    jump_stack: np.ndarray = field(repr=False)
     dfs: DfsProjector
     k: np.ndarray = field(repr=False)
     k_schur: tuple[np.ndarray, np.ndarray] = field(repr=False)
@@ -633,6 +653,9 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     :class:`StructureError`. With validate=False the report is still attached
     so callers can inspect what failed.
 
+    The jumps may be a sequence of (D, D) operators or one (J, D, D) array,
+    which a complex array is kept as, uncopied, as ``jump_stack``.
+
     The Schur form of K_qq and the zero cut 1e-8 max(1, rho) are computed
     here, once, and the DFS steadiness is read off D x D products when an
     entry leaks off its corner, and is exactly 0 otherwise (see
@@ -648,7 +671,7 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     solve, not L^D.
     """
     h = as_operator(h)
-    jumps = tuple(as_operator(f) for f in jumps)
+    given, jumps = jumps, tuple(as_operator(f) for f in jumps)
     if h.shape[0] != dfs.dim:
         raise ValueError(f"hamiltonian dimension {h.shape[0]} != projector dimension {dfs.dim}")
     if dfs.d >= dfs.dim:
@@ -656,13 +679,17 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     for f in jumps:
         if f.shape != h.shape:
             raise ValueError(f"jump shape {f.shape} != hamiltonian shape {h.shape}")
+    # A complex (J, D, D) array of jumps is kept as it is; a sequence is stacked once.
+    jump_stack = np.asarray(given if isinstance(given, np.ndarray) else jumps,
+                            dtype=complex).reshape(len(jumps), *h.shape)
+    jumps = tuple(jump_stack)
     rep, k, w, k_schur, thresh, leaky = _diagnose(h, jumps, dfs, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
     factor = CornerFactor(h=h, jumps=jumps, w=w, dfs=dfs, thresh=thresh, gap=rep.spectral_gap,
                           leaky=leaky)
-    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, k=k, k_schur=k_schur, report=rep,
-                                 factor=factor)
+    return StructuredLindbladian(h=h, jumps=jumps, jump_stack=jump_stack, dfs=dfs, k=k,
+                                 k_schur=k_schur, report=rep, factor=factor)
 
 
 def decay_rates(s: np.ndarray) -> np.ndarray:

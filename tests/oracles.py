@@ -25,8 +25,10 @@ from ejof.effective import EffectiveGenerator, Perturbation
 from ejof.lindblad import (
     ZERO_CLUSTER_FACTOR,
     SingularBlockError,
+    StructuredLindbladian,
     _diagnose,
     _warn_if_gap_small,
+    structured_lindbladian,
 )
 from ejof.operators import (
     DEFAULT_TOL,
@@ -370,6 +372,21 @@ def dense_normal_form_factor(lind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     projection[u, u] = 1.0
     projection[np.ix_(u, r)] = -g
     return drazin, projection, g
+
+
+def relabel(a: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The operator a with basis state i renamed perm[i]."""
+    out = np.empty_like(a)
+    out[np.ix_(perm, perm)] = a
+    return out
+
+
+def relabelled(lind: StructuredLindbladian, perm) -> StructuredLindbladian:
+    """The generator with basis state i renamed perm[i], its DFS on perm[dfs.indices], unvalidated."""
+    perm = np.asarray(perm)
+    dfs = DfsProjector.from_indices(lind.dim, perm[lind.dfs.indices])
+    return structured_lindbladian(relabel(lind.h, perm), [relabel(f, perm) for f in lind.jumps],
+                                  dfs, validate=False)
 
 
 def drazin_inverse(s: np.ndarray, *, zero_tol: float | None = None) -> np.ndarray:

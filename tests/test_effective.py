@@ -346,7 +346,7 @@ def test_cp_superop_matches_dense_product(n, seed, defective, extra):
 
 def test_closed_route_solves_the_dfs_units_in_one_stack(monkeypatch):
     # E_eff on the d^2 = 16 DFS units is one sweep of 16 columns, on the
-    # generator's decaying sector.
+    # generator's decaying sector: a stack [j, p, c] of n = 5 rows of 16 columns.
     lind, pert = random_structured_instance(4, 5, 5, 3)
     shapes = []
     real = ejof.lindblad.LrSweep.sweep
@@ -357,7 +357,7 @@ def test_closed_route_solves_the_dfs_units_in_one_stack(monkeypatch):
 
     monkeypatch.setattr(ejof.lindblad.LrSweep, "sweep", counting)
     _ = Study(lind, pert).closed
-    assert shapes == [(lind.decaying_sector, (5, 16, 5), False)]
+    assert shapes == [(lind.decaying_sector, (5, 5, 16), False)]
 
 
 def test_cp_superop_is_exactly_zero_without_a_source(generic_instance):

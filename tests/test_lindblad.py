@@ -60,6 +60,7 @@ from oracles import (
     embed_superop,
     nh_superop_solve,
     perturbation_superops,
+    relabelled,
     star_commutator,
     structure_report,
     vectorize,
@@ -448,17 +449,32 @@ def _extra_zero_jump_instance():
     return random_structured_instance(2, 3, 2, 6, extra_zero_jump=True)[0]
 
 
+def _lr_jump_instance():
+    """A draw whose first jump also maps decaying level 3 to 4: leaky, with the DFS still steady."""
+    lind = random_structured_instance(2, 3, 2, 11)[0]
+    jumps = [f.copy() for f in lind.jumps]
+    jumps[0][4, 3] = 0.7
+    lind = structured_lindbladian(lind.h, jumps, lind.dfs, validate=False)
+    assert lind.factor.leaky
+    return lind
+
+
 CORNER_CASES = {
     "random": lambda: random_structured_instance(2, 3, 2, 11)[0],
     "random-d3": lambda: random_structured_instance(3, 4, 3, 2)[0],
     "defective": lambda: random_structured_instance(2, 2, 2, 4, defective_k=True)[0],
     "stiff": lambda: stiff_lindbladian(),
     "extra-zero-jump": _extra_zero_jump_instance,
+    # The DFS {1, 3} of D = 5, and a D = 7 draw relabelled by a permutation.
+    "dfs-1-3": lambda: relabelled(random_structured_instance(2, 3, 2, 11)[0], [1, 3, 0, 2, 4]),
+    "relabelled": lambda: relabelled(random_structured_instance(3, 4, 3, 2)[0],
+                                     np.random.default_rng(5).permutation(7)),
     "projector-n12": lambda: _wide_rotated_lindbladian(),
 }
 
 
-@pytest.mark.parametrize("make", CORNER_CASES.values(), ids=CORNER_CASES.keys())
+@pytest.mark.parametrize("make", [*CORNER_CASES.values(), _lr_jump_instance],
+                         ids=[*CORNER_CASES, "leaky-lr-jump"])
 def test_bordered_factor_matches_schur_oracle(make):
     # The corner factor is the exact elimination of the bordered system
     # [[L, E], [E†, 0]]; the dense Schur form of L is its oracle.

@@ -37,7 +37,13 @@ from ejof.effective import (
 )
 from ejof.lindblad import CornerFactor, structured_lindbladian
 from ejof.operators import DfsProjector, dagger, frob, projector_frame
-from oracles import closed_route_full_space, dense_normal_form_factor, drazin_inverse
+from oracles import (
+    closed_route_full_space,
+    dense_normal_form_factor,
+    drazin_inverse,
+    relabel,
+    relabelled,
+)
 
 
 @st.composite
@@ -76,21 +82,38 @@ def test_structured_instance_properties(instance):
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(st.integers(1, 4), st.integers(2, 16), st.integers(1, 5), st.integers(0, 2 ** 16),
-       st.booleans(), st.booleans())
-@example(1, 3, 2, 0, False, False)  # d = 1
-@example(2, 2, 2, 4, True, False)   # defective K_qq
-@example(2, 3, 2, 6, False, True)   # an extra zero jump
+       st.booleans(), st.booleans(), st.booleans())
+@example(1, 3, 2, 0, False, False, False)  # d = 1
+@example(2, 2, 2, 4, True, False, False)   # defective K_qq
+@example(2, 3, 2, 6, False, True, False)   # an extra zero jump
+@example(4, 16, 5, 3, False, False, True)  # D = 20, the DFS scattered
 def test_structured_solves_match_the_dense_normal_form_factor(d, n, n_jumps, seed, defective,
-                                                               extra):
+                                                               extra, scatter):
     # D <= 20: the corner factor solves ll and ur by n x n LUs and lr by a
     # Bartels-Stewart sweep; the oracle forms the three blocks and LU-factors
-    # each. A K = 5 batch of columns goes through apply_drazin at once.
+    # each. A K = 5 batch of columns goes through apply_drazin at once. With
+    # scatter, the basis is relabelled by a permutation, which moves the DFS
+    # onto unsorted indices that are not the leading ones.
     assume(d + n <= 20)
     try:
         lind, _ = random_structured_instance(d, n, n_jumps, seed, defective_k=defective and n == 2,
                                              extra_zero_jump=extra)
     except RuntimeError:
         assume(False)
+    if scatter:
+        lind = relabelled(lind, np.random.default_rng(seed).permutation(lind.dim))
+    _assert_matches_the_dense_normal_form_factor(lind, seed)
+
+
+def test_a_dfs_off_the_leading_indices_matches_the_dense_normal_form_factor():
+    # The DFS {1, 3} of D = 5: decaying levels 0, 2 and 4 sit on both sides of it.
+    lind = relabelled(random_structured_instance(2, 3, 2, 11)[0], [1, 3, 0, 2, 4])
+    assert lind.dfs.indices.tolist() == [1, 3] and lind.report.passed
+    _assert_matches_the_dense_normal_form_factor(lind, 0)
+
+
+def _assert_matches_the_dense_normal_form_factor(lind, seed):
+    d = lind.dfs.d
     factor = lind.factor
     assert not factor.leaky
     drazin, projection, g = dense_normal_form_factor(lind)
@@ -167,16 +190,10 @@ def test_relabelling_the_basis_leaves_each_route_unchanged(instance, seed):
     # its block, read in the order of dfs.indices, is the same matrix.
     lind, pert = instance
     perm = np.random.default_rng(seed).permutation(lind.dim)
-
-    def relabel(a):
-        out = np.empty_like(a)
-        out[np.ix_(perm, perm)] = a
-        return out
-
-    dfs = DfsProjector.from_indices(lind.dim, perm[lind.dfs.indices])
-    moved = structured_lindbladian(relabel(lind.h), [relabel(f) for f in lind.jumps], dfs)
+    moved = relabelled(lind, perm)
+    assert moved.report.passed
     _assert_each_route_unchanged(lind, pert, moved, Perturbation(
-        v=relabel(pert.v), fs=tuple(relabel(f) for f in pert.fs)))
+        v=relabel(pert.v, perm), fs=tuple(relabel(f, perm) for f in pert.fs)))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -15,7 +15,13 @@ and an address space capped at MEMORY_LIMIT_GB. The first reports:
 * `closed_s`: then `Study.closed_block`, the closed route and its GKSL
   assembly;
 * `identities_s`: then `Study.identities`, on the closed route's pieces;
-* `peak_rss_mb`: the child's peak resident set (`ru_maxrss`), import included.
+* `peak_rss_mb`: the child's peak resident set (`ru_maxrss`), import included,
+  read before the L^D stage;
+* `drazin_s`: then `lind.drazin`, the dense (D^2, D^2) L^D, only for
+  D <= DRAZIN_MAX_DIM (it holds D^4 complex entries: 268 MB at D = 64,
+  4.3 GB at D = 128), and `not_run` above;
+* `<stage>_minflt` for each stage above: the minor page faults
+  (`ru_minflt`) the stage took, `not_run` where the stage was not run.
 
 The other two write the draw as a problem file and run `ejof effective` and
 `ejof verify` on it, reporting `effective_s` and `verify_s` (the command
@@ -46,9 +52,13 @@ RUNGS = ((4, 16, 5, 3), (4, 36, 5, 3), (4, 60, 5, 3), (4, 124, 5, 3), (4, 252, 1
 REPEATS = 3
 LABELS = ("parent", "change")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("draw_build_s", "general_s", "closed_s", "identities_s", "peak_rss_mb", "effective_s",
-           "effective_peak_rss_mb", "verify_s", "verify_peak_rss_mb")
-UNITS = {m: "MB" if m.endswith("_mb") else "s" for m in METRICS}
+STAGES = ("draw_build", "general", "closed", "identities", "drazin")
+METRICS = (*(f"{stage}_s" for stage in STAGES), *(f"{stage}_minflt" for stage in STAGES),
+           "peak_rss_mb", "effective_s", "effective_peak_rss_mb", "verify_s", "verify_peak_rss_mb")
+UNITS = {m: "MB" if m.endswith("_mb") else "faults" if m.endswith("_minflt") else "s"
+         for m in METRICS}
+# Largest D whose dense L^D the route child reads.
+DRAZIN_MAX_DIM = 64
 TIMEOUT_S = 900
 # Address-space cap of each child: a tree that needs more is recorded as not run.
 MEMORY_LIMIT_GB = 2
@@ -56,27 +66,33 @@ LIMIT = f"""
 import resource
 resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT_GB << 30}, {MEMORY_LIMIT_GB << 30}))
 """
-ROUTE_CHILD = LIMIT + """
+ROUTE_CHILD = LIMIT + f"""
 import json, resource, sys, time
 from ejof.effective import Study, random_structured_instance
 d, n, jumps, seed = map(int, sys.argv[1:])
-t0 = time.perf_counter()
-lind, pert = random_structured_instance(d, n, jumps, seed)
-t1 = time.perf_counter()
-study = Study(lind, pert)
+out = {{}}
+
+def stage(name, run):
+    faults, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+    result = run()
+    out[name + "_s"] = time.perf_counter() - t0
+    out[name + "_minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return result
+
 try:
-    study.general
-    t2 = time.perf_counter()
-    study.closed_block
-    t3 = time.perf_counter()
-    study.identities
+    lind, pert = stage("draw_build", lambda: random_structured_instance(d, n, jumps, seed))
+    study = Study(lind, pert)
+    stage("general", lambda: study.general)
+    stage("closed", lambda: study.closed_block)
+    stage("identities", lambda: study.identities)
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    if d + n <= {DRAZIN_MAX_DIM}:
+        stage("drazin", lambda: lind.drazin)
+    else:
+        out["drazin_s"] = out["drazin_minflt"] = "not_run"
 except MemoryError as err:
-    print(json.dumps({"not_run": str(err)}))
-    sys.exit()
-t4 = time.perf_counter()
-print(json.dumps({"draw_build_s": t1 - t0, "general_s": t2 - t1, "closed_s": t3 - t2,
-                  "identities_s": t4 - t3,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+    out = {{"not_run": str(err)}}
+print(json.dumps(out))
 """
 COMMAND_CHILD = LIMIT + """
 import contextlib, io, json, resource, sys, time
@@ -159,7 +175,8 @@ def main(argv=None) -> int:
         refused = [r["not_run"] for r in rows if "not_run" in r]
         if refused:
             return {**head, "not_run": refused[0]}
-        return {**head, **{m: statistics.median(r[m] for r in rows) for m in METRICS}}
+        return {**head, **{m: rows[0][m] if rows[0][m] == "not_run"
+                           else statistics.median(r[m] for r in rows) for m in METRICS}}
 
     medians = [median_row(label, rung) for rung in RUNGS for label in LABELS]
     for row in medians:
@@ -167,14 +184,17 @@ def main(argv=None) -> int:
         if "not_run" in row:
             print(f"{head} not run: {row['not_run']}")
             continue
-        print(f"{head} draw+build {row['draw_build_s']:7.3f} s   general {row['general_s']:7.3f} s"
-              f"   closed {row['closed_s']:7.3f} s   identities {row['identities_s']:7.3f} s"
-              f"   peak RSS {row['peak_rss_mb']:7.1f} MB   effective {row['effective_s']:7.3f} s"
-              f" {row['effective_peak_rss_mb']:7.1f} MB   verify {row['verify_s']:7.3f} s"
-              f" {row['verify_peak_rss_mb']:7.1f} MB")
+        stages = "   ".join(
+            f"{stage} " + ("not run" if row[f"{stage}_s"] == "not_run" else
+                           f"{row[f'{stage}_s']:7.3f} s {row[f'{stage}_minflt']:8.0f} faults")
+            for stage in STAGES)
+        print(f"{head} {stages}   peak RSS {row['peak_rss_mb']:7.1f} MB"
+              f"   effective {row['effective_s']:7.3f} s {row['effective_peak_rss_mb']:7.1f} MB"
+              f"   verify {row['verify_s']:7.3f} s {row['verify_peak_rss_mb']:7.1f} MB")
     result = {
         "draw": "random_structured_instance(d, n, jumps, seed), listed per rung as [d, n, jumps, seed]",
         "memory_limit_gb": MEMORY_LIMIT_GB,
+        "drazin_max_dim": DRAZIN_MAX_DIM,
         "metrics": UNITS,
         "host": host(),
         "medians": medians,
