@@ -373,7 +373,7 @@ def load_problem(path: str) -> ParsedProblem:
 
         hamiltonian = turn(hamiltonian)
         jumps = turn(jumps)
-        pert = Perturbation(v=turn(pert.v), fs=turn(pert.stack))
+        pert = Perturbation(v=turn(pert.v), fs=turn(pert.fs))
         if initial_states is not None:
             initial_states = tuple(turn(rho) for rho in initial_states)
 

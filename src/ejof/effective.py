@@ -56,7 +56,7 @@ L_eff is one GKSL assembly of the pieces (:func:`effective_to_superop`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -72,12 +72,12 @@ from .lindblad import (
 )
 from .operators import (
     DfsProjector,
-    as_operator,
     dagger,
     devectorize_columns,
     four_corners,
     frob,
     gksl_superop,
+    operator_stack,
     require_hermitian,
     vectorize_stack,
 )
@@ -94,26 +94,18 @@ class Perturbation:
 
     fs must have one entry per unperturbed jump (zero matrices are fine, and
     extra channels can be represented by appending zero unperturbed jumps).
-    The f_l are kept as the rows of one (J, D, D) array, ``stack``: fs given
-    as a complex (J, D, D) array is kept as it is, and a sequence is stacked
-    once.
+    It may be a sequence of (D, D) operators, stacked once, or one (J, D, D)
+    array, kept uncopied when complex; ``fs`` is then one complex (J, D, D)
+    array, the only form of the f_l (:func:`~ejof.operators.operator_stack`).
     """
 
     v: np.ndarray
-    fs: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    fs: np.ndarray
 
     def __post_init__(self):
         v = require_hermitian(self.v, "perturbation Hamiltonian")
-        given, fs = self.fs, tuple(as_operator(f) for f in self.fs)
-        for f in fs:
-            if f.shape != v.shape:
-                raise ValueError(f"jump deformation shape {f.shape} != V shape {v.shape}")
-        stack = np.asarray(given if isinstance(given, np.ndarray) else fs,
-                           dtype=complex).reshape(len(fs), *v.shape)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "fs", tuple(stack))
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "fs", operator_stack(self.fs, v, "jump deformation", "V"))
 
     @classmethod
     def zero(cls, dim: int, n_jumps: int) -> "Perturbation":
@@ -121,7 +113,7 @@ class Perturbation:
                    fs=np.zeros((n_jumps, dim, dim), dtype=complex))
 
     def scaled(self, s: float) -> "Perturbation":
-        return Perturbation(v=s * self.v, fs=s * self.stack)
+        return Perturbation(v=s * self.v, fs=s * self.fs)
 
     def norm(self) -> float:
         return float(np.sqrt(frob(self.v) ** 2 + sum(frob(f) ** 2 for f in self.fs)))
@@ -153,24 +145,14 @@ def effective_coupling(lind: StructuredLindbladian,
     """
     _check_pair(lind, pert)
     idx, rest = lind.dfs.indices, lind.dfs.rest
-    a = _blocks(lind.jump_stack, idx, rest)
-    f_pp = _blocks(pert.stack, idx, idx)
+    a = _blocks(lind.jumps, idx, rest)
+    f_pp = _blocks(pert.fs, idx, idx)
     g = np.sum(dagger(a) @ f_pp, axis=0)  # sum_l A_l† f_pp_l, (n, d)
     return pert.v[np.ix_(rest, idx)] - 0.5j * g, pert.v[np.ix_(idx, rest)] - 0.5j * dagger(g)
 
 
-def _stacked(lind: StructuredLindbladian, perts) -> tuple[np.ndarray, np.ndarray]:
-    """V of each perturbation as (K, D, D) and its f_l as (K, J, D, D)."""
-    for pert in perts:
-        _check_pair(lind, pert)
-    dim, n = lind.dim, len(perts)
-    v = np.array([pert.v for pert in perts]).reshape(n, dim, dim)
-    fs = np.array([pert.stack for pert in perts]).reshape(n, len(lind.jumps), dim, dim)
-    return v, fs
-
-
-def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """A of O1 for each of K stacked perturbations, as (K, D, D).
+def _o1_coefficient(lind: StructuredLindbladian, perts) -> np.ndarray:
+    """A of O1 for each of K perturbations, as (K, D, D).
 
     O1(X) = -i(A X - X A†) + sum_l (F_l X f_l† + f_l X F_l†). The star
     commutator is additive in A, so its V_diag part, the full-space coupling C
@@ -181,9 +163,9 @@ def _o1_coefficient(lind: StructuredLindbladian, v: np.ndarray, fs: np.ndarray) 
     (D, J d) x (J d, D) product per perturbation, whatever rows F_l has.
     """
     idx = lind.dfs.indices
-    rows = lind.jump_stack[:, idx].reshape(-1, lind.dim)  # row (l, i) is F_l[idx_i, :]
-    g = dagger(rows) @ fs[..., idx, :].reshape(len(fs), -1, lind.dim)
-    return v - 0.5j * (g + dagger(g))
+    rows = lind.jumps[:, idx].reshape(-1, lind.dim)  # row (l, i) is F_l[idx_i, :]
+    g = dagger(rows) @ np.array([pert.fs[:, idx].reshape(-1, lind.dim) for pert in perts])
+    return np.array([pert.v for pert in perts]) - 0.5j * (g + dagger(g))
 
 
 def _apply_o1(a: np.ndarray, jumps, fs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -227,26 +209,30 @@ def _on_units(left: list, right: list) -> np.ndarray:
 
 
 def _unit_terms(lind: StructuredLindbladian, perts):
-    """A of O1, the (K, J, D, D) f_l, and the DFS columns of the pairs of O1 E and O2 E.
+    """A of O1, and the DFS columns of the pairs of O1 E and O2 E.
 
     Each of O1 E and O2 E is a (left, right) pair of lists of (K, P, D, d)
     stacks for :func:`_on_units`: with c = -i A for O1 and
     c = -(1/2) sum_l f_l† f_l for O2, c E + E c† is the pairs (c, I) and
     (I, c), and the jump terms are (F_l, f_l) and (f_l, F_l) for O1 and
-    (f_l, f_l) for O2. So O1 E's left list is [c b, b, F_l b, f_l b].
+    (f_l, f_l) for O2. So O1 E's left list is [c b, b, F_l b, f_l b]. Each
+    perturbation's f_l enter only through its DFS rows and columns, gathered
+    from its own (J, D, D) array, and its c2 b.
     """
-    v, fs = _stacked(lind, perts)
+    for pert in perts:
+        _check_pair(lind, pert)
     dim, idx = lind.dim, lind.dfs.indices
-    a = _o1_coefficient(lind, v, fs)
-    f = fs[..., idx]
+    a = _o1_coefficient(lind, perts)
+    f = np.array([pert.fs[..., idx] for pert in perts])  # (K, J, D, d)
     shape = (len(perts), 1, dim, idx.size)
-    big_f = np.broadcast_to(lind.jump_stack[..., idx], f.shape)
+    big_f = np.broadcast_to(lind.jumps[..., idx], f.shape)
     unit = np.broadcast_to(np.eye(dim, dtype=complex)[:, idx], shape)
     c1 = (-1j * a[..., idx]).reshape(shape)
     # sum_l f_l† (f_l b) is the conjugate of sum_l f_l^T conj(f_l b), which conjugates
-    # only the DFS columns f_l b, not the (K, J, D, D) stack.
-    c2 = (-0.5 * np.sum(fs.swapaxes(-1, -2) @ f.conj(), axis=1).conj()).reshape(shape)
-    return a, fs, ([c1, unit, big_f, f], [unit, c1, f, big_f]), ([c2, unit, f], [unit, c2, f])
+    # only the DFS columns f_l b, not the f_l.
+    c2 = np.array([np.sum(pert.fs.swapaxes(-1, -2) @ fb.conj(), axis=0) for pert, fb in zip(perts, f)])
+    c2 = (-0.5 * c2.conj()).reshape(shape)
+    return a, ([c1, unit, big_f, f], [unit, c1, f, big_f]), ([c2, unit, f], [unit, c2, f])
 
 
 def _dfs_unit_columns(lind: StructuredLindbladian) -> np.ndarray:
@@ -271,9 +257,11 @@ def _stacked_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     with P_inf E != E (the dense oracle on a DFS that is not steady) adds O1
     and O2 of P_inf E - E as stacked D x D products. L^D is applied to the
     K d^2 columns O1 P_inf E in one solve, and the second O1 acts on them as
-    stacked D x D products, 2 + 4J per operator. Exact for any factor.
+    stacked D x D products, 2 + 4J per operator. Exact for any factor. It
+    is the one path that stacks the K perturbations' f_l, as (K, J, D, D).
     """
-    a, fs, o1, o2 = _unit_terms(lind, perts)
+    a, o1, o2 = _unit_terms(lind, perts)
+    fs = np.array([pert.fs for pert in perts])
     o1x, o2x = _on_units(*o1), _on_units(*o2)
     e = _dfs_unit_columns(lind)
     moved = devectorize_columns(lind.factor.apply_projection(e) - e)
@@ -305,7 +293,7 @@ def _rank_two_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     product. They enter :func:`_on_units` with the pairs of O1 E and O2 E,
     the second-order ones negated.
     """
-    a, fs, ((cb, b, _, fb), _), (o2_left, o2_right) = _unit_terms(lind, perts)
+    a, ((cb, b, _, fb), _), (o2_left, o2_right) = _unit_terms(lind, perts)
     k = len(perts)
     dim, d, n, rest = lind.dim, lind.dfs.d, lind.dfs.n_decay, lind.dfs.rest
     # Column (k, j) is c_qp[:, j] of perturbation k; x and y come back as (K, n, d).
@@ -314,7 +302,7 @@ def _rank_two_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     x, y = np.zeros((2, k, 1, dim, d), dtype=complex)
     x[:, 0, rest], y[:, 0, rest] = x_q, y_q
     c_q = -1j * a[..., rest]  # (K, D, n)
-    big_f_q = lind.jump_stack[..., rest]  # (J, D, n)
+    big_f_q = lind.jumps[..., rest]  # (J, D, n)
     cx, cy = (c_q @ x_q)[:, None], (c_q @ y_q)[:, None]
     fx, fy = big_f_q @ x_q[:, None], big_f_q @ y_q[:, None]  # (K, J, D, d)
     left = [cb, b, *o2_left, -cx, -x, -fx, -cb, -b, -fb]
@@ -392,12 +380,12 @@ def effective_lindbladian_closed(lind: StructuredLindbladian, pert: Perturbation
     d, n, idx, rest = dfs.d, dfs.n_decay, dfs.indices, dfs.rest
     kinv = nh_hamiltonian_inverse(lind.k, dfs)
     c_qp, c_pq = effective_coupling(lind, pert)
-    feed = _blocks(lind.jump_stack, idx, rest)  # A_l, (J, d, n)
+    feed = _blocks(lind.jumps, idx, rest)  # A_l, (J, d, n)
     kc = kinv @ c_qp
     x = pert.v[np.ix_(idx, idx)] - c_pq @ kc
     h_eff = 0.5 * (x + dagger(x))
-    jumps_eff = _blocks(pert.stack, idx, idx) - feed @ kc
-    f_qp = _blocks(pert.stack, rest, idx)
+    jumps_eff = _blocks(pert.fs, idx, idx) - feed @ kc
+    f_qp = _blocks(pert.fs, rest, idx)
     adj_id = np.sum(dagger(f_qp) @ f_qp, axis=0)
     cp_superop = np.zeros((d * d, d * d), dtype=complex)
     # With every f_qp zero, E_eff is zero and the sector is not solved.
@@ -523,14 +511,14 @@ def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
     """
     _check_pair(lind, pert)
     v_lr = four_corners(pert.v, lind.dfs).lr
-    fs = pert.stack
+    fs = pert.fs
     f = four_corners(fs, lind.dfs)
     reference, *stripped = _general_blocks(lind, [
         pert,
-        Perturbation(v=pert.v - v_lr, fs=pert.fs),
-        Perturbation(v=pert.v, fs=tuple(fs - f.ur)),
-        Perturbation(v=pert.v, fs=tuple(fs - f.lr)),
-        Perturbation(v=pert.v - v_lr, fs=tuple(fs - f.ur - f.lr)),
+        Perturbation(v=pert.v - v_lr, fs=fs),
+        Perturbation(v=pert.v, fs=fs - f.ur),
+        Perturbation(v=pert.v, fs=fs - f.lr),
+        Perturbation(v=pert.v - v_lr, fs=fs - f.ur - f.lr),
     ])
     scale = max(frob(reference), RESIDUAL_FLOOR)
     # The variants come in the report's field order: v_lr, f_ur, f_lr, combined.
@@ -610,13 +598,13 @@ class Study:
         ))
 
         # Resolvent identity on the decaying block, W_qq = sum_l F_l[:, Q]† F_l[:, Q].
-        f_q = lind.jump_stack[..., dfs.rest].reshape(-1, dfs.n_decay)
+        f_q = lind.jumps[..., dfs.rest].reshape(-1, dfs.n_decay)
         lhs = dagger(kinv) @ (dagger(f_q) @ f_q) @ kinv
         rhs = -1j * (kinv - dagger(kinv))
         resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
         # Effective-jump norm identity, on the DFS block.
-        f_pp = _blocks(self.pert.stack, dfs.indices, dfs.indices)
+        f_pp = _blocks(self.pert.fs, dfs.indices, dfs.indices)
         lhs = np.sum(dagger(eff.jumps_eff) @ eff.jumps_eff - dagger(f_pp) @ f_pp, axis=0)
         x = c_pq @ kinv @ c_qp
         rhs = -1j * (x - dagger(x))
@@ -674,14 +662,13 @@ def _defective_decaying_hamiltonian(w: np.ndarray) -> np.ndarray:
 
 def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
                                defective_k: bool = False,
-                               pert_scale: float = 1.0,
                                extra_zero_jump: bool = False):
     """Draw a random structured Lindbladian and a full-corner perturbation.
 
     The DFS is the first d basis states of a (d+n)-dimensional space. Jumps
     have standard complex normal entries on their decaying-to-DFS corner, the
     Hamiltonian is a random Hermitian on the decaying block, V is a random
-    full Hermitian, and each f_l is a random full matrix times pert_scale.
+    full Hermitian, and each f_l is a random full matrix.
 
     With defective_k=True (requires n == 2) the decaying Hamiltonian is
     engineered so the non-Hermitian Hamiltonian K has a genuine Jordan block.
@@ -717,10 +704,10 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
             lind = structured_lindbladian(
                 h, list(jumps) + [np.zeros((dim, dim), dtype=complex)], dfs
             )
-        v = pert_scale * _random_hermitian(rng, dim)
+        v = _random_hermitian(rng, dim)
         fs = np.empty((len(lind.jumps), dim, dim), dtype=complex)
         for f in fs:
-            f[:] = pert_scale * _random_matrix(rng, dim, dim)
+            f[:] = _random_matrix(rng, dim, dim)
         return lind, Perturbation(v=v, fs=fs)
     raise RuntimeError(f"no valid instance after {MAX_DRAWS} draws: {last_err}")
 
@@ -728,5 +715,4 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
 def perturbed_superop(lind: StructuredLindbladian, pert: Perturbation) -> np.ndarray:
     """Full generator of the perturbed system, L(H+V, {F+f})."""
     _check_pair(lind, pert)
-    jumps = [big_f + f for big_f, f in zip(lind.jumps, pert.fs)]
-    return assemble_lindbladian(lind.h + pert.v, jumps)
+    return assemble_lindbladian(lind.h + pert.v, lind.jumps + pert.fs)

@@ -73,6 +73,7 @@ from .operators import (
     dagger,
     frob,
     gksl_superop,
+    operator_stack,
     require_hermitian,
 )
 
@@ -325,23 +326,23 @@ class CornerFactor:
     outside ur. Without such an entry (``leaky`` False) L_rr is block
     diagonal, and each block is a Kronecker function of K_qq = H_qq -
     (i/2) W_qq and K_qq' = H_qq + (i/2) W_qq, with ``w`` = W = sum_l F_l† F_l
-    formed from the jumps:
+    formed from the jumps, the generator's (J, D, D) array ``jumps``:
 
         ll X = -i K_qq X,   ur X = i X K_qq',   lr X = -i K_qq X + i X K_qq',
 
     for X the (n, d), (d, n) and (n, n) corner of an operator, and the lr
-    columns of L_ur map X to sum_l A_l X A_l†, A_l = F_l[idx, rest]. No
-    block is formed: ll and ur are solved by one n x n LU each, of -i K_qq
-    and of i K_qq'^T, on reshaped right-hand sides; lr by a Bartels-Stewart
-    sweep on the factor's own Schur forms of K_qq and K_qq' (:class:`LrSweep`);
-    and G, whose ll and ur columns are zero, by the adjoint sweep on the d^2
-    operators sum_l A_l† b_i b_j† A_l. K_qq and K_qq' are formed here, never
-    read off the generator's ``k`` or ``decaying_sector``, so the general
-    route shares no input with the closed one. With a leaking entry
-    (leakage below the tolerance, or a generator that fails its checks), L
-    is assembled (``superop``, on first read, with this W) and L_rr and L_ur
-    are gathered whole, so no entry of L is dropped, and L_rr is LU-factored
-    in place.
+    columns of L_ur map X to sum_l A_l X A_l†, A_l = F_l[idx, rest], one
+    index gather on ``jumps``. No block is formed: ll and ur are solved by
+    one n x n LU each, of -i K_qq and of i K_qq'^T, on reshaped right-hand
+    sides; lr by a Bartels-Stewart sweep on the factor's own Schur forms of
+    K_qq and K_qq' (:class:`LrSweep`); and G, whose ll and ur columns are
+    zero, by the adjoint sweep on the d^2 operators sum_l A_l† b_i b_j† A_l.
+    K_qq and K_qq' are formed here, never read off the generator's ``k`` or
+    ``decaying_sector``, so the general route shares no input with the
+    closed one. With a leaking entry (leakage below the tolerance, or a
+    generator that fails its checks), L is assembled (``superop``, on first
+    read, with this W) and L_rr and L_ur are gathered whole, so no entry of L
+    is dropped, and L_rr is LU-factored in place.
 
     The frame is the permutation ``dfs.order``, and ``dfs.vec_order`` gives
     the vec index of each frame position, so entering or leaving the frame is
@@ -355,7 +356,7 @@ class CornerFactor:
     """
 
     h: np.ndarray
-    jumps: tuple[np.ndarray, ...]
+    jumps: np.ndarray
     w: np.ndarray
     dfs: DfsProjector
     thresh: float
@@ -391,7 +392,7 @@ class CornerFactor:
         lr = LrSweep.of(k, k_prime)
         # Feed operator i + d j, in the Schur frame: U† A_l† b_i b_j† A_l V, entry
         # [p, q] = sum_l conj((A_l U)[i, p]) (A_l V)[j, q], one GEMM laid out as [q, p, (j, i)].
-        a = np.array([f[idx[:, None], rest] for f in self.jumps], dtype=complex).reshape(-1, d, n)
+        a = self.jumps[:, idx[:, None], rest]  # A_l, (J, d, n)
         au, av = (a @ lr.u).reshape(-1, d * n), (a @ lr.v).reshape(-1, d * n)
         feed = (av.T @ au.conj()).reshape(d, n, d, n).transpose(1, 3, 0, 2).reshape(n, n, d * d)
         z = lr.leave(lr.sweep(feed, adjoint=True))  # [q, p, (j, i)] = Z_ij[p, q]
@@ -507,22 +508,21 @@ class CornerFactor:
 class StructuredLindbladian:
     """A Lindbladian in the DFS structural normal form.
 
-    Use :func:`structured_lindbladian` to construct one with validation. The
-    jumps are the rows of one (J, D, D) array, ``jump_stack``. The
-    non-Hermitian Hamiltonian ``k`` (supported on the decaying block), the
-    Schur form (T, U) of K_qq (``k_schur``) and the corner factor
-    (``factor``) are built once, at construction; the Drazin inverse and the
-    asymptotic projection are read off ``factor``. The closed route's sector
-    sweep (``decaying_sector``) is built on first read, so a small sector
-    shift is refused at the first closed solve. The (D^2, D^2)
-    matrix of L is not: ``superop`` is the factor's, assembled at most once,
+    Use :func:`structured_lindbladian` to construct one with validation.
+    ``jumps`` is one complex (J, D, D) array, the only form of the jumps,
+    shared with ``factor``. The non-Hermitian Hamiltonian ``k`` (supported
+    on the decaying block), the Schur form (T, U) of K_qq (``k_schur``) and
+    the corner factor (``factor``) are built once, at construction; the
+    Drazin inverse and the asymptotic projection are read off ``factor``.
+    The closed route's sector sweep (``decaying_sector``) is built on first
+    read, so a small sector shift is refused at the first closed solve. The
+    (D^2, D^2) matrix of L is not: ``superop`` is the factor's, assembled at most once,
     on first read (by the oracles, or by a leaky factor). A factor swapped in
     for the corner factor keeps the matrix it factors as its ``superop``.
     """
 
     h: np.ndarray
-    jumps: tuple[np.ndarray, ...]
-    jump_stack: np.ndarray = field(repr=False)
+    jumps: np.ndarray
     dfs: DfsProjector
     k: np.ndarray = field(repr=False)
     k_schur: tuple[np.ndarray, np.ndarray] = field(repr=False)
@@ -580,7 +580,7 @@ def _dfs_columns(h, w, jumps, dfs: DfsProjector) -> np.ndarray:
     them, jump sum first, then the K and K' terms, from the same W.
     """
     dim, d, idx = dfs.dim, dfs.d, dfs.indices
-    f = np.array(jumps, dtype=complex).reshape(-1, dim, dim)[:, :, idx].reshape(-1, dim * d)
+    f = jumps[:, :, idx].reshape(-1, dim * d)
     # (conj(f)^T f)[(b, j), (a, i)] = sum_l conj(F_l[b, idx_j]) F_l[a, idx_i] is
     # entry (a, b) of unit i + d j, at row a + D b: cols[b, a, j, i] below.
     cols = np.ascontiguousarray((f.conj().T @ f).reshape(dim, d, dim, d).transpose(0, 2, 1, 3))
@@ -614,10 +614,10 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     scale_h = max(1.0, frob(h))
     h_herm = frob(h - dagger(h)) / scale_h
     _, ur, _, lr = dfs._corner_masks
-    leaks = [np.where(lr, 0j, h)] + [np.where(ur, 0j, f) for f in jumps]
-    h_block = frob(leaks[0]) / scale_h
-    jump_res = tuple(frob(x) / max(1.0, frob(f)) for x, f in zip(leaks[1:], jumps))
-    leaky = any(x.any() for x in leaks)
+    h_leak, jump_leaks = np.where(lr, 0j, h), np.where(ur, 0j, jumps)
+    h_block = frob(h_leak) / scale_h
+    jump_res = tuple(frob(x) / max(1.0, frob(f)) for x, f in zip(jump_leaks, jumps))
+    leaky = bool(h_leak.any() or jump_leaks.any())
     k = nh_hamiltonian(h, jumps)
     w = sum((dagger(f) @ f for f in jumps), np.zeros_like(h))
     k_schur = complex_schur(k[np.ix_(dfs.rest, dfs.rest)])
@@ -653,8 +653,10 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     :class:`StructureError`. With validate=False the report is still attached
     so callers can inspect what failed.
 
-    The jumps may be a sequence of (D, D) operators or one (J, D, D) array,
-    which a complex array is kept as, uncopied, as ``jump_stack``.
+    The jumps may be a sequence of (D, D) operators, stacked once, or one
+    (J, D, D) array, kept uncopied when complex; the generator and its factor
+    then share one complex (J, D, D) array, ``jumps``
+    (:func:`~ejof.operators.operator_stack`).
 
     The Schur form of K_qq and the zero cut 1e-8 max(1, rho) are computed
     here, once, and the DFS steadiness is read off D x D products when an
@@ -671,25 +673,18 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     solve, not L^D.
     """
     h = as_operator(h)
-    given, jumps = jumps, tuple(as_operator(f) for f in jumps)
     if h.shape[0] != dfs.dim:
         raise ValueError(f"hamiltonian dimension {h.shape[0]} != projector dimension {dfs.dim}")
     if dfs.d >= dfs.dim:
         raise ValueError("DFS must be a proper subspace (nonempty decaying block)")
-    for f in jumps:
-        if f.shape != h.shape:
-            raise ValueError(f"jump shape {f.shape} != hamiltonian shape {h.shape}")
-    # A complex (J, D, D) array of jumps is kept as it is; a sequence is stacked once.
-    jump_stack = np.asarray(given if isinstance(given, np.ndarray) else jumps,
-                            dtype=complex).reshape(len(jumps), *h.shape)
-    jumps = tuple(jump_stack)
+    jumps = operator_stack(jumps, h, "jump", "hamiltonian")
     rep, k, w, k_schur, thresh, leaky = _diagnose(h, jumps, dfs, tol)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
     factor = CornerFactor(h=h, jumps=jumps, w=w, dfs=dfs, thresh=thresh, gap=rep.spectral_gap,
                           leaky=leaky)
-    return StructuredLindbladian(h=h, jumps=jumps, jump_stack=jump_stack, dfs=dfs, k=k,
-                                 k_schur=k_schur, report=rep, factor=factor)
+    return StructuredLindbladian(h=h, jumps=jumps, dfs=dfs, k=k, k_schur=k_schur, report=rep,
+                                 factor=factor)
 
 
 def decay_rates(s: np.ndarray) -> np.ndarray:

@@ -46,6 +46,22 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
+def operator_stack(ops, like: np.ndarray, what: str, of: str) -> np.ndarray:
+    """The operators ops as one complex (J, D, D) array, each of the shape of ``like``.
+
+    ops may be a sequence of (D, D) operators, stacked once, or one
+    (J, D, D) array, kept uncopied when complex. An operator that is not
+    square, or not of like's shape, raises ValueError, naming it ``what``
+    and like ``of``.
+    """
+    checked = [as_operator(a) for a in ops]
+    for a in checked:
+        if a.shape != like.shape:
+            raise ValueError(f"{what} shape {a.shape} != {of} shape {like.shape}")
+    return np.asarray(ops if isinstance(ops, np.ndarray) else checked,
+                      dtype=complex).reshape(len(checked), *like.shape)
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a (..., m, n) stack."""
     return a.conj().swapaxes(-1, -2)
@@ -206,19 +222,17 @@ def gksl_superop(h: np.ndarray, jumps, w: np.ndarray | None = None) -> np.ndarra
     W defaults to sum_l A_l† A_l, which makes this the Lindbladian of H and the
     jumps A_l. It is assembled in K form, -i I kron K + i K'^T kron I +
     sum_l conj(A_l) kron A_l with K = H - (i/2)W and K' = H + (i/2)W (K' = K†
-    for Hermitian H). The jump sum is one (D^2, J)^T @ (J, D^2) product,
-    reordered once to Kronecker layout; the two K terms are added on the
-    strided diagonals of its (D, D, D, D) view.
+    for Hermitian H). The jumps are a sequence of (D, D) operators or one
+    (J, D, D) array (:func:`operator_stack`). The jump sum is one
+    (D^2, J)^T @ (J, D^2) product, reordered once to Kronecker layout; the
+    two K terms are added on the strided diagonals of its (D, D, D, D) view.
     """
     h = as_operator(h)
-    jumps = [as_operator(a) for a in jumps]
-    for a in jumps:
-        if a.shape != h.shape:
-            raise ValueError(f"jump shape {a.shape} != hamiltonian shape {h.shape}")
+    jumps = operator_stack(jumps, h, "jump", "hamiltonian")
     if w is None:
         w = sum((dagger(a) @ a for a in jumps), np.zeros_like(h))
     dim = h.shape[0]
-    a = np.array(jumps, dtype=complex).reshape(len(jumps), dim * dim)
+    a = jumps.reshape(len(jumps), dim * dim)
     # (conj(a)^T a)[(i, j), (k, m)] = sum_l conj(A_l[i, j]) A_l[k, m]; the Kronecker
     # row is (i, k) and the column (j, m).
     s = (a.conj().T @ a).reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)

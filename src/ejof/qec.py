@@ -222,12 +222,10 @@ def correctability_check(detectable_parts, rec: RecoveryChannel, tol: float = 1e
     return CorrectabilityVerdict(constant=c, residual=resid, tol=tol)
 
 
-def pauli_miscalibration(kind: str, eps: float, dim: int = 8) -> Perturbation:
-    """Per-jump miscalibration f_l = eps * (Pauli of the given kind on qubit l)."""
-    if dim != 8:
-        raise ValueError("pauli miscalibrations are defined for the three-qubit register")
+def pauli_miscalibration(kind: str, eps: float) -> Perturbation:
+    """Per-jump miscalibration f_l = eps * (Pauli of the given kind on qubit l) of the 3-qubit register."""
     fs = tuple(eps * pauli_on_qubit(kind, qubit) for qubit in range(3))
-    return Perturbation(v=np.zeros((dim, dim), dtype=complex), fs=fs)
+    return Perturbation(v=np.zeros((8, 8), dtype=complex), fs=fs)
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def robustness_check(rec: RecoveryChannel, study: Study, *, tol: float = 1e-10) 
     lind, pert, eff = study.lind, study.pert, study.closed
     structure_ok = lind.report.passed
     conditions = check_recovery_conditions(rec)
-    detectable = [four_corners(f, rec.code).ll for f in pert.fs]
+    detectable = four_corners(pert.fs, rec.code).ll
     corr = correctability_check(detectable, rec)
     entries = tuple(classify_miscalibration(f, rec) for f in pert.fs)
     zero = np.zeros_like(eff.cp_adjoint_identity)
@@ -344,7 +342,7 @@ def hamiltonian_obstruction_demo(eps: float = 1e-2, hamiltonian_scale: float = 0
         for det_on in (False, True):
             pert = pauli_miscalibration("X" if det_on else "Z", eps)
             if h_on:
-                stripped = tuple(f - four_corners(f, rec.code).ll for f in pert.fs)
+                stripped = pert.fs - four_corners(pert.fs, rec.code).ll
                 drive = coherent_cancellation_drive(lind, stripped, cancel_induced_hamiltonian=True)
                 pert = Perturbation(v=drive.v, fs=pert.fs)
             perts.append(pert)

@@ -37,6 +37,7 @@ from ejof.operators import (
     dagger,
     four_corners,
     frob,
+    operator_stack,
 )
 
 
@@ -200,8 +201,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def structure_report(h, jumps, dfs: DfsProjector, tol: float = DEFAULT_TOL):
     """The structural checks of a generator, evaluated without raising."""
     h = as_operator(h)
-    jumps = [as_operator(f) for f in jumps]
-    return _diagnose(h, jumps, dfs, tol)[0]
+    return _diagnose(h, operator_stack(jumps, h, "jump", "hamiltonian"), dfs, tol)[0]
 
 
 class NonSemisimpleZeroError(np.linalg.LinAlgError):

@@ -159,6 +159,15 @@ def test_structured_lindbladian_validate_raises():
     assert not lind.report.passed
 
 
+@pytest.mark.parametrize("jumps, message", [
+    (np.zeros((2, 3, 2), dtype=complex), r"expected a square matrix, got shape \(3, 2\)"),
+    ([np.zeros((3, 3)), np.zeros((2, 2))], r"jump shape \(2, 2\) != hamiltonian shape \(3, 3\)"),
+], ids=["array-of-non-square", "ragged"])
+def test_structured_lindbladian_refuses_jumps_of_the_wrong_shape(jumps, message):
+    with pytest.raises(ValueError, match=message):
+        structured_lindbladian(np.zeros((3, 3)), jumps, DfsProjector.from_indices(3, [0]))
+
+
 def drazin_eig_oracle(s):
     """Independent Drazin construction through diagonalization."""
     evals, vecs = np.linalg.eig(s)

@@ -87,6 +87,18 @@ def test_dissipator_action(rng):
     np.testing.assert_allclose(apply_superop(dissipator(f), x), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("jumps, message", [
+    ([np.zeros((2, 3))], r"expected a square matrix, got shape \(2, 3\)"),
+    (np.zeros((1, 3, 2)), r"expected a square matrix, got shape \(3, 2\)"),
+    ([np.zeros((3, 3)), np.zeros((2, 2))], r"jump shape \(2, 2\) != hamiltonian shape \(3, 3\)"),
+], ids=["non-square", "array-of-non-square", "ragged"])
+def test_gksl_superop_refuses_jumps_of_the_wrong_shape(jumps, message):
+    with pytest.raises(ValueError, match=message):
+        gksl_superop(np.zeros((3, 3)), jumps)
+
+
+# n_jumps = 0 with an explicit W is the call gksl_superop(h, [], w=...) that
+# assembles the cp part of the QEC robustness check.
 @pytest.mark.parametrize("dim", [3, 5])
 @pytest.mark.parametrize("n_jumps", [0, 1, 3])
 @pytest.mark.parametrize("explicit_w", [False, True], ids=["w-default", "w-explicit"])

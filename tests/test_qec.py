@@ -89,11 +89,6 @@ def test_miscalibration_classification(repetition, kind, nonzero):
                 assert value < 1e-15, (kind, corner)
 
 
-def test_pauli_miscalibration_validates():
-    with pytest.raises(ValueError, match="three-qubit"):
-        pauli_miscalibration("X", 0.01, dim=4)
-
-
 def test_x_channel_is_correctable(repetition):
     rec, _ = repetition
     eps = 1e-2
