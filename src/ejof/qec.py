@@ -37,9 +37,10 @@ from .operators import (
     four_corners,
     frob,
     gksl_superop,
+    operator_stack,
     vectorize_stack,
 )
-from .scenarios import coherent_cancellation_drive, orthogonality_residual, surjectivity_residual
+from .scenarios import _frobs, coherent_cancellation_drive, orthogonality_residual, surjectivity_residual
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -49,25 +50,38 @@ _PAULI = {
 }
 
 
-def pauli_on_qubit(kind: str, qubit: int, n_qubits: int = 3) -> np.ndarray:
-    """Single-qubit Pauli embedded in an n-qubit register (qubit 0 is the first factor)."""
+def pauli_on_qubit(kind: str, qubit, n_qubits: int = 3) -> np.ndarray:
+    """Single-qubit Pauli embedded in an n-qubit register (qubit 0 is the first factor).
+
+    A sequence of qubits gives one (len(qubit), 2^n, 2^n) array. Each string
+    is an index map, not a Kronecker chain: column c holds the Pauli's entry
+    in row c ^ 2^(n - 1 - qubit) for X and Y, and in row c for I and Z.
+    """
     if kind not in _PAULI:
         raise ValueError(f"unknown Pauli label {kind!r}")
-    if not 0 <= qubit < n_qubits:
+    q = np.asarray(qubit, dtype=np.intp)
+    if np.any((q < 0) | (q >= n_qubits)):
         raise ValueError(f"qubit index {qubit} out of range for {n_qubits} qubits")
-    out = np.array([[1.0 + 0j]])
-    for i in range(n_qubits):
-        out = np.kron(out, _PAULI[kind] if i == qubit else _PAULI["I"])
-    return out
+    shift = n_qubits - 1 - q.reshape(-1, 1)
+    cols = np.arange(1 << n_qubits)
+    b = (cols >> shift) & 1  # the qubit's value in each column
+    flip = int(kind in "XY")
+    out = np.zeros((q.size, cols.size, cols.size), dtype=complex)
+    out[np.arange(q.size)[:, None], cols ^ (flip << shift), cols] = _PAULI[kind][b ^ flip, b]
+    return out.reshape(q.shape + out.shape[1:])
 
 
 @dataclass(frozen=True)
 class RecoveryChannel:
-    """Kraus data of a recovery channel with a codespace-identity component."""
+    """Kraus data of a recovery channel with a codespace-identity component; kraus is one (J, D, D) array."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     identity_kraus: np.ndarray
     code: DfsProjector
+
+    def __post_init__(self):
+        kraus = operator_stack(self.kraus, self.identity_kraus, "recovery Kraus operator", "R0")
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def dim(self) -> int:
@@ -78,22 +92,19 @@ def repetition_code_recovery():
     """Three-qubit repetition code under continuous bit-flip recovery.
 
     Returns (RecoveryChannel, StructuredLindbladian) on the full 8-dimensional
-    register. The generator's jumps are F_l = P X_l; the codespace-identity
-    Kraus R0 = P contributes nothing to the generator and is carried only in
-    the channel data.
+    register. Its jumps F_l = P X_l are the channel's Kraus array itself; the
+    codespace-identity Kraus R0 = P contributes nothing to the generator and
+    is carried only in the channel data.
     """
     dim = 8
     code = DfsProjector.from_indices(dim, (0, 7))
     p = np.zeros((dim, dim), dtype=complex)
     p[code.indices, code.indices] = 1.0
-    kraus = []
-    for qubit in range(3):
-        x = pauli_on_qubit("X", qubit)
-        f = np.zeros_like(x)  # P X_l: the code rows of X_l
-        f[code.indices] = x[code.indices]
-        kraus.append(f)
+    x = pauli_on_qubit("X", range(3))
+    kraus = np.zeros_like(x)  # P X_l: the code rows of X_l
+    kraus[:, code.indices] = x[:, code.indices]
     lind = structured_lindbladian(np.zeros((dim, dim), dtype=complex), kraus, code)
-    return RecoveryChannel(kraus=tuple(kraus), identity_kraus=p, code=code), lind
+    return RecoveryChannel(kraus=lind.jumps, identity_kraus=p, code=code), lind
 
 
 @dataclass(frozen=True)
@@ -129,21 +140,19 @@ class RecoveryConditionsReport:
 
 
 def check_recovery_conditions(rec: RecoveryChannel, tol: float = 1e-10) -> RecoveryConditionsReport:
-    code = rec.code
-    surj = tuple(surjectivity_residual(f, code) for f in rec.kraus)
-    orth = orthogonality_residual(rec.kraus)
-    w = sum(dagger(f) @ f for f in rec.kraus)
+    code, kraus = rec.code, rec.kraus
+    w = sum(dagger(kraus) @ kraus)
     eye = np.eye(rec.dim, dtype=complex)
     decay = frob(w - four_corners(eye, code).lr)  # Q, the decaying-block projector
     r0 = rec.identity_kraus
     channel = frob(dagger(r0) @ r0 + w - eye)
-    corners = tuple(frob(f - four_corners(f, code).ur) / max(1.0, frob(f)) for f in rec.kraus)
+    into_code = _frobs(kraus - four_corners(kraus, code).ur) / np.maximum(1.0, _frobs(kraus))
     return RecoveryConditionsReport(
-        surjectivity=surj,
-        orthogonality=orth,
+        surjectivity=surjectivity_residual(kraus, code),
+        orthogonality=orthogonality_residual(kraus),
         decay_completeness=decay,
         channel_completeness=channel,
-        jumps_into_code=corners,
+        jumps_into_code=tuple(map(float, into_code)),
         tol=tol,
     )
 
@@ -173,14 +182,14 @@ class MiscalibrationEntry:
         }
 
 
-def classify_miscalibration(f: np.ndarray, rec: RecoveryChannel) -> MiscalibrationEntry:
-    c = four_corners(as_operator(f), rec.code)
-    return MiscalibrationEntry(
-        detectable=frob(c.ll),
-        undetectable=frob(c.ul),
-        feeding=frob(c.ur),
-        decaying=frob(c.lr),
-    )
+def classify_miscalibration(f: np.ndarray, rec: RecoveryChannel):
+    """Corner norms of a miscalibration f, or a tuple of them, one per operator of a (J, D, D) stack."""
+    f = np.asarray(f, dtype=complex)
+    if f.ndim == 2:
+        return classify_miscalibration(as_operator(f)[None], rec)[0]
+    c = four_corners(f, rec.code)
+    norms = zip(*(map(float, _frobs(corner)) for corner in (c.ll, c.ul, c.ur, c.lr)))
+    return tuple(MiscalibrationEntry(*entry) for entry in norms)
 
 
 @dataclass(frozen=True)
@@ -224,8 +233,7 @@ def correctability_check(detectable_parts, rec: RecoveryChannel, tol: float = 1e
 
 def pauli_miscalibration(kind: str, eps: float) -> Perturbation:
     """Per-jump miscalibration f_l = eps * (Pauli of the given kind on qubit l) of the 3-qubit register."""
-    fs = tuple(eps * pauli_on_qubit(kind, qubit) for qubit in range(3))
-    return Perturbation(v=np.zeros((8, 8), dtype=complex), fs=fs)
+    return Perturbation(v=np.zeros((8, 8), dtype=complex), fs=eps * pauli_on_qubit(kind, range(3)))
 
 
 @dataclass(frozen=True)
@@ -263,9 +271,8 @@ def robustness_check(rec: RecoveryChannel, study: Study, *, tol: float = 1e-10) 
     lind, pert, eff = study.lind, study.pert, study.closed
     structure_ok = lind.report.passed
     conditions = check_recovery_conditions(rec)
-    detectable = four_corners(pert.fs, rec.code).ll
-    corr = correctability_check(detectable, rec)
-    entries = tuple(classify_miscalibration(f, rec) for f in pert.fs)
+    corr = correctability_check(four_corners(pert.fs, rec.code).ll, rec)
+    entries = classify_miscalibration(pert.fs, rec)
     zero = np.zeros_like(eff.cp_adjoint_identity)
     cp_part = eff.cp_superop + gksl_superop(zero, [], w=eff.cp_adjoint_identity)
     h_norm = frob(lind.h)

@@ -23,13 +23,15 @@ Model systems built here:
 The named scenarios of ``ejof scenario`` (three-level, cancellation,
 coherent-cancel, universal) are the pipelines at the end of this module:
 :data:`PARAM_SPECS` declares each one's parameters, and
-:func:`build_scenario` draws its system, computes the effective generator
-and decides its verdicts.
+:func:`build_scenario` draws its system; its judge computes the effective
+generator and decides the verdicts on first read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .operators import (
     dagger,
     four_corners,
     frob,
+    operator_stack,
     require_hermitian,
 )
 
@@ -94,22 +97,42 @@ def three_level_system(params: ThreeLevelParams):
     return lind, pert
 
 
-def surjectivity_residual(f: np.ndarray, dfs: DfsProjector) -> float:
-    """Residual of the condition F (F†F)^-1 F† = P (inverse on the support)."""
-    f = as_operator(f)
-    w_pinv = np.linalg.pinv(dagger(f) @ f, rcond=1e-12)
-    resid = f @ w_pinv @ dagger(f)
-    resid[dfs.indices, dfs.indices] -= 1.0  # minus P
-    return frob(resid)
+def surjectivity_residual(f, dfs: DfsProjector, w_pinv: np.ndarray | None = None):
+    """Residual of the condition F (F†F)^-1 F† = P (inverse on the support).
+
+    f is one operator (a float), or a (J, D, D) stack (a tuple, one residual
+    per jump) whose :func:`_gram_pinv` w_pinv is computed when not given.
+    """
+    f = np.asarray(f, dtype=complex)
+    if f.ndim == 2:
+        return surjectivity_residual(as_operator(f)[None], dfs, w_pinv)[0]
+    resid = f @ (_gram_pinv(f) if w_pinv is None else w_pinv) @ dagger(f)
+    resid[:, dfs.indices, dfs.indices] -= 1.0  # minus P
+    return tuple(map(float, _frobs(resid)))
+
+
+def _gram_pinv(jumps: np.ndarray) -> np.ndarray:
+    """(F_l† F_l)^+ for each jump of a (J, D, D) stack, in one batched pseudo-inverse."""
+    return np.linalg.pinv(dagger(jumps) @ jumps, rcond=1e-12)
+
+
+def _frobs(stack: np.ndarray) -> np.ndarray:
+    """:func:`~ejof.operators.frob` of each operator of a C-ordered (J, D, D) stack, bit for bit."""
+    flat = stack.reshape(*stack.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def orthogonality_residual(jumps) -> float:
-    """Largest pairwise residual ||F_l F_l'†|| over distinct jumps."""
-    jumps = [as_operator(f) for f in jumps]
+    """Largest residual ||F_l F_l'†|| over ordered pairs of distinct jumps.
+
+    Each jump takes one product, against the whole family: no (J, J, D, D) array.
+    """
+    jumps = np.asarray(jumps, dtype=complex)
     worst = 0.0
     for i, a in enumerate(jumps):
-        for b in jumps[i + 1:]:
-            worst = max(worst, frob(a @ dagger(b)), frob(b @ dagger(a)))
+        norms = _frobs(a @ dagger(jumps))
+        norms[i] = 0.0  # F_l F_l† is not a pair
+        worst = max(worst, float(norms.max()))
     return worst
 
 
@@ -121,11 +144,12 @@ def random_orthogonal_family(d: int, blocks, seed: int, *, total_decaying: int |
     jump is a random surjective map from its block onto the DFS, so the
     orthogonality condition F_l F_l'† = 0 holds exactly by construction.
 
-    Returns (jumps, DfsProjector). Note a zero-Hamiltonian generator built on
-    the family relaxes onto a unique DFS only when the blocks cover the
-    decaying space exactly AND each block has size d: a jump has rank at most
-    d, so a wider block leaves dark directions that never decay. Wider blocks
-    are still valid for condition checks or with a mixing Hamiltonian.
+    Returns (jumps, DfsProjector), the jumps as one (J, D, D) array. Note a
+    zero-Hamiltonian generator built on the family relaxes onto a unique DFS
+    only when the blocks cover the decaying space exactly AND each block has
+    size d: a jump has rank at most d, so a wider block leaves dark
+    directions that never decay. Wider blocks are still valid for condition
+    checks or with a mixing Hamiltonian.
     """
     blocks = list(blocks)
     if any(b < d for b in blocks):
@@ -136,15 +160,12 @@ def random_orthogonal_family(d: int, blocks, seed: int, *, total_decaying: int |
     rng = np.random.default_rng(seed)
     dim = d + n_total
     dfs = DfsProjector.from_indices(dim, range(d))
-    jumps = []
+    jumps = np.zeros((len(blocks), dim, dim), dtype=complex)
     offset = d
-    for b in blocks:
+    for f, b in zip(jumps, blocks):
         for attempt in range(8):
-            block = rng.standard_normal((d, b)) + 1j * rng.standard_normal((d, b))
-            f = np.zeros((dim, dim), dtype=complex)
-            f[:d, offset:offset + b] = block
+            f[:d, offset:offset + b] = rng.standard_normal((d, b)) + 1j * rng.standard_normal((d, b))
             if surjectivity_residual(f, dfs) <= 1e-10:
-                jumps.append(f)
                 break
         else:
             raise RuntimeError(f"no surjective draw for block of size {b}")
@@ -170,22 +191,23 @@ class CancellationReport:
         return self.l_eff_norm <= self.tol * max(self.pert_norm ** 2, 1e-300)
 
 
-def _check_conditions(jumps, fs, dfs: DfsProjector):
+def _check_conditions(jumps, fs, dfs: DfsProjector, w_pinv: np.ndarray | None = None):
     """Residuals of the cancellation conditions and a message per violated one.
 
+    jumps and fs are (J, D, D) stacks, and w_pinv the jumps' :func:`_gram_pinv` if known.
     Returns (surjectivity residual per jump, orthogonality residual, ||f_ll||
     per deformation, messages); the messages follow that order.
     """
-    surj = tuple(surjectivity_residual(f, dfs) for f in jumps)
+    surj = surjectivity_residual(jumps, dfs, w_pinv)
     orth = orthogonality_residual(jumps)
-    f_ll = tuple(frob(four_corners(f, dfs).ll) for f in fs)
+    f_ll = tuple(map(float, _frobs(four_corners(fs, dfs).ll)))
     messages = []
     if max(surj, default=0.0) > CONDITION_TOL:
         messages.append(f"surjectivity condition violated (worst residual {max(surj):.3e})")
     if orth > CONDITION_TOL:
         messages.append(f"orthogonality condition violated (residual {orth:.3e})")
-    for i, (r, f) in enumerate(zip(f_ll, fs)):
-        if r > CONDITION_TOL * max(1.0, frob(f)):
+    for i, (r, f_norm) in enumerate(zip(f_ll, _frobs(fs))):
+        if r > CONDITION_TOL * max(1.0, f_norm):
             messages.append(f"deformation {i} has a detectable (ll) corner (norm {r:.3e})")
     return surj, orth, f_ll, messages
 
@@ -227,28 +249,25 @@ def coherent_cancellation_drive(lind: StructuredLindbladian, fs, *,
     Hermitian counter-term V_pp = Herm(C_pq Kinv C_qp) that removes it, which
     is free since the DFS block of V never feeds back into the coupling.
     """
-    fs = [as_operator(f) for f in fs]
+    fs = operator_stack(fs, lind.h, "jump deformation", "hamiltonian")
     if len(fs) != len(lind.jumps):
         raise ValueError(f"{len(fs)} deformations for {len(lind.jumps)} jumps")
-    dfs = lind.dfs
-    violated = _check_conditions(lind.jumps, fs, dfs)[3]
+    dfs, big = lind.dfs, lind.jumps
+    w_pinv = _gram_pinv(big)  # shared by the surjectivity check and Vtilde
+    violated = _check_conditions(big, fs, dfs, w_pinv)[3]
     if violated:
         raise ValueError(violated[0])
-    v = np.zeros((dfs.dim, dfs.dim), dtype=complex)
-    x = np.zeros_like(v)
-    for big_f, f in zip(lind.jumps, fs):
-        v = v + 0.5j * (dagger(big_f) @ f - dagger(f) @ big_f)
-        w_pinv = np.linalg.pinv(dagger(big_f) @ big_f, rcond=1e-12)
-        x = x + w_pinv @ dagger(big_f) @ f
-    x = lind.k @ x
+    zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
+    v = sum(0.5j * (dagger(big) @ fs - dagger(fs) @ big), zero)
+    x = lind.k @ sum(w_pinv @ dagger(big) @ fs, zero)
     v = v + x + dagger(x)
-    pert = Perturbation(v=v, fs=tuple(fs))
+    pert = Perturbation(v=v, fs=fs)
     if cancel_induced_hamiltonian:
         c_qp, c_pq = effective_coupling(lind, pert)
         t = c_pq @ nh_hamiltonian_inverse(lind.k, dfs) @ c_qp
         v = v.copy()
         v[np.ix_(dfs.indices, dfs.indices)] += 0.5 * (t + dagger(t))
-        pert = Perturbation(v=v, fs=tuple(fs))
+        pert = Perturbation(v=v, fs=fs)
     return pert
 
 
@@ -264,61 +283,60 @@ def universal_dissipation(lind: StructuredLindbladian, target_h, target_jumps, *
     the induced coupling, so no interference correction survives.
     """
     target_h = require_hermitian(target_h, "target Hamiltonian")
-    target_jumps = [as_operator(t) for t in target_jumps]
-    if len(target_jumps) > len(lind.jumps):
-        raise ValueError(
-            f"{len(target_jumps)} target jumps but only {len(lind.jumps)} unperturbed jumps"
-        )
-    dfs = lind.dfs
+    targets = operator_stack(target_jumps, target_h, "target jump", "target Hamiltonian")
+    dfs, big = lind.dfs, lind.jumps
+    if len(targets) > len(big):
+        raise ValueError(f"{len(targets)} target jumps but only {len(big)} unperturbed jumps")
     if frob(target_h - four_corners(target_h, dfs).ul) > tol * max(1.0, frob(target_h)):
         raise ValueError("target Hamiltonian must be supported on the DFS corner")
-    for i, t in enumerate(target_jumps):
-        if frob(t - four_corners(t, dfs).ul) > tol * max(1.0, frob(t)):
-            raise ValueError(f"target jump {i} must be supported on the DFS corner")
-    fs = list(target_jumps) + [
-        np.zeros((dfs.dim, dfs.dim), dtype=complex)
-        for _ in range(len(lind.jumps) - len(target_jumps))
-    ]
-    v = target_h.astype(complex).copy()
-    for big_f, f in zip(lind.jumps, fs):
-        v = v + 0.5j * (dagger(big_f) @ f - dagger(f) @ big_f)
-    return Perturbation(v=v, fs=tuple(fs))
+    off = _frobs(targets - four_corners(targets, dfs).ul) > tol * np.maximum(1.0, _frobs(targets))
+    if off.any():
+        raise ValueError(f"target jump {np.argmax(off)} must be supported on the DFS corner")
+    fs = np.concatenate([targets, np.zeros((len(big) - len(targets), dfs.dim, dfs.dim), dtype=complex)])
+    v = sum(0.5j * (dagger(big) @ fs - dagger(fs) @ big), target_h.astype(complex))
+    return Perturbation(v=v, fs=fs)
 
 
 def pauli_lowering_targets(scale: float, dim: int):
     """Scaled target jumps {sigma_minus, sigma_z/2, sigma_plus} on a qubit DFS.
 
     The qubit lives on the first two basis states of a dim-dimensional space;
-    the returned matrices are full-dimension and DFS-corner supported.
+    the returned (3, dim, dim) array holds full-dimension, DFS-corner supported matrices.
     """
     if dim < 2:
         raise ValueError("need at least a 2-dimensional space for a qubit DFS")
     sm = np.array([[0, 1], [0, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    out = []
-    for block in (scale * sm, scale * sz / 2, scale * dagger(sm)):
-        t = np.zeros((dim, dim), dtype=complex)
-        t[:2, :2] = block
-        out.append(t)
+    out = np.zeros((3, dim, dim), dtype=complex)
+    out[:, :2, :2] = scale * np.array([sm, sz / 2, dagger(sm)])
     return out
 
 
 # ---------------------------------------------------------------------------
-# Scenario pipelines: each draws its system, computes the effective generator
-# and decides its verdicts. ``ejof scenario`` and problem files run them.
+# Scenario pipelines: each draws its system, and its judge computes the
+# effective generator and decides the verdicts. ``ejof scenario`` and problem
+# files run them.
 
 
 @dataclass
 class ScenarioBundle:
     """A scenario's study (its generator and perturbation), report details and verdicts.
 
-    details may hold numpy arrays and complex numbers; the report writer
-    encodes them.
+    details and verdicts are judge()'s, computed on first read: the routes
+    they need are most of a scenario's cost, and ``evolve`` and ``verify``
+    read neither. details may hold numpy arrays and complex numbers; the
+    report writer encodes them.
     """
 
     study: Study
-    details: dict
-    verdicts: dict
+    judge: Callable[[], tuple[dict, dict]]
+
+    @cached_property
+    def _judged(self) -> tuple[dict, dict]:
+        return self.judge()
+
+    details = property(lambda self: self._judged[0])
+    verdicts = property(lambda self: self._judged[1])
 
 
 # Scenario parameters: key -> (kind, default, help). The keys of PARAM_SPECS
@@ -376,37 +394,38 @@ def _supported_hermitian(dim: int, states: np.ndarray, rng, scale: float = 1.0) 
     return out
 
 
-def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> list[np.ndarray]:
-    """Random jump deformations with the DFS-to-decaying corner Q F P removed."""
-    dim = dfs.dim
-    fs = []
-    for _ in range(count):
-        f = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        f[np.ix_(dfs.rest, dfs.indices)] = 0.0
-        fs.append(f)
+def _random_deformations(count: int, dfs: DfsProjector, rng, scale: float) -> np.ndarray:
+    """(count, D, D) random jump deformations with the DFS-to-decaying corner Q F P removed."""
+    g = rng.standard_normal((count, 2, dfs.dim, dfs.dim))  # each deformation's real, then imaginary part
+    fs = scale * (g[:, 0] + 1j * g[:, 1])
+    fs[:, dfs.rest[:, None], dfs.indices] = 0.0
     return fs
 
 
 def _scenario_three_level(params: dict, tol: float) -> ScenarioBundle:
     tl = ThreeLevelParams(delta=params["delta"], Gamma=params["Gamma"], gamma=params["gamma"])
     study = Study(*three_level_system(tl))
-    eff = study.closed
-    f_block = eff.jumps_eff[0]
-    f_eff_norm = frob(f_block)
-    dark = tl.delta == 0.0
-    details = {
-        "params": {"delta": tl.delta, "Gamma": tl.Gamma, "gamma": tl.gamma},
-        "f_eff": f_block,
-        "f_eff_entry": f_block[0, 1],
-        "f_eff_norm": f_eff_norm,
-        "h_eff": eff.h_eff,
-        "equivalence_residual": study.scaled_residual,
-        "dark_state_case": dark,
-    }
-    verdicts = {"routes_agree": bool(study.scaled_residual <= tol)}
-    if dark:
-        verdicts["effective_jump_vanishes"] = bool(f_eff_norm <= 1e-12)
-    return ScenarioBundle(study, details, verdicts)
+
+    def judge():
+        eff = study.closed
+        f_block = eff.jumps_eff[0]
+        f_eff_norm = frob(f_block)
+        dark = tl.delta == 0.0
+        details = {
+            "params": {"delta": tl.delta, "Gamma": tl.Gamma, "gamma": tl.gamma},
+            "f_eff": f_block,
+            "f_eff_entry": f_block[0, 1],
+            "f_eff_norm": f_eff_norm,
+            "h_eff": eff.h_eff,
+            "equivalence_residual": study.scaled_residual,
+            "dark_state_case": dark,
+        }
+        verdicts = {"routes_agree": bool(study.scaled_residual <= tol)}
+        if dark:
+            verdicts["effective_jump_vanishes"] = bool(f_eff_norm <= 1e-12)
+        return details, verdicts
+
+    return ScenarioBundle(study, judge)
 
 
 def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundle:
@@ -417,20 +436,23 @@ def _scenario_cancellation(params: dict, seed: int, tol: float) -> ScenarioBundl
     zero = np.zeros((dfs.dim, dfs.dim), dtype=complex)
     fs = _random_deformations(len(jumps), dfs, rng, params["pert_scale"])
     study = Study(structured_lindbladian(zero, jumps, dfs),
-                  Perturbation(v=zero.copy(), fs=tuple(fs)))
-    rep = cancellation_check(study, tol=tol)
-    details = {
-        "dfs_dim": d,
-        "blocks": list(blocks),
-        "surjectivity_residuals": list(rep.surjectivity),
-        "orthogonality_residual": rep.orthogonality,
-        "detectable_corner_norms": list(rep.f_ll_norms),
-        "effective_jump_norms": list(rep.f_eff_norms),
-        "l_eff_norm": rep.l_eff_norm,
-        "perturbation_norm": rep.pert_norm,
-    }
-    verdicts = {"conditions_met": rep.conditions_met, "cancelled": rep.cancelled}
-    return ScenarioBundle(study, details, verdicts)
+                  Perturbation(v=zero.copy(), fs=fs))
+
+    def judge():
+        rep = cancellation_check(study, tol=tol)
+        details = {
+            "dfs_dim": d,
+            "blocks": list(blocks),
+            "surjectivity_residuals": list(rep.surjectivity),
+            "orthogonality_residual": rep.orthogonality,
+            "detectable_corner_norms": list(rep.f_ll_norms),
+            "effective_jump_norms": list(rep.f_eff_norms),
+            "l_eff_norm": rep.l_eff_norm,
+            "perturbation_norm": rep.pert_norm,
+        }
+        return details, {"conditions_met": rep.conditions_met, "cancelled": rep.cancelled}
+
+    return ScenarioBundle(study, judge)
 
 
 def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBundle:
@@ -443,22 +465,26 @@ def _scenario_coherent_cancel(params: dict, seed: int, tol: float) -> ScenarioBu
     counter_term = not params["keep_induced_hamiltonian"]
     pert = coherent_cancellation_drive(lind, fs, cancel_induced_hamiltonian=counter_term)
     study = Study(lind, pert)
-    l_eff_norm = frob(study.general)
-    scale = max(pert.norm() ** 2, 1e-300)
-    f_eff_norms = [frob(f) for f in study.closed.jumps_eff]
-    details = {
-        "dfs_dim": d,
-        "blocks": list(blocks),
-        "counter_term_applied": counter_term,
-        "effective_jump_norms": f_eff_norms,
-        "h_eff_norm": frob(study.closed.h_eff),
-        "l_eff_norm": l_eff_norm,
-        "perturbation_norm": pert.norm(),
-    }
-    verdicts = {"effective_jumps_vanish": bool(max(f_eff_norms, default=0.0) <= tol * scale)}
-    if counter_term:
-        verdicts["generator_vanishes"] = bool(l_eff_norm <= tol * scale)
-    return ScenarioBundle(study, details, verdicts)
+
+    def judge():
+        l_eff_norm = frob(study.general)
+        scale = max(pert.norm() ** 2, 1e-300)
+        f_eff_norms = [frob(f) for f in study.closed.jumps_eff]
+        details = {
+            "dfs_dim": d,
+            "blocks": list(blocks),
+            "counter_term_applied": counter_term,
+            "effective_jump_norms": f_eff_norms,
+            "h_eff_norm": frob(study.closed.h_eff),
+            "l_eff_norm": l_eff_norm,
+            "perturbation_norm": pert.norm(),
+        }
+        verdicts = {"effective_jumps_vanish": bool(max(f_eff_norms, default=0.0) <= tol * scale)}
+        if counter_term:
+            verdicts["generator_vanishes"] = bool(l_eff_norm <= tol * scale)
+        return details, verdicts
+
+    return ScenarioBundle(study, judge)
 
 
 def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
@@ -473,18 +499,21 @@ def _scenario_universal(params: dict, seed: int, tol: float) -> ScenarioBundle:
     target_h = _supported_hermitian(dfs.dim, dfs.indices, rng, scale=params["scale"])
     targets = pauli_lowering_targets(params["scale"], lind.dim)
     study = Study(lind, universal_dissipation(lind, target_h, targets))
-    achieved = study.general
-    ul = np.ix_(dfs.indices, dfs.indices)
-    target_block = assemble_lindbladian(target_h[ul], [t[ul] for t in targets])
-    residual = frob(achieved - target_block) / max(frob(target_block), 1e-300)
-    details = {
-        "targets": "pauli",
-        "scale": params["scale"],
-        "n_jumps": n_jumps,
-        "decaying_dim": params["decaying_dim"],
-        "target_generator_norm": frob(target_block),
-        "achieved_generator_norm": frob(achieved),
-        "match_residual": residual,
-    }
-    verdicts = {"target_matched": bool(residual <= tol)}
-    return ScenarioBundle(study, details, verdicts)
+
+    def judge():
+        achieved = study.general
+        ul = np.ix_(dfs.indices, dfs.indices)
+        target_block = assemble_lindbladian(target_h[ul], [t[ul] for t in targets])
+        residual = frob(achieved - target_block) / max(frob(target_block), 1e-300)
+        details = {
+            "targets": "pauli",
+            "scale": params["scale"],
+            "n_jumps": n_jumps,
+            "decaying_dim": params["decaying_dim"],
+            "target_generator_norm": frob(target_block),
+            "achieved_generator_norm": frob(achieved),
+            "match_residual": residual,
+        }
+        return details, {"target_matched": bool(residual <= tol)}
+
+    return ScenarioBundle(study, judge)

@@ -566,3 +566,58 @@ def generalized_three_level_perturbation(psi, gamma: float) -> Perturbation:
     f = np.zeros((3, 3), dtype=complex)
     f[0, :2] = np.sqrt(gamma) * (psi / nrm).conj()
     return Perturbation(v=np.zeros((3, 3), dtype=complex), fs=(f,))
+
+
+# ---------------------------------------------------------------------------
+# QEC and cancellation references: one operator, or one pair, at a time.
+
+_PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_pauli(kind: str, qubit: int, n_qubits: int) -> np.ndarray:
+    """Single-qubit Pauli on `qubit` of an n-qubit register, as a chain of np.kron (qubit 0 first)."""
+    out = np.array([[1.0 + 0j]])
+    for i in range(n_qubits):
+        out = np.kron(out, _PAULI_2X2[kind] if i == qubit else _PAULI_2X2["I"])
+    return out
+
+
+def surjectivity_per_jump(jumps, dfs: DfsProjector) -> tuple[float, ...]:
+    """||F (F†F)^+ F† - P|| of each jump, one pseudo-inverse of its Gram matrix at a time."""
+    out = []
+    for f in jumps:
+        f = as_operator(f)
+        resid = f @ np.linalg.pinv(dagger(f) @ f, rcond=1e-12) @ dagger(f)
+        resid[dfs.indices, dfs.indices] -= 1.0
+        out.append(frob(resid))
+    return tuple(out)
+
+
+def orthogonality_per_pair(jumps) -> float:
+    """Largest ||F_l F_l'†|| and ||F_l' F_l†|| over pairs l < l', one pair at a time."""
+    jumps = [as_operator(f) for f in jumps]
+    worst = 0.0
+    for i, a in enumerate(jumps):
+        for b in jumps[i + 1:]:
+            worst = max(worst, frob(a @ dagger(b)), frob(b @ dagger(a)))
+    return worst
+
+
+def coherent_drive_per_jump(lind, fs) -> np.ndarray:
+    """The drive V of ``coherent_cancellation_drive`` without its counter-term, one jump at a time.
+
+    V = (i/2) sum_l (F_l† f_l - f_l† F_l) + Vtilde + Vtilde†, with
+    Vtilde = K sum_l (F_l† F_l)^+ F_l† f_l.
+    """
+    v = np.zeros((lind.dim, lind.dim), dtype=complex)
+    x = np.zeros_like(v)
+    for big_f, f in zip(lind.jumps, fs):
+        v = v + 0.5j * (dagger(big_f) @ f - dagger(f) @ big_f)
+        x = x + np.linalg.pinv(dagger(big_f) @ big_f, rcond=1e-12) @ dagger(big_f) @ f
+    x = lind.k @ x
+    return v + x + dagger(x)

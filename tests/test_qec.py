@@ -3,11 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ejof.qec
 from ejof.effective import Study, effective_lindbladian_general
 from ejof.lindblad import structured_lindbladian
 from ejof.operators import dagger, four_corners, frob
-from oracles import anticommutator_superop, dense_correctability, dense_dfs
+from oracles import (
+    anticommutator_superop,
+    dense_correctability,
+    dense_dfs,
+    kron_pauli,
+    surjectivity_per_jump,
+)
 from ejof.qec import (
+    RecoveryChannel,
     check_recovery_conditions,
     classify_miscalibration,
     correctability_check,
@@ -38,6 +46,63 @@ def test_pauli_on_qubit_single_qubit_register():
     np.testing.assert_array_equal(
         pauli_on_qubit("Y", 0, n_qubits=1), np.array([[0, -1j], [1j, 0]])
     )
+
+
+@pytest.mark.parametrize("kind", "IXYZ")
+@pytest.mark.parametrize("n_qubits", range(1, 6))
+def test_pauli_on_qubit_is_the_kronecker_chain(kind, n_qubits):
+    # Exact equality, entry for entry, up to the sign of zero: adding 0.0 maps -0.0 to 0.0
+    # before the byte compare, since the chain's products of -1 and 0 leave -0.0 and the
+    # index map copies the -0.0 real part of Y's -1j.
+    stack = pauli_on_qubit(kind, range(n_qubits), n_qubits)
+    assert stack.shape == (n_qubits, 2 ** n_qubits, 2 ** n_qubits)
+    for qubit in range(n_qubits):
+        want = kron_pauli(kind, qubit, n_qubits)
+        got = pauli_on_qubit(kind, qubit, n_qubits)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (kind, n_qubits, qubit)
+        assert (stack[qubit] + 0.0).tobytes() == (want + 0.0).tobytes(), (kind, n_qubits, qubit)
+
+
+def test_pauli_on_qubit_validates_each_qubit_of_a_sequence():
+    with pytest.raises(ValueError, match="out of range"):
+        pauli_on_qubit("X", [0, 3])
+    with pytest.raises(ValueError, match="out of range"):
+        pauli_on_qubit("Z", -1)
+
+
+def test_recovery_kraus_is_one_array_the_generators_share(repetition, monkeypatch):
+    rec, lind = repetition
+    assert isinstance(rec.kraus, np.ndarray)
+    assert rec.kraus.dtype == complex and rec.kraus.shape == (3, 8, 8)
+    assert np.shares_memory(rec.kraus, lind.jumps)
+    built = []
+    original = ejof.qec.structured_lindbladian
+
+    def recording(h, jumps, dfs, **kwargs):
+        built.append(original(h, jumps, dfs, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ejof.qec, "structured_lindbladian", recording)
+    hamiltonian_obstruction_demo()
+    bare, driven = built  # H = 0 from repetition_code_recovery, then H != 0
+    assert frob(driven.h) > 0
+    assert np.shares_memory(bare.jumps, driven.jumps)
+
+
+def test_recovery_channel_stacks_a_sequence_and_checks_shapes(repetition):
+    rec, _ = repetition
+    listed = RecoveryChannel(kraus=list(rec.kraus), identity_kraus=rec.identity_kraus, code=rec.code)
+    assert isinstance(listed.kraus, np.ndarray)
+    np.testing.assert_array_equal(listed.kraus, rec.kraus)
+    with pytest.raises(ValueError, match="recovery Kraus operator shape"):
+        RecoveryChannel(kraus=[np.eye(4)], identity_kraus=rec.identity_kraus, code=rec.code)
+
+
+def test_recovery_surjectivity_is_the_per_jump_oracle(repetition):
+    rec, _ = repetition
+    rep = check_recovery_conditions(rec)
+    assert rep.surjectivity == surjectivity_per_jump(rec.kraus, rec.code)
+    assert all(type(r) is float for r in rep.surjectivity + rep.jumps_into_code)
 
 
 def test_recovery_channel_shape(repetition):
@@ -87,6 +152,19 @@ def test_miscalibration_classification(repetition, kind, nonzero):
                 assert value > 1e-3, (kind, corner)
             else:
                 assert value < 1e-15, (kind, corner)
+
+
+@pytest.mark.parametrize("kind", "XYZ")
+def test_classification_of_a_stack_is_per_operator(repetition, kind):
+    rec, _ = repetition
+    fs = pauli_miscalibration(kind, 1e-2).fs + _random_detectable(rec, 5)
+    entries = classify_miscalibration(fs, rec)
+    assert entries == tuple(classify_miscalibration(f, rec) for f in fs)
+    for f, entry in zip(fs, entries):
+        c = four_corners(f, rec.code)
+        assert entry.as_dict() == {"detectable": frob(c.ll), "undetectable": frob(c.ul),
+                                   "feeding": frob(c.ur), "decaying": frob(c.lr)}
+    assert all(type(v) is float for e in entries for v in e.as_dict().values())
 
 
 def test_x_channel_is_correctable(repetition):

@@ -12,7 +12,9 @@ from ejof.effective import (
 from ejof.lindblad import assemble_lindbladian, structured_lindbladian
 from ejof.operators import DfsProjector, dagger, four_corners, frob
 from ejof.scenarios import (
+    PARAM_SPECS,
     ThreeLevelParams,
+    build_scenario,
     cancellation_check,
     coherent_cancellation_drive,
     orthogonality_residual,
@@ -22,7 +24,12 @@ from ejof.scenarios import (
     three_level_system,
     universal_dissipation,
 )
-from oracles import generalized_three_level_perturbation
+from oracles import (
+    coherent_drive_per_jump,
+    generalized_three_level_perturbation,
+    orthogonality_per_pair,
+    surjectivity_per_jump,
+)
 
 
 def three_level_closed_jump(delta, Gamma, gamma):
@@ -104,6 +111,58 @@ def test_surjectivity_residual_detects_rank_loss():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 2] = 1.0  # rank 1 cannot cover a 2-dimensional DFS
     assert surjectivity_residual(bad, dfs) > 0.5
+
+
+def condition_families():
+    """Jump families for the stacked condition checks: orthogonal draws, then two broken ones."""
+    families = [random_orthogonal_family(d, blocks, seed)
+                for d, blocks, seed in ((2, [2, 2], 1), (2, [2, 3, 2], 2), (3, [3, 4], 3), (1, [1], 4))]
+    jumps, dfs = random_orthogonal_family(2, [2, 2], seed=5)
+    overlapping = np.array(jumps)
+    overlapping[1, :2, 3:5] = overlapping[0, :2, 2:4]  # the second jump also reads the first block
+    rank_one = np.array(jumps)
+    rank_one[0] = 0.0
+    rank_one[0, 0, 2] = 1.0  # rank 1 cannot cover the 2-dimensional DFS
+    return families + [(overlapping, dfs), (rank_one, dfs)]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_stacked_conditions_are_the_per_jump_and_per_pair_oracles(case):
+    jumps, dfs = condition_families()[case]
+    stack = np.array(jumps)
+    surj = surjectivity_residual(stack, dfs)
+    assert surj == surjectivity_per_jump(jumps, dfs)
+    assert all(type(r) is float for r in surj)
+    assert surjectivity_residual(stack[0], dfs) == surj[0]
+    assert orthogonality_residual(stack) == orthogonality_per_pair(jumps)
+    if case == 4:
+        assert orthogonality_residual(stack) > 0.1
+    if case == 5:
+        assert surj[0] > 0.5
+
+
+def test_coherent_drive_takes_one_pseudo_inverse(monkeypatch):
+    lind, dfs = coherent_test_system(2)
+    fs = random_deformations(lind.jumps, dfs, 22)
+    calls = []
+    original = np.linalg.pinv
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    coherent_cancellation_drive(lind, fs, cancel_induced_hamiltonian=True)
+    assert calls == [lind.jumps.shape]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coherent_drive_is_the_per_jump_oracle(seed):
+    lind, dfs = coherent_test_system(seed)
+    fs = random_deformations(lind.jumps, dfs, seed + 40)
+    pert = coherent_cancellation_drive(lind, fs)
+    assert pert.v.tobytes() == coherent_drive_per_jump(lind, fs).tobytes()
+    np.testing.assert_array_equal(pert.fs, fs)
 
 
 def test_random_surjective_jump_needs_room():
@@ -291,6 +350,35 @@ def test_universal_dissipation_validates_targets():
         universal_dissipation(
             lind, np.zeros((dim, dim)), pauli_lowering_targets(0.1, dim)
         )
+
+
+def test_universal_deformations_are_one_padded_array():
+    lind, _ = random_structured_instance(2, 3, 4, 12)
+    targets = pauli_lowering_targets(0.1, lind.dim)
+    pert = universal_dissipation(lind, np.zeros((lind.dim, lind.dim)), targets)
+    assert isinstance(pert.fs, np.ndarray) and pert.fs.shape == lind.jumps.shape
+    np.testing.assert_array_equal(pert.fs[:3], np.array(targets))
+    assert not pert.fs[3].any()
+
+
+def test_universal_dissipation_names_the_first_unsupported_target():
+    lind, _ = random_structured_instance(2, 2, 3, 77)
+    good = pauli_lowering_targets(0.1, lind.dim)[0]
+    bad = np.zeros((lind.dim, lind.dim), dtype=complex)
+    bad[0, 2] = 1.0
+    with pytest.raises(ValueError, match="^target jump 1 must be supported on the DFS corner$"):
+        universal_dissipation(lind, np.zeros((lind.dim, lind.dim)), [good, bad, bad])
+
+
+@pytest.mark.parametrize("name", list(PARAM_SPECS))
+def test_scenario_routes_run_when_details_or_verdicts_are_first_read(name):
+    # evolve and verify read only the bundle's study, so building it runs no route.
+    routes = {"general", "closed"}
+    bundle = build_scenario(name, {}, 0, 1e-9)
+    assert not routes & vars(bundle.study).keys()
+    details = bundle.details
+    assert routes & vars(bundle.study).keys()
+    assert bundle.details is details and bundle.verdicts is bundle.verdicts
 
 
 def test_universal_routes_agree():
