@@ -24,7 +24,6 @@ from .lindblad import (
     asymptotic_projection_limit,
     decay_rates,
     min_decay_rate,
-    nh_hamiltonian,
     nh_hamiltonian_inverse,
     nh_superop_inverse_lr,
     structured_lindbladian,

@@ -14,7 +14,7 @@ and O2 the second-order dissipators of the f_l alone. The consistency contract
 O1 + O2 = L(H+V, {F+f}) - L(H, {F}) holds as a matrix identity. The route is
 evaluated for K perturbations of one generator at once. In normal form every
 jump annihilates the DFS, so O1 maps each DFS unit to a rank-two operator and
-L^D maps that to x_i b_j† + b_i y_j†, read off two n x n LUs of the
+L^D maps that to x_i b_j† + b_i x_j†, read off the one n x n LU of the
 generator's corner factor in one solve for all K (:func:`_rank_two_blocks`).
 
 Closed route (effective operators)
@@ -283,30 +283,28 @@ def _rank_two_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     b_i c_qp[:, j]†, which L_rr maps to themselves and G does not read, so
     (:meth:`~ejof.lindblad.CornerFactor.solve_rank_two`)
 
-        L^D O1 E_ij = x_i b_j† + b_i y_j†,
-        x = (-i K_qq)^-1 c_qp,   y = (i K_qq')^-† c_qp,
+        L^D O1 E_ij = x_i b_j† + b_i x_j†,   x = (-i K_qq)^-1 c_qp,
 
-    one solve with each of the factor's n x n LUs on the K d columns of
-    c_qp. As F_l b = 0, the second O1 maps x_i b_j† to the pairs (c x, b),
-    (x, c b) and (F_l x, f_l b), and b_i y_j† to (c b, y), (b, c y) and
-    (f_l b, F_l y): six pair kinds on the DFS columns, with no D x D x D
+    one solve with the factor's n x n LU on the K d columns of c_qp: the ur
+    corner's solve is the ll one's adjoint, so both give x. As F_l b = 0,
+    the second O1 maps x_i b_j† to the pairs (c x, b), (x, c b) and
+    (F_l x, f_l b), and b_i x_j† to their mirrors (c b, x), (b, c x) and
+    (f_l b, F_l x): six pair kinds on the DFS columns, with no D x D x D
     product. They enter :func:`_on_units` with the pairs of O1 E and O2 E,
     the second-order ones negated.
     """
     a, ((cb, b, _, fb), _), (o2_left, o2_right) = _unit_terms(lind, perts)
     k = len(perts)
     dim, d, n, rest = lind.dim, lind.dfs.d, lind.dfs.n_decay, lind.dfs.rest
-    # Column (k, j) is c_qp[:, j] of perturbation k; x and y come back as (K, n, d).
+    # Column (k, j) is c_qp[:, j] of perturbation k; x comes back as (K, n, d).
     c_qp = cb[:, 0, rest].transpose(1, 0, 2).reshape(n, k * d)
-    x_q, y_q = (s.reshape(n, k, d).transpose(1, 0, 2) for s in lind.factor.solve_rank_two(c_qp))
-    x, y = np.zeros((2, k, 1, dim, d), dtype=complex)
-    x[:, 0, rest], y[:, 0, rest] = x_q, y_q
-    c_q = -1j * a[..., rest]  # (K, D, n)
-    big_f_q = lind.jumps[..., rest]  # (J, D, n)
-    cx, cy = (c_q @ x_q)[:, None], (c_q @ y_q)[:, None]
-    fx, fy = big_f_q @ x_q[:, None], big_f_q @ y_q[:, None]  # (K, J, D, d)
+    x_q = lind.factor.solve_rank_two(c_qp).reshape(n, k, d).transpose(1, 0, 2)
+    x = np.zeros((k, 1, dim, d), dtype=complex)
+    x[:, 0, rest] = x_q
+    cx = (-1j * a[..., rest] @ x_q)[:, None]
+    fx = lind.jumps[..., rest] @ x_q[:, None]  # (K, J, D, d)
     left = [cb, b, *o2_left, -cx, -x, -fx, -cb, -b, -fb]
-    right = [b, cb, *o2_right, b, cb, fb, y, cy, fy]
+    right = [b, cb, *o2_right, b, cb, fb, x, cx, fx]
     return _contract(lind, _on_units(left, right))
 
 
@@ -317,8 +315,8 @@ def _general_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     O1, O2 of perturbation k. A :class:`~ejof.lindblad.CornerFactor` gives
     P_inf E = E exactly, so O1 and O2 act on the d^2 DFS units themselves, as
     pairs over DFS columns (:func:`_unit_terms`). On a non-leaky corner
-    factor L^D O1 E is rank two per unit and is read off the factor's two
-    n x n LUs (:func:`_rank_two_blocks`); a leaky factor, whose F_l b_i need
+    factor L^D O1 E is rank two per unit and is read off the factor's one
+    n x n LU (:func:`_rank_two_blocks`); a leaky factor, whose F_l b_i need
     not vanish, or any other factor takes the L^D solve and the stacked
     products (:func:`_stacked_blocks`). P_inf enters only through the d^2
     columns P_inf E and P_inf† E (E and J for a corner factor), never as a

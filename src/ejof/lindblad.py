@@ -34,15 +34,16 @@ inverse and the asymptotic projection come from eliminating the DFS corner
 block-triangular with its kernel on the DFS corner, and both are read off
 the decaying-corner blocks of L. Under the normal form these blocks (ll, ur
 and lr, block diagonal) and the feed into the DFS corner are Kronecker
-functions of K_qq, K_qq' = H_qq + (i/2) W_qq and the jumps' decaying
-columns, with W = sum_l F_l† F_l summed once, and none is formed: ll and ur
-are solved by one n x n LU each, and lr by a Bartels-Stewart sweep on the
-factor's own Schur forms of K_qq and K_qq' (:class:`LrSweep`), so the factor
-holds O(n^2) entries where the lr block has n^4. Only when an entry leaks
-off its corner is L assembled, once, in K form with one GEMM for the jump
-sum (:func:`~ejof.operators.gksl_superop`), and L_rr gathered whole and
-LU-factored. An LU with a zero or tiny pivot, or a sweep with a zero or
-tiny shift, raises :class:`SingularBlockError`. The closed route's sector
+functions of K_qq and the jumps' decaying columns, with W = sum_l F_l† F_l
+summed once and made exactly Hermitian, so that H_qq + (i/2) W_qq is
+K_qq†; none is formed: ll is solved by one n x n LU of -i K_qq, ur by the
+same LU conjugated, and lr by a Bartels-Stewart sweep on the factor's own
+Schur form of K_qq (:class:`LrSweep`), so the factor holds O(n^2) entries
+where the lr block has n^4. Only when an entry leaks off its corner, or H
+is not exactly Hermitian, is L assembled, once, in K form with one GEMM for
+the jump sum (:func:`~ejof.operators.gksl_superop`), and L_rr gathered
+whole and LU-factored. An LU with a zero or tiny pivot, or a sweep with a
+zero or tiny shift, raises :class:`SingularBlockError`. The closed route's sector
 map sigma -> -i(K sigma - sigma K†) is the lr map with K' = K†: its sweep
 (``decaying_sector``) is built on first read from ``k_schur`` alone, so
 each route has its own K, Schur form and sweep. The map's dense Kronecker
@@ -105,15 +106,6 @@ class StructureError(ValueError):
 def assemble_lindbladian(h: np.ndarray, jumps) -> np.ndarray:
     """Full (D^2, D^2) matrix of the Lindblad generator."""
     return gksl_superop(require_hermitian(h, "hamiltonian"), jumps)
-
-
-def nh_hamiltonian(h: np.ndarray, jumps) -> np.ndarray:
-    """Non-Hermitian Hamiltonian K = H - (i/2) sum_l F_l† F_l."""
-    k = as_operator(h).astype(complex)
-    for f in jumps:
-        f = as_operator(f)
-        k = k - 0.5j * (dagger(f) @ f)
-    return k
 
 
 @dataclass(frozen=True)
@@ -211,10 +203,11 @@ def _lu(a: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
 class LrSweep:
     """X -> -i K X + i X K' on n x n operators, solved by Bartels-Stewart.
 
-    It is the lr block of L_rr (K' = K_qq') and the closed route's sector map
-    (K' = K†). With the Schur forms K = U T U† and K' = V S V†, X = U Y V†
-    turns the map X -> C into -i T Y + i Y S = U† C V, solved column by
-    column (Bartels and Stewart, CACM 15, 1972), for j = 0 .. n-1:
+    It is the lr block of L_rr and the closed route's sector map, K = K_qq
+    and K' = K† in both, each built from its own Schur form K = U T U†,
+    which gives K' = V S V† (:meth:`of_adjoint_pair`). X = U Y V† turns the
+    map X -> C into -i T Y + i Y S = U† C V, solved column by column
+    (Bartels and Stewart, CACM 15, 1972), for j = 0 .. n-1:
 
         (-i T + i s_jj I) y_j = c_j - i sum_{k<j} s_kj y_k.
 
@@ -247,11 +240,6 @@ class LrSweep:
         shifts = -1j * np.diag(self.t)[:, None] + 1j * np.diag(self.s)[None, :]
         _refuse_if_singular(shifts, self.t.size, "|sweep shift|")
         object.__setattr__(self, "shifts", shifts)
-
-    @classmethod
-    def of(cls, k: np.ndarray, k_prime: np.ndarray) -> "LrSweep":
-        (t, u), (s, v) = complex_schur(k), complex_schur(k_prime)
-        return cls(t=t, u=u, s=s, v=v)
 
     @classmethod
     def of_adjoint_pair(cls, t: np.ndarray, u: np.ndarray) -> "LrSweep":
@@ -323,26 +311,28 @@ class CornerFactor:
     *Generalized Inverses of Linear Transformations*). Every coupling entry
     between the ll, ur and lr blocks of L_rr, and every entry of the ll and
     ur columns of L_ur, comes from an H entry outside lr or a jump entry
-    outside ur. Without such an entry (``leaky`` False) L_rr is block
-    diagonal, and each block is a Kronecker function of K_qq = H_qq -
-    (i/2) W_qq and K_qq' = H_qq + (i/2) W_qq, with ``w`` = W = sum_l F_l† F_l
-    formed from the jumps, the generator's (J, D, D) array ``jumps``:
+    outside ur. Without such an entry, and with H exactly Hermitian
+    (``leaky`` False), L_rr is block diagonal, and each block is a Kronecker
+    function of K_qq = H_qq - (i/2) W_qq, with ``w`` = W = sum_l F_l† F_l
+    formed from the jumps, the generator's (J, D, D) array ``jumps``, and
+    made exactly Hermitian, so that H_qq + (i/2) W_qq is exactly K_qq†:
 
-        ll X = -i K_qq X,   ur X = i X K_qq',   lr X = -i K_qq X + i X K_qq',
+        ll X = -i K_qq X,   ur X = i X K_qq†,   lr X = -i K_qq X + i X K_qq†,
 
     for X the (n, d), (d, n) and (n, n) corner of an operator, and the lr
     columns of L_ur map X to sum_l A_l X A_l†, A_l = F_l[idx, rest], one
-    index gather on ``jumps``. No block is formed: ll and ur are solved by
-    one n x n LU each, of -i K_qq and of i K_qq'^T, on reshaped right-hand
-    sides; lr by a Bartels-Stewart sweep on the factor's own Schur forms of
-    K_qq and K_qq' (:class:`LrSweep`); and G, whose ll and ur columns are
+    index gather on ``jumps``. No block is formed: ll is solved by one n x n
+    LU of -i K_qq on reshaped right-hand sides, and ur by the same LU
+    conjugated, since ur X = C is i K_qq^* X^T = C^T with i K_qq^* =
+    conj(-i K_qq); lr by a Bartels-Stewart sweep on the factor's own Schur
+    form of K_qq (:class:`LrSweep`); and G, whose ll and ur columns are
     zero, by the adjoint sweep on the d^2 operators sum_l A_l† b_i b_j† A_l.
-    K_qq and K_qq' are formed here, never read off the generator's ``k`` or
-    ``decaying_sector``, so the general route shares no input with the
-    closed one. With a leaking entry (leakage below the tolerance, or a
-    generator that fails its checks), L is assembled (``superop``, on first
-    read, with this W) and L_rr and L_ur are gathered whole, so no entry of L
-    is dropped, and L_rr is LU-factored in place.
+    K_qq is formed here, never read off the generator's ``k``, ``k_schur``
+    or ``decaying_sector``, so the general route shares no input with the
+    closed one. With a leaking entry (leakage below the tolerance, a
+    non-Hermitian H, or a generator that fails its checks), L is assembled
+    (``superop``, on first read, with this W) and L_rr and L_ur are gathered
+    whole, so no entry of L is dropped, and L_rr is LU-factored in place.
 
     The frame is the permutation ``dfs.order``, and ``dfs.vec_order`` gives
     the vec index of each frame position, so entering or leaving the frame is
@@ -377,7 +367,7 @@ class CornerFactor:
         """The factors of L_rr, and G = L_ur L_rr^-1.
 
         The factors are (LU of L_rr,) when ``leaky``, and otherwise (LU of
-        -i K_qq, LU of i K_qq'^T, :class:`LrSweep` of lr).
+        -i K_qq, :class:`LrSweep` of lr).
         """
         _warn_if_gap_small(self.gap, self.thresh)
         d, n = self.dfs.d, self.dfs.n_decay
@@ -387,19 +377,19 @@ class CornerFactor:
             return (lu,), dagger(zgetrs(*lu, dagger(self.superop[np.ix_(u, r)]), trans=2)[0])
         idx, rest = self.dfs.indices, self.dfs.rest
         lr_of = (rest[:, None], rest)
-        k, k_prime = self.h[lr_of] - 0.5j * self.w[lr_of], self.h[lr_of] + 0.5j * self.w[lr_of]
-        ll, ur = _lu(-1j * k, d * n), _lu(1j * k_prime.T, d * n)
-        lr = LrSweep.of(k, k_prime)
+        k = self.h[lr_of] - 0.5j * self.w[lr_of]
+        ll, lr = _lu(-1j * k, d * n), LrSweep.of_adjoint_pair(*complex_schur(k))
         # Feed operator i + d j, in the Schur frame: U† A_l† b_i b_j† A_l V, entry
         # [p, q] = sum_l conj((A_l U)[i, p]) (A_l V)[j, q], one GEMM laid out as [q, p, (j, i)].
-        a = self.jumps[:, idx[:, None], rest]  # A_l, (J, d, n)
-        au, av = (a @ lr.u).reshape(-1, d * n), (a @ lr.v).reshape(-1, d * n)
+        au = self.jumps[:, idx[:, None], rest] @ lr.u  # A_l U, (J, d, n)
+        # V is U with its columns reversed, and so is A_l V against A_l U.
+        au, av = au.reshape(-1, d * n), au[..., ::-1].reshape(-1, d * n)
         feed = (av.T @ au.conj()).reshape(d, n, d, n).transpose(1, 3, 0, 2).reshape(n, n, d * d)
         z = lr.leave(lr.sweep(feed, adjoint=True))  # [q, p, (j, i)] = Z_ij[p, q]
         # Row i + d j of G holds conj(vec Z_ij) on the lr columns, rows p + n q.
         g = np.zeros((d * d, r.size), dtype=complex)
         g[:, 2 * d * n:] = np.conjugate(z, out=z).reshape(n * n, d * d).T
-        return (ll, ur, lr), g
+        return (ll, lr), g
 
     def _solve_rr(self, y_r: np.ndarray, z_r: np.ndarray) -> None:
         """Write L_rr^-1 y_r into z_r, for columns y_r in corner order."""
@@ -407,13 +397,15 @@ class CornerFactor:
         if self.leaky:
             z_r[:] = zgetrs(*factors[0], y_r)[0]
             return
-        (ll, ur, lr), d, n = factors, self.dfs.d, self.dfs.n_decay
+        (ll, lr), d, n = factors, self.dfs.d, self.dfs.n_decay
         dn, m = d * n, y_r.shape[1]
         # ll: column c holds X_c (n, d) at rows a + n b; solve -i K_qq X_c = C_c on [a, (b, c)].
         x = zgetrs(*ll, y_r[:dn].reshape(d, n, m).transpose(1, 0, 2).reshape(n, d * m))[0]
         z_r[:dn].reshape(d, n, m)[:] = x.reshape(n, d, m).transpose(1, 0, 2)
-        # ur: X_c (d, n) at rows i + d k, read as [k, (i, c)], is X_c^T: solve i K_qq'^T X_c^T = C_c^T.
-        z_r[dn:2 * dn] = zgetrs(*ur, y_r[dn:2 * dn].reshape(n, d * m))[0].reshape(dn, m)
+        # ur: X_c (d, n) at rows i + d k, read as [k, (i, c)], is X_c^T: solve
+        # i K_qq^* X_c^T = C_c^T, the ll solve conjugated, as i K_qq^* = conj(-i K_qq).
+        y = y_r[dn:2 * dn].reshape(n, d * m).conj()
+        z_r[dn:2 * dn] = zgetrs(*ll, y)[0].conj().reshape(dn, m)
         z_r[2 * dn:].reshape(n, n, m)[:] = lr.solve(y_r[2 * dn:])
 
     def _leave(self, z: np.ndarray) -> np.ndarray:
@@ -431,19 +423,19 @@ class CornerFactor:
         np.matmul(g, z[m:], out=z[:m])
         return self._leave(z)
 
-    def solve_rank_two(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x = (-i K_qq)^-1 c and y = (i K_qq')^-† c, for (n, m) columns c on the decaying block.
+    def solve_rank_two(self, c: np.ndarray) -> np.ndarray:
+        """x = (-i K_qq)^-1 c, for (n, m) columns c on the decaying block.
 
         For decaying-block vectors u and v, L^D (u b_j† + b_i v†) is
-        ((-i K_qq)^-1 u) b_j† + b_i ((i K_qq')^-† v)†: the operator has only
-        an ll and a ur corner, which L_rr maps to themselves, and G is zero
-        on both. One solve with the ll LU and one with the ur LU, of
-        A = i K_qq'^T, whose conjugate is (i K_qq')†. Not for a leaky factor.
+        x_u b_j† + b_i x_v†, x_u = (-i K_qq)^-1 u: the operator has only an
+        ll and a ur corner, which L_rr maps to themselves, and G is zero on
+        both. ll solves -i K_qq X = u b_j†, and ur, i X K_qq† = b_i v†, is
+        its adjoint. One solve with the ll LU. Not for a leaky factor.
         """
         if self.leaky:
             raise ValueError("a leaky corner factor has no rank-two solve")
-        (ll, ur, _), _ = self._factored
-        return zgetrs(*ll, c)[0], zgetrs(*ur, c.conj())[0].conj()
+        (ll, _), _ = self._factored
+        return zgetrs(*ll, c)[0]
 
     def apply_projection(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """P_inf y = E (J† y), or P_inf† y = J (E† y), for columns y.
@@ -465,8 +457,8 @@ class CornerFactor:
         Schur-frame right-hand sides U† q_a q_b† V are one outer product of
         the rows of V and conj U; the sweep's own stack reshapes to its
         (n^2, n^2) columns. The ll and ur inverses, I_d kron (-i K_qq)^-1
-        and (i K_qq'^T)^-1 kron I_d, are written on the strided diagonals of
-        the output's (D, D, D, D) view, [q, p, b, a] the entry at
+        and conj((-i K_qq)^-1) kron I_d, are written on the strided diagonals
+        of the output's (D, D, D, D) view, [q, p, b, a] the entry at
         (p + D q, a + D b): one (n, n) write per DFS index each. The ul row
         is G times L_rr^-1, whose ll and ur columns are zero here.
         """
@@ -478,17 +470,16 @@ class CornerFactor:
             inv = zgetrs(*factors[0], np.eye(rows.size, dtype=complex, order="F"),
                          overwrite_b=True)[0]
         else:
-            (ll, ur, lr), n, rest = factors, self.dfs.n_decay, self.dfs.rest
+            (ll, lr), n, rest = factors, self.dfs.n_decay, self.dfs.rest
             rows = order[-n * n:]
             # Unit c = a + n b: U† q_a q_b† V = conj(U[a, :])^T V[b, :], laid out as [j, p, (b, a)].
             units = lr.v.T[:, None, :, None] * lr.u.conj().T[:, None]
             inv = lr.leave(lr.sweep(units.reshape(n, n, n * n))).reshape(n * n, n * n)
             view = out.reshape((self.dfs.dim,) * 4)
-            eye = np.eye(n, dtype=complex)
-            inv_ll, inv_ur = zgetrs(*ll, eye)[0], zgetrs(*ur, eye)[0]
+            inv_ll = zgetrs(*ll, np.eye(n, dtype=complex))[0]
             for i in self.dfs.indices:
                 view[i, rest[:, None], i, rest] = inv_ll
-                view[rest[:, None], i, rest, i] = inv_ur
+                view[rest[:, None], i, rest, i] = inv_ll.conj()  # ur's LU is ll's conjugated
         out[np.ix_(rows, rows)] = inv
         out[np.ix_(order[:m], rows)] = g[:, -rows.size:] @ inv
         return out
@@ -594,11 +585,14 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     """(report, K, W, Schur form of K_qq, zero cut, whether any entry leaks).
 
     An entry leaks when it lies in H outside lr or in a jump outside ur; each
-    leak is its operator with the one corner it may hold set to zero. The
-    flag tests the entries themselves: the report's residuals are norms, which
-    underflow to zero for entries below about 1e-154. W = sum_l F_l† F_l is
-    summed here once, as :func:`~ejof.operators.gksl_superop` sums it, for the
-    steadiness residual and the corner factor; K is :func:`nh_hamiltonian`'s.
+    leak is its operator with the one corner it may hold set to zero. H also
+    leaks when it differs from H† in any entry: the corner factor's ur and lr
+    blocks read H_qq + (i/2) W_qq as K_qq†. The flag tests the entries
+    themselves: the report's residuals are norms, which underflow to zero for
+    entries below about 1e-154. W = sum_l F_l† F_l is summed here once, as
+    :func:`~ejof.operators.gksl_superop` sums it, and made exactly Hermitian,
+    (W + W†) / 2; the steadiness residual, K = H - (i/2) W and the corner
+    factor all read this W.
 
     The scale is max(1, rho), with rho the largest |lambda| that the normal
     form reads off the Schur form of K_qq (the spectral radius of L when the
@@ -612,14 +606,16 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     and the multiplicity check is not made.
     """
     scale_h = max(1.0, frob(h))
-    h_herm = frob(h - dagger(h)) / scale_h
+    skew = h - dagger(h)
+    h_herm = frob(skew) / scale_h
     _, ur, _, lr = dfs._corner_masks
     h_leak, jump_leaks = np.where(lr, 0j, h), np.where(ur, 0j, jumps)
     h_block = frob(h_leak) / scale_h
     jump_res = tuple(frob(x) / max(1.0, frob(f)) for x, f in zip(jump_leaks, jumps))
-    leaky = bool(h_leak.any() or jump_leaks.any())
-    k = nh_hamiltonian(h, jumps)
+    leaky = bool(skew.any() or h_leak.any() or jump_leaks.any())
     w = sum((dagger(f) @ f for f in jumps), np.zeros_like(h))
+    w = 0.5 * (w + dagger(w))
+    k = h - 0.5j * w
     k_schur = complex_schur(k[np.ix_(dfs.rest, dfs.rest)])
     mags = _normal_form_magnitudes(np.diag(k_schur[0]), dfs.d)
     scale_s = max(1.0, float(np.max(mags)))
@@ -665,8 +661,8 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     multiplicity and the gap are read off K_qq too. The (D^2, D^2) matrix of
     L is not assembled here. L^D and P_inf come from a :class:`CornerFactor`,
     which eliminates the DFS corner of L and, on first use, factors its
-    decaying-corner blocks: under the normal form by n x n LUs and Schur
-    forms of K_qq and K_qq', formed from H, the jumps and their
+    decaying-corner blocks: under the normal form by one n x n LU and one
+    Schur form of K_qq, formed from H, the jumps and their Hermitian
     W = sum_l F_l† F_l. It solves the bordered system [[L, E], [E†, 0]],
     which is L^D only when the DFS is steady and L_rr is invertible: with
     validate=False and a DFS that is not steady, the factor is the bordered

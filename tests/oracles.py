@@ -198,6 +198,15 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
+def nh_hamiltonian(h: np.ndarray, jumps) -> np.ndarray:
+    """Non-Hermitian Hamiltonian K = H - (i/2) sum_l F_l† F_l, one jump at a time."""
+    k = as_operator(h).astype(complex)
+    for f in jumps:
+        f = as_operator(f)
+        k = k - 0.5j * (dagger(f) @ f)
+    return k
+
+
 def structure_report(h, jumps, dfs: DfsProjector, tol: float = DEFAULT_TOL):
     """The structural checks of a generator, evaluated without raising."""
     h = as_operator(h)

@@ -1017,13 +1017,13 @@ def test_each_run_builds_its_generator_once(argv, monkeypatch):
 # (closed-route evaluations, rank-two L^D solves) per command. A study runs
 # each route once: the general route is one solve and the corner-sensitivity
 # batch one more, and the obstruction table takes both cells of a generator in
-# one batch.
+# one batch and runs no closed route.
 ROUTE_RUNS = {
     "effective-explicit": (lambda tmp: ["effective", explicit_problem(tmp)], 1, 1),
     "effective-scenario-file": (lambda tmp: ["effective", three_level_problem(tmp)], 1, 1),
     "verify-explicit": (lambda tmp: ["verify", explicit_problem(tmp)], 1, 2),
     "verify-scenario-file": (lambda tmp: ["verify", three_level_problem(tmp)], 1, 2),
-    "qec-obstruction": (lambda tmp: ["qec", "repetition", "--obstruction"], 4, 2),
+    "qec-obstruction": (lambda tmp: ["qec", "repetition", "--obstruction"], 0, 2),
     "scenario": (lambda tmp: ["scenario", "three-level"], 1, 1),
     "qec-miscal": (lambda tmp: ["qec", "repetition", "--miscal", "X"], 1, 1),
 }
@@ -1172,20 +1172,22 @@ def test_a_corrupted_k_moves_the_closed_route_only(tmp_path, monkeypatch):
     # moves the closed route, which reads lind.k, and fails verify.
     problem = structured_draw_problem(tmp_path)
     parsed = cli.load_problem(problem)
-
-    def study():
-        lind = ejof.lindblad.structured_lindbladian(parsed.hamiltonian, parsed.jumps, parsed.dfs)
-        return ejof.effective.Study(lind, parsed.pert)
-
-    want = study()
     rng = np.random.default_rng(0)
     lr = np.ix_(parsed.dfs.rest, parsed.dfs.rest)
     noise = np.zeros(parsed.hamiltonian.shape, dtype=complex)
     noise[lr] = 1e-6 * (rng.standard_normal(noise[lr].shape)
                         + 1j * rng.standard_normal(noise[lr].shape))
-    real = ejof.lindblad.nh_hamiltonian
-    monkeypatch.setattr(ejof.lindblad, "nh_hamiltonian", lambda h, jumps: real(h, jumps) + noise)
-    got = study()
+
+    def corrupted(*args, **kwargs):
+        lind = ejof.lindblad.structured_lindbladian(*args, **kwargs)
+        lind.k = lind.k + noise
+        return lind
+
+    def study(build):
+        return ejof.effective.Study(build(parsed.hamiltonian, parsed.jumps, parsed.dfs), parsed.pert)
+
+    want, got = study(ejof.lindblad.structured_lindbladian), study(corrupted)
+    monkeypatch.setattr(cli, "structured_lindbladian", corrupted)
     assert np.linalg.norm(got.general - want.general) <= 1e-14 * np.linalg.norm(want.general)
     moved = np.linalg.norm(got.closed_block - want.closed_block)
     assert moved > 1e-9 * np.linalg.norm(want.closed_block)

@@ -306,7 +306,7 @@ def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch
     # The routes stay independent: the general block of a fresh study, with
     # the first use of a fresh corner factor, uses neither Kinv, the coupling
     # C, the generator's K, its stored Schur form of K_qq nor its decaying
-    # sector, and builds no sweep from one Schur form.
+    # sector, and takes exactly one Schur form, its factor's own.
     base, pert = generic_instance
     lind = structured_lindbladian(base.h, base.jumps, base.dfs)
     for name in ("nh_hamiltonian_inverse", "effective_coupling"):
@@ -318,8 +318,10 @@ def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "ejof" and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(ejof.lindblad.LrSweep, "of_adjoint_pair", classmethod(
-        lambda cls, t, u: pytest.fail("the general route called LrSweep.of_adjoint_pair")))
+    schurs = []
+    real_schur = ejof.lindblad.complex_schur
+    monkeypatch.setattr(ejof.lindblad, "complex_schur",
+                        lambda a: schurs.append(a.shape[0]) or real_schur(a))
     for name in ("k", "k_schur", "decaying_sector"):
         # A class property shadows the instance field, so every read fails.
         monkeypatch.setattr(ejof.lindblad.StructuredLindbladian, name, property(
@@ -327,6 +329,7 @@ def test_study_general_reads_no_closed_route_piece(generic_instance, monkeypatch
     study = Study(lind, pert)
     general = study.general
     assert "closed" not in vars(study) and "closed_block" not in vars(study)
+    assert schurs == [lind.dfs.n_decay]
     monkeypatch.undo()
     assert np.array_equal(general, effective_lindbladian_general(lind, pert))
 

@@ -18,7 +18,6 @@ from ejof.lindblad import (
     asymptotic_projection_limit,
     decay_rates,
     min_decay_rate,
-    nh_hamiltonian,
     nh_hamiltonian_inverse,
     nh_superop_inverse_lr,
     structured_lindbladian,
@@ -58,6 +57,7 @@ from oracles import (
     dissipator,
     drazin_inverse,
     embed_superop,
+    nh_hamiltonian,
     nh_superop_solve,
     perturbation_superops,
     relabelled,
@@ -108,6 +108,21 @@ def test_nh_hamiltonian_value():
     f[0, 1] = np.sqrt(3.0)
     k = nh_hamiltonian(h, [f])
     np.testing.assert_allclose(k, np.diag([0.0, 2.0 - 1.5j]), atol=1e-14)
+    lind = structured_lindbladian(h, [f], DfsProjector.from_indices(2, [0]))
+    np.testing.assert_allclose(lind.k, k, atol=1e-14)
+
+
+@pytest.mark.parametrize("args", [(2, 3, 2, 11), (3, 4, 3, 2), (2, 2, 2, 4)])
+def test_w_is_exactly_hermitian_and_the_draw_does_not_leak(args):
+    # The jump sum W = sum_l F_l† F_l is made exactly Hermitian once, so that
+    # H_qq + (i/2) W_qq is exactly K_qq† and one Schur form and one LU serve
+    # every block of L_rr. The first two draws' BLAS sums are not Hermitian
+    # to the last bit.
+    lind = random_structured_instance(*args)[0]
+    w = lind.factor.w
+    assert np.array_equal(w, dagger(w))
+    assert np.array_equal(lind.k, lind.h - 0.5j * w)
+    assert not lind.factor.leaky
 
 
 def test_structure_report_passes_on_valid(three_level):
@@ -360,14 +375,12 @@ def _count_calls(monkeypatch, owner, name, log, when=lambda *args, **kwargs: Tru
 def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     # A structured generator is never decomposed densely: its spectrum and
     # its zero cut come from the Schur form of K_qq that the structure checks
-    # take (no 2-norm is taken), L^D and P_inf from n x n factors only: LUs of
-    # -i K_qq (ll) and i K_qq'^T (ur), and the corner factor's own Schur forms
-    # of K_qq and K_qq' (lr), none of side dn or more. K itself is formed
-    # once, by the structure checks, and kept.
+    # take (no 2-norm is taken), L^D and P_inf from n x n factors only: one
+    # LU of -i K_qq (ll, and conjugated ur), and the corner factor's own one
+    # Schur form of K_qq (lr, with K_qq' = K_qq†), none of side dn or more.
     base, pert = generic_instance
-    schurs, norms, eigs, lus, ks = [], [], [], [], []
+    schurs, norms, eigs, lus = [], [], [], []
     _count_calls(monkeypatch, ejof.lindblad, "complex_schur", schurs)
-    _count_calls(monkeypatch, ejof.lindblad, "nh_hamiltonian", ks)
     _count_calls(monkeypatch, ejof.lindblad, "zgetrf", lus)
     _count_calls(monkeypatch, np.linalg, "norm", norms,
                  when=lambda x, ord=None, *a, **k: ord == 2 and np.ndim(x) == 2)
@@ -380,9 +393,8 @@ def test_generator_and_k_are_factored_once(monkeypatch, generic_instance):
     identity_suite(lind, pert)
     assert isinstance(lind.factor, CornerFactor)
     n = lind.dfs.n_decay
-    assert schurs == [n, n, n]
-    assert ks == [lind.dim]
-    assert lus == [n, n]
+    assert schurs == [n, n]
+    assert lus == [n]
     assert norms == []
     assert eigs == []
 
@@ -411,8 +423,9 @@ SPY_CASES = {
 @pytest.mark.parametrize("h, jumps, dfs, invertible", SPY_CASES.values(), ids=SPY_CASES.keys())
 def test_no_generator_is_decomposed_densely(monkeypatch, h, jumps, dfs, invertible):
     # Passing or failing its checks, a generator gets one Schur form of K_qq
-    # for its checks, and two n x n ones (of K_qq and K_qq') when its factor
-    # sweeps an lr block in normal form; no 2-norm and no eigendecomposition.
+    # for its checks, and its factor one more n x n one when it sweeps an lr
+    # block in normal form; no 2-norm and no eigendecomposition. A
+    # non-Hermitian H is leaky: its L_rr is gathered from L, not swept.
     # Its factor is always a CornerFactor, and a singular L_rr is refused, not
     # cut by a dense spectrum.
     schurs, norms, eigs = [], [], []
@@ -429,7 +442,7 @@ def test_no_generator_is_decomposed_densely(monkeypatch, h, jumps, dfs, invertib
         with pytest.raises(SingularBlockError, match="pivot"):
             _ = lind.drazin
     swept = invertible and not lind.factor.leaky
-    assert schurs == [dfs.n_decay] * (3 if swept else 1)
+    assert schurs == [dfs.n_decay] * (2 if swept else 1)
     assert norms == []
     assert eigs == []
 
@@ -520,14 +533,14 @@ def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):
 
 
 def test_corner_factor_solves_with_k_prime_for_a_non_hermitian_h():
-    # With H not Hermitian, K_qq' = H_qq + (i/2) W_qq is not K_qq†: the ur and
-    # lr blocks must be solved with K_qq', as L holds it, to match the
-    # bordered solve of L.
+    # With H not Hermitian, K_qq' = H_qq + (i/2) W_qq is not K_qq†, so the
+    # factor cannot solve ur and lr from K_qq alone: H leaks, and L_rr is
+    # gathered whole from L, which holds K_qq', to match the bordered solve.
     lind = random_structured_instance(2, 3, 2, 11)[0]
     h = lind.h.copy()
     h[3, 4] += 0.3j
     lind = structured_lindbladian(h, lind.jumps, lind.dfs, validate=False)
-    assert not lind.factor.leaky
+    assert lind.factor.leaky
     want_d, want_p = bordered_solve(lind.superop, dfs_columns(dense_dfs(lind.dfs).basis))
     assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
     assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)

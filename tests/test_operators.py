@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.linalg import schur
 
-from ejof.lindblad import nh_hamiltonian
 from ejof.operators import (
     DfsProjector,
     dagger,
@@ -27,6 +26,7 @@ from oracles import (
     embed_superop,
     kraus_operators,
     left_superop,
+    nh_hamiltonian,
     right_superop,
     sandwich_superop,
     star_commutator,

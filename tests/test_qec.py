@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ejof.effective
 import ejof.qec
 from ejof.effective import Study, effective_lindbladian_general
 from ejof.lindblad import structured_lindbladian
@@ -278,7 +279,18 @@ def test_obstruction_table_pattern():
     assert obstruction.l_eff_norm > 1e-6
     assert obstruction.drive_applied
     # both routes see the same obstruction
-    assert abs(obstruction.l_eff_norm - obstruction.l_eff_norm_closed) <= 1e-9
+    assert abs(obstruction.l_eff_norm - frob(obstruction.study.closed_block)) <= 1e-9
+
+
+def test_obstruction_table_runs_no_closed_route(monkeypatch):
+    # The table reads the general route alone; each cell's Study runs its
+    # closed route only when read.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the obstruction table ran the closed route")
+
+    monkeypatch.setattr(ejof.effective, "effective_lindbladian_closed", refuse)
+    table = hamiltonian_obstruction_demo()
+    assert all("closed" not in vars(c.study) for c in table.cells)
 
 
 def test_obstruction_cell_lookup_raises():
