@@ -41,7 +41,6 @@ from .dynamics import (
     convergence_order,
     drift_constants,
     evolve_and_compare,
-    validate_initial_state,
 )
 from .effective import Perturbation, Study, random_structured_instance
 from .lindblad import StructureError, structured_lindbladian
@@ -192,8 +191,51 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# A nonempty list of flat records (nonempty dicts of JSON scalars under string
+# keys) one level into a report: the C encoder lays it out in one pass with the
+# separators of its depth, as json.dumps with indent=2 would.
+_RECORD_VALUES = frozenset((str, float, int, bool, type(None)))
+_RECORD_SEPARATORS = (",\n      ", ": ")
+
+
+def _records_json(value) -> str | None:
+    """The indent=2 text of `value` as a top-level report entry, if it is a list of flat records.
+
+    None for any other value, and for a non-finite number, so that the
+    indenting encoder handles it and raises its own error.
+    """
+    if not (type(value) is list and value and all(type(r) is dict and r for r in value)):
+        return None
+    if ({type(k) for r in value for k in r} != {str}
+            or not {type(v) for r in value for v in r.values()} <= _RECORD_VALUES):
+        return None
+    try:
+        text = json.dumps(value, sort_keys=True, separators=_RECORD_SEPARATORS, allow_nan=False)
+    except ValueError:
+        return None
+    # No string holds a raw newline, so "},\n      {" is a boundary between records.
+    records = text[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + records + "\n    }\n  ]"
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_encode) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) with _encode, and a newline.
+
+    Each top-level list of flat records (the `evolve` rows) is encoded by
+    :func:`_records_json` and spliced into the text of the rest, byte for byte
+    what the indenting encoder would write.
+    """
+    fast = {}
+    if type(obj) is dict:
+        fast = {k: text for k, v in obj.items() if type(k) is str
+                and (text := _records_json(v)) is not None}
+        obj = {**obj, **dict.fromkeys(fast, [])}
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_encode)
+    for key, records in fast.items():
+        # Only a top-level entry starts a line with two spaces and a quote.
+        slot = f"\n  {json.dumps(key)}: "
+        text = text.replace(slot + "[]", slot + records, 1)
+    return text + "\n"
 
 
 def params_digest(command: str, params: dict) -> str:
@@ -760,11 +802,6 @@ def cmd_qec(args, inputs: Inputs) -> Outcome:
 
 def cmd_evolve(args, inputs: Inputs) -> Outcome:
     study, initial_states = inputs.study, inputs.problem.initial_states
-    for i, rho in enumerate(initial_states or ()):
-        try:
-            validate_initial_state(rho, study.lind.dfs)
-        except ValueError as err:
-            raise ProblemFormatError(f"initial_states[{i}]", str(err)) from err
     config = SweepConfig(
         epsilons=tuple(args.epsilons),
         taus=tuple(args.taus),

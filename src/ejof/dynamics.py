@@ -12,8 +12,7 @@ unperturbed asymptotic projection (removing the O(eps) dressing outside the
 DFS; the generator's factor applies it to the propagated states), and
 L_eff(eps) the effective generator at that strength. L_eff comes as
 its (d^2, d^2) DFS block and vanishes off the DFS corner, so only the DFS
-corner of rho_0 evolves, under exp(t block) (:func:`propagate_effective`, one
-stacked expm over the taus).
+corner of rho_0 evolves, under exp(t block) (:func:`_effective_states`).
 Agreement must improve as eps decreases; the fitted log-log slope of the error
 against eps measures the order of the neglected terms.
 
@@ -34,16 +33,23 @@ and its range is the slow invariant subspace of L_full. Two certificates check t
   G = V† L_full V the (d^2, d^2) slow generator.
 
 When both hold, every cell with t >= t0 is exp(t L_full) rho =
-V exp((t - t0) G) V† Pi rho, one stacked d^2 x d^2 expm for all such taus of
-that eps (:func:`propagate_full`). Cells below the horizon (tau = 0, or the
+V exp((t - t0) G) V† Pi rho. Cells below the horizon (tau = 0, or the
 first-order clock at the larger eps), and every cell of an eps whose
 certificate fails, take the dense exp(t L_full); an eps with no cell past
 the horizon forms no Pi. Each eps records its
 horizon, both certificate values and its number of dense cells
-(:class:`Propagation`). The cell diagnostics (trace distance, drift, trace
-errors, minimum eigenvalues) come from one stacked eigvalsh over all cells,
-and :class:`SweepTable` keeps each as an (eps, tau, state) array; the
-convergence fit and the drift constants are reductions over those arrays.
+(:class:`Propagation`).
+
+:func:`evolve_and_compare` does each kind of work once for the whole (eps,
+tau) grid. The Pis of all eps are one stacked scipy expm, whose scaling
+handles the stiff ||t0 L_full|| (4e9 on a file with rates 1e4 and 1e-4), and
+the dense cells are one more. All d^2 x d^2 exponentials, exp((t - t0) G)
+of each slow cell and exp(t block) of each cell, go through one call of the
+batched Padé kernel :func:`_expm_stack`. The cell diagnostics (trace distance,
+drift, trace errors, minimum eigenvalues) come from one stacked eigvalsh
+over all cells, and :class:`SweepTable` keeps each as an (eps, tau, state)
+array; the convergence fit (one polyfit of every series) and the drift
+constants are reductions over those arrays.
 
 For cancellation scenarios L_eff = 0 and there is no secular drift: the full
 state exp(t L_full) rho_0 itself, without any projection, stays within
@@ -162,21 +168,20 @@ class SweepTable:
         return [dict(zip(keys, values)) for values in zip(*columns)]
 
 
-def slow_subspace(l_full: np.ndarray, horizon: float, rank: int):
-    """(Pi, V, G, rank ratio, invariance) of L_full at the horizon t0.
+def slow_subspace(l_full: np.ndarray, pi: np.ndarray, rank: int):
+    """(V, G, rank ratio, invariance) of L_full from its horizon propagator Pi = exp(t0 L_full).
 
-    Pi = exp(t0 L_full); V is the first `rank` columns of the Q of a pivoted
-    QR of Pi, an orthonormal basis of its range, and G = V† L_full V. The
-    rank ratio is |R_rr| / |R_00| (R_rr the first diagonal entry past `rank`)
-    and the invariance ||L_full V - V G||_F / ||L_full||_F.
+    V is the first `rank` columns of the Q of a pivoted QR of Pi, an
+    orthonormal basis of its range, and G = V† L_full V. The rank ratio is
+    |R_rr| / |R_00| (R_rr the first diagonal entry past `rank`) and the
+    invariance ||L_full V - V G||_F / ||L_full||_F.
     """
-    pi = expm(horizon * l_full)
     q, r, _ = qr(pi, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(r))
     v = q[:, :rank]
     lv = l_full @ v
     g = dagger(v) @ lv
-    return pi, v, g, float(diag[rank] / diag[0]), frob(lv - v @ g) / frob(l_full)
+    return v, g, float(diag[rank] / diag[0]), frob(lv - v @ g) / frob(l_full)
 
 
 @dataclass(frozen=True)
@@ -196,85 +201,126 @@ class Propagation:
     dense_cells: int
 
 
-def propagate_full(l_full: np.ndarray, horizon: float, rank: int, times: np.ndarray,
-                   states: np.ndarray):
-    """exp(t L_full) on the (D^2, S) state columns at each time: (T, D^2, S), and how.
+# Padé [13/13] coefficients b_0..b_13 of exp over b_0, so that exp(0) = I
+# exactly, and theta_13, the largest 1-norm at which that approximant needs no
+# scaling (Higham 2005, table 2.3).
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
 
-    When some time reaches the horizon, Pi and its certificates are formed
-    (:func:`slow_subspace`); if both hold, those times propagate on the slow
-    subspace, V exp((t - t0) G) V† Pi. Every other time takes a dense
-    exp(t L_full). Returns the states, the rank ratio and invariance (None
-    when no Pi was formed) and the number of dense times.
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of each slice of an (N, m, m) stack, by Padé [13/13] scaling and squaring.
+
+    Slice k is scaled by 2^-s_k, s_k the least s >= 0 that brings its 1-norm
+    to at most theta_13 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), without
+    the lower-degree approximants), and squared back s_k times; each squaring
+    step multiplies only the slices that still need it. The sweep's d^2 x d^2
+    exponentials are small and mild, so one call replaces scipy's Python loop
+    over slices.
     """
-    out = np.empty((len(times), *states.shape), dtype=complex)
-    slow = times >= horizon
-    rank_ratio = invariance = None
-    if slow.any():
-        pi, v, g, rank_ratio, invariance = slow_subspace(l_full, horizon, rank)
-        if rank_ratio <= RANK_BOUND and invariance <= INVARIANCE_BOUND:
-            x0 = dagger(v) @ (pi @ states)
-            out[slow] = v @ (expm((times[slow] - horizon)[:, None, None] * g) @ x0)
-        else:
-            slow[:] = False
-    for i in np.flatnonzero(~slow):
-        out[i] = expm(times[i] * l_full) @ states
-    return out, rank_ratio, invariance, int(np.count_nonzero(~slow))
+    mantissa, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(norm / theta_13)), at least 0
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        todo = s > k
+        r[todo] = r[todo] @ r[todo]
+    return r
 
 
-def propagate_effective(block: np.ndarray, indices: np.ndarray, times,
-                        states: np.ndarray) -> np.ndarray:
-    """exp(t L_eff) rho for each time t and state rho, L_eff given as its (d^2, d^2) DFS block.
+def _effective_states(exps: np.ndarray, indices: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """exp(t L_eff) rho for each (..., m, m) exp(t block) and each state of an (S, D, D) stack.
 
     exp(t L_eff) = I + E (exp(t block) - I) E†, for E the unit columns at the
     DFS vec positions: the DFS block of rho, its rows and columns at
-    `indices`, evolves and everything else carries over unchanged. `states`
-    is an (S, D, D) stack; the result is (T, S, D, D), from one stacked expm
-    over the times.
+    `indices`, evolves and everything else carries over unchanged. The result
+    is (..., S, D, D).
     """
-    times = np.asarray(times, dtype=float)
-    m = block.shape[0]
+    lead, m, d = exps.shape[:-2], exps.shape[-1], len(indices)
     ul = (..., indices[:, None], indices)
-    steps = expm(times[:, None, None] * block) - np.eye(m)
-    moved = steps @ vectorize_stack(states[ul])  # (T, m, S)
-    moved = devectorize_columns(moved.transpose(1, 0, 2).reshape(m, -1))
-    out = np.repeat(states[None], len(times), axis=0)
-    out[ul] += moved.reshape(len(times), len(states), *moved.shape[1:])
+    moved = (exps - np.eye(m)) @ vectorize_stack(rho0[ul])  # (..., m, S)
+    out = np.broadcast_to(rho0, (*lead, *rho0.shape)).copy()
+    out[ul] += devectorize_columns(np.moveaxis(moved, -2, 0).reshape(m, -1)).reshape(
+        *lead, len(rho0), d, d)
     return out
 
 
 def evolve_and_compare(lind: StructuredLindbladian, pert: Perturbation,
                        config: SweepConfig) -> SweepTable:
-    """Run the sweep and tabulate trace distances and sanity diagnostics."""
-    for rho in config.initial_states:
-        validate_initial_state(rho, lind.dfs)
+    """Run the sweep and tabulate trace distances and sanity diagnostics.
+
+    Each initial state is validated once (:func:`validate_initial_state`); a
+    failure names it as initial_states[i]. Every cell is propagated in one
+    batched pass (see the module docstring).
+    """
+    dfs = lind.dfs
+    for i, rho in enumerate(config.initial_states):
+        try:
+            validate_initial_state(rho, dfs)
+        except ValueError as err:
+            raise ValueError(f"initial_states[{i}]: {err}") from err
     rho0 = np.array(config.initial_states)
-    states = vectorize_stack(rho0)
-    taus = np.array(config.taus)
+    states = vectorize_stack(rho0)  # (D^2, S)
+    epsilons, taus = np.array(config.epsilons), np.array(config.taus)
+    times = taus / epsilons[:, None] ** config.order  # (E, T)
     rate = slowest_decay_rate(lind)
     horizon = HORIZON_FACTOR / rate if rate > 0 else np.inf
-    reported_horizon = float(horizon) if rate > 0 else None
     scaled = [pert.scaled(eps) for eps in config.epsilons]
-    raws, effs, propagation = [], [], []
-    for eps, pert_eps, l_eff in zip(config.epsilons, scaled, _general_blocks(lind, scaled)):
-        times = taus / eps ** config.order
-        raw, rank_ratio, invariance, dense = propagate_full(
-            perturbed_superop(lind, pert_eps), horizon, lind.dfs.d ** 2, times, states)
-        raws.append(raw)
-        propagation.append(Propagation(eps, reported_horizon, rank_ratio, invariance, dense))
-        effs.append(propagate_effective(l_eff, lind.dfs.indices, times, rho0))
+    l_full = np.array([perturbed_superop(lind, p) for p in scaled])  # (E, D^2, D^2)
+    m = dfs.d ** 2
+    # Pi for each eps with a cell past the horizon, one stacked expm; each eps
+    # whose certificates hold keeps V, G and V† Pi rho_0, and the others go dense.
+    slow = times >= horizon
+    formed = np.flatnonzero(slow.any(axis=1))
+    certificates = [(None, None)] * len(epsilons)
+    bases = np.zeros((len(epsilons), states.shape[0], m), dtype=complex)
+    gens = np.zeros((len(epsilons), m, m), dtype=complex)
+    starts = np.zeros((len(epsilons), m, states.shape[1]), dtype=complex)
+    for e, pi in zip(formed, expm(horizon * l_full[formed]) if formed.size else ()):
+        v, g, rank_ratio, invariance = slow_subspace(l_full[e], pi, m)
+        certificates[e] = rank_ratio, invariance
+        if rank_ratio <= RANK_BOUND and invariance <= INVARIANCE_BOUND:
+            bases[e], gens[e], starts[e] = v, g, dagger(v) @ (pi @ states)
+        else:
+            slow[e] = False
+    raw = np.empty((*times.shape, *states.shape), dtype=complex)  # (E, T, D^2, S)
+    if not slow.all():
+        raw[~slow] = expm(times[~slow][:, None, None] * l_full[np.nonzero(~slow)[0]]) @ states
+    # One Padé call: exp((t - t0) G) for the slow cells, then exp(t L_eff) for every cell.
+    slow_e = np.nonzero(slow)[0]
+    blocks = _general_blocks(lind, scaled)  # (E, m, m)
+    exps = _expm_stack(np.concatenate([
+        (times[slow] - horizon)[:, None, None] * gens[slow_e],
+        (times[..., None, None] * blocks[:, None]).reshape(-1, m, m)]))
+    raw[slow] = bases[slow_e] @ (exps[:slow_e.size] @ starts[slow_e])
+    eff = _effective_states(exps[slow_e.size:].reshape(*times.shape, m, m), dfs.indices, rho0)
     # Columns in (eps, tau, state) order, the order of the cells.
-    cols = np.stack(raws).transpose(2, 0, 1, 3).reshape(states.shape[0], -1)
-    grid = (len(config.epsilons), len(taus), len(rho0), *rho0.shape[1:])
+    grid = eff.shape  # (E, T, S, D, D)
+    cols = raw.transpose(2, 0, 1, 3).reshape(states.shape[0], -1)
     raw = devectorize_columns(cols).reshape(grid)
     full = devectorize_columns(lind.factor.apply_projection(cols)).reshape(grid)
-    eff = np.stack(effs)
     stack = np.stack([full - eff, raw - rho0, full, eff])
     spectra = np.linalg.eigvalsh((stack + dagger(stack)) / 2)
     distance, drift = 0.5 * np.abs(spectra[:2]).sum(axis=-1)
     min_full, min_eff = spectra[2:, ..., 0]
     trace_full, trace_eff = np.abs(np.trace(stack[2:], axis1=-2, axis2=-1) - 1.0)
-    return SweepTable(np.array(config.epsilons), taus, distance, drift, trace_full, trace_eff,
-                      min_full, min_eff, tuple(propagation))
+    reported_horizon = float(horizon) if rate > 0 else None
+    propagation = tuple(Propagation(eps, reported_horizon, *cert, int(dense))
+                        for eps, cert, dense in zip(config.epsilons, certificates,
+                                                    (~slow).sum(axis=1)))
+    return SweepTable(epsilons, taus, distance, drift, trace_full, trace_eff,
+                      min_full, min_eff, propagation)
 
 
 @dataclass(frozen=True)
@@ -302,15 +348,14 @@ def convergence_order(table: SweepTable) -> ConvergenceFit:
     log_eps = np.log(table.epsilons[order])
     errs = table.trace_distance[order].max(axis=2)  # (E, T), eps descending
     max_d = errs.max(axis=1)
-    slope = float(np.polyfit(log_eps, np.log(np.maximum(max_d, FIT_FLOOR)), 1)[0])
     rising = (errs[1:] > np.maximum(errs[:-1], FIT_FLOOR) * (1 + 1e-9)) & (errs[1:] > FIT_FLOOR)
-    per_tau = {
-        float(table.taus[t]): float(np.polyfit(log_eps, np.log(errs[:, t]), 1)[0])
-        for t in np.argsort(table.taus) if np.all(errs[:, t] > FIT_FLOOR)
-    }
+    fitted = [t for t in np.argsort(table.taus) if np.all(errs[:, t] > FIT_FLOOR)]
+    # One fit of every series: the floored max distance, then each fitted tau's.
+    series = np.column_stack([np.maximum(max_d, FIT_FLOOR), errs[:, fitted]])
+    slope, *per_tau = np.polyfit(log_eps, np.log(series), 1)[0].tolist()
     return ConvergenceFit(
         slope=slope,
-        per_tau=per_tau,
+        per_tau=dict(zip(table.taus[fitted].tolist(), per_tau)),
         monotone=not rising.any(),
         max_distances=dict(zip(table.epsilons[order].tolist(), max_d.tolist())),
         floor=FIT_FLOOR,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ejof.dynamics
 import ejof.effective
@@ -581,6 +582,78 @@ def test_report_encoding_covers_numpy_and_complex_values():
                                 "b": True, "n": 3, "x": 0.1}
     with pytest.raises(TypeError, match="set"):
         cli.canonical_json({"s": {1}})
+
+
+_SCALARS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2 ** 70, 2 ** 70)
+            | st.booleans() | st.none() | st.text(max_size=8)
+            | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 1e-17]))
+_RECORDS = st.lists(st.dictionaries(st.text(max_size=6), _SCALARS, min_size=1, max_size=9),
+                    max_size=12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_RECORDS, _RECORDS, st.dictionaries(st.text(max_size=6), _SCALARS, max_size=4))
+def test_records_encode_as_the_indenting_encoder_does(rows, other, rest):
+    # A report with top-level lists of flat records, among other entries and
+    # nested records the fast path leaves alone, byte for byte as json.dumps.
+    report = {**rest, "rows": rows, "propagation": other, "fit": {"per_tau": rows}}
+    want = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert cli.canonical_json(report) == want
+    assert (cli._records_json(rows) is None) == (not rows)
+
+
+def test_evolve_rows_take_the_one_pass_encoder():
+    rows = [{"epsilon": 0.04, "tau": 0.5, "state_index": 0, "trace_distance": -0.0,
+             "drift": 5e-324, "min_eig_full": 1e308, "flag": True, "none": None}] * 3
+    text = cli._records_json(rows)
+    assert text is not None
+    assert f'{{\n  "rows": {text}\n}}\n' == json.dumps({"rows": rows}, sort_keys=True,
+                                                         indent=2) + "\n"
+    for value in ([], [{}], [rows[0], {}], [{"m": [1.0]}], [{"m": {"x": 1}}], [{1: 2.0}],
+                  [{"z": 1j}], [{"x": np.float64(0.1)}], (rows[0],)):
+        assert cli._records_json(value) is None, value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_records_raise_the_json_error(value):
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant: "):
+        cli.canonical_json({"rows": [{"epsilon": 0.04, "trace_distance": value}]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_evolve_exits_2_on_a_non_finite_cell(tmp_path, capsys, monkeypatch, value):
+    sweep = cli.evolve_and_compare
+
+    def poisoned(*args):
+        table = sweep(*args)
+        distance = table.trace_distance.copy()
+        distance[0, 0, 0] = value
+        return dataclasses.replace(table, trace_distance=distance)
+
+    monkeypatch.setattr(cli, "evolve_and_compare", poisoned)
+    out = tmp_path / "report.json"
+    problem = explicit_problem(tmp_path)
+    assert main(["evolve", problem, "--epsilons", "0.04", "--taus", "1.0",
+                 "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        "error: Out of range float values are not JSON compliant: ")
+    assert not out.exists()
+
+
+def test_evolve_validates_each_initial_state_once(tmp_path, monkeypatch):
+    calls = []
+    check = ejof.dynamics.validate_initial_state
+
+    def counting(rho, dfs, *args):
+        calls.append(rho)
+        return check(rho, dfs, *args)
+
+    for module in (ejof.dynamics, cli):
+        monkeypatch.setattr(module, "validate_initial_state", counting, raising=False)
+    states = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.5, 0.5, 0.0])]
+    problem = explicit_problem(tmp_path, initial_states=[matrix(rho) for rho in states])
+    assert main(["evolve", problem, "--epsilons", "0.04,0.02", "--taus", "1.0"]) == 0
+    assert len(calls) == len(states)
 
 
 def test_scenario_rejects_flag_of_another_scenario(capsys):

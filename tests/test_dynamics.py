@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from ejof import dynamics
@@ -9,17 +10,17 @@ from ejof.dynamics import (
     convergence_order,
     drift_constants,
     evolve_and_compare,
-    propagate_effective,
     validate_initial_state,
 )
 from ejof.effective import (
     Perturbation,
+    _general_blocks,
     effective_lindbladian_general,
     perturbed_superop,
     random_structured_instance,
 )
 from ejof.lindblad import slowest_decay_rate, structured_lindbladian
-from ejof.operators import DfsProjector, dagger, frob, projector_frame
+from ejof.operators import DfsProjector, dagger, frob, gksl_superop, projector_frame
 from ejof.qec import pauli_miscalibration, repetition_code_recovery
 from ejof.scenarios import ThreeLevelParams, build_scenario, three_level_system
 from oracles import dense_dfs, devectorize, embed_superop, trace_distance, vectorize
@@ -223,7 +224,8 @@ def test_block_propagation_matches_embedded_expm(make):
     validate_initial_state(rho, dfs)
     for t in (0.0, 1.0, 30.0):
         want = devectorize(expm(t * embed_superop(block, basis)) @ vectorize(rho))
-        got = propagate_effective(block, dfs.indices, [t], np.array([rho]))[0, 0]
+        got = dynamics._effective_states(dynamics._expm_stack(t * block[None]), dfs.indices,
+                                         np.array([rho]))[0, 0]
         assert frob(got - want) <= 1e-12
 
 
@@ -343,19 +345,90 @@ def test_failed_certificate_takes_the_dense_path_for_every_cell(monkeypatch, bou
 def test_dense_side_expm_calls_are_one_per_eps_plus_the_dense_cells(monkeypatch, mode, taus,
                                                                     formed):
     lind, pert, states = SYSTEMS["three-level"]()
-    sides = []
+    stacks, kernel_stacks = [], []
+    kernel = dynamics._expm_stack
 
     def counting(a):
-        sides.append(np.shape(a)[-1])
+        stacks.append(np.shape(a))
         return expm(a)
 
+    def counting_kernel(a):
+        kernel_stacks.append(np.shape(a))
+        return kernel(a)
+
     monkeypatch.setattr(dynamics, "expm", counting)
+    monkeypatch.setattr(dynamics, "_expm_stack", counting_kernel)
     config = SweepConfig(epsilons=(0.04, 0.02, 0.01), taus=taus, initial_states=states, mode=mode)
     table = evolve_and_compare(lind, pert, config)
     # Pi is formed for each eps with a cell past the horizon, and only there
     assert sum(p.rank_ratio is not None for p in table.propagation) == formed
     dense = sum(p.dense_cells for p in table.propagation)
-    assert sides.count(lind.dim ** 2) == formed + dense
-    # the rest: one stacked slow expm per eps with a slow cell, one effective expm per eps
-    slow = sum(p.dense_cells < len(taus) for p in table.propagation)
-    assert sides.count(lind.dfs.d ** 2) == slow + len(config.epsilons)
+    # one stacked scipy call for the Pis, one for the dense cells, each only when nonempty
+    side = lind.dim ** 2
+    assert stacks == [(n, side, side) for n in (formed, dense) if n]
+    # one Padé call: a slow cell per cell past the horizon, an effective cell per cell
+    cells = len(config.epsilons) * len(taus)
+    m = lind.dfs.d ** 2
+    assert kernel_stacks == [(2 * cells - dense, m, m)]
+
+
+def _assert_kernel_matches_scipy(a):
+    got, ref = dynamics._expm_stack(a), expm(a)
+    assert got.shape == a.shape
+    err = np.linalg.norm(got - ref, axis=(-2, -1))
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.linalg.norm(ref, axis=(-2, -1)))), err
+
+
+def _with_norm(a, norm):
+    """Each slice of the stack a rescaled to the given 1-norm."""
+    return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.floats(-6.0, 1.3), st.booleans(),
+       st.integers(0, 2 ** 16))
+def test_pade_kernel_matches_scipy_on_random_stacks(n, m, log_norm, upper, seed):
+    # Dense and upper-triangular slices (scipy's triangular branch) with
+    # 1-norms from 1e-9 to 20, several scaling counts within one stack.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    a = np.triu(a) if upper else a
+    _assert_kernel_matches_scipy(_with_norm(a, 10.0 ** (log_norm - np.arange(n))))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("lam", [0.0, -0.5, -3.0, 1.0 + 2.0j])
+def test_pade_kernel_matches_scipy_on_a_jordan_block(m, lam):
+    _assert_kernel_matches_scipy((lam * np.eye(m) + np.eye(m, k=1))[None])
+
+
+def test_pade_kernel_is_exact_on_the_zero_matrix():
+    # tau = 0 cells: exp(0) = I with no round-off, as scipy gives.
+    for m in (1, 4, 9):
+        assert np.array_equal(dynamics._expm_stack(np.zeros((2, m, m), dtype=complex)),
+                              np.broadcast_to(np.eye(m), (2, m, m)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.floats(-6.0, 3.0), st.integers(0, 2 ** 16))
+def test_pade_kernel_matches_scipy_on_dissipative_generators(dim, n_jumps, log_norm, seed):
+    # GKSL generators with 1-norms from 1e-6 to 1e3: up to ten squarings.
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    jumps = rng.standard_normal((n_jumps, dim, dim)) + 1j * rng.standard_normal((n_jumps, dim, dim))
+    _assert_kernel_matches_scipy(_with_norm(gksl_superop(h + dagger(h), jumps)[None],
+                                            10.0 ** log_norm))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_batched_general_blocks_are_a_polynomial_in_eps(name):
+    # L_eff(eps pert) = eps c1 + eps^2 c2 exactly (ROADMAP item 8(0)); the
+    # sweep batches one scaled perturbation per eps through _general_blocks.
+    lind, pert, _ = SYSTEMS[name]()
+    plus, minus = _general_blocks(lind, [pert.scaled(1.0), pert.scaled(-1.0)])
+    c1, c2 = (plus - minus) / 2, (plus + minus) / 2
+    epsilons = (0.04, 0.02, 0.01, 1e-4)
+    for eps, got in zip(epsilons, _general_blocks(lind, [pert.scaled(e) for e in epsilons])):
+        want = eps * c1 + eps ** 2 * c2
+        # relative to the second-order problem scale, as the routes are read
+        assert frob(got - want) <= 1e-13 * max(frob(want), (eps * pert.norm()) ** 2), eps
