@@ -46,6 +46,8 @@ from .effective import Perturbation, Study, random_structured_instance
 from .lindblad import StructureError, structured_lindbladian
 from .operators import DfsProjector, dagger, projector_frame
 from .qec import (
+    OBSTRUCTION_HAMILTONIAN_SCALE,
+    OBSTRUCTION_SEED,
     hamiltonian_obstruction_demo,
     pauli_miscalibration,
     repetition_code_recovery,
@@ -326,6 +328,8 @@ def load_problem(path: str) -> ParsedProblem:
 
     tol = _tolerance(data["tol"], "tol") if "tol" in data else None
     seed = _as_int(data["seed"], "seed") if "seed" in data else None
+    if seed is not None and seed < 0:  # numpy draws only from a nonnegative seed
+        raise ProblemFormatError("seed", f"must be nonnegative, got {seed}")
 
     has_system = "jumps" in data
     has_scenario = "scenario" in data
@@ -494,7 +498,7 @@ def _scenario_params(name: str, params: dict) -> dict:
 # Each command's tol and seed where neither the flag nor the problem file sets
 # them; qec reads the seed only with --obstruction.
 DEFAULTS = {**dict.fromkeys(("effective", "verify", "scenario", "evolve"), (1e-9, 0)),
-            "qec": (1e-10, 7)}
+            "qec": (1e-10, OBSTRUCTION_SEED)}
 
 
 @dataclass(frozen=True)
@@ -724,7 +728,8 @@ def cmd_qec(args, inputs: Inputs) -> Outcome:
         if args.miscal is not None:
             raise ProblemFormatError("--miscal", "the obstruction table draws its own X and Z "
                                      "miscalibrations, so it reads no --miscal")
-        scale = args.hamiltonian_scale if args.hamiltonian_scale is not None else 0.3
+        scale = (args.hamiltonian_scale if args.hamiltonian_scale is not None
+                 else OBSTRUCTION_HAMILTONIAN_SCALE)
         table = hamiltonian_obstruction_demo(eps=args.eps, hamiltonian_scale=scale,
                                              seed=inputs.seed)
         params = {"code": "repetition", "obstruction": True, "eps": args.eps,
@@ -879,6 +884,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}") from err
 
 
+class _Seeded(argparse.Action):
+    """Stores --seed, or --random D N TRIALS SEED, refusing a negative seed: numpy draws from none."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        seed = values[-1] if isinstance(values, list) else values
+        if seed < 0:
+            raise argparse.ArgumentError(self, f"seed must be nonnegative, got {seed}")
+        setattr(namespace, self.dest, values)
+
+
 # How each scenario parameter kind becomes an `ejof scenario` flag.
 _FLAG_KINDS = {
     float: {"type": _finite_float},
@@ -899,7 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--tol", type=_finite_float, default=None, help="verdict tolerance")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized pieces")
+        p.add_argument("--seed", type=int, action=_Seeded, default=None,
+                       help="seed for randomized pieces")
 
     p_eff = sub.add_parser("effective", help="compute the DFS generator by both routes")
     p_eff.add_argument("problem", help="problem file (JSON)")
@@ -913,7 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="dual-route equivalence and identity checks")
     p_ver.add_argument("problem", nargs="?", default=None, help="problem file (JSON)")
     p_ver.add_argument("--random", nargs=4, type=int, metavar=("D", "N", "TRIALS", "SEED"),
-                       default=None, help="random batch: DFS dim, decaying dim, trials, seed")
+                       action=_Seeded, default=None,
+                       help="random batch: DFS dim, decaying dim, trials, seed")
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

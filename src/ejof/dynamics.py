@@ -87,6 +87,9 @@ RANK_BOUND = 1e-12
 INVARIANCE_BOUND = 1e-12
 # Distances at or below this are converged noise to the convergence fit.
 FIT_FLOOR = 1e-11
+# Largest trace error, skew part, negative eigenvalue or weight off the DFS
+# corner that an initial state may carry.
+INITIAL_STATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,16 +126,16 @@ class SweepConfig:
         return 2 if self.mode == "second-order" else 1
 
 
-def validate_initial_state(rho: np.ndarray, dfs, tol: float = 1e-9) -> None:
+def validate_initial_state(rho: np.ndarray, dfs) -> None:
     rho = as_operator(rho)
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > INITIAL_STATE_TOL:
         raise ValueError(f"initial state trace {np.trace(rho):.6f} != 1")
     skew = frob(rho - rho.conj().T)
-    if skew > tol:
+    if skew > INITIAL_STATE_TOL:
         raise ValueError(f"initial state is not Hermitian (residual {skew:.3e})")
-    if float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2))) < -tol:
+    if float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2))) < -INITIAL_STATE_TOL:
         raise ValueError("initial state is not positive semidefinite")
-    if frob(rho - four_corners(rho, dfs).ul) > tol:
+    if frob(rho - four_corners(rho, dfs).ul) > INITIAL_STATE_TOL:
         raise ValueError("initial state is not supported on the DFS")
 
 

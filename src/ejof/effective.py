@@ -56,7 +56,7 @@ L_eff is one GKSL assembly of the pieces (:func:`effective_to_superop`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -257,7 +257,8 @@ def _stacked_blocks(lind: StructuredLindbladian, perts) -> np.ndarray:
     with P_inf E != E (the dense oracle on a DFS that is not steady) adds O1
     and O2 of P_inf E - E as stacked D x D products. L^D is applied to the
     K d^2 columns O1 P_inf E in one solve, and the second O1 acts on them as
-    stacked D x D products, 2 + 4J per operator. Exact for any factor. It
+    stacked D x D products, 2 + 4J per operator. Exact for any factor that
+    solves columns: a leaky corner factor or a dense one swapped in. It
     is the one path that stacks the K perturbations' f_l, as (K, J, D, D).
     """
     a, o1, o2 = _unit_terms(lind, perts)
@@ -426,17 +427,15 @@ class EquivalenceReport:
     residual: float
     general_norm: float
     closed_norm: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tol
+        return self.residual <= EQUIVALENCE_TOL
 
 
-def verify_equivalence(lind: StructuredLindbladian, pert: Perturbation,
-                       tol: float = EQUIVALENCE_TOL) -> EquivalenceReport:
+def verify_equivalence(lind: StructuredLindbladian, pert: Perturbation) -> EquivalenceReport:
     """Compare the general and closed routes on the DFS block (:attr:`Study.equivalence`)."""
-    return replace(Study(lind, pert).equivalence, tol=tol)
+    return Study(lind, pert).equivalence
 
 
 @dataclass(frozen=True)
@@ -456,24 +455,22 @@ class IdentityReport:
     offdiag_inverse: float
     resolvent_identity: float
     jump_norm_identity: float
-    tol: float
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tol"}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.tol for r in self.as_dict().values())
+        return all(r <= IDENTITY_TOL for r in self.as_dict().values())
 
 
 def _rel(num: float, scale: float) -> float:
     return num / max(scale, RESIDUAL_FLOOR)
 
 
-def identity_suite(lind: StructuredLindbladian, pert: Perturbation,
-                   tol: float = IDENTITY_TOL) -> IdentityReport:
+def identity_suite(lind: StructuredLindbladian, pert: Perturbation) -> IdentityReport:
     """Check the operator identities behind the closed route (:attr:`Study.identities`)."""
-    return replace(Study(lind, pert).identities, tol=tol)
+    return Study(lind, pert).identities
 
 
 @dataclass(frozen=True)
@@ -489,18 +486,16 @@ class CornerSensitivityReport:
     f_lr_delta: float
     combined_delta: float
     reference_norm: float
-    tol: float
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name.endswith("_delta")}
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.tol for r in self.as_dict().values())
+        return all(r <= CORNER_TOL for r in self.as_dict().values())
 
 
-def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
-                       tol: float = CORNER_TOL) -> CornerSensitivityReport:
+def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation) -> CornerSensitivityReport:
     """Recompute the general route with inert perturbation corners removed.
 
     The four stripped perturbations come from one corner split of V and of
@@ -521,7 +516,7 @@ def corner_sensitivity(lind: StructuredLindbladian, pert: Perturbation,
     scale = max(frob(reference), RESIDUAL_FLOOR)
     # The variants come in the report's field order: v_lr, f_ur, f_lr, combined.
     return CornerSensitivityReport(*(frob(other - reference) / scale for other in stripped),
-                                   reference_norm=frob(reference), tol=tol)
+                                   reference_norm=frob(reference))
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,7 +526,8 @@ class Study:
     Attributes are computed on first read and kept. ``general`` is a K = 1
     evaluation that reads only the generator's own factor and asymptotic
     projection, never a closed-route attribute, so the routes stay
-    independent. The reports carry the default tolerances.
+    independent. Each report passes by its module constant (EQUIVALENCE_TOL,
+    IDENTITY_TOL, CORNER_TOL).
     """
 
     lind: StructuredLindbladian
@@ -557,7 +553,6 @@ class Study:
             residual=frob(self.general - self.closed_block) / max(general_norm, RESIDUAL_FLOOR),
             general_norm=general_norm,
             closed_norm=frob(self.closed_block),
-            tol=EQUIVALENCE_TOL,
         )
 
     @cached_property
@@ -614,7 +609,6 @@ class Study:
             offdiag_inverse=offdiag_res,
             resolvent_identity=resolvent_res,
             jump_norm_identity=jump_res,
-            tol=IDENTITY_TOL,
         )
 
     @cached_property

@@ -36,14 +36,14 @@ the decaying-corner blocks of L. Under the normal form these blocks (ll, ur
 and lr, block diagonal) and the feed into the DFS corner are Kronecker
 functions of K_qq and the jumps' decaying columns, with W = sum_l F_l† F_l
 summed once and made exactly Hermitian, so that H_qq + (i/2) W_qq is
-K_qq†; none is formed: ll is solved by one n x n LU of -i K_qq, ur by the
-same LU conjugated, and lr by a Bartels-Stewart sweep on the factor's own
-Schur form of K_qq (:class:`LrSweep`), so the factor holds O(n^2) entries
-where the lr block has n^4. Only when an entry leaks off its corner, or H
-is not exactly Hermitian, is L assembled, once, in K form with one GEMM for
-the jump sum (:func:`~ejof.operators.gksl_superop`), and L_rr gathered
-whole and LU-factored. An LU with a zero or tiny pivot, or a sweep with a
-zero or tiny shift, raises :class:`SingularBlockError`. The closed route's sector
+K_qq†; none is formed: ll is inverted by one n x n LU of -i K_qq, ur by
+the same LU conjugated, and lr by a Bartels-Stewart sweep on the factor's
+own Schur form of K_qq (:class:`LrSweep`), so the factor holds O(n^2)
+entries where the lr block has n^4. Only when an entry leaks off its
+corner, or H is not exactly Hermitian, is L assembled, once, in K form with
+one GEMM for the jump sum (:func:`~ejof.operators.gksl_superop`), and L_rr
+gathered whole and LU-factored: only such a factor solves columns. An LU
+with a zero or tiny pivot, or a sweep with a zero or tiny shift, raises :class:`SingularBlockError`. The closed route's sector
 map sigma -> -i(K sigma - sigma K†) is the lr map with K' = K†: its sweep
 (``decaying_sector``) is built on first read from ``k_schur`` alone, so
 each route has its own K, Schur form and sweep. The map's dense Kronecker
@@ -218,10 +218,10 @@ class LrSweep:
     Y_c as one (n, m) block, and y[j].T is the F-ordered (m, n) block that
     BLAS reads. Each step is then one in-place triangular solve from the
     right (BLAS ztrsm) on y[j].T, by the transpose of -i T + i s_jj I, or
-    for the adjoint by its conjugate i conj(T) - i conj(s_jj) I. Entering
-    the frame is two matrix products. Leaving it is two more, made in place
-    on the stack, so that it makes no copy of the stack: conj(V) on the
-    leading axis, ``LEAVE_COLUMNS`` columns at a time, then U on each row
+    for the adjoint by its conjugate i conj(T) - i conj(s_jj) I. Callers
+    form their stacks in the frame. Leaving it is two matrix products, made
+    in place on the stack, so that it makes no copy of the stack: conj(V) on
+    the leading axis, ``LEAVE_COLUMNS`` columns at a time, then U on each row
     block. A stack leaves as [q, p, c] = X_c[p, q], which reshapes to the
     (n^2, m) vec columns of the X_c. A shift -i t_pp + i s_jj whose modulus
     is zero or below ``PIVOT_RATIO_FLOOR`` times the largest raises
@@ -250,13 +250,6 @@ class LrSweep:
         """
         return cls(t=t, u=u, s=dagger(t)[::-1, ::-1], v=u[:, ::-1])
 
-    def enter(self, cols: np.ndarray) -> np.ndarray:
-        """Vec columns C_c (rows a + n b) as the Schur-frame stack [j, p, c] = (U† C_c V)[p, j]."""
-        n, m = self.t.shape[0], cols.shape[1]
-        # cols[a + n b, c] read as [b, (a, c)]: V^T on the left gives [j, a, c] = (C_c V)[a, j].
-        cv = (self.v.T @ cols.reshape(n, n * m)).reshape(n, n, m)
-        return self.u.conj().T @ cv
-
     def leave(self, y: np.ndarray) -> np.ndarray:
         """X_c = U Y_c V† for the stack y[j, p, c] = Y_c[p, j], written over y as X_c[p, q] at [q, p, c]."""
         n = y.shape[0]
@@ -266,13 +259,6 @@ class LrSweep:
         for q in range(n):
             y[q] = self.u @ y[q]
         return y
-
-    def solve(self, cols: np.ndarray) -> np.ndarray:
-        """The solutions X_c of vec columns C_c, as an (n, n, m) array [q, p, c] = X_c[p, q].
-
-        Reshaped to (n^2, m), it is the vec columns of the X_c.
-        """
-        return self.leave(self.sweep(self.enter(cols)))
 
     def sweep(self, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve the stack y in the Schur frame, in place: lr, or with ``adjoint`` lr†."""
@@ -321,18 +307,19 @@ class CornerFactor:
 
     for X the (n, d), (d, n) and (n, n) corner of an operator, and the lr
     columns of L_ur map X to sum_l A_l X A_l†, A_l = F_l[idx, rest], one
-    index gather on ``jumps``. No block is formed: ll is solved by one n x n
-    LU of -i K_qq on reshaped right-hand sides, and ur by the same LU
-    conjugated, since ur X = C is i K_qq^* X^T = C^T with i K_qq^* =
-    conj(-i K_qq); lr by a Bartels-Stewart sweep on the factor's own Schur
-    form of K_qq (:class:`LrSweep`); and G, whose ll and ur columns are
-    zero, by the adjoint sweep on the d^2 operators sum_l A_l† b_i b_j† A_l.
+    index gather on ``jumps``. No block is formed: ll is inverted by one
+    n x n LU of -i K_qq, and ur by the same LU conjugated, since ur X = C is
+    i K_qq^* X^T = C^T with i K_qq^* = conj(-i K_qq); lr by a
+    Bartels-Stewart sweep on the factor's own Schur form of K_qq
+    (:class:`LrSweep`); and G, whose ll and ur columns are zero, by the
+    adjoint sweep on the d^2 operators sum_l A_l† b_i b_j† A_l.
     K_qq is formed here, never read off the generator's ``k``, ``k_schur``
     or ``decaying_sector``, so the general route shares no input with the
     closed one. With a leaking entry (leakage below the tolerance, a
     non-Hermitian H, or a generator that fails its checks), L is assembled
     (``superop``, on first read, with this W) and L_rr and L_ur are gathered
-    whole, so no entry of L is dropped, and L_rr is LU-factored in place.
+    whole, so no entry of L is dropped, and L_rr is LU-factored in place:
+    only this factor solves columns (:meth:`apply_drazin`).
 
     The frame is the permutation ``dfs.order``, and ``dfs.vec_order`` gives
     the vec index of each frame position, so entering or leaving the frame is
@@ -366,7 +353,7 @@ class CornerFactor:
     def _factored(self) -> tuple[tuple, np.ndarray]:
         """The factors of L_rr, and G = L_ur L_rr^-1.
 
-        The factors are (LU of L_rr,) when ``leaky``, and otherwise (LU of
+        The factors are the LU of L_rr when ``leaky``, and otherwise (LU of
         -i K_qq, :class:`LrSweep` of lr).
         """
         _warn_if_gap_small(self.gap, self.thresh)
@@ -374,7 +361,7 @@ class CornerFactor:
         u, r = self.dfs.vec_order[:d * d], self.dfs.vec_order[d * d:]
         if self.leaky:
             lu = _lu(self._gather(r, r), r.size)
-            return (lu,), dagger(zgetrs(*lu, dagger(self.superop[np.ix_(u, r)]), trans=2)[0])
+            return lu, dagger(zgetrs(*lu, dagger(self.superop[np.ix_(u, r)]), trans=2)[0])
         idx, rest = self.dfs.indices, self.dfs.rest
         lr_of = (rest[:, None], rest)
         k = self.h[lr_of] - 0.5j * self.w[lr_of]
@@ -391,23 +378,6 @@ class CornerFactor:
         g[:, 2 * d * n:] = np.conjugate(z, out=z).reshape(n * n, d * d).T
         return (ll, lr), g
 
-    def _solve_rr(self, y_r: np.ndarray, z_r: np.ndarray) -> None:
-        """Write L_rr^-1 y_r into z_r, for columns y_r in corner order."""
-        factors, _ = self._factored
-        if self.leaky:
-            z_r[:] = zgetrs(*factors[0], y_r)[0]
-            return
-        (ll, lr), d, n = factors, self.dfs.d, self.dfs.n_decay
-        dn, m = d * n, y_r.shape[1]
-        # ll: column c holds X_c (n, d) at rows a + n b; solve -i K_qq X_c = C_c on [a, (b, c)].
-        x = zgetrs(*ll, y_r[:dn].reshape(d, n, m).transpose(1, 0, 2).reshape(n, d * m))[0]
-        z_r[:dn].reshape(d, n, m)[:] = x.reshape(n, d, m).transpose(1, 0, 2)
-        # ur: X_c (d, n) at rows i + d k, read as [k, (i, c)], is X_c^T: solve
-        # i K_qq^* X_c^T = C_c^T, the ll solve conjugated, as i K_qq^* = conj(-i K_qq).
-        y = y_r[dn:2 * dn].reshape(n, d * m).conj()
-        z_r[dn:2 * dn] = zgetrs(*ll, y)[0].conj().reshape(dn, m)
-        z_r[2 * dn:].reshape(n, n, m)[:] = lr.solve(y_r[2 * dn:])
-
     def _leave(self, z: np.ndarray) -> np.ndarray:
         """Frame columns z, in corner order, scattered back to vec order."""
         out = np.empty(z.shape, dtype=complex)
@@ -415,11 +385,12 @@ class CornerFactor:
         return out
 
     def apply_drazin(self, y: np.ndarray) -> np.ndarray:
-        """L^D y = [G z_r; z_r] in the frame, z_r = L_rr^-1 y_r, for columns y."""
-        _, g = self._factored
-        m = self.dfs.d ** 2
+        """L^D y = [G z_r; z_r] in the frame, z_r = L_rr^-1 y_r, for columns y. Leaky only."""
+        if not self.leaky:
+            raise ValueError("a normal-form corner factor has no column solve")
+        (lu, g), m = self._factored, self.dfs.d ** 2
         z = np.empty(y.shape, dtype=complex)
-        self._solve_rr(y[self.dfs.vec_order[m:]], z[m:])
+        z[m:] = zgetrs(*lu, y[self.dfs.vec_order[m:]])[0]
         np.matmul(g, z[m:], out=z[:m])
         return self._leave(z)
 
@@ -452,34 +423,31 @@ class CornerFactor:
     def drazin(self) -> np.ndarray:
         """L^D = [[0, G L_rr^-1], [0, L_rr^-1]] in the frame, written block by block.
 
-        Leaky, L_rr^-1 is its LU solved against the identity (LAPACK getrs).
-        Otherwise the lr inverse is the sweep of the n^2 units q_a q_b†, whose
-        Schur-frame right-hand sides U† q_a q_b† V are one outer product of
-        the rows of V and conj U; the sweep's own stack reshapes to its
-        (n^2, n^2) columns. The ll and ur inverses, I_d kron (-i K_qq)^-1
-        and conj((-i K_qq)^-1) kron I_d, are written on the strided diagonals
-        of the output's (D, D, D, D) view, [q, p, b, a] the entry at
+        Leaky, it is :meth:`apply_drazin` of the identity. Otherwise the lr
+        inverse is the sweep of the n^2 units q_a q_b†, whose Schur-frame
+        right-hand sides U† q_a q_b† V are one outer product of the rows of V
+        and conj U; the sweep's own stack reshapes to its (n^2, n^2) columns.
+        The ll and ur inverses, I_d kron (-i K_qq)^-1 and
+        conj((-i K_qq)^-1) kron I_d, are written on the strided diagonals of
+        the output's (D, D, D, D) view, [q, p, b, a] the entry at
         (p + D q, a + D b): one (n, n) write per DFS index each. The ul row
         is G times L_rr^-1, whose ll and ur columns are zero here.
         """
-        factors, g = self._factored
-        order, m = self.dfs.vec_order, self.dfs.d ** 2
-        out = np.zeros((order.size,) * 2, dtype=complex)
         if self.leaky:
-            rows = order[m:]
-            inv = zgetrs(*factors[0], np.eye(rows.size, dtype=complex, order="F"),
-                         overwrite_b=True)[0]
-        else:
-            (ll, lr), n, rest = factors, self.dfs.n_decay, self.dfs.rest
-            rows = order[-n * n:]
-            # Unit c = a + n b: U† q_a q_b† V = conj(U[a, :])^T V[b, :], laid out as [j, p, (b, a)].
-            units = lr.v.T[:, None, :, None] * lr.u.conj().T[:, None]
-            inv = lr.leave(lr.sweep(units.reshape(n, n, n * n))).reshape(n * n, n * n)
-            view = out.reshape((self.dfs.dim,) * 4)
-            inv_ll = zgetrs(*ll, np.eye(n, dtype=complex))[0]
-            for i in self.dfs.indices:
-                view[i, rest[:, None], i, rest] = inv_ll
-                view[rest[:, None], i, rest, i] = inv_ll.conj()  # ur's LU is ll's conjugated
+            return self.apply_drazin(np.eye(self.dfs.dim ** 2, dtype=complex))
+        (ll, lr), g = self._factored
+        order, m = self.dfs.vec_order, self.dfs.d ** 2
+        n, rest = self.dfs.n_decay, self.dfs.rest
+        out = np.zeros((order.size,) * 2, dtype=complex)
+        rows = order[-n * n:]
+        # Unit c = a + n b: U† q_a q_b† V = conj(U[a, :])^T V[b, :], laid out as [j, p, (b, a)].
+        units = lr.v.T[:, None, :, None] * lr.u.conj().T[:, None]
+        inv = lr.leave(lr.sweep(units.reshape(n, n, n * n))).reshape(n * n, n * n)
+        view = out.reshape((self.dfs.dim,) * 4)
+        inv_ll = zgetrs(*ll, np.eye(n, dtype=complex))[0]
+        for i in self.dfs.indices:
+            view[i, rest[:, None], i, rest] = inv_ll
+            view[rest[:, None], i, rest, i] = inv_ll.conj()  # ur's LU is ll's conjugated
         out[np.ix_(rows, rows)] = inv
         out[np.ix_(order[:m], rows)] = g[:, -rows.size:] @ inv
         return out
@@ -581,7 +549,7 @@ def _dfs_columns(h, w, jumps, dfs: DfsProjector) -> np.ndarray:
     return cols.reshape(dim * dim, d * d)
 
 
-def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
+def _diagnose(h, jumps, dfs: DfsProjector):
     """(report, K, W, Schur form of K_qq, zero cut, whether any entry leaks).
 
     An entry leaks when it lies in H outside lr or in a jump outside ur; each
@@ -624,7 +592,7 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
     if leaky:
         steady = float(np.max(np.linalg.norm(_dfs_columns(h, w, jumps, dfs), axis=0))) / scale_s
     multiplicity = gap = None
-    if max((h_herm, h_block) + jump_res) <= tol:
+    if max((h_herm, h_block) + jump_res) <= DEFAULT_TOL:
         nonzero = mags[mags > thresh]
         multiplicity = int(mags.size - nonzero.size)
         gap = float(np.min(nonzero)) if nonzero.size else np.inf
@@ -636,13 +604,13 @@ def _diagnose(h, jumps, dfs: DfsProjector, tol: float):
         zero_multiplicity=multiplicity,
         expected_multiplicity=dfs.d ** 2,
         spectral_gap=gap,
-        tol=tol,
+        tol=DEFAULT_TOL,
     )
     return report, k, w, k_schur, thresh, leaky
 
 
-def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True,
-                           tol: float = DEFAULT_TOL) -> StructuredLindbladian:
+def structured_lindbladian(h, jumps, dfs: DfsProjector, *,
+                           validate: bool = True) -> StructuredLindbladian:
     """Build a :class:`StructuredLindbladian`, validating the normal form.
 
     With validate=True (default) a violated structural assumption raises
@@ -674,7 +642,7 @@ def structured_lindbladian(h, jumps, dfs: DfsProjector, *, validate: bool = True
     if dfs.d >= dfs.dim:
         raise ValueError("DFS must be a proper subspace (nonempty decaying block)")
     jumps = operator_stack(jumps, h, "jump", "hamiltonian")
-    rep, k, w, k_schur, thresh, leaky = _diagnose(h, jumps, dfs, tol)
+    rep, k, w, k_schur, thresh, leaky = _diagnose(h, jumps, dfs)
     if validate and not rep.passed:
         raise StructureError("; ".join(rep.failures()))
     factor = CornerFactor(h=h, jumps=jumps, w=w, dfs=dfs, thresh=thresh, gap=rep.spectral_gap,
@@ -702,16 +670,14 @@ def min_decay_rate(s: np.ndarray) -> float:
     return float(rates[0])
 
 
-def asymptotic_projection_limit(s: np.ndarray, *, t: float | None = None,
-                                factor: float = 40.0) -> np.ndarray:
+def asymptotic_projection_limit(s: np.ndarray, *, t: float) -> np.ndarray:
     """Large-time oracle for the asymptotic projection: exp(t S).
 
-    By default t = factor / (smallest decay rate), long enough that every
-    decaying direction is suppressed below round-off relative to the result.
+    t must be long enough that every decaying direction is suppressed below
+    round-off relative to the result, such as 40 over the smallest decay
+    rate (:func:`min_decay_rate`).
     """
     s = as_operator(s)
-    if t is None:
-        t = factor / min_decay_rate(s)
     if t < 0:
         raise ValueError("time must be nonnegative")
     return expm(t * s)

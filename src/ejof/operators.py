@@ -72,10 +72,10 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def require_hermitian(a: np.ndarray, what: str = "operator", tol: float = DEFAULT_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray, what: str = "operator") -> np.ndarray:
     a = as_operator(a)
     resid = frob(a - dagger(a))
-    if resid > tol * max(1.0, frob(a)):
+    if resid > DEFAULT_TOL * max(1.0, frob(a)):
         raise ValueError(f"{what} is not Hermitian (residual {resid:.3e})")
     return a
 
@@ -182,9 +182,6 @@ class Corners:
     ur: np.ndarray
     ll: np.ndarray
     lr: np.ndarray
-
-    def total(self) -> np.ndarray:
-        return self.ul + self.ur + self.ll + self.lr
 
 
 def four_corners(op: np.ndarray, dfs: DfsProjector) -> Corners:

@@ -42,6 +42,14 @@ from .operators import (
 )
 from .scenarios import _frobs, coherent_cancellation_drive, orthogonality_residual, surjectivity_residual
 
+# Largest residual of a recovery condition, and of the correctability fit,
+# that still counts as met.
+RECOVERY_TOL = 1e-10
+CORRECTABILITY_TOL = 1e-9
+# The obstruction table's decaying-block Hamiltonian: its scale and the seed it is drawn from.
+OBSTRUCTION_HAMILTONIAN_SCALE = 0.3
+OBSTRUCTION_SEED = 7
+
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -116,21 +124,20 @@ class RecoveryConditionsReport:
     decay_completeness: float
     channel_completeness: float
     jumps_into_code: tuple[float, ...]
-    tol: float
 
     def failures(self) -> list[str]:
         out = []
         for i, r in enumerate(self.surjectivity):
-            if r > self.tol:
+            if r > RECOVERY_TOL:
                 out.append(f"jump {i} violates surjectivity (residual {r:.3e})")
-        if self.orthogonality > self.tol:
+        if self.orthogonality > RECOVERY_TOL:
             out.append(f"jump pair overlap (residual {self.orthogonality:.3e})")
-        if self.decay_completeness > self.tol:
+        if self.decay_completeness > RECOVERY_TOL:
             out.append(f"sum F† F != decaying projector (residual {self.decay_completeness:.3e})")
-        if self.channel_completeness > self.tol:
+        if self.channel_completeness > RECOVERY_TOL:
             out.append(f"channel is not trace preserving (residual {self.channel_completeness:.3e})")
         for i, r in enumerate(self.jumps_into_code):
-            if r > self.tol:
+            if r > RECOVERY_TOL:
                 out.append(f"jump {i} does not map decaying states into the code (residual {r:.3e})")
         return out
 
@@ -139,7 +146,7 @@ class RecoveryConditionsReport:
         return not self.failures()
 
 
-def check_recovery_conditions(rec: RecoveryChannel, tol: float = 1e-10) -> RecoveryConditionsReport:
+def check_recovery_conditions(rec: RecoveryChannel) -> RecoveryConditionsReport:
     code, kraus = rec.code, rec.kraus
     w = sum(dagger(kraus) @ kraus)
     eye = np.eye(rec.dim, dtype=complex)
@@ -153,7 +160,6 @@ def check_recovery_conditions(rec: RecoveryChannel, tol: float = 1e-10) -> Recov
         decay_completeness=decay,
         channel_completeness=channel,
         jumps_into_code=tuple(map(float, into_code)),
-        tol=tol,
     )
 
 
@@ -202,14 +208,13 @@ class CorrectabilityVerdict:
 
     constant: complex
     residual: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tol
+        return self.residual <= CORRECTABILITY_TOL
 
 
-def correctability_check(detectable_parts, rec: RecoveryChannel, tol: float = 1e-9) -> CorrectabilityVerdict:
+def correctability_check(detectable_parts, rec: RecoveryChannel) -> CorrectabilityVerdict:
     """Check the detectable error channel E(rho) = sum f_ll rho f_ll† is correctable.
 
     Builds the compressed codespace matrix of rho -> R(E(rho)) and fits the
@@ -228,7 +233,7 @@ def correctability_check(detectable_parts, rec: RecoveryChannel, tol: float = 1e
     d2 = m.shape[0]
     c = complex(np.trace(m) / d2)
     resid = frob(m - c * np.eye(d2)) / max(frob(m), 1e-300)
-    return CorrectabilityVerdict(constant=c, residual=resid, tol=tol)
+    return CorrectabilityVerdict(constant=c, residual=resid)
 
 
 def pauli_miscalibration(kind: str, eps: float) -> Perturbation:
@@ -325,8 +330,9 @@ class ObstructionTable:
         raise KeyError((hamiltonian_on, detectable_on))
 
 
-def hamiltonian_obstruction_demo(eps: float = 1e-2, hamiltonian_scale: float = 0.3,
-                                 seed: int = 7) -> ObstructionTable:
+def hamiltonian_obstruction_demo(eps: float = 1e-2,
+                                 hamiltonian_scale: float = OBSTRUCTION_HAMILTONIAN_SCALE,
+                                 seed: int = OBSTRUCTION_SEED) -> ObstructionTable:
     """Build the obstruction table for the repetition code.
 
     f_ll = 0 cells use Z-type miscalibrations (purely undetectable on the

@@ -136,29 +136,25 @@ def orthogonality_residual(jumps) -> float:
     return worst
 
 
-def random_orthogonal_family(d: int, blocks, seed: int, *, total_decaying: int | None = None):
+def random_orthogonal_family(d: int, blocks, seed: int):
     """Random jump family on disjoint decaying blocks.
 
     blocks lists the decaying dimension N_l addressed by each jump; the full
-    space has dimension d + total_decaying (default: d + sum(blocks)). Each
-    jump is a random surjective map from its block onto the DFS, so the
-    orthogonality condition F_l F_l'† = 0 holds exactly by construction.
+    space has dimension d + sum(blocks). Each jump is a random surjective map
+    from its block onto the DFS, so the orthogonality condition
+    F_l F_l'† = 0 holds exactly by construction.
 
     Returns (jumps, DfsProjector), the jumps as one (J, D, D) array. Note a
     zero-Hamiltonian generator built on the family relaxes onto a unique DFS
-    only when the blocks cover the decaying space exactly AND each block has
-    size d: a jump has rank at most d, so a wider block leaves dark
-    directions that never decay. Wider blocks are still valid for condition
+    only when each block has size d: a jump has rank at most d, so a wider
+    block leaves dark directions that never decay. Wider blocks are still valid for condition
     checks or with a mixing Hamiltonian.
     """
     blocks = list(blocks)
     if any(b < d for b in blocks):
         raise ValueError(f"every block must be at least the DFS dimension d={d}, got {blocks}")
-    n_total = sum(blocks) if total_decaying is None else int(total_decaying)
-    if sum(blocks) > n_total:
-        raise ValueError(f"blocks {blocks} exceed the decaying dimension {n_total}")
     rng = np.random.default_rng(seed)
-    dim = d + n_total
+    dim = d + sum(blocks)
     dfs = DfsProjector.from_indices(dim, range(d))
     jumps = np.zeros((len(blocks), dim, dim), dtype=complex)
     offset = d
@@ -271,8 +267,7 @@ def coherent_cancellation_drive(lind: StructuredLindbladian, fs, *,
     return pert
 
 
-def universal_dissipation(lind: StructuredLindbladian, target_h, target_jumps, *,
-                          tol: float = DEFAULT_TOL) -> Perturbation:
+def universal_dissipation(lind: StructuredLindbladian, target_h, target_jumps) -> Perturbation:
     """Perturbation realizing a target DFS generator exactly at second order.
 
     Given DFS-supported targets (V_target Hermitian, jumps t_l), the
@@ -287,9 +282,10 @@ def universal_dissipation(lind: StructuredLindbladian, target_h, target_jumps, *
     dfs, big = lind.dfs, lind.jumps
     if len(targets) > len(big):
         raise ValueError(f"{len(targets)} target jumps but only {len(big)} unperturbed jumps")
-    if frob(target_h - four_corners(target_h, dfs).ul) > tol * max(1.0, frob(target_h)):
+    if frob(target_h - four_corners(target_h, dfs).ul) > DEFAULT_TOL * max(1.0, frob(target_h)):
         raise ValueError("target Hamiltonian must be supported on the DFS corner")
-    off = _frobs(targets - four_corners(targets, dfs).ul) > tol * np.maximum(1.0, _frobs(targets))
+    off = (_frobs(targets - four_corners(targets, dfs).ul)
+           > DEFAULT_TOL * np.maximum(1.0, _frobs(targets)))
     if off.any():
         raise ValueError(f"target jump {np.argmax(off)} must be supported on the DFS corner")
     fs = np.concatenate([targets, np.zeros((len(big) - len(targets), dfs.dim, dfs.dim), dtype=complex)])

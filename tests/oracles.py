@@ -207,10 +207,23 @@ def nh_hamiltonian(h: np.ndarray, jumps) -> np.ndarray:
     return k
 
 
-def structure_report(h, jumps, dfs: DfsProjector, tol: float = DEFAULT_TOL):
+def sweep_frame(sweep, cols: np.ndarray) -> np.ndarray:
+    """Vec columns C_c (rows a + n b) as an LrSweep's Schur-frame stack [j, p, c] = (U† C_c V)[p, j].
+
+    ``sweep.leave(sweep.sweep(sweep_frame(sweep, cols)))`` is then the
+    solutions X_c as an (n, n, m) array [q, p, c] = X_c[p, q], which reshapes
+    to their (n^2, m) vec columns.
+    """
+    n, m = sweep.t.shape[0], cols.shape[1]
+    # cols[a + n b, c] read as [b, (a, c)]: V^T on the left gives [j, a, c] = (C_c V)[a, j].
+    cv = (sweep.v.T @ cols.reshape(n, n * m)).reshape(n, n, m)
+    return sweep.u.conj().T @ cv
+
+
+def structure_report(h, jumps, dfs: DfsProjector):
     """The structural checks of a generator, evaluated without raising."""
     h = as_operator(h)
-    return _diagnose(h, operator_stack(jumps, h, "jump", "hamiltonian"), dfs, tol)[0]
+    return _diagnose(h, operator_stack(jumps, h, "jump", "hamiltonian"), dfs)[0]
 
 
 class NonSemisimpleZeroError(np.linalg.LinAlgError):

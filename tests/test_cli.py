@@ -422,6 +422,14 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_seed_in_a_problem_file_is_named_by_its_key(tmp_path, capsys):
+    # numpy draws only from a nonnegative seed; the file's key is named, not numpy's message.
+    problem = write_problem(tmp_path, {"version": 1, "scenario": {"name": "cancellation"},
+                                       "seed": -1})
+    assert main(["effective", problem]) == 2
+    assert capsys.readouterr().err == "error: seed: must be nonnegative, got -1\n"
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     problem = write_problem(tmp_path, {"version": 1, "scenari": {"name": "three-level"}})
     assert main(["effective", problem]) == 2
@@ -676,7 +684,11 @@ SCENARIO_FLOAT_FLAGS = [
     (["qec", "repetition", "--miscal", "X", "--eps", "1e200"], "--eps"),
     (["qec", "repetition", "--obstruction", "--hamiltonian-scale", "nan"],
      "--hamiltonian-scale"),
-] + [(["scenario", "three-level", f"{flag}=-inf"], flag) for flag in SCENARIO_FLOAT_FLAGS])
+] + [(["scenario", "three-level", f"{flag}=-inf"], flag) for flag in SCENARIO_FLOAT_FLAGS] + [
+    # numpy draws only from a nonnegative seed.
+    (["scenario", "cancellation", "--seed", "-1"], "--seed"),
+    (["verify", "--random", "2", "2", "1", "-1"], "--random"),
+])
 def test_non_finite_flag_exits_two(tmp_path, capsys, argv, flag):
     # argparse rejects the value before any numerics run, naming the flag.
     argv = [three_level_problem(tmp_path) if a == "PROBLEM" else a for a in argv]
@@ -720,6 +732,21 @@ def test_qec_obstruction(tmp_path):
     assert len(cells) == 4
     zero_cells = [c for c in cells if c["zero_expected"]]
     assert len(zero_cells) == 3
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (["qec", "repetition", "--obstruction", "--tol", "1e-300"], {"zero_cells_vanish"}),
+    (["qec", "repetition", "--obstruction", "--tol", "1e6"], {"obstruction_cell_nonzero"}),
+    (["scenario", "coherent-cancel", "--tol", "1e-300"],
+     {"effective_jumps_vanish", "generator_vanishes"}),
+], ids=["zero-cells", "obstruction-cell", "coherent-cancel"])
+def test_a_verdict_fails_where_its_tolerance_cannot_be_met(argv, failed, tmp_path):
+    # Each verdict compares a number of the report with tol: a tol below the
+    # round-off of a vanishing norm, or above the obstruction's norm, fails it.
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == cli.EXIT_VERIFICATION
+    verdicts = load_report(out)["verdicts"]
+    assert {key for key, value in verdicts.items() if value is False} == failed
 
 
 def test_qec_unknown_code(capsys):

@@ -340,8 +340,6 @@ def test_study_reports_match_the_check_functions(generic_instance):
     assert study.equivalence == verify_equivalence(lind, pert)
     assert study.identities == identity_suite(lind, pert)
     assert study.corners == corner_sensitivity(lind, pert)
-    assert verify_equivalence(lind, pert, tol=1e-30).tol == 1e-30
-    assert not identity_suite(lind, pert, tol=0.0).passed
     assert study.scaled_residual <= 1e-12
 
 

@@ -7,6 +7,7 @@ re-exports, and a re-export is not a use.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +80,63 @@ def test_every_public_function_is_referenced_by_the_package_or_the_benchmark():
     assert BENCH, "bench/*.py not found next to the package source"
     modules = {path.name: path.read_text() for path in MODULES}
     assert unreferenced_functions(modules, [path.read_text() for path in BENCH]) == []
+
+
+def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the public top-level functions of the module sources that no call sets.
+
+    A call in a module or a caller sets a parameter by keyword or by
+    position; a ``*`` argument sets every positional parameter, and a ``**``
+    argument every parameter. Calls are matched by the name of the callee,
+    whatever object it is read from.
+    """
+    calls = {}  # callee name -> [(positional count, keyword names or None for **)]
+    for source in [*modules.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append((math.inf if starred else len(node.args),
+                                               None if None in keywords else keywords))
+    out = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)][len(positional) - len(args.defaults):]
+            defaulted += [(math.inf, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            for index, param in defaulted:
+                if not any(count > index or keywords is None or param in keywords
+                           for count, keywords in calls.get(node.name, [])):
+                    out.append(f"{module}: {node.name}({param})")
+    return out
+
+
+def test_detects_a_default_no_call_sets():
+    modules = {"a.py": "def f(x, y=1, z=2, *, k=3, m=4):\n    pass\n\n"
+                       "def g(a=1):\n    pass\n\ndef _h(b=1):\n    pass\n"}
+    caller = "from a import f\nf(0, 5)\nf(0, m=1)\nobj.g(*args)\n"
+    assert unset_defaults(modules, [caller]) == ["a.py: f(z)", "a.py: f(k)"]
+    assert unset_defaults(modules, [caller, "f(**options)\n"]) == []
+    assert unset_defaults(modules, []) == ["a.py: f(y)", "a.py: f(z)", "a.py: f(k)", "a.py: f(m)",
+                                           "a.py: g(a)"]
+
+
+CALLERS = sorted(path for folder in ("bench", "tests", "tools")
+                 for path in (Path(ejof.__file__).parents[2] / folder).glob("*.py"))
+
+
+def test_every_default_of_a_public_function_is_set_by_some_call():
+    # A default that no call in the package, the benchmark, the tests or the
+    # tools overrides is a constant: it belongs in the body, named.
+    assert CALLERS, "bench/, tests/ and tools/ not found next to the package source"
+    modules = {path.name: path.read_text() for path in MODULES}
+    assert unset_defaults(modules, [path.read_text() for path in CALLERS]) == []
 
 
 def imports_cli(source: str) -> bool:

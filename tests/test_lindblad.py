@@ -63,6 +63,7 @@ from oracles import (
     relabelled,
     star_commutator,
     structure_report,
+    sweep_frame,
     vectorize,
 )
 
@@ -305,10 +306,15 @@ def test_nh_superop_inverse_lr_consistent(generic_instance):
         sigma = four_corners(sigma, dfs).lr
         want = devectorize(nh_superop_inverse_lr(lind.k, dfs) @ vectorize(sigma))
         bq = dense_dfs(dfs).basis_c
-        swept = lind.decaying_sector.solve(vectorize(dagger(bq) @ sigma @ bq)[:, None])
+        swept = _sector_solve(lind.decaying_sector, vectorize(dagger(bq) @ sigma @ bq)[:, None])
         cached = bq @ devectorize(swept.reshape(-1)) @ dagger(bq)
         for got in (nh_superop_solve(lind.k, sigma, dfs), cached):
             assert frob(got - want) <= 1e-11 * frob(want), name
+
+
+def _sector_solve(sector, cols):
+    """The sweep's solutions X_c of vec columns C_c, as [q, p, c] = X_c[p, q]."""
+    return sector.leave(sector.sweep(sweep_frame(sector, cols)))
 
 
 # The sweep's cases: a defective K (n = 2 Jordan block), the stiff n = 12
@@ -329,13 +335,13 @@ def test_stacked_sector_solve_matches_slices_and_kronecker_oracle(make):
     n = dfs.n_decay
     rng = np.random.default_rng(5)
     c = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
-    got = devectorize_columns(sector.solve(vectorize_stack(c)).reshape(n * n, 6))
+    got = devectorize_columns(_sector_solve(sector, vectorize_stack(c)).reshape(n * n, 6))
     assert got.shape == c.shape
     lr = dfs.vec_order[-n * n:]
     kron = nh_superop_inverse_lr(lind.k, dfs)[np.ix_(lr, lr)]
     want = devectorize_columns(kron @ vectorize_stack(c))
     for got_s, c_s, want_s in zip(got, c, want):
-        single = devectorize(sector.solve(vectorize(c_s)[:, None]).reshape(-1))
+        single = devectorize(_sector_solve(sector, vectorize(c_s)[:, None]).reshape(-1))
         assert frob(got_s - single) <= 1e-12 * frob(single)
         assert frob(got_s - want_s) <= 1e-12 * frob(want_s)
 
@@ -353,7 +359,7 @@ def test_sector_solve_refuses_a_shared_eigenvalue(offset, singular):
             LrSweep.of_adjoint_pair(t, np.eye(2, dtype=complex))
     else:
         sector = LrSweep.of_adjoint_pair(t, np.eye(2, dtype=complex))
-        sigma = devectorize(sector.solve(vectorize(c)[:, None]).reshape(-1))
+        sigma = devectorize(_sector_solve(sector, vectorize(c)[:, None]).reshape(-1))
         residual = frob(-1j * (t @ sigma - sigma @ dagger(t)) - c)
         assert residual <= 1e-12 * frob(t) * frob(sigma)
 
@@ -507,11 +513,36 @@ def test_bordered_factor_matches_schur_oracle(make):
     assert frob(lind.drazin - want_d) <= 1e-11 * frob(want_d)
     assert frob(lind.asymptotic_projection - want_p) <= 1e-11 * frob(want_p)
     cols = np.random.default_rng(0).standard_normal((s.shape[0], 3))
-    got = lind.factor.apply_drazin(cols)
+    got = lind.factor.apply_drazin(cols) if lind.factor.leaky else lind.drazin @ cols
     assert frob(got - want_d @ cols) <= 1e-11 * frob(want_d @ cols)
     for adjoint, want in ((False, want_p), (True, dagger(want_p))):
         got = lind.factor.apply_projection(cols, adjoint=adjoint)
         assert frob(got - want @ cols) <= 1e-11 * frob(want @ cols)
+
+
+@pytest.mark.parametrize("leaky, method, message", [
+    (False, "apply_drazin", "a normal-form corner factor has no column solve"),
+    (True, "solve_rank_two", "a leaky corner factor has no rank-two solve"),
+])
+def test_a_corner_factor_refuses_the_other_forms_solve(leaky, method, message):
+    # apply_drazin solves with the LU of the whole L_rr, which only a leaky
+    # factor takes; solve_rank_two with the n x n LU of -i K_qq, which only a
+    # normal-form factor takes.
+    lind = random_structured_instance(2, 3, 2, 11)[0]
+    factor = dataclasses.replace(lind.factor, leaky=leaky)
+    with pytest.raises(ValueError, match=message):
+        getattr(factor, method)(np.zeros((lind.dim ** 2, 1), dtype=complex))
+
+
+@pytest.mark.parametrize("case", ["random", "defective", "stiff", "relabelled"])
+def test_a_forced_leaky_factor_writes_the_normal_form_drazin(case):
+    # Forced leaky, drazin() is apply_drazin of the identity on the LU of the
+    # gathered L_rr; the normal-form writer shares no solve with it.
+    lind = CORNER_CASES[case]()
+    assert not lind.factor.leaky
+    want = lind.factor.drazin()
+    got = dataclasses.replace(lind.factor, leaky=True).drazin()
+    assert frob(got - want) <= 1e-12 * frob(want)
 
 
 def test_corner_factor_is_the_bordered_solve_on_a_leaky_dfs(monkeypatch):

@@ -91,7 +91,7 @@ def test_structured_solves_match_the_dense_normal_form_factor(d, n, n_jumps, see
                                                                extra, scatter):
     # D <= 20: the corner factor solves ll and ur by n x n LUs and lr by a
     # Bartels-Stewart sweep; the oracle forms the three blocks and LU-factors
-    # each. A K = 5 batch of columns goes through apply_drazin at once. With
+    # each. A K = 5 batch of columns goes through the written L^D. With
     # scatter, the basis is relabelled by a permutation, which moves the DFS
     # onto unsorted indices that are not the leading ones.
     assume(d + n <= 20)
@@ -124,7 +124,7 @@ def _assert_matches_the_dense_normal_form_factor(lind, seed):
     cols = rng.standard_normal((lind.dim ** 2, 5 * d * d)) + 1j * rng.standard_normal(
         (lind.dim ** 2, 5 * d * d))
     want = drazin @ cols
-    assert frob(factor.apply_drazin(cols) - want) <= 1e-12 * frob(want)
+    assert frob(factor.drazin() @ cols - want) <= 1e-12 * frob(want)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -135,8 +135,9 @@ def _assert_matches_the_dense_normal_form_factor(lind, seed):
 @example(2, 3, 2, 6, False, True, 2)   # an extra zero jump
 def test_rank_two_route_matches_the_stacked_path(d, n, n_jumps, seed, defective, extra, k):
     # D <= 20, a batch of K >= 2 perturbations of one generator: L^D O1 E read
-    # off the factor's two n x n LUs as six pair kinds on DFS columns, against
-    # the L^D solve and the stacked D x D products of the second O1.
+    # off the factor's n x n LU as six pair kinds on DFS columns, against the
+    # L^D solve of the same factor forced leaky and the stacked D x D products
+    # of the second O1.
     assume(d + n <= 20)
     try:
         lind, pert = random_structured_instance(d, n, n_jumps, seed,
@@ -149,7 +150,10 @@ def test_rank_two_route_matches_the_stacked_path(d, n, n_jumps, seed, defective,
     shape = (k - 1, 1 + len(lind.jumps), lind.dim, lind.dim)
     ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     perts = [pert] + [Perturbation(v=op[0] + dagger(op[0]), fs=tuple(op[1:])) for op in ops]
-    got, want = _general_blocks(lind, perts), _stacked_blocks(lind, perts)
+    # Forced leaky, the factor gathers L_rr whole and LU-factors it: the
+    # reference shares no solve with the route.
+    leaky = dataclasses.replace(lind, factor=dataclasses.replace(lind.factor, leaky=True))
+    got, want = _general_blocks(lind, perts), _stacked_blocks(leaky, perts)
     for got_k, want_k, pert_k in zip(got, want, perts):
         assert frob(got_k - want_k) <= 1e-12 * max(frob(want_k), pert_k.norm() ** 2)
 

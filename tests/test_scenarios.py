@@ -182,8 +182,6 @@ def test_orthogonal_family_is_exactly_orthogonal():
 def test_orthogonal_family_validates_blocks():
     with pytest.raises(ValueError, match="at least the DFS dimension"):
         random_orthogonal_family(2, [1, 2], seed=0)
-    with pytest.raises(ValueError, match="exceed"):
-        random_orthogonal_family(2, [2, 2], seed=0, total_decaying=3)
 
 
 def zero_hamiltonian_check(jumps, fs, dfs):
