@@ -60,7 +60,6 @@ from .scenarios import (
 from .qec import (
     MiscalibrationEntry,
     ObstructionTable,
-    RecoveryChannel,
     RobustnessReport,
     check_recovery_conditions,
     classify_miscalibration,

@@ -46,6 +46,7 @@ from .effective import Perturbation, Study, random_structured_instance
 from .lindblad import StructureError, structured_lindbladian
 from .operators import DfsProjector, dagger, projector_frame
 from .qec import (
+    MISCALIBRATION_EPS,
     OBSTRUCTION_HAMILTONIAN_SCALE,
     OBSTRUCTION_SEED,
     hamiltonian_obstruction_demo,
@@ -761,8 +762,8 @@ def cmd_qec(args, inputs: Inputs) -> Outcome:
     if args.hamiltonian_scale is not None:
         raise ProblemFormatError("--hamiltonian-scale", "only the obstruction table has a "
                                  "decaying-block Hamiltonian; use it with --obstruction")
-    rec, lind = repetition_code_recovery()
-    rep = robustness_check(rec, Study(lind, pauli_miscalibration(args.miscal, args.eps)), tol=tol)
+    _, lind = repetition_code_recovery()
+    rep = robustness_check(Study(lind, pauli_miscalibration(args.miscal, args.eps)), tol=tol)
     report = {
         "code": "repetition",
         "miscalibration": args.miscal,
@@ -946,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qec.add_argument("code", help="error-correcting code (repetition)")
     p_qec.add_argument("--miscal", choices=("X", "Y", "Z"), default=None,
                        help="Pauli type of the per-qubit miscalibration")
-    p_qec.add_argument("--eps", type=_finite_float, default=0.01,
+    p_qec.add_argument("--eps", type=_finite_float, default=MISCALIBRATION_EPS,
                        help="miscalibration strength")
     p_qec.add_argument("--obstruction", action="store_true",
                        help="emit the Hamiltonian obstruction table instead")

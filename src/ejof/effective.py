@@ -590,9 +590,10 @@ class Study:
                                     (lu_solve(lu, eye, trans=2), -1j * dagger(kinv), 1))
         ))
 
-        # Resolvent identity on the decaying block, W_qq = sum_l F_l[:, Q]† F_l[:, Q].
-        f_q = lind.jumps[..., dfs.rest].reshape(-1, dfs.n_decay)
-        lhs = dagger(kinv) @ (dagger(f_q) @ f_q) @ kinv
+        # Resolvent identity on the decaying block, W_qq = sum_l A_l† A_l for A_l = F_l[P, Q]:
+        # the identities are read where the structure checks passed: F_l is A_l up to 1e-10 of its norm.
+        a = _blocks(lind.jumps, dfs.indices, dfs.rest).reshape(-1, dfs.n_decay)
+        lhs = dagger(kinv) @ (dagger(a) @ a) @ kinv
         rhs = -1j * (kinv - dagger(kinv))
         resolvent_res = _rel(frob(lhs - rhs), max(frob(lhs), frob(rhs)))
 
@@ -680,7 +681,7 @@ def random_structured_instance(d: int, n: int, n_jumps: int, seed: int, *,
         jumps = np.zeros((n_jumps, dim, dim), dtype=complex)
         for f in jumps:
             f[:d, d:] = _random_matrix(rng, d, n)
-        w = sum(dagger(f) @ f for f in jumps)[d:, d:]
+        w = np.sum(dagger(jumps[:, :d, d:]) @ jumps[:, :d, d:], axis=0)  # W_qq, from A_l alone
         h = np.zeros((dim, dim), dtype=complex)
         try:
             h[d:, d:] = _defective_decaying_hamiltonian(w) if defective_k else _random_hermitian(rng, n)

@@ -1,11 +1,12 @@
 """Continuous quantum error correction as a DFS, and its robustness.
 
 A recovery channel R(rho) = R0 rho R0† + sum_l F_l rho F_l† applied
-continuously at unit rate generates L = R - identity. When R0 is
-proportional to the codespace projector its contribution cancels against the
-identity on the codespace, so the generator is exactly the structured form
-with jumps {F_l} and no Hamiltonian: the codespace is a DFS of the monitored
-dynamics.
+continuously at unit rate generates L = R - identity: the structured form
+with jumps {F_l} and no Hamiltonian, so the codespace is a DFS. R0 = P is
+forced: L vanishes on code states, which the F_l annihilate, so R0 acts on
+the code as the identity, and sum_l F_l† F_l = Q then leaves R0† R0 = P. So
+every check here reads the generator it judges: its jumps, its DFS (the
+code) and its structure report.
 
 The concrete instance here is the three-qubit repetition code
 (|000>, |111>) with recovery Kraus operators F_l = P X_l that flip single
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import Perturbation, Study, _general_blocks
-from .lindblad import structured_lindbladian
+from .effective import Perturbation, Study, _general_blocks, _on_units
+from .lindblad import StructuredLindbladian, structured_lindbladian
 from .operators import (
     DfsProjector,
     as_operator,
@@ -37,7 +38,6 @@ from .operators import (
     four_corners,
     frob,
     gksl_superop,
-    operator_stack,
     vectorize_stack,
 )
 from .scenarios import _frobs, coherent_cancellation_drive, orthogonality_residual, surjectivity_residual
@@ -46,6 +46,8 @@ from .scenarios import _frobs, coherent_cancellation_drive, orthogonality_residu
 # that still counts as met.
 RECOVERY_TOL = 1e-10
 CORRECTABILITY_TOL = 1e-9
+# Miscalibration strength eps of `qec` and of the obstruction table.
+MISCALIBRATION_EPS = 1e-2
 # The obstruction table's decaying-block Hamiltonian: its scale and the seed it is drawn from.
 OBSTRUCTION_HAMILTONIAN_SCALE = 0.3
 OBSTRUCTION_SEED = 7
@@ -79,50 +81,28 @@ def pauli_on_qubit(kind: str, qubit, n_qubits: int = 3) -> np.ndarray:
     return out.reshape(q.shape + out.shape[1:])
 
 
-@dataclass(frozen=True)
-class RecoveryChannel:
-    """Kraus data of a recovery channel with a codespace-identity component; kraus is one (J, D, D) array."""
-
-    kraus: np.ndarray
-    identity_kraus: np.ndarray
-    code: DfsProjector
-
-    def __post_init__(self):
-        kraus = operator_stack(self.kraus, self.identity_kraus, "recovery Kraus operator", "R0")
-        object.__setattr__(self, "kraus", kraus)
-
-    @property
-    def dim(self) -> int:
-        return self.identity_kraus.shape[0]
-
-
 def repetition_code_recovery():
     """Three-qubit repetition code under continuous bit-flip recovery.
 
-    Returns (RecoveryChannel, StructuredLindbladian) on the full 8-dimensional
-    register. Its jumps F_l = P X_l are the channel's Kraus array itself; the
-    codespace-identity Kraus R0 = P contributes nothing to the generator and
-    is carried only in the channel data.
+    Returns (code, lind): the codespace and its StructuredLindbladian on the
+    full 8-dimensional register, whose jumps F_l = P X_l are the recovery's
+    Kraus operators other than R0 = P, which adds nothing to the generator.
     """
     dim = 8
     code = DfsProjector.from_indices(dim, (0, 7))
-    p = np.zeros((dim, dim), dtype=complex)
-    p[code.indices, code.indices] = 1.0
     x = pauli_on_qubit("X", range(3))
     kraus = np.zeros_like(x)  # P X_l: the code rows of X_l
     kraus[:, code.indices] = x[:, code.indices]
-    lind = structured_lindbladian(np.zeros((dim, dim), dtype=complex), kraus, code)
-    return RecoveryChannel(kraus=lind.jumps, identity_kraus=p, code=code), lind
+    return code, structured_lindbladian(np.zeros((dim, dim), dtype=complex), kraus, code)
 
 
 @dataclass(frozen=True)
 class RecoveryConditionsReport:
-    """Residuals of the structural hypotheses on a recovery channel."""
+    """Residuals of the structural hypotheses on a recovery generator."""
 
     surjectivity: tuple[float, ...]
     orthogonality: float
     decay_completeness: float
-    channel_completeness: float
     jumps_into_code: tuple[float, ...]
 
     def failures(self) -> list[str]:
@@ -133,9 +113,8 @@ class RecoveryConditionsReport:
         if self.orthogonality > RECOVERY_TOL:
             out.append(f"jump pair overlap (residual {self.orthogonality:.3e})")
         if self.decay_completeness > RECOVERY_TOL:
-            out.append(f"sum F† F != decaying projector (residual {self.decay_completeness:.3e})")
-        if self.channel_completeness > RECOVERY_TOL:
-            out.append(f"channel is not trace preserving (residual {self.channel_completeness:.3e})")
+            out.append(f"sum F† F != decaying projector: with R0 = P the channel is not trace "
+                       f"preserving (residual {self.decay_completeness:.3e})")
         for i, r in enumerate(self.jumps_into_code):
             if r > RECOVERY_TOL:
                 out.append(f"jump {i} does not map decaying states into the code (residual {r:.3e})")
@@ -146,20 +125,20 @@ class RecoveryConditionsReport:
         return not self.failures()
 
 
-def check_recovery_conditions(rec: RecoveryChannel) -> RecoveryConditionsReport:
-    code, kraus = rec.code, rec.kraus
-    w = sum(dagger(kraus) @ kraus)
-    eye = np.eye(rec.dim, dtype=complex)
-    decay = frob(w - four_corners(eye, code).lr)  # Q, the decaying-block projector
-    r0 = rec.identity_kraus
-    channel = frob(dagger(r0) @ r0 + w - eye)
-    into_code = _frobs(kraus - four_corners(kraus, code).ur) / np.maximum(1.0, _frobs(kraus))
+def check_recovery_conditions(lind: StructuredLindbladian) -> RecoveryConditionsReport:
+    """The recovery hypotheses on lind's jumps and its DFS, the code.
+
+    With R0 = P, ||P† P + sum F† F - I|| is the completeness residual ||sum F† F - Q||;
+    the jumps-into-code residuals are read off lind's structure report.
+    """
+    code, jumps = lind.dfs, lind.jumps
+    w = sum(dagger(jumps) @ jumps)
+    q = four_corners(np.eye(lind.dim, dtype=complex), code).lr  # the decaying-block projector
     return RecoveryConditionsReport(
-        surjectivity=surjectivity_residual(kraus, code),
-        orthogonality=orthogonality_residual(kraus),
-        decay_completeness=decay,
-        channel_completeness=channel,
-        jumps_into_code=tuple(map(float, into_code)),
+        surjectivity=surjectivity_residual(jumps, code),
+        orthogonality=orthogonality_residual(jumps),
+        decay_completeness=frob(w - q),
+        jumps_into_code=lind.report.jumps_into_dfs,
     )
 
 
@@ -188,12 +167,12 @@ class MiscalibrationEntry:
         }
 
 
-def classify_miscalibration(f: np.ndarray, rec: RecoveryChannel):
+def classify_miscalibration(f: np.ndarray, code: DfsProjector):
     """Corner norms of a miscalibration f, or a tuple of them, one per operator of a (J, D, D) stack."""
     f = np.asarray(f, dtype=complex)
     if f.ndim == 2:
-        return classify_miscalibration(as_operator(f)[None], rec)[0]
-    c = four_corners(f, rec.code)
+        return classify_miscalibration(as_operator(f)[None], code)[0]
+    c = four_corners(f, code)
     norms = zip(*(map(float, _frobs(corner)) for corner in (c.ll, c.ul, c.ur, c.lr)))
     return tuple(MiscalibrationEntry(*entry) for entry in norms)
 
@@ -214,21 +193,19 @@ class CorrectabilityVerdict:
         return self.residual <= CORRECTABILITY_TOL
 
 
-def correctability_check(detectable_parts, rec: RecoveryChannel) -> CorrectabilityVerdict:
+def correctability_check(detectable_parts, lind: StructuredLindbladian) -> CorrectabilityVerdict:
     """Check the detectable error channel E(rho) = sum f_ll rho f_ll† is correctable.
 
     Builds the compressed codespace matrix of rho -> R(E(rho)) and fits the
     best proportionality constant; correctable means the map IS c * identity.
     E, then R, is applied to the d^2 codespace units b_i b_j† at once, and
-    only the codespace rows of the recovery Kraus operators are read.
+    only the codespace rows of the recovery Kraus operators, R0 = P and
+    lind's jumps, are read.
     """
-    code = rec.code
-    d = code.d
-    # E(b_i b_j†) = sum_f (f b_i)(f b_j)†, stacked as [j, i]: unit i + d j.
-    cols = [as_operator(f)[:, code.indices].T for f in detectable_parts]  # row i is f b_i
-    e_units = sum((c[None, :, :, None] * c.conj()[:, None, None, :] for c in cols),
-                  np.zeros((d, d, rec.dim, rec.dim), dtype=complex)).reshape(d * d, rec.dim, rec.dim)
-    top = np.array([rec.identity_kraus[code.indices]] + [f[code.indices] for f in rec.kraus])
+    idx = lind.dfs.indices
+    cols = np.asarray(detectable_parts, dtype=complex)[..., idx]  # f b_i in column i
+    e_units = _on_units([cols[None]], [cols[None]])[0]  # E(b_i b_j†), unit i + d j
+    top = np.concatenate([np.eye(lind.dim, dtype=complex)[None, idx], lind.jumps[:, idx]])
     m = vectorize_stack(np.sum(top[:, None] @ e_units @ dagger(top)[:, None], axis=0))
     d2 = m.shape[0]
     c = complex(np.trace(m) / d2)
@@ -264,8 +241,8 @@ class RobustnessReport:
         return self.l_eff_norm_general <= self.tol * max(self.pert_norm ** 2, 1e-300)
 
 
-def robustness_check(rec: RecoveryChannel, study: Study, *, tol: float = 1e-10) -> RobustnessReport:
-    """Evaluate codespace protection of the study's generator lind of rec under its pert.
+def robustness_check(study: Study, *, tol: float = 1e-10) -> RobustnessReport:
+    """Evaluate codespace protection of the study's recovery generator lind under its pert.
 
     Computes L_eff by both routes and reports the hypotheses of the
     protection statement separately: recovery conditions, correctability of
@@ -275,9 +252,9 @@ def robustness_check(rec: RecoveryChannel, study: Study, *, tol: float = 1e-10) 
     """
     lind, pert, eff = study.lind, study.pert, study.closed
     structure_ok = lind.report.passed
-    conditions = check_recovery_conditions(rec)
-    corr = correctability_check(four_corners(pert.fs, rec.code).ll, rec)
-    entries = classify_miscalibration(pert.fs, rec)
+    conditions = check_recovery_conditions(lind)
+    corr = correctability_check(four_corners(pert.fs, lind.dfs).ll, lind)
+    entries = classify_miscalibration(pert.fs, lind.dfs)
     zero = np.zeros_like(eff.cp_adjoint_identity)
     cp_part = eff.cp_superop + gksl_superop(zero, [], w=eff.cp_adjoint_identity)
     h_norm = frob(lind.h)
@@ -330,7 +307,7 @@ class ObstructionTable:
         raise KeyError((hamiltonian_on, detectable_on))
 
 
-def hamiltonian_obstruction_demo(eps: float = 1e-2,
+def hamiltonian_obstruction_demo(eps: float = MISCALIBRATION_EPS,
                                  hamiltonian_scale: float = OBSTRUCTION_HAMILTONIAN_SCALE,
                                  seed: int = OBSTRUCTION_SEED) -> ObstructionTable:
     """Build the obstruction table for the repetition code.
@@ -344,20 +321,20 @@ def hamiltonian_obstruction_demo(eps: float = 1e-2,
     The table reads the general route alone, one batch per generator; each
     cell's ``study`` runs the closed route only when read.
     """
-    rec, lind0 = repetition_code_recovery()
-    dim = rec.dim
+    code, lind0 = repetition_code_recovery()
+    dim = lind0.dim
     rng = np.random.default_rng(seed)
     hr = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = np.zeros((dim, dim), dtype=complex)
-    h[np.ix_(rec.code.rest, rec.code.rest)] = hamiltonian_scale * ((hr + dagger(hr)) / 2)
+    h[np.ix_(code.rest, code.rest)] = hamiltonian_scale * ((hr + dagger(hr)) / 2)
     cells = []
     for h_on in (False, True):
-        lind = structured_lindbladian(h, rec.kraus, rec.code) if h_on else lind0
+        lind = structured_lindbladian(h, lind0.jumps, code) if h_on else lind0
         perts = []
         for det_on in (False, True):
             pert = pauli_miscalibration("X" if det_on else "Z", eps)
             if h_on:
-                stripped = pert.fs - four_corners(pert.fs, rec.code).ll
+                stripped = pert.fs - four_corners(pert.fs, code).ll
                 drive = coherent_cancellation_drive(lind, stripped, cancel_induced_hamiltonian=True)
                 pert = Perturbation(v=drive.v, fs=pert.fs)
             perts.append(pert)

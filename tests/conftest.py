@@ -17,7 +17,7 @@ def three_level():
 
 @pytest.fixture
 def repetition():
-    """Repetition-code recovery channel and its continuous-recovery generator."""
+    """Repetition code and its continuous-recovery generator, as (code, lind)."""
     return repetition_code_recovery()
 
 

@@ -485,15 +485,17 @@ def cp_superop_per_unit(lind, pert: Perturbation) -> np.ndarray:
     return out
 
 
-def dense_correctability(detectable_parts, rec) -> tuple[complex, float]:
+def dense_correctability(detectable_parts, lind) -> tuple[complex, float]:
     """Constant and residual of the fit R(E(rho)) = c rho, from Kronecker-form superoperators.
 
     The (D^2, D^2) matrices of E = sum_f f (.) f† and of the recovery channel
-    R are multiplied whole, and the product's codespace block is fitted.
+    R, with Kraus operators R0 = P of lind's DFS and lind's jumps, are
+    multiplied whole, and the product's codespace block is fitted.
     """
+    code = lind.dfs
     e_super = sum(sandwich_superop(f, dagger(f)) for f in detectable_parts)
-    r_super = sum(sandwich_superop(r, dagger(r)) for r in (rec.identity_kraus, *rec.kraus))
-    ul = rec.code.vec_order[:rec.code.d ** 2]  # the codespace vec positions
+    r_super = sum(sandwich_superop(r, dagger(r)) for r in (dense_dfs(code).p, *lind.jumps))
+    ul = code.vec_order[:code.d ** 2]  # the codespace vec positions
     m = (r_super @ e_super)[np.ix_(ul, ul)]
     c = complex(np.trace(m) / m.shape[0])
     return c, frob(m - c * np.eye(m.shape[0])) / max(frob(m), 1e-300)

@@ -215,15 +215,15 @@ def test_criterion_05_universal_dissipation():
 
 
 def test_criterion_06_qec_robustness():
-    rec, lind = repetition_code_recovery()
+    _, lind = repetition_code_recovery()
     eps = 1e-2
-    rep_x = robustness_check(rec, Study(lind, pauli_miscalibration("X", eps)))
-    rep_z = robustness_check(rec, Study(lind, pauli_miscalibration("Z", eps)))
+    rep_x = robustness_check(Study(lind, pauli_miscalibration("X", eps)))
+    rep_z = robustness_check(Study(lind, pauli_miscalibration("Z", eps)))
     protected_ok = (
         rep_x.hypotheses_met and rep_x.l_eff_norm_general <= 1e-10 * eps ** 2
         and rep_z.hypotheses_met and rep_z.l_eff_norm_general <= 1e-10 * eps ** 2
     )
-    rep_y = robustness_check(rec, Study(lind, pauli_miscalibration("Y", eps)))
+    rep_y = robustness_check(Study(lind, pauli_miscalibration("Y", eps)))
     y_nonzero = (not rep_y.hypotheses_met) and rep_y.l_eff_norm_general > 1e-6
 
     table = hamiltonian_obstruction_demo(eps=eps, hamiltonian_scale=0.3, seed=7)
@@ -286,7 +286,7 @@ def test_criterion_09_dynamics_convergence():
     consts = list(drift_constants(evolve_and_compare(lind, pert, cfg)).values())
     spread_dark = max(consts) / min(consts)
 
-    rec, lind_q = repetition_code_recovery()
+    _, lind_q = repetition_code_recovery()
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
     plus_q = np.zeros((8, 8), dtype=complex)

@@ -749,6 +749,37 @@ def test_a_verdict_fails_where_its_tolerance_cannot_be_met(argv, failed, tmp_pat
     assert {key for key, value in verdicts.items() if value is False} == failed
 
 
+_universal_dissipation = ejof.scenarios.universal_dissipation
+_three_level_system = ejof.scenarios.three_level_system
+
+
+def _undriven_universal(lind, target_h, target_jumps):
+    # The universal construction without its compensation drive: V = V_target.
+    pert = _universal_dissipation(lind, target_h, target_jumps)
+    return ejof.effective.Perturbation(v=np.asarray(target_h, dtype=complex), fs=pert.fs)
+
+
+def _detuned_three_level(params):
+    # The delta = 1 system under a delta = 0 scenario: its effective jump does not vanish.
+    return _three_level_system(dataclasses.replace(params, delta=1.0))
+
+
+@pytest.mark.parametrize("argv, name, broken, failed", [
+    (["scenario", "universal"], "universal_dissipation", _undriven_universal, {"target_matched"}),
+    (["scenario", "three-level", "--delta", "0"], "three_level_system", _detuned_three_level,
+     {"effective_jump_vanishes"}),
+], ids=["universal-undriven", "three-level-detuned"])
+def test_a_verdict_fails_on_a_broken_construction(argv, name, broken, failed, monkeypatch, tmp_path):
+    # These verdicts read exactly 0.0 on the working construction, so no tol fails
+    # them; a construction with its decisive step undone must.
+    monkeypatch.setattr(ejof.scenarios, name, broken)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == cli.EXIT_VERIFICATION
+    verdicts = load_report(out)["verdicts"]
+    assert {key for key, value in verdicts.items() if value is False} == failed
+    assert all(value is True for key, value in verdicts.items() if key not in failed)
+
+
 def test_qec_unknown_code(capsys):
     assert main(["qec", "surface"]) == 2
     assert "repetition" in capsys.readouterr().err

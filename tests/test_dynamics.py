@@ -160,7 +160,7 @@ def test_dark_drive_has_bounded_drift():
 
 
 def qec_z_sweep(epsilons=(0.04, 0.02, 0.01), taus=(0.5, 1.0, 2.0, 5.0)):
-    rec, lind = repetition_code_recovery()
+    _, lind = repetition_code_recovery()
     pert = pauli_miscalibration("Z", 1.0)
     zero = np.zeros((8, 8), dtype=complex)
     rho0 = zero.copy()

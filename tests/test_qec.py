@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from oracles import (
     surjectivity_per_jump,
 )
 from ejof.qec import (
-    RecoveryChannel,
     check_recovery_conditions,
     classify_miscalibration,
     correctability_check,
@@ -72,10 +69,10 @@ def test_pauli_on_qubit_validates_each_qubit_of_a_sequence():
 
 
 def test_recovery_kraus_is_one_array_the_generators_share(repetition, monkeypatch):
-    rec, lind = repetition
-    assert isinstance(rec.kraus, np.ndarray)
-    assert rec.kraus.dtype == complex and rec.kraus.shape == (3, 8, 8)
-    assert np.shares_memory(rec.kraus, lind.jumps)
+    code, lind = repetition
+    assert isinstance(lind.jumps, np.ndarray)
+    assert lind.jumps.dtype == complex and lind.jumps.shape == (3, 8, 8)
+    assert lind.dfs is code
     built = []
     original = ejof.qec.structured_lindbladian
 
@@ -90,49 +87,50 @@ def test_recovery_kraus_is_one_array_the_generators_share(repetition, monkeypatc
     assert np.shares_memory(bare.jumps, driven.jumps)
 
 
-def test_recovery_channel_stacks_a_sequence_and_checks_shapes(repetition):
-    rec, _ = repetition
-    listed = RecoveryChannel(kraus=list(rec.kraus), identity_kraus=rec.identity_kraus, code=rec.code)
-    assert isinstance(listed.kraus, np.ndarray)
-    np.testing.assert_array_equal(listed.kraus, rec.kraus)
-    with pytest.raises(ValueError, match="recovery Kraus operator shape"):
-        RecoveryChannel(kraus=[np.eye(4)], identity_kraus=rec.identity_kraus, code=rec.code)
-
-
 def test_recovery_surjectivity_is_the_per_jump_oracle(repetition):
-    rec, _ = repetition
-    rep = check_recovery_conditions(rec)
-    assert rep.surjectivity == surjectivity_per_jump(rec.kraus, rec.code)
+    code, lind = repetition
+    rep = check_recovery_conditions(lind)
+    assert rep.surjectivity == surjectivity_per_jump(lind.jumps, code)
     assert all(type(r) is float for r in rep.surjectivity + rep.jumps_into_code)
 
 
 def test_recovery_channel_shape(repetition):
-    rec, lind = repetition
-    assert rec.dim == 8
-    assert len(rec.kraus) == 3
-    assert rec.code.d == 2
+    code, lind = repetition
     assert lind.dim == 8
+    assert len(lind.jumps) == 3
+    assert code.d == 2
     # the code states are |000> and |111>
-    np.testing.assert_allclose(np.diag(dense_dfs(rec.code).p).real, [1, 0, 0, 0, 0, 0, 0, 1])
+    np.testing.assert_allclose(np.diag(dense_dfs(code).p).real, [1, 0, 0, 0, 0, 0, 0, 1])
 
 
 def test_recovery_conditions_hold(repetition):
-    rec, _ = repetition
-    rep = check_recovery_conditions(rec)
+    code, lind = repetition
+    rep = check_recovery_conditions(lind)
     assert rep.passed, rep.failures()
     # the jumps resolve the decaying space exactly: sum F†F = Q with no residual
-    w = sum(dagger(f) @ f for f in rec.kraus)
-    assert frob(w - dense_dfs(rec.code).q) == 0.0
+    w = sum(dagger(f) @ f for f in lind.jumps)
+    assert frob(w - dense_dfs(code).q) == 0.0
     assert rep.orthogonality == 0.0
 
 
 def test_recovery_conditions_flag_broken_channel(repetition):
-    rec, _ = repetition
-    broken = dataclasses.replace(rec, kraus=rec.kraus[:2])  # drop one syndrome
+    code, lind = repetition
+    broken = structured_lindbladian(lind.h, lind.jumps[:2], code, validate=False)  # drop one syndrome
     rep = check_recovery_conditions(broken)
     assert not rep.passed
     assert rep.decay_completeness > 0.5
     assert any("trace preserving" in msg for msg in rep.failures())
+
+
+def test_recovery_conditions_flag_a_jump_off_its_corner(repetition):
+    # One entry outside the DFS-rows x decaying-columns corner: F_0 maps a code state.
+    code, lind = repetition
+    jumps = lind.jumps.copy()
+    jumps[0, code.rest[0], code.indices[0]] = 0.5
+    rep = check_recovery_conditions(structured_lindbladian(lind.h, jumps, code, validate=False))
+    assert rep.jumps_into_code[0] > 0.1 and rep.jumps_into_code[1:] == (0.0, 0.0)
+    assert [msg for msg in rep.failures() if "into the code" in msg] == [
+        f"jump 0 does not map decaying states into the code (residual {rep.jumps_into_code[0]:.3e})"]
 
 
 @pytest.mark.parametrize(
@@ -144,10 +142,10 @@ def test_recovery_conditions_flag_broken_channel(repetition):
     ],
 )
 def test_miscalibration_classification(repetition, kind, nonzero):
-    rec, _ = repetition
+    code, _ = repetition
     pert = pauli_miscalibration(kind, 1e-2)
     for f in pert.fs:
-        entry = classify_miscalibration(f, rec).as_dict()
+        entry = classify_miscalibration(f, code).as_dict()
         for corner, value in entry.items():
             if corner in nonzero:
                 assert value > 1e-3, (kind, corner)
@@ -157,56 +155,56 @@ def test_miscalibration_classification(repetition, kind, nonzero):
 
 @pytest.mark.parametrize("kind", "XYZ")
 def test_classification_of_a_stack_is_per_operator(repetition, kind):
-    rec, _ = repetition
-    fs = pauli_miscalibration(kind, 1e-2).fs + _random_detectable(rec, 5)
-    entries = classify_miscalibration(fs, rec)
-    assert entries == tuple(classify_miscalibration(f, rec) for f in fs)
+    code, _ = repetition
+    fs = pauli_miscalibration(kind, 1e-2).fs + _random_detectable(code, 5)
+    entries = classify_miscalibration(fs, code)
+    assert entries == tuple(classify_miscalibration(f, code) for f in fs)
     for f, entry in zip(fs, entries):
-        c = four_corners(f, rec.code)
+        c = four_corners(f, code)
         assert entry.as_dict() == {"detectable": frob(c.ll), "undetectable": frob(c.ul),
                                    "feeding": frob(c.ur), "decaying": frob(c.lr)}
     assert all(type(v) is float for e in entries for v in e.as_dict().values())
 
 
 def test_x_channel_is_correctable(repetition):
-    rec, _ = repetition
+    code, lind = repetition
     eps = 1e-2
     pert = pauli_miscalibration("X", eps)
-    detectable = [four_corners(f, rec.code).ll for f in pert.fs]
-    verdict = correctability_check(detectable, rec)
+    detectable = [four_corners(f, code).ll for f in pert.fs]
+    verdict = correctability_check(detectable, lind)
     assert verdict.passed
     # each of the three flips is recovered with unit fidelity: c = 3 eps^2
     assert abs(verdict.constant - 3 * eps ** 2) < 1e-12
 
 
 def test_y_channel_is_not_correctable(repetition):
-    rec, _ = repetition
+    code, lind = repetition
     pert = pauli_miscalibration("Y", 1e-2)
-    detectable = [four_corners(f, rec.code).ll for f in pert.fs]
-    verdict = correctability_check(detectable, rec)
+    detectable = [four_corners(f, code).ll for f in pert.fs]
+    verdict = correctability_check(detectable, lind)
     assert not verdict.passed
     assert verdict.residual > 0.5
 
 
-def _random_detectable(rec, seed):
+def _random_detectable(code, seed):
     rng = np.random.default_rng(seed)
     parts = []
     for _ in range(3):
-        f = rng.standard_normal((rec.dim, rec.dim)) + 1j * rng.standard_normal((rec.dim, rec.dim))
-        parts.append(four_corners(f, rec.code).ll)
+        f = rng.standard_normal((code.dim, code.dim)) + 1j * rng.standard_normal((code.dim, code.dim))
+        parts.append(four_corners(f, code).ll)
     return parts
 
 
 @pytest.mark.parametrize("kind, eps", [(k, e) for k in "XYZ" for e in (1e-2, 1.0)] + [("random", 1.0)])
 def test_correctability_matches_the_kronecker_oracle(repetition, kind, eps):
     # E then R on the d^2 codespace units, against the (D^2, D^2) product of their matrices.
-    rec, _ = repetition
+    code, lind = repetition
     if kind == "random":
-        detectable = _random_detectable(rec, 11)
+        detectable = _random_detectable(code, 11)
     else:
-        detectable = [four_corners(f, rec.code).ll for f in pauli_miscalibration(kind, eps).fs]
-    verdict = correctability_check(detectable, rec)
-    constant, residual = dense_correctability(detectable, rec)
+        detectable = [four_corners(f, code).ll for f in pauli_miscalibration(kind, eps).fs]
+    verdict = correctability_check(detectable, lind)
+    constant, residual = dense_correctability(detectable, lind)
     assert abs(verdict.constant - constant) <= 1e-13 * abs(constant)
     assert abs(verdict.residual - residual) <= 1e-13  # each is already relative
     if kind == "random":
@@ -215,18 +213,18 @@ def test_correctability_matches_the_kronecker_oracle(repetition, kind, eps):
 
 @pytest.mark.parametrize("kind", "XYZ")
 def test_cp_part_is_the_feed_through_with_its_anticommutator(repetition, kind):
-    rec, lind = repetition
+    _, lind = repetition
     study = Study(lind, pauli_miscalibration(kind, 1e-2))
     eff = study.closed
     want = frob(eff.cp_superop - 0.5 * anticommutator_superop(eff.cp_adjoint_identity))
-    assert robustness_check(rec, study).cp_part_norm == pytest.approx(want, rel=1e-14, abs=1e-300)
+    assert robustness_check(study).cp_part_norm == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 @pytest.mark.parametrize("kind", ["X", "Z"])
 def test_protected_miscalibrations(repetition, kind):
-    rec, lind = repetition
+    _, lind = repetition
     eps = 1e-2
-    rep = robustness_check(rec, Study(lind, pauli_miscalibration(kind, eps)))
+    rep = robustness_check(Study(lind, pauli_miscalibration(kind, eps)))
     assert rep.structure_ok
     assert rep.hypotheses_met
     assert rep.protected
@@ -235,9 +233,9 @@ def test_protected_miscalibrations(repetition, kind):
 
 
 def test_y_miscalibration_breaks_protection(repetition):
-    rec, lind = repetition
+    _, lind = repetition
     eps = 1e-2
-    rep = robustness_check(rec, Study(lind, pauli_miscalibration("Y", eps)))
+    rep = robustness_check(Study(lind, pauli_miscalibration("Y", eps)))
     assert not rep.hypotheses_met
     assert not rep.correctability.passed
     assert not rep.protected
@@ -247,7 +245,7 @@ def test_y_miscalibration_breaks_protection(repetition):
 def test_y_miscalibration_generator_value(repetition):
     # independent closed form: the recovered Y channel acts as 3 eps^2 Z rho Z
     # on the code, so L_eff = 3 eps^2 (Z . Z - id) in the code block
-    rec, lind = repetition
+    _, lind = repetition
     eps = 1e-2
     pert = pauli_miscalibration("Y", eps)
     block = effective_lindbladian_general(lind, pert)
@@ -257,12 +255,12 @@ def test_y_miscalibration_generator_value(repetition):
 
 
 def test_hamiltonian_defeats_hypotheses(repetition):
-    rec, _ = repetition
+    code, lind0 = repetition
     h = np.zeros((8, 8), dtype=complex)
-    bq = dense_dfs(rec.code).basis_c
+    bq = dense_dfs(code).basis_c
     h += 0.2 * bq @ np.eye(6) @ dagger(bq)
-    lind = structured_lindbladian(h, rec.kraus, rec.code, validate=False)
-    rep = robustness_check(rec, Study(lind, pauli_miscalibration("X", 1e-2)))
+    lind = structured_lindbladian(h, lind0.jumps, code, validate=False)
+    rep = robustness_check(Study(lind, pauli_miscalibration("X", 1e-2)))
     assert rep.hamiltonian_norm > 0
     assert not rep.hypotheses_met
 
